@@ -8,9 +8,7 @@ short human summary.  `--output` captures the primary artifact: for
 complex file, and for every other subcommand the JSON report itself.
 
 Exit codes: 0 success, 2 validation failure, 3 parse failure, 4 resource
-cap (ambient rank or tower depth).  `--parallel k` maps independent input
-files across k workers; the report order stays sorted by path regardless
-of completion order.
+cap (ambient rank or tower depth).
 """
 
 from __future__ import annotations
@@ -18,9 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .complexes import (
@@ -60,6 +56,7 @@ from .io import (
     fmt_rational,
     load_json,
     parse_complex_data,
+    parse_elliptic,
     parse_fan,
     parse_fan_data,
     parse_incidence,
@@ -73,7 +70,7 @@ from .io import (
     sha256_file,
     tower_spec_from_data,
 )
-from .lattice import make_cone
+from .lattice import cone_from_generators
 from .sampling import SampleConfig, distance_to_ptrop, lift_coefficients, ptrop_sample_oracle
 from .towers import (
     TOWER_DEPTH_CAP,
@@ -101,22 +98,23 @@ class JobConfig:
     svg: bool = False
     depth: int = TOWER_DEPTH_CAP
     level: Optional[int] = None
-    parallel: int = 1
     cluster_angle: float = 3e-3
-    enclosure_width: Fraction = Fraction(1, 10 ** 6)
 
     def __post_init__(self):
         if not self.inputs:
             raise ValidationError("at least one input file is required")
-        if self.cluster_angle <= 0 or self.enclosure_width <= 0:
+        if self.output and len(self.inputs) > 1 and \
+                self.subcommand in ("dualcx", "subdivide"):
+            raise ValidationError(
+                f"{self.subcommand} writes one artifact, so --output takes "
+                f"exactly one input file")
+        if self.cluster_angle <= 0:
             raise ValidationError("tolerances must be positive")
         if not 1 <= self.depth <= TOWER_DEPTH_CAP:
             raise ValidationError(
                 f"depth must lie in 1..{TOWER_DEPTH_CAP}")
         if self.level is not None and self.level < 1:
             raise ValidationError("level must be a positive integer")
-        if self.parallel < 1:
-            raise ValidationError("worker count must be at least 1")
 
 
 # -- small helpers -----------------------------------------------------------
@@ -156,7 +154,7 @@ def _write_svg(cfg: JobConfig, path: str, svg: str) -> str:
 
 
 def _maybe_artifact(cfg: JobConfig, result: dict, payload: dict) -> dict:
-    if cfg.output and len(cfg.inputs) == 1:
+    if cfg.output:
         _write(cfg.output, canonical_json(payload))
         result["artifact"] = cfg.output
     return result
@@ -396,11 +394,7 @@ def handle_dualcx(cfg: JobConfig, path: str) -> dict:
 def _complex_from_file(obj: dict, path: str) -> DeltaComplex:
     """A complex file, or {"elliptic": {"m": k}} for the I_k cycle."""
     if "elliptic" in obj:
-        ell = obj["elliptic"]
-        if not isinstance(ell, dict):
-            raise ParseError(f"{path}.elliptic: expected an object")
-        m = parse_int(require_field(ell, "m", f"{path}.elliptic"),
-                      f"{path}.elliptic.m")
+        m, _ = parse_elliptic(obj, path)
         return polygon_degeneration(m).complex
     return parse_complex_data(obj, path)
 
@@ -409,11 +403,7 @@ def handle_subdivide(cfg: JobConfig, path: str) -> dict:
     level = cfg.level if cfg.level is not None else 1
     obj = load_json(path)
     if "elliptic" in obj:
-        ell = obj["elliptic"]
-        if not isinstance(ell, dict):
-            raise ParseError(f"{path}.elliptic: expected an object")
-        m = parse_int(require_field(ell, "m", f"{path}.elliptic"),
-                      f"{path}.elliptic.m")
+        m, _ = parse_elliptic(obj, path)
         # base change keeps the canonical circle labels v0..v(Nm-1)
         y = base_change(polygon_degeneration(m), level).complex
     else:
@@ -521,7 +511,7 @@ def handle_toric_fiber(cfg: JobConfig, path: str) -> dict:
         [parse_int(a, f"{path}.base.rays[{i}]") for a in row]
         for i, row in enumerate(require_field(base_obj, "rays",
                                               f"{path}.base"))]
-    base = make_cone(base_rays, n=rank_t)
+    base = cone_from_generators(base_rays, n=rank_t)
     fiber = toric_fiber_complex(matrix, source, target, base)
     return {
         "input": path,
@@ -534,19 +524,16 @@ def handle_toric_fiber(cfg: JobConfig, path: str) -> dict:
 
 def handle_galaxy(cfg: JobConfig, path: str) -> dict:
     obj = load_json(path)
-    ell = require_field(obj, "elliptic", path)
-    if not isinstance(ell, dict):
-        raise ParseError(f"{path}.elliptic: expected an object")
-    m = parse_int(require_field(ell, "m", f"{path}.elliptic"),
-                  f"{path}.elliptic.m")
-    degrees = [parse_int(d, f"{path}.elliptic.degrees")
-               for d in require_field(ell, "degrees", f"{path}.elliptic")]
+    m, degrees = parse_elliptic(obj, path, tower=True)
+    points = obj.get("points", [])
+    if not isinstance(points, list):
+        raise ParseError(f"{path}.points: expected a list")
     if len(degrees) > cfg.depth:
         raise DepthCap(f"{len(degrees)} tower levels exceed --depth "
                        f"{cfg.depth}")
     tower = elliptic_tower(m, degrees)
     outcomes = []
-    for i, raw in enumerate(obj.get("points", [])):
+    for i, raw in enumerate(points):
         where = f"{path}.points[{i}]"
         if isinstance(raw, dict):
             sym_obj = require_field(raw, "symbol", where)
@@ -633,13 +620,8 @@ def run(cfg: JobConfig) -> dict:
         digests = list(cfg.inputs)
     else:
         handler = _HANDLERS[cfg.subcommand]
-        ordered = sorted(cfg.inputs)
-        if cfg.parallel > 1 and len(ordered) > 1:
-            with ThreadPoolExecutor(max_workers=cfg.parallel) as pool:
-                results = list(pool.map(lambda p: handler(cfg, p), ordered))
-        else:
-            results = [handler(cfg, p) for p in ordered]
-        digests = ordered
+        digests = sorted(cfg.inputs)
+        results = [handler(cfg, p) for p in digests]
     return {
         "command": cfg.subcommand,
         "seed": cfg.seed,
@@ -725,8 +707,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--depth", type=int, default=TOWER_DEPTH_CAP,
                        help=f"tower depth cap (max {TOWER_DEPTH_CAP})")
-        p.add_argument("--parallel", type=int, default=1, metavar="K",
-                       help="process independent inputs with K workers")
         if svg:
             p.add_argument("--svg", action="store_true",
                            help="also write an SVG next to the output")
@@ -765,7 +745,6 @@ def config_from_args(args: argparse.Namespace) -> JobConfig:
         svg=getattr(args, "svg", False),
         depth=args.depth,
         level=getattr(args, "level", None),
-        parallel=args.parallel,
         cluster_angle=getattr(args, "cluster_angle", 3e-3),
     )
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from . import _linalg as la
-from ._polyhedra import polyhedron_info
+from ._polyhedra import affine_dim, face_lattice, polyhedron_info
 from .errors import (
     DimensionMismatch,
     IncoherentIncidence,
@@ -701,36 +701,6 @@ def _occurrences(x: DeltaComplex, name: str, face_name: str):
             yield kept
 
 
-def _polytope_faces_by_vertices(vertices, rows, n):
-    """Faces of a polytope as vertex sets: close row-active sets under meet."""
-    all_verts = frozenset(vertices)
-    seeds = []
-    for coeffs, const in rows:
-        active = frozenset(
-            v for v in vertices
-            if sum(c * vc for c, vc in zip(coeffs, v)) + const == 0)
-        if active:
-            seeds.append(active)
-    faces = {all_verts}
-    queue = list(seeds)
-    while queue:
-        fs = queue.pop()
-        if fs in faces or not fs:
-            continue
-        faces.add(fs)
-        for other in seeds:
-            meet = fs & other
-            if meet and meet not in faces:
-                queue.append(meet)
-    return faces
-
-
-def _affine_dim(points) -> int:
-    pts = list(points)
-    p0 = pts[0]
-    return la.mat_rank([la.vec_sub(p, p0) for p in pts[1:]])
-
-
 def _push_fiber_face(x: DeltaComplex, name: str, verts):
     """Canonical (cell, vertex coordinates) key for a glued fiber face."""
     cell = x.cell(name)
@@ -777,11 +747,9 @@ def map_fiber(mapping: ComplexMap, cell_name: str, coords: Sequence
             info = polyhedron_info(equations, rows, m + 1)
             if info is None:
                 continue
-            piece_faces = _polytope_faces_by_vertices(
-                info.vertices, rows, m + 1)
-            for fs in piece_faces:
+            for fs in face_lattice(info.vertices, rows):
                 key = _push_fiber_face(mapping.source, cell.name, fs)
-                faces[key] = _affine_dim(key[1])
+                faces[key] = affine_dim(key[1])
     counts: dict[int, int] = {}
     for d in faces.values():
         counts[d] = counts.get(d, 0) + 1

@@ -24,20 +24,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cmp_to_key
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import DimensionMismatch, ValidationError, ZeroVector
+from .errors import DimensionMismatch, ValidationError
 from .lattice import (
     OUTSIDE,
     Cone,
     Ray,
+    _face,
     cone_contains,
     cone_intersect,
     cone_is_face,
     cone_subset,
-    halfspaces_to_generators,
+    locate,
     make_cone,
     primitive,
+    rational_sign,
 )
 
 IVec = tuple[int, ...]
@@ -50,13 +52,19 @@ def _cone_key(c: Cone):
 
 def facet_cones(c: Cone) -> tuple[Cone, ...]:
     """The codimension-1 faces of a cone, one per facet normal."""
-    out = []
-    for f in c.facets:
-        lines, rays = halfspaces_to_generators(
-            c.equations + (f,), c.facets, c.n
-        )
-        out.append(make_cone(list(rays), n=c.n, lines=list(lines)))
-    return tuple(out)
+    return tuple(_face(c, (f,)) for f in c.facets)
+
+
+def minimal_carrier(cones: Iterable[Cone],
+                    locate_in: Callable[[Cone], Optional[Cone]]
+                    ) -> Optional[Cone]:
+    """The lowest-dimensional face ``locate_in(c)`` over the cones, or None."""
+    best = None
+    for c in cones:
+        face = locate_in(c)
+        if face is not None and (best is None or face.dim < best.dim):
+            best = face
+    return best
 
 
 @dataclass(frozen=True)
@@ -91,25 +99,17 @@ class Fan:
 
     def carrier(self, v: Sequence) -> Optional[Cone]:
         """The minimal cone of the fan containing v, or None if outside."""
-        best = None
-        for c in self.maximal:
-            loc = cone_contains(c, v)
-            if loc.kind == OUTSIDE:
-                continue
-            face = c if loc.face is None else loc.face
-            if best is None or face.dim < best.dim:
-                best = face
-        return best
+        sign = rational_sign(v, self.n)
+        return minimal_carrier(self.maximal, lambda c: locate(c, sign))
 
 
 def _pair_facets(maximal: Sequence[Cone]):
-    """Count how many maximal cones share each facet cone."""
-    counts: dict = {}
+    """Each facet cone of the given cones with the number sharing it."""
+    pairs: dict = {}
     for c in maximal:
         for f in facet_cones(c):
-            key = (f.rays, f.lines)
-            counts[key] = counts.get(key, 0) + 1
-    return counts
+            pairs.setdefault((f.rays, f.lines), [0, f])[0] += 1
+    return pairs.values()
 
 
 def _is_complete(maximal: Sequence[Cone], n: int) -> bool:
@@ -120,7 +120,7 @@ def _is_complete(maximal: Sequence[Cone], n: int) -> bool:
         return False
     if n == 0:
         return True
-    return all(k == 2 for k in _pair_facets(maximal).values())
+    return all(k == 2 for k, _ in _pair_facets(maximal))
 
 
 def validate_fan(cones: Sequence[Cone], n: Optional[int] = None) -> FanReport:
@@ -251,13 +251,7 @@ def is_subdivision(fine: Fan, coarse: Fan) -> Optional[SubdivisionWitness]:
     for j, taus in groups.items():
         sigma = coarse.maximal[j]
         sigma_facets = facet_cones(sigma)
-        counts: dict = {}
-        for tau in taus:
-            for f in facet_cones(tau):
-                key = (f.rays, f.lines)
-                counts.setdefault(key, [0, f])
-                counts[key][0] += 1
-        for count, f in counts.values():
+        for count, f in _pair_facets(taus):
             if count == 2:
                 continue
             if count > 2:

@@ -26,14 +26,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 from .complexes import DeltaComplex, StrataIncidence, make_complex, make_incidence
 from .errors import ParseError
 from .fans import Fan, fan_from_cones
 from .galaxy import EllipticTower, elliptic_tower
-from .lattice import Cone, make_cone
+from .lattice import Cone, cone_from_generators
 from .towers import (
     CommonRefineWith,
     FanTower,
@@ -84,9 +85,16 @@ def require_field(obj: dict, key: str, where: str):
     return obj[key]
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(value, where: str) -> Fraction:
+    """An int, or a string in the "p/q" / "k" schema (no spaces, exponents
+    or underscores)."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ParseError(f"{where}: expected a rational string, got {value!r}")
+    if isinstance(value, str) and not _RATIONAL.fullmatch(value):
+        raise ParseError(f"{where}: bad rational {value!r}")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
@@ -147,7 +155,7 @@ def parse_fan_data(obj: dict, where: str) -> tuple[int, list[Cone]]:
                 raise ParseError(
                     f"{where}.maximal_cones[{i}]: ray index {j} out of "
                     f"range")
-        cones.append(make_cone([rays[j] for j in ii], n=rank))
+        cones.append(cone_from_generators([rays[j] for j in ii], n=rank))
     return rank, cones
 
 
@@ -339,17 +347,28 @@ def parse_tower_spec(path: str) -> Union[FanTower, EllipticTower]:
     return tower_spec_from_data(load_json(path), path)
 
 
+def parse_elliptic(obj: dict, where: str, tower: bool = False
+                   ) -> tuple[int, Optional[list[int]]]:
+    """m and degrees of the {"elliptic": {"m": int, "degrees": [ints]}} form.
+
+    A single cycle I_m needs only m (degrees come back None); a tower also
+    requires the list of cumulative degrees.
+    """
+    ell = require_field(obj, "elliptic", where)
+    where = f"{where}.elliptic"
+    if not isinstance(ell, dict):
+        raise ParseError(f"{where}: expected an object")
+    m = parse_int(require_field(ell, "m", where), f"{where}.m")
+    if not tower:
+        return m, None
+    return m, _int_list(require_field(ell, "degrees", where),
+                        f"{where}.degrees")
+
+
 def tower_spec_from_data(obj: dict, path: str
                          ) -> Union[FanTower, EllipticTower]:
     if "elliptic" in obj:
-        ell = obj["elliptic"]
-        if not isinstance(ell, dict):
-            raise ParseError(f"{path}.elliptic: expected an object")
-        m = parse_int(require_field(ell, "m", f"{path}.elliptic"),
-                      f"{path}.elliptic.m")
-        degrees = _int_list(require_field(ell, "degrees", f"{path}.elliptic"),
-                            f"{path}.elliptic.degrees")
-        return elliptic_tower(m, degrees)
+        return elliptic_tower(*parse_elliptic(obj, path, tower=True))
     base_obj = require_field(obj, "base_fan", path)
     if not isinstance(base_obj, dict):
         raise ParseError(f"{path}.base_fan: expected a fan object")

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import _linalg as la
 from .errors import (
@@ -156,18 +156,6 @@ def halfspaces_to_generators(
     return tuple(lines), tuple(sorted(set(rays)))
 
 
-def generators_to_halfspaces(
-    rays: Sequence[Sequence], lines: Sequence[Sequence], n: int
-) -> tuple[tuple[IVec, ...], tuple[IVec, ...]]:
-    """H-description (equations, facet inner normals) of cone(rays) + span(lines).
-
-    Dual of ``halfspaces_to_generators``: the dual cone's lineality is the
-    span complement, its extreme rays are the facet normals.
-    """
-    eqs, facets = halfspaces_to_generators(lines, rays, n)
-    return eqs, facets
-
-
 @dataclass(frozen=True)
 class Cone:
     """A rational polyhedral cone with canonical double description."""
@@ -231,15 +219,32 @@ def _cone_from_canonical(
 
     The canonical V-description is independent of the H-description it was
     derived from, so output of ``halfspaces_to_generators`` can be wrapped
-    directly; only the dual conversion for facets remains.
+    directly; only the dual conversion for facets remains.  It is the same
+    engine run on the dual cone, whose lineality is the span complement and
+    whose extreme rays are the facet normals.
     """
-    equations, facets = generators_to_halfspaces(rays, lines, n)
+    equations, facets = halfspaces_to_generators(lines, rays, n)
     return Cone(n=n, rays=tuple(rays), lines=tuple(lines), facets=facets,
                 equations=equations)
 
 
+def _cone_from_halfspaces(equations: Sequence[Sequence],
+                          inequalities: Sequence[Sequence], n: int) -> Cone:
+    """The cone {x : E x = 0, A x >= 0}, converted once and wrapped."""
+    lines, rays = halfspaces_to_generators(equations, inequalities, n)
+    return _cone_from_canonical(rays, lines, n)
+
+
+def _face(cone: Cone, active: Sequence[IVec]) -> Cone:
+    """The face of the cone on which the given nonnegative rows vanish."""
+    if not active:
+        return cone
+    return _cone_from_halfspaces(cone.equations + tuple(active), cone.facets,
+                                 cone.n)
+
+
 def _build_cone(rays: Sequence[Sequence], lines: Sequence[Sequence], n: int) -> Cone:
-    equations, facets = generators_to_halfspaces(rays, lines, n)
+    equations, facets = halfspaces_to_generators(lines, rays, n)
     lines_c, rays_c = halfspaces_to_generators(equations, facets, n)
     cone = Cone(n=n, rays=rays_c, lines=lines_c, facets=facets, equations=equations)
     for g in list(rays) + list(lines):
@@ -316,23 +321,48 @@ class Location:
     face: Cone | None = None
 
 
+def locate(cone: Cone, sign: Callable[[IVec], int]) -> Cone | None:
+    """Minimal face of the cone containing a point, or None if outside.
+
+    ``sign(row)`` is the point's sign (-1, 0 or 1) against an integer row.
+    Equations are checked first, then facets in stored order, stopping at
+    the first negative sign, so a sign oracle that can fail (a symbolic
+    point) fails on the same row every time.
+    """
+    if any(sign(e) != 0 for e in cone.equations):
+        return None
+    active = []
+    for f in cone.facets:
+        s = sign(f)
+        if s < 0:
+            return None
+        if s == 0:
+            active.append(f)
+    return _face(cone, active)
+
+
+def rational_sign(v: Sequence, n: int) -> Callable[[IVec], int]:
+    """The sign function of an exact rational n-vector, for ``locate``."""
+    if len(v) != n:
+        raise DimensionMismatch(f"vector length {len(v)} vs ambient {n}")
+    vec = tuple(Fraction(a) for a in v)
+
+    def sign(row: IVec) -> int:
+        value = la.dot(row, vec)
+        return (value > 0) - (value < 0)
+
+    return sign
+
+
 def cone_contains(cone: Cone, v: Sequence) -> Location:
     """Locate a rational vector relative to the cone (interior is relative)."""
-    vec = tuple(Fraction(a) for a in v)
-    if len(vec) != cone.n:
-        raise DimensionMismatch(f"vector length {len(vec)} vs ambient {cone.n}")
-    if any(la.dot(e, vec) != 0 for e in cone.equations):
+    face = locate(cone, rational_sign(v, cone.n))
+    if face is None:
         return Location(OUTSIDE)
-    values = [la.dot(f, vec) for f in cone.facets]
-    if any(val < 0 for val in values):
-        return Location(OUTSIDE)
-    active = [f for f, val in zip(cone.facets, values) if val == 0]
-    if not active:
+    # active facets are genuine facets, so only the interior keeps the dim
+    if face.dim == cone.dim:
         return Location(INTERIOR)
-    lines_f, rays_f = halfspaces_to_generators(
-        tuple(cone.equations) + tuple(active), cone.facets, cone.n
-    )
-    return Location(BOUNDARY, _cone_from_canonical(rays_f, lines_f, cone.n))
+    return Location(BOUNDARY, face)
 
 
 def cone_contains_point(cone: Cone, v: Sequence) -> bool:
@@ -349,12 +379,8 @@ def cone_intersect(a: Cone, b: Cone) -> Cone:
     """Exact intersection, canonical form (may be any face, down to {0})."""
     if a.n != b.n:
         raise DimensionMismatch(f"ambient ranks differ: {a.n} vs {b.n}")
-    lines, rays = halfspaces_to_generators(
-        tuple(a.equations) + tuple(b.equations),
-        tuple(a.facets) + tuple(b.facets),
-        a.n,
-    )
-    return _cone_from_canonical(rays, lines, a.n)
+    return _cone_from_halfspaces(a.equations + b.equations,
+                                 a.facets + b.facets, a.n)
 
 
 def cone_faces(cone: Cone) -> tuple[Cone, ...]:
@@ -362,10 +388,7 @@ def cone_faces(cone: Cone) -> tuple[Cone, ...]:
     found: dict[tuple, Cone] = {}
     for k in range(len(cone.facets) + 1):
         for subset in itertools.combinations(cone.facets, k):
-            lines, rays = halfspaces_to_generators(
-                tuple(cone.equations) + subset, cone.facets, cone.n
-            )
-            face = _cone_from_canonical(rays, lines, cone.n)
+            face = _face(cone, subset)
             found[(face.rays, face.lines)] = face
     return tuple(sorted(found.values(), key=lambda c: (c.dim, c.rays, c.lines)))
 

@@ -37,18 +37,15 @@ from .errors import (
     ZeroVector,
 )
 from .fans import Fan, SubdivisionWitness, common_refinement, is_subdivision, \
-    stellar_subdivision
+    minimal_carrier, stellar_subdivision
 from .lattice import (
-    BOUNDARY,
     INTERIOR,
-    OUTSIDE,
     Cone,
     Ray,
     cone_contains,
     cone_intersect,
     cone_subset,
-    halfspaces_to_generators,
-    make_cone,
+    locate,
     primitive,
 )
 
@@ -254,10 +251,7 @@ class StellarAtBarycenters:
         for sigma in fan.maximal:
             if sigma.dim < 2 or not sigma.rays:
                 continue
-            bary = [0] * fan.n
-            for r in sigma.rays:
-                bary = [a + b for a, b in zip(bary, r)]
-            out = stellar_subdivision(out, tuple(bary))
+            out = stellar_subdivision(out, sigma.relint_point())
         return out
 
 
@@ -275,8 +269,7 @@ class TowardDirection:
         if carrier.dim <= 1:
             return fan
         if carrier.n == 2 and len(carrier.rays) == 2:
-            u, v = carrier.rays
-            new_ray = tuple(a + b for a, b in zip(u, v))
+            new_ray = carrier.relint_point()
         else:
             mid = tuple((lo + hi) / 2 for lo, hi in
                         (self.target.interval(i)
@@ -374,31 +367,12 @@ def symbolic_locate(cone: Cone, x: SymbolicVector):
     if x.n != cone.n:
         raise DimensionMismatch(
             f"vector has {x.n} coordinates, cone has rank {cone.n}")
-    for eq in cone.equations:
-        if sign_of(x, eq) != 0:
-            return None
-    active = []
-    for f in cone.facets:
-        s = sign_of(x, f)
-        if s < 0:
-            return None
-        if s == 0:
-            active.append(f)
-    if not active:
-        return cone
-    lines, rays = halfspaces_to_generators(
-        cone.equations + tuple(active), cone.facets, cone.n)
-    return make_cone(list(rays), n=cone.n, lines=list(lines))
+    return locate(cone, lambda row: sign_of(x, row))
 
 
 def symbolic_carrier(fan: Fan, x: SymbolicVector) -> Optional[Cone]:
     """Minimal cone of the fan containing x, by exact symbolic signs."""
-    best = None
-    for sigma in fan.maximal:
-        face = symbolic_locate(sigma, x)
-        if face is not None and (best is None or face.dim < best.dim):
-            best = face
-    return best
+    return minimal_carrier(fan.maximal, lambda c: symbolic_locate(c, x))
 
 
 def chain_toward(t: FanTower, x: SymbolicVector) -> ConeChain:

@@ -32,20 +32,19 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from . import _linalg as la
-from ._polyhedra import PolyhedronInfo, polyhedron_info
+from ._polyhedra import affine_dim, face_lattice, polyhedron_info
 from .errors import (
     BoundViolation,
     DimensionMismatch,
     OriginNotOnGerm,
     RankCap,
-    ZeroVector,
 )
 from .fans import Fan, fan_from_cones
 from .lattice import (
     RANK_CAP,
     Cone,
+    _cone_from_halfspaces,
     cone_intersect,
-    halfspaces_to_generators,
     make_cone,
     positive_orthant,
 )
@@ -102,12 +101,6 @@ def trop_poly(terms, n: Optional[int] = None) -> TropicalPolynomial:
     return TropicalPolynomial(n, tuple(sorted(seen.items())))
 
 
-def poly_from_exponents(exponents, n: Optional[int] = None
-                        ) -> TropicalPolynomial:
-    """Polynomial with the given exponents and all valuations zero."""
-    return trop_poly([(e, 0) for e in exponents], n=n)
-
-
 def trop_eval(f: TropicalPolynomial, x: Sequence
               ) -> tuple[Fraction, tuple[IVec, ...]]:
     """Min-plus value at x together with the set of achieving exponents."""
@@ -139,8 +132,7 @@ class NewtonPolytope:
 
     @property
     def dim(self) -> int:
-        v0 = self.vertices[0]
-        return la.mat_rank([la.vec_sub(v, v0) for v in self.vertices[1:]])
+        return affine_dim(self.vertices)
 
 
 def newton_polytope(f: TropicalPolynomial) -> NewtonPolytope:
@@ -155,30 +147,8 @@ def polytope_faces(p: NewtonPolytope) -> tuple[tuple[IVec, ...], ...]:
     """All nonempty faces as vertex tuples (the polytope itself included)."""
     lifted = make_cone([v + (1,) for v in p.vertices], n=p.n + 1,
                        check_rank=False)
-    facet_sets = []
-    for a in lifted.facets:
-        vs = frozenset(v for v in p.vertices
-                       if la.dot(a, v + (1,)) == 0)
-        if vs:
-            facet_sets.append(vs)
-    faces = {frozenset(p.vertices)}
-    queue = deque(facet_sets)
-    while queue:
-        fs = queue.popleft()
-        if fs in faces or not fs:
-            continue
-        faces.add(fs)
-        for other in facet_sets:
-            meet = fs & other
-            if meet and meet not in faces:
-                queue.append(meet)
+    faces = face_lattice(p.vertices, [(a[:-1], a[-1]) for a in lifted.facets])
     return tuple(sorted(tuple(sorted(fs)) for fs in faces))
-
-
-def face_dim(face: Sequence[IVec]) -> int:
-    """Affine dimension of a vertex set."""
-    v0 = face[0]
-    return la.mat_rank([la.vec_sub(v, v0) for v in face[1:]])
 
 
 def normal_cone(p: NewtonPolytope, face: Sequence[IVec]) -> Cone:
@@ -186,8 +156,7 @@ def normal_cone(p: NewtonPolytope, face: Sequence[IVec]) -> Cone:
     v0 = face[0]
     eqs = [la.vec_sub(v, v0) for v in face[1:]]
     ineqs = [la.vec_sub(u, v0) for u in p.vertices]
-    lines, rays = halfspaces_to_generators(eqs, ineqs, p.n)
-    return make_cone(list(rays), n=p.n, lines=list(lines), check_rank=False)
+    return _cone_from_halfspaces(eqs, ineqs, p.n)
 
 
 def normal_fan(p: NewtonPolytope) -> Fan:
@@ -303,10 +272,7 @@ def _positive_part(cone: Cone) -> Optional[Cone]:
     c = cone_intersect(cone, positive_orthant(cone.n))
     if c.dim == 0:
         return None
-    total = [0] * c.n
-    for r in c.rays:
-        total = [a + b for a, b in zip(total, r)]
-    if any(t == 0 for t in total):
+    if any(t == 0 for t in c.relint_point()):
         return None
     return c
 
@@ -332,7 +298,7 @@ def ptrop_normal_fan(f: TropicalPolynomial) -> PTropSet:
     _require_germ(f)
     p = newton_polytope(f)
     cones = [normal_cone(p, face) for face in polytope_faces(p)
-             if face_dim(face) >= 1]
+             if affine_dim(face) >= 1]
     return _ptrop_set(f.n, cones)
 
 

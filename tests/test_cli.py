@@ -127,8 +127,6 @@ def test_job_config_validation():
         cli.JobConfig("trop", ("x.json",), depth=65)
     with pytest.raises(ValidationError):
         cli.JobConfig("trop", ("x.json",), level=0)
-    with pytest.raises(ValidationError):
-        cli.JobConfig("trop", ("x.json",), parallel=0)
 
 
 # -- subcommands end to end --------------------------------------------------
@@ -303,9 +301,9 @@ def test_reports_are_deterministic(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
-def test_parallel_results_ordered_by_path(tmp_path, capsys):
+def test_results_ordered_by_path(tmp_path, capsys):
     paths = [put(tmp_path, f"f{i}.json", NODAL) for i in (3, 1, 2)]
-    code, report = run_json(capsys, ["trop"] + paths + ["--parallel", "3"])
+    code, report = run_json(capsys, ["trop"] + paths)
     assert code == 0
     assert [r["input"] for r in report["results"]] == sorted(paths)
     assert [i["path"] for i in report["inputs"]] == sorted(paths)
@@ -363,3 +361,52 @@ def test_cone_serialization_helpers():
     fan = fan_from_cones([cone])
     blob = io.serialize_fan(fan)
     assert blob["rank"] == 2 and blob["maximal_cones"] == [[0, 1]]
+
+
+# -- inputs rejected with a documented exit code -----------------------------
+
+
+@pytest.mark.parametrize("spec", [
+    {"elliptic": {"m": 3, "degrees": "124"}},
+    {"elliptic": {"m": 3, "degrees": 4}},
+    {"elliptic": {"m": 3, "degrees": [1, 2]}, "points": 7},
+], ids=["degrees-string", "degrees-int", "points-int"])
+def test_galaxy_malformed_elliptic_is_parse_error(tmp_path, capsys, spec):
+    path = put(tmp_path, "gal.json", spec)
+    assert cli.main(["galaxy", path]) == 3
+    assert "parse error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["dualcx", "subdivide"])
+def test_output_with_several_inputs_is_rejected(tmp_path, capsys, command):
+    obj = NODAL_INC if command == "dualcx" else {"elliptic": {"m": 3}}
+    paths = [put(tmp_path, f"in{i}.json", obj) for i in (1, 2)]
+    out = tmp_path / "out.json"
+    assert cli.main([command] + paths + ["--output", str(out)]) == 2
+    assert "--output" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["1e3", " 0.5 ", "-1_000", "1e400", "1/0"])
+def test_rationals_outside_the_schema_are_parse_errors(tmp_path, capsys,
+                                                        value):
+    path = put(tmp_path, "f.json", {"vars": 1, "terms": [
+        {"exp": [1], "val": value}, {"exp": [2], "val": "0"}]})
+    assert cli.main(["trop", path]) == 3
+    assert "bad rational" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rays, error", [
+    ([["1", "0"], ["-1", "0"], ["0", "1"]], "span the line"),
+    ([["0", "0"], ["0", "1"]], "zero generator"),
+], ids=["half-plane", "zero-ray"])
+def test_fan_files_keep_lineality_and_rays(tmp_path, capsys, rays, error):
+    path = put(tmp_path, "f.json", {"rank": 2, "rays": rays,
+                                    "maximal_cones": [list(range(len(rays)))]})
+    assert cli.main(["fan-validate", path]) == 2
+    assert error in capsys.readouterr().err
+    tf = put(tmp_path, "tf.json", {
+        "matrix": [[1, 0], [0, 1]], "source": QUADRANT, "target": QUADRANT,
+        "base": {"rays": [[int(a) for a in r] for r in rays]}})
+    assert cli.main(["toric-fiber", tf]) == 2
+    assert error in capsys.readouterr().err

@@ -15,6 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from troplim import lattice as lat
+from troplim import tropical as tp
+from troplim.fans import facet_cones
 from troplim._linalg import dot, mat_rank, solve_affine
 from troplim.errors import NotStronglyConvex, RankCap, ZeroVector
 
@@ -340,3 +342,46 @@ def test_faces_are_faces(cone):
 def test_relint_point_is_interior(cone):
     p = cone.relint_point()
     assert lat.cone_contains(cone, p).kind == lat.INTERIOR
+
+
+# -- derived cones against the three-conversion constructor ------------------
+
+
+def assert_rebuilds(cone):
+    """The cone equals make_cone of its own V-data, H-data included."""
+    rebuilt = lat.make_cone(list(cone.rays), n=cone.n, lines=list(cone.lines))
+    assert rebuilt == cone
+    # facets and equations are compare=False, so check them explicitly
+    assert rebuilt.facets == cone.facets
+    assert rebuilt.equations == cone.equations
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cones(gen_sets3), small_vec3)
+def test_derived_cones_match_make_cone(cone, v):
+    faces = lat.cone_faces(cone)
+    for face in faces:
+        assert_rebuilds(face)
+        loc = lat.cone_contains(cone, face.relint_point())
+        if face == cone:
+            assert loc.kind == lat.INTERIOR and loc.face is None
+        else:
+            assert loc.kind == lat.BOUNDARY and loc.face == face
+            assert_rebuilds(loc.face)
+    for facet in facet_cones(cone):
+        assert facet in faces and facet.dim == cone.dim - 1
+        assert_rebuilds(facet)
+    loc = lat.cone_contains(cone, v)
+    if loc.face is not None:
+        assert_rebuilds(loc.face)
+
+
+exponent3 = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(exponent3, min_size=2, max_size=6, unique=True))
+def test_normal_cones_match_make_cone(exponents):
+    p = tp.newton_polytope(tp.trop_poly([(e, 0) for e in exponents]))
+    for face in tp.polytope_faces(p):
+        assert_rebuilds(tp.normal_cone(p, face))

@@ -6,6 +6,7 @@ continued-fraction convergents, and the fiber-rank examples where the answer
 is immediate from the coefficient matrix.
 """
 
+import functools
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +17,9 @@ from troplim._linalg import det, mat_rank
 from troplim.errors import (
     DepthCap, DimensionMismatch, EmptyChain, IndexOutOfRange,
     UndecidableSign, ZeroVector,
+)
+from troplim.lattice import (
+    INTERIOR, OUTSIDE, cone_contains, cone_faces, cone_is_face, make_cone,
 )
 from troplim.lattice import cone_from_generators as cg
 
@@ -284,3 +288,42 @@ def test_angle_compare_basic():
     assert tw.angle_compare(obtuse, wide) == -1
     assert tw.angle_compare(quarter, quarter) == 0
     assert tw.angle_compare(cg([(1, 1), (-1, 1)]), quarter) == 0
+
+
+# -- symbolic location against rational location ----------------------------
+
+
+small_vec2 = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(small_vec2.filter(any), min_size=1, max_size=5), small_vec2)
+def test_symbolic_locate_agrees_with_cone_contains(gens, v):
+    c = make_cone(gens)
+    for p in [v] + [f.relint_point() for f in cone_faces(c)]:
+        loc = cone_contains(c, p)
+        expected = {OUTSIDE: None, INTERIOR: c}.get(loc.kind, loc.face)
+        got = tw.symbolic_locate(c, tw.rational_vector(p))
+        assert got == expected
+        if got is not None:
+            assert (got.facets, got.equations) == \
+                (expected.facets, expected.equations)
+
+
+@functools.cache
+def barycentric_fan(steps):
+    t = tw.extend_tower(tw.fan_tower(quadrant_fan()),
+                        tw.StellarAtBarycenters(), steps)
+    return t.fans[-1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2), small_vec2)
+def test_symbolic_carrier_agrees_with_fan_carrier(steps, v):
+    fan = barycentric_fan(steps)
+    carrier = fan.carrier(v)
+    assert cone_contains(carrier, v).kind == INTERIOR
+    assert any(cone_is_face(carrier, sigma) for sigma in fan.maximal)
+    sym = tw.symbolic_carrier(fan, tw.rational_vector(v))
+    assert sym == carrier
+    assert (sym.facets, sym.equations) == (carrier.facets, carrier.equations)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from troplim import tropical as tp
+from troplim._polyhedra import affine_dim
 from troplim.errors import (
     BoundViolation,
     DimensionMismatch,
@@ -91,7 +92,7 @@ def test_polytope_faces_triangle():
     p = tp.newton_polytope(nodal_cubic())
     faces = tp.polytope_faces(p)
     assert len(faces) == 7  # 3 vertices, 3 edges, the triangle
-    dims = sorted(tp.face_dim(fc) for fc in faces)
+    dims = sorted(affine_dim(fc) for fc in faces)
     assert dims == [0, 0, 0, 1, 1, 1, 2]
 
 
