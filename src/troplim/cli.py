@@ -460,15 +460,20 @@ def handle_map_fibers(cfg: JobConfig, path: str) -> dict:
     reference = None
     if obj.get("reference") is not None:
         reference = parse_complex_data(obj["reference"], f"{path}.reference")
+    points = require_field(obj, "points", path)
+    if not isinstance(points, list):
+        raise ParseError(f"{path}.points: expected a list")
     entries = []
     any_mismatch = False
-    for i, pt in enumerate(require_field(obj, "points", path)):
+    for i, pt in enumerate(points):
         where = f"{path}.points[{i}]"
         if not isinstance(pt, dict):
             raise ParseError(f"{where}: expected an object")
         cell = str(require_field(pt, "cell", where))
-        coords = [parse_rational(c, f"{where}.coords")
-                  for c in require_field(pt, "coords", where)]
+        coords_raw = require_field(pt, "coords", where)
+        if not isinstance(coords_raw, list):
+            raise ParseError(f"{where}.coords: expected a list")
+        coords = [parse_rational(c, f"{where}.coords") for c in coords_raw]
         fiber = map_fiber(mapping, cell, coords)
         entry = {
             "cell": cell,

@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from . import _linalg as la
@@ -75,11 +76,16 @@ class DeltaComplex:
     def dim(self) -> int:
         return max(c.dim for c in self.cells)
 
+    @cached_property
+    def _by_name(self) -> dict[str, Cell]:
+        # built on first lookup; cached_property keeps it out of eq/hash/repr
+        return {c.name: c for c in self.cells}
+
     def cell(self, name: str) -> Cell:
-        for c in self.cells:
-            if c.name == name:
-                return c
-        raise KeyError(f"no cell named {name!r}")
+        c = self._by_name.get(name)
+        if c is None:
+            raise KeyError(f"no cell named {name!r}")
+        return c
 
     def by_dim(self, d: int) -> tuple[Cell, ...]:
         return tuple(c for c in self.cells if c.dim == d)
@@ -240,11 +246,15 @@ class StrataIncidence:
     strata: tuple[Stratum, ...]
     closures: tuple[tuple[str, str], ...]
 
+    @cached_property
+    def _by_name(self) -> dict[str, Stratum]:
+        return {s.name: s for s in self.strata}
+
     def stratum(self, name: str) -> Stratum:
-        for s in self.strata:
-            if s.name == name:
-                return s
-        raise KeyError(f"no stratum named {name!r}")
+        s = self._by_name.get(name)
+        if s is None:
+            raise KeyError(f"no stratum named {name!r}")
+        return s
 
 
 def make_incidence(mode: str, strata, closures) -> StrataIncidence:
@@ -342,11 +352,19 @@ class ComplexMap:
     vertex_map: tuple[tuple[str, str], ...]
     cell_images: tuple[tuple[str, tuple[str, tuple[int, ...]]], ...]
 
+    @cached_property
+    def _vertex_index(self) -> dict[str, str]:
+        return dict(self.vertex_map)
+
+    @cached_property
+    def _cell_index(self) -> dict[str, tuple[str, tuple[int, ...]]]:
+        return dict(self.cell_images)
+
     def vertex_image(self, name: str) -> str:
-        return dict(self.vertex_map)[name]
+        return self._vertex_index[name]
 
     def cell_image(self, name: str) -> tuple[str, tuple[int, ...]]:
-        return dict(self.cell_images)[name]
+        return self._cell_index[name]
 
 
 def _monotone_surjections(m: int, k: int):
@@ -395,11 +413,12 @@ def induced_map(source: DeltaComplex, target: DeltaComplex,
     be supplied through cell_images.
     """
     vm = {str(a): str(b) for a, b in vertex_map.items()}
+    target_vertices = {c.name for c in target.by_dim(0)}
     for v in source.by_dim(0):
         if v.name not in vm:
             raise NotSimplicial(f"vertex {v.name!r} has no image")
         img = vm[v.name]
-        if not any(c.name == img and c.dim == 0 for c in target.cells):
+        if img not in target_vertices:
             raise NotSimplicial(f"{v.name!r} maps to non-vertex {img!r}")
     given = {str(k): (str(c), tuple(int(i) for i in phi))
              for k, (c, phi) in (cell_images or {}).items()}
@@ -609,8 +628,12 @@ class SubdivisionResult:
     level: int
     carriers: tuple[tuple[str, tuple[str, tuple[tuple[int, ...], ...]]], ...]
 
+    @cached_property
+    def _carrier_index(self) -> dict[str, tuple[str, tuple]]:
+        return dict(self.carriers)
+
     def carrier(self, name: str) -> tuple[str, tuple[tuple[int, ...], ...]]:
-        return dict(self.carriers)[name]
+        return self._carrier_index[name]
 
     def push_point(self, name: str, coords: Sequence) -> tuple[str, QVec]:
         """Locate a point of the subdivision in the original complex."""
@@ -642,22 +665,22 @@ def scale_subdivide(x: DeltaComplex, level: int) -> SubdivisionResult:
                 for sub in itertools.combinations(alcove, k):
                     key = _push_face(x, cell.name, sub, level)
                     found[key] = len(sub) - 1
+    names = {key: _sub_name(*key) for key in found}
+    # face i omits vertex i, then falls to its own canonical carrier, which
+    # the pass above enumerated; neighbouring cells share faces, so each
+    # (carrier, dropped) pair is pushed once
+    pushed: dict[tuple, str] = {}
     cells = []
-    for (carrier, verts), d in sorted(found.items()):
-        name = _sub_name(carrier, verts)
-        if d == 0:
-            cells.append((name, []))
-        else:
-            # face i omits vertex i, then falls to its own canonical carrier
-            faces = []
-            for i in range(d + 1):
-                dropped = verts[:i] + verts[i + 1:]
-                fkey = _push_face(x, carrier, dropped, level)
-                faces.append(_sub_name(*fkey))
-            cells.append((name, faces))
-    carriers = tuple(sorted(
-        (_sub_name(carrier, verts), (carrier, verts))
-        for (carrier, verts) in found))
+    for key, d in sorted(found.items()):
+        carrier, verts = key
+        faces = []
+        for i in range(d + 1) if d else ():
+            face = (carrier, verts[:i] + verts[i + 1:])
+            if face not in pushed:
+                pushed[face] = names[_push_face(x, *face, level)]
+            faces.append(pushed[face])
+        cells.append((names[key], faces))
+    carriers = tuple(sorted((name, key) for key, name in names.items()))
     return SubdivisionResult(
         complex=make_complex(cells, affine=True, provenance=x.provenance),
         original=x,

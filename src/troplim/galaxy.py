@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .complexes import (
@@ -61,11 +62,15 @@ class PolygonDegeneration:
     complex: DeltaComplex
     labels: tuple[tuple[str, Fraction], ...]
 
+    @cached_property
+    def _label_index(self) -> dict[str, Fraction]:
+        return dict(self.labels)
+
     def label(self, vertex: str) -> Fraction:
-        for name, angle in self.labels:
-            if name == vertex:
-                return angle
-        raise UnknownStratum(f"no vertex named {vertex!r}")
+        angle = self._label_index.get(vertex)
+        if angle is None:
+            raise UnknownStratum(f"no vertex named {vertex!r}")
+        return angle
 
 
 def polygon_degeneration(m: int) -> PolygonDegeneration:

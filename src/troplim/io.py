@@ -288,8 +288,13 @@ def serialize_complex(x: DeltaComplex) -> dict:
 
 
 def parse_symbolic_vector_data(obj: dict, where: str) -> SymbolicVector:
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where}: expected an object")
+    symbols_raw = obj.get("symbols", [])
+    if not isinstance(symbols_raw, list):
+        raise ParseError(f"{where}.symbols: expected a list")
     symbols = []
-    for i, s in enumerate(obj.get("symbols", [])):
+    for i, s in enumerate(symbols_raw):
         w = f"{where}.symbols[{i}]"
         if not isinstance(s, dict):
             raise ParseError(f"{w}: expected an object")

@@ -20,6 +20,7 @@ of the cone inside its own span.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -308,8 +309,9 @@ def zero_cone(n: int) -> Cone:
     return make_cone([], n=n, check_rank=False)
 
 
+@functools.cache
 def positive_orthant(n: int) -> Cone:
-    """The closed nonnegative orthant as a cone."""
+    """The closed nonnegative orthant as a cone, built once per rank."""
     return make_cone(la.identity_rows(n), n=n, check_rank=False)
 
 

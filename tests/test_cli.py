@@ -9,6 +9,7 @@ from troplim import cli
 from troplim import io
 from troplim.complexes import (
     from_incidence,
+    make_complex,
     segment_complex,
     tetrahedron_boundary,
     tetrahedron_solid,
@@ -410,3 +411,36 @@ def test_fan_files_keep_lineality_and_rays(tmp_path, capsys, rays, error):
         "base": {"rays": [[int(a) for a in r] for r in rays]}})
     assert cli.main(["toric-fiber", tf]) == 2
     assert error in capsys.readouterr().err
+
+
+STELLAR = {"kind": "stellar-at-barycenters"}
+
+
+@pytest.mark.parametrize("spec", [
+    {"strategy": STELLAR, "direction": 5},
+    {"strategy": {"kind": "toward-direction", "direction": 5}},
+    {"strategy": STELLAR,
+     "direction": {"entries": ["2", "3"], "symbols": 5}},
+], ids=["direction-int", "strategy-direction-int", "symbols-int"])
+def test_limit_point_non_object_direction_is_parse_error(tmp_path, capsys,
+                                                         spec):
+    path = put(tmp_path, "lp.json", {"base_fan": QUADRANT, "steps": 2, **spec})
+    assert cli.main(["limit-point", path]) == 3
+    assert "expected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("points", 7),
+    ("points", {"cell": "pt", "coords": ["1"]}),
+    ("coords", 1),
+    ("coords", "1"),
+], ids=["points-int", "points-object", "coords-int", "coords-string"])
+def test_map_fibers_non_list_points_are_parse_errors(tmp_path, capsys,
+                                                     field, value):
+    point = {"cell": "pt", "coords": value if field == "coords" else ["1"]}
+    pt = io.serialize_complex(make_complex([("pt", [])]))
+    path = put(tmp_path, "mf.json", {
+        "source": pt, "target": pt, "vertex_map": {"pt": "pt"},
+        "points": value if field == "points" else [point]})
+    assert cli.main(["map-fibers", path]) == 3
+    assert "expected a list" in capsys.readouterr().err

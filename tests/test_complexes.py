@@ -1,5 +1,6 @@
 """Tests for generalized complexes, subdivision, maps, and fibers."""
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 from troplim.complexes import (
     DeltaComplex,
+    _push_face,
+    _sub_name,
     canonical_point,
     cell_vertices,
     collapse_to_algebraic,
@@ -358,6 +361,63 @@ def test_explicit_images_checked_against_vertices():
         induced_map(doubled, doubled, {"a": "a", "b": "b"},
                     {"a": ("b", (0,)), "b": ("b", (0,)),
                      "e": ("e", (0, 1)), "f": ("f", (0, 1))})
+
+
+# -- indexed lookups --
+
+
+def test_unknown_names_raise_the_documented_errors():
+    with pytest.raises(KeyError) as exc:
+        triangle_complex().cell("zz")
+    assert exc.value.args == ("no cell named 'zz'",)
+    with pytest.raises(KeyError) as exc:
+        nodal_cubic_incidence().stratum("q")
+    assert exc.value.args == ("no stratum named 'q'",)
+    with pytest.raises(KeyError):
+        scale_subdivide(segment_complex(), 2).carrier("zz")
+    m = identity_map(triangle_complex())
+    with pytest.raises(KeyError):
+        m.cell_image("zz")
+    with pytest.raises(KeyError):
+        m.vertex_image("ab")
+
+
+def test_built_indexes_stay_out_of_eq_hash_and_repr():
+    x = square_complex()
+    sub = scale_subdivide(x, 2)
+    m = identity_map(x)
+    inc = nodal_cubic_incidence()
+    x.cell("abd")
+    sub.carrier(sub.complex.cells[-1].name)
+    m.cell_image("abd")
+    m.vertex_image("a")
+    inc.stratum("C")
+    for used in (x, sub, m, inc):
+        fresh = dataclasses.replace(used)
+        assert len(vars(fresh)) < len(vars(used))  # index built on one side
+        assert fresh == used
+        assert hash(fresh) == hash(used)
+        assert repr(fresh) == repr(used)
+
+
+@pytest.mark.parametrize("build", [
+    segment_complex, triangle_complex, square_complex, tetrahedron_solid,
+    lambda: cycle_complex(1), lambda: cycle_complex(3),
+], ids=["segment", "triangle", "square", "tetrahedron", "loop", "3-cycle"])
+def test_subdivision_faces_match_a_direct_push(build):
+    x = build()
+    for level in (1, 2, 3):
+        sub = scale_subdivide(x, level)
+        for cell in sub.complex.cells:
+            carrier, verts = sub.carrier(cell.name)
+            assert cell.name == _sub_name(carrier, verts)
+            if cell.dim == 0:
+                assert cell.faces == ()
+                continue
+            assert cell.faces == tuple(
+                _sub_name(*_push_face(x, carrier,
+                                      verts[:i] + verts[i + 1:], level))
+                for i in range(cell.dim + 1))
 
 
 # -- fibers of simplicial maps --

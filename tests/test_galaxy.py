@@ -1,5 +1,6 @@
 """Tests for polygon degenerations, towers, and galaxy classification."""
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -78,6 +79,29 @@ def test_base_change_composes_on_the_nose():
     i3 = polygon_degeneration(3)
     assert base_change(base_change(i3, 2), 3) == base_change(i3, 6)
     assert base_change(i3, 6) == polygon_degeneration(18)
+
+
+def test_long_base_change_composes():
+    # quadratic-time lookups made the left side alone take seconds
+    i3 = polygon_degeneration(3)
+    assert base_change(i3, 1024) == base_change(base_change(i3, 32), 32)
+
+
+def test_unknown_vertex_label():
+    i6 = base_change(polygon_degeneration(3), 2)
+    with pytest.raises(UnknownStratum) as exc:
+        i6.label("v6")
+    assert exc.value.args[0] == "no vertex named 'v6'"
+
+
+def test_label_index_stays_out_of_eq_hash_and_repr():
+    used = polygon_degeneration(5)
+    assert used.label("v2") == F(2, 5)
+    fresh = dataclasses.replace(used)
+    assert vars(used) != vars(fresh)
+    assert used == fresh
+    assert hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh)
 
 
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4),

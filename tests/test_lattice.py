@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from troplim import lattice as lat
 from troplim import tropical as tp
 from troplim.fans import facet_cones
-from troplim._linalg import dot, mat_rank, solve_affine
+from troplim._linalg import dot, identity_rows, mat_rank, solve_affine
 from troplim.errors import NotStronglyConvex, RankCap, ZeroVector
 
 
@@ -354,6 +354,16 @@ def assert_rebuilds(cone):
     # facets and equations are compare=False, so check them explicitly
     assert rebuilt.facets == cone.facets
     assert rebuilt.equations == cone.equations
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_positive_orthant_is_built_once_per_rank(n):
+    orthant = lat.positive_orthant(n)
+    assert lat.positive_orthant(n) is orthant
+    expected = lat.make_cone(identity_rows(n), n=n)
+    assert orthant == expected
+    assert orthant.facets == expected.facets
+    assert orthant.equations == expected.equations
 
 
 @settings(max_examples=60, deadline=None)
