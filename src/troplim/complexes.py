@@ -367,20 +367,6 @@ class ComplexMap:
         return self._cell_index[name]
 
 
-def _monotone_surjections(m: int, k: int):
-    """All weakly monotone surjections {0..m} -> {0..k}."""
-    if k > m:
-        return
-    for cuts in itertools.combinations(range(1, m + 1), k):
-        phi = []
-        value = 0
-        for j in range(m + 1):
-            if value < k and j == cuts[value]:
-                value += 1
-            phi.append(value)
-        yield tuple(phi)
-
-
 def _reduce_image(x: DeltaComplex, cell_name: str, phi: tuple[int, ...]
                   ) -> tuple[str, tuple[int, ...]]:
     """Collapse unused target vertices: canonical (cell, surjection) pair."""
@@ -400,6 +386,32 @@ def _reduce_image(x: DeltaComplex, cell_name: str, phi: tuple[int, ...]
 def _delta(i: int, m: int) -> tuple[int, ...]:
     """The i-th face inclusion {0..m-1} -> {0..m} (skip i)."""
     return tuple(j if j < i else j + 1 for j in range(m))
+
+
+def _sequence_index(x: DeltaComplex) -> dict[tuple[str, ...], list[str]]:
+    """Vertex sequence -> names of the cells with it, in cell order."""
+    index: dict[tuple[str, ...], list[str]] = {}
+    for c in x.cells:
+        index.setdefault(cell_vertices(x, c.name), []).append(c.name)
+    return index
+
+
+def _lowest_images(index: dict[tuple[str, ...], list[str]],
+                   u: tuple[str, ...]) -> list[tuple[str, tuple[int, ...]]]:
+    """All (cell, monotone surjection) pairs of least dimension carrying u.
+
+    A surjection carrying u is constant only where u is, so the fewest
+    target vertices are reached by collapsing each run of equal entries of
+    u; any cell carrying u has the collapsed sequence as a face.  The pairs
+    are therefore the cells with that sequence, in cell order.
+    """
+    runs = [u[0]]
+    phi = []
+    for v in u:
+        if v != runs[-1]:
+            runs.append(v)
+        phi.append(len(runs) - 1)
+    return [(name, tuple(phi)) for name in index.get(tuple(runs), ())]
 
 
 def induced_map(source: DeltaComplex, target: DeltaComplex,
@@ -422,8 +434,7 @@ def induced_map(source: DeltaComplex, target: DeltaComplex,
             raise NotSimplicial(f"{v.name!r} maps to non-vertex {img!r}")
     given = {str(k): (str(c), tuple(int(i) for i in phi))
              for k, (c, phi) in (cell_images or {}).items()}
-    target_verts = {c.name: cell_vertices(target, c.name)
-                    for c in target.cells}
+    by_sequence = _sequence_index(target)
     images: dict[str, tuple[str, tuple[int, ...]]] = {}
     for cell in sorted(source.cells, key=lambda c: c.dim):
         u = tuple(vm[v] for v in cell_vertices(source, cell.name))
@@ -435,21 +446,13 @@ def induced_map(source: DeltaComplex, target: DeltaComplex,
                 raise ValidationError(
                     f"cell_images[{cell.name!r}] is not a monotone "
                     f"surjection onto {name!r}")
-            if tuple(target_verts[name][p] for p in phi) != u:
+            if tuple(cell_vertices(target, name)[p] for p in phi) != u:
                 raise NotSimplicial(
                     f"cell_images[{cell.name!r}] conflicts with the vertex "
                     f"assignment")
             images[cell.name] = (name, phi)
             continue
-        matches = []
-        for k in range(cell.dim + 1):
-            for tcell in target.by_dim(k):
-                tv = target_verts[tcell.name]
-                for phi in _monotone_surjections(cell.dim, k):
-                    if tuple(tv[p] for p in phi) == u:
-                        matches.append((tcell.name, phi))
-            if matches:
-                break
+        matches = _lowest_images(by_sequence, u)
         if not matches:
             raise NotSimplicial(
                 f"vertices of {cell.name!r} map to {u}, which matches no "

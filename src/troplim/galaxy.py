@@ -84,7 +84,11 @@ def polygon_degeneration(m: int) -> PolygonDegeneration:
 def circle_position(p: PolygonDegeneration, cell_name: str,
                     coords: Sequence) -> Fraction:
     """Angle in [0, 1) of a point of the cycle, from labels and charts."""
-    name, t = canonical_point(p.complex, cell_name, coords)
+    return _canonical_angle(p, *canonical_point(p.complex, cell_name, coords))
+
+
+def _canonical_angle(p: PolygonDegeneration, name: str, t: QVec) -> Fraction:
+    """Angle of a point already in ``canonical_point`` form."""
     cell = p.complex.cell(name)
     if cell.dim == 0:
         return p.label(name)
@@ -117,7 +121,8 @@ def base_change(p: PolygonDegeneration, d: int) -> PolygonDegeneration:
     mm = p.m * d
     position: dict[str, int] = {}
     for v in sub.complex.by_dim(0):
-        angle = circle_position(p, *sub.vertex_location(v.name))
+        # vertex_location already returns the canonical form
+        angle = _canonical_angle(p, *sub.vertex_location(v.name))
         k = angle * mm
         if k.denominator != 1:
             raise ValidationError(

@@ -82,7 +82,21 @@ def halfspaces_to_generators(
     Returns canonical primitive integer data: ``lines`` is an RREF-scaled
     basis of the lineality space, ``rays`` are the extreme rays modulo
     lineality, reduced to canonical coset representatives and sorted.
+
+    Memoized on the rows exactly as given, in a process-wide LRU cache of
+    1024 entries (``halfspaces_to_generators.cache_info()``).  Equal rows
+    give equal keys whether written with ``int`` or ``Fraction`` entries,
+    and the result is always ``int`` data, so a hit returns the same bytes
+    as a fresh conversion.
     """
+    return _halfspaces_to_generators(tuple(map(tuple, equations)),
+                                     tuple(map(tuple, inequalities)), n)
+
+
+@functools.lru_cache(maxsize=1024)
+def _halfspaces_to_generators(
+    equations: tuple[tuple, ...], inequalities: tuple[tuple, ...], n: int
+) -> tuple[tuple[IVec, ...], tuple[IVec, ...]]:
     eq_rows = [tuple(r) for r in equations if not la.is_zero_vec(r)]
     subspace = la.kernel_basis(eq_rows, n) if eq_rows else la.identity_rows(n)
     m = len(subspace)
@@ -155,6 +169,9 @@ def halfspaces_to_generators(
         if not la.is_zero_vec(amb):
             rays.append(la.primitivize(amb))
     return tuple(lines), tuple(sorted(set(rays)))
+
+
+halfspaces_to_generators.cache_info = _halfspaces_to_generators.cache_info
 
 
 @dataclass(frozen=True)

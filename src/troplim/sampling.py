@@ -84,19 +84,15 @@ def _branch_slopes(coeffs: Mapping[IVec, complex], fixed_at,
     """Exponent estimates for vanishing branches along one shrinking path."""
     radii = [config.initial_radius * config.decay ** k
              for k in range(config.depth)]
-    logs_prev = None
-    slopes: list[float] = []
-    for k, r in enumerate(radii):
-        roots = _last_var_roots(coeffs, fixed_at(r))
-        mags = np.sort(np.abs(roots))
-        logs = np.log(np.maximum(mags, 1e-280))
-        if k == len(radii) - 1 and logs_prev is not None \
-                and len(logs) == len(logs_prev):
-            quot = (logs - logs_prev) / math.log(config.decay)
-            slopes = [float(s) for s in quot
-                      if config.min_slope < s < config.max_slope]
-        logs_prev = logs
-    return slopes
+    # only the last two radii are read: the slope is their difference quotient
+    logs = []
+    for r in radii[-2:]:
+        mags = np.sort(np.abs(_last_var_roots(coeffs, fixed_at(r))))
+        logs.append(np.log(np.maximum(mags, 1e-280)))
+    if len(logs) < 2 or len(logs[0]) != len(logs[1]):
+        return []
+    quot = (logs[1] - logs[0]) / math.log(config.decay)
+    return [float(s) for s in quot if config.min_slope < s < config.max_slope]
 
 
 def _cluster(directions: np.ndarray, angle: float) -> list[Cluster]:

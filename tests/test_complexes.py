@@ -1,6 +1,7 @@
 """Tests for generalized complexes, subdivision, maps, and fibers."""
 
 import dataclasses
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 
 from troplim.complexes import (
     DeltaComplex,
+    _lowest_images,
     _push_face,
+    _sequence_index,
     _sub_name,
     canonical_point,
     cell_vertices,
@@ -352,6 +355,90 @@ def test_induced_map_ambiguity_needs_explicit_images():
                     {"a": ("a", (0,)), "b": ("b", (0,)),
                      "e": ("f", (0, 1)), "f": ("e", (0, 1))})
     assert m.cell_image("e") == ("f", (0, 1))
+
+
+def _monotone_surjections(m, k):
+    """All weakly monotone surjections {0..m} -> {0..k}."""
+    for cuts in itertools.combinations(range(1, m + 1), k):
+        yield tuple(sum(1 for c in cuts if c <= j) for j in range(m + 1))
+
+
+def _scan_images(target, u):
+    """Reference matcher: every target cell of each dimension, every surjection."""
+    verts = {c.name: cell_vertices(target, c.name) for c in target.cells}
+    matches = []
+    for k in range(len(u)):
+        for tcell in target.by_dim(k):
+            for phi in _monotone_surjections(len(u) - 1, k):
+                if tuple(verts[tcell.name][p] for p in phi) == u:
+                    matches.append((tcell.name, phi))
+        if matches:
+            break
+    return matches
+
+
+def _doubled_edge():
+    return make_complex([("a", []), ("b", []),
+                         ("e", ["b", "a"]), ("f", ["b", "a"])])
+
+
+def _parallel_triangles():
+    return make_complex([("a", []), ("b", []), ("c", []),
+                         ("ab", ["b", "a"]), ("bc", ["c", "b"]),
+                         ("ac", ["c", "a"]), ("ac2", ["c", "a"]),
+                         ("T", ["bc", "ac", "ab"]), ("U", ["bc", "ac2", "ab"]),
+                         ("V", ["bc", "ac", "ab"])])
+
+
+@pytest.mark.parametrize("target, outcomes", [
+    (cycle_complex(1), {1}),
+    (cycle_complex(2), {0, 1}),
+    (cycle_complex(3), {0, 1}),
+    (segment_complex(), {0, 1}),
+    (triangle_complex(), {0, 1}),
+    (square_complex(), {0, 1}),
+    (tetrahedron_boundary(), {0, 1}),
+    (_doubled_edge(), {0, 1, 2}),
+    (_parallel_triangles(), {0, 1, 2}),
+], ids=["I1", "I2", "I3", "segment", "triangle", "square", "tetra",
+        "doubled", "parallel"])
+def test_indexed_images_match_the_scan(target, outcomes):
+    index = _sequence_index(target)
+    names = [v.name for v in target.by_dim(0)]
+    seen = set()
+    for length in range(1, 5):
+        for u in itertools.product(names, repeat=length):
+            expected = _scan_images(target, u)
+            assert _lowest_images(index, u) == expected, u
+            seen.add(min(len(expected), 2))
+    # no match, one match and (for parallel cells) an ambiguous match
+    assert seen == outcomes
+
+
+def test_induced_map_messages_follow_the_scan_order():
+    loop = cycle_complex(1)
+    assert induced_map(loop, loop, {"v0": "v0"}).cell_image("e0") == \
+        ("v0", (0, 0))
+    wrapped = induced_map(cycle_complex(3), loop,
+                          {"v0": "v0", "v1": "v0", "v2": "v0"})
+    assert wrapped.cell_image("e1") == ("v0", (0, 0))
+    par = _parallel_triangles()
+    with pytest.raises(ValidationError) as err:
+        induced_map(par, par, {"a": "a", "b": "b", "c": "c"})
+    assert str(err.value) == (
+        f"image of 'ac' is ambiguous ({_scan_images(par, ('a', 'c'))}); "
+        f"pass cell_images")
+    with pytest.raises(ValidationError) as err:
+        induced_map(par, par, {"a": "a", "b": "b", "c": "c"},
+                    {"ac": ("ac", (0, 1)), "ac2": ("ac2", (0, 1))})
+    assert str(err.value) == (
+        f"image of 'T' is ambiguous "
+        f"({_scan_images(par, ('a', 'b', 'c'))}); pass cell_images")
+    two = make_complex([("p", []), ("q", [])])
+    with pytest.raises(NotSimplicial) as err:
+        induced_map(segment_complex(), two, {"z0": "p", "z1": "q"})
+    assert str(err.value) == (
+        "vertices of 'e' map to ('p', 'q'), which matches no target cell")
 
 
 def test_explicit_images_checked_against_vertices():

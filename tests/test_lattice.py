@@ -395,3 +395,56 @@ def test_normal_cones_match_make_cone(exponents):
     p = tp.newton_polytope(tp.trop_poly([(e, 0) for e in exponents]))
     for face in tp.polytope_faces(p):
         assert_rebuilds(tp.normal_cone(p, face))
+
+
+# -- the memoized conversion ------------------------------------------------
+
+
+def _all_int(data):
+    return all(type(a) is int for rows in data for row in rows for a in row)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cones(gen_sets3), gen_sets3)
+def test_cached_conversion_matches_the_uncached_body(cone, rows):
+    fresh = lat._halfspaces_to_generators.__wrapped__
+    for args in ((cone.equations, cone.facets), (cone.lines, cone.rays),
+                 ((), tuple(rows)), (tuple(rows[:1]), tuple(rows[1:]))):
+        expected = fresh(*args, 3)
+        assert lat.halfspaces_to_generators(*args, 3) == expected
+        assert lat.halfspaces_to_generators(list(map(list, args[0])),
+                                            list(args[1]), 3) == expected
+
+
+def test_fraction_and_int_rows_give_identical_int_results():
+    eqs, ineqs = [(1, 1, -1)], [(2, -1, 0), (0, 3, 1), (-1, 0, 2)]
+    frac_eqs = [tuple(Fraction(a) for a in r) for r in eqs]
+    frac_ineqs = [tuple(Fraction(a) for a in r) for r in ineqs]
+    fresh = lat._halfspaces_to_generators.__wrapped__
+    expected = fresh(tuple(eqs), tuple(ineqs), 3)
+    assert fresh(tuple(frac_eqs), tuple(frac_ineqs), 3) == expected
+    for first, second in (((frac_eqs, frac_ineqs), (eqs, ineqs)),
+                          ((eqs, ineqs), (frac_eqs, frac_ineqs))):
+        lat._halfspaces_to_generators.cache_clear()
+        a = lat.halfspaces_to_generators(*first, 3)
+        b = lat.halfspaces_to_generators(*second, 3)
+        assert a == b == expected and repr(a) == repr(b) == repr(expected)
+        assert _all_int(a)
+    halves = lat.halfspaces_to_generators(
+        [], [(Fraction(1, 2), Fraction(-1, 3), 0),
+             (0, Fraction(2, 3), Fraction(1, 4))], 3)
+    assert _all_int(halves)
+
+
+def test_repeated_conversion_is_a_cache_hit():
+    lat._halfspaces_to_generators.cache_clear()
+    args = ([], [(1, 0, 0), (0, 1, 0), (1, 1, 1)], 3)
+    first = lat.halfspaces_to_generators(*args)
+    before = lat.halfspaces_to_generators.cache_info()
+    assert lat.halfspaces_to_generators(*args) is first
+    after = lat.halfspaces_to_generators.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+def test_conversion_cache_is_bounded():
+    assert lat.halfspaces_to_generators.cache_info().maxsize == 1024
