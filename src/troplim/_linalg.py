@@ -3,6 +3,9 @@
 Small dense routines on tuples: row reduction, rank, kernels, determinants,
 affine solves.  Everything is exact (int / fractions.Fraction); no floats.
 Matrices are sequences of rows; rows are sequences of int or Fraction.
+Elimination (``rref``, and everything built on it) runs fraction-free in
+the integers; ``solve_affine`` returns Fraction values, and ``det`` does
+on non-integer input.
 Sizes are desk scale (rank <= 6 after homogenization), so clarity beats
 asymptotics throughout.
 """
@@ -10,7 +13,7 @@ asymptotics throughout.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -43,63 +46,51 @@ def is_zero_vec(u: Sequence) -> bool:
 def primitivize(v: Sequence) -> IVec:
     """Scale a rational vector to a primitive integer vector (same direction).
 
-    Zero vectors pass through unchanged.
+    Entries are int or Fraction.  Zero vectors pass through unchanged.
     """
-    if all(isinstance(a, int) for a in v):
-        g = 0
-        for a in v:
-            g = gcd(g, a)
-        if g == 0:
-            return tuple(v)
-        return tuple(a // g for a in v)
-    fracs = [Fraction(a) for a in v]
-    if all(a == 0 for a in fracs):
-        return tuple(0 for _ in fracs)
-    denom_lcm = 1
-    for a in fracs:
-        denom_lcm = denom_lcm * a.denominator // gcd(denom_lcm, a.denominator)
-    ints = [int(a * denom_lcm) for a in fracs]
-    g = 0
-    for a in ints:
-        g = gcd(g, a)
-    return tuple(a // g for a in ints)
+    if not all(type(a) is int for a in v):
+        den = lcm(*(a.denominator for a in v))
+        v = [a.numerator * (den // a.denominator) for a in v]
+    g = gcd(*v)
+    if g == 0:
+        return tuple(v)
+    return tuple(a // g for a in v)
 
 
-def rref(rows: Iterable[Sequence]) -> tuple[list[Vec], list[int]]:
-    """Reduced row echelon form over Q.  Returns (nonzero rows, pivot columns)."""
-    work = [tuple(Fraction(a) for a in row) for row in rows]
-    if not work:
+def rref(rows: Iterable[Sequence]) -> tuple[list[IVec], list[int]]:
+    """Reduced row echelon form over Q, computed in integers.
+
+    Returns (nonzero rows, pivot columns).  Each row is the primitive integer
+    multiple of its RREF row with a positive pivot, so it is zero in every
+    other pivot column and before its own.  Input rows are primitivized
+    first (the row space is unchanged), then eliminated by cross-multiplying
+    with the pivot row and dividing by the content, so no entry leaves Z.
+    """
+    rows_left = [list(primitivize(row)) for row in rows]
+    if not rows_left:
         return [], []
-    ncols = len(work[0])
-    out: list[list[Fraction]] = []
+    out: list[list[int]] = []
     pivots: list[int] = []
-    rows_left = [list(r) for r in work]
-    col = 0
-    while rows_left and col < ncols:
-        pivot_row = None
-        for r in rows_left:
-            if r[col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            col += 1
+    for col in range(len(rows_left[0])):
+        i = next((i for i, r in enumerate(rows_left) if r[col] != 0), None)
+        if i is None:
             continue
-        rows_left.remove(pivot_row)
-        inv = pivot_row[col]
-        pivot_row = [a / inv for a in pivot_row]
-        for r in rows_left:
-            if r[col] != 0:
-                f = r[col]
-                for j in range(col, ncols):
-                    r[j] -= f * pivot_row[j]
-        for r in out:
-            if r[col] != 0:
-                f = r[col]
-                for j in range(col, ncols):
-                    r[j] -= f * pivot_row[j]
+        pivot_row = rows_left.pop(i)
+        p = pivot_row[col]
+        if p < 0:
+            p = -p
+            pivot_row = [-a for a in pivot_row]
+        for r in rows_left + out:
+            f = r[col]
+            if f != 0:
+                r[:] = [a * p - f * b for a, b in zip(r, pivot_row)]
+                g = gcd(*r)
+                if g > 1:
+                    r[:] = [a // g for a in r]
         out.append(pivot_row)
         pivots.append(col)
-        col += 1
+        if not rows_left:
+            break
     return [tuple(r) for r in out], pivots
 
 
@@ -110,13 +101,15 @@ def mat_rank(rows: Iterable[Sequence]) -> int:
 def kernel_basis(rows: Iterable[Sequence], ncols: int) -> list[IVec]:
     """Primitive integer basis of the right kernel {x : A x = 0}."""
     red, pivots = rref(rows)
-    free_cols = [j for j in range(ncols) if j not in pivots]
+    scale = lcm(*(row[pc] for row, pc in zip(red, pivots)))
     basis = []
-    for fc in free_cols:
-        x = [Fraction(0)] * ncols
-        x[fc] = Fraction(1)
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        x = [0] * ncols
+        x[fc] = scale
         for row, pc in zip(red, pivots):
-            x[pc] = -row[fc]
+            x[pc] = -row[fc] * (scale // row[pc])
         basis.append(primitivize(x))
     return basis
 
@@ -182,8 +175,8 @@ def det(rows: Sequence[Sequence]) -> Fraction | int:
     return result
 
 
-def signed_minor_kernel(rows: Sequence[Sequence]) -> IVec | None:
-    """Kernel direction of a (k-1) x k matrix via signed maximal minors.
+def signed_minor_kernel(rows: Sequence[Sequence[int]]) -> IVec | None:
+    """Kernel direction of an integer (k-1) x k matrix via signed maximal minors.
 
     Returns a primitive integer kernel vector, or None when the rows have
     rank below k-1 (all minors vanish).  This is the hot path of facet and
@@ -200,8 +193,8 @@ def signed_minor_kernel(rows: Sequence[Sequence]) -> IVec | None:
         minors = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
     else:
         minors = [
-            (-1) ** drop * det([[row[j] for j in range(k) if j != drop]
-                                for row in rows])
+            (-1) ** drop * _det_int([[row[j] for j in range(k) if j != drop]
+                                     for row in rows])
             for drop in range(k)
         ]
     if all(m == 0 for m in minors):
@@ -216,48 +209,34 @@ def solve_affine(rows: Sequence[Sequence], rhs: Sequence) -> Vec | None:
     ncols = len(rows[0])
     aug = [list(row) + [b] for row, b in zip(rows, rhs)]
     red, pivots = rref(aug)
-    for row, pc in zip(red, pivots):
-        if pc == ncols:
-            return None
+    if ncols in pivots:
+        return None
     x = [Fraction(0)] * ncols
     for row, pc in zip(red, pivots):
-        x[pc] = row[ncols]
+        x[pc] = Fraction(row[ncols], row[pc])
     return tuple(x)
 
 
 def canonical_subspace_basis(rows: Iterable[Sequence]) -> tuple[IVec, ...]:
     """Canonical primitive-integer basis of the row span (RREF scaled)."""
-    red, _ = rref(rows)
-    out = []
-    for row in red:
-        p = primitivize(row)
-        for a in p:
-            if a != 0:
-                if a < 0:
-                    p = tuple(-x for x in p)
-                break
-        out.append(p)
-    return tuple(out)
+    return tuple(rref(rows)[0])
 
 
-def reduce_mod_span(v: Sequence, span_rows: Sequence[Sequence]) -> Vec:
-    """Canonical representative of v modulo the span of the given rows.
+def reduce_prepared(v: Sequence, red: Sequence[IVec], pivots: Sequence[int]
+                    ) -> tuple:
+    """v reduced against an integer RREF, up to a positive factor.
 
-    Reduces against the RREF of the span: the result has zero entries in
-    every pivot column, and depends only on the coset of v.
+    Clears every pivot column by cross-multiplication, so integer input
+    stays integer.  The result is a positive multiple of the canonical
+    representative of v modulo the row span (zero in every pivot column,
+    depending only on the coset of v); primitivize it to compare.
     """
-    return reduce_prepared(v, *rref(span_rows))
-
-
-def reduce_prepared(v: Sequence, red: Sequence[Vec], pivots: Sequence[int]
-                    ) -> Vec:
-    """reduce_mod_span against a precomputed RREF (hot-loop variant)."""
-    x = [Fraction(a) for a in v]
+    x = list(v)
     for row, pc in zip(red, pivots):
-        if x[pc] != 0:
-            f = x[pc]
-            for j in range(len(x)):
-                x[j] -= f * row[j]
+        f = x[pc]
+        if f != 0:
+            p = row[pc]
+            x = [a * p - f * b for a, b in zip(x, row)]
     return tuple(x)
 
 

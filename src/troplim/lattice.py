@@ -97,22 +97,24 @@ def halfspaces_to_generators(
 def _halfspaces_to_generators(
     equations: tuple[tuple, ...], inequalities: tuple[tuple, ...], n: int
 ) -> tuple[tuple[IVec, ...], tuple[IVec, ...]]:
-    eq_rows = [tuple(r) for r in equations if not la.is_zero_vec(r)]
+    # a positive scaling keeps each halfspace and each equation's kernel, so
+    # the engine runs on primitive integer rows from here on
+    eq_rows = [r for r in map(la.primitivize, equations)
+               if not la.is_zero_vec(r)]
     subspace = la.kernel_basis(eq_rows, n) if eq_rows else la.identity_rows(n)
     m = len(subspace)
     if m == 0:
         return (), ()
-    # inequalities restricted to subspace coordinates; scaling a row does not
-    # change its halfspace, so primitivize to integers and drop duplicates
+    # inequalities restricted to subspace coordinates, primitivized again
+    # and deduplicated
     restricted_set = set()
-    for a in inequalities:
+    for a in map(la.primitivize, inequalities):
         row = tuple(la.dot(a, k) for k in subspace)
         if not la.is_zero_vec(row):
             restricted_set.add(la.primitivize(row))
     restricted = sorted(restricted_set)
     if not restricted:
-        lines = tuple(la.canonical_subspace_basis(subspace))
-        return lines, ()
+        return la.canonical_subspace_basis(subspace), ()
     lin_sub = la.kernel_basis(restricted, m)
     # complement of the lineality inside the subspace coordinates
     _, lin_pivots = la.rref(lin_sub)
@@ -155,17 +157,15 @@ def _halfspaces_to_generators(
             sum(u[j] * subspace[j][i] for j in range(m)) for i in range(n)
         )
         lines_amb.append(vec)
-    lines = la.canonical_subspace_basis(lines_amb) if lines_amb else ()
-    if lines:
-        line_red, line_pivots = la.rref(lines)
+    # the RREF rows are the canonical basis of the lineality space
+    lines, line_pivots = la.rref(lines_amb)
     rays = []
     for cand in candidates:
         amb = tuple(
             sum(cand[k] * subspace[comp_idx[k]][i] for k in range(q))
             for i in range(n)
         )
-        if lines:
-            amb = la.reduce_prepared(amb, line_red, line_pivots)
+        amb = la.reduce_prepared(amb, lines, line_pivots)
         if not la.is_zero_vec(amb):
             rays.append(la.primitivize(amb))
     return tuple(lines), tuple(sorted(set(rays)))

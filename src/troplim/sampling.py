@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .errors import DimensionMismatch, NoBranchFound
 from .tropical import PTropSet, TropicalPolynomial
@@ -96,30 +95,29 @@ def _branch_slopes(coeffs: Mapping[IVec, complex], fixed_at,
 
 
 def _cluster(directions: np.ndarray, angle: float) -> list[Cluster]:
-    """Single-linkage clustering at the given angular threshold."""
+    """Single-linkage clustering at the given angular threshold.
+
+    Clusters are the connected components of the graph linking directions
+    closer than the angle, found by a breadth-first search from each lowest
+    unlabelled index; members are summed in increasing index order.
+    """
     m = len(directions)
     unit = directions / np.linalg.norm(directions, axis=1, keepdims=True)
     gram = np.clip(unit @ unit.T, -1.0, 1.0)
-    close = np.arccos(gram) < angle
-    parent = list(range(m))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if close[i, j]:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups: dict[int, list[int]] = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(i)
+    # the upper triangle, mirrored, so the graph is symmetric bit for bit
+    close = np.triu(np.arccos(gram) < angle, 1)
+    close |= close.T
+    labels = np.full(m, -1)
     clusters = []
-    for members in groups.values():
+    for seed in range(m):
+        if labels[seed] >= 0:
+            continue
+        frontier = np.array([seed])
+        while frontier.size:
+            labels[frontier] = seed
+            frontier = np.flatnonzero(close[frontier].any(axis=0)
+                                      & (labels < 0))
+        members = np.flatnonzero(labels == seed)
         total = unit[members].sum(axis=0)
         norm = total / total.sum()
         clusters.append(Cluster(tuple(float(c) for c in norm), len(members)))
@@ -178,6 +176,9 @@ def angular_distance(u: Sequence[float], v: Sequence[float]) -> float:
 def distance_to_cone(rays: Sequence[Sequence[int]], u: Sequence[float]
                      ) -> float:
     """Angular distance from a direction to a cone given by its rays."""
+    # imported here: scipy is the oracle's slowest import and only this reads it
+    from scipy.optimize import nnls
+
     a = np.asarray(u, dtype=float)
     a = a / np.linalg.norm(a)
     mat = np.asarray(rays, dtype=float).T

@@ -448,3 +448,67 @@ def test_repeated_conversion_is_a_cache_hit():
 
 def test_conversion_cache_is_bounded():
     assert lat.halfspaces_to_generators.cache_info().maxsize == 1024
+
+
+# -- the integer engine against frozen results ---------------------------------
+
+F = Fraction
+
+# inputs with Fraction, zero and repeated rows, and the conversion result
+# each gave under the former Fraction elimination, frozen
+FROZEN_CONVERSIONS = [
+    (((), ((F(1, 2), 0, 0), (0, F(3), 0), (F(2, 3), F(2, 3), F(-2, 3)),
+           (0, 0, F(5, 7))), 3),
+     ((), ((0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1)))),
+    (((), ((F(2, 3), F(-4, 3)),), 2),
+     (((2, 1),), ((0, -1),))),
+    ((((F(1, 2), F(1, 2), F(-1, 2)),), ((1, 0, 0), (F(3), 0, 0), (0, 1, 0)),
+      3),
+     ((), ((0, 1, 1), (1, 0, 1)))),
+    ((((0, 0, 0),), ((0, 0, 0), (1, 1, 0), (F(-1, 4), F(1, 4), 0)), 3),
+     (((0, 0, 1),), ((-1, 1, 0), (1, 1, 0)))),
+    ((((1, 0, F(1, 3), 0), (0, F(2), 0, -2)), (), 4),
+     (((1, 0, -3, 0), (0, 1, 0, 1)), ())),
+    (((), ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+           (F(1, 2), F(-1, 3), F(1, 5), 0), (F(-1, 2), 1, 1, F(1, 6))), 4),
+     ((), ((0, 0, 0, 1), (0, 0, 1, 0), (0, 3, 5, 0), (1, 0, 0, 3),
+           (2, 0, 1, 0), (2, 1, 0, 0), (2, 3, 0, 0)))),
+    (((), ((1, 1, 0, 0), (1, -1, 0, 0), (1, 0, 1, 0), (1, 0, -1, 0)), 4),
+     (((0, 0, 0, 1),), ((1, -1, -1, 0), (1, -1, 1, 0), (1, 1, -1, 0),
+                        (1, 1, 1, 0)))),
+    (((), ((1, F(1, 2), 0), (F(-2), -1, 0), (0, 0, F(9, 2))), 3),
+     (((1, -2, 0),), ((0, 0, 1),))),
+    (((), ((1, 0), (-1, F(-1, 2)), (F(-1, 3), 1)), 2), ((), ())),
+    ((((1, 0), (F(1, 2), F(1, 2))), ((1, 1),), 2), ((), ())),
+]
+
+
+@pytest.mark.parametrize("args, expected", FROZEN_CONVERSIONS)
+def test_conversion_matches_frozen_results(args, expected):
+    result = lat._halfspaces_to_generators.__wrapped__(*args)
+    assert result == expected
+    assert repr(result) == repr(expected)
+
+
+def _scaled(row, s):
+    return tuple(s * a for a in row)
+
+
+positive_scale = st.fractions(F(1, 6), 6, max_denominator=6)
+nonzero_scale = st.one_of(positive_scale, positive_scale.map(lambda s: -s))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cones(gen_sets3), st.data())
+def test_fraction_scaled_rows_convert_alike(cone, data):
+    """Positive multiples of inequalities and nonzero multiples of equations
+    give the same result, in the same int data."""
+    fresh = lat._halfspaces_to_generators.__wrapped__
+    for eqs, ineqs in ((cone.equations, cone.facets),
+                       (cone.lines, cone.rays)):
+        expected = fresh(eqs, ineqs, 3)
+        scaled_eqs = tuple(_scaled(r, data.draw(nonzero_scale)) for r in eqs)
+        scaled_ineqs = tuple(_scaled(r, data.draw(positive_scale))
+                             for r in ineqs)
+        result = fresh(scaled_eqs, scaled_ineqs, 3)
+        assert result == expected and repr(result) == repr(expected)

@@ -1,0 +1,234 @@
+"""Tests for the exact linear algebra under the cone conversion.
+
+`_linalg.rref` eliminates in the integers.  The Gauss-Jordan elimination
+over `Fraction` below is the reference it replaced; the routines built on
+`rref` are checked against references built on it, on mixed int/Fraction
+matrices with zero, duplicate and dependent rows.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from troplim import _linalg as la
+
+
+# -- the Fraction reference -------------------------------------------------
+
+
+def reference_rref(rows):
+    """Reduced row echelon form over Q with Fraction entries (pivots 1)."""
+    work = [tuple(Fraction(a) for a in row) for row in rows]
+    if not work:
+        return [], []
+    ncols = len(work[0])
+    out = []
+    pivots = []
+    rows_left = [list(r) for r in work]
+    col = 0
+    while rows_left and col < ncols:
+        pivot_row = None
+        for r in rows_left:
+            if r[col] != 0:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            col += 1
+            continue
+        rows_left.remove(pivot_row)
+        inv = pivot_row[col]
+        pivot_row = [a / inv for a in pivot_row]
+        for r in rows_left:
+            if r[col] != 0:
+                f = r[col]
+                for j in range(col, ncols):
+                    r[j] -= f * pivot_row[j]
+        for r in out:
+            if r[col] != 0:
+                f = r[col]
+                for j in range(col, ncols):
+                    r[j] -= f * pivot_row[j]
+        out.append(pivot_row)
+        pivots.append(col)
+        col += 1
+    return [tuple(r) for r in out], pivots
+
+
+def reference_primitivize(v):
+    fracs = [Fraction(a) for a in v]
+    if all(a == 0 for a in fracs):
+        return tuple(0 for _ in fracs)
+    denom_lcm = 1
+    for a in fracs:
+        denom_lcm = denom_lcm * a.denominator // gcd(denom_lcm, a.denominator)
+    ints = [int(a * denom_lcm) for a in fracs]
+    g = 0
+    for a in ints:
+        g = gcd(g, a)
+    return tuple(a // g for a in ints)
+
+
+def reference_kernel_basis(rows, ncols):
+    red, pivots = reference_rref(rows)
+    basis = []
+    for fc in (j for j in range(ncols) if j not in pivots):
+        x = [Fraction(0)] * ncols
+        x[fc] = Fraction(1)
+        for row, pc in zip(red, pivots):
+            x[pc] = -row[fc]
+        basis.append(reference_primitivize(x))
+    return basis
+
+
+def reference_canonical_subspace_basis(rows):
+    out = []
+    for row in reference_rref(rows)[0]:
+        p = reference_primitivize(row)
+        if next(a for a in p if a != 0) < 0:
+            p = tuple(-x for x in p)
+        out.append(p)
+    return tuple(out)
+
+
+def reference_solve_affine(rows, rhs):
+    if not rows:
+        return None
+    ncols = len(rows[0])
+    red, pivots = reference_rref(
+        [list(row) + [b] for row, b in zip(rows, rhs)])
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for row, pc in zip(red, pivots):
+        x[pc] = row[ncols]
+    return tuple(x)
+
+
+def reference_reduce(v, span_rows):
+    """Canonical representative of v modulo the span, over Fraction."""
+    x = [Fraction(a) for a in v]
+    red, pivots = reference_rref(span_rows)
+    for row, pc in zip(red, pivots):
+        f = x[pc]
+        x = [a - f * b for a, b in zip(x, row)]
+    return tuple(x)
+
+
+# -- strategies -------------------------------------------------------------
+
+entries = st.one_of(st.integers(-6, 6),
+                    st.fractions(-6, 6, max_denominator=6))
+
+
+@st.composite
+def matrices(draw, max_rows=6, max_cols=6):
+    """(ncols, rows): mixed int/Fraction rows, with zero, duplicate and
+    dependent rows mixed in at random positions."""
+    ncols = draw(st.integers(1, max_cols))
+    row = st.lists(entries, min_size=ncols, max_size=ncols).map(tuple)
+    rows = draw(st.lists(row, max_size=max_rows))
+    extra = []
+    for kind in draw(st.lists(st.sampled_from(("zero", "dup", "comb")),
+                              max_size=3)):
+        if kind == "zero" or not rows:
+            extra.append(tuple([0] * ncols))
+            continue
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        if kind == "dup":
+            extra.append(tuple(draw(st.sampled_from((1, -1, Fraction(3, 2))))
+                               * x for x in a))
+        else:
+            s, t = draw(entries), draw(entries)
+            extra.append(tuple(s * x + t * y for x, y in zip(a, b)))
+    return ncols, draw(st.permutations(rows + extra))
+
+
+# -- rref -------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_rref_rows_are_primitive_int_scalings_of_the_fraction_rref(data):
+    _, rows = data
+    red, pivots = la.rref(rows)
+    ref, ref_pivots = reference_rref(rows)
+    assert pivots == ref_pivots
+    for row, pc in zip(red, pivots):
+        assert all(type(a) is int for a in row)
+        assert gcd(*row) == 1
+        assert row[pc] > 0
+    assert [tuple(Fraction(a, row[pc]) for a in row)
+            for row, pc in zip(red, pivots)] == ref
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_routines_on_rref_match_the_fraction_reference(data):
+    ncols, rows = data
+    assert la.mat_rank(rows) == len(reference_rref(rows)[0])
+    basis = la.kernel_basis(rows, ncols)
+    assert basis == reference_kernel_basis(rows, ncols)
+    assert all(type(a) is int for v in basis for a in v)
+    canonical = la.canonical_subspace_basis(rows)
+    assert canonical == reference_canonical_subspace_basis(rows)
+    assert all(type(a) is int for v in canonical for a in v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(), st.data())
+def test_solve_affine_matches_the_fraction_reference(data, draw):
+    _, rows = data
+    rhs = draw.draw(st.lists(entries, min_size=len(rows),
+                             max_size=len(rows)))
+    solution = la.solve_affine(rows, rhs)
+    assert solution == reference_solve_affine(rows, rhs)
+    if solution is not None:
+        assert all(type(a) is Fraction for a in solution)
+        assert all(la.dot(row, solution) == b for row, b in zip(rows, rhs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(), st.data())
+def test_reduce_prepared_is_a_positive_multiple_of_the_reduction(data, draw):
+    ncols, rows = data
+    v = draw.draw(st.lists(st.integers(-6, 6), min_size=ncols,
+                           max_size=ncols))
+    reduced = la.reduce_prepared(v, *la.rref(rows))
+    expected = reference_reduce(v, rows)
+    # equal primitive vectors: the same direction, so a positive multiple
+    assert la.primitivize(reduced) == reference_primitivize(expected)
+
+
+def test_rref_of_no_rows_and_zero_rows():
+    assert la.rref([]) == ([], [])
+    assert la.rref([(0, 0), (Fraction(0), 0)]) == ([], [])
+    assert la.kernel_basis([(0, 0, 0)], 3) == la.identity_rows(3)
+
+
+# -- primitivize ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("vec, expected", [
+    ((2, 4, -6), (1, 2, -3)),
+    ((-3, 0, 9), (-1, 0, 3)),
+    ((Fraction(1, 2), 3, Fraction(-3, 4)), (2, 12, -3)),
+    ((Fraction(-2, 3), Fraction(4, 9)), (-3, 2)),
+    ((Fraction(6, 5), 0), (1, 0)),
+    ((0, 0, 0), (0, 0, 0)),
+    ((Fraction(0), 0), (0, 0)),
+    ((), ()),
+])
+def test_primitivize_cases(vec, expected):
+    result = la.primitivize(vec)
+    assert result == expected == reference_primitivize(vec)
+    assert all(type(a) is int for a in result)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(entries, max_size=6))
+def test_primitivize_matches_the_fraction_reference(vec):
+    result = la.primitivize(vec)
+    assert result == reference_primitivize(vec)
+    assert all(type(a) is int for a in result)

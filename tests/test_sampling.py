@@ -1,6 +1,9 @@
 """Tests for the floating-point PTrop sampling oracle."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,3 +116,82 @@ def test_branch_slopes_solve_only_the_last_two_radii(monkeypatch, terms, n,
     assert len(paths) == sm.SampleConfig().paths
     assert len(solves) == 2 * len(paths)
     assert any(paths)
+
+
+def _union_find_clusters(directions, angle):
+    """Single linkage by union-find over every pair, as the oracle first did."""
+    m = len(directions)
+    unit = directions / np.linalg.norm(directions, axis=1, keepdims=True)
+    gram = np.clip(unit @ unit.T, -1.0, 1.0)
+    close = np.arccos(gram) < angle
+    parent = list(range(m))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(m):
+        for j in range(i + 1, m):
+            if close[i, j]:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[ri] = rj
+    groups = {}
+    for i in range(m):
+        groups.setdefault(find(i), []).append(i)
+    clusters = []
+    for members in groups.values():
+        total = unit[members].sum(axis=0)
+        norm = total / total.sum()
+        clusters.append(sm.Cluster(tuple(float(c) for c in norm),
+                                   len(members)))
+    return sorted(clusters, key=lambda c: c.direction)
+
+
+def _arc(m, step):
+    """m positive directions, consecutive ones about 0.9 step apart."""
+    t = 0.2 + step * np.arange(m)
+    return np.stack([np.cos(t), np.sin(t), np.full(m, 0.5)], axis=1)
+
+
+ANGLE = sm.SampleConfig().cluster_angle
+
+
+@pytest.mark.parametrize("name, directions, sizes", [
+    # only transitivity links the two ends of the chain
+    ("chain", _arc(40, ANGLE), [40]),
+    ("singletons", _arc(12, 10 * ANGLE), [1] * 12),
+    ("all close", np.tile([[0.2, 0.3, 0.5]], (25, 1)), [25]),
+    ("two chains", np.concatenate([_arc(9, ANGLE), _arc(7, ANGLE)[::-1]
+                                   + [0, 0, 1]]), [7, 9]),
+])
+def test_cluster_shapes_match_union_find(name, directions, sizes):
+    clusters = sm._cluster(directions, ANGLE)
+    assert clusters == _union_find_clusters(directions, ANGLE)
+    assert sorted(c.size for c in clusters) == sizes
+
+
+def test_cluster_components_match_union_find_on_random_sets():
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        centers = rng.random((rng.integers(1, 6), 3)) + 0.05
+        picks = centers[rng.integers(0, len(centers), rng.integers(1, 80))]
+        noise = rng.normal(scale=rng.choice([1e-4, 1e-3, 3e-3]),
+                           size=picks.shape)
+        directions = np.abs(picks + noise) + 1e-3
+        assert sm._cluster(directions, ANGLE) == \
+            _union_find_clusters(directions, ANGLE)
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    src = Path(sm.__file__).resolve().parents[1]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import troplim.cli; "
+            "print(troplim.cli.__file__); "
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, str(src)],
+                         capture_output=True, text=True, check=True,
+                         timeout=60).stdout.split()
+    assert Path(out[0]).resolve().is_relative_to(src)
+    assert out[1] == "False"
