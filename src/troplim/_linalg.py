@@ -1,11 +1,11 @@
 """Exact linear algebra over the rationals.
 
-Small dense routines on tuples: row reduction, rank, kernels, determinants,
-affine solves.  Everything is exact (int / fractions.Fraction); no floats.
-Matrices are sequences of rows; rows are sequences of int or Fraction.
-Elimination (``rref``, and everything built on it) runs fraction-free in
-the integers; ``solve_affine`` returns Fraction values, and ``det`` does
-on non-integer input.
+Small dense routines on tuples: row reduction, rank, integer determinants,
+affine solves, reduction modulo a span.  Everything is exact
+(int / fractions.Fraction); no floats.  Matrices are sequences of rows;
+rows are sequences of int or Fraction.  Elimination (``rref``, and
+everything built on it) runs fraction-free in the integers; only
+``solve_affine`` returns Fraction values.
 Sizes are desk scale (rank <= 6 after homogenization), so clarity beats
 asymptotics throughout.
 """
@@ -48,11 +48,14 @@ def primitivize(v: Sequence) -> IVec:
 
     Entries are int or Fraction.  Zero vectors pass through unchanged.
     """
-    if not all(type(a) is int for a in v):
+    try:
+        g = gcd(*v)
+    except TypeError:
+        # a Fraction entry: clear the denominators first
         den = lcm(*(a.denominator for a in v))
         v = [a.numerator * (den // a.denominator) for a in v]
-    g = gcd(*v)
-    if g == 0:
+        g = gcd(*v)
+    if g <= 1:
         return tuple(v)
     return tuple(a // g for a in v)
 
@@ -98,22 +101,6 @@ def mat_rank(rows: Iterable[Sequence]) -> int:
     return len(rref(rows)[0])
 
 
-def kernel_basis(rows: Iterable[Sequence], ncols: int) -> list[IVec]:
-    """Primitive integer basis of the right kernel {x : A x = 0}."""
-    red, pivots = rref(rows)
-    scale = lcm(*(row[pc] for row, pc in zip(red, pivots)))
-    basis = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        x = [0] * ncols
-        x[fc] = scale
-        for row, pc in zip(red, pivots):
-            x[pc] = -row[fc] * (scale // row[pc])
-        basis.append(primitivize(x))
-    return basis
-
-
 def _det_int(rows: Sequence[Sequence[int]]) -> int:
     """Integer determinant: direct formulas up to 3x3, Bareiss above."""
     n = len(rows)
@@ -142,66 +129,6 @@ def _det_int(rows: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def det(rows: Sequence[Sequence]) -> Fraction | int:
-    """Exact determinant; integer fast path, else elimination over Q."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant of non-square matrix")
-    if all(isinstance(a, int) for row in rows for a in row):
-        return _det_int(rows)
-    m = [[Fraction(a) for a in row] for row in rows]
-    sign = 1
-    for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if m[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            sign = -sign
-        for i in range(col + 1, n):
-            if m[i][col] != 0:
-                f = m[i][col] / m[col][col]
-                for j in range(col, n):
-                    m[i][j] -= f * m[col][j]
-    result = Fraction(sign)
-    for i in range(n):
-        result *= m[i][i]
-    return result
-
-
-def signed_minor_kernel(rows: Sequence[Sequence[int]]) -> IVec | None:
-    """Kernel direction of an integer (k-1) x k matrix via signed maximal minors.
-
-    Returns a primitive integer kernel vector, or None when the rows have
-    rank below k-1 (all minors vanish).  This is the hot path of facet and
-    extreme-ray enumeration.
-    """
-    k = len(rows[0]) if rows else 0
-    if len(rows) != k - 1:
-        raise ValueError("signed_minor_kernel expects k-1 rows of length k")
-    if k == 2:
-        (a, b), = rows
-        minors: Sequence = (b, -a)
-    elif k == 3:
-        (a0, a1, a2), (b0, b1, b2) = rows
-        minors = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
-    else:
-        minors = [
-            (-1) ** drop * _det_int([[row[j] for j in range(k) if j != drop]
-                                     for row in rows])
-            for drop in range(k)
-        ]
-    if all(m == 0 for m in minors):
-        return None
-    return primitivize(minors)
-
-
 def solve_affine(rows: Sequence[Sequence], rhs: Sequence) -> Vec | None:
     """One exact solution of A x = b, or None when inconsistent."""
     if not rows:
@@ -215,11 +142,6 @@ def solve_affine(rows: Sequence[Sequence], rhs: Sequence) -> Vec | None:
     for row, pc in zip(red, pivots):
         x[pc] = Fraction(row[ncols], row[pc])
     return tuple(x)
-
-
-def canonical_subspace_basis(rows: Iterable[Sequence]) -> tuple[IVec, ...]:
-    """Canonical primitive-integer basis of the row span (RREF scaled)."""
-    return tuple(rref(rows)[0])
 
 
 def reduce_prepared(v: Sequence, red: Sequence[IVec], pivots: Sequence[int]
@@ -246,8 +168,3 @@ def identity_rows(n: int) -> list[IVec]:
 
 def mat_mul_vec(rows: Sequence[Sequence], v: Sequence) -> tuple:
     return tuple(dot(row, v) for row in rows)
-
-
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple[tuple, ...]:
-    bt = list(zip(*b))
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)

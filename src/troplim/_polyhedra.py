@@ -22,10 +22,6 @@ from .lattice import Cone, _cone_from_canonical, halfspaces_to_generators
 Row = tuple[tuple[Fraction, ...], Fraction]  # (coefficients, constant)
 
 
-def affine_row(coeffs: Sequence, const) -> Row:
-    return (tuple(Fraction(c) for c in coeffs), Fraction(const))
-
-
 @dataclass(frozen=True)
 class PolyhedronInfo:
     """Exact facts about a nonempty affine polyhedron."""

@@ -11,8 +11,11 @@ Cones are stored with both descriptions computed eagerly and exactly:
 The public constructor ``cone_from_generators`` enforces strong convexity
 (no line) and the ambient rank cap; everything downstream trusts the stored
 canonical form.  Conversion both ways runs through one workhorse,
-``halfspaces_to_generators``: extreme rays of a pointed cone are kernels of
-rank-(d-1) subsets of active constraints, enumerated exactly over Z.
+``halfspaces_to_generators``, the double description method (Motzkin et
+al. 1953) over Z: rows are added one at a time to the lines and extreme
+rays of the cone cut out so far, and adjacent rays on opposite sides of a
+new row are combined, adjacency decided from the rows each ray makes tight
+(Fukuda & Prodon 1996).
 
 Containment answers are relative: ``interior`` means the relative interior
 of the cone inside its own span.
@@ -24,6 +27,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from . import _linalg as la
@@ -81,7 +85,15 @@ def halfspaces_to_generators(
 
     Returns canonical primitive integer data: ``lines`` is an RREF-scaled
     basis of the lineality space, ``rays`` are the extreme rays modulo
-    lineality, reduced to canonical coset representatives and sorted.
+    lineality, reduced to canonical coset representatives and sorted, so
+    the result does not depend on the order or the scaling of the rows.
+
+    The rows are added one at a time, equations first, starting from the
+    whole space (lines = the unit vectors, no rays).  A row that is nonzero
+    on some line turns that line into a ray (or drops it, for an equation);
+    otherwise each pair of adjacent rays on opposite sides of the row gives
+    a new ray on it, and the rays on its negative side go.  Every new
+    vector is an integer combination, primitivized.
 
     Memoized on the rows exactly as given, in a process-wide LRU cache of
     1024 entries (``halfspaces_to_generators.cache_info()``).  Equal rows
@@ -99,76 +111,72 @@ def _halfspaces_to_generators(
 ) -> tuple[tuple[IVec, ...], tuple[IVec, ...]]:
     # a positive scaling keeps each halfspace and each equation's kernel, so
     # the engine runs on primitive integer rows from here on
-    eq_rows = [r for r in map(la.primitivize, equations)
-               if not la.is_zero_vec(r)]
-    subspace = la.kernel_basis(eq_rows, n) if eq_rows else la.identity_rows(n)
-    m = len(subspace)
-    if m == 0:
-        return (), ()
-    # inequalities restricted to subspace coordinates, primitivized again
-    # and deduplicated
-    restricted_set = set()
-    for a in map(la.primitivize, inequalities):
-        row = tuple(la.dot(a, k) for k in subspace)
-        if not la.is_zero_vec(row):
-            restricted_set.add(la.primitivize(row))
-    restricted = sorted(restricted_set)
-    if not restricted:
-        return la.canonical_subspace_basis(subspace), ()
-    lin_sub = la.kernel_basis(restricted, m)
-    # complement of the lineality inside the subspace coordinates
-    _, lin_pivots = la.rref(lin_sub)
-    comp_idx = [j for j in range(m) if j not in lin_pivots]
-    q = len(comp_idx)
-    candidates: set[IVec] = set()
-    if q > 0:
-        reduced = sorted(
-            {la.primitivize(r)
-             for r in (tuple(row[j] for j in comp_idx) for row in restricted)
-             if not la.is_zero_vec(r)})
-        seen_subsets: set[IVec] = set()
-        for subset in itertools.combinations(reduced, q - 1):
-            v = (
-                la.signed_minor_kernel(subset)
-                if q > 1
-                else (1,)
-            )
-            if v is None:
+    rows = [(a, True) for a in dict.fromkeys(map(la.primitivize, equations))]
+    rows += [(a, False)
+             for a in dict.fromkeys(map(la.primitivize, inequalities))]
+    rows = [(a, is_eq) for a, is_eq in rows if not la.is_zero_vec(a)]
+    # the cone of the rows added so far is span(lines) + cone(rays); rays
+    # are its extreme rays modulo the lines, each with the bitmask of the
+    # added rows it makes tight
+    lines = la.identity_rows(n)
+    rays: list[IVec] = []
+    tight: list[int] = []
+    for k, (a, is_eq) in enumerate(rows):
+        bit = 1 << k
+        on_lines = [sum(map(mul, a, l)) for l in lines]
+        j = next((j for j, s in enumerate(on_lines) if s), None)
+        if j is not None:
+            # the row cuts the lineality: move along line j until it vanishes
+            s = on_lines.pop(j)
+            l = lines.pop(j)
+            if s < 0:
+                s, l = -s, tuple(-x for x in l)
+            lines = [_cancel(s, u, t, l) if t else u
+                     for u, t in zip(lines, on_lines)]
+            on_rays = [sum(map(mul, a, r)) for r in rays]
+            rays = [_cancel(s, r, t, l) if t else r
+                    for r, t in zip(rays, on_rays)]
+            tight = [m | bit for m in tight]
+            if not is_eq:
+                # tight on every earlier row, as a line was
+                rays.append(l)
+                tight.append(bit - 1)
+            continue
+        # equations come first, before any ray exists, so a row that gets
+        # here with rays is an inequality: its nonnegative side stays
+        values = [sum(map(mul, a, r)) for r in rays]
+        new_rays, new_tight = [], []
+        for p, sp in enumerate(values):
+            if sp <= 0:
                 continue
-            for cand in (v, tuple(-a for a in v)):
-                if cand in seen_subsets:
+            for q, sq in enumerate(values):
+                if sq >= 0:
                     continue
-                seen_subsets.add(cand)
-                ok = True
-                for row in reduced:
-                    s = 0
-                    for a, b in zip(row, cand):
-                        s += a * b
-                    if s < 0:
-                        ok = False
-                        break
-                if ok:
-                    candidates.add(cand)
-                    break
-    # lift back to ambient coordinates
-    lines_amb = []
-    for u in lin_sub:
-        vec = tuple(
-            sum(u[j] * subspace[j][i] for j in range(m)) for i in range(n)
-        )
-        lines_amb.append(vec)
-    # the RREF rows are the canonical basis of the lineality space
-    lines, line_pivots = la.rref(lines_amb)
-    rays = []
-    for cand in candidates:
-        amb = tuple(
-            sum(cand[k] * subspace[comp_idx[k]][i] for k in range(q))
-            for i in range(n)
-        )
-        amb = la.reduce_prepared(amb, lines, line_pivots)
-        if not la.is_zero_vec(amb):
-            rays.append(la.primitivize(amb))
-    return tuple(lines), tuple(sorted(set(rays)))
+                # adjacent when no third ray is tight on every row both are
+                # (Fukuda & Prodon 1996, combinatorial test)
+                common = tight[p] & tight[q]
+                if any(m & common == common and i != p and i != q
+                       for i, m in enumerate(tight)):
+                    continue
+                new_rays.append(_cancel(sp, rays[q], sq, rays[p]))
+                new_tight.append(common | bit)
+        keep = [i for i, s in enumerate(values) if s >= 0]
+        rays = [rays[i] for i in keep] + new_rays
+        tight = [tight[i] | bit if values[i] == 0 else tight[i]
+                 for i in keep] + new_tight
+    # the RREF rows are the canonical basis of the lineality space, and each
+    # ray is reduced to its canonical coset representative
+    lines, pivots = la.rref(lines)
+    reduced = {la.primitivize(la.reduce_prepared(r, lines, pivots))
+               for r in rays}
+    return tuple(lines), tuple(sorted(r for r in reduced
+                                      if not la.is_zero_vec(r)))
+
+
+def _cancel(s: int, v: IVec, t: int, w: IVec) -> IVec:
+    """primitive(s v - t w): with a.w = s and a.v = t, a row ``a`` vanishes
+    on it; a positive multiple of v plus a multiple of w when s > 0."""
+    return la.primitivize([s * x - t * y for x, y in zip(v, w)])
 
 
 halfspaces_to_generators.cache_info = _halfspaces_to_generators.cache_info
@@ -211,7 +219,7 @@ class Cone:
 
         g = 0
         for cols in itertools.combinations(range(self.n), d):
-            minor = int(la.det([[r[c] for c in cols] for r in self.rays]))
+            minor = la._det_int([[r[c] for c in cols] for r in self.rays])
             g = _gcd(g, minor)
         return g == 1
 

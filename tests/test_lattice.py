@@ -6,14 +6,20 @@ in this file for the randomized properties) and then frozen.  The membership
 oracle decides v in cone(gens) by enumerating linearly independent generator
 subsets and solving the resulting square systems exactly, which is slow but
 shares no code with the double-description implementation under test.
+The conversion itself is also checked against the brute-force enumeration
+of row subsets it replaced, kept here as ``reference_conversion``.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from test_linalg import matrices, reference_primitivize, reference_rref
+from troplim import _linalg as la
 from troplim import lattice as lat
 from troplim import tropical as tp
 from troplim.fans import facet_cones
@@ -512,3 +518,186 @@ def test_fraction_scaled_rows_convert_alike(cone, data):
                              for r in ineqs)
         result = fresh(scaled_eqs, scaled_ineqs, 3)
         assert result == expected and repr(result) == repr(expected)
+
+
+# -- the engine against the brute-force reference ------------------------------
+
+
+def kernel_basis(rows, ncols):
+    """Primitive integer basis of the right kernel {x : A x = 0}."""
+    red, pivots = la.rref(rows)
+    scale = lcm(*(row[pc] for row, pc in zip(red, pivots)))
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        x = [0] * ncols
+        x[fc] = scale
+        for row, pc in zip(red, pivots):
+            x[pc] = -row[fc] * (scale // row[pc])
+        basis.append(la.primitivize(x))
+    return basis
+
+
+def signed_minor_kernel(rows):
+    """Kernel direction of an integer (k-1) x k matrix via signed maximal
+    minors, or None when the rows have rank below k-1."""
+    k = len(rows[0]) if rows else 0
+    if len(rows) != k - 1:
+        raise ValueError("signed_minor_kernel expects k-1 rows of length k")
+    minors = [(-1) ** drop * la._det_int([[row[j] for j in range(k)
+                                           if j != drop] for row in rows])
+              for drop in range(k)]
+    if all(m == 0 for m in minors):
+        return None
+    return la.primitivize(minors)
+
+
+def reference_conversion(equations, inequalities, n):
+    """The conversion by brute force: every extreme ray modulo lineality is
+    the kernel of q-1 rows, q the dimension of the pointed part, so try all
+    C(rows, q-1) subsets in coordinates of the subspace and lift back."""
+    eq_rows = [r for r in map(la.primitivize, equations)
+               if not la.is_zero_vec(r)]
+    subspace = kernel_basis(eq_rows, n) if eq_rows else la.identity_rows(n)
+    m = len(subspace)
+    if m == 0:
+        return (), ()
+    restricted_set = set()
+    for a in map(la.primitivize, inequalities):
+        row = tuple(la.dot(a, k) for k in subspace)
+        if not la.is_zero_vec(row):
+            restricted_set.add(la.primitivize(row))
+    restricted = sorted(restricted_set)
+    if not restricted:
+        return tuple(la.rref(subspace)[0]), ()
+    lin_sub = kernel_basis(restricted, m)
+    # complement of the lineality inside the subspace coordinates
+    _, lin_pivots = la.rref(lin_sub)
+    comp_idx = [j for j in range(m) if j not in lin_pivots]
+    q = len(comp_idx)
+    candidates = set()
+    if q > 0:
+        reduced = sorted(
+            {la.primitivize(r)
+             for r in (tuple(row[j] for j in comp_idx) for row in restricted)
+             if not la.is_zero_vec(r)})
+        seen_subsets = set()
+        for subset in combinations(reduced, q - 1):
+            v = signed_minor_kernel(subset) if q > 1 else (1,)
+            if v is None:
+                continue
+            for cand in (v, tuple(-a for a in v)):
+                if cand in seen_subsets:
+                    continue
+                seen_subsets.add(cand)
+                if all(la.dot(row, cand) >= 0 for row in reduced):
+                    candidates.add(cand)
+                    break
+    lines_amb = [tuple(sum(u[j] * subspace[j][i] for j in range(m))
+                       for i in range(n)) for u in lin_sub]
+    lines, line_pivots = la.rref(lines_amb)
+    rays = []
+    for cand in candidates:
+        amb = tuple(sum(cand[k] * subspace[comp_idx[k]][i] for k in range(q))
+                    for i in range(n))
+        amb = la.reduce_prepared(amb, lines, line_pivots)
+        if not la.is_zero_vec(amb):
+            rays.append(la.primitivize(amb))
+    return tuple(lines), tuple(sorted(set(rays)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_reference_kernels_match_the_fraction_reference(data):
+    ncols, rows = data
+    basis = kernel_basis(rows, ncols)
+    red, pivots = reference_rref(rows)
+    expected = []
+    for fc in (j for j in range(ncols) if j not in pivots):
+        x = [Fraction(0)] * ncols
+        x[fc] = Fraction(1)
+        for row, pc in zip(red, pivots):
+            x[pc] = -row[fc]
+        expected.append(reference_primitivize(x))
+    assert basis == expected
+    assert all(type(a) is int for v in basis for a in v)
+    # k-1 integer rows of length k: the minors give the one kernel direction
+    square = [la.primitivize(r) for r in rows][:ncols - 1]
+    if ncols > 1 and len(square) == ncols - 1:
+        v = signed_minor_kernel(square)
+        if la.mat_rank(square) < ncols - 1:
+            assert v is None
+        else:
+            w, = kernel_basis(square, ncols)
+            assert v in (w, tuple(-a for a in w))
+    assert kernel_basis([(0, 0, 0)], 3) == la.identity_rows(3)
+
+
+@st.composite
+def conversion_inputs(draw):
+    """(equations, inequalities, n) at ranks 1-6, with up to 2 equations,
+    zero, duplicate and Fraction-scaled rows, and lineality from equations,
+    dependent rows and trailing coordinates that no row reads."""
+    n = draw(st.integers(1, 6))
+    unread = draw(st.integers(0, n - 1)) if draw(st.booleans()) else 0
+    row = st.lists(st.integers(-3, 3), min_size=n - unread,
+                   max_size=n - unread).map(lambda r: tuple(r) + (0,) * unread)
+    # the reference tries C(rows, q-1) subsets: few rows at high rank
+    rows = draw(st.lists(row, min_size=n - unread,
+                         max_size=(14, 14, 14, 14, 12, 10)[n - 1]))
+    if draw(st.booleans()):
+        # orient every row nonnegative on one point, so that the cone is
+        # more than the lineality and has many rays
+        w = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        rows = [r if dot(r, w) >= 0 else tuple(-a for a in r) for r in rows]
+    for kind in draw(st.lists(st.sampled_from(("zero", "dup", "scaled")),
+                              max_size=3)):
+        if kind == "zero" or not rows:
+            rows.append((0,) * n)
+        elif kind == "dup":
+            rows.append(draw(st.sampled_from(rows)))
+        else:
+            s = draw(st.fractions(Fraction(1, 6), 6, max_denominator=6))
+            rows.append(tuple(s * a for a in draw(st.sampled_from(rows))))
+    rows = draw(st.permutations(rows))
+    k = draw(st.integers(0, min(2, len(rows))))
+    return tuple(rows[:k]), tuple(rows[k:]), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(conversion_inputs())
+def test_engine_matches_the_brute_force_reference(args):
+    result = lat._halfspaces_to_generators.__wrapped__(*args)
+    expected = reference_conversion(*args)
+    assert result == expected
+    assert repr(result) == repr(expected)
+
+
+def lifted_hull_rows():
+    """(e, v, 1) for 30 distinct exponents e of degree <= 4 in 4 variables
+    and integer valuations v: the cone over a lifted Newton polytope, rank 6.
+    """
+    rng = random.Random(0)
+    exponents = set()
+    while len(exponents) < 30:
+        e = tuple(rng.randint(0, 4) for _ in range(4))
+        if sum(e) <= 4:
+            exponents.add(e)
+    return tuple(e + (rng.randint(-5, 5), 1) for e in sorted(exponents))
+
+
+def test_lifted_hull_rays_carry_extremality_certificates():
+    """Too large for the reference (about 15 s): every ray satisfies
+    every row, and the rows tight on it have rank n - len(lines) - 1, so it
+    spans a one-dimensional face modulo the lineality."""
+    rows = lifted_hull_rows()
+    lines, rays = lat._halfspaces_to_generators.__wrapped__((), rows, 6)
+    # the count the brute-force reference gives on these rows
+    assert len(rays) == 69
+    for line in lines:
+        assert all(dot(a, line) == 0 for a in rows)
+    for r in rays:
+        assert all(dot(a, r) >= 0 for a in rows)
+        tight = [a for a in rows if dot(a, r) == 0]
+        assert mat_rank(tight) == 6 - len(lines) - 1
