@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Walk through the galaxy of an elliptic degeneration tower.
 
-Builds the tower of cycle skeletons over an I_m model with doubling
-base-change degrees, classifies a few sample angles on the limit circle
-(rational angles become vertices at a finite level and stay open;
-irrational angles stay interior to a shrinking edge forever and are
-closed points), and prints the level decomposition into open slots plus
-the leftover cells.
+Sets up the tower of cycle skeletons over an I_m model with doubling
+base-change degrees (held by its cycle sizes; no level complex is
+built), classifies a few sample angles on the limit circle (rational
+angles become vertices at a finite level and stay open; irrational
+angles stay interior to a shrinking edge forever and are closed points),
+and prints the level decomposition into open slots plus the leftover
+cells.
 
 Usage:
     python3 scripts/galaxy_demo.py [--m 3] [--levels 6] [--decompose-at 4]
@@ -44,9 +45,8 @@ def main(argv=None):
 
     degrees = [2 ** i for i in range(args.levels)]
     tower = elliptic_tower(args.m, degrees)
-    sizes = [level.m for level in tower.levels]
     print(f"tower over I_{args.m}, degrees {degrees}")
-    print(f"cycle sizes per level: {sizes}\n")
+    print(f"cycle sizes per level: {list(tower.cycle_sizes)}\n")
 
     print("rational angles (open points):")
     for theta in SAMPLE_RATIONALS:

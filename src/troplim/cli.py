@@ -587,7 +587,7 @@ def handle_galaxy(cfg: JobConfig, path: str) -> dict:
         "input": path,
         "m": m,
         "degrees": degrees,
-        "cycle_sizes": [lv.m for lv in tower.levels],
+        "cycle_sizes": list(tower.cycle_sizes),
         "points": outcomes,
     }
     if cfg.level is not None:

@@ -4,14 +4,14 @@ The model is an elliptic fibration acquiring a cycle of m rational curves
 (an I_m fiber).  Its dual complex is the m-cycle with unit affine charts, a
 circle of circumference 1 with vertices at the angles j/m.  A degree-d base
 change followed by minimal resolution turns I_m into I_{dm}; on skeletons
-this is exactly the d-fold scale subdivision with vertices relabeled
-j/(dm).  Along a tower of base changes whose degrees form a divisibility
-chain reaching every integer, each rational angle p/q eventually becomes a
-vertex (an open slot of the limit space), while an irrational angle stays
-interior to a strictly shrinking chain of edges and survives as a closed
-point.  Irrational angles are handled through declared symbols with
-rational interval enclosures; classification refuses rather than guesses
-when an enclosure is too coarse to separate the angle from a vertex.
+this is exactly the d-fold scale subdivision with vertices relabeled j/(dm).
+Along a tower of base changes whose degrees form a divisibility chain
+reaching every integer, each rational angle p/q eventually becomes a vertex
+(an open slot of the limit space), while an irrational angle stays interior
+to a strictly shrinking chain of edges and survives as a closed point.
+Irrational angles are symbols with rational enclosures; one too coarse to
+separate the angle from a vertex is refused.  Both cases depend only on the
+cycle sizes m·d, all a tower holds; it builds level complexes on request.
 
 The decomposition ledger records, for any skeleton at a given level, the
 open slots realized so far (its rational points) and the count of the
@@ -153,15 +153,26 @@ def base_change(p: PolygonDegeneration, d: int) -> PolygonDegeneration:
 
 @dataclass(frozen=True)
 class EllipticTower:
-    """Levels of an elliptic degeneration under iterated base change."""
+    """I_m under base changes of degrees d_i, held by its cycle sizes m·d_i.
+
+    ``levels`` builds the level complexes by base change on first read.
+    """
 
     m: int
     degrees: tuple[int, ...]
-    levels: tuple[PolygonDegeneration, ...]
+
+    @property
+    def cycle_sizes(self) -> tuple[int, ...]:
+        return tuple(self.m * d for d in self.degrees)
 
     @property
     def depth(self) -> int:
-        return len(self.levels)
+        return len(self.degrees)
+
+    @cached_property
+    def levels(self) -> tuple[PolygonDegeneration, ...]:
+        base = polygon_degeneration(self.m)
+        return tuple(base_change(base, d) for d in self.degrees)
 
 
 def elliptic_tower(m: int, degrees: Sequence[int]) -> EllipticTower:
@@ -178,10 +189,9 @@ def elliptic_tower(m: int, degrees: Sequence[int]) -> EllipticTower:
                 f"divide {b}")
     if len(degs) > TOWER_DEPTH_CAP:
         raise DepthCap(f"tower depth {len(degs)} exceeds {TOWER_DEPTH_CAP}")
-    base = polygon_degeneration(m)
-    return EllipticTower(
-        m=m, degrees=degs,
-        levels=tuple(base_change(base, d) for d in degs))
+    if m < 1:
+        raise ValidationError("an I_m degeneration needs m >= 1")
+    return EllipticTower(m=m, degrees=degs)
 
 
 @dataclass(frozen=True)
@@ -245,9 +255,8 @@ class ClosedPoint:
         return "closed"
 
 
-def _carrier_index(level: PolygonDegeneration, sym: Symbol) -> int:
+def _carrier_index(m: int, sym: Symbol) -> int:
     """Index k with k/m < angle < (k+1)/m, certified by the enclosure."""
-    m = level.m
     k = math.floor(sym.lo * m)
     lo_v = Fraction(k, m)
     hi_v = Fraction(k + 1, m)
@@ -261,32 +270,33 @@ def _carrier_index(level: PolygonDegeneration, sym: Symbol) -> int:
 
 def classify_point(tower: Union[EllipticTower, Sequence[PolygonDegeneration]],
                    point: GalaxyPoint) -> Union[OpenPoint, ClosedPoint]:
-    """Open/closed dichotomy for an angle along a base-change tower.
+    """Open/closed dichotomy for an angle, from a tower's cycle sizes alone.
 
-    A rational p/q is open from the first level whose cycle size q divides;
-    if no provided level works the finite tower cannot certify anything and
-    IncompleteTower is raised.  A symbolic (irrational) angle is closed,
-    witnessed by the nested chain of carrier edges.
+    A rational p/q is open from the first level whose cycle size is a
+    multiple of q; if no provided level works the finite tower cannot
+    certify anything and IncompleteTower is raised.  A symbolic (irrational)
+    angle is closed, witnessed by the nested chain of carrier edges.
     """
-    levels = tower.levels if isinstance(tower, EllipticTower) else tuple(tower)
-    if not levels:
+    sizes = tower.cycle_sizes if isinstance(tower, EllipticTower) \
+        else tuple(level.m for level in tower)
+    if not sizes:
         raise ValidationError("a tower needs at least one level")
     if point.rational is not None:
         theta = point.rational
         q = theta.denominator
-        for i, level in enumerate(levels):
-            if level.m % q == 0:
+        for i, m in enumerate(sizes):
+            if m % q == 0:
                 return OpenPoint(label=theta, level=i,
-                                 vertex=f"v{int(theta * level.m)}")
+                                 vertex=f"v{int(theta * m)}")
         raise IncompleteTower(
             f"denominator {q} divides no cycle size in the provided "
-            f"{len(levels)} levels; extend the tower")
+            f"{len(sizes)} levels; extend the tower")
     carriers = []
-    for i, level in enumerate(levels):
-        k = _carrier_index(level, point.symbol)
+    for i, m in enumerate(sizes):
+        k = _carrier_index(m, point.symbol)
         carriers.append(CarrierEdge(
             level=i, cell=f"e{k}",
-            interval=(Fraction(k, level.m), Fraction(k + 1, level.m))))
+            interval=(Fraction(k, m), Fraction(k + 1, m))))
     return ClosedPoint(carriers=tuple(carriers))
 
 

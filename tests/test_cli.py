@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 
@@ -315,6 +316,24 @@ def test_exit_code_parse_failure(tmp_path, capsys):
     broken.write_text("{ nope", encoding="utf-8")
     assert cli.main(["trop", str(broken)]) == 3
     assert "parse error" in capsys.readouterr().err
+
+
+def test_galaxy_on_a_depth_cap_tower(tmp_path):
+    lo = isqrt(2 * 10 ** 80) - 10 ** 40
+    path = put(tmp_path, "gal64.json", {
+        "elliptic": {"m": 3, "degrees": [2 ** i for i in range(64)]},
+        "points": [f"5/{3 * 2 ** 62}", "1/5",
+                   {"symbol": {"name": "sqrt2-1", "lo": f"{lo}/{10 ** 40}",
+                               "hi": f"{lo + 1}/{10 ** 40}"}}]})
+    res = cli.run(cli.JobConfig("galaxy", (path,)))["results"][0]
+    assert res["cycle_sizes"] == [3 * 2 ** i for i in range(64)]
+    opened, incomplete, closed = res["points"]
+    assert (opened["kind"], opened["level"], opened["vertex"]) == \
+        ("open", 62, "v5")
+    assert incomplete["kind"] == "incomplete"
+    assert closed["kind"] == "closed"
+    assert [c["width"] for c in closed["carriers"]] == \
+        [f"1/{3 * 2 ** i}" for i in range(64)]
 
 
 def test_exit_code_validation_failure(tmp_path, capsys):

@@ -1,7 +1,9 @@
 """Tests for polygon degenerations, towers, and galaxy classification."""
 
 import dataclasses
+import time
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -133,11 +135,15 @@ def test_elliptic_tower_validation():
         elliptic_tower(3, [2, 3])
     with pytest.raises(DepthCap):
         elliptic_tower(3, [1] * 65)
+    with pytest.raises(ValidationError):
+        elliptic_tower(0, [1])
 
 
 def test_tower_levels_are_subdivided_cycles(tower):
     assert tower.depth == 5
+    assert tower.cycle_sizes == (3, 6, 12, 24, 48)
     assert [lv.m for lv in tower.levels] == [3, 6, 12, 24, 48]
+    assert tower.levels is tower.levels
 
 
 # -- galaxy points --
@@ -220,6 +226,85 @@ def test_open_level_is_minimal(tower, p):
     q = theta.denominator
     first = min(i for i in range(5) if (3 * 2 ** i) % q == 0)
     assert c.level == first
+
+
+def _outcome(tower, point):
+    """The classification, or the type and message of the refusal."""
+    try:
+        return classify_point(tower, point)
+    except (IncompleteTower, UndecidableSign) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def small_towers(draw):
+    """A tower over I_m whose levels are cheap enough to build."""
+    m = draw(st.integers(min_value=1, max_value=12))
+    degrees = [draw(st.integers(min_value=1, max_value=3))]
+    for factor in draw(st.lists(st.integers(min_value=1, max_value=3),
+                                max_size=5)):
+        if m * degrees[-1] * factor > 200:
+            break
+        degrees.append(degrees[-1] * factor)
+    return elliptic_tower(m, degrees)
+
+
+@st.composite
+def galaxy_points(draw):
+    """Rational angles, or symbols with enclosures down to too coarse."""
+    den = draw(st.integers(min_value=1, max_value=400))
+    num = draw(st.integers(min_value=0, max_value=den - 1))
+    if draw(st.booleans()):
+        return galaxy_point(F(num, den))
+    width = draw(st.integers(min_value=0, max_value=min(3, den - num)))
+    return galaxy_point(Symbol("s", F(num, den), F(num + width, den)))
+
+
+@given(small_towers(), st.lists(galaxy_points(), min_size=1, max_size=6))
+@settings(deadline=None, max_examples=40)
+def test_closed_form_matches_the_built_levels(tower, points):
+    levels = list(tower.levels)
+    assert tower.cycle_sizes == tuple(lv.m for lv in levels)
+    # vertex angles read off the built complexes; 1 is the angle 0 again
+    angles = [{a for _, a in lv.labels} | {F(1)} for lv in levels]
+    for point in points:
+        got = _outcome(tower, point)
+        assert got == _outcome(levels, point)
+        if point.rational is not None:
+            hits = [i for i, ang in enumerate(angles) if point.rational in ang]
+            if not hits:
+                assert got[0] is IncompleteTower
+                continue
+            assert got.kind == "open" and got.level == hits[0]
+            assert levels[got.level].label(got.vertex) == point.rational
+            continue
+        sym = point.symbol
+        if any(sym.lo <= a <= sym.hi for ang in angles for a in ang):
+            assert got[0] is UndecidableSign
+            continue
+        assert got.kind == "closed" and len(got.carriers) == len(levels)
+        for lv, edge in zip(levels, got.carriers):
+            assert edge_interval(lv, edge.cell) == edge.interval
+            assert edge.interval[0] < sym.lo and sym.hi < edge.interval[1]
+
+
+def test_depth_cap_doubling_tower_in_closed_form():
+    start = time.perf_counter()
+    tower = elliptic_tower(3, [2 ** i for i in range(64)])
+    theta = F(5, 3 * 2 ** 62)
+    c = classify_point(tower, galaxy_point(theta))
+    assert (c.kind, c.level, c.vertex) == ("open", 62, "v5")
+    lo = F(isqrt(2 * 10 ** 80) - 10 ** 40, 10 ** 40)
+    sym = Symbol("sqrt2-1", lo, lo + F(1, 10 ** 40))
+    c = classify_point(tower, galaxy_point(sym))
+    assert c.kind == "closed"
+    assert [ce.width for ce in c.carriers] == \
+        [F(1, 3 * 2 ** i) for i in range(64)]
+    for outer, inner in zip(c.carriers, c.carriers[1:]):
+        assert outer.interval[0] <= inner.interval[0]
+        assert inner.interval[1] <= outer.interval[1]
+    assert "levels" not in tower.__dict__
+    assert time.perf_counter() - start < 1
 
 
 # -- strata and decomposition --
