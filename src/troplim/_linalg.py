@@ -27,16 +27,8 @@ def dot(u: Sequence, v: Sequence) -> Fraction | int:
     return sum(a * b for a, b in zip(u, v))
 
 
-def vec_add(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vec_sub(u: Sequence, v: Sequence) -> tuple:
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(u: Sequence, s) -> tuple:
-    return tuple(a * s for a in u)
 
 
 def is_zero_vec(u: Sequence) -> bool:

@@ -72,31 +72,3 @@ def affine_dim(points: Sequence[Sequence]) -> int:
     p0 = points[0]
     return la.mat_rank([la.vec_sub(p, p0) for p in points[1:]])
 
-
-def face_lattice(vertices: Sequence[tuple], rows: Sequence[Row]
-                 ) -> set[frozenset]:
-    """All nonempty faces of a polytope, as vertex sets.
-
-    ``rows`` are affine (coefficients, constant) rows nonnegative on the
-    polytope and include its facet rows; each cuts out the vertices where it
-    vanishes, and the faces are the whole vertex set together with every
-    nonempty intersection of those sets.
-    """
-    seeds = []
-    for coeffs, const in rows:
-        active = frozenset(v for v in vertices
-                           if la.dot(coeffs, v) + const == 0)
-        if active:
-            seeds.append(active)
-    faces = {frozenset(vertices)}
-    queue = list(seeds)
-    while queue:
-        fs = queue.pop()
-        if fs in faces:
-            continue
-        faces.add(fs)
-        for other in seeds:
-            meet = fs & other
-            if meet and meet not in faces:
-                queue.append(meet)
-    return faces

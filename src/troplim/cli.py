@@ -51,6 +51,7 @@ from .galaxy import (
     polygon_degeneration,
 )
 from .io import (
+    _int_list,
     canonical_json,
     cone_to_json,
     fmt_rational,
@@ -499,7 +500,7 @@ def handle_toric_fiber(cfg: JobConfig, path: str) -> dict:
     matrix_raw = require_field(obj, "matrix", path)
     if not isinstance(matrix_raw, list):
         raise ParseError(f"{path}.matrix: expected a list of rows")
-    matrix = [[parse_int(a, f"{path}.matrix[{i}]") for a in row]
+    matrix = [_int_list(row, f"{path}.matrix[{i}]")
               for i, row in enumerate(matrix_raw)]
     source_obj = require_field(obj, "source", path)
     target_obj = require_field(obj, "target", path)
@@ -512,10 +513,11 @@ def handle_toric_fiber(cfg: JobConfig, path: str) -> dict:
     base_obj = require_field(obj, "base", path)
     if not isinstance(base_obj, dict):
         raise ParseError(f"{path}.base: expected a cone object")
-    base_rays = [
-        [parse_int(a, f"{path}.base.rays[{i}]") for a in row]
-        for i, row in enumerate(require_field(base_obj, "rays",
-                                              f"{path}.base"))]
+    rays_raw = require_field(base_obj, "rays", f"{path}.base")
+    if not isinstance(rays_raw, list):
+        raise ParseError(f"{path}.base.rays: expected a list of rays")
+    base_rays = [_int_list(row, f"{path}.base.rays[{i}]")
+                 for i, row in enumerate(rays_raw)]
     base = cone_from_generators(base_rays, n=rank_t)
     fiber = toric_fiber_complex(matrix, source, target, base)
     return {

@@ -28,7 +28,7 @@ from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from . import _linalg as la
-from ._polyhedra import affine_dim, face_lattice, polyhedron_info
+from ._polyhedra import affine_dim, polyhedron_info
 from .errors import (
     DimensionMismatch,
     IncoherentIncidence,
@@ -47,6 +47,7 @@ from .lattice import (
     cone_contains_point,
     cone_faces,
     cone_is_face,
+    face_lattice,
 )
 
 QVec = tuple[Fraction, ...]

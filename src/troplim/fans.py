@@ -222,8 +222,6 @@ class SubdivisionWitness:
     coarse: Fan
     carrier: tuple[int, ...]
 
-    def carrier_cone(self, i: int) -> Cone:
-        return self.coarse.maximal[self.carrier[i]]
 
 
 def is_subdivision(fine: Fan, coarse: Fan) -> Optional[SubdivisionWitness]:

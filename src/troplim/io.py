@@ -201,14 +201,6 @@ def parse_polynomial(path: str) -> TropicalPolynomial:
     return trop_poly(terms, n=n)
 
 
-def serialize_polynomial(f: TropicalPolynomial) -> dict:
-    return {
-        "vars": f.n,
-        "terms": [{"exp": list(e), "val": fmt_rational(v)}
-                  for e, v in f.terms],
-    }
-
-
 # -- incidence and complexes -------------------------------------------------
 
 
@@ -238,20 +230,6 @@ def parse_incidence(path: str) -> StrataIncidence:
                 f"{path}.closures[{i}]: expected a [lower, upper] pair")
         closures.append((str(pair[0]), str(pair[1])))
     return make_incidence(mode, strata, closures)
-
-
-def serialize_incidence(inc: StrataIncidence) -> dict:
-    return {
-        "mode": inc.mode,
-        "strata": [{"name": s.name, "codim": s.codim, "branches": s.branches}
-                   for s in inc.strata],
-        "closures": [[a, b] for a, b in inc.closures],
-    }
-
-
-def parse_complex(path: str) -> DeltaComplex:
-    obj = load_json(path)
-    return parse_complex_data(obj, path)
 
 
 def parse_complex_data(obj: dict, where: str) -> DeltaComplex:
@@ -317,14 +295,6 @@ def parse_symbolic_vector_data(obj: dict, where: str) -> SymbolicVector:
     return symbolic_vector(entries, symbols)
 
 
-def serialize_symbolic_vector(x: SymbolicVector) -> dict:
-    return {
-        "symbols": [{"name": s.name, "lo": fmt_rational(s.lo),
-                     "hi": fmt_rational(s.hi)} for s in x.symbols],
-        "entries": [[fmt_rational(c) for c in row] for row in x.rows],
-    }
-
-
 # -- towers ------------------------------------------------------------------
 
 
@@ -345,11 +315,6 @@ def _parse_strategy(obj: dict, where: str):
         rank, cones = parse_fan_data(fan_obj, f"{where}.fan")
         return CommonRefineWith(fan_from_cones(cones, n=rank))
     raise ParseError(f"{where}.kind: unknown strategy {kind!r}")
-
-
-def parse_tower_spec(path: str) -> Union[FanTower, EllipticTower]:
-    """Either a fan tower grown by a strategy or an elliptic polygon tower."""
-    return tower_spec_from_data(load_json(path), path)
 
 
 def parse_elliptic(obj: dict, where: str, tower: bool = False

@@ -262,11 +262,17 @@ def _cone_from_halfspaces(equations: Sequence[Sequence],
 
 
 def _face(cone: Cone, active: Sequence[IVec]) -> Cone:
-    """The face of the cone on which the given nonnegative rows vanish."""
+    """The face of the cone on which the given facet rows vanish.
+
+    The rows must be facets of the cone, so the face is the lineality space
+    plus the extreme rays on which every row vanishes; that subset of the
+    canonical rays, under the same lines, is canonical already.
+    """
     if not active:
         return cone
-    return _cone_from_halfspaces(cone.equations + tuple(active), cone.facets,
-                                 cone.n)
+    rays = tuple(r for r in cone.rays
+                 if all(la.dot(a, r) == 0 for a in active))
+    return _cone_from_canonical(rays, cone.lines, cone.n)
 
 
 def _build_cone(rays: Sequence[Sequence], lines: Sequence[Sequence], n: int) -> Cone:
@@ -327,11 +333,6 @@ def cone_from_generators(
             f"generators {gens} span the line through {cone.lines[0]}"
         )
     return cone
-
-
-def zero_cone(n: int) -> Cone:
-    """The trivial cone {0}."""
-    return make_cone([], n=n, check_rank=False)
 
 
 @functools.cache
@@ -410,29 +411,58 @@ def cone_intersect(a: Cone, b: Cone) -> Cone:
                                  a.facets + b.facets, a.n)
 
 
+def face_lattice(vertices: Sequence[tuple], rows: Sequence[tuple]
+                 ) -> set[frozenset]:
+    """All nonempty faces of a polytope or cone, as vertex sets.
+
+    ``rows`` are affine (coefficients, constant) rows nonnegative on the
+    vertices and include the facet rows; each cuts out the vertices where it
+    vanishes, and the faces are the whole vertex set together with every
+    nonempty intersection of those sets.  For a cone the extreme rays act
+    as the vertices and each facet gives the row (facet, 0).  The empty set
+    is not returned, so for a cone the minimal face, its lineality space,
+    is left to the caller.
+    """
+    seeds = []
+    for coeffs, const in rows:
+        active = frozenset(v for v in vertices
+                           if la.dot(coeffs, v) + const == 0)
+        if active:
+            seeds.append(active)
+    faces = {frozenset(vertices)}
+    queue = list(seeds)
+    while queue:
+        fs = queue.pop()
+        if fs in faces:
+            continue
+        faces.add(fs)
+        for other in seeds:
+            meet = fs & other
+            if meet and meet not in faces:
+                queue.append(meet)
+    return faces
+
+
 def cone_faces(cone: Cone) -> tuple[Cone, ...]:
     """All faces (the cone itself included), each in canonical form."""
-    found: dict[tuple, Cone] = {}
-    for k in range(len(cone.facets) + 1):
-        for subset in itertools.combinations(cone.facets, k):
-            face = _face(cone, subset)
-            found[(face.rays, face.lines)] = face
-    return tuple(sorted(found.values(), key=lambda c: (c.dim, c.rays, c.lines)))
+    ray_sets = face_lattice(cone.rays, [(f, 0) for f in cone.facets])
+    ray_sets.add(frozenset())
+    faces = [_cone_from_canonical(tuple(r for r in cone.rays if r in fs),
+                                  cone.lines, cone.n) for fs in ray_sets]
+    return tuple(sorted(faces, key=lambda c: (c.dim, c.rays, c.lines)))
 
 
 def cone_is_face(face: Cone, cone: Cone) -> bool:
-    """Is ``face`` a face of ``cone``?  Exact: active-facet characterization."""
+    """Is ``face`` a face of ``cone``?  Exact: the facets vanishing on
+    ``face`` cut out a face, and ``face`` must be that one.  Containment,
+    cheaper than the conversion, is tested first."""
     if face.n != cone.n:
         raise DimensionMismatch(f"ambient ranks differ: {face.n} vs {cone.n}")
-    gens = list(face.rays) + [tuple(-a for a in l) for l in face.lines] + list(face.lines)
-    for g in gens:
-        if not cone_contains_point(cone, g):
-            return False
+    if not cone_subset(face, cone):
+        return False
+    gens = face.rays + face.lines
     active = [f for f in cone.facets if all(la.dot(f, g) == 0 for g in gens)]
-    lines, rays = halfspaces_to_generators(
-        tuple(cone.equations) + tuple(active), cone.facets, cone.n
-    )
-    return (rays, lines) == (face.rays, face.lines)
+    return _face(cone, active) == face
 
 
 def cone_subset(inner: Cone, outer: Cone) -> bool:

@@ -163,16 +163,6 @@ def ptrop_sample_oracle(coeffs: Mapping[IVec, complex], n: int,
     return tuple(_cluster(np.asarray(directions), config.cluster_angle))
 
 
-def angular_distance(u: Sequence[float], v: Sequence[float]) -> float:
-    """Angle between two nonzero direction vectors."""
-    a = np.asarray(u, dtype=float)
-    b = np.asarray(v, dtype=float)
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0 or nb == 0:
-        return math.pi / 2
-    return float(np.arccos(np.clip(a @ b / (na * nb), -1.0, 1.0)))
-
-
 def distance_to_cone(rays: Sequence[Sequence[int]], u: Sequence[float]
                      ) -> float:
     """Angular distance from a direction to a cone given by its rays."""

@@ -110,11 +110,6 @@ class SymbolicVector:
         """Rational interval enclosure of coordinate i."""
         return _combination_interval(self.rows[i], self.symbols)
 
-    def as_rational(self) -> Optional[tuple[Fraction, ...]]:
-        """The exact rational value, or None if any symbol really occurs."""
-        if any(c != 0 for row in self.rows for c in row[1:]):
-            return None
-        return tuple(row[0] for row in self.rows)
 
 
 def _combination_interval(row, symbols):
@@ -386,36 +381,3 @@ def chain_toward(t: FanTower, x: SymbolicVector) -> ConeChain:
             raise ValueError(f"direction lies outside the level-{i} support")
         entries.append((i, carrier))
     return cone_chain(entries)
-
-
-def boundary_strata_at_level(t: FanTower, i: int) -> tuple[IVec, ...]:
-    """Rays of the level-i fan: one per invariant boundary divisor."""
-    return t.level(i).rays
-
-
-# -- exact rank-2 angle comparison ------------------------------------------
-
-
-def _angle_data(c: Cone):
-    if c.n != 2 or c.dim != 2 or c.lines or len(c.rays) != 2:
-        raise DimensionMismatch(
-            "angular comparison needs a pointed 2-dimensional plane cone")
-    u, v = c.rays
-    return la.dot(u, v), la.dot(u, u) * la.dot(v, v)
-
-
-def angle_compare(a: Cone, b: Cone) -> int:
-    """Exact comparison of opening angles of two plane cones."""
-    d1, n1 = _angle_data(a)
-    d2, n2 = _angle_data(b)
-    # cos is decreasing on (0, pi): compare d1/sqrt(n1) against d2/sqrt(n2)
-    if d1 >= 0 > d2:
-        return -1
-    if d2 >= 0 > d1:
-        return 1
-    left, right = d1 * d1 * n2, d2 * d2 * n1
-    if left == right:
-        return 0
-    if d1 >= 0:
-        return -1 if left > right else 1
-    return -1 if left < right else 1

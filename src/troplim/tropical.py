@@ -32,7 +32,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from . import _linalg as la
-from ._polyhedra import affine_dim, face_lattice, polyhedron_info
+from ._polyhedra import affine_dim, polyhedron_info
 from .errors import (
     BoundViolation,
     DimensionMismatch,
@@ -45,6 +45,7 @@ from .lattice import (
     Cone,
     _cone_from_halfspaces,
     cone_intersect,
+    face_lattice,
     make_cone,
     positive_orthant,
 )

@@ -1,5 +1,6 @@
 """Tests for file formats and the command-line surface."""
 
+import hashlib
 import json
 from fractions import Fraction as F
 from math import isqrt
@@ -70,10 +71,9 @@ def test_parse_polynomial_exact_values(tmp_path):
 def test_round_trips_are_byte_identical(tmp_path):
     cases = [
         ("fan.json", QUADRANT, io.parse_fan, io.serialize_fan),
-        ("poly.json", NODAL, io.parse_polynomial, io.serialize_polynomial),
-        ("inc.json", NODAL_INC, io.parse_incidence, io.serialize_incidence),
         ("cx.json", io.serialize_complex(segment_complex()),
-         io.parse_complex, io.serialize_complex),
+         lambda p: io.parse_complex_data(io.load_json(p), p),
+         io.serialize_complex),
     ]
     for name, obj, parse, serialize in cases:
         path = put(tmp_path, name, obj)
@@ -82,25 +82,14 @@ def test_round_trips_are_byte_identical(tmp_path):
         assert io.canonical_json(serialize(parse(path))) == canonical
 
 
-def test_symbolic_vector_round_trip(tmp_path):
-    obj = {"symbols": [{"name": "sqrt2", "lo": "1414213/1000000",
-                        "hi": "1414214/1000000"}],
-           "entries": [["1", "0"], ["0", "1"]]}
-    path = put(tmp_path, "v.json", obj)
-    x = io.parse_symbolic_vector_data(io.load_json(path), path)
-    canonical = io.canonical_json(io.serialize_symbolic_vector(x))
-    (tmp_path / "v.json").write_text(canonical, encoding="utf-8")
-    y = io.parse_symbolic_vector_data(io.load_json(path), path)
-    assert io.canonical_json(io.serialize_symbolic_vector(y)) == canonical
-
-
 def test_parse_tower_specs(tmp_path):
-    t = io.parse_tower_spec(put(tmp_path, "t.json", {
+    p = put(tmp_path, "t.json", {
         "base_fan": QUADRANT,
-        "strategy": {"kind": "stellar-at-barycenters"}, "steps": 2}))
+        "strategy": {"kind": "stellar-at-barycenters"}, "steps": 2})
+    t = io.tower_spec_from_data(io.load_json(p), p)
     assert isinstance(t, FanTower) and t.depth == 3
-    ell = io.parse_tower_spec(put(tmp_path, "e.json", {
-        "elliptic": {"m": 3, "degrees": [1, 2]}}))
+    p = put(tmp_path, "e.json", {"elliptic": {"m": 3, "degrees": [1, 2]}})
+    ell = io.tower_spec_from_data(io.load_json(p), p)
     assert [lv.m for lv in ell.levels] == [3, 6]
 
 
@@ -154,7 +143,7 @@ def test_subdivide_elliptic_writes_complex_file(tmp_path, capsys):
                                      "--output", out])
     assert code == 0
     assert report["results"][0]["counts"] == {"0": 6, "1": 6}
-    emitted = io.parse_complex(out)
+    emitted = io.parse_complex_data(io.load_json(out), out)
     assert emitted == base_change(polygon_degeneration(3), 2).complex
     with open(out, encoding="utf-8") as fh:
         assert fh.read() == io.canonical_json(io.serialize_complex(emitted))
@@ -176,18 +165,80 @@ def test_map_fibers_k3_mismatch(tmp_path, capsys):
     assert res["mismatch"] is True
 
 
+RAY_FAN = {"rank": 1, "rays": [["1"]], "maximal_cones": [[0]]}
+TORIC_FIBER = {
+    "matrix": [[1, 0]],
+    "source": {"rank": 2, "rays": [["1", "0"], ["1", "1"], ["1", "2"]],
+               "maximal_cones": [[0, 1], [1, 2]]},
+    "target": RAY_FAN,
+    "base": {"rays": [[1]]}}
+# the octants of rank 3, the positive one split at (1, 1, 1), over the
+# quadrant fan by the projection to the first two coordinates
+OCTANTS_SPLIT = {
+    "matrix": [[1, 0, 0], [0, 1, 0]],
+    "source": {"rank": 3,
+               "rays": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"],
+                        ["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "-1"],
+                        ["1", "1", "1"]],
+               "maximal_cones": [[0, 1, 6], [1, 2, 6], [0, 2, 6], [1, 2, 3],
+                                 [2, 3, 4], [0, 2, 4], [0, 1, 5], [1, 3, 5],
+                                 [3, 4, 5], [0, 4, 5]]},
+    "target": QUADRANT,
+    "base": {"rays": [[1, 0]]}}
+# one cone over a cuboctahedron, 12 rays in rank 4, over its height
+CUBOCTAHEDRON = {
+    "matrix": [[0, 0, 0, 1]],
+    "source": {"rank": 4,
+               "rays": [[str(x) for x in v + (1,)]
+                        for a in (1, -1) for b in (1, -1)
+                        for v in ((a, b, 0), (a, 0, b), (0, a, b))],
+               "maximal_cones": [list(range(12))]},
+    "target": RAY_FAN,
+    "base": {"rays": [[1]]}}
+
+
 def test_toric_fiber_counts(tmp_path, capsys):
-    path = put(tmp_path, "tf.json", {
-        "matrix": [[1, 0]],
-        "source": {"rank": 2, "rays": [["1", "0"], ["1", "1"], ["1", "2"]],
-                   "maximal_cones": [[0, 1], [1, 2]]},
-        "target": {"rank": 1, "rays": [["1"]], "maximal_cones": [[0]]},
-        "base": {"rays": [[1]]}})
+    path = put(tmp_path, "tf.json", TORIC_FIBER)
     code, report = run_json(capsys, ["toric-fiber", path])
     assert code == 0
     res = report["results"][0]
     assert res["counts"] == {"0": 3, "1": 2}
     assert res["euler"] == 1
+
+
+@pytest.mark.parametrize("name, obj, counts, digest", [
+    ("tf.json", TORIC_FIBER, {"0": 3, "1": 2},
+     "6d5a5f0037a95c263da37f58b2956f2317521216346db715ce23ae9083166047"),
+    ("rank3.json", OCTANTS_SPLIT, {"0": 1, "1": 2},
+     "edd9d36e2ccb217f1448124096be0cc4eb6f383d76138133257ccf124b682c91"),
+    ("cubo.json", CUBOCTAHEDRON, {"0": 12, "1": 24, "2": 14, "3": 1},
+     "773ef5e03d30575a82649c42331730bb9866dcb83d4d3ca70278369330808a08"),
+], ids=["tf", "rank3", "twelve-rays"])
+def test_toric_fiber_report_bytes_are_frozen(tmp_path, capsys, monkeypatch,
+                                             name, obj, counts, digest):
+    """SHA-256 of the canonical JSON report, frozen from the enumeration of
+    faces by facet subsets; a relative input path keeps the bytes fixed."""
+    monkeypatch.chdir(tmp_path)
+    put(tmp_path, name, obj)
+    assert cli.main(["toric-fiber", name, "--json"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["results"][0]["counts"] == counts
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("field, value", [
+    ("matrix", [5]),
+    ("matrix", ["10"]),
+    ("base", {"rays": 5}),
+    ("base", {"rays": [1]}),
+    ("base", {"rays": ["1"]}),
+], ids=["matrix-int-row", "matrix-string-row", "base-rays-int",
+        "base-int-ray", "base-string-ray"])
+def test_toric_fiber_non_list_rows_are_parse_errors(tmp_path, capsys,
+                                                    field, value):
+    path = put(tmp_path, "tf.json", {**TORIC_FIBER, field: value})
+    assert cli.main(["toric-fiber", path]) == 3
+    assert "expected a list" in capsys.readouterr().err
 
 
 def test_galaxy_outcomes(tmp_path, capsys):

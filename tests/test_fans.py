@@ -93,7 +93,7 @@ def test_quadrants_subdivide_halfplanes():
     w = fans.is_subdivision(quadrant_fan(), halfplane_fan((0, 1)))
     assert w is not None
     for i, tau in enumerate(w.fine.maximal):
-        sigma = w.carrier_cone(i)
+        sigma = w.coarse.maximal[w.carrier[i]]
         for r in tau.rays:
             assert fans.cone_contains(sigma, r).kind != fans.OUTSIDE
 

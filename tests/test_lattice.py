@@ -205,7 +205,7 @@ def test_cone_is_face_examples():
     c = lat.cone_from_generators([(1, 0), (0, 1)])
     assert lat.cone_is_face(lat.cone_from_generators([(1, 0)]), c)
     assert not lat.cone_is_face(lat.cone_from_generators([(1, 1)]), c)
-    assert lat.cone_is_face(lat.zero_cone(2), c)
+    assert lat.cone_is_face(lat.make_cone([], n=2), c)
     assert lat.cone_is_face(c, c)
 
 
@@ -348,6 +348,97 @@ def test_faces_are_faces(cone):
 def test_relint_point_is_interior(cone):
     p = cone.relint_point()
     assert lat.cone_contains(cone, p).kind == lat.INTERIOR
+
+
+# -- faces against the halfspace references ----------------------------------
+
+
+def reference_face(cone, active):
+    """The face on which the active rows vanish, by halfspaces: the rows
+    join the equations, and the result is converted and wrapped."""
+    if not active:
+        return cone
+    return lat._cone_from_halfspaces(cone.equations + tuple(active),
+                                     cone.facets, cone.n)
+
+
+def reference_cone_faces(cone):
+    """All faces by brute force: one reference face per subset of facets."""
+    found = {}
+    for k in range(len(cone.facets) + 1):
+        for subset in combinations(cone.facets, k):
+            face = reference_face(cone, subset)
+            found[(face.rays, face.lines)] = face
+    return tuple(sorted(found.values(),
+                        key=lambda c: (c.dim, c.rays, c.lines)))
+
+
+def assert_same_cones(got, expected):
+    """Equal by value, by the H-data (compare=False) and by repr."""
+    assert got == expected
+    for a, b in zip(got, expected):
+        assert (a.facets, a.equations) == (b.facets, b.equations)
+    assert repr(got) == repr(expected)
+
+
+@st.composite
+def cones_with_lines(draw):
+    """Cones at ranks 1-4: spanned by generators and lines, {0} and the
+    whole space."""
+    n = draw(st.integers(1, 4))
+    vec = st.tuples(*[st.integers(-2, 2)] * n)
+    kind = draw(st.sampled_from(("lines", "zero", "space")))
+    if kind == "zero":
+        return lat.make_cone([], n=n)
+    if kind == "space":
+        return lat.make_cone([], n=n, lines=identity_rows(n))
+    return lat.make_cone(draw(st.lists(vec, max_size=6)), n=n,
+                         lines=draw(st.lists(vec, min_size=1, max_size=n)))
+
+
+rank4_cones = _cones(st.lists(st.tuples(*[st.integers(-2, 2)] * 4),
+                              min_size=1, max_size=6))
+# cones over 3-polytopes: pointed, with many facets
+pointed4_cones = _cones(st.lists(
+    st.tuples(*[st.integers(-2, 2)] * 3, st.integers(1, 2)),
+    min_size=1, max_size=7))
+face_test_cones = st.one_of(_cones(gen_sets2), _cones(gen_sets3),
+                            rank4_cones, pointed4_cones, cones_with_lines())
+
+
+@settings(max_examples=200, deadline=None)
+@given(face_test_cones, face_test_cones)
+def test_faces_match_the_halfspace_references(cone, other):
+    expected = reference_cone_faces(cone)
+    assert_same_cones(lat.cone_faces(cone), expected)
+    for k in range(len(cone.facets) + 1):
+        for subset in combinations(cone.facets, k):
+            assert_same_cones((lat._face(cone, subset),),
+                              (reference_face(cone, subset),))
+    for face in expected:
+        assert lat.cone_is_face(face, cone)
+    if other.n == cone.n:
+        assert lat.cone_is_face(other, cone) == (other in expected)
+
+
+def cuboctahedron_cone():
+    """The cone over a cuboctahedron: 12 rays in rank 4, 14 facets, and 52
+    faces with the apex and the cone itself."""
+    return lat.cone_from_generators(
+        [v + (1,) for a in (1, -1) for b in (1, -1)
+         for v in ((a, b, 0), (a, 0, b), (0, a, b))])
+
+
+def test_cone_faces_converts_once_per_face():
+    cone = cuboctahedron_cone()
+    lat._halfspaces_to_generators.cache_clear()
+    before = lat.halfspaces_to_generators.cache_info()
+    faces = lat.cone_faces(cone)
+    after = lat.halfspaces_to_generators.cache_info()
+    calls = after.hits + after.misses - before.hits - before.misses
+    assert len(faces) == 52 and calls <= len(faces)
+    assert [f.dim for f in faces].count(3) == 14
+    assert_same_cones(faces, reference_cone_faces(cone))
 
 
 # -- derived cones against the three-conversion constructor ------------------

@@ -19,7 +19,8 @@ from troplim.errors import (
     UndecidableSign, ZeroVector,
 )
 from troplim.lattice import (
-    INTERIOR, OUTSIDE, cone_contains, cone_faces, cone_is_face, make_cone,
+    INTERIOR, OUTSIDE, cone_contains, cone_faces, cone_is_face, cone_subset,
+    make_cone,
 )
 from troplim.lattice import cone_from_generators as cg
 
@@ -143,10 +144,9 @@ def test_ray_stability_along_towers():
     t = tw.extend_tower(tw.fan_tower(quadrant_fan()),
                         tw.StellarAtBarycenters(), 3)
     for i in range(t.depth - 1):
-        assert set(tw.boundary_strata_at_level(t, i)) <= \
-            set(tw.boundary_strata_at_level(t, i + 1))
+        assert set(t.level(i).rays) <= set(t.level(i + 1).rays)
     with pytest.raises(IndexOutOfRange):
-        tw.boundary_strata_at_level(t, t.depth)
+        t.level(t.depth)
 
 
 # -- chains toward directions -----------------------------------------------
@@ -158,7 +158,8 @@ def test_toward_irrational_shrinks_strictly():
     chain = tw.chain_toward(t, x)
     assert len(chain.entries) == 6
     for (_, a), (_, b) in zip(chain.entries, chain.entries[1:]):
-        assert tw.angle_compare(b, a) == -1
+        # strictly nested plane cones have strictly smaller angles
+        assert cone_subset(b, a) and b != a
     # convergents of sqrt 2 appear as carrier rays
     assert chain.entries[-1][1].rays == ((2, 3), (5, 7))
     res = tw.resolve_direction(chain)
@@ -273,21 +274,6 @@ def test_irrational_directions_stay_unresolved(k):
     res = tw.resolve_direction(tw.chain_toward(t, x))
     assert isinstance(res, tw.UnresolvedCone)
     assert tw.fiber_rank(x) == 2
-
-
-# -- angle comparison -------------------------------------------------------
-
-
-def test_angle_compare_basic():
-    quarter = cg([(1, 0), (0, 1)])
-    eighth = cg([(1, 0), (1, 1)])
-    obtuse = cg([(1, 0), (-1, 1)])
-    wide = cg([(1, 0), (-2, 1)])
-    assert tw.angle_compare(eighth, quarter) == -1
-    assert tw.angle_compare(quarter, obtuse) == -1
-    assert tw.angle_compare(obtuse, wide) == -1
-    assert tw.angle_compare(quarter, quarter) == 0
-    assert tw.angle_compare(cg([(1, 1), (-1, 1)]), quarter) == 0
 
 
 # -- symbolic location against rational location ----------------------------
