@@ -226,6 +226,59 @@ def test_toric_fiber_report_bytes_are_frozen(tmp_path, capsys, monkeypatch,
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def poly_json(terms):
+    """Polynomial file contents from (exponent, valuation) pairs."""
+    return {"vars": len(terms[0][0]),
+            "terms": [{"exp": list(e), "val": str(v)} for e, v in terms]}
+
+
+# the seven worked examples of acceptance criterion 1, then a homogeneous
+# rank-3 germ (lines in the dual of the lifted cone), a plane germ with
+# fractional valuations and a non-vertex term, and a random rank-4 germ
+TROP_GERMS = [
+    [((1, 1), 0), ((3, 0), 0), ((0, 3), 0)],
+    [((1, 0), 0), ((0, 1), 0)],
+    [((1, 1, 0), 0), ((0, 0, 2), 0)],
+    [((2, 0), 0), ((1, 1), 0), ((0, 2), 0)],
+    [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0)],
+    [((1, 0, 0, 0), 0), ((0, 1, 0, 0), 0), ((0, 0, 1, 1), 0)],
+    [((1, 0), F(1, 2)), ((0, 2), 0), ((2, 1), -1)],
+    [((3, 0, 0), 0), ((0, 3, 0), 1), ((0, 0, 3), F(1, 2)), ((1, 1, 1), -1),
+     ((2, 1, 0), 2), ((0, 1, 2), F(-1, 3))],
+    [((1, 0), F(1, 2)), ((0, 2), F(-2, 3)), ((2, 1), F(3, 4)),
+     ((1, 1), F(5, 7)), ((3, 0), F(-1, 5)), ((0, 1), F(7, 3))],
+    [((0, 0, 2, 1), 4), ((1, 0, 0, 1), 3), ((0, 0, 2, 0), 3),
+     ((1, 2, 0, 0), -1), ((3, 0, 0, 0), -4), ((2, 0, 0, 1), -3),
+     ((1, 0, 0, 0), -3), ((1, 1, 1, 0), 0), ((0, 2, 1, 0), -3),
+     ((0, 1, 1, 1), 3)],
+]
+
+
+@pytest.mark.parametrize("terms, digest", list(zip(TROP_GERMS, [
+    "b698970266998a1e1513f32f9ea4b03976dc5421c3b5c6cc6d0ec399dcba9f77",
+    "04513e53ca8c2df4cc99271803892b6f4b65b56552aff967bd4eaffc1620515b",
+    "ae4033171292711af40825dc1bd06c4f388f2da1aff12ee56737221160f10ba9",
+    "3c79caad82ff4aac9af099ee39881a7f2717c126e15c19a33ec3e4236d37de1a",
+    "c13cdfc48c54efec67842cbe7750627e06442a55c82ca651b83158e719fcc1a6",
+    "313f0dabf18ce425d095f866857369045cb53aac4e6cc709c3b2349b8769dd44",
+    "388ce3792395cf88567dd75894e74ef581cb24630149d4893eaadcb3a75173aa",
+    "08f7e4ef0f8b5142c3f8ade5a1db4016285fd82906ed567717619fcec7031332",
+    "64527d2492edd1c39523a2a46e6cd6b32292149300c736b5625e77d18e1ce1e4",
+    "15ecca1df96e6a4feaa77a5b9682bbfa9de28632b69027a75ccd0aad7a52561f",
+])), ids=["cubic", "line", "cone", "conic", "plane", "rank4-line",
+          "valued", "homogeneous", "fractional", "random-rank4"])
+def test_trop_report_bytes_are_frozen(tmp_path, capsys, monkeypatch,
+                                      terms, digest):
+    """SHA-256 of the canonical `trop --json` report, frozen from the
+    search over achiever sets; a relative input path keeps the bytes
+    fixed."""
+    monkeypatch.chdir(tmp_path)
+    put(tmp_path, "f.json", poly_json(terms))
+    assert cli.main(["trop", "f.json", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("field, value", [
     ("matrix", [5]),
     ("matrix", ["10"]),
