@@ -7,7 +7,8 @@ generator with positive last coordinate; summing all generators and scaling
 back to t = 1 produces a relative-interior point; the t = 0 face of the cone
 is the recession cone; generators with positive t are the vertices.  All of
 this is one call to the double-description conversion, so every quantity
-here is exact.
+here is exact.  ``homogenization_info`` reads them off a homogenization
+already converted, such as a tropical hypersurface cell.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import _linalg as la
-from .lattice import Cone, _cone_from_canonical, halfspaces_to_generators
+from .lattice import Cone, IVec, _cone_from_canonical, halfspaces_to_generators
 
 Row = tuple[tuple[Fraction, ...], Fraction]  # (coefficients, constant)
 
@@ -41,6 +42,13 @@ def polyhedron_info(equations: Sequence[Row], inequalities: Sequence[Row],
     ineqs = [coeffs + (const,) for coeffs, const in inequalities]
     ineqs.append(tuple([Fraction(0)] * n) + (Fraction(1),))
     lines, rays = halfspaces_to_generators(eqs, ineqs, n + 1)
+    return homogenization_info(lines, rays, n)
+
+
+def homogenization_info(lines: Sequence[IVec], rays: Sequence[IVec], n: int
+                        ) -> Optional[PolyhedronInfo]:
+    """The facts of ``polyhedron_info`` read off the canonical (lines, rays)
+    of a homogenization cone in rank n + 1; None if no ray has t > 0."""
     positive = [r for r in rays if r[-1] > 0]
     if not positive:
         return None

@@ -854,9 +854,12 @@ def toric_fiber_complex(matrix: Sequence[Sequence[int]], source: Fan,
         if not _image_cone_in(rows, face, base):
             continue
         # the image of the relative interior lies in the relative interior
-        # of the base exactly when the image of one relint point does
+        # of the base exactly when the image of one relint point does; a
+        # generic point of the base meets only images that span the base
         probe = la.mat_mul_vec(rows, face.relint_point())
-        if cone_contains(base, probe).kind == INTERIOR:
+        image = [la.mat_mul_vec(rows, g) for g in face.rays + face.lines]
+        if (cone_contains(base, probe).kind == INTERIOR
+                and la.mat_rank(image) == base.dim):
             levels.setdefault(face.dim - base.dim, []).append(face)
     cells = tuple(
         (d, tuple(sorted(cs, key=lambda c: (c.rays, c.lines))))

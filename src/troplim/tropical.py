@@ -2,8 +2,12 @@
 
 Everything here is min-plus: a term (e, v) contributes v + <e, x> and the
 polynomial evaluates to the minimum over its terms.  The tropical
-hypersurface is the locus where that minimum is achieved at least twice; its
-cells are enumerated exactly, each with the achieving term set and an affine
+hypersurface is the locus where that minimum is achieved at least twice.
+Its cells are dual to the lower faces of conv{(e, v)}, the regular
+subdivision of the Newton polytope that the valuations induce
+(Maclagan & Sturmfels, Introduction to Tropical Geometry, Prop. 3.1.6), so
+one conversion of the cone over the lifted terms and the upward ray yields
+every cell exactly, each with the achieving term set and an affine
 H-description.
 
 The projective tropicalization of a principal germ (the set of limit
@@ -25,14 +29,12 @@ The numeric sampling oracle lives in the sampling module.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional, Sequence
 
 from . import _linalg as la
-from ._polyhedra import affine_dim, polyhedron_info
+from ._polyhedra import affine_dim, homogenization_info
 from .errors import (
     BoundViolation,
     DimensionMismatch,
@@ -46,6 +48,7 @@ from .lattice import (
     _cone_from_halfspaces,
     cone_intersect,
     face_lattice,
+    halfspaces_to_generators,
     make_cone,
     positive_orthant,
 )
@@ -206,46 +209,39 @@ def _cell_rows(f: TropicalPolynomial, subset: frozenset):
 
 
 def trop_hypersurface(f: TropicalPolynomial) -> TropicalHypersurface:
-    """Enumerate all cells exactly, keyed by saturated achiever sets."""
-    m = len(f.terms)
-    if m == 1:
-        return TropicalHypersurface(f.n, ())
-    exp_index = {e: i for i, (e, _) in enumerate(f.terms)}
-    cells: dict[frozenset, TropCell] = {}
-    dead: set[frozenset] = set()
-    queue = deque(frozenset(p) for p in combinations(range(m), 2))
-    while queue:
-        seed = queue.popleft()
-        if seed in cells or seed in dead:
+    """All cells, from one conversion of the cone C over the lifted terms
+    (e, v, 1) and the upward ray (0, 1, 0).  C's faces off the upward ray
+    are the lower faces of conv{(e, v)}; their term sets of two or more are
+    the saturated achiever sets S.  The face of the dual N = {(x, t, z)}
+    vanishing on S (N's lines and the facet normals of C vanishing on S)
+    maps one-to-one onto the homogenized cell when z is dropped."""
+    n = f.n
+    terms = {la.primitivize(e + (v, 1)): i for i, (e, v) in enumerate(f.terms)}
+    up = (0,) * n + (1, 0)
+    lines, normals = halfspaces_to_generators([], list(terms) + [up], n + 2)
+    # N's lines have t = 0 and z = -<x, e>, so dropping z keeps them
+    # primitive and in RREF, and keeps N's rays reduced against them: the
+    # projected rays are canonical once primitivized and sorted
+    cell_lines = [l[:-1] for l in lines]
+    on = {r: frozenset(g for g in terms if la.dot(r, g) == 0)
+          for r in normals}
+    cells = []
+    for fs in face_lattice(list(terms) + [up], [(r, 0) for r in normals]):
+        if up in fs or len(fs) < 2:
             continue
-        eqs, ineqs = _cell_rows(f, seed)
-        info = polyhedron_info(eqs, ineqs, f.n)
-        if info is None:
-            dead.add(seed)
-            continue
-        _, achieved = trop_eval(f, info.relint_point)
-        sat = frozenset(exp_index[e] for e in achieved)
-        if seed != sat:
-            dead.add(seed)
-            if sat in cells:
-                continue
-            eqs, ineqs = _cell_rows(f, sat)
-            info = polyhedron_info(eqs, ineqs, f.n)
-        elif sat in cells:
-            continue
-        cells[sat] = TropCell(
-            achievers=tuple(sorted(f.terms[i][0] for i in sat)),
+        rays = sorted(la.primitivize(r[:-1]) for r in normals if fs <= on[r])
+        info = homogenization_info(cell_lines, rays, n)
+        eqs, ineqs = _cell_rows(f, frozenset(terms[g] for g in fs))
+        cells.append(TropCell(
+            achievers=tuple(sorted(f.terms[terms[g]][0] for g in fs)),
             equations=tuple(eqs),
             inequalities=tuple(ineqs),
             dim=info.dim,
             relint_point=info.relint_point,
             recession=info.recession,
-        )
-        for t in range(m):
-            if t not in sat:
-                queue.append(sat | {t})
-    ordered = sorted(cells.values(), key=lambda c: (c.dim, c.achievers))
-    return TropicalHypersurface(f.n, tuple(ordered))
+        ))
+    cells.sort(key=lambda c: (c.dim, c.achievers))
+    return TropicalHypersurface(n, tuple(cells))
 
 
 # -- projective tropicalization ---------------------------------------------

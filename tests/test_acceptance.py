@@ -9,7 +9,9 @@ expected values were derived independently before being asserted here.
 Stated budgets and tolerances:
 
 1.  PTrop route equivalence on 57 germs (n in {2,3,4}, degree <= 4,
-    including the worked small examples), exact equality, under 10 s.
+    including the worked small examples): the normal fan, the recession
+    cones of the hypersurface cells and those of the reference cells
+    (search over achiever sets) agree exactly, under 10 s.
 2.  Numeric sampling oracle vs exact PTrop on 24 germs (n in {2,3}),
     every cluster within 1e-2 of the exact set; for n = 2 the cluster
     count equals the exact point count; under 60 s.
@@ -106,6 +108,8 @@ from troplim.tropical import (
     trop_poly,
 )
 
+from test_tropical import reference_hypersurface
+
 SQRT2 = Symbol("sqrt2", F(1414213, 10 ** 6), F(1414214, 10 ** 6))
 SQRT3 = Symbol("sqrt3", F(1732050, 10 ** 6), F(1732051, 10 ** 6))
 SQRT5 = Symbol("sqrt5", F(2236067, 10 ** 6), F(2236068, 10 ** 6))
@@ -169,10 +173,12 @@ def test_criterion_01_ptrop_route_equivalence():
         germs.extend(random_germ(rng, n) for _ in range(count))
     assert len(germs) >= 50
     for f in germs:
-        assert ptrop_normal_fan(f) == ptrop_recession(trop_hypersurface(f))
+        exact = ptrop_normal_fan(f)
+        assert exact == ptrop_recession(trop_hypersurface(f))
+        assert exact == ptrop_recession(reference_hypersurface(f))
     elapsed = time.monotonic() - start
     assert elapsed < 10
-    print(f"criterion 1: PASS - {len(germs)} germs, routes agree exactly, "
+    print(f"criterion 1: PASS - {len(germs)} germs, three routes agree, "
           f"{elapsed:.2f}s")
 
 

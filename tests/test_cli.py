@@ -279,6 +279,21 @@ def test_trop_report_bytes_are_frozen(tmp_path, capsys, monkeypatch,
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_toric_fiber_keeps_only_faces_spanning_the_base(tmp_path, capsys):
+    """Over the quadrant the ray (1, 1, 1) maps into the open quadrant but
+    spans only a line of it, so a generic point of the base misses it.
+    What is left: the walls {x, y}, {y, (1,1,1)} and {x, (1,1,1)} and the
+    four 3-cones that meet the open quadrant's preimage."""
+    path = put(tmp_path, "rank3.json",
+               {**OCTANTS_SPLIT, "base": {"rays": [[1, 0], [0, 1]]}})
+    code, report = run_json(capsys, ["toric-fiber", path])
+    assert code == 0
+    res = report["results"][0]
+    assert all(int(d) >= 0 for d in res["counts"])
+    assert res["counts"] == {"0": 3, "1": 4}
+    assert isinstance(res["euler"], int) and res["euler"] == -1
+
+
 @pytest.mark.parametrize("field, value", [
     ("matrix", [5]),
     ("matrix", ["10"]),

@@ -1,13 +1,15 @@
 """Tests for tropical polynomials, hypersurfaces, and PTrop routes."""
 
+from collections import deque
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from troplim import tropical as tp
-from troplim._polyhedra import affine_dim
+from troplim._polyhedra import affine_dim, polyhedron_info
 from troplim.errors import (
     BoundViolation,
     DimensionMismatch,
@@ -23,6 +25,58 @@ def nodal_cubic():
 
 def line_poly():
     return tp.trop_poly({(1, 0): 0, (0, 1): 0})
+
+
+def reference_hypersurface(f):
+    """Cells by search over achiever sets: from each pair of terms, convert
+    the locus where those terms achieve the minimum, saturate the seed with
+    the achievers at its relative-interior point, and grow by one term."""
+    m = len(f.terms)
+    if m == 1:
+        return tp.TropicalHypersurface(f.n, ())
+    exp_index = {e: i for i, (e, _) in enumerate(f.terms)}
+    cells = {}
+    dead = set()
+    queue = deque(frozenset(p) for p in combinations(range(m), 2))
+    while queue:
+        seed = queue.popleft()
+        if seed in cells or seed in dead:
+            continue
+        eqs, ineqs = tp._cell_rows(f, seed)
+        info = polyhedron_info(eqs, ineqs, f.n)
+        if info is None:
+            dead.add(seed)
+            continue
+        _, achieved = tp.trop_eval(f, info.relint_point)
+        sat = frozenset(exp_index[e] for e in achieved)
+        if seed != sat:
+            dead.add(seed)
+            if sat in cells:
+                continue
+            eqs, ineqs = tp._cell_rows(f, sat)
+            info = polyhedron_info(eqs, ineqs, f.n)
+        elif sat in cells:
+            continue
+        cells[sat] = tp.TropCell(
+            achievers=tuple(sorted(f.terms[i][0] for i in sat)),
+            equations=tuple(eqs),
+            inequalities=tuple(ineqs),
+            dim=info.dim,
+            relint_point=info.relint_point,
+            recession=info.recession,
+        )
+        for t in range(m):
+            if t not in sat:
+                queue.append(sat | {t})
+    ordered = sorted(cells.values(), key=lambda c: (c.dim, c.achievers))
+    return tp.TropicalHypersurface(f.n, tuple(ordered))
+
+
+def assert_routes_agree(f):
+    """Normal fan, new cells and reference cells give one PTrop set."""
+    exact = tp.ptrop_normal_fan(f)
+    assert exact == tp.ptrop_recession(tp.trop_hypersurface(f))
+    assert exact == tp.ptrop_recession(reference_hypersurface(f))
 
 
 # -- construction and evaluation --------------------------------------------
@@ -209,8 +263,7 @@ def test_ptrop_routes_agree_on_examples():
         tp.trop_poly([((1, 0), F(1, 2)), ((0, 2), 0), ((2, 1), -1)]),
     ]
     for f in examples:
-        assert tp.ptrop_normal_fan(f) == tp.ptrop_recession(
-            tp.trop_hypersurface(f))
+        assert_routes_agree(f)
 
 
 def test_ptrop_filter_drops_boundary_only_cones():
@@ -350,16 +403,14 @@ def test_cell_recession_directions_stay_in_cell(f):
 @given(polys(2, max_deg=4, max_terms=5).filter(
     lambda f: not f.has_constant_term()))
 def test_routes_agree_rank_two(f):
-    assert tp.ptrop_normal_fan(f) == tp.ptrop_recession(
-        tp.trop_hypersurface(f))
+    assert_routes_agree(f)
 
 
 @settings(max_examples=12, deadline=None)
 @given(polys(3, max_deg=3, max_terms=5).filter(
     lambda f: not f.has_constant_term()))
 def test_routes_agree_rank_three(f):
-    assert tp.ptrop_normal_fan(f) == tp.ptrop_recession(
-        tp.trop_hypersurface(f))
+    assert_routes_agree(f)
 
 
 def homogeneous_polys(n, deg):
@@ -367,6 +418,54 @@ def homogeneous_polys(n, deg):
         lambda e: sum(e) == deg)
     return st.dictionaries(exps, rationals, min_size=2, max_size=5
                            ).map(tp.trop_poly)
+
+
+def lower_face_polys(n, max_deg=2):
+    """Terms at 2a, 2b and their midpoint a + b, lifted by 2u, 2w and u + w,
+    plus up to two more: the midpoint lies on a lower face whenever the
+    lifted segment does, and is never a vertex."""
+    exps = st.tuples(*([st.integers(0, max_deg)] * n))
+
+    def build(args):
+        a, u, b, w, extra = args
+        terms = [(tuple(2 * c for c in a), 2 * u), (tuple(2 * c for c in b),
+                 2 * w), (tuple(x + y for x, y in zip(a, b)), u + w)]
+        return tp.trop_poly(terms + list(extra.items()))
+
+    return st.tuples(exps, rationals, exps, rationals,
+                     st.dictionaries(exps, rationals, max_size=2)
+                     ).filter(lambda t: t[0] != t[2]).map(build)
+
+
+def hypersurface_polys(n):
+    """Random germs (single terms and fractional valuations included),
+    homogeneous germs and germs with non-vertex terms on lower faces."""
+    return st.one_of(polys(n, max_deg=3, max_terms=6),
+                     homogeneous_polys(n, 3), lower_face_polys(n))
+
+
+@pytest.mark.parametrize("n, examples", [(2, 100), (3, 60), (4, 40)])
+def test_hypersurface_matches_reference(n, examples):
+    @settings(max_examples=examples, deadline=None)
+    @given(hypersurface_polys(n))
+    def check(f):
+        assert tp.trop_hypersurface(f) == reference_hypersurface(f)
+
+    check()
+
+
+def test_hypersurface_matches_reference_twenty_terms():
+    f = tp.trop_poly([
+        ((0, 1, 1, 1), F(9, 2)), ((0, 4, 0, 0), -1), ((0, 0, 3, 1), F(-10, 3)),
+        ((1, 0, 2, 0), 2), ((0, 1, 2, 0), 0), ((0, 0, 0, 4), -2),
+        ((0, 2, 0, 2), -5), ((2, 1, 1, 0), -6), ((0, 0, 1, 0), -10),
+        ((0, 0, 1, 2), F(-4, 3)), ((0, 0, 2, 0), 6), ((0, 1, 1, 2), -1),
+        ((0, 3, 0, 0), -4), ((1, 0, 0, 3), 7), ((0, 2, 1, 1), -6),
+        ((2, 1, 0, 1), 10), ((0, 0, 4, 0), F(-5, 3)), ((3, 0, 1, 0), -5),
+        ((2, 0, 1, 0), -4), ((1, 0, 1, 2), F(7, 2))])
+    h = tp.trop_hypersurface(f)
+    assert h == reference_hypersurface(f)
+    assert len(h.cells) > 20
 
 
 @settings(max_examples=25, deadline=None)
