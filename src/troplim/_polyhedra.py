@@ -7,8 +7,7 @@ generator with positive last coordinate; summing all generators and scaling
 back to t = 1 produces a relative-interior point; the t = 0 face of the cone
 is the recession cone; generators with positive t are the vertices.  All of
 this is one call to the double-description conversion, so every quantity
-here is exact.  ``homogenization_info`` reads them off a homogenization
-already converted, such as a tropical hypersurface cell.
+here is exact.
 """
 
 from __future__ import annotations

@@ -41,9 +41,7 @@ from .errors import (
 )
 from .fans import Fan
 from .lattice import (
-    INTERIOR,
     Cone,
-    cone_contains,
     cone_contains_point,
     cone_faces,
     cone_is_face,
@@ -853,13 +851,10 @@ def toric_fiber_complex(matrix: Sequence[Sequence[int]], source: Fan,
     for face in seen.values():
         if not _image_cone_in(rows, face, base):
             continue
-        # the image of the relative interior lies in the relative interior
-        # of the base exactly when the image of one relint point does; a
-        # generic point of the base meets only images that span the base
-        probe = la.mat_mul_vec(rows, face.relint_point())
+        # a generic point of the base lies only over images spanning it,
+        # which map the face's relative interior into the base's
         image = [la.mat_mul_vec(rows, g) for g in face.rays + face.lines]
-        if (cone_contains(base, probe).kind == INTERIOR
-                and la.mat_rank(image) == base.dim):
+        if la.mat_rank(image) == base.dim:
             levels.setdefault(face.dim - base.dim, []).append(face)
     cells = tuple(
         (d, tuple(sorted(cs, key=lambda c: (c.rays, c.lines))))

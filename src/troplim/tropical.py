@@ -219,9 +219,8 @@ def trop_hypersurface(f: TropicalPolynomial) -> TropicalHypersurface:
     terms = {la.primitivize(e + (v, 1)): i for i, (e, v) in enumerate(f.terms)}
     up = (0,) * n + (1, 0)
     lines, normals = halfspaces_to_generators([], list(terms) + [up], n + 2)
-    # N's lines have t = 0 and z = -<x, e>, so dropping z keeps them
-    # primitive and in RREF, and keeps N's rays reduced against them: the
-    # projected rays are canonical once primitivized and sorted
+    # N's lines have t = 0 and z = -<x, e>: dropping z keeps them primitive
+    # and in RREF, and N's rays reduced against them
     cell_lines = [l[:-1] for l in lines]
     on = {r: frozenset(g for g in terms if la.dot(r, g) == 0)
           for r in normals}
