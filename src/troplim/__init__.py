@@ -63,7 +63,7 @@ from .lattice import (
     cone_intersect,
     primitive,
 )
-from .sampling import SampleConfig, distance_to_ptrop, ptrop_sample_oracle
+from .sampling import distance_to_ptrop, ptrop_sample_oracle
 from .towers import (
     TOWER_DEPTH_CAP,
     FanTower,

@@ -25,7 +25,6 @@ from .complexes import (
     count_cells,
     euler_characteristic,
     from_incidence,
-    induced_map,
     map_fiber,
     rational_points,
     scale_subdivide,
@@ -43,42 +42,37 @@ from .errors import (
 from .fans import Fan, common_refinement, fan_from_cones, is_subdivision, validate_fan
 from .galaxy import (
     OpenPoint,
+    PolygonDegeneration,
     base_change,
     classify_point,
     decomposition,
-    elliptic_tower,
-    galaxy_point,
     polygon_degeneration,
 )
 from .io import (
-    _int_list,
     canonical_json,
     cone_to_json,
     fmt_rational,
-    load_json,
-    parse_complex_data,
-    parse_elliptic,
+    parse_cycle_or_complex,
     parse_fan,
-    parse_fan_data,
+    parse_fan_cones,
+    parse_galaxy,
     parse_incidence,
-    parse_int,
+    parse_limit_point,
+    parse_map_fibers,
     parse_polynomial,
-    parse_rational,
-    parse_symbolic_vector_data,
-    require_field,
+    parse_symbolic_vector,
+    parse_toric_fiber,
     serialize_complex,
     serialize_fan,
     sha256_file,
-    tower_spec_from_data,
 )
-from .lattice import cone_from_generators
-from .sampling import SampleConfig, distance_to_ptrop, lift_coefficients, ptrop_sample_oracle
+from .sampling import distance_to_ptrop, lift_coefficients, ptrop_sample_oracle
 from .towers import (
     TOWER_DEPTH_CAP,
-    FanTower,
     ResolvedRay,
-    Symbol,
     chain_toward,
+    extend_tower,
+    fan_tower,
     fiber_model,
     resolve_direction,
 )
@@ -99,7 +93,6 @@ class JobConfig:
     svg: bool = False
     depth: int = TOWER_DEPTH_CAP
     level: Optional[int] = None
-    cluster_angle: float = 3e-3
 
     def __post_init__(self):
         if not self.inputs:
@@ -109,8 +102,6 @@ class JobConfig:
             raise ValidationError(
                 f"{self.subcommand} writes one artifact, so --output takes "
                 f"exactly one input file")
-        if self.cluster_angle <= 0:
-            raise ValidationError("tolerances must be positive")
         if not 1 <= self.depth <= TOWER_DEPTH_CAP:
             raise ValidationError(
                 f"depth must lie in 1..{TOWER_DEPTH_CAP}")
@@ -270,9 +261,7 @@ def handle_ptrop(cfg: JobConfig, path: str) -> dict:
     }
     if f.n in (2, 3):
         coeffs = lift_coefficients(f, seed=cfg.seed)
-        clusters = ptrop_sample_oracle(
-            coeffs, f.n,
-            SampleConfig(seed=cfg.seed, cluster_angle=cfg.cluster_angle))
+        clusters = ptrop_sample_oracle(coeffs, f.n, seed=cfg.seed)
         result["oracle_clusters"] = [{
             "direction": [round(v, 9) for v in cl.direction],
             "size": cl.size,
@@ -283,8 +272,7 @@ def handle_ptrop(cfg: JobConfig, path: str) -> dict:
 
 
 def handle_fan_validate(cfg: JobConfig, path: str) -> dict:
-    obj = load_json(path)
-    rank, cones = parse_fan_data(obj, path)
+    rank, cones = parse_fan_cones(path)
     report = validate_fan(cones, rank)
     out = {
         "input": path,
@@ -326,27 +314,13 @@ def handle_refine(cfg: JobConfig) -> dict:
 
 
 def handle_limit_point(cfg: JobConfig, path: str) -> dict:
-    obj = load_json(path)
-    steps = obj.get("steps", 0)
-    if isinstance(steps, int) and steps + 1 > cfg.depth:
+    base, strategy, steps, x = parse_limit_point(path)
+    if steps + 1 > cfg.depth:
         raise DepthCap(f"{steps} refinement steps exceed --depth "
                        f"{cfg.depth}")
-    tower = tower_spec_from_data(obj, path)
-    if not isinstance(tower, FanTower):
-        raise ValidationError(
-            f"{path}: limit-point needs a fan tower, not an elliptic "
-            f"tower input")
-    if "direction" in obj:
-        x = parse_symbolic_vector_data(obj["direction"], f"{path}.direction")
-    else:
-        strategy = obj.get("strategy")
-        if isinstance(strategy, dict) and \
-                strategy.get("kind") == "toward-direction":
-            x = parse_symbolic_vector_data(
-                require_field(strategy, "direction", f"{path}.strategy"),
-                f"{path}.strategy.direction")
-        else:
-            raise ParseError(f"{path}: missing field 'direction'")
+    tower = fan_tower(base)
+    if steps:
+        tower = extend_tower(tower, strategy, steps)
     chain = chain_toward(tower, x)
     res = resolve_direction(chain)
     out = {
@@ -363,7 +337,7 @@ def handle_limit_point(cfg: JobConfig, path: str) -> dict:
 
 
 def handle_fiber_rank(cfg: JobConfig, path: str) -> dict:
-    x = parse_symbolic_vector_data(load_json(path), path)
+    x = parse_symbolic_vector(path)
     model = fiber_model(x.n, x)
     return {
         "input": path,
@@ -392,23 +366,14 @@ def handle_dualcx(cfg: JobConfig, path: str) -> dict:
     return _maybe_artifact(cfg, out, serialize_complex(x))
 
 
-def _complex_from_file(obj: dict, path: str) -> DeltaComplex:
-    """A complex file, or {"elliptic": {"m": k}} for the I_k cycle."""
-    if "elliptic" in obj:
-        m, _ = parse_elliptic(obj, path)
-        return polygon_degeneration(m).complex
-    return parse_complex_data(obj, path)
-
-
 def handle_subdivide(cfg: JobConfig, path: str) -> dict:
     level = cfg.level if cfg.level is not None else 1
-    obj = load_json(path)
-    if "elliptic" in obj:
-        m, _ = parse_elliptic(obj, path)
+    x = parse_cycle_or_complex(path)
+    if isinstance(x, PolygonDegeneration):
         # base change keeps the canonical circle labels v0..v(Nm-1)
-        y = base_change(polygon_degeneration(m), level).complex
+        y = base_change(x, level).complex
     else:
-        y = scale_subdivide(parse_complex_data(obj, path), level).complex
+        y = scale_subdivide(x, level).complex
     out = {
         "input": path,
         "level": level,
@@ -423,7 +388,9 @@ def handle_subdivide(cfg: JobConfig, path: str) -> dict:
 
 def handle_rational_points(cfg: JobConfig, path: str) -> dict:
     level = cfg.level if cfg.level is not None else 1
-    x = _complex_from_file(load_json(path), path)
+    x = parse_cycle_or_complex(path)
+    if isinstance(x, PolygonDegeneration):
+        x = x.complex
     pts = sorted(rational_points(x, level))
     return {
         "input": path,
@@ -435,46 +402,10 @@ def handle_rational_points(cfg: JobConfig, path: str) -> dict:
 
 
 def handle_map_fibers(cfg: JobConfig, path: str) -> dict:
-    obj = load_json(path)
-    source_obj = require_field(obj, "source", path)
-    target_obj = require_field(obj, "target", path)
-    if not isinstance(source_obj, dict) or not isinstance(target_obj, dict):
-        raise ParseError(f"{path}: source and target must be complex objects")
-    source = parse_complex_data(source_obj, f"{path}.source")
-    target = parse_complex_data(target_obj, f"{path}.target")
-    vm_raw = require_field(obj, "vertex_map", path)
-    if not isinstance(vm_raw, dict):
-        raise ParseError(f"{path}.vertex_map: expected an object")
-    cell_images = None
-    if obj.get("cell_images") is not None:
-        raw = obj["cell_images"]
-        if not isinstance(raw, dict):
-            raise ParseError(f"{path}.cell_images: expected an object")
-        cell_images = {}
-        for k, v in raw.items():
-            if not (isinstance(v, list) and len(v) == 2):
-                raise ParseError(f"{path}.cell_images[{k!r}]: expected "
-                                 f"[target cell, phi]")
-            cell_images[str(k)] = (str(v[0]), tuple(
-                parse_int(i, f"{path}.cell_images[{k!r}]") for i in v[1]))
-    mapping = induced_map(source, target, vm_raw, cell_images)
-    reference = None
-    if obj.get("reference") is not None:
-        reference = parse_complex_data(obj["reference"], f"{path}.reference")
-    points = require_field(obj, "points", path)
-    if not isinstance(points, list):
-        raise ParseError(f"{path}.points: expected a list")
+    mapping, reference, points = parse_map_fibers(path)
     entries = []
     any_mismatch = False
-    for i, pt in enumerate(points):
-        where = f"{path}.points[{i}]"
-        if not isinstance(pt, dict):
-            raise ParseError(f"{where}: expected an object")
-        cell = str(require_field(pt, "cell", where))
-        coords_raw = require_field(pt, "coords", where)
-        if not isinstance(coords_raw, list):
-            raise ParseError(f"{where}.coords: expected a list")
-        coords = [parse_rational(c, f"{where}.coords") for c in coords_raw]
+    for cell, coords in points:
         fiber = map_fiber(mapping, cell, coords)
         entry = {
             "cell": cell,
@@ -496,29 +427,7 @@ def handle_map_fibers(cfg: JobConfig, path: str) -> dict:
 
 
 def handle_toric_fiber(cfg: JobConfig, path: str) -> dict:
-    obj = load_json(path)
-    matrix_raw = require_field(obj, "matrix", path)
-    if not isinstance(matrix_raw, list):
-        raise ParseError(f"{path}.matrix: expected a list of rows")
-    matrix = [_int_list(row, f"{path}.matrix[{i}]")
-              for i, row in enumerate(matrix_raw)]
-    source_obj = require_field(obj, "source", path)
-    target_obj = require_field(obj, "target", path)
-    if not isinstance(source_obj, dict) or not isinstance(target_obj, dict):
-        raise ParseError(f"{path}: source and target must be fan objects")
-    rank_s, cones_s = parse_fan_data(source_obj, f"{path}.source")
-    rank_t, cones_t = parse_fan_data(target_obj, f"{path}.target")
-    source = fan_from_cones(cones_s, rank_s)
-    target = fan_from_cones(cones_t, rank_t)
-    base_obj = require_field(obj, "base", path)
-    if not isinstance(base_obj, dict):
-        raise ParseError(f"{path}.base: expected a cone object")
-    rays_raw = require_field(base_obj, "rays", f"{path}.base")
-    if not isinstance(rays_raw, list):
-        raise ParseError(f"{path}.base.rays: expected a list of rays")
-    base_rays = [_int_list(row, f"{path}.base.rays[{i}]")
-                 for i, row in enumerate(rays_raw)]
-    base = cone_from_generators(base_rays, n=rank_t)
+    matrix, source, target, base = parse_toric_fiber(path)
     fiber = toric_fiber_complex(matrix, source, target, base)
     return {
         "input": path,
@@ -530,35 +439,14 @@ def handle_toric_fiber(cfg: JobConfig, path: str) -> dict:
 
 
 def handle_galaxy(cfg: JobConfig, path: str) -> dict:
-    obj = load_json(path)
-    m, degrees = parse_elliptic(obj, path, tower=True)
-    points = obj.get("points", [])
-    if not isinstance(points, list):
-        raise ParseError(f"{path}.points: expected a list")
-    if len(degrees) > cfg.depth:
-        raise DepthCap(f"{len(degrees)} tower levels exceed --depth "
+    tower, points = parse_galaxy(path)
+    if len(tower.degrees) > cfg.depth:
+        raise DepthCap(f"{len(tower.degrees)} tower levels exceed --depth "
                        f"{cfg.depth}")
-    tower = elliptic_tower(m, degrees)
     outcomes = []
-    for i, raw in enumerate(points):
-        where = f"{path}.points[{i}]"
-        if isinstance(raw, dict):
-            sym_obj = require_field(raw, "symbol", where)
-            if not isinstance(sym_obj, dict):
-                raise ParseError(f"{where}.symbol: expected an object")
-            sym = Symbol(
-                str(require_field(sym_obj, "name", f"{where}.symbol")),
-                parse_rational(require_field(sym_obj, "lo",
-                                             f"{where}.symbol"),
-                               f"{where}.symbol.lo"),
-                parse_rational(require_field(sym_obj, "hi",
-                                             f"{where}.symbol"),
-                               f"{where}.symbol.hi"))
-            point, shown = galaxy_point(sym), sym.name
-        else:
-            value = parse_rational(raw, where)
-            point = galaxy_point(value)
-            shown = fmt_rational(point.rational)
+    for point in points:
+        shown = point.symbol.name if point.symbol is not None else \
+            fmt_rational(point.rational)
         try:
             res = classify_point(tower, point)
         except IncompleteTower as exc:
@@ -587,13 +475,13 @@ def handle_galaxy(cfg: JobConfig, path: str) -> dict:
             })
     out = {
         "input": path,
-        "m": m,
-        "degrees": degrees,
+        "m": tower.m,
+        "degrees": list(tower.degrees),
         "cycle_sizes": list(tower.cycle_sizes),
         "points": outcomes,
     }
     if cfg.level is not None:
-        record = decomposition(polygon_degeneration(m), cfg.level)
+        record = decomposition(polygon_degeneration(tower.m), cfg.level)
         out["decomposition"] = {
             "level": record.level,
             "open_slots": record.slot_count,
@@ -723,9 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     add("trop", "cell structure of a tropical hypersurface")
-    ptrop = add("ptrop", "projective tropicalization of a germ, with oracle")
-    ptrop.add_argument("--cluster-angle", type=float, default=3e-3,
-                       dest="cluster_angle", metavar="RAD")
+    add("ptrop", "projective tropicalization of a germ, with oracle")
     add("fan-validate", "check the fan axioms and completeness", svg=True)
     add("refine", "common refinement of two fans", svg=True)
     add("limit-point", "resolve a direction through a fan tower")
@@ -752,7 +638,6 @@ def config_from_args(args: argparse.Namespace) -> JobConfig:
         svg=getattr(args, "svg", False),
         depth=args.depth,
         level=getattr(args, "level", None),
-        cluster_angle=getattr(args, "cluster_angle", 3e-3),
     )
 
 

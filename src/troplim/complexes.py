@@ -275,6 +275,9 @@ def make_incidence(mode: str, strata, closures) -> StrataIncidence:
                 f"codimension {s.codim}; expected codim + 1 branches")
     inc = StrataIncidence(mode, ss, tuple((str(a), str(b)) for a, b in closures))
     for lower, upper in inc.closures:
+        if not {lower, upper} <= inc._by_name.keys():
+            raise ValidationError(
+                f"closure pair ({lower!r}, {upper!r}) names an unknown stratum")
         lo, up = inc.stratum(lower), inc.stratum(upper)
         if lo.codim <= up.codim:
             raise ValidationError(
@@ -439,7 +442,11 @@ def induced_map(source: DeltaComplex, target: DeltaComplex,
         u = tuple(vm[v] for v in cell_vertices(source, cell.name))
         if cell.name in given:
             name, phi = given[cell.name]
-            tcell = target.cell(name)
+            try:
+                tcell = target.cell(name)
+            except KeyError as exc:
+                raise ValidationError(
+                    f"cell_images[{cell.name!r}]: {exc.args[0]}") from exc
             if len(phi) != cell.dim + 1 or sorted(set(phi)) != list(
                     range(tcell.dim + 1)) or list(phi) != sorted(phi):
                 raise ValidationError(
@@ -746,14 +753,9 @@ def map_fiber(mapping: ComplexMap, cell_name: str, coords: Sequence
               ) -> FiberComplex:
     """The exact fiber of the map over a rational point of the target."""
     try:
-        target_cell = mapping.target.cell(cell_name)
-    except KeyError as exc:
-        raise PointOutsideTarget(str(exc)) from exc
-    try:
         tau, p = canonical_point(mapping.target, cell_name, coords)
-    except (ValueError, DimensionMismatch) as exc:
+    except (KeyError, ValueError, DimensionMismatch) as exc:
         raise PointOutsideTarget(str(exc)) from exc
-    del target_cell
     faces: dict[tuple, int] = {}
     for cell in mapping.source.cells:
         image, phi = mapping.cell_image(cell.name)

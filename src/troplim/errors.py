@@ -89,6 +89,10 @@ class PointOutsideTarget(TropLimError):
     """The query point does not lie on the target complex."""
 
 
+class OutsideSupport(TropLimError, ValueError):
+    """A direction lies outside the support of a fan."""
+
+
 class NotCompatible(TropLimError):
     """The lattice map does not send every source cone into a target cone."""
 

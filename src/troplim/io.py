@@ -7,19 +7,35 @@ newline.  serialize(parse(x)) is byte-identical for canonical files, which
 keeps golden outputs stable, and reports embed sha256 digests of their
 inputs instead of timestamps.
 
+This module owns every input schema: each file reader `parse_*(path)`
+checks the file against its schema and returns library objects, so a file
+that breaks the schema raises a ParseError naming the field.
+
 Schemas (all JSON objects):
-  fan         {"rank": n, "rays": [["a", "b", ...], ...],
+  fan         {"rank": n >= 0, "rays": [["a", "b", ...], ...],
                "maximal_cones": [[ray indices], ...]}
-  polynomial  {"vars": n, "terms": [{"exp": [ints], "val": "p/q"}, ...]}
+  polynomial  {"vars": n, "terms": [{"exp": [ints >= 0], "val": "p/q"},
+               ...]} with at least one term
   incidence   {"mode": "analytic"|"algebraic",
                "strata": [{"name": s, "codim": int, "branches": int}, ...],
                "closures": [["lower", "upper"], ...]}
   complex     {"cells": [{"name": s, "faces": [names]}, ...],
                "affine": bool, "provenance": str|null}
-  vector      {"symbols": [{"name": s, "lo": "p/q", "hi": "p/q"}, ...],
+               or {"elliptic": {"m": int}} for the I_m cycle
+  vector      {"symbols": [symbol, ...],
                "entries": ["p/q" or ["c0", "c1", ...], ...]}
-  tower       {"base_fan": fan, "strategy": {"kind": ...}, "steps": int}
-              or {"elliptic": {"m": int, "degrees": [ints]}}
+  symbol      {"name": s, "lo": "p/q", "hi": "p/q"} with lo <= hi
+  tower       {"base_fan": fan, "strategy": {"kind": ...}, "steps": int >= 0,
+               "direction": vector (default: the toward-direction target)}
+  galaxy      {"elliptic": {"m": int, "degrees": [ints]},
+               "points": ["p/q" or {"symbol": symbol}, ...]}
+  map         {"source": complex, "target": complex,
+               "vertex_map": {name: name},
+               "cell_images": {name: [name, [ints]]} or null,
+               "reference": complex or null,
+               "points": [{"cell": name, "coords": ["p/q", ...]}, ...]}
+  toric map   {"matrix": [[ints]], "source": fan, "target": fan,
+               "base": {"rays": [[ints], ...]}}
 """
 
 from __future__ import annotations
@@ -30,20 +46,31 @@ import re
 from fractions import Fraction
 from typing import Optional, Union
 
-from .complexes import DeltaComplex, StrataIncidence, make_complex, make_incidence
-from .errors import ParseError
+from .complexes import (
+    ComplexMap,
+    DeltaComplex,
+    StrataIncidence,
+    induced_map,
+    make_complex,
+    make_incidence,
+)
+from .errors import ParseError, ValidationError
 from .fans import Fan, fan_from_cones
-from .galaxy import EllipticTower, elliptic_tower
+from .galaxy import (
+    EllipticTower,
+    GalaxyPoint,
+    PolygonDegeneration,
+    elliptic_tower,
+    galaxy_point,
+    polygon_degeneration,
+)
 from .lattice import Cone, cone_from_generators
 from .towers import (
     CommonRefineWith,
-    FanTower,
     StellarAtBarycenters,
     Symbol,
     SymbolicVector,
     TowardDirection,
-    extend_tower,
-    fan_tower,
     symbolic_vector,
 )
 from .tropical import TropicalPolynomial, trop_poly
@@ -85,6 +112,18 @@ def require_field(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ParseError(f"{where}: expected an object")
+    return value
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{where}: expected a list")
+    return value
+
+
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
@@ -101,17 +140,18 @@ def parse_rational(value, where: str) -> Fraction:
         raise ParseError(f"{where}: bad rational {value!r}") from exc
 
 
-def parse_int(value, where: str) -> int:
-    if isinstance(value, bool):
+def parse_int(value, where: str, low: Optional[int] = None) -> int:
+    """An int, or a string of one; at least `low` when that is given."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ParseError(f"{where}: expected an integer, got {value!r}")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    raise ParseError(f"{where}: expected an integer, got {value!r}")
+    try:
+        n = int(value)
+    except ValueError:
+        raise ParseError(
+            f"{where}: expected an integer, got {value!r}") from None
+    if low is not None and n < low:
+        raise ParseError(f"{where}: expected an integer >= {low}, got {n}")
+    return n
 
 
 def fmt_rational(q: Fraction) -> str:
@@ -121,48 +161,68 @@ def fmt_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _int_list(value, where: str) -> list[int]:
-    if not isinstance(value, list):
-        raise ParseError(f"{where}: expected a list")
-    return [parse_int(v, f"{where}[{i}]") for i, v in enumerate(value)]
+def _int_list(value, where: str, low: Optional[int] = None) -> list[int]:
+    return [parse_int(v, f"{where}[{i}]", low)
+            for i, v in enumerate(_list(value, where))]
+
+
+def _int_rows(value, where: str) -> list[list[int]]:
+    return [_int_list(row, f"{where}[{i}]")
+            for i, row in enumerate(_list(value, where))]
 
 
 # -- fans --------------------------------------------------------------------
 
 
-def parse_fan_data(obj: dict, where: str) -> tuple[int, list[Cone]]:
-    """Rank and maximal cones, without imposing the fan axioms."""
-    rank = parse_int(require_field(obj, "rank", where), f"{where}.rank")
-    rays_raw = require_field(obj, "rays", where)
-    if not isinstance(rays_raw, list):
-        raise ParseError(f"{where}.rays: expected a list")
-    rays = []
-    for i, r in enumerate(rays_raw):
-        v = _int_list(r, f"{where}.rays[{i}]")
-        if len(v) != rank:
+def parse_fan_data(obj, where: str) -> tuple[int, list[Cone]]:
+    """Rank and maximal cones of a fan object, without the fan axioms."""
+    obj = _object(obj, where)
+    rank = parse_int(require_field(obj, "rank", where), f"{where}.rank",
+                     low=0)
+    rays = _int_rows(require_field(obj, "rays", where), f"{where}.rays")
+    for i, ray in enumerate(rays):
+        if len(ray) != rank:
             raise ParseError(
-                f"{where}.rays[{i}]: length {len(v)} does not match rank "
+                f"{where}.rays[{i}]: length {len(ray)} does not match rank "
                 f"{rank}")
-        rays.append(tuple(v))
-    cones_raw = require_field(obj, "maximal_cones", where)
-    if not isinstance(cones_raw, list):
-        raise ParseError(f"{where}.maximal_cones: expected a list")
     cones = []
-    for i, idxs in enumerate(cones_raw):
-        ii = _int_list(idxs, f"{where}.maximal_cones[{i}]")
-        for j in ii:
+    for i, idxs in enumerate(_int_rows(
+            require_field(obj, "maximal_cones", where),
+            f"{where}.maximal_cones")):
+        for j in idxs:
             if not 0 <= j < len(rays):
                 raise ParseError(
                     f"{where}.maximal_cones[{i}]: ray index {j} out of "
                     f"range")
-        cones.append(cone_from_generators([rays[j] for j in ii], n=rank))
+        cones.append(cone_from_generators([rays[j] for j in idxs], n=rank))
     return rank, cones
 
 
-def parse_fan(path: str) -> Fan:
-    obj = load_json(path)
-    rank, cones = parse_fan_data(obj, path)
+def _fan(obj, where: str) -> Fan:
+    rank, cones = parse_fan_data(obj, where)
     return fan_from_cones(cones, n=rank)
+
+
+def parse_fan(path: str) -> Fan:
+    return _fan(load_json(path), path)
+
+
+def parse_fan_cones(path: str) -> tuple[int, list[Cone]]:
+    """Rank and maximal cones of a fan file, for reporting fan violations."""
+    return parse_fan_data(load_json(path), path)
+
+
+def parse_toric_fiber(path: str) -> tuple[list[list[int]], Fan, Fan, Cone]:
+    """Lattice map, source and target fans and base cone of a toric-fiber
+    file."""
+    obj = load_json(path)
+    matrix = _int_rows(require_field(obj, "matrix", path), f"{path}.matrix")
+    source, target = (_fan(require_field(obj, k, path), f"{path}.{k}")
+                      for k in ("source", "target"))
+    base = _object(require_field(obj, "base", path), f"{path}.base")
+    rays = _int_rows(require_field(base, "rays", f"{path}.base"),
+                     f"{path}.base.rays")
+    return matrix, source, target, cone_from_generators(rays, n=target.n)
 
 
 def serialize_fan(fan: Fan) -> dict:
@@ -182,21 +242,19 @@ def serialize_fan(fan: Fan) -> dict:
 def parse_polynomial(path: str) -> TropicalPolynomial:
     obj = load_json(path)
     n = parse_int(require_field(obj, "vars", path), f"{path}.vars")
-    terms_raw = require_field(obj, "terms", path)
-    if not isinstance(terms_raw, list):
-        raise ParseError(f"{path}.terms: expected a list")
+    terms_raw = _list(require_field(obj, "terms", path), f"{path}.terms")
+    if not terms_raw:
+        raise ParseError(f"{path}.terms: expected at least one term")
     terms = []
     for i, t in enumerate(terms_raw):
-        if not isinstance(t, dict):
-            raise ParseError(f"{path}.terms[{i}]: expected an object")
-        exp = _int_list(require_field(t, "exp", f"{path}.terms[{i}]"),
-                        f"{path}.terms[{i}].exp")
+        where = f"{path}.terms[{i}]"
+        t = _object(t, where)
+        exp = _int_list(require_field(t, "exp", where), f"{where}.exp",
+                        low=0)
         if len(exp) != n:
             raise ParseError(
-                f"{path}.terms[{i}].exp: length {len(exp)} does not match "
-                f"vars {n}")
-        val = parse_rational(require_field(t, "val", f"{path}.terms[{i}]"),
-                             f"{path}.terms[{i}].val")
+                f"{where}.exp: length {len(exp)} does not match vars {n}")
+        val = parse_rational(require_field(t, "val", where), f"{where}.val")
         terms.append((tuple(exp), val))
     return trop_poly(terms, n=n)
 
@@ -207,24 +265,19 @@ def parse_polynomial(path: str) -> TropicalPolynomial:
 def parse_incidence(path: str) -> StrataIncidence:
     obj = load_json(path)
     mode = require_field(obj, "mode", path)
-    strata_raw = require_field(obj, "strata", path)
-    if not isinstance(strata_raw, list):
-        raise ParseError(f"{path}.strata: expected a list")
     strata = []
-    for i, s in enumerate(strata_raw):
+    for i, s in enumerate(_list(require_field(obj, "strata", path),
+                                f"{path}.strata")):
         w = f"{path}.strata[{i}]"
-        if not isinstance(s, dict):
-            raise ParseError(f"{w}: expected an object")
+        s = _object(s, w)
         strata.append((
             str(require_field(s, "name", w)),
             parse_int(require_field(s, "codim", w), f"{w}.codim"),
             parse_int(require_field(s, "branches", w), f"{w}.branches"),
         ))
-    closures_raw = require_field(obj, "closures", path)
-    if not isinstance(closures_raw, list):
-        raise ParseError(f"{path}.closures: expected a list")
     closures = []
-    for i, pair in enumerate(closures_raw):
+    for i, pair in enumerate(_list(require_field(obj, "closures", path),
+                                   f"{path}.closures")):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ParseError(
                 f"{path}.closures[{i}]: expected a [lower, upper] pair")
@@ -232,18 +285,14 @@ def parse_incidence(path: str) -> StrataIncidence:
     return make_incidence(mode, strata, closures)
 
 
-def parse_complex_data(obj: dict, where: str) -> DeltaComplex:
-    cells_raw = require_field(obj, "cells", where)
-    if not isinstance(cells_raw, list):
-        raise ParseError(f"{where}.cells: expected a list")
+def parse_complex_data(obj, where: str) -> DeltaComplex:
+    obj = _object(obj, where)
     cells = []
-    for i, c in enumerate(cells_raw):
+    for i, c in enumerate(_list(require_field(obj, "cells", where),
+                                f"{where}.cells")):
         w = f"{where}.cells[{i}]"
-        if not isinstance(c, dict):
-            raise ParseError(f"{w}: expected an object")
-        faces = require_field(c, "faces", w)
-        if not isinstance(faces, list):
-            raise ParseError(f"{w}.faces: expected a list")
+        c = _object(c, w)
+        faces = _list(require_field(c, "faces", w), f"{w}.faces")
         cells.append((str(require_field(c, "name", w)), [str(f) for f in faces]))
     affine = obj.get("affine", True)
     if not isinstance(affine, bool):
@@ -262,30 +311,78 @@ def serialize_complex(x: DeltaComplex) -> dict:
     }
 
 
+def _cycle_size(obj: dict, where: str) -> tuple[int, dict]:
+    """m of the {"elliptic": {"m": int, ...}} form, and the inner object."""
+    ell = _object(require_field(obj, "elliptic", where), f"{where}.elliptic")
+    where = f"{where}.elliptic"
+    return parse_int(require_field(ell, "m", where), f"{where}.m"), ell
+
+
+def parse_cycle_or_complex(path: str
+                           ) -> Union[PolygonDegeneration, DeltaComplex]:
+    """A complex file, or {"elliptic": {"m": k}} for the I_k cycle."""
+    obj = load_json(path)
+    if "elliptic" in obj:
+        return polygon_degeneration(_cycle_size(obj, path)[0])
+    return parse_complex_data(obj, path)
+
+
+def parse_map_fibers(path: str) -> tuple[
+        ComplexMap, Optional[DeltaComplex], list[tuple[str, list[Fraction]]]]:
+    """The simplicial map, the optional reference complex and the query
+    points (cell name, barycentric coordinates) of a map-fibers file."""
+    obj = load_json(path)
+    source, target = (parse_complex_data(require_field(obj, k, path),
+                                         f"{path}.{k}")
+                      for k in ("source", "target"))
+    vertex_map = _object(require_field(obj, "vertex_map", path),
+                         f"{path}.vertex_map")
+    cell_images = None
+    if obj.get("cell_images") is not None:
+        cell_images = {}
+        for k, v in _object(obj["cell_images"],
+                            f"{path}.cell_images").items():
+            w = f"{path}.cell_images[{k!r}]"
+            if not (isinstance(v, list) and len(v) == 2):
+                raise ParseError(f"{w}: expected [target cell, phi]")
+            cell_images[k] = (str(v[0]), tuple(_int_list(v[1], f"{w}[1]")))
+    reference = None
+    if obj.get("reference") is not None:
+        reference = parse_complex_data(obj["reference"], f"{path}.reference")
+    points = []
+    for i, pt in enumerate(_list(require_field(obj, "points", path),
+                                 f"{path}.points")):
+        w = f"{path}.points[{i}]"
+        pt = _object(pt, w)
+        coords = _list(require_field(pt, "coords", w), f"{w}.coords")
+        points.append((str(require_field(pt, "cell", w)),
+                       [parse_rational(c, f"{w}.coords[{j}]")
+                        for j, c in enumerate(coords)]))
+    return (induced_map(source, target, vertex_map, cell_images), reference,
+            points)
+
+
 # -- symbolic vectors --------------------------------------------------------
 
 
-def parse_symbolic_vector_data(obj: dict, where: str) -> SymbolicVector:
-    if not isinstance(obj, dict):
-        raise ParseError(f"{where}: expected an object")
-    symbols_raw = obj.get("symbols", [])
-    if not isinstance(symbols_raw, list):
-        raise ParseError(f"{where}.symbols: expected a list")
-    symbols = []
-    for i, s in enumerate(symbols_raw):
-        w = f"{where}.symbols[{i}]"
-        if not isinstance(s, dict):
-            raise ParseError(f"{w}: expected an object")
-        symbols.append(Symbol(
-            str(require_field(s, "name", w)),
-            parse_rational(require_field(s, "lo", w), f"{w}.lo"),
-            parse_rational(require_field(s, "hi", w), f"{w}.hi"),
-        ))
-    entries_raw = require_field(obj, "entries", where)
-    if not isinstance(entries_raw, list):
-        raise ParseError(f"{where}.entries: expected a list")
+def _symbol(obj, where: str) -> Symbol:
+    obj = _object(obj, where)
+    name = str(require_field(obj, "name", where))
+    lo, hi = (parse_rational(require_field(obj, k, where), f"{where}.{k}")
+              for k in ("lo", "hi"))
+    if lo > hi:
+        raise ParseError(f"{where}: lo {fmt_rational(lo)} exceeds hi "
+                         f"{fmt_rational(hi)}")
+    return Symbol(name, lo, hi)
+
+
+def parse_symbolic_vector_data(obj, where: str) -> SymbolicVector:
+    obj = _object(obj, where)
+    symbols = [_symbol(s, f"{where}.symbols[{i}]") for i, s in enumerate(
+        _list(obj.get("symbols", []), f"{where}.symbols"))]
     entries = []
-    for i, e in enumerate(entries_raw):
+    for i, e in enumerate(_list(require_field(obj, "entries", where),
+                                f"{where}.entries")):
         w = f"{where}.entries[{i}]"
         if isinstance(e, list):
             entries.append([parse_rational(c, f"{w}[{j}]")
@@ -295,65 +392,73 @@ def parse_symbolic_vector_data(obj: dict, where: str) -> SymbolicVector:
     return symbolic_vector(entries, symbols)
 
 
-# -- towers ------------------------------------------------------------------
+def parse_symbolic_vector(path: str) -> SymbolicVector:
+    return parse_symbolic_vector_data(load_json(path), path)
 
 
-def _parse_strategy(obj: dict, where: str):
+# -- towers and galaxies ------------------------------------------------------
+
+
+def parse_galaxy(path: str) -> tuple[EllipticTower, list[GalaxyPoint]]:
+    """The elliptic tower and the angles of a galaxy file."""
+    obj = load_json(path)
+    m, ell = _cycle_size(obj, path)
+    degrees = _int_list(require_field(ell, "degrees", f"{path}.elliptic"),
+                        f"{path}.elliptic.degrees")
+    points = []
+    for i, raw in enumerate(_list(obj.get("points", []), f"{path}.points")):
+        where = f"{path}.points[{i}]"
+        if isinstance(raw, dict):
+            point = _symbol(require_field(raw, "symbol", where),
+                            f"{where}.symbol")
+        else:
+            point = parse_rational(raw, where)
+        points.append(galaxy_point(point))
+    return elliptic_tower(m, degrees), points
+
+
+def _parse_strategy(obj, where: str):
+    obj = _object(obj, where)
     kind = require_field(obj, "kind", where)
     if kind == "stellar-at-barycenters":
         return StellarAtBarycenters()
     if kind == "toward-direction":
-        direction = require_field(obj, "direction", where)
-        if not isinstance(direction, dict):
-            raise ParseError(f"{where}.direction: expected a vector object")
-        return TowardDirection(
-            parse_symbolic_vector_data(direction, f"{where}.direction"))
+        return TowardDirection(parse_symbolic_vector_data(
+            require_field(obj, "direction", where), f"{where}.direction"))
     if kind == "common-refine-with":
-        fan_obj = require_field(obj, "fan", where)
-        if not isinstance(fan_obj, dict):
-            raise ParseError(f"{where}.fan: expected a fan object")
-        rank, cones = parse_fan_data(fan_obj, f"{where}.fan")
-        return CommonRefineWith(fan_from_cones(cones, n=rank))
+        return CommonRefineWith(_fan(require_field(obj, "fan", where),
+                                     f"{where}.fan"))
     raise ParseError(f"{where}.kind: unknown strategy {kind!r}")
 
 
-def parse_elliptic(obj: dict, where: str, tower: bool = False
-                   ) -> tuple[int, Optional[list[int]]]:
-    """m and degrees of the {"elliptic": {"m": int, "degrees": [ints]}} form.
+def parse_limit_point(path: str) -> tuple[Fan, object, int, SymbolicVector]:
+    """Base fan, refinement strategy, step count and direction of a fan
+    tower file.
 
-    A single cycle I_m needs only m (degrees come back None); a tower also
-    requires the list of cumulative degrees.
+    The tower is not extended here, so a caller can hold the step count
+    against its depth cap first.  The strategy is None when the file has
+    neither steps nor a strategy; the direction defaults to the target of
+    a toward-direction strategy.
     """
-    ell = require_field(obj, "elliptic", where)
-    where = f"{where}.elliptic"
-    if not isinstance(ell, dict):
-        raise ParseError(f"{where}: expected an object")
-    m = parse_int(require_field(ell, "m", where), f"{where}.m")
-    if not tower:
-        return m, None
-    return m, _int_list(require_field(ell, "degrees", where),
-                        f"{where}.degrees")
-
-
-def tower_spec_from_data(obj: dict, path: str
-                         ) -> Union[FanTower, EllipticTower]:
+    obj = load_json(path)
     if "elliptic" in obj:
-        return elliptic_tower(*parse_elliptic(obj, path, tower=True))
-    base_obj = require_field(obj, "base_fan", path)
-    if not isinstance(base_obj, dict):
-        raise ParseError(f"{path}.base_fan: expected a fan object")
-    rank, cones = parse_fan_data(base_obj, f"{path}.base_fan")
-    base = fan_from_cones(cones, n=rank)
-    tower = fan_tower(base)
-    steps = parse_int(obj.get("steps", 0), f"{path}.steps")
-    if steps:
-        strategy_obj = require_field(obj, "strategy", path)
-        if not isinstance(strategy_obj, dict):
-            raise ParseError(f"{path}.strategy: expected an object")
-        tower = extend_tower(tower, _parse_strategy(strategy_obj,
-                                                    f"{path}.strategy"),
-                             steps)
-    return tower
+        raise ValidationError(
+            f"{path}: limit-point needs a fan tower, not an elliptic tower "
+            f"input")
+    base = _fan(require_field(obj, "base_fan", path), f"{path}.base_fan")
+    steps = parse_int(obj.get("steps", 0), f"{path}.steps", low=0)
+    strategy = None
+    if steps or "strategy" in obj:
+        strategy = _parse_strategy(require_field(obj, "strategy", path),
+                                   f"{path}.strategy")
+    if "direction" in obj:
+        direction = parse_symbolic_vector_data(obj["direction"],
+                                               f"{path}.direction")
+    elif isinstance(strategy, TowardDirection):
+        direction = strategy.target
+    else:
+        raise ParseError(f"{path}: missing field 'direction'")
+    return base, strategy, steps, direction
 
 
 # -- report helpers ----------------------------------------------------------

@@ -31,18 +31,16 @@ from .tropical import PTropSet, TropicalPolynomial
 IVec = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SampleConfig:
-    """Knobs for the path sampler; defaults match the reported experiments."""
-
-    paths: int = 200
-    depth: int = 12
-    seed: int = 0
-    initial_radius: float = 0.1
-    decay: float = 0.5
-    min_slope: float = 0.08
-    max_slope: float = 50.0
-    cluster_angle: float = 3e-3
+# path sampler settings, as in the reported experiments: radius
+# INITIAL_RADIUS * DECAY ** k at depth step k, slopes kept inside
+# (MIN_SLOPE, MAX_SLOPE), single linkage below CLUSTER_ANGLE radians
+PATHS = 200
+DEPTH = 12
+INITIAL_RADIUS = 0.1
+DECAY = 0.5
+MIN_SLOPE = 0.08
+MAX_SLOPE = 50.0
+CLUSTER_ANGLE = 3e-3
 
 
 @dataclass(frozen=True)
@@ -78,20 +76,18 @@ def _last_var_roots(coeffs: Mapping[IVec, complex], fixed: Sequence[complex]
     return np.roots(poly[::-1])
 
 
-def _branch_slopes(coeffs: Mapping[IVec, complex], fixed_at,
-                   config: SampleConfig) -> list[float]:
+def _branch_slopes(coeffs: Mapping[IVec, complex], fixed_at) -> list[float]:
     """Exponent estimates for vanishing branches along one shrinking path."""
-    radii = [config.initial_radius * config.decay ** k
-             for k in range(config.depth)]
     # only the last two radii are read: the slope is their difference quotient
     logs = []
-    for r in radii[-2:]:
+    for k in (DEPTH - 2, DEPTH - 1):
+        r = INITIAL_RADIUS * DECAY ** k
         mags = np.sort(np.abs(_last_var_roots(coeffs, fixed_at(r))))
         logs.append(np.log(np.maximum(mags, 1e-280)))
-    if len(logs) < 2 or len(logs[0]) != len(logs[1]):
+    if len(logs[0]) != len(logs[1]):
         return []
-    quot = (logs[1] - logs[0]) / math.log(config.decay)
-    return [float(s) for s in quot if config.min_slope < s < config.max_slope]
+    quot = (logs[1] - logs[0]) / math.log(DECAY)
+    return [float(s) for s in quot if MIN_SLOPE < s < MAX_SLOPE]
 
 
 def _cluster(directions: np.ndarray, angle: float) -> list[Cluster]:
@@ -125,17 +121,16 @@ def _cluster(directions: np.ndarray, angle: float) -> list[Cluster]:
 
 
 def ptrop_sample_oracle(coeffs: Mapping[IVec, complex], n: int,
-                        config: SampleConfig = SampleConfig()
-                        ) -> tuple[Cluster, ...]:
+                        seed: int = 0) -> tuple[Cluster, ...]:
     """Sampled PTrop directions of the germ of {poly = 0} at the origin."""
     if n not in (2, 3):
         raise DimensionMismatch(
             f"the sampler handles 2 or 3 variables, not {n}")
     if not coeffs:
         raise ValueError("need at least one coefficient")
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     directions: list[tuple[float, ...]] = []
-    for _ in range(config.paths):
+    for _ in range(PATHS):
         if n == 2:
             theta = 2 * math.pi * rng.random()
             phase = complex(math.cos(theta), math.sin(theta))
@@ -152,7 +147,7 @@ def ptrop_sample_oracle(coeffs: Mapping[IVec, complex], n: int,
             def fixed_at(r, phases=phases, w=w):
                 return (r ** w[0] * phases[0], r ** w[1] * phases[1])
 
-        for slope in _branch_slopes(coeffs, fixed_at, config):
+        for slope in _branch_slopes(coeffs, fixed_at):
             vec = weights + (slope,)
             total = sum(vec)
             directions.append(tuple(c / total for c in vec))
@@ -160,7 +155,7 @@ def ptrop_sample_oracle(coeffs: Mapping[IVec, complex], n: int,
         raise NoBranchFound(
             "no path produced a branch approaching the origin; the germ may "
             "miss the origin entirely")
-    return tuple(_cluster(np.asarray(directions), config.cluster_angle))
+    return tuple(_cluster(np.asarray(directions), CLUSTER_ANGLE))
 
 
 def distance_to_cone(rays: Sequence[Sequence[int]], u: Sequence[float]

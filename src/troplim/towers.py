@@ -33,6 +33,7 @@ from .errors import (
     DimensionMismatch,
     EmptyChain,
     IndexOutOfRange,
+    OutsideSupport,
     UndecidableSign,
     ZeroVector,
 )
@@ -260,7 +261,7 @@ class TowardDirection:
     def step(self, fan: Fan) -> Fan:
         carrier = symbolic_carrier(fan, self.target)
         if carrier is None:
-            raise ZeroVector("target direction lies outside the fan support")
+            raise OutsideSupport("target direction lies outside the fan support")
         if carrier.dim <= 1:
             return fan
         if carrier.n == 2 and len(carrier.rays) == 2:
@@ -378,6 +379,7 @@ def chain_toward(t: FanTower, x: SymbolicVector) -> ConeChain:
     for i, fan in enumerate(t.fans):
         carrier = symbolic_carrier(fan, x)
         if carrier is None:
-            raise ValueError(f"direction lies outside the level-{i} support")
+            raise OutsideSupport(
+                f"direction lies outside the level-{i} support")
         entries.append((i, carrier))
     return cone_chain(entries)

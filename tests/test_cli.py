@@ -1,5 +1,6 @@
 """Tests for file formats and the command-line surface."""
 
+import copy
 import hashlib
 import json
 from fractions import Fraction as F
@@ -20,7 +21,12 @@ from troplim.errors import ParseError, ValidationError
 from troplim.fans import fan_from_cones
 from troplim.galaxy import base_change, polygon_degeneration
 from troplim.lattice import make_cone
-from troplim.towers import FanTower
+from troplim.towers import (
+    StellarAtBarycenters,
+    extend_tower,
+    fan_tower,
+    rational_vector,
+)
 
 NODAL = {"vars": 2, "terms": [
     {"exp": [1, 1], "val": "0"}, {"exp": [3, 0], "val": "0"},
@@ -84,13 +90,17 @@ def test_round_trips_are_byte_identical(tmp_path):
 
 def test_parse_tower_specs(tmp_path):
     p = put(tmp_path, "t.json", {
-        "base_fan": QUADRANT,
+        "base_fan": QUADRANT, "direction": {"entries": ["2", "3"]},
         "strategy": {"kind": "stellar-at-barycenters"}, "steps": 2})
-    t = io.tower_spec_from_data(io.load_json(p), p)
-    assert isinstance(t, FanTower) and t.depth == 3
+    base, strategy, steps, x = io.parse_limit_point(p)
+    assert isinstance(strategy, StellarAtBarycenters) and steps == 2
+    assert x == rational_vector([2, 3])
+    assert extend_tower(fan_tower(base), strategy, steps).depth == 3
     p = put(tmp_path, "e.json", {"elliptic": {"m": 3, "degrees": [1, 2]}})
-    ell = io.tower_spec_from_data(io.load_json(p), p)
-    assert [lv.m for lv in ell.levels] == [3, 6]
+    with pytest.raises(ValidationError, match="not an elliptic tower"):
+        io.parse_limit_point(p)
+    ell, points = io.parse_galaxy(p)
+    assert [lv.m for lv in ell.levels] == [3, 6] and points == []
 
 
 def test_parse_errors_name_the_location(tmp_path):
@@ -112,8 +122,6 @@ def test_parse_errors_name_the_location(tmp_path):
 def test_job_config_validation():
     with pytest.raises(ValidationError):
         cli.JobConfig("trop", ())
-    with pytest.raises(ValidationError):
-        cli.JobConfig("trop", ("x.json",), cluster_angle=0.0)
     with pytest.raises(ValidationError):
         cli.JobConfig("trop", ("x.json",), depth=65)
     with pytest.raises(ValidationError):
@@ -582,3 +590,124 @@ def test_map_fibers_non_list_points_are_parse_errors(tmp_path, capsys,
         "points": value if field == "points" else [point]})
     assert cli.main(["map-fibers", path]) == 3
     assert "expected a list" in capsys.readouterr().err
+
+
+SEGMENT = io.serialize_complex(segment_complex())
+SEGMENT_MAP = {"source": SEGMENT, "target": SEGMENT,
+               "vertex_map": {"z0": "z0", "z1": "z1"},
+               "points": [{"cell": "e", "coords": ["1/2", "1/2"]}]}
+EMPTY_SYMBOL = {"name": "s", "lo": "1/2", "hi": "1/3"}
+UPPER_HALF = {"rank": 2, "rays": [["1", "0"], ["0", "1"], ["-1", "0"]],
+              "maximal_cones": [[0, 1], [1, 2]]}
+STELLAR_TOWER = {"base_fan": QUADRANT, "strategy": STELLAR,
+                 "direction": {"entries": ["2", "3"]}}
+
+
+@pytest.mark.parametrize("command, obj, flags, code, error", [
+    ("map-fibers", {**SEGMENT_MAP, "reference": 5}, [], 3,
+     "reference: expected an object"),
+    ("map-fibers", {**SEGMENT_MAP, "cell_images": {"e": ["e", 5]}}, [], 3,
+     "cell_images['e'][1]: expected a list"),
+    ("galaxy", {"elliptic": {"m": 3, "degrees": [1, 2]},
+                "points": [{"symbol": EMPTY_SYMBOL}]}, [], 3,
+     "points[0].symbol: lo 1/2 exceeds hi 1/3"),
+    ("fiber-rank", {"symbols": [EMPTY_SYMBOL], "entries": [["0", "1"]]}, [],
+     3, "symbols[0]: lo 1/2 exceeds hi 1/3"),
+    ("limit-point", {"base_fan": QUADRANT, "direction": {
+        "symbols": [EMPTY_SYMBOL], "entries": [["0", "1"], ["1", "0"]]}},
+     [], 3, "direction.symbols[0]: lo 1/2 exceeds hi 1/3"),
+    ("fan-validate", {"rank": -1, "rays": [], "maximal_cones": [[]]}, [], 3,
+     "rank: expected an integer >= 0"),
+    ("trop", {"vars": 2, "terms": [{"exp": [1, -1], "val": "0"}]}, [], 3,
+     "terms[0].exp[1]: expected an integer >= 0"),
+    ("trop", {"vars": 2, "terms": []}, [], 3,
+     "terms: expected at least one term"),
+    ("limit-point", {"base_fan": UPPER_HALF,
+                     "direction": {"entries": ["0", "-1"]}}, [], 2,
+     "outside the level-0 support"),
+    ("limit-point", {"base_fan": UPPER_HALF, "steps": 1, "strategy": {
+        "kind": "toward-direction", "direction": {"entries": ["0", "-1"]}}},
+     [], 2, "target direction lies outside the fan support"),
+    ("limit-point", {**STELLAR_TOWER, "steps": "3"}, ["--depth", "2"], 4,
+     "3 refinement steps exceed --depth 2"),
+    ("limit-point", {**STELLAR_TOWER, "steps": True}, ["--depth", "1"], 3,
+     "steps: expected an integer, got True"),
+    ("limit-point", {**STELLAR_TOWER, "steps": -1}, [], 3,
+     "steps: expected an integer >= 0"),
+    ("dualcx", {**NODAL_INC, "closures": [["p", "D"]]}, [], 2,
+     "names an unknown stratum"),
+    ("map-fibers", {**SEGMENT_MAP, "cell_images": {"e": ["f", [0, 1]]}}, [],
+     2, "no cell named 'f'"),
+], ids=["map-reference-int", "map-phi-int", "galaxy-empty-symbol",
+        "fiber-rank-empty-symbol", "limit-point-empty-symbol",
+        "fan-negative-rank", "negative-exponent", "no-terms",
+        "direction-outside-support", "strategy-outside-support",
+        "steps-string-over-depth", "steps-bool",
+        "steps-negative", "closure-unknown-stratum", "phi-unknown-cell"])
+def test_malformed_inputs_exit_with_a_documented_code(
+        tmp_path, capsys, command, obj, flags, code, error):
+    path = put(tmp_path, "in.json", obj)
+    assert cli.main([command, path] + flags) == code
+    assert error in capsys.readouterr().err
+
+
+# one valid input per subcommand; refine takes QUADRANT as its second fan
+SYMBOL = {"name": "s", "lo": "1/3", "hi": "1/2"}
+EXEMPLARS = {
+    "trop": {"vars": 2, "terms": [{"exp": [1, 1], "val": "0"},
+                                  {"exp": [3, 0], "val": "1/2"}]},
+    "ptrop": {"vars": 1, "terms": [{"exp": [1], "val": "0"},
+                                   {"exp": [2], "val": "1"}]},
+    "fan-validate": QUADRANT,
+    "refine": QUADRANT,
+    "limit-point": {"base_fan": QUADRANT, "steps": 1, "strategy": {
+        "kind": "toward-direction", "direction": {
+            "symbols": [SYMBOL], "entries": [["1", "0"], ["0", "1"]]}}},
+    "fiber-rank": {"symbols": [SYMBOL], "entries": ["1", ["0", "1"]]},
+    "dualcx": NODAL_INC,
+    "subdivide": SEGMENT,
+    "rational-points": {"elliptic": {"m": 3}},
+    "map-fibers": {**SEGMENT_MAP, "cell_images": {"e": ["e", [0, 1]]},
+                   "reference": SEGMENT},
+    "toric-fiber": TORIC_FIBER,
+    "galaxy": {"elliptic": {"m": 3, "degrees": [1, 2]},
+               "points": ["1/6", {"symbol": SYMBOL}]},
+}
+
+
+def _field_paths(obj, prefix=()):
+    """Key paths of every object field at any depth, including the fields
+    of objects inside lists."""
+    items = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        if isinstance(obj, dict):
+            yield prefix + (key,)
+        yield from _field_paths(value, prefix + (key,))
+
+
+def _replaced(obj, path, value):
+    out = copy.deepcopy(obj)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+@pytest.mark.parametrize("command", sorted(EXEMPLARS))
+def test_schema_mutations_exit_with_a_documented_code(tmp_path, capsys,
+                                                      command):
+    """Each field of a valid input, replaced in turn by each JSON kind,
+    fails with exit 2, 3 or 4 (or still runs) and never raises."""
+    exemplar = EXEMPLARS[command]
+    path = str(tmp_path / "in.json")
+    argv = [command, path] + ([put(tmp_path, "b.json", QUADRANT)]
+                              if command == "refine" else [])
+    put(tmp_path, "in.json", exemplar)
+    assert cli.main(argv) == 0
+    for field in _field_paths(exemplar):
+        for value in (None, True, -1, "x", [], {}):
+            put(tmp_path, "in.json", _replaced(exemplar, field, value))
+            assert cli.main(argv) in (0, 2, 3, 4), (field, value)
+    capsys.readouterr()

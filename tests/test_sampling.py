@@ -69,10 +69,9 @@ def test_distance_to_cone_interior_and_outside():
     assert sm.distance_to_cone([(1, 0)], (0.0, 1.0)) > 1.5
 
 
-def _full_depth_slopes(coeffs, fixed_at, config, solve):
+def _full_depth_slopes(coeffs, fixed_at, solve):
     """The slope loop solving at every radius, as the oracle first did."""
-    radii = [config.initial_radius * config.decay ** k
-             for k in range(config.depth)]
+    radii = [sm.INITIAL_RADIUS * sm.DECAY ** k for k in range(sm.DEPTH)]
     logs_prev = None
     slopes = []
     for k, r in enumerate(radii):
@@ -80,9 +79,9 @@ def _full_depth_slopes(coeffs, fixed_at, config, solve):
         logs = np.log(np.maximum(mags, 1e-280))
         if k == len(radii) - 1 and logs_prev is not None \
                 and len(logs) == len(logs_prev):
-            quot = (logs - logs_prev) / math.log(config.decay)
+            quot = (logs - logs_prev) / math.log(sm.DECAY)
             slopes = [float(s) for s in quot
-                      if config.min_slope < s < config.max_slope]
+                      if sm.MIN_SLOPE < s < sm.MAX_SLOPE]
         logs_prev = logs
     return slopes
 
@@ -103,11 +102,11 @@ def test_branch_slopes_solve_only_the_last_two_radii(monkeypatch, terms, n,
         solves.append(fixed)
         return solve(coeffs, fixed)
 
-    def checked(coeffs, fixed_at, config):
+    def checked(coeffs, fixed_at):
         before = len(solves)
-        slopes = slopes_of(coeffs, fixed_at, config)
+        slopes = slopes_of(coeffs, fixed_at)
         assert len(solves) - before == 2
-        assert slopes == _full_depth_slopes(coeffs, fixed_at, config, solve)
+        assert slopes == _full_depth_slopes(coeffs, fixed_at, solve)
         paths.append(slopes)
         return slopes
 
@@ -115,7 +114,7 @@ def test_branch_slopes_solve_only_the_last_two_radii(monkeypatch, terms, n,
     monkeypatch.setattr(sm, "_branch_slopes", checked)
     coeffs = sm.lift_coefficients(tp.trop_poly(terms), seed=seed)
     sm.ptrop_sample_oracle(coeffs, n)
-    assert len(paths) == sm.SampleConfig().paths
+    assert len(paths) == sm.PATHS
     assert len(solves) == 2 * len(paths)
     assert any(paths)
 
@@ -158,7 +157,7 @@ def _arc(m, step):
     return np.stack([np.cos(t), np.sin(t), np.full(m, 0.5)], axis=1)
 
 
-ANGLE = sm.SampleConfig().cluster_angle
+ANGLE = sm.CLUSTER_ANGLE
 
 
 @pytest.mark.parametrize("name, directions, sizes", [
