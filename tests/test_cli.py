@@ -11,11 +11,15 @@ import pytest
 from troplim import cli
 from troplim import io
 from troplim.complexes import (
+    cycle_complex,
     from_incidence,
     make_complex,
+    nodal_cubic_incidence,
     segment_complex,
+    square_complex,
     tetrahedron_boundary,
     tetrahedron_solid,
+    triangle_complex,
 )
 from troplim.errors import ParseError, ValidationError
 from troplim.fans import fan_from_cones
@@ -285,6 +289,139 @@ def test_trop_report_bytes_are_frozen(tmp_path, capsys, monkeypatch,
     assert cli.main(["trop", "f.json", "--json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _frozen_report(tmp_path, capsys, monkeypatch, argv, name, obj):
+    """SHA-256 of a canonical `--json` report; a relative input path keeps
+    the bytes fixed."""
+    monkeypatch.chdir(tmp_path)
+    put(tmp_path, name, obj)
+    assert cli.main(argv[:1] + [name] + argv[1:] + ["--json"]) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+SUBDIVIDE_SHAPES = {
+    "triangle": triangle_complex, "square": square_complex,
+    "tetrahedron": tetrahedron_solid, "3-cycle": lambda: cycle_complex(3)}
+
+
+@pytest.mark.parametrize("shape, level, digest", [
+    ("triangle", 1,
+     "fbae30f0b5f8e972ceb1f81c75213418cc50f1240997c4d175cbfbeefbf69273"),
+    ("triangle", 2,
+     "9712e8451956773c5b6c87085dc2afc398ada3f3cb7a1047e2d25e656a76a177"),
+    ("triangle", 3,
+     "7d67584cdc4dcb835b99fa3efcfb89b4e5b529440e2274d76c777c79c194f453"),
+    ("triangle", 4,
+     "267b2482c7c37744135afbddac8119009553f0f6366717f04fe29f1748c4d6d8"),
+    ("square", 1,
+     "d2f8794e8046003e63ca52833ceb4b92d19c4a1f58bd2e88fef509ba432b628d"),
+    ("square", 2,
+     "6b2e212079d571d519dae0e8a1782f0fa9a7a2afa15474de52508435d7ee439d"),
+    ("square", 3,
+     "66bb50dca406f3aca28ec60ed678daca82a7ca4f170f55983dceac28a9a39aec"),
+    ("square", 4,
+     "e4b53e44f876c6f0cf613f3f1a6e17b57a11787cc12f352059bf6a33ca96f9c1"),
+    ("tetrahedron", 1,
+     "f4bb19885aa3fd09c5c8fdfbc6fe8c580feadfa00a25878e0108d78188ea2038"),
+    ("tetrahedron", 2,
+     "8054d4e27ee31b79a1fa734a5b2c4541c38f857ede54ac0a15d738f426eb63ba"),
+    ("tetrahedron", 3,
+     "36c8fb06596bbecc2457c6547ad5494993aabc01cd3ef1fb2908f9b9a90bf284"),
+    ("tetrahedron", 4,
+     "e2fb92f5f52206601d51c6704cc86f5eec6a1016d31e181dd50f6b477501a5ca"),
+    ("3-cycle", 1,
+     "a4ef47a6b699ec4ae5d3bfa31014d0148386a12283cb6f0035272ffcbe53f4a3"),
+    ("3-cycle", 2,
+     "9c267ee59b9b330fd34620ee649b17db561a3849ca5772b4a94d932f2c684cc2"),
+    ("3-cycle", 3,
+     "8c1b478cade7cc8d199ba07b0af9e294f8b8030f47a9c4beb8d1721c0b39d7a9"),
+    ("3-cycle", 4,
+     "2d0fa2a7cee7f91989d1af610add2db58fb1426f8b084b836d693c61af47c8d4"),
+])
+def test_subdivide_report_bytes_are_frozen(tmp_path, capsys, monkeypatch,
+                                           shape, level, digest):
+    """Frozen from the order-coordinate wall walk of each alcove face."""
+    obj = io.serialize_complex(SUBDIVIDE_SHAPES[shape]())
+    assert _frozen_report(tmp_path, capsys, monkeypatch,
+                          ["subdivide", "--N", str(level)], "x.json",
+                          obj) == digest
+
+
+def _map_file(source, target, vertex_map, points, reference=None):
+    obj = {"source": io.serialize_complex(source),
+           "target": io.serialize_complex(target), "vertex_map": vertex_map,
+           "points": [{"cell": c, "coords": list(t)} for c, t in points]}
+    if reference is not None:
+        obj["reference"] = io.serialize_complex(reference)
+    return obj
+
+
+SEGMENT_POINTS = [("e", ["1/2", "1/2"]), ("e", ["1/3", "2/3"]),
+                  ("z0", ["1"]), ("z1", ["1"])]
+MAP_DATASETS = {
+    "square": _map_file(square_complex(), segment_complex(),
+                        {"a": "z0", "b": "z1", "c": "z0", "d": "z1"},
+                        SEGMENT_POINTS),
+    "tetrahedron": _map_file(tetrahedron_solid(), segment_complex(),
+                             {"v0": "z0", "v1": "z1", "v2": "z1", "v3": "z1"},
+                             SEGMENT_POINTS, tetrahedron_boundary()),
+    "collapse": _map_file(from_incidence(nodal_cubic_incidence()),
+                          make_complex([("C", [])]), {"C": "C"},
+                          [("C", ["1"])]),
+}
+
+
+@pytest.mark.parametrize("dataset, digest", [
+    ("square",
+     "4c7c68f042d48a166a7344708599915f50e69b27787129046ccf3bd3d050b16e"),
+    ("tetrahedron",
+     "eadac089e09077950c8b2723841c8b2c6780f1496a08471641a00dcc1572a7a3"),
+    ("collapse",
+     "a13f0c0bf517cc00e3a1ee97fea7a189ccb2b73664127d5dc0f25ea6bda4bfc8"),
+])
+def test_map_fibers_report_bytes_are_frozen(tmp_path, capsys, monkeypatch,
+                                            dataset, digest):
+    """Frozen from the sorted-barycentric wall walk of each fiber face."""
+    assert _frozen_report(tmp_path, capsys, monkeypatch, ["map-fibers"],
+                          "m.json", MAP_DATASETS[dataset]) == digest
+
+
+def _sqrt_symbol(k):
+    s = isqrt(k * 10 ** 12)
+    return {"name": f"sqrt{k}", "lo": f"{s}/1000000",
+            "hi": f"{s + 1}/1000000"}
+
+
+OCTANTS = {"rank": 3,
+           "rays": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"],
+                    ["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "-1"]],
+           "maximal_cones": [[a, b, c] for a in (0, 3) for b in (1, 4)
+                             for c in (2, 5)]}
+SYMBOLIC_TOWERS = {
+    "rank2": {"base_fan": QUADRANT, "steps": 8, "strategy": {
+        "kind": "toward-direction", "direction": {
+            "symbols": [_sqrt_symbol(2)],
+            "entries": [["1", "0"], ["0", "1"]]}}},
+    "rank3-stellar": {"base_fan": OCTANTS, "steps": 2, "strategy": {
+        "kind": "stellar-at-barycenters"},
+                      "direction": {"symbols": [_sqrt_symbol(2)],
+                                    "entries": [["1", "0"], ["0", "1"],
+                                                ["1/2", "0"]]}},
+}
+
+
+@pytest.mark.parametrize("tower, digest", [
+    ("rank2",
+     "4266b77abeee7ba200d4f5652a965118eb4796a2155860b3df0d34ec31ef1fb5"),
+    ("rank3-stellar",
+     "492c3bdab77218197ef6e189aa113b00c9ca70de744fd7ad64ef962238b6f724"),
+])
+def test_limit_point_report_bytes_are_frozen(tmp_path, capsys, monkeypatch,
+                                             tower, digest):
+    """Frozen from the symbolic carrier search of each tower level."""
+    assert _frozen_report(tmp_path, capsys, monkeypatch, ["limit-point"],
+                          "t.json", SYMBOLIC_TOWERS[tower]) == digest
 
 
 def test_toric_fiber_keeps_only_faces_spanning_the_base(tmp_path, capsys):
