@@ -592,16 +592,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact tropical limits: fans, germs, skeletons, towers.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, help_text, svg=False, level_flag=None, level_default=None):
+    def add(name, help_text, svg=False, level_flag=None, level_default=None,
+            seed=False, depth=False):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("inputs", nargs="+", metavar="FILE")
         p.add_argument("--json", action="store_true", dest="json_out",
                        help="emit the report as canonical JSON")
         p.add_argument("--output", metavar="PATH",
                        help="write the primary artifact or report here")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--depth", type=int, default=TOWER_DEPTH_CAP,
-                       help=f"tower depth cap (max {TOWER_DEPTH_CAP})")
+        if seed:
+            p.add_argument("--seed", type=int, default=0,
+                           help="seed of the coefficient lift and oracle")
+        if depth:
+            p.add_argument("--depth", type=int, default=TOWER_DEPTH_CAP,
+                           help=f"tower depth cap (max {TOWER_DEPTH_CAP})")
         if svg:
             p.add_argument("--svg", action="store_true",
                            help="also write an SVG next to the output")
@@ -611,10 +615,11 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     add("trop", "cell structure of a tropical hypersurface")
-    add("ptrop", "projective tropicalization of a germ, with oracle")
+    add("ptrop", "projective tropicalization of a germ, with oracle",
+        seed=True)
     add("fan-validate", "check the fan axioms and completeness", svg=True)
     add("refine", "common refinement of two fans", svg=True)
-    add("limit-point", "resolve a direction through a fan tower")
+    add("limit-point", "resolve a direction through a fan tower", depth=True)
     add("fiber-rank", "rank and fiber dimension of a symbolic vector")
     add("dualcx", "dual complex of a strata incidence file", svg=True)
     add("subdivide", "scale subdivision of an affine complex", svg=True,
@@ -624,7 +629,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("map-fibers", "exact fibers of a simplicial map dataset")
     add("toric-fiber", "fiber complex of a compatible map of fans")
     add("galaxy", "classify angles along an elliptic tower",
-        level_flag="--level", level_default=None)
+        level_flag="--level", level_default=None, depth=True)
     return parser
 
 
@@ -633,10 +638,10 @@ def config_from_args(args: argparse.Namespace) -> JobConfig:
         subcommand=args.subcommand,
         inputs=tuple(args.inputs),
         output=args.output,
-        seed=args.seed,
+        seed=getattr(args, "seed", 0),
         json_out=args.json_out,
         svg=getattr(args, "svg", False),
-        depth=args.depth,
+        depth=getattr(args, "depth", TOWER_DEPTH_CAP),
         level=getattr(args, "level", None),
     )
 

@@ -25,6 +25,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Mapping, Optional, Sequence
 
 from . import _linalg as la
@@ -42,8 +43,8 @@ from .errors import (
 from .fans import Fan
 from .lattice import (
     Cone,
-    cone_contains_point,
     cone_faces,
+    cone_holds,
     cone_is_face,
     face_lattice,
 )
@@ -520,6 +521,27 @@ def collapse_to_algebraic(x: DeltaComplex
 # -- points and scale subdivision --------------------------------------------
 
 
+def _drop_walls(x: DeltaComplex, name: str, points: Sequence[Sequence]
+                ) -> tuple[str, tuple]:
+    """Carrier of points given in a cell's barycentric coordinates.
+
+    While some coordinate vanishes on every point, move to the face of the
+    first such coordinate j and drop coordinate j from each point; the
+    points keep their order.
+    """
+    cell = x.cell(name)
+    points = tuple(points)
+    while cell.dim > 0:
+        j = next((j for j, col in enumerate(zip(*points)) if not any(col)),
+                 None)
+        if j is None:
+            break
+        name = cell.faces[j]
+        cell = x.cell(name)
+        points = tuple(p[:j] + p[j + 1:] for p in points)
+    return name, points
+
+
 def canonical_point(x: DeltaComplex, name: str, coords: Sequence
                     ) -> tuple[str, QVec]:
     """Unique (cell, interior barycentric coordinates) form of a point."""
@@ -530,14 +552,7 @@ def canonical_point(x: DeltaComplex, name: str, coords: Sequence
             f"{len(t)} coordinates for a {cell.dim}-cell")
     if any(c < 0 for c in t) or sum(t) != 1:
         raise ValueError(f"{t} is not a barycentric point")
-    while cell.dim > 0:
-        zeros = [j for j, c in enumerate(t) if c == 0]
-        if not zeros:
-            break
-        j = zeros[0]
-        name = cell.faces[j]
-        cell = x.cell(name)
-        t = t[:j] + t[j + 1:]
+    name, (t,) = _drop_walls(x, name, (t,))
     return name, t
 
 
@@ -585,52 +600,25 @@ def _alcoves(m: int, level: int):
                 yield tuple(chain)
 
 
-def _push_face(x: DeltaComplex, name: str, verts: tuple[tuple[int, ...], ...],
-               level: int) -> tuple[str, tuple[tuple[int, ...], ...]]:
-    """Canonical carrier of a lattice simplex: drop walls it lies in."""
-    cell = x.cell(name)
-    while cell.dim > 0:
-        m = cell.dim
-        wall = None
-        for j in range(m + 1):
-            if j == 0 and all(v[0] == level for v in verts):
-                wall = 0
-            elif j == m and all(v[m - 1] == 0 for v in verts):
-                wall = m
-            elif 0 < j < m and all(v[j - 1] == v[j] for v in verts):
-                wall = j
-            if wall is not None:
-                break
-        if wall is None:
-            break
-        name = cell.faces[wall]
-        cell = x.cell(name)
-        if wall == 0:
-            verts = tuple(v[1:] for v in verts)
-        elif wall == m:
-            verts = tuple(v[:-1] for v in verts)
-        else:
-            verts = tuple(v[:wall] + v[wall + 1:] for v in verts)
-    return name, verts
-
-
-def _bary(y: tuple[int, ...], level: int) -> QVec:
-    """Order-simplex lattice point to barycentric coordinates."""
-    ext = (level,) + tuple(y) + (0,)
-    return tuple(Fraction(ext[i] - ext[i + 1], level)
-                 for i in range(len(y) + 1))
-
-
-def _sub_name(carrier: str, verts) -> str:
-    if not verts[0] and len(verts) == 1:
+def _sub_name(carrier: str, points) -> str:
+    """Name of a subdivision cell from its level-scaled barycentric vertices
+    in the carrier; each vertex is written in the order-simplex coordinates
+    y_i = b_i + ... + b_m of ``level * O_m``."""
+    if len(points[0]) == 1:
         return carrier
     return carrier + "|" + "_".join(
-        ".".join(str(c) for c in v) for v in verts)
+        ".".join(map(str, reversed(list(itertools.accumulate(p[:0:-1])))))
+        for p in points)
 
 
 @dataclass(frozen=True)
 class SubdivisionResult:
-    """An N-fold scale subdivision with its cells located in the original."""
+    """An N-fold scale subdivision with its cells located in the original.
+
+    Each cell's carrier is the original cell whose interior holds it, with
+    the cell's vertices in that carrier's barycentric coordinates scaled by
+    the level (nonnegative integers summing to the level).
+    """
 
     complex: DeltaComplex
     original: DeltaComplex
@@ -651,9 +639,8 @@ class SubdivisionResult:
         if len(weights) != len(verts):
             raise DimensionMismatch(
                 f"{len(weights)} coordinates for a {len(verts) - 1}-cell")
-        barys = [_bary(v, self.level) for v in verts]
-        t = tuple(sum(w * b[i] for w, b in zip(weights, barys))
-                  for i in range(len(barys[0])))
+        t = tuple(sum(map(mul, weights, col)) / self.level
+                  for col in zip(*verts))
         return canonical_point(self.original, carrier, t)
 
     def vertex_location(self, name: str) -> tuple[str, QVec]:
@@ -670,10 +657,12 @@ def scale_subdivide(x: DeltaComplex, level: int) -> SubdivisionResult:
     found: dict[tuple, int] = {}
     for cell in x.cells:
         for alcove in _alcoves(cell.dim, level):
+            # order coordinates y to level-scaled barycentric ones
+            alcove = [tuple(a - b for a, b in zip((level,) + y, y + (0,)))
+                      for y in alcove]
             for k in range(1, len(alcove) + 1):
                 for sub in itertools.combinations(alcove, k):
-                    key = _push_face(x, cell.name, sub, level)
-                    found[key] = len(sub) - 1
+                    found[_drop_walls(x, cell.name, sub)] = k - 1
     names = {key: _sub_name(*key) for key in found}
     # face i omits vertex i, then falls to its own canonical carrier, which
     # the pass above enumerated; neighbouring cells share faces, so each
@@ -686,7 +675,7 @@ def scale_subdivide(x: DeltaComplex, level: int) -> SubdivisionResult:
         for i in range(d + 1) if d else ():
             face = (carrier, verts[:i] + verts[i + 1:])
             if face not in pushed:
-                pushed[face] = names[_push_face(x, *face, level)]
+                pushed[face] = names[_drop_walls(x, *face)]
             faces.append(pushed[face])
         cells.append((names[key], faces))
     carriers = tuple(sorted((name, key) for key, name in names.items()))
@@ -733,22 +722,6 @@ def _occurrences(x: DeltaComplex, name: str, face_name: str):
             yield kept
 
 
-def _push_fiber_face(x: DeltaComplex, name: str, verts):
-    """Canonical (cell, vertex coordinates) key for a glued fiber face."""
-    cell = x.cell(name)
-    vs = tuple(sorted(verts))
-    while cell.dim > 0:
-        zero_walls = [j for j in range(cell.dim + 1)
-                      if all(v[j] == 0 for v in vs)]
-        if not zero_walls:
-            break
-        j = zero_walls[0]
-        name = cell.faces[j]
-        cell = x.cell(name)
-        vs = tuple(sorted(v[:j] + v[j + 1:] for v in vs))
-    return name, vs
-
-
 def map_fiber(mapping: ComplexMap, cell_name: str, coords: Sequence
               ) -> FiberComplex:
     """The exact fiber of the map over a rational point of the target."""
@@ -775,8 +748,9 @@ def map_fiber(mapping: ComplexMap, cell_name: str, coords: Sequence
             if info is None:
                 continue
             for fs in face_lattice(info.vertices, rows):
-                key = _push_fiber_face(mapping.source, cell.name, fs)
-                faces[key] = affine_dim(key[1])
+                # a glued face is one vertex set on its carrier
+                name, verts = _drop_walls(mapping.source, cell.name, fs)
+                faces[name, tuple(sorted(verts))] = affine_dim(verts)
     counts: dict[int, int] = {}
     for d in faces.values():
         counts[d] = counts.get(d, 0) + 1
@@ -824,14 +798,6 @@ class ToricFiberComplex:
         return {d: len(cs) for d, cs in self.cells}
 
 
-def _image_cone_in(rows, cone: Cone, target: Cone) -> bool:
-    """Does the matrix image of the cone land inside the target cone?"""
-    gens = list(cone.rays) + list(cone.lines) + [
-        tuple(-a for a in l) for l in cone.lines]
-    return all(cone_contains_point(target, la.mat_mul_vec(rows, g))
-               for g in gens)
-
-
 def toric_fiber_complex(matrix: Sequence[Sequence[int]], source: Fan,
                         target: Fan, base: Cone) -> ToricFiberComplex:
     """Fiber of a compatible map of fans over the interior of a base cone."""
@@ -839,8 +805,13 @@ def toric_fiber_complex(matrix: Sequence[Sequence[int]], source: Fan,
     if any(len(r) != source.n for r in rows) or len(rows) != target.n:
         raise DimensionMismatch(
             f"matrix shape does not map rank {source.n} to rank {target.n}")
+
+    def image(cone: Cone):
+        return ([la.mat_mul_vec(rows, g) for g in cone.rays],
+                [la.mat_mul_vec(rows, g) for g in cone.lines])
+
     for sigma in source.maximal:
-        if not any(_image_cone_in(rows, sigma, tau) for tau in target.maximal):
+        if not any(cone_holds(tau, *image(sigma)) for tau in target.maximal):
             raise NotCompatible(
                 f"image of {sigma} lies in no cone of the target fan")
     if not any(cone_is_face(base, tau) for tau in target.maximal):
@@ -851,12 +822,11 @@ def toric_fiber_complex(matrix: Sequence[Sequence[int]], source: Fan,
             seen[(face.rays, face.lines)] = face
     levels: dict[int, list[Cone]] = {}
     for face in seen.values():
-        if not _image_cone_in(rows, face, base):
-            continue
+        rays, lines = image(face)
         # a generic point of the base lies only over images spanning it,
         # which map the face's relative interior into the base's
-        image = [la.mat_mul_vec(rows, g) for g in face.rays + face.lines]
-        if la.mat_rank(image) == base.dim:
+        if cone_holds(base, rays, lines) and \
+                la.mat_rank(rays + lines) == base.dim:
             levels.setdefault(face.dim - base.dim, []).append(face)
     cells = tuple(
         (d, tuple(sorted(cs, key=lambda c: (c.rays, c.lines))))

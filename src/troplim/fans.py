@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cmp_to_key
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import DimensionMismatch, ValidationError
 from .lattice import (
@@ -39,7 +39,6 @@ from .lattice import (
     locate,
     make_cone,
     primitive,
-    rational_sign,
 )
 
 IVec = tuple[int, ...]
@@ -53,18 +52,6 @@ def _cone_key(c: Cone):
 def facet_cones(c: Cone) -> tuple[Cone, ...]:
     """The codimension-1 faces of a cone, one per facet normal."""
     return tuple(_face(c, (f,)) for f in c.facets)
-
-
-def minimal_carrier(cones: Iterable[Cone],
-                    locate_in: Callable[[Cone], Optional[Cone]]
-                    ) -> Optional[Cone]:
-    """The lowest-dimensional face ``locate_in(c)`` over the cones, or None."""
-    best = None
-    for c in cones:
-        face = locate_in(c)
-        if face is not None and (best is None or face.dim < best.dim):
-            best = face
-    return best
 
 
 @dataclass(frozen=True)
@@ -97,10 +84,16 @@ class Fan:
     def is_pure(self) -> bool:
         return len({c.dim for c in self.maximal}) == 1
 
-    def carrier(self, v: Sequence) -> Optional[Cone]:
-        """The minimal cone of the fan containing v, or None if outside."""
-        sign = rational_sign(v, self.n)
-        return minimal_carrier(self.maximal, lambda c: locate(c, sign))
+    def carrier(self, point) -> Optional[Cone]:
+        """The minimal cone of the fan containing the point, or None if
+        outside; the point is anything ``lattice.locate`` takes, a rational
+        vector or a ``towers.SymbolicVector``."""
+        best = None
+        for c in self.maximal:
+            face = locate(c, point)
+            if face is not None and (best is None or face.dim < best.dim):
+                best = face
+        return best
 
 
 def _pair_facets(maximal: Sequence[Cone]):

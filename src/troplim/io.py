@@ -125,6 +125,7 @@ def _list(value, where: str) -> list:
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 def parse_rational(value, where: str) -> Fraction:
@@ -141,12 +142,14 @@ def parse_rational(value, where: str) -> Fraction:
 
 
 def parse_int(value, where: str, low: Optional[int] = None) -> int:
-    """An int, or a string of one; at least `low` when that is given."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
+    """An int, or a string of one in the "k" schema (an optional minus and
+    digits only); at least `low` when that is given."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)) or \
+            isinstance(value, str) and not _INTEGER.fullmatch(value):
         raise ParseError(f"{where}: expected an integer, got {value!r}")
     try:
         n = int(value)
-    except ValueError:
+    except ValueError:  # more digits than int() converts
         raise ParseError(
             f"{where}: expected an integer, got {value!r}") from None
     if low is not None and n < low:

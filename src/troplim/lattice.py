@@ -28,7 +28,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from . import _linalg as la
 from .errors import (
@@ -279,12 +279,9 @@ def _build_cone(rays: Sequence[Sequence], lines: Sequence[Sequence], n: int) -> 
     equations, facets = halfspaces_to_generators(lines, rays, n)
     lines_c, rays_c = halfspaces_to_generators(equations, facets, n)
     cone = Cone(n=n, rays=rays_c, lines=lines_c, facets=facets, equations=equations)
-    for g in list(rays) + list(lines):
-        if any(la.dot(e, g) != 0 for e in equations):
-            raise AssertionError(f"generator {g} off the computed span")
-    for g in rays:
-        if any(la.dot(f, g) < 0 for f in facets):
-            raise AssertionError(f"generator {g} violates a computed facet")
+    if not cone_holds(cone, rays, lines):
+        raise AssertionError(f"generators {rays} + lines {lines} leave the "
+                             f"computed cone")
     return cone
 
 
@@ -349,14 +346,28 @@ class Location:
     face: Cone | None = None
 
 
-def locate(cone: Cone, sign: Callable[[IVec], int]) -> Cone | None:
+def locate(cone: Cone, point) -> Cone | None:
     """Minimal face of the cone containing a point, or None if outside.
 
-    ``sign(row)`` is the point's sign (-1, 0 or 1) against an integer row.
-    Equations are checked first, then facets in stored order, stopping at
-    the first negative sign, so a sign oracle that can fail (a symbolic
-    point) fails on the same row every time.
+    The point is an exact rational vector, or an object with ``n`` and a
+    ``sign(row)`` method giving its sign (-1, 0 or 1) against an integer
+    row, such as ``towers.SymbolicVector``.  Equations are checked first,
+    then facets in stored order, stopping at the first negative sign, so a
+    sign oracle that can fail (a symbolic point) fails on the same row
+    every time.
     """
+    if hasattr(point, "sign"):
+        n, sign = point.n, point.sign
+    else:
+        vec = tuple(a if isinstance(a, (int, Fraction)) else Fraction(a)
+                    for a in point)
+        n = len(vec)
+
+        def sign(row: IVec) -> int:
+            value = la.dot(row, vec)
+            return (value > 0) - (value < 0)
+    if n != cone.n:
+        raise DimensionMismatch(f"vector length {n} vs ambient {cone.n}")
     if any(sign(e) != 0 for e in cone.equations):
         return None
     active = []
@@ -369,22 +380,9 @@ def locate(cone: Cone, sign: Callable[[IVec], int]) -> Cone | None:
     return _face(cone, active)
 
 
-def rational_sign(v: Sequence, n: int) -> Callable[[IVec], int]:
-    """The sign function of an exact rational n-vector, for ``locate``."""
-    if len(v) != n:
-        raise DimensionMismatch(f"vector length {len(v)} vs ambient {n}")
-    vec = tuple(Fraction(a) for a in v)
-
-    def sign(row: IVec) -> int:
-        value = la.dot(row, vec)
-        return (value > 0) - (value < 0)
-
-    return sign
-
-
 def cone_contains(cone: Cone, v: Sequence) -> Location:
     """Locate a rational vector relative to the cone (interior is relative)."""
-    face = locate(cone, rational_sign(v, cone.n))
+    face = locate(cone, v)
     if face is None:
         return Location(OUTSIDE)
     # active facets are genuine facets, so only the interior keeps the dim
@@ -393,14 +391,21 @@ def cone_contains(cone: Cone, v: Sequence) -> Location:
     return Location(BOUNDARY, face)
 
 
-def cone_contains_point(cone: Cone, v: Sequence) -> bool:
-    """Closed containment test via the facet description."""
-    vec = tuple(a if isinstance(a, (int, Fraction)) else Fraction(a) for a in v)
-    if len(vec) != cone.n:
-        raise DimensionMismatch(f"vector length {len(vec)} vs ambient {cone.n}")
-    if any(la.dot(e, vec) != 0 for e in cone.equations):
-        return False
-    return all(la.dot(f, vec) >= 0 for f in cone.facets)
+def cone_holds(outer: Cone, rays: Sequence[Sequence],
+               lines: Sequence[Sequence] = ()) -> bool:
+    """Does ``cone(rays) + span(lines)`` lie in the outer cone?
+
+    The one cone-in-cone check: every equation vanishes on every
+    generator, and every facet is nonnegative on the rays and, taken both
+    ways, on the lines.
+    """
+    gens = tuple(rays) + tuple(lines)
+    if any(len(g) != outer.n for g in gens):
+        raise DimensionMismatch(f"generators of the wrong length for "
+                                f"ambient rank {outer.n}")
+    return (all(la.dot(e, g) == 0 for e in outer.equations for g in gens)
+            and all(la.dot(f, r) >= 0 for f in outer.facets for r in rays)
+            and all(la.dot(f, l) == 0 for f in outer.facets for l in lines))
 
 
 def cone_intersect(a: Cone, b: Cone) -> Cone:
@@ -467,9 +472,4 @@ def cone_is_face(face: Cone, cone: Cone) -> bool:
 
 def cone_subset(inner: Cone, outer: Cone) -> bool:
     """Is every point of ``inner`` contained in ``outer``?"""
-    gens = list(inner.rays) + list(inner.lines) + [
-        tuple(-a for a in l) for l in inner.lines
-    ]
-    if not gens:
-        return True
-    return all(cone_contains_point(outer, g) for g in gens)
+    return cone_holds(outer, inner.rays, inner.lines)

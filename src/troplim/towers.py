@@ -38,7 +38,7 @@ from .errors import (
     ZeroVector,
 )
 from .fans import Fan, SubdivisionWitness, common_refinement, is_subdivision, \
-    minimal_carrier, stellar_subdivision
+    stellar_subdivision
 from .lattice import (
     INTERIOR,
     Cone,
@@ -46,7 +46,6 @@ from .lattice import (
     cone_contains,
     cone_intersect,
     cone_subset,
-    locate,
     primitive,
 )
 
@@ -111,6 +110,34 @@ class SymbolicVector:
         """Rational interval enclosure of coordinate i."""
         return _combination_interval(self.rows[i], self.symbols)
 
+    def sign(self, functional: Sequence[Coefficient]) -> int:
+        """Exact sign of <functional, self>, or UndecidableSign."""
+        if len(functional) != self.n:
+            raise DimensionMismatch(
+                f"functional has length {len(functional)}, vector has "
+                f"{self.n}")
+        k = len(self.symbols)
+        combo = [Fraction(0)] * (k + 1)
+        for c, row in zip(functional, self.rows):
+            if c == 0:
+                continue
+            for j in range(k + 1):
+                combo[j] += Fraction(c) * row[j]
+        if all(c == 0 for c in combo):
+            return 0
+        if all(c == 0 for c in combo[1:]):
+            return 1 if combo[0] > 0 else -1
+        lo, hi = _combination_interval(combo, self.symbols)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        # nonzero by declared independence, but the enclosure cannot tell
+        # the sign
+        raise UndecidableSign(
+            "sign of a nonzero symbolic combination is not determined by "
+            "the declared enclosures", coefficients=tuple(combo),
+            interval=(lo, hi))
 
 
 def _combination_interval(row, symbols):
@@ -143,33 +170,6 @@ def symbolic_vector(entries: Sequence[Entry],
 def rational_vector(v: Sequence[Coefficient]) -> SymbolicVector:
     """SymbolicVector wrapper around an ordinary rational vector."""
     return symbolic_vector(list(v))
-
-
-def sign_of(x: SymbolicVector, functional: Sequence[Coefficient]) -> int:
-    """Exact sign of <functional, x>, or UndecidableSign."""
-    if len(functional) != x.n:
-        raise DimensionMismatch(
-            f"functional has length {len(functional)}, vector has {x.n}")
-    k = len(x.symbols)
-    combo = [Fraction(0)] * (k + 1)
-    for c, row in zip(functional, x.rows):
-        if c == 0:
-            continue
-        for j in range(k + 1):
-            combo[j] += Fraction(c) * row[j]
-    if all(c == 0 for c in combo):
-        return 0
-    if all(c == 0 for c in combo[1:]):
-        return 1 if combo[0] > 0 else -1
-    lo, hi = _combination_interval(combo, x.symbols)
-    if lo > 0:
-        return 1
-    if hi < 0:
-        return -1
-    # nonzero by declared independence, but the enclosure cannot tell the sign
-    raise UndecidableSign(
-        "sign of a nonzero symbolic combination is not determined by the "
-        "declared enclosures", coefficients=tuple(combo), interval=(lo, hi))
 
 
 # -- fiber rank and model ---------------------------------------------------
@@ -259,7 +259,7 @@ class TowardDirection:
     name = "toward-direction"
 
     def step(self, fan: Fan) -> Fan:
-        carrier = symbolic_carrier(fan, self.target)
+        carrier = fan.carrier(self.target)
         if carrier is None:
             raise OutsideSupport("target direction lies outside the fan support")
         if carrier.dim <= 1:
@@ -358,26 +358,13 @@ def resolve_direction(c: ConeChain) -> LimitPointDescriptor:
     return UnresolvedCone(meet, depth=len(c.entries))
 
 
-def symbolic_locate(cone: Cone, x: SymbolicVector):
-    """Minimal face of the cone containing x, or None if outside."""
-    if x.n != cone.n:
-        raise DimensionMismatch(
-            f"vector has {x.n} coordinates, cone has rank {cone.n}")
-    return locate(cone, lambda row: sign_of(x, row))
-
-
-def symbolic_carrier(fan: Fan, x: SymbolicVector) -> Optional[Cone]:
-    """Minimal cone of the fan containing x, by exact symbolic signs."""
-    return minimal_carrier(fan.maximal, lambda c: symbolic_locate(c, x))
-
-
 def chain_toward(t: FanTower, x: SymbolicVector) -> ConeChain:
     """The chain of minimal carriers of x, one per tower level."""
     if x.is_zero:
         raise ZeroVector("cannot chase the zero direction")
     entries = []
     for i, fan in enumerate(t.fans):
-        carrier = symbolic_carrier(fan, x)
+        carrier = fan.carrier(x)
         if carrier is None:
             raise OutsideSupport(
                 f"direction lies outside the level-{i} support")

@@ -228,7 +228,13 @@ def trop_hypersurface(f: TropicalPolynomial) -> TropicalHypersurface:
     for fs in face_lattice(list(terms) + [up], [(r, 0) for r in normals]):
         if up in fs or len(fs) < 2:
             continue
-        rays = sorted(la.primitivize(r[:-1]) for r in normals if fs <= on[r])
+        # normals come sorted, and of the projected rays only the order of
+        # those with t = 0 reaches the cell, as its recession rays.  Such a
+        # normal (x, 0, z), tight on a term (e, v, 1) of fs, has
+        # z = -<x, e>, so gcd(x) divides z: dropping z leaves it
+        # primitive, and two of them with equal x are equal.  So they stay
+        # in increasing order of x, and the list needs no sort.
+        rays = [la.primitivize(r[:-1]) for r in normals if fs <= on[r]]
         info = homogenization_info(cell_lines, rays, n)
         eqs, ineqs = _cell_rows(f, frozenset(terms[g] for g in fs))
         cells.append(TropCell(

@@ -606,6 +606,18 @@ def test_exit_code_validation_failure(tmp_path, capsys):
     assert "exactly two fan files" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("trop", ["--seed", "1"]), ("fan-validate", ["--depth", "3"])])
+def test_flags_are_registered_only_where_read(tmp_path, capsys, command,
+                                              flag):
+    path = put(tmp_path, "in.json", EXEMPLARS[command])
+    assert cli.main([command, path]) == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, path] + flag)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + flag[0] in capsys.readouterr().err
+
+
 def test_exit_code_resource_cap(tmp_path, capsys):
     path = put(tmp_path, "gal.json", {
         "elliptic": {"m": 3, "degrees": [1, 2, 4, 8]}, "points": []})
@@ -771,6 +783,8 @@ STELLAR_TOWER = {"base_fan": QUADRANT, "strategy": STELLAR,
      "steps: expected an integer, got True"),
     ("limit-point", {**STELLAR_TOWER, "steps": -1}, [], 3,
      "steps: expected an integer >= 0"),
+    ("limit-point", {**STELLAR_TOWER, "steps": " 1_0 "},
+     ["--depth", "2"], 3, "steps: expected an integer, got ' 1_0 '"),
     ("dualcx", {**NODAL_INC, "closures": [["p", "D"]]}, [], 2,
      "names an unknown stratum"),
     ("map-fibers", {**SEGMENT_MAP, "cell_images": {"e": ["f", [0, 1]]}}, [],
@@ -780,7 +794,8 @@ STELLAR_TOWER = {"base_fan": QUADRANT, "strategy": STELLAR,
         "fan-negative-rank", "negative-exponent", "no-terms",
         "direction-outside-support", "strategy-outside-support",
         "steps-string-over-depth", "steps-bool",
-        "steps-negative", "closure-unknown-stratum", "phi-unknown-cell"])
+        "steps-negative", "steps-spaces-underscore",
+        "closure-unknown-stratum", "phi-unknown-cell"])
 def test_malformed_inputs_exit_with_a_documented_code(
         tmp_path, capsys, command, obj, flags, code, error):
     path = put(tmp_path, "in.json", obj)

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from troplim.complexes import (
     DeltaComplex,
+    _alcoves,
+    _drop_walls,
     _lowest_images,
-    _push_face,
     _sequence_index,
     _sub_name,
     canonical_point,
@@ -502,9 +503,174 @@ def test_subdivision_faces_match_a_direct_push(build):
                 assert cell.faces == ()
                 continue
             assert cell.faces == tuple(
-                _sub_name(*_push_face(x, carrier,
-                                      verts[:i] + verts[i + 1:], level))
+                _sub_name(*_drop_walls(x, carrier, verts[:i] + verts[i + 1:]))
                 for i in range(cell.dim + 1))
+
+
+# -- the wall loops that _drop_walls replaced, kept as references --
+
+
+def reference_push_face(x, name, verts, level):
+    """Canonical carrier of a lattice simplex given in order-simplex
+    coordinates of ``level * O_m``: drop the walls it lies in."""
+    cell = x.cell(name)
+    while cell.dim > 0:
+        m = cell.dim
+        wall = None
+        for j in range(m + 1):
+            if j == 0 and all(v[0] == level for v in verts):
+                wall = 0
+            elif j == m and all(v[m - 1] == 0 for v in verts):
+                wall = m
+            elif 0 < j < m and all(v[j - 1] == v[j] for v in verts):
+                wall = j
+            if wall is not None:
+                break
+        if wall is None:
+            break
+        name = cell.faces[wall]
+        cell = x.cell(name)
+        if wall == 0:
+            verts = tuple(v[1:] for v in verts)
+        elif wall == m:
+            verts = tuple(v[:-1] for v in verts)
+        else:
+            verts = tuple(v[:wall] + v[wall + 1:] for v in verts)
+    return name, verts
+
+
+def reference_bary(y, level):
+    """Order-simplex lattice point to barycentric coordinates."""
+    ext = (level,) + tuple(y) + (0,)
+    return tuple(F(ext[i] - ext[i + 1], level) for i in range(len(y) + 1))
+
+
+def reference_push_fiber_face(x, name, verts):
+    """Canonical (cell, sorted vertex coordinates) key of a fiber face."""
+    cell = x.cell(name)
+    vs = tuple(sorted(verts))
+    while cell.dim > 0:
+        zero_walls = [j for j in range(cell.dim + 1)
+                      if all(v[j] == 0 for v in vs)]
+        if not zero_walls:
+            break
+        j = zero_walls[0]
+        name = cell.faces[j]
+        cell = x.cell(name)
+        vs = tuple(sorted(v[:j] + v[j + 1:] for v in vs))
+    return name, vs
+
+
+def reference_canonical_point(x, name, t):
+    """Drop the first zero coordinate of one point until none is left."""
+    cell = x.cell(name)
+    while cell.dim > 0:
+        zeros = [j for j, c in enumerate(t) if c == 0]
+        if not zeros:
+            break
+        j = zeros[0]
+        name = cell.faces[j]
+        cell = x.cell(name)
+        t = t[:j] + t[j + 1:]
+    return name, t
+
+
+def reference_scale_subdivide(x, level):
+    """Cells (name, faces) and carriers of the N-fold subdivision, every
+    face pushed in order coordinates."""
+    found = {}
+    for cell in x.cells:
+        for alcove in _alcoves(cell.dim, level):
+            for k in range(1, len(alcove) + 1):
+                for sub in itertools.combinations(alcove, k):
+                    found[reference_push_face(x, cell.name, sub, level)] = \
+                        k - 1
+    names = {key: _sub_name_in_order_coordinates(*key) for key in found}
+    cells = []
+    for (carrier, verts), d in found.items():
+        faces = tuple(names[reference_push_face(
+            x, carrier, verts[:i] + verts[i + 1:], level)]
+            for i in range(d + 1)) if d else ()
+        cells.append((names[carrier, verts], faces))
+    return sorted(cells), sorted((name, key) for key, name in names.items())
+
+
+def _sub_name_in_order_coordinates(carrier, verts):
+    if not verts[0] and len(verts) == 1:
+        return carrier
+    return carrier + "|" + "_".join(
+        ".".join(str(c) for c in v) for v in verts)
+
+
+def _scaled(y, level):
+    return tuple(int(c * level) for c in reference_bary(y, level))
+
+
+WALL_SHAPES = {
+    "segment": segment_complex, "triangle": triangle_complex,
+    "square": square_complex, "solid-tetrahedron": tetrahedron_solid,
+    "boundary-tetrahedron": tetrahedron_boundary,
+    "loop": lambda: cycle_complex(1), "3-cycle": lambda: cycle_complex(3),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(WALL_SHAPES))
+def test_scale_subdivide_matches_the_order_coordinate_walk(shape):
+    """At levels 1-6, ``_drop_walls`` on each alcove face in scaled
+    barycentric coordinates lands where the order-coordinate walk does,
+    and the whole subdivision (cells, faces, carriers) is unchanged."""
+    x = WALL_SHAPES[shape]()
+    for level in range(1, 7):
+        for cell in x.cells:
+            for alcove in _alcoves(cell.dim, level):
+                for k in range(1, len(alcove) + 1):
+                    for sub in itertools.combinations(alcove, k):
+                        name, verts = reference_push_face(x, cell.name, sub,
+                                                          level)
+                        assert _drop_walls(
+                            x, cell.name, [_scaled(y, level) for y in sub]
+                        ) == (name, tuple(_scaled(y, level) for y in verts))
+        sub = scale_subdivide(x, level)
+        cells, carriers = reference_scale_subdivide(x, level)
+        assert sorted((c.name, c.faces) for c in sub.complex.cells) == cells
+        assert list(sub.carriers) == [
+            (name, (carrier, tuple(_scaled(y, level) for y in verts)))
+            for name, (carrier, verts) in carriers]
+
+
+@st.composite
+def barycentric_points(draw, count):
+    """A cell of one of the wall shapes and ``count`` distinct points in
+    its barycentric coordinates, some coordinates zero on all of them."""
+    x = WALL_SHAPES[draw(st.sampled_from(sorted(WALL_SHAPES)))]()
+    cell = draw(st.sampled_from(x.cells))
+    zero = draw(st.sets(st.integers(0, cell.dim), max_size=cell.dim))
+    coordinate = st.integers(0, 3)
+    points = draw(st.lists(
+        st.tuples(*[st.just(0) if j in zero else coordinate
+                    for j in range(cell.dim + 1)]).filter(any),
+        min_size=1, max_size=count))
+    return x, cell.name, list(dict.fromkeys(
+        tuple(F(c, sum(p)) for c in p) for p in points))
+
+
+@settings(max_examples=150, deadline=None)
+@given(barycentric_points(1))
+def test_canonical_point_matches_the_one_point_walk(data):
+    x, name, (t,) = data
+    assert canonical_point(x, name, t) == \
+        reference_canonical_point(x, name, t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(barycentric_points(5))
+def test_fiber_face_keys_match_the_sorted_walk(data):
+    """map_fiber keys a glued face by its carrier and its sorted vertices,
+    sorted once after the walls are dropped."""
+    x, name, points = data
+    carrier, verts = _drop_walls(x, name, frozenset(points))
+    assert (carrier, tuple(sorted(verts))) == \
+        reference_push_fiber_face(x, name, points)
 
 
 # -- fibers of simplicial maps --

@@ -421,6 +421,58 @@ def test_faces_match_the_halfspace_references(cone, other):
         assert lat.cone_is_face(other, cone) == (other in expected)
 
 
+def cone_contains_point(cone, v):
+    """Closed containment test via the facet description: the point test
+    that cone containment made once per generator before the direct
+    check."""
+    vec = tuple(a if isinstance(a, (int, Fraction)) else Fraction(a)
+                for a in v)
+    if any(dot(e, vec) != 0 for e in cone.equations):
+        return False
+    return all(dot(f, vec) >= 0 for f in cone.facets)
+
+
+def reference_subset(inner, outer):
+    gens = list(inner.rays) + list(inner.lines) + [
+        tuple(-a for a in l) for l in inner.lines]
+    return all(cone_contains_point(outer, g) for g in gens)
+
+
+@st.composite
+def cone_pairs(draw):
+    """Two cones of one rank 1-4, with or without lines and of any
+    dimension; half the time the inner one is spanned by nonnegative
+    combinations of the outer one's generators, plus at most one stray
+    vector, so that both answers come up."""
+    n = draw(st.integers(1, 4))
+    vec = st.tuples(*[st.integers(-2, 2)] * n)
+    outer = lat.make_cone(draw(st.lists(vec, max_size=5)), n=n,
+                          lines=draw(st.lists(vec, max_size=2)))
+    gens = list(outer.rays) + list(outer.lines) + [
+        tuple(-a for a in l) for l in outer.lines]
+    if gens and draw(st.booleans()):
+        def combination():
+            weights = draw(st.lists(st.integers(0, 2), min_size=len(gens),
+                                    max_size=len(gens)))
+            return tuple(sum(w * g[i] for w, g in zip(weights, gens))
+                         for i in range(n))
+        rays = [combination() for _ in range(draw(st.integers(0, 3)))]
+        lines = [l for l in outer.lines if draw(st.booleans())]
+        rays += draw(st.lists(vec, max_size=1))
+    else:
+        rays = draw(st.lists(vec, max_size=5))
+        lines = draw(st.lists(vec, max_size=2))
+    return lat.make_cone(rays, n=n, lines=lines), outer
+
+
+@settings(max_examples=300, deadline=None)
+@given(cone_pairs())
+def test_cone_subset_matches_the_pointwise_reference(pair):
+    inner, outer = pair
+    assert lat.cone_subset(inner, outer) == reference_subset(inner, outer)
+    assert lat.cone_subset(outer, outer)
+
+
 def cuboctahedron_cone():
     """The cone over a cuboctahedron: 12 rays in rank 4, 14 facets, and 52
     faces with the apex and the cone itself."""

@@ -20,7 +20,7 @@ from troplim.errors import (
 )
 from troplim.lattice import (
     INTERIOR, OUTSIDE, cone_contains, cone_faces, cone_is_face, cone_subset,
-    make_cone,
+    locate, make_cone,
 )
 from troplim.lattice import cone_from_generators as cg
 
@@ -55,25 +55,25 @@ def test_symbolic_vector_entry_validation():
 
 def test_sign_of_rational_and_zero():
     x = tw.symbolic_vector([1, (0, 1)], [SQRT2])
-    assert tw.sign_of(x, (1, 0)) == 1
-    assert tw.sign_of(x, (-1, 0)) == -1
-    assert tw.sign_of(tw.rational_vector([1, 1]), (1, -1)) == 0
+    assert x.sign((1, 0)) == 1
+    assert x.sign((-1, 0)) == -1
+    assert tw.rational_vector([1, 1]).sign((1, -1)) == 0
 
 
 def test_sign_of_irrational_combination():
     x = tw.symbolic_vector([1, (0, 1)], [SQRT2])
     # sqrt2 - 1 > 0 and 1 - sqrt2 < 0, decided by the enclosure
-    assert tw.sign_of(x, (-1, 1)) == 1
-    assert tw.sign_of(x, (1, -1)) == -1
+    assert x.sign((-1, 1)) == 1
+    assert x.sign((1, -1)) == -1
     # 2 - sqrt2*sqrt... cannot cancel: 2*x1 - x2 = 2 - sqrt2 > 0
-    assert tw.sign_of(x, (2, -1)) == 1
+    assert x.sign((2, -1)) == 1
 
 
 def test_sign_of_undecidable_reports_data():
     eps = tw.Symbol("eps", F(-1, 1000), F(1, 1000))
     x = tw.symbolic_vector([1, (0, 1)], [eps])
     with pytest.raises(UndecidableSign) as exc:
-        tw.sign_of(x, (0, 1))
+        x.sign((0, 1))
     assert exc.value.coefficients == (F(0), F(1))
     assert exc.value.interval == (F(-1, 1000), F(1, 1000))
 
@@ -289,7 +289,7 @@ def test_symbolic_locate_agrees_with_cone_contains(gens, v):
     for p in [v] + [f.relint_point() for f in cone_faces(c)]:
         loc = cone_contains(c, p)
         expected = {OUTSIDE: None, INTERIOR: c}.get(loc.kind, loc.face)
-        got = tw.symbolic_locate(c, tw.rational_vector(p))
+        got = locate(c, tw.rational_vector(p))
         assert got == expected
         if got is not None:
             assert (got.facets, got.equations) == \
@@ -310,6 +310,6 @@ def test_symbolic_carrier_agrees_with_fan_carrier(steps, v):
     carrier = fan.carrier(v)
     assert cone_contains(carrier, v).kind == INTERIOR
     assert any(cone_is_face(carrier, sigma) for sigma in fan.maximal)
-    sym = tw.symbolic_carrier(fan, tw.rational_vector(v))
+    sym = fan.carrier(tw.rational_vector(v))
     assert sym == carrier
     assert (sym.facets, sym.equations) == (carrier.facets, carrier.equations)
