@@ -575,6 +575,14 @@ def reference_canonical_point(x, name, t):
     return name, t
 
 
+def _sub_name_in_order_coordinates(carrier, verts):
+    """Cell name from order coordinates, the reference for `_sub_name`."""
+    if not verts[0] and len(verts) == 1:
+        return carrier
+    return carrier + "|" + "_".join(
+        ".".join(str(c) for c in v) for v in verts)
+
+
 def reference_scale_subdivide(x, level):
     """Cells (name, faces) and carriers of the N-fold subdivision, every
     face pushed in order coordinates."""
@@ -593,13 +601,6 @@ def reference_scale_subdivide(x, level):
             for i in range(d + 1)) if d else ()
         cells.append((names[carrier, verts], faces))
     return sorted(cells), sorted((name, key) for key, name in names.items())
-
-
-def _sub_name_in_order_coordinates(carrier, verts):
-    if not verts[0] and len(verts) == 1:
-        return carrier
-    return carrier + "|" + "_".join(
-        ".".join(str(c) for c in v) for v in verts)
 
 
 def _scaled(y, level):
