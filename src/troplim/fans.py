@@ -14,7 +14,10 @@ a carrier), so the witness is verified by relative facet pairing inside each
 carrier: every facet of a fine cone must either be shared with a sibling in
 the same carrier or lie inside a facet of the carrier itself.  A standard
 walking argument shows this is equivalent to the fine cones tiling the
-carrier exactly.
+carrier exactly.  A fine cone equal to a coarse cone is its own carrier, found
+by value; the witness is the one a scan gives, since in a valid fan a maximal
+cone lies in no other.  A stellar step leaves most cones untouched, so only
+the new cones are scanned.
 
 All constructors return canonical values (cones sorted by dimension and ray
 data), so golden tests can compare fans directly.
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cmp_to_key
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, ValidationError
 from .lattice import (
@@ -84,12 +87,19 @@ class Fan:
     def is_pure(self) -> bool:
         return len({c.dim for c in self.maximal}) == 1
 
-    def carrier(self, point) -> Optional[Cone]:
+    def carrier(self, point,
+                among: Optional[Iterable[int]] = None) -> Optional[Cone]:
         """The minimal cone of the fan containing the point, or None if
         outside; the point is anything ``lattice.locate`` takes, a rational
-        vector or a ``towers.SymbolicVector``."""
+        vector or a ``towers.SymbolicVector``.
+
+        ``among`` limits the search to the maximal cones of those indices,
+        which must include every one holding the point; every candidate is
+        located and the least face found is kept.
+        """
         best = None
-        for c in self.maximal:
+        for c in (self.maximal if among is None
+                  else (self.maximal[j] for j in among)):
             face = locate(c, point)
             if face is not None and (best is None or face.dim < best.dim):
                 best = face
@@ -215,24 +225,35 @@ class SubdivisionWitness:
     coarse: Fan
     carrier: tuple[int, ...]
 
+    def children(self, coarse: Iterable[int]) -> list[int]:
+        """Indices of the fine cones carried by the given coarse cones."""
+        coarse = set(coarse)
+        return [i for i, j in enumerate(self.carrier) if j in coarse]
 
 
 def is_subdivision(fine: Fan, coarse: Fan) -> Optional[SubdivisionWitness]:
-    """Witness that every coarse cone is tiled by fine cones, or None."""
+    """Witness that every coarse cone is tiled by fine cones, or None.
+
+    A fine cone's carrier is the first coarse cone containing it.  A fine
+    cone equal to a coarse cone is its own, looked up by value (in a valid
+    fan no maximal cone lies in another, so a scan finds the same); a
+    carrier tiled by itself alone needs no facet pairing.
+    """
     if fine.n != coarse.n:
         raise DimensionMismatch(
             f"fans live in ranks {fine.n} and {coarse.n}")
     if not (fine.is_pure and coarse.is_pure and fine.dim == coarse.dim):
         return None
+    index = {(sigma.rays, sigma.lines): j
+             for j, sigma in enumerate(coarse.maximal)}
     carrier = []
     for tau in fine.maximal:
-        found = None
-        for j, sigma in enumerate(coarse.maximal):
-            if cone_subset(tau, sigma):
-                found = j
-                break
+        found = index.get((tau.rays, tau.lines))
         if found is None:
-            return None
+            found = next((j for j, sigma in enumerate(coarse.maximal)
+                          if cone_subset(tau, sigma)), None)
+            if found is None:
+                return None
         carrier.append(found)
     groups: dict[int, list[Cone]] = {}
     for i, j in enumerate(carrier):
@@ -241,6 +262,8 @@ def is_subdivision(fine: Fan, coarse: Fan) -> Optional[SubdivisionWitness]:
         return None
     for j, taus in groups.items():
         sigma = coarse.maximal[j]
+        if taus == [sigma]:
+            continue
         sigma_facets = facet_cones(sigma)
         for count, f in _pair_facets(taus):
             if count == 2:
@@ -284,15 +307,19 @@ def stellar_subdivision(fan: Fan, ray) -> Fan:
             out.append(sigma)
             continue
         touched = True
-        for f in facet_cones(sigma):
-            if cone_contains(f, r.direction).kind != OUTSIDE:
-                continue
-            out.append(make_cone(list(f.rays) + [r.direction],
-                                 n=fan.n, lines=list(f.lines)))
-        if not sigma.facets:
-            # a lineality-only or zero cone has no facets to join with
-            out.append(sigma)
+        out += _star_cones(sigma, r.direction)
     if not touched:
         raise ValidationError(
             f"ray {r.direction} lies outside the fan support")
     return _trusted_fan(out, fan.n)
+
+
+def _star_cones(sigma: Cone, ray: IVec) -> list[Cone]:
+    """The pieces of a cone holding the ray when split at it: each facet
+    missing the ray joined with it (the cone itself if it has no facets)."""
+    if not sigma.facets:
+        # a lineality-only or zero cone has no facets to join with
+        return [sigma]
+    return [make_cone(list(f.rays) + [ray], n=sigma.n, lines=list(f.lines))
+            for f in facet_cones(sigma)
+            if cone_contains(f, ray).kind == OUTSIDE]

@@ -24,7 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from functools import cached_property
+from math import isqrt, lcm
+from operator import mul
 from typing import Optional, Sequence, Union
 
 from . import _linalg as la
@@ -37,8 +39,8 @@ from .errors import (
     UndecidableSign,
     ZeroVector,
 )
-from .fans import Fan, SubdivisionWitness, common_refinement, is_subdivision, \
-    stellar_subdivision
+from .fans import Fan, SubdivisionWitness, _star_cones, _trusted_fan, \
+    common_refinement, is_subdivision, stellar_subdivision
 from .lattice import (
     INTERIOR,
     Cone,
@@ -82,15 +84,6 @@ Coefficient = Union[int, Fraction]
 Entry = Union[Coefficient, Sequence[Coefficient]]
 
 
-def _interval_add(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def _interval_scale(c: Fraction, iv):
-    lo, hi = c * iv[0], c * iv[1]
-    return (lo, hi) if lo <= hi else (hi, lo)
-
-
 @dataclass(frozen=True)
 class SymbolicVector:
     """A vector whose entries are Q-linear combinations of 1 and symbols."""
@@ -110,23 +103,32 @@ class SymbolicVector:
         """Rational interval enclosure of coordinate i."""
         return _combination_interval(self.rows[i], self.symbols)
 
+    @cached_property
+    def _scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """A positive common denominator D of the entries, and the entries'
+        coefficients of 1 and of each symbol, one column each, times D."""
+        den = lcm(*(c.denominator for row in self.rows for c in row))
+        return den, tuple(
+            tuple(row[j].numerator * (den // row[j].denominator)
+                  for row in self.rows)
+            for j in range(len(self.symbols) + 1))
+
     def sign(self, functional: Sequence[Coefficient]) -> int:
-        """Exact sign of <functional, self>, or UndecidableSign."""
+        """Exact sign of <functional, self>, or UndecidableSign.
+
+        The combination is summed in integers over the columns of
+        ``_scaled``, whose positive scale does not change a sign; Fractions
+        are built only for the interval test.
+        """
         if len(functional) != self.n:
             raise DimensionMismatch(
                 f"functional has length {len(functional)}, vector has "
                 f"{self.n}")
-        k = len(self.symbols)
-        combo = [Fraction(0)] * (k + 1)
-        for c, row in zip(functional, self.rows):
-            if c == 0:
-                continue
-            for j in range(k + 1):
-                combo[j] += Fraction(c) * row[j]
-        if all(c == 0 for c in combo):
-            return 0
-        if all(c == 0 for c in combo[1:]):
-            return 1 if combo[0] > 0 else -1
+        den, columns = self._scaled
+        combo = [sum(map(mul, functional, col)) for col in columns]
+        if not any(combo[1:]):
+            return (combo[0] > 0) - (combo[0] < 0)
+        combo = [Fraction(c, den) for c in combo]
         lo, hi = _combination_interval(combo, self.symbols)
         if lo > 0:
             return 1
@@ -141,10 +143,11 @@ class SymbolicVector:
 
 
 def _combination_interval(row, symbols):
-    iv = (row[0], row[0])
+    lo = hi = row[0]
     for c, s in zip(row[1:], symbols):
-        iv = _interval_add(iv, _interval_scale(c, (s.lo, s.hi)))
-    return iv
+        a, b = sorted((c * s.lo, c * s.hi))
+        lo, hi = lo + a, hi + b
+    return lo, hi
 
 
 def symbolic_vector(entries: Sequence[Entry],
@@ -243,12 +246,16 @@ class StellarAtBarycenters:
     name = "stellar-at-barycenters"
 
     def step(self, fan: Fan) -> Fan:
-        out = fan
+        # a ray sum lies inside its own maximal cone only, so one pass gives
+        # what splitting the cones one after another gives
+        out = []
         for sigma in fan.maximal:
             if sigma.dim < 2 or not sigma.rays:
-                continue
-            out = stellar_subdivision(out, sigma.relint_point())
-        return out
+                out.append(sigma)
+            else:
+                out += _star_cones(sigma,
+                                   primitive(sigma.relint_point()).direction)
+        return _trusted_fan(out, fan.n)
 
 
 @dataclass(frozen=True)
@@ -258,8 +265,11 @@ class TowardDirection:
     target: SymbolicVector
     name = "toward-direction"
 
-    def step(self, fan: Fan) -> Fan:
-        carrier = fan.carrier(self.target)
+    def step(self, fan: Fan, carrier: Optional[Cone] = None) -> Fan:
+        """Split the fan inside the target's carrier, located here unless
+        the caller passes it."""
+        if carrier is None:
+            carrier = fan.carrier(self.target)
         if carrier is None:
             raise OutsideSupport("target direction lies outside the fan support")
         if carrier.dim <= 1:
@@ -295,13 +305,21 @@ def extend_tower(t: FanTower, strategy, steps: int) -> FanTower:
                        f"{TOWER_DEPTH_CAP}")
     fans = list(t.fans)
     witnesses = list(t.witnesses)
+    chase = isinstance(strategy, TowardDirection)
+    among = None
     for _ in range(steps):
-        new = strategy.step(fans[-1])
+        if chase:
+            carrier, holding = _locate(fans[-1], strategy.target, among)
+            new = strategy.step(fans[-1], carrier)
+        else:
+            new = strategy.step(fans[-1])
         w = is_subdivision(new, fans[-1])
         if w is None:
             raise AssertionError("strategy produced a non-refinement")
         fans.append(new)
         witnesses.append(w)
+        if chase:
+            among = w.children(holding)
     return FanTower(tuple(fans), tuple(witnesses), strategy=strategy.name)
 
 
@@ -358,13 +376,34 @@ def resolve_direction(c: ConeChain) -> LimitPointDescriptor:
     return UnresolvedCone(meet, depth=len(c.entries))
 
 
+def _locate(fan: Fan, x, among: Optional[Sequence[int]] = None
+            ) -> tuple[Optional[Cone], list[int]]:
+    """The carrier of x, searched among the maximal cones of the given
+    indices (all if None), and those of them that hold x: the ones that
+    contain the carrier, which is a face of every cone holding x."""
+    if among is None:
+        among = range(len(fan.maximal))
+    carrier = fan.carrier(x, among)
+    if carrier is None:
+        return None, []
+    return carrier, [j for j in among
+                     if cone_subset(carrier, fan.maximal[j])]
+
+
 def chain_toward(t: FanTower, x: SymbolicVector) -> ConeChain:
-    """The chain of minimal carriers of x, one per tower level."""
+    """The chain of minimal carriers of x, one per tower level.
+
+    A fine cone holding x lies in its witness carrier, which then holds x,
+    so each level is searched among the children of the cones holding x
+    one level up (and ``extend_tower`` chases a target the same way).
+    """
     if x.is_zero:
         raise ZeroVector("cannot chase the zero direction")
     entries = []
+    holding = None
     for i, fan in enumerate(t.fans):
-        carrier = fan.carrier(x)
+        among = t.witnesses[i - 1].children(holding) if i else None
+        carrier, holding = _locate(fan, x, among)
         if carrier is None:
             raise OutsideSupport(
                 f"direction lies outside the level-{i} support")

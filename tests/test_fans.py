@@ -6,12 +6,14 @@ complete rank-2 fans from random ray sets through the angular-sort helper and
 check the refinement algebra and the subdivision partial order against them.
 """
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from troplim import fans
 from troplim.errors import ValidationError
-from troplim.lattice import cone_from_generators as cg, make_cone
+from troplim.lattice import cone_from_generators as cg, cone_subset, make_cone
 
 
 def quadrant_fan():
@@ -231,3 +233,107 @@ def test_subdivision_antisymmetric(fan):
     st_fan = fans.stellar_subdivision(fan, (1, 1))
     if st_fan != fan:
         assert fans.is_subdivision(fan, st_fan) is None
+
+
+# -- by-value carriers against the full scan --------------------------------
+
+
+def reference_is_subdivision(fine, coarse):
+    """The carrier tuple of ``is_subdivision`` before carriers were looked
+    up by value: every fine cone scanned against every coarse cone and
+    every carrier's group paired; None when there is no witness."""
+    if not (fine.is_pure and coarse.is_pure and fine.dim == coarse.dim):
+        return None
+    carrier = []
+    for tau in fine.maximal:
+        found = None
+        for j, sigma in enumerate(coarse.maximal):
+            if cone_subset(tau, sigma):
+                found = j
+                break
+        if found is None:
+            return None
+        carrier.append(found)
+    groups = {}
+    for i, j in enumerate(carrier):
+        groups.setdefault(j, []).append(fine.maximal[i])
+    if len(groups) != len(coarse.maximal):
+        return None
+    for j, taus in groups.items():
+        sigma_facets = fans.facet_cones(coarse.maximal[j])
+        for count, f in fans._pair_facets(taus):
+            if count == 2:
+                continue
+            if count > 2:
+                return None
+            if not any(cone_subset(f, sf) for sf in sigma_facets):
+                return None
+    return tuple(carrier)
+
+
+def assert_same_witness(fine, coarse):
+    w = fans.is_subdivision(fine, coarse)
+    assert (None if w is None else w.carrier) == \
+        reference_is_subdivision(fine, coarse)
+    return w
+
+
+def partial(fan, drop):
+    """The fan without its maximal cone of index ``drop``."""
+    keep = [c for j, c in enumerate(fan.maximal) if j != drop % len(fan.maximal)]
+    return fans.fan_from_cones(keep, fan.n)
+
+
+def non_pure(fan, drop):
+    """The fan with one maximal cone swapped for the ray of its ray sum."""
+    sigma = fan.maximal[drop % len(fan.maximal)]
+    keep = [c for c in fan.maximal if c != sigma]
+    return fans.fan_from_cones(keep + [cg([sigma.relint_point()])], fan.n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(complete_fans_2d(), complete_fans_2d(), ray_dirs, st.integers(0, 7))
+def test_subdivision_witness_matches_full_scan_rank2(a, b, r, drop):
+    s = fans.stellar_subdivision(a, r)
+    ab = fans.common_refinement(a, b)
+    for fine, coarse in ((s, a), (a, s), (ab, a), (ab, b), (a, ab), (a, a),
+                         (partial(s, drop), a), (s, partial(a, drop)),
+                         (non_pure(s, drop), a), (s, non_pure(a, drop)),
+                         (non_pure(a, drop), non_pure(a, drop))):
+        assert_same_witness(fine, coarse)
+    assert assert_same_witness(s, a) is not None
+    assert assert_same_witness(partial(s, drop), a) is None
+
+
+unimodular3 = st.lists(
+    st.tuples(st.permutations(range(3)).map(lambda p: p[:2]),
+              st.sampled_from((-1, 1))),
+    min_size=1, max_size=3)
+
+
+def octant_image(shears):
+    """The octant fan under a product of elementary shears e_i += k e_j."""
+    m = [[int(i == j) for j in range(3)] for i in range(3)]
+    for (i, j), k in shears:
+        for row in m:
+            row[i] += k * row[j]
+    cols = [tuple(m[r][c] for r in range(3)) for c in range(3)]
+    cones = []
+    for signs in itertools.product((1, -1), repeat=3):
+        cones.append(cg([tuple(s * a for a in col)
+                         for s, col in zip(signs, cols)]))
+    return fans.fan_from_cones(cones, 3)
+
+
+@settings(max_examples=12, deadline=None)
+@given(unimodular3, unimodular3, st.tuples(*[st.integers(-2, 2)] * 3)
+       .filter(any), st.integers(0, 7))
+def test_subdivision_witness_matches_full_scan_rank3(m1, m2, r, drop):
+    a, b = octant_image(m1), octant_image(m2)
+    s = fans.stellar_subdivision(a, r)
+    ab = fans.common_refinement(a, b)
+    for fine, coarse in ((s, a), (a, s), (ab, a), (ab, b), (a, a),
+                         (partial(s, drop), a), (s, partial(a, drop)),
+                         (non_pure(s, drop), a)):
+        assert_same_witness(fine, coarse)
+    assert assert_same_witness(ab, b) is not None

@@ -7,6 +7,7 @@ is immediate from the coefficient matrix.
 """
 
 import functools
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from troplim import fans, towers as tw
 from troplim._linalg import _det_int, mat_rank
 from troplim.errors import (
-    DepthCap, DimensionMismatch, EmptyChain, IndexOutOfRange,
+    DepthCap, DimensionMismatch, EmptyChain, IndexOutOfRange, OutsideSupport,
     UndecidableSign, ZeroVector,
 )
 from troplim.lattice import (
@@ -313,3 +314,106 @@ def test_symbolic_carrier_agrees_with_fan_carrier(steps, v):
     sym = fan.carrier(tw.rational_vector(v))
     assert sym == carrier
     assert (sym.facets, sym.equations) == (carrier.facets, carrier.equations)
+
+
+# -- witness-children search and one-pass step against the full search ------
+
+
+def reference_chain_toward(t, x):
+    """``chain_toward`` before the search followed the witnesses: every
+    maximal cone of every level is located."""
+    entries = []
+    for i, fan in enumerate(t.fans):
+        carrier = fan.carrier(x)
+        if carrier is None:
+            raise OutsideSupport(f"direction outside level {i}")
+        entries.append((i, carrier))
+    return tw.cone_chain(entries)
+
+
+def reference_barycentric_step(fan):
+    """The barycentric step as one stellar subdivision per cone."""
+    out = fan
+    for sigma in fan.maximal:
+        if sigma.dim >= 2 and sigma.rays:
+            out = fans.stellar_subdivision(out, sigma.relint_point())
+    return out
+
+
+def reference_levels(base, strategy, steps):
+    """The tower's fans, each step searching the whole fan."""
+    levels = [base]
+    for _ in range(steps):
+        if isinstance(strategy, tw.StellarAtBarycenters):
+            levels.append(reference_barycentric_step(levels[-1]))
+        else:
+            levels.append(strategy.step(levels[-1]))
+    return levels
+
+
+def orthant_image(n, moves):
+    """The orthant fan under a product of elementary shears e_i += k e_j."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for (i, j), k in moves:
+        for row in m:
+            row[i] += k * row[j]
+    cols = [tuple(m[r][c] for r in range(n)) for c in range(n)]
+    return fans.fan_from_cones(
+        [cg([tuple(s * a for a in col) for s, col in zip(signs, cols)])
+         for signs in itertools.product((1, -1), repeat=n)], n)
+
+
+def shears(n):
+    return st.lists(st.tuples(st.permutations(range(n)).map(lambda p: p[:2]),
+                              st.sampled_from((-1, 1))), max_size=3)
+
+
+@st.composite
+def targets(draw, n):
+    """A nonzero rational vector, or one over (1, sqrt k)."""
+    coords = st.integers(-3, 3)
+    if draw(st.booleans()):
+        v = draw(st.tuples(*[coords] * n).filter(any))
+        return tw.rational_vector(v)
+    rows = draw(st.tuples(*[st.tuples(coords, coords)] * n)
+                .filter(lambda rows: any(b for _, b in rows)))
+    return tw.symbolic_vector(list(rows),
+                              [tw.Symbol.sqrt(draw(st.sampled_from((2, 3))))])
+
+
+def outcome(fn, *args):
+    """The value of fn, or UndecidableSign when it raises that."""
+    try:
+        return fn(*args)
+    except UndecidableSign:
+        return UndecidableSign
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_children_search_matches_full_search(data):
+    n = data.draw(st.sampled_from((2, 3)))
+    base = orthant_image(n, data.draw(shears(n)))
+    x = data.draw(targets(n))
+    kind = data.draw(st.sampled_from(("toward", "barycentric", "refine")))
+    if kind == "toward":
+        strategy = tw.TowardDirection(x)
+        steps = data.draw(st.integers(1, 8 if n == 2 else 4))
+    elif kind == "barycentric":
+        strategy = tw.StellarAtBarycenters()
+        steps = data.draw(st.integers(1, 2 if n == 2 else 1))
+    else:
+        strategy = tw.CommonRefineWith(orthant_image(n, data.draw(shears(n))))
+        steps = data.draw(st.integers(1, 2))
+    levels = outcome(reference_levels, base, strategy, steps)
+    tower = outcome(tw.extend_tower, tw.fan_tower(base), strategy, steps)
+    if levels is UndecidableSign:
+        return
+    assert tower.fans == tuple(levels)
+    expected = outcome(reference_chain_toward, tower, x)
+    if expected is UndecidableSign:
+        return
+    chain = tw.chain_toward(tower, x)
+    assert chain == expected
+    for (_, got), (_, want) in zip(chain.entries, expected.entries):
+        assert (got.facets, got.equations) == (want.facets, want.equations)
