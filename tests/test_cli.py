@@ -38,6 +38,9 @@ NODAL = {"vars": 2, "terms": [
 QUADRANT = {"rank": 2,
             "rays": [["1", "0"], ["0", "1"], ["-1", "0"], ["0", "-1"]],
             "maximal_cones": [[0, 1], [1, 2], [2, 3], [3, 0]]}
+DIAMOND = {"rank": 2,
+           "rays": [["1", "1"], ["-1", "1"], ["-1", "-1"], ["1", "-1"]],
+           "maximal_cones": [[0, 1], [1, 2], [2, 3], [3, 0]]}
 NODAL_INC = {"mode": "analytic",
              "strata": [{"name": "C", "codim": 0, "branches": 1},
                         {"name": "p", "codim": 1, "branches": 2}],
@@ -424,6 +427,96 @@ def test_limit_point_report_bytes_are_frozen(tmp_path, capsys, monkeypatch,
                           "t.json", SYMBOLIC_TOWERS[tower]) == digest
 
 
+
+FAN_FILES = {
+    "complete": QUADRANT,
+    "incomplete": {"rank": 2, "rays": [["1", "0"], ["1", "1"], ["0", "1"]],
+                   "maximal_cones": [[0, 1], [1, 2]]},
+    "invalid": {"rank": 2, "rays": [["1", "0"], ["1", "1"], ["0", "1"],
+                                    ["-1", "1"]],
+                "maximal_cones": [[0, 2], [1, 2], [1, 3], [0, 1]]},
+    "rank3": OCTANTS,
+}
+
+
+@pytest.mark.parametrize("fan, digest", [
+    ("complete",
+     "2cf9735e5354661dd6497bdb28aa4a5fe2ad6e3308ff85444c840edce3ea0286"),
+    ("incomplete",
+     "eed84c8aacb63e762ea9e1d4119cbdcef707e72e3f4125f3c1c35e093ada878b"),
+    ("invalid",
+     "b2f32279c49673f36a7fdb7fa360224df0d4c10d695e7a0769a34ebe0d20b4ef"),
+    ("rank3",
+     "8a73482084892c3ea0ac6a6b2b97e17f2afe18d80abf5aeab4c836fdace89dbd"),
+])
+def test_fan_validate_report_bytes_are_frozen(tmp_path, capsys, monkeypatch,
+                                              fan, digest):
+    """Frozen from the validating constructor that checked every pair of
+    cones a second time."""
+    assert _frozen_report(tmp_path, capsys, monkeypatch, ["fan-validate"],
+                          "f.json", FAN_FILES[fan]) == digest
+
+
+def test_refine_report_and_artifact_bytes_are_frozen(tmp_path, capsys,
+                                                     monkeypatch):
+    """Frozen from the refine handler's own artifact writer."""
+    monkeypatch.chdir(tmp_path)
+    put(tmp_path, "a.json", QUADRANT)
+    put(tmp_path, "b.json", DIAMOND)
+    assert cli.main(["refine", "a.json", "b.json", "--output", "ref.json",
+                     "--json"]) == 0
+    report = capsys.readouterr().out.encode()
+    assert hashlib.sha256(report).hexdigest() == \
+        "7c29a954cd418adf974d7059fef8c34deea1e98df9a0668bf6036adb2533d280"
+    artifact = (tmp_path / "ref.json").read_bytes()
+    assert hashlib.sha256(artifact).hexdigest() == \
+        "b3cf161f9a6a1c7918e19318f909312e56981ce35138ae13aa39fb9d470a8722"
+
+
+ELLIPTIC_SUBDIVIDE_DIGESTS = {
+    (1, 1):
+        "a09911c6b5ae21bd5b4fe472be8ad3340c43e16579b9f18fe53139f7d7ae4242",
+    (1, 2):
+        "c1f8994bd1fa285a8638678d02a6f2623e8cc9e6d1a34cf61258823ba631377b",
+    (1, 3):
+        "c24250c36e6b77a7485a9a43b29e3d7179789eca47d65fedfc6359f4b83b26ba",
+    (1, 4):
+        "9e29fa4b11223160c6214ed32221d920c0b27a8ad2a33b2486f1874204488240",
+    (1, 5):
+        "004588ed562f5431d5614f7901af97cd547505b46e12be27432d88b8fb729a6e",
+    (3, 1):
+        "ff6b7a0c14b4a3785c68ce8c3d3c536b1d00b162f1c36996557e61214bfd82ab",
+    (3, 2):
+        "62a774eadba14a1386b97e6ed2598563fa02a2eb54b4e858f93504b4fe6038d0",
+    (3, 3):
+        "081fd14283018251a3de084052194f26b1f0b099a4942ee2edd46225845179b5",
+    (3, 4):
+        "6791859a54c68b022c93fc40f8eea8d074a9d04b0444f3a8dd3a2a668dc8b9b5",
+    (3, 5):
+        "c2a9877cb7147a0e1f3ae8cd0b0cf6e40d117d2c9c4a526d4d837312aa9e2b76",
+    (4, 1):
+        "9aaf0baffd9fb03fe8ee5c661406c1f5db0cfdaf46c3cecc9b21abfaaf83c62d",
+    (4, 2):
+        "8bcc23882b7b0f3fb92898d9ed11191dc716e0e712cd2d25077b1c3bd18c16da",
+    (4, 3):
+        "c1bfb2b737b972bfcb3dc278aa6e302920a5500ee48b38ea16ca6fe8b552aade",
+    (4, 4):
+        "64a13e57965e5cc1437e9bb574915406c84da29bdf0b400ddff24fcbef29fdc5",
+    (4, 5):
+        "7039144ce9fbba07fa0265226f5eb1e526d544210a6a23dc04d204fccfc0c33c",
+}
+
+
+@pytest.mark.parametrize("m, level", sorted(ELLIPTIC_SUBDIVIDE_DIGESTS),
+                         ids=lambda v: str(v))
+def test_subdivide_elliptic_report_bytes_are_frozen(tmp_path, capsys,
+                                                    monkeypatch, m, level):
+    """Frozen from base change locating each vertex by Fraction angles."""
+    assert _frozen_report(tmp_path, capsys, monkeypatch,
+                          ["subdivide", "--N", str(level)], "i.json",
+                          {"elliptic": {"m": m}}) == \
+        ELLIPTIC_SUBDIVIDE_DIGESTS[m, level]
+
 def test_toric_fiber_keeps_only_faces_spanning_the_base(tmp_path, capsys):
     """Over the quadrant the ray (1, 1, 1) maps into the open quadrant but
     spans only a line of it, so a generic point of the base misses it.
@@ -521,10 +614,7 @@ def test_fan_validate_reports_invalid_without_failing(tmp_path, capsys):
 
 def test_refine_writes_fan_artifact(tmp_path, capsys):
     a = put(tmp_path, "a.json", QUADRANT)
-    b = put(tmp_path, "b.json", {
-        "rank": 2, "rays": [["1", "1"], ["-1", "1"], ["-1", "-1"],
-                            ["1", "-1"]],
-        "maximal_cones": [[0, 1], [1, 2], [2, 3], [3, 0]]})
+    b = put(tmp_path, "b.json", DIAMOND)
     out = str(tmp_path / "ref.json")
     code, report = run_json(capsys, ["refine", a, b, "--output", out])
     assert code == 0
