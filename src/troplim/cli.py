@@ -39,7 +39,8 @@ from .errors import (
     UndecidableSign,
     ValidationError,
 )
-from .fans import Fan, common_refinement, fan_from_cones, is_subdivision, validate_fan
+from .fans import Fan, _trusted_fan, common_refinement, is_subdivision, \
+    validate_fan
 from .galaxy import (
     OpenPoint,
     PolygonDegeneration,
@@ -283,7 +284,8 @@ def handle_fan_validate(cfg: JobConfig, path: str) -> dict:
         "violations": list(report.violations),
     }
     if report.valid:
-        fan = fan_from_cones(cones, rank)
+        # the report already checked the axioms
+        fan = _trusted_fan(cones, rank)
         out["rays"] = [[str(a) for a in r] for r in fan.rays]
         if cfg.svg:
             out["svg"] = _write_svg(cfg, path, fan_svg(fan))
@@ -305,12 +307,9 @@ def handle_refine(cfg: JobConfig) -> dict:
         "refines_second": is_subdivision(fan, b) is not None,
         "fan": serialize_fan(fan),
     }
-    if cfg.output:
-        _write(cfg.output, canonical_json(serialize_fan(fan)))
-        out["artifact"] = cfg.output
     if cfg.svg:
         out["svg"] = _write_svg(cfg, path_a, fan_svg(fan))
-    return out
+    return _maybe_artifact(cfg, out, out["fan"])
 
 
 def handle_limit_point(cfg: JobConfig, path: str) -> dict:

@@ -6,7 +6,10 @@ Completeness is certified by facet pairing: a valid fan of full-dimensional
 cones covers the whole space exactly when every facet of every maximal cone
 is shared with exactly one other maximal cone (the support is then closed and
 open off a codimension-2 set, hence everything).  Both criteria are exact
-integer computations.
+integer computations.  ``Fan.complete`` runs the pairing on first read.  One
+routine, ``_split``, does every star split: stellar subdivision and the
+barycentric and toward-direction tower steps differ only in which cones they
+split and at which rays.
 
 ``is_subdivision`` produces a checkable witness.  Containment of each fine
 cone in a coarse carrier is not enough (the fine fan might cover only part of
@@ -25,17 +28,16 @@ data), so golden tests can compare fans directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cmp_to_key
+from dataclasses import dataclass
+from functools import cached_property, cmp_to_key
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, ValidationError
 from .lattice import (
-    OUTSIDE,
     Cone,
     Ray,
     _face,
-    cone_contains,
+    cone_holds,
     cone_intersect,
     cone_is_face,
     cone_subset,
@@ -72,7 +74,10 @@ class Fan:
 
     n: int
     maximal: tuple[Cone, ...]
-    complete: bool = field(compare=False, default=False)
+
+    @cached_property
+    def complete(self) -> bool:
+        return _is_complete(self.maximal, self.n)
 
     @property
     def rays(self) -> tuple[IVec, ...]:
@@ -161,19 +166,16 @@ def validate_fan(cones: Sequence[Cone], n: Optional[int] = None) -> FanReport:
 
 def _trusted_fan(cones: Sequence[Cone], n: int) -> Fan:
     """Build a fan from cones known to satisfy the axioms."""
-    maximal = tuple(sorted(set(cones), key=_cone_key))
-    return Fan(n, maximal, complete=_is_complete(maximal, n))
+    return Fan(n, tuple(sorted(set(cones), key=_cone_key)))
 
 
 def fan_from_cones(cones: Sequence[Cone], n: Optional[int] = None) -> Fan:
     """Validating fan constructor; raises ValidationError with the report."""
     cones = list(cones)
-    if cones and n is None:
-        n = cones[0].n
     report = validate_fan(cones, n)
     if not report.valid:
         raise ValidationError("; ".join(report.violations))
-    return _trusted_fan(cones, n)
+    return _trusted_fan(cones, cones[0].n if n is None else n)
 
 
 # -- rank-2 angular order ---------------------------------------------------
@@ -300,26 +302,25 @@ def stellar_subdivision(fan: Fan, ray) -> Fan:
     if r.rank != fan.n:
         raise DimensionMismatch(
             f"ray has rank {r.rank}, fan has rank {fan.n}")
-    out = []
-    touched = False
-    for sigma in fan.maximal:
-        if cone_contains(sigma, r.direction).kind == OUTSIDE:
-            out.append(sigma)
-            continue
-        touched = True
-        out += _star_cones(sigma, r.direction)
-    if not touched:
+    holding = {j: r.direction for j, sigma in enumerate(fan.maximal)
+               if cone_holds(sigma, [r.direction])}
+    if not holding:
         raise ValidationError(
             f"ray {r.direction} lies outside the fan support")
+    return _split(fan, holding)
+
+
+def _split(fan: Fan, rays: dict[int, IVec]) -> Fan:
+    """Replace each maximal cone j in ``rays``, which must hold ``rays[j]``,
+    by the joins of its facets missing that ray with it."""
+    out = []
+    for j, sigma in enumerate(fan.maximal):
+        ray = rays.get(j)
+        if ray is None or not sigma.facets:
+            # a lineality-only or zero cone has no facets to join with
+            out.append(sigma)
+            continue
+        out += [make_cone(list(f.rays) + [ray], n=fan.n, lines=list(f.lines))
+                for f in facet_cones(sigma)
+                if not cone_holds(f, [ray])]
     return _trusted_fan(out, fan.n)
-
-
-def _star_cones(sigma: Cone, ray: IVec) -> list[Cone]:
-    """The pieces of a cone holding the ray when split at it: each facet
-    missing the ray joined with it (the cone itself if it has no facets)."""
-    if not sigma.facets:
-        # a lineality-only or zero cone has no facets to join with
-        return [sigma]
-    return [make_cone(list(f.rays) + [ray], n=sigma.n, lines=list(f.lines))
-            for f in facet_cones(sigma)
-            if cone_contains(f, ray).kind == OUTSIDE]

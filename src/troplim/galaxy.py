@@ -84,11 +84,7 @@ def polygon_degeneration(m: int) -> PolygonDegeneration:
 def circle_position(p: PolygonDegeneration, cell_name: str,
                     coords: Sequence) -> Fraction:
     """Angle in [0, 1) of a point of the cycle, from labels and charts."""
-    return _canonical_angle(p, *canonical_point(p.complex, cell_name, coords))
-
-
-def _canonical_angle(p: PolygonDegeneration, name: str, t: QVec) -> Fraction:
-    """Angle of a point already in ``canonical_point`` form."""
+    name, t = canonical_point(p.complex, cell_name, coords)
     cell = p.complex.cell(name)
     if cell.dim == 0:
         return p.label(name)
@@ -111,7 +107,9 @@ def base_change(p: PolygonDegeneration, d: int) -> PolygonDegeneration:
 
     Computed as the d-fold scale subdivision of the cycle; every
     subdivision vertex is located on the circle and renamed by its angle
-    k/(dm), so iterated base changes compose on the nose.
+    k/(dm), so iterated base changes compose on the nose.  A vertex's
+    carrier is a cycle vertex, or an edge from ``start`` holding it with
+    integer weights (d - b, b); then k = label(start)·dm + b.
     """
     if d < 1:
         raise ValidationError("base change degree must be >= 1")
@@ -121,12 +119,15 @@ def base_change(p: PolygonDegeneration, d: int) -> PolygonDegeneration:
     mm = p.m * d
     position: dict[str, int] = {}
     for v in sub.complex.by_dim(0):
-        # vertex_location already returns the canonical form
-        angle = _canonical_angle(p, *sub.vertex_location(v.name))
-        k = angle * mm
+        carrier, (weights,) = sub.carrier(v.name)
+        cell = p.complex.cell(carrier)
+        start, b = (carrier, 0) if cell.dim == 0 else \
+            (cell.faces[1], weights[1])
+        # b is an integer, so k is on the lattice when the label is
+        k = p.label(start) * mm + b
         if k.denominator != 1:
             raise ValidationError(
-                f"subdivision vertex at angle {angle} is off the "
+                f"subdivision vertex at angle {k / mm} is off the "
                 f"(1/{mm})-lattice")
         position[v.name] = int(k)
     if sorted(position.values()) != list(range(mm)):

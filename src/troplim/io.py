@@ -229,7 +229,7 @@ def parse_toric_fiber(path: str) -> tuple[list[list[int]], Fan, Fan, Cone]:
 
 
 def serialize_fan(fan: Fan) -> dict:
-    rays = sorted({r for c in fan.maximal for r in c.rays})
+    rays = fan.rays
     index = {r: i for i, r in enumerate(rays)}
     return {
         "rank": fan.n,

@@ -22,7 +22,7 @@ here; it is the caller's mathematical assertion, and it is what makes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt, lcm
@@ -39,14 +39,13 @@ from .errors import (
     UndecidableSign,
     ZeroVector,
 )
-from .fans import Fan, SubdivisionWitness, _star_cones, _trusted_fan, \
-    common_refinement, is_subdivision, stellar_subdivision
+from .fans import Fan, SubdivisionWitness, _split, common_refinement, \
+    is_subdivision
 from .lattice import (
     INTERIOR,
     Cone,
     Ray,
     cone_contains,
-    cone_intersect,
     cone_subset,
     primitive,
 )
@@ -221,7 +220,6 @@ class FanTower:
 
     fans: tuple[Fan, ...]
     witnesses: tuple[SubdivisionWitness, ...]
-    strategy: Optional[str] = field(compare=False, default=None)
 
     @property
     def depth(self) -> int:
@@ -243,19 +241,13 @@ def fan_tower(base: Fan) -> FanTower:
 class StellarAtBarycenters:
     """Split every maximal cone of dimension >= 2 at its primitive ray sum."""
 
-    name = "stellar-at-barycenters"
-
     def step(self, fan: Fan) -> Fan:
         # a ray sum lies inside its own maximal cone only, so one pass gives
         # what splitting the cones one after another gives
-        out = []
-        for sigma in fan.maximal:
-            if sigma.dim < 2 or not sigma.rays:
-                out.append(sigma)
-            else:
-                out += _star_cones(sigma,
-                                   primitive(sigma.relint_point()).direction)
-        return _trusted_fan(out, fan.n)
+        return _split(fan, {
+            j: primitive(sigma.relint_point()).direction
+            for j, sigma in enumerate(fan.maximal)
+            if sigma.dim >= 2 and sigma.rays})
 
 
 @dataclass(frozen=True)
@@ -263,28 +255,19 @@ class TowardDirection:
     """Shrink the carrier cone of a fixed target direction each step."""
 
     target: SymbolicVector
-    name = "toward-direction"
 
-    def step(self, fan: Fan, carrier: Optional[Cone] = None) -> Fan:
-        """Split the fan inside the target's carrier, located here unless
-        the caller passes it."""
-        if carrier is None:
-            carrier = fan.carrier(self.target)
-        if carrier is None:
-            raise OutsideSupport("target direction lies outside the fan support")
+    def step(self, fan: Fan, carrier: Cone, holding: Sequence[int]) -> Fan:
+        """Split at a new ray inside ``carrier``, the target's carrier,
+        whose relative interior holds the ray; so the cones to split are
+        ``holding``, the indices of the maximal cones containing it."""
         if carrier.dim <= 1:
             return fan
-        if carrier.n == 2 and len(carrier.rays) == 2:
-            new_ray = carrier.relint_point()
-        else:
-            mid = tuple((lo + hi) / 2 for lo, hi in
-                        (self.target.interval(i)
-                         for i in range(self.target.n)))
-            if cone_contains(carrier, mid).kind == INTERIOR:
-                new_ray = mid
-            else:
-                new_ray = carrier.relint_point()
-        return stellar_subdivision(fan, primitive(new_ray).direction)
+        ray = tuple(sum(self.target.interval(i)) / 2
+                    for i in range(self.target.n))
+        if (carrier.n == 2 and len(carrier.rays) == 2) or \
+                cone_contains(carrier, ray).kind != INTERIOR:
+            ray = carrier.relint_point()
+        return _split(fan, dict.fromkeys(holding, primitive(ray).direction))
 
 
 @dataclass(frozen=True)
@@ -292,14 +275,15 @@ class CommonRefineWith:
     """Refine by a fixed fan; idempotent after the first step."""
 
     other: Fan
-    name = "common-refine-with"
 
     def step(self, fan: Fan) -> Fan:
         return common_refinement(fan, self.other)
 
 
 def extend_tower(t: FanTower, strategy, steps: int) -> FanTower:
-    """Append `steps` refinements produced by the strategy."""
+    """Append `steps` refinements produced by the strategy; a toward step
+    is handed the target's carrier and the cones holding it, searched among
+    the witness children of the cones that held it one level up."""
     if t.depth + steps > TOWER_DEPTH_CAP:
         raise DepthCap(f"tower depth {t.depth + steps} exceeds the cap of "
                        f"{TOWER_DEPTH_CAP}")
@@ -310,7 +294,10 @@ def extend_tower(t: FanTower, strategy, steps: int) -> FanTower:
     for _ in range(steps):
         if chase:
             carrier, holding = _locate(fans[-1], strategy.target, among)
-            new = strategy.step(fans[-1], carrier)
+            if carrier is None:
+                raise OutsideSupport(
+                    "target direction lies outside the fan support")
+            new = strategy.step(fans[-1], carrier, holding)
         else:
             new = strategy.step(fans[-1])
         w = is_subdivision(new, fans[-1])
@@ -320,7 +307,7 @@ def extend_tower(t: FanTower, strategy, steps: int) -> FanTower:
         witnesses.append(w)
         if chase:
             among = w.children(holding)
-    return FanTower(tuple(fans), tuple(witnesses), strategy=strategy.name)
+    return FanTower(tuple(fans), tuple(witnesses))
 
 
 # -- chains and resolution --------------------------------------------------
@@ -328,21 +315,23 @@ def extend_tower(t: FanTower, strategy, steps: int) -> FanTower:
 
 @dataclass(frozen=True)
 class ConeChain:
-    """Nested cones (level, cone), finer levels contained in coarser ones."""
+    """Nested cones (level, cone), finer levels contained in coarser ones;
+    the nesting is checked on construction."""
 
     entries: tuple[tuple[int, Cone], ...]
 
+    def __post_init__(self):
+        for (i, a), (j, b) in zip(self.entries, self.entries[1:]):
+            if j <= i:
+                raise ValueError(f"levels {i}, {j} out of order")
+            if not cone_subset(b, a):
+                raise ValueError(
+                    f"cone at level {j} is not contained in cone at level {i}")
+
 
 def cone_chain(entries) -> ConeChain:
-    """Validated chain constructor; checks the nesting invariant."""
-    entries = tuple((int(i), c) for i, c in entries)
-    for (i, a), (j, b) in zip(entries, entries[1:]):
-        if j <= i:
-            raise ValueError(f"levels {i}, {j} out of order")
-        if not cone_subset(b, a):
-            raise ValueError(
-                f"cone at level {j} is not contained in cone at level {i}")
-    return ConeChain(entries)
+    """Chain constructor from (level, cone) pairs with integer levels."""
+    return ConeChain(tuple((int(i), c) for i, c in entries))
 
 
 @dataclass(frozen=True)
@@ -365,12 +354,11 @@ LimitPointDescriptor = Union[ResolvedRay, UnresolvedCone]
 
 
 def resolve_direction(c: ConeChain) -> LimitPointDescriptor:
-    """Intersect the chain exactly and report a ray or the remaining cone."""
+    """The chain's meet, its last cone since the chain is nested, as a ray
+    or as the remaining cone."""
     if not c.entries:
         raise EmptyChain("cannot resolve an empty chain")
-    meet = c.entries[0][1]
-    for _, cone in c.entries[1:]:
-        meet = cone_intersect(meet, cone)
+    meet = c.entries[-1][1]
     if meet.dim == 1 and not meet.lines:
         return ResolvedRay(Ray(meet.rays[0]), depth=len(c.entries))
     return UnresolvedCone(meet, depth=len(c.entries))

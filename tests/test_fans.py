@@ -13,7 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from troplim import fans
 from troplim.errors import ValidationError
-from troplim.lattice import cone_from_generators as cg, cone_subset, make_cone
+from troplim.lattice import (
+    OUTSIDE, cone_contains, cone_from_generators as cg, cone_subset, make_cone,
+)
 
 
 def quadrant_fan():
@@ -97,7 +99,7 @@ def test_quadrants_subdivide_halfplanes():
     for i, tau in enumerate(w.fine.maximal):
         sigma = w.coarse.maximal[w.carrier[i]]
         for r in tau.rays:
-            assert fans.cone_contains(sigma, r).kind != fans.OUTSIDE
+            assert cone_contains(sigma, r).kind != OUTSIDE
 
 
 def test_subdivision_reflexive():

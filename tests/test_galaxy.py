@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from troplim.complexes import (
     count_cells,
+    make_complex,
     point_complex,
     rational_points,
+    scale_subdivide,
     triangle_complex,
 )
 from troplim.errors import (
@@ -24,6 +26,7 @@ from troplim.errors import (
 )
 from troplim.galaxy import (
     GalaxyPoint,
+    PolygonDegeneration,
     base_change,
     circle_position,
     classify_point,
@@ -75,6 +78,37 @@ def test_base_change_of_a_self_loop():
     i5 = base_change(polygon_degeneration(1), 5)
     assert i5.m == 5
     assert count_cells(i5.complex) == {0: 5, 1: 5}
+
+
+def reference_base_change(p, d):
+    """``base_change`` before it read each vertex position off the integer
+    carrier: the vertex is pushed into the cycle and its angle computed in
+    Fractions."""
+    if d == 1:
+        return p
+    sub = scale_subdivide(p.complex, d)
+    mm = p.m * d
+    position = {}
+    for v in sub.complex.by_dim(0):
+        k = circle_position(p, *sub.vertex_location(v.name)) * mm
+        assert k.denominator == 1
+        position[v.name] = int(k)
+    assert sorted(position.values()) == list(range(mm))
+    cells = [(f"v{k}", []) for k in position.values()]
+    for e in sub.complex.by_dim(1):
+        start, end = position[e.faces[1]], position[e.faces[0]]
+        assert end == (start + 1) % mm
+        cells.append((f"e{start}", [f"v{end}", f"v{start}"]))
+    return PolygonDegeneration(
+        m=mm, complex=make_complex(cells, provenance=p.complex.provenance),
+        labels=tuple((f"v{k}", F(k, mm)) for k in range(mm)))
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_base_change_matches_the_fraction_path(m):
+    p = polygon_degeneration(m)
+    for d in range(1, 13):
+        assert base_change(p, d) == reference_base_change(p, d)
 
 
 def test_base_change_composes_on_the_nose():

@@ -1,16 +1,22 @@
-"""Every top-level import of a library module is used in that module.
+"""Every top-level import of a library module is used in that module, and
+every module-level function and class is named somewhere else.
 
-No linter ships with the project, so this stdlib ``ast`` scan stands in for
-one.  ``__init__.py`` is exempt: its imports are the public re-exports.
+No linter ships with the project, so these stdlib ``ast`` scans stand in for
+one.  ``__init__.py`` is exempt from the import scan: its imports are the
+public re-exports, which count as names for the second scan.
 """
 
 import ast
+from functools import cache
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "troplim"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "troplim"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+READERS = sorted(p for d in ("src", "tests", "scripts")
+                 for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,3 +45,50 @@ def test_the_scan_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def names_read(tree: ast.AST) -> set[str]:
+    """Names, attribute names and imported names anywhere under a node."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+    return out
+
+
+def dead_definitions(source: str, elsewhere: set[str]) -> list[str]:
+    """Module-level functions and classes named neither in ``elsewhere``
+    nor in the module outside their own definition."""
+    body = ast.parse(source).body
+    dead = []
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
+                node.name not in elsewhere and \
+                not any(node.name in names_read(other)
+                        for other in body if other is not node):
+            dead.append(node.name)
+    return dead
+
+
+@cache
+def read_in(path: Path) -> frozenset[str]:
+    return frozenset(names_read(ast.parse(path.read_text(encoding="utf-8"))))
+
+
+def test_the_scan_flags_a_dead_definition():
+    source = ("def used():\n    return 1\n"
+              "def recursive(n):\n    return recursive(n - 1)\n"
+              "class Unused:\n    x = used()\n")
+    assert dead_definitions(source, set()) == ["recursive", "Unused"]
+    assert dead_definitions(source, {"Unused"}) == ["recursive"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_definition_is_named_elsewhere(path):
+    elsewhere = set().union(*(read_in(p) for p in READERS if p != path))
+    assert dead_definitions(path.read_text(encoding="utf-8"),
+                            elsewhere) == []

@@ -191,7 +191,7 @@ def test_chain_toward_quadrant_contains_direction():
                         tw.StellarAtBarycenters(), 2)
     chain = tw.chain_toward(t, tw.rational_vector([1, 1]))
     for _, cone in chain.entries:
-        assert fans.cone_contains(cone, (1, 1)).kind != fans.OUTSIDE
+        assert cone_contains(cone, (1, 1)).kind != OUTSIDE
 
 
 def test_chain_toward_zero_rejected():
@@ -340,12 +340,37 @@ def reference_barycentric_step(fan):
     return out
 
 
+def reference_toward_step(strategy, fan):
+    """The toward-direction step before the tower handed it the carrier and
+    the cones holding it: the carrier is located among every maximal cone,
+    and the fan is split by a stellar subdivision, which tests every
+    maximal cone for the new ray."""
+    carrier = fan.carrier(strategy.target)
+    if carrier is None:
+        raise OutsideSupport("target direction lies outside the fan support")
+    if carrier.dim <= 1:
+        return fan
+    if carrier.n == 2 and len(carrier.rays) == 2:
+        new_ray = carrier.relint_point()
+    else:
+        mid = tuple((lo + hi) / 2 for lo, hi in
+                    (strategy.target.interval(i)
+                     for i in range(strategy.target.n)))
+        if cone_contains(carrier, mid).kind == INTERIOR:
+            new_ray = mid
+        else:
+            new_ray = carrier.relint_point()
+    return fans.stellar_subdivision(fan, new_ray)
+
+
 def reference_levels(base, strategy, steps):
     """The tower's fans, each step searching the whole fan."""
     levels = [base]
     for _ in range(steps):
         if isinstance(strategy, tw.StellarAtBarycenters):
             levels.append(reference_barycentric_step(levels[-1]))
+        elif isinstance(strategy, tw.TowardDirection):
+            levels.append(reference_toward_step(strategy, levels[-1]))
         else:
             levels.append(strategy.step(levels[-1]))
     return levels
@@ -388,6 +413,30 @@ def outcome(fn, *args):
     except UndecidableSign:
         return UndecidableSign
 
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_completeness_on_read_matches_validation(data):
+    """``Fan.complete``, computed on first read, against the validation
+    report, on orthant images, their stellar, barycentric and toward
+    levels, common refinements, and each of these less one cone."""
+    n = data.draw(st.sampled_from((2, 3)))
+    base = orthant_image(n, data.draw(shears(n)))
+    ray = data.draw(st.tuples(*[st.integers(-2, 2)] * n).filter(any))
+    levels = [base, fans.stellar_subdivision(base, ray),
+              tw.StellarAtBarycenters().step(base),
+              fans.common_refinement(base,
+                                     orthant_image(n, data.draw(shears(n))))]
+    tower = outcome(tw.extend_tower, tw.fan_tower(base),
+                    tw.TowardDirection(data.draw(targets(n))), 2)
+    if tower is not UndecidableSign:
+        levels += tower.fans[1:]
+    for fan in levels:
+        less = fans._trusted_fan(fan.maximal[1:], n)
+        assert fan.complete == fans.validate_fan(fan.maximal, n).complete
+        assert less.complete == fans.validate_fan(less.maximal, n).complete
+        assert fan.complete and not less.complete
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
