@@ -172,10 +172,12 @@ def _trusted_fan(cones: Sequence[Cone], n: int) -> Fan:
 def fan_from_cones(cones: Sequence[Cone], n: Optional[int] = None) -> Fan:
     """Validating fan constructor; raises ValidationError with the report."""
     cones = list(cones)
+    if cones and n is None:
+        n = cones[0].n
     report = validate_fan(cones, n)
     if not report.valid:
         raise ValidationError("; ".join(report.violations))
-    return _trusted_fan(cones, cones[0].n if n is None else n)
+    return _trusted_fan(cones, n)
 
 
 # -- rank-2 angular order ---------------------------------------------------

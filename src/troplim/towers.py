@@ -262,12 +262,18 @@ class TowardDirection:
         ``holding``, the indices of the maximal cones containing it."""
         if carrier.dim <= 1:
             return fan
-        ray = tuple(sum(self.target.interval(i)) / 2
-                    for i in range(self.target.n))
-        if (carrier.n == 2 and len(carrier.rays) == 2) or \
-                cone_contains(carrier, ray).kind != INTERIOR:
-            ray = carrier.relint_point()
-        return _split(fan, dict.fromkeys(holding, primitive(ray).direction))
+        if carrier.n == 2 and len(carrier.rays) == 2:
+            new_ray = carrier.relint_point()
+        else:
+            mid = tuple((lo + hi) / 2 for lo, hi in
+                        (self.target.interval(i)
+                         for i in range(self.target.n)))
+            if cone_contains(carrier, mid).kind == INTERIOR:
+                new_ray = mid
+            else:
+                new_ray = carrier.relint_point()
+        return _split(fan, dict.fromkeys(holding,
+                                         primitive(new_ray).direction))
 
 
 @dataclass(frozen=True)

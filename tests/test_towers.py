@@ -225,8 +225,13 @@ def test_resolve_empty_chain_rejected():
 
 
 def test_chain_constructor_rejects_non_nested():
+    entries = ((0, cg([(1, 0), (1, 1)])), (1, cg([(0, 1), (1, 1)])))
     with pytest.raises(ValueError):
-        tw.cone_chain([(0, cg([(1, 0), (1, 1)])), (1, cg([(0, 1), (1, 1)]))])
+        tw.cone_chain(entries)
+    with pytest.raises(ValueError):
+        tw.ConeChain(entries)
+    with pytest.raises(ValueError):
+        tw.ConeChain(((1, entries[0][1]), (0, entries[0][1])))
 
 
 def test_monotone_intersection_along_chain():
@@ -466,3 +471,13 @@ def test_children_search_matches_full_search(data):
     assert chain == expected
     for (_, got), (_, want) in zip(chain.entries, expected.entries):
         assert (got.facets, got.equations) == (want.facets, want.equations)
+
+
+def test_toward_step_splits_every_cone_holding_a_wall_carrier():
+    """A target on a wall of the octant fan is held by two octants; the
+    step splits both, as the full-search reference does."""
+    base = orthant_image(3, [])
+    strategy = tw.TowardDirection(tw.rational_vector([1, 0, 2]))
+    tower = tw.extend_tower(tw.fan_tower(base), strategy, 2)
+    assert tower.fans == tuple(reference_levels(base, strategy, 2))
+    assert len(tower.fans[1].maximal) == 10
