@@ -131,19 +131,14 @@ def _is_complete(maximal: Sequence[Cone], n: int) -> bool:
     return all(k == 2 for k, _ in _pair_facets(maximal))
 
 
-def validate_fan(cones: Sequence[Cone], n: Optional[int] = None) -> FanReport:
-    """Check the fan axioms on a set of cones and report violations."""
-    cones = list(cones)
+def _violations(cones: list[Cone], n: Optional[int]) -> list[str]:
+    """Every fan axiom the cones break, in the order checked; empty for a fan."""
     if not cones:
-        return FanReport(False, False, ("fan has no cones",))
-    if n is None:
-        n = cones[0].n
-    violations = []
-    for i, c in enumerate(cones):
-        if c.n != n:
-            violations.append(f"cone {i} lives in rank {c.n}, expected {n}")
+        return ["fan has no cones"]
+    violations = [f"cone {i} lives in rank {c.n}, expected {n}"
+                  for i, c in enumerate(cones) if c.n != n]
     if violations:
-        return FanReport(False, False, tuple(violations))
+        return violations
     for i in range(len(cones)):
         for j in range(i + 1, len(cones)):
             a, b = cones[i], cones[j]
@@ -159,9 +154,18 @@ def validate_fan(cones: Sequence[Cone], n: Optional[int] = None) -> FanReport:
                 violations.append(
                     f"cones {i} and {j} intersect in {m.rays} + lines "
                     f"{m.lines}, not a common face")
+    return violations
+
+
+def validate_fan(cones: Sequence[Cone], n: Optional[int] = None) -> FanReport:
+    """Check the fan axioms on a set of cones and report violations."""
+    cones = list(cones)
+    if cones and n is None:
+        n = cones[0].n
+    violations = _violations(cones, n)
     valid = not violations
-    complete = valid and _is_complete(cones, n)
-    return FanReport(valid, complete, tuple(violations))
+    return FanReport(valid, valid and _is_complete(cones, n),
+                     tuple(violations))
 
 
 def _trusted_fan(cones: Sequence[Cone], n: int) -> Fan:
@@ -174,9 +178,10 @@ def fan_from_cones(cones: Sequence[Cone], n: Optional[int] = None) -> Fan:
     cones = list(cones)
     if cones and n is None:
         n = cones[0].n
-    report = validate_fan(cones, n)
-    if not report.valid:
-        raise ValidationError("; ".join(report.violations))
+    # completeness is left to Fan.complete, on first read
+    violations = _violations(cones, n)
+    if violations:
+        raise ValidationError("; ".join(violations))
     return _trusted_fan(cones, n)
 
 

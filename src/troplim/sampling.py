@@ -9,12 +9,14 @@ analytic limit set; the oracle is deliberately independent of the exact
 code (numpy root finding, no rational arithmetic).
 
 Paths are radial: for plane germs x1 = r exp(i theta) with r halved at each
-depth step, solving for the other coordinate with numpy.roots; for surface
-germs the first two coordinates get random positive weights w and x3 is
-solved for.  The growth exponent of a vanishing branch is read off as a
-difference quotient of log|x_last| between consecutive radii, which cancels
-multiplicative constants and converges quickly.  Directions are clustered
-by single linkage in angular distance.
+depth step, solving for the other coordinate; for surface germs the first
+two coordinates get random positive weights w and x3 is solved for.  Every
+path is drawn first, and all their polynomials are solved together as
+companion-matrix eigenvalues, one numpy call per polynomial length, bit for
+bit what numpy.roots returns for each.  The growth exponent of a vanishing
+branch is read off as a difference quotient of log|x_last| between the
+last two radii, which cancels multiplicative constants and converges
+quickly.  Directions are clustered by single linkage in angular distance.
 """
 
 from __future__ import annotations
@@ -63,29 +65,84 @@ def lift_coefficients(f: TropicalPolynomial, seed: int = 0
     return out
 
 
-def _last_var_roots(coeffs: Mapping[IVec, complex], fixed: Sequence[complex]
-                    ) -> np.ndarray:
-    """Roots in the last variable after substituting the other coordinates."""
+def _last_var_poly(coeffs: Mapping[IVec, complex], fixed: Sequence[complex]
+                   ) -> list[complex]:
+    """Coefficients in the last variable, highest degree first, after
+    substituting the other coordinates (in Python complex arithmetic)."""
     top = max(e[-1] for e in coeffs)
-    poly = np.zeros(top + 1, dtype=complex)
+    poly = [0j] * (top + 1)
     for e, c in coeffs.items():
         scale = c
         for val, k in zip(fixed, e):
             scale *= val ** k
-        poly[e[-1]] += scale
-    return np.roots(poly[::-1])
+        poly[top - e[-1]] += scale
+    return poly
 
 
-def _branch_slopes(coeffs: Mapping[IVec, complex], fixed_at) -> list[float]:
-    """Exponent estimates for vanishing branches along one shrinking path."""
-    # only the last two radii are read: the slope is their difference quotient
-    logs = []
-    for k in (DEPTH - 2, DEPTH - 1):
-        r = INITIAL_RADIUS * DECAY ** k
-        mags = np.sort(np.abs(_last_var_roots(coeffs, fixed_at(r))))
-        logs.append(np.log(np.maximum(mags, 1e-280)))
-    if len(logs[0]) != len(logs[1]):
+def _batched_roots(polys: Sequence[Sequence[complex]]) -> list[np.ndarray]:
+    """np.roots of every polynomial, bit for bit, with one eigenvalue call
+    per trimmed length.
+
+    As in np.roots: leading zeros are stripped, each trailing zero adds one
+    zero root after the eigenvalues, and a polynomial that is zero, or
+    constant once trimmed, has no other root.  The rest are the eigenvalues
+    of the companion matrix, first row -p[1:]/p[0] and ones below the
+    diagonal (Edelman & Murakami 1995), stacked by trimmed length.
+    """
+    roots: list = [None] * len(polys)
+    groups: dict[int, list] = {}
+    for i, p in enumerate(polys):
+        nonzero = [j for j, c in enumerate(p) if c]
+        if not nonzero:
+            roots[i] = np.array([])
+            continue
+        first, last = nonzero[0], nonzero[-1]
+        zeros = len(p) - last - 1
+        if first == last:
+            roots[i] = np.zeros(zeros)
+            continue
+        groups.setdefault(last - first + 1, []).append(
+            (i, p[first:last + 1], zeros))
+    for size, members in groups.items():
+        p = np.array([trimmed for _, trimmed, _ in members], dtype=complex)
+        companion = np.zeros((len(members), size - 1, size - 1), dtype=complex)
+        companion[:, 0, :] = -p[:, 1:] / p[:, :1]
+        below = np.arange(size - 2)
+        companion[:, below + 1, below] = 1
+        for (i, _, zeros), eig in zip(members,
+                                      np.linalg.eigvals(companion)):
+            roots[i] = np.concatenate((eig, np.zeros(zeros, eig.dtype)))
+    return roots
+
+
+def _draw_path(rng: np.random.Generator, n: int):
+    """One path's fixed weights and its substitution r -> the first n - 1
+    coordinates at radius r."""
+    if n == 2:
+        theta = 2 * math.pi * rng.random()
+        phase = complex(math.cos(theta), math.sin(theta))
+
+        def fixed_at(r):
+            return (r * phase,)
+
+        return (1.0,), fixed_at
+    thetas = 2 * math.pi * rng.random(2)
+    w = 0.25 + 1.75 * rng.random(2)
+    phases = [complex(math.cos(t), math.sin(t)) for t in thetas]
+
+    def fixed_at(r):
+        return (r ** w[0] * phases[0], r ** w[1] * phases[1])
+
+    return (float(w[0]), float(w[1])), fixed_at
+
+
+def _slopes(before: np.ndarray, after: np.ndarray) -> list[float]:
+    """Exponent estimates for vanishing branches, from the roots at the last
+    two radii: the difference quotient of their sorted log magnitudes."""
+    if len(before) != len(after):
         return []
+    logs = [np.log(np.maximum(np.sort(np.abs(roots)), 1e-280))
+            for roots in (before, after)]
     quot = (logs[1] - logs[0]) / math.log(DECAY)
     return [float(s) for s in quot if MIN_SLOPE < s < MAX_SLOPE]
 
@@ -129,25 +186,14 @@ def ptrop_sample_oracle(coeffs: Mapping[IVec, complex], n: int,
     if not coeffs:
         raise ValueError("need at least one coefficient")
     rng = np.random.default_rng(seed)
+    paths = [_draw_path(rng, n) for _ in range(PATHS)]
+    # only the last two radii are read: the slope is their difference quotient
+    radii = [INITIAL_RADIUS * DECAY ** k for k in (DEPTH - 2, DEPTH - 1)]
+    roots = _batched_roots([_last_var_poly(coeffs, fixed_at(r))
+                            for _, fixed_at in paths for r in radii])
     directions: list[tuple[float, ...]] = []
-    for _ in range(PATHS):
-        if n == 2:
-            theta = 2 * math.pi * rng.random()
-            phase = complex(math.cos(theta), math.sin(theta))
-            weights = (1.0,)
-
-            def fixed_at(r, phase=phase):
-                return (r * phase,)
-        else:
-            thetas = 2 * math.pi * rng.random(2)
-            w = 0.25 + 1.75 * rng.random(2)
-            phases = [complex(math.cos(t), math.sin(t)) for t in thetas]
-            weights = (float(w[0]), float(w[1]))
-
-            def fixed_at(r, phases=phases, w=w):
-                return (r ** w[0] * phases[0], r ** w[1] * phases[1])
-
-        for slope in _branch_slopes(coeffs, fixed_at):
+    for (weights, _), before, after in zip(paths, roots[::2], roots[1::2]):
+        for slope in _slopes(before, after):
             vec = weights + (slope,)
             total = sum(vec)
             directions.append(tuple(c / total for c in vec))

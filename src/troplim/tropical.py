@@ -15,8 +15,9 @@ directions of coordinatewise -log absolute values along the germ) is
 computed by two independent exact routes that a theorem makes equal:
 
   * normal-fan route: normal cones of the positive-dimensional faces of the
-    Newton polytope, intersected with the nonnegative orthant and kept when
-    they meet the open positive orthant;
+    Newton polytope, all read off one conversion of the cone over the
+    lifted exponents (e, 1), intersected with the nonnegative orthant and
+    kept when they meet the open positive orthant;
   * recession route: recession cones of the tropical hypersurface cells,
     filtered the same way.
 
@@ -45,6 +46,7 @@ from .fans import Fan, fan_from_cones
 from .lattice import (
     RANK_CAP,
     Cone,
+    _cone_from_canonical,
     _cone_from_halfspaces,
     cone_intersect,
     face_lattice,
@@ -145,14 +147,6 @@ def newton_polytope(f: TropicalPolynomial) -> NewtonPolytope:
                        check_rank=False)
     vertices = tuple(sorted(r[:-1] for r in lifted.rays))
     return NewtonPolytope(f.n, vertices, f.terms)
-
-
-def polytope_faces(p: NewtonPolytope) -> tuple[tuple[IVec, ...], ...]:
-    """All nonempty faces as vertex tuples (the polytope itself included)."""
-    lifted = make_cone([v + (1,) for v in p.vertices], n=p.n + 1,
-                       check_rank=False)
-    faces = face_lattice(p.vertices, [(a[:-1], a[-1]) for a in lifted.facets])
-    return tuple(sorted(tuple(sorted(fs)) for fs in faces))
 
 
 def normal_cone(p: NewtonPolytope, face: Sequence[IVec]) -> Cone:
@@ -296,12 +290,33 @@ def _require_germ(f: TropicalPolynomial):
 
 
 def ptrop_normal_fan(f: TropicalPolynomial) -> PTropSet:
-    """PTrop via normal cones of positive-dimensional Newton faces."""
+    """PTrop via normal cones of positive-dimensional Newton faces, from one
+    conversion of the cone over the lifted exponents (e, 1).
+
+    Its dual N = {(x, z) : <x, e> + z >= 0} has the facet normals of the
+    Newton polytope as rays and the normal space of its affine hull as
+    lines.  The normal cone of a face F is the face of N vanishing on F
+    (N's lines and the rays vanishing on F) with z dropped, one-to-one
+    since z = -<x, e> on it for e in F.  So the dropped form is canonical
+    already: gcd(x) divides z, so each normal stays primitive; two normals
+    with equal x are equal, so their sorted order is kept; and no line has
+    its pivot in z (z = 0 wherever x = 0), so the lines stay in RREF.
+    """
     _require_germ(f)
-    p = newton_polytope(f)
-    cones = [normal_cone(p, face) for face in polytope_faces(p)
-             if affine_dim(face) >= 1]
-    return _ptrop_set(f.n, cones)
+    n = f.n
+    points = [e + (1,) for e in f.exponents]
+    lines, normals = halfspaces_to_generators([], points, n + 1)
+    cone_lines = [l[:-1] for l in lines]
+    on = {r: frozenset(g for g in points if la.dot(r, g) == 0)
+          for r in normals}
+    cones = []
+    for fs in face_lattice(points, [(r, 0) for r in normals]):
+        # the exponents are distinct, so a face of two or more is no vertex
+        if len(fs) < 2:
+            continue
+        rays = [r[:-1] for r in normals if fs <= on[r]]
+        cones.append(_cone_from_canonical(rays, cone_lines, n))
+    return _ptrop_set(n, cones)
 
 
 def ptrop_recession(h: TropicalHypersurface) -> PTropSet:

@@ -45,6 +45,23 @@ def test_quadrant_fan_valid_complete():
     assert f.rays == ((-1, 0), (0, -1), (0, 1), (1, 0))
 
 
+def test_fan_from_cones_pairs_facets_once_on_first_read(monkeypatch):
+    pair, calls = fans._is_complete, []
+
+    def counted(maximal, n):
+        calls.append(n)
+        return pair(maximal, n)
+
+    monkeypatch.setattr(fans, "_is_complete", counted)
+    f = quadrant_fan()
+    assert calls == []
+    assert f.complete and f.complete
+    assert calls == [2]
+    # the report of fan-validate still says whether the fan is complete
+    assert fans.validate_fan(f.maximal).complete
+    assert calls == [2, 2]
+
+
 def test_single_cone_fan_valid_incomplete():
     f = fans.fan_from_cones([cg([(1, 0), (0, 1)])])
     assert not f.complete

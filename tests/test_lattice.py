@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from test_linalg import matrices, reference_primitivize, reference_rref
+from test_tropical import polytope_faces
 from troplim import _linalg as la
 from troplim import lattice as lat
 from troplim import tropical as tp
@@ -542,7 +543,7 @@ exponent3 = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
 @given(st.lists(exponent3, min_size=2, max_size=6, unique=True))
 def test_normal_cones_match_make_cone(exponents):
     p = tp.newton_polytope(tp.trop_poly([(e, 0) for e in exponents]))
-    for face in tp.polytope_faces(p):
+    for face in polytope_faces(p):
         assert_rebuilds(tp.normal_cone(p, face))
 
 

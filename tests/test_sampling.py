@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from troplim import sampling as sm
 from troplim import tropical as tp
@@ -86,6 +88,11 @@ def _full_depth_slopes(coeffs, fixed_at, solve):
     return slopes
 
 
+def _np_roots(coeffs, fixed):
+    """One polynomial solved on its own by np.roots."""
+    return np.roots(sm._last_var_poly(coeffs, fixed))
+
+
 @pytest.mark.parametrize("terms, n, seed", [
     ({(1, 1): 0, (3, 0): 0, (0, 3): 0}, 2, 1),
     ({(2, 1): 0, (0, 2): 0, (5, 0): 0, (1, 3): 0}, 2, 4),
@@ -94,29 +101,123 @@ def _full_depth_slopes(coeffs, fixed_at, solve):
 ])
 def test_branch_slopes_solve_only_the_last_two_radii(monkeypatch, terms, n,
                                                      seed):
-    solve, slopes_of = sm._last_var_roots, sm._branch_slopes
-    solves = []
+    solve, draw, slopes_of = sm._batched_roots, sm._draw_path, sm._slopes
+    batches = []
+    fixed = []
     paths = []
 
-    def counted(coeffs, fixed):
-        solves.append(fixed)
-        return solve(coeffs, fixed)
+    def counted(polys):
+        batches.append(len(polys))
+        return solve(polys)
 
-    def checked(coeffs, fixed_at):
-        before = len(solves)
-        slopes = slopes_of(coeffs, fixed_at)
-        assert len(solves) - before == 2
-        assert slopes == _full_depth_slopes(coeffs, fixed_at, solve)
+    def drawn(rng, n):
+        weights, fixed_at = draw(rng, n)
+        fixed.append(fixed_at)
+        return weights, fixed_at
+
+    def read(before, after):
+        slopes = slopes_of(before, after)
         paths.append(slopes)
         return slopes
 
-    monkeypatch.setattr(sm, "_last_var_roots", counted)
-    monkeypatch.setattr(sm, "_branch_slopes", checked)
+    monkeypatch.setattr(sm, "_batched_roots", counted)
+    monkeypatch.setattr(sm, "_draw_path", drawn)
+    monkeypatch.setattr(sm, "_slopes", read)
     coeffs = sm.lift_coefficients(tp.trop_poly(terms), seed=seed)
     sm.ptrop_sample_oracle(coeffs, n)
-    assert len(paths) == sm.PATHS
-    assert len(solves) == 2 * len(paths)
+    # one batch, holding two polynomials per path
+    assert batches == [2 * sm.PATHS]
+    assert len(fixed) == len(paths) == sm.PATHS
+    for fixed_at, slopes in zip(fixed, paths):
+        assert slopes == _full_depth_slopes(coeffs, fixed_at, _np_roots)
     assert any(paths)
+
+
+def _same_roots(ours, theirs):
+    return (ours.dtype == theirs.dtype and ours.shape == theirs.shape
+            and ours.tobytes() == theirs.tobytes())
+
+
+# np.roots strips leading zeros, appends one zero root per trailing zero,
+# and finds no root of a polynomial that is zero or constant once trimmed
+EDGE_POLYS = [
+    [1, 2, 0], [0, 0, 1, -3, 2], [0, 2j, 0, 0], [0, 0], [0j], [5], [0, 3, 0],
+    [1j, 0, 0, 0], [2, -1, 1 + 1j], [0, 1, 1, 0, 0, 0], [-0.0, 1, 0],
+]
+
+coefficient = st.one_of(
+    st.just(0j),
+    st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3,
+                       allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.lists(coefficient, min_size=1, max_size=8), max_size=10))
+def test_batched_roots_match_np_roots_bit_for_bit(polys):
+    polys = [np.array(p, dtype=complex) for p in EDGE_POLYS + polys]
+    for ours, p in zip(sm._batched_roots(polys), polys):
+        assert _same_roots(ours, np.roots(p))
+
+
+def _reference_oracle(coeffs, n, seed=0):
+    """The oracle path by path, two np.roots calls each, as it first ran."""
+    rng = np.random.default_rng(seed)
+    directions = []
+    for _ in range(sm.PATHS):
+        if n == 2:
+            theta = 2 * math.pi * rng.random()
+            phase = complex(math.cos(theta), math.sin(theta))
+            weights = (1.0,)
+
+            def fixed_at(r, phase=phase):
+                return (r * phase,)
+        else:
+            thetas = 2 * math.pi * rng.random(2)
+            w = 0.25 + 1.75 * rng.random(2)
+            phases = [complex(math.cos(t), math.sin(t)) for t in thetas]
+            weights = (float(w[0]), float(w[1]))
+
+            def fixed_at(r, phases=phases, w=w):
+                return (r ** w[0] * phases[0], r ** w[1] * phases[1])
+
+        logs = []
+        for k in (sm.DEPTH - 2, sm.DEPTH - 1):
+            r = sm.INITIAL_RADIUS * sm.DECAY ** k
+            mags = np.sort(np.abs(_np_roots(coeffs, fixed_at(r))))
+            logs.append(np.log(np.maximum(mags, 1e-280)))
+        if len(logs[0]) != len(logs[1]):
+            continue
+        for s in (logs[1] - logs[0]) / math.log(sm.DECAY):
+            if sm.MIN_SLOPE < s < sm.MAX_SLOPE:
+                vec = weights + (float(s),)
+                total = sum(vec)
+                directions.append(tuple(c / total for c in vec))
+    if not directions:
+        raise NoBranchFound("no branch")
+    return tuple(sm._cluster(np.asarray(directions), sm.CLUSTER_ANGLE))
+
+
+def _germs(n):
+    exps = st.tuples(*([st.integers(0, 3)] * n)).filter(lambda e: sum(e))
+    return st.dictionaries(exps, st.just(0), min_size=1, max_size=5
+                           ).map(tp.trop_poly)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_oracle_matches_the_per_path_reference(n):
+    @settings(max_examples=12, deadline=None)
+    @given(_germs(n), st.integers(0, 2 ** 16), st.integers(0, 2 ** 16))
+    def check(f, lift_seed, seed):
+        coeffs = sm.lift_coefficients(f, seed=lift_seed)
+        try:
+            expected = _reference_oracle(coeffs, n, seed)
+        except NoBranchFound:
+            with pytest.raises(NoBranchFound):
+                sm.ptrop_sample_oracle(coeffs, n, seed)
+            return
+        assert sm.ptrop_sample_oracle(coeffs, n, seed) == expected
+
+    check()
 
 
 def _union_find_clusters(directions, angle):

@@ -16,7 +16,13 @@ from troplim.errors import (
     OriginNotOnGerm,
     RankCap,
 )
-from troplim.lattice import cone_intersect, cone_is_face, locate
+from troplim.lattice import (
+    cone_intersect,
+    cone_is_face,
+    face_lattice,
+    locate,
+    make_cone,
+)
 
 
 def nodal_cubic():
@@ -70,6 +76,25 @@ def reference_hypersurface(f):
                 queue.append(sat | {t})
     ordered = sorted(cells.values(), key=lambda c: (c.dim, c.achievers))
     return tp.TropicalHypersurface(f.n, tuple(ordered))
+
+
+def polytope_faces(p):
+    """All nonempty faces as vertex tuples (the polytope itself included)."""
+    lifted = make_cone([v + (1,) for v in p.vertices], n=p.n + 1,
+                       check_rank=False)
+    faces = face_lattice(p.vertices, [(a[:-1], a[-1]) for a in lifted.facets])
+    return tuple(sorted(tuple(sorted(fs)) for fs in faces))
+
+
+def reference_normal_fan(f):
+    """The normal-fan route with one H-to-V conversion per face: the Newton
+    polytope's faces from its own hull, and each positive-dimensional
+    face's normal cone converted from its defining rows."""
+    tp._require_germ(f)
+    p = tp.newton_polytope(f)
+    return tp._ptrop_set(f.n, [tp.normal_cone(p, face)
+                               for face in polytope_faces(p)
+                               if affine_dim(face) >= 1])
 
 
 def assert_routes_agree(f):
@@ -144,7 +169,7 @@ def test_newton_polytope_drops_interior_points():
 
 def test_polytope_faces_triangle():
     p = tp.newton_polytope(nodal_cubic())
-    faces = tp.polytope_faces(p)
+    faces = polytope_faces(p)
     assert len(faces) == 7  # 3 vertices, 3 edges, the triangle
     dims = sorted(affine_dim(fc) for fc in faces)
     assert dims == [0, 0, 0, 1, 1, 1, 2]
@@ -152,7 +177,7 @@ def test_polytope_faces_triangle():
 
 def test_polytope_faces_segment():
     p = tp.newton_polytope(line_poly())
-    assert tp.polytope_faces(p) == (
+    assert polytope_faces(p) == (
         ((0, 1),), ((0, 1), (1, 0)), ((1, 0),))
 
 
@@ -442,6 +467,28 @@ def hypersurface_polys(n):
     homogeneous germs and germs with non-vertex terms on lower faces."""
     return st.one_of(polys(n, max_deg=3, max_terms=6),
                      homogeneous_polys(n, 3), lower_face_polys(n))
+
+
+def normal_fan_polys(n):
+    """Random germs (single terms included), and germs whose Newton
+    polytopes are lower-dimensional, so that their normal cones have lines:
+    homogeneous ones, and ones with the last exponent zero."""
+    flat = [homogeneous_polys(n, 3)]
+    if n > 1:
+        flat.append(polys(n - 1, max_terms=6).map(lambda f: tp.trop_poly(
+            [(e + (0,), v) for e, v in f.terms])))
+    return st.one_of(polys(n, max_deg=3, max_terms=6), *flat)
+
+
+@pytest.mark.parametrize("n, examples", [(1, 30), (2, 100), (3, 80),
+                                         (4, 50)])
+def test_normal_fan_route_matches_reference(n, examples):
+    @settings(max_examples=examples, deadline=None)
+    @given(normal_fan_polys(n))
+    def check(f):
+        assert tp.ptrop_normal_fan(f) == reference_normal_fan(f)
+
+    check()
 
 
 @pytest.mark.parametrize("n, examples", [(2, 100), (3, 60), (4, 40)])
