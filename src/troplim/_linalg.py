@@ -1,11 +1,11 @@
 """Exact linear algebra over the rationals.
 
 Small dense routines on tuples: row reduction, rank, integer determinants,
-affine solves, reduction modulo a span.  Everything is exact
-(int / fractions.Fraction); no floats.  Matrices are sequences of rows;
-rows are sequences of int or Fraction.  Elimination (``rref``, and
-everything built on it) runs fraction-free in the integers; only
-``solve_affine`` returns Fraction values.
+reduction modulo a span.  Everything is exact (int / fractions.Fraction);
+no floats.  Matrices are sequences of rows; rows are sequences of int or
+Fraction.  Elimination (``rref``, and everything built on it) runs
+fraction-free in the integers, so no routine here builds a Fraction: one
+comes out of ``dot`` or ``mat_mul_vec`` only when one goes in.
 Sizes are desk scale (rank <= 6 after homogenization), so clarity beats
 asymptotics throughout.
 """
@@ -16,7 +16,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-Vec = tuple[Fraction, ...]
 IVec = tuple[int, ...]
 
 
@@ -119,21 +118,6 @@ def _det_int(rows: Sequence[Sequence[int]]) -> int:
             m[i][col] = 0
         prev = m[col][col]
     return sign * m[n - 1][n - 1]
-
-
-def solve_affine(rows: Sequence[Sequence], rhs: Sequence) -> Vec | None:
-    """One exact solution of A x = b, or None when inconsistent."""
-    if not rows:
-        return None
-    ncols = len(rows[0])
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for row, pc in zip(red, pivots):
-        x[pc] = Fraction(row[ncols], row[pc])
-    return tuple(x)
 
 
 def reduce_prepared(v: Sequence, red: Sequence[IVec], pivots: Sequence[int]

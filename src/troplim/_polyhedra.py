@@ -31,7 +31,6 @@ class PolyhedronInfo:
     relint_point: tuple[Fraction, ...]
     vertices: tuple[tuple[Fraction, ...], ...]
     recession: Cone
-    bounded: bool
 
 
 def polyhedron_info(equations: Sequence[Row], inequalities: Sequence[Row],
@@ -70,7 +69,6 @@ def homogenization_info(lines: Sequence[IVec], rays: Sequence[IVec], n: int
         relint_point=relint,
         vertices=vertices,
         recession=rec,
-        bounded=rec.dim == 0,
     )
 
 

@@ -362,7 +362,7 @@ def handle_dualcx(cfg: JobConfig, path: str) -> dict:
     }
     if cfg.svg:
         out["svg"] = _write_svg(cfg, path, complex_svg(x))
-    return _maybe_artifact(cfg, out, serialize_complex(x))
+    return _maybe_artifact(cfg, out, out["complex"])
 
 
 def handle_subdivide(cfg: JobConfig, path: str) -> dict:
@@ -382,7 +382,7 @@ def handle_subdivide(cfg: JobConfig, path: str) -> dict:
     }
     if cfg.svg:
         out["svg"] = _write_svg(cfg, path, complex_svg(y))
-    return _maybe_artifact(cfg, out, serialize_complex(y))
+    return _maybe_artifact(cfg, out, out["complex"])
 
 
 def handle_rational_points(cfg: JobConfig, path: str) -> dict:

@@ -150,8 +150,13 @@ def count_cells(x: DeltaComplex) -> dict[int, int]:
     return out
 
 
+def _signed_sum(counts: dict[int, int]) -> int:
+    """Euler characteristic of a {dim: count} map."""
+    return sum((-1) ** d * k for d, k in counts.items())
+
+
 def euler_characteristic(x: DeltaComplex) -> int:
-    return sum((-1) ** d * k for d, k in count_cells(x).items())
+    return _signed_sum(count_cells(x))
 
 
 def component_ratio(fine: DeltaComplex, coarse: DeltaComplex) -> Fraction:
@@ -302,9 +307,11 @@ def from_incidence(inc: StrataIncidence) -> DeltaComplex:
     components = [s for s in inc.strata if s.codim == 0]
     nodes = [s for s in inc.strata if s.codim == 1]
     cells: list[tuple[str, list[str]]] = [(s.name, []) for s in components]
+    uppers: dict[str, set[str]] = {}
+    for lower, upper in inc.closures:
+        uppers.setdefault(lower, set()).add(upper)
     for node in nodes:
-        linked = sorted({upper for lower, upper in inc.closures
-                         if lower == node.name})
+        linked = sorted(uppers.get(node.name, ()))
         for u in linked:
             if inc.stratum(u).codim != 0:
                 raise IncoherentIncidence(
@@ -694,9 +701,11 @@ def scale_subdivide(x: DeltaComplex, level: int) -> SubdivisionResult:
 class FiberComplex:
     """Exact polyhedral fiber of a simplicial map over a rational point."""
 
-    point: tuple[str, QVec]
     faces_by_dim: tuple[tuple[int, int], ...]
-    euler: int
+
+    @property
+    def euler(self) -> int:
+        return _signed_sum(dict(self.faces_by_dim))
 
     @property
     def f_vector(self) -> tuple[int, ...]:
@@ -754,12 +763,7 @@ def map_fiber(mapping: ComplexMap, cell_name: str, coords: Sequence
     counts: dict[int, int] = {}
     for d in faces.values():
         counts[d] = counts.get(d, 0) + 1
-    euler = sum((-1) ** d * c for d, c in counts.items())
-    return FiberComplex(
-        point=(tau, p),
-        faces_by_dim=tuple(sorted(counts.items())),
-        euler=euler,
-    )
+    return FiberComplex(faces_by_dim=tuple(sorted(counts.items())))
 
 
 @dataclass(frozen=True)
@@ -786,12 +790,11 @@ def compare_fiber(fiber: FiberComplex, reference: DeltaComplex
 class ToricFiberComplex:
     """Source cones sitting over the relative interior of a base cone."""
 
-    base: Cone
     cells: tuple[tuple[int, tuple[Cone, ...]], ...]
 
     @property
     def euler(self) -> int:
-        return sum((-1) ** d * len(cs) for d, cs in self.cells)
+        return _signed_sum(self.counts)
 
     @property
     def counts(self) -> dict[int, int]:
@@ -831,4 +834,4 @@ def toric_fiber_complex(matrix: Sequence[Sequence[int]], source: Fan,
     cells = tuple(
         (d, tuple(sorted(cs, key=lambda c: (c.rays, c.lines))))
         for d, cs in sorted(levels.items()))
-    return ToricFiberComplex(base, cells)
+    return ToricFiberComplex(cells)

@@ -5,13 +5,16 @@ The model is an elliptic fibration acquiring a cycle of m rational curves
 circle of circumference 1 with vertices at the angles j/m.  A degree-d base
 change followed by minimal resolution turns I_m into I_{dm}; on skeletons
 this is exactly the d-fold scale subdivision with vertices relabeled j/(dm).
-Along a tower of base changes whose degrees form a divisibility chain
-reaching every integer, each rational angle p/q eventually becomes a vertex
-(an open slot of the limit space), while an irrational angle stays interior
-to a strictly shrinking chain of edges and survives as a closed point.
-Irrational angles are symbols with rational enclosures; one too coarse to
-separate the angle from a vertex is refused.  Both cases depend only on the
-cycle sizes m·d, all a tower holds; it builds level complexes on request.
+So a degeneration is determined by its cycle size: its labels are derived
+from m, and a base change checks the subdivision against the (dm)-cycle and
+returns that cycle.  Along a tower of base changes whose degrees form a
+divisibility chain reaching every integer, each rational angle p/q
+eventually becomes a vertex (an open slot of the limit space), while an
+irrational angle stays interior to a strictly shrinking chain of edges and
+survives as a closed point.  Irrational angles are symbols with rational
+enclosures; one too coarse to separate the angle from a vertex is refused.
+Both cases depend only on the cycle sizes m·d, all a tower holds; it builds
+level complexes on request.
 
 The decomposition ledger records, for any skeleton at a given level, the
 open slots realized so far (its rational points) and the count of the
@@ -32,7 +35,6 @@ from .complexes import (
     canonical_point,
     count_cells,
     cycle_complex,
-    make_complex,
     rational_points,
     scale_subdivide,
 )
@@ -60,11 +62,11 @@ class PolygonDegeneration:
 
     m: int
     complex: DeltaComplex
-    labels: tuple[tuple[str, Fraction], ...]
 
     @cached_property
     def _label_index(self) -> dict[str, Fraction]:
-        return dict(self.labels)
+        # built on first read; cached_property keeps it out of eq/hash/repr
+        return {f"v{j}": Fraction(j, self.m) for j in range(self.m)}
 
     def label(self, vertex: str) -> Fraction:
         angle = self._label_index.get(vertex)
@@ -77,8 +79,7 @@ def polygon_degeneration(m: int) -> PolygonDegeneration:
     """The I_m skeleton: an m-cycle with vertices labeled j/m."""
     if m < 1:
         raise ValidationError("an I_m degeneration needs m >= 1")
-    labels = tuple((f"v{j}", Fraction(j, m)) for j in range(m))
-    return PolygonDegeneration(m=m, complex=cycle_complex(m), labels=labels)
+    return PolygonDegeneration(m=m, complex=cycle_complex(m))
 
 
 def circle_position(p: PolygonDegeneration, cell_name: str,
@@ -106,10 +107,12 @@ def base_change(p: PolygonDegeneration, d: int) -> PolygonDegeneration:
     """Degree-d base change: I_m becomes I_{dm}.
 
     Computed as the d-fold scale subdivision of the cycle; every
-    subdivision vertex is located on the circle and renamed by its angle
-    k/(dm), so iterated base changes compose on the nose.  A vertex's
-    carrier is a cycle vertex, or an edge from ``start`` holding it with
-    integer weights (d - b, b); then k = label(start)·dm + b.
+    subdivision vertex is located on the circle at an angle k/(dm), and the
+    vertices must fill that lattice with each subdivided edge joining
+    neighbours.  The result is then the labeled (dm)-cycle, so iterated
+    base changes compose on the nose.  A vertex's carrier is a cycle
+    vertex, or an edge from ``start`` holding it with integer weights
+    (d - b, b); then k = label(start)·dm + b.
     """
     if d < 1:
         raise ValidationError("base change degree must be >= 1")
@@ -133,20 +136,10 @@ def base_change(p: PolygonDegeneration, d: int) -> PolygonDegeneration:
     if sorted(position.values()) != list(range(mm)):
         raise ValidationError(
             f"subdivision vertices do not fill the (1/{mm})-lattice")
-    cells: list[tuple[str, list[str]]] = [
-        (f"v{k}", []) for k in position.values()]
     for e in sub.complex.by_dim(1):
-        start = position[e.faces[1]]
-        end = position[e.faces[0]]
-        if end != (start + 1) % mm:
+        if position[e.faces[0]] != (position[e.faces[1]] + 1) % mm:
             raise ValidationError("subdivided edge endpoints are not adjacent")
-        cells.append((f"e{start}", [f"v{end}", f"v{start}"]))
-    labels = tuple((f"v{k}", Fraction(k, mm)) for k in range(mm))
-    return PolygonDegeneration(
-        m=mm,
-        complex=make_complex(cells, provenance=p.complex.provenance),
-        labels=labels,
-    )
+    return polygon_degeneration(mm)
 
 
 # -- towers and point classification -----------------------------------------
@@ -269,8 +262,8 @@ def _carrier_index(m: int, sym: Symbol) -> int:
     return k
 
 
-def classify_point(tower: Union[EllipticTower, Sequence[PolygonDegeneration]],
-                   point: GalaxyPoint) -> Union[OpenPoint, ClosedPoint]:
+def classify_point(tower: EllipticTower, point: GalaxyPoint
+                   ) -> Union[OpenPoint, ClosedPoint]:
     """Open/closed dichotomy for an angle, from a tower's cycle sizes alone.
 
     A rational p/q is open from the first level whose cycle size is a
@@ -278,10 +271,7 @@ def classify_point(tower: Union[EllipticTower, Sequence[PolygonDegeneration]],
     certify anything and IncompleteTower is raised.  A symbolic (irrational)
     angle is closed, witnessed by the nested chain of carrier edges.
     """
-    sizes = tower.cycle_sizes if isinstance(tower, EllipticTower) \
-        else tuple(level.m for level in tower)
-    if not sizes:
-        raise ValidationError("a tower needs at least one level")
+    sizes = tower.cycle_sizes
     if point.rational is not None:
         theta = point.rational
         q = theta.denominator

@@ -319,11 +319,6 @@ def cone_from_generators(
     for g in gens:
         if la.is_zero_vec(g):
             raise ZeroVector(f"zero generator in {gens}")
-    if n is None:
-        if not gens:
-            raise ValueError("ambient rank required for the empty generator set")
-        n = len(gens[0])
-    _check_rank(n)
     cone = make_cone(gens, n=n)
     if cone.lines:
         raise NotStronglyConvex(

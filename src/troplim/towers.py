@@ -191,7 +191,7 @@ class FiberModel:
     dim: int
     rank: int
     basis_change: tuple[IVec, ...]
-    kind: str = "LimitToricSpace"
+    kind = "LimitToricSpace"
 
 
 def fiber_model(n: int, x: SymbolicVector) -> FiberModel:

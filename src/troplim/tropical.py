@@ -66,7 +66,6 @@ class TropicalPolynomial:
 
     n: int
     terms: tuple[tuple[IVec, Fraction], ...]
-    convention: str = "min-plus"
 
     @property
     def degree(self) -> int:
@@ -130,11 +129,10 @@ def trop_eval(f: TropicalPolynomial, x: Sequence
 
 @dataclass(frozen=True)
 class NewtonPolytope:
-    """Convex hull of the exponents, remembering the valuation lift."""
+    """Convex hull of the exponents."""
 
     n: int
     vertices: tuple[IVec, ...]
-    lifts: tuple[tuple[IVec, Fraction], ...]
 
     @property
     def dim(self) -> int:
@@ -146,7 +144,7 @@ def newton_polytope(f: TropicalPolynomial) -> NewtonPolytope:
     lifted = make_cone([e + (1,) for e in f.exponents], n=f.n + 1,
                        check_rank=False)
     vertices = tuple(sorted(r[:-1] for r in lifted.rays))
-    return NewtonPolytope(f.n, vertices, f.terms)
+    return NewtonPolytope(f.n, vertices)
 
 
 def normal_cone(p: NewtonPolytope, face: Sequence[IVec]) -> Cone:

@@ -473,6 +473,39 @@ def test_refine_report_and_artifact_bytes_are_frozen(tmp_path, capsys,
         "b3cf161f9a6a1c7918e19318f909312e56981ce35138ae13aa39fb9d470a8722"
 
 
+BANANA_INC = {"mode": "analytic",
+              "strata": [{"name": "A", "codim": 0, "branches": 1},
+                         {"name": "B", "codim": 0, "branches": 1},
+                         {"name": "p", "codim": 1, "branches": 2},
+                         {"name": "q", "codim": 1, "branches": 2},
+                         {"name": "r", "codim": 1, "branches": 2}],
+              "closures": [["p", "A"], ["p", "B"], ["q", "B"], ["q", "A"],
+                           ["r", "B"]]}
+
+
+@pytest.mark.parametrize("argv, obj, report_digest, artifact_digest", [
+    (["dualcx"], BANANA_INC,
+     "2a6c1f0f219a45868118efb5fa260de0c8f6a89285ae3e3927949dd1477ced5a",
+     "5c207fd8b2a5b0e2db6219d5c9fbe75be05e0c06639f5b42fcfe702c83b4295a"),
+    (["subdivide", "--N", "2"], io.serialize_complex(square_complex()),
+     "2ac551dee23ae93274efbac52400ea468c800915413cbada124f881cbc9b20a6",
+     "b7ee848dd1019072b258b53f1dc1bab63d463738060988c2be119424907451ce"),
+], ids=["dualcx", "subdivide"])
+def test_complex_artifact_bytes_are_frozen(tmp_path, capsys, monkeypatch,
+                                           argv, obj, report_digest,
+                                           artifact_digest):
+    """The `--output` complex of a non-elliptic input, frozen with its
+    report."""
+    monkeypatch.chdir(tmp_path)
+    put(tmp_path, "x.json", obj)
+    assert cli.main(argv[:1] + ["x.json"] + argv[1:] +
+                    ["--output", "out.json", "--json"]) == 0
+    report = capsys.readouterr().out.encode()
+    assert hashlib.sha256(report).hexdigest() == report_digest
+    artifact = (tmp_path / "out.json").read_bytes()
+    assert hashlib.sha256(artifact).hexdigest() == artifact_digest
+
+
 ELLIPTIC_SUBDIVIDE_DIGESTS = {
     (1, 1):
         "a09911c6b5ae21bd5b4fe472be8ad3340c43e16579b9f18fe53139f7d7ae4242",

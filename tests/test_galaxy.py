@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from troplim.complexes import (
     count_cells,
+    cycle_complex,
     make_complex,
     point_complex,
     rational_points,
@@ -55,7 +56,8 @@ def test_polygon_degeneration_labels():
     p = polygon_degeneration(4)
     assert p.m == 4
     assert count_cells(p.complex) == {0: 4, 1: 4}
-    assert [a for _, a in p.labels] == [0, F(1, 4), F(1, 2), F(3, 4)]
+    assert [p.label(f"v{j}") for j in range(4)] == \
+        [0, F(1, 4), F(1, 2), F(3, 4)]
     with pytest.raises(ValidationError):
         polygon_degeneration(0)
 
@@ -64,7 +66,8 @@ def test_base_change_three_to_six():
     i6 = base_change(polygon_degeneration(3), 2)
     assert i6.m == 6
     assert count_cells(i6.complex) == {0: 6, 1: 6}
-    assert [a for _, a in i6.labels] == [F(j, 6) for j in range(6)]
+    assert [i6.label(f"v{j}") for j in range(6)] == \
+        [F(j, 6) for j in range(6)]
 
 
 def test_base_change_degree_one_is_identity():
@@ -99,16 +102,36 @@ def reference_base_change(p, d):
         start, end = position[e.faces[1]], position[e.faces[0]]
         assert end == (start + 1) % mm
         cells.append((f"e{start}", [f"v{end}", f"v{start}"]))
-    return PolygonDegeneration(
-        m=mm, complex=make_complex(cells, provenance=p.complex.provenance),
-        labels=tuple((f"v{k}", F(k, mm)) for k in range(mm)))
+    return PolygonDegeneration(m=mm, complex=make_complex(cells))
 
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_base_change_matches_the_fraction_path(m):
     p = polygon_degeneration(m)
     for d in range(1, 13):
-        assert base_change(p, d) == reference_base_change(p, d)
+        got, ref = base_change(p, d), reference_base_change(p, d)
+        assert got == ref
+        assert [got.label(f"v{k}") for k in range(m * d)] == \
+            [ref.label(f"v{k}") for k in range(m * d)] == \
+            [F(k, m * d) for k in range(m * d)]
+
+
+def test_base_change_refuses_a_skeleton_off_its_cycle():
+    """Each check runs on the subdivision, not on the derived cycle."""
+    # vertex v1 labeled 1/5: its subdivision vertices miss the 1/4-lattice
+    skewed = polygon_degeneration(2)
+    skewed.__dict__["_label_index"] = {"v0": F(0), "v1": F(1, 5)}
+    with pytest.raises(ValidationError, match="off the"):
+        base_change(skewed, 2)
+    # a 2-cycle claiming m = 4 covers half of the 1/8-lattice
+    with pytest.raises(ValidationError, match="do not fill"):
+        base_change(PolygonDegeneration(m=4, complex=cycle_complex(2)), 2)
+    # a 3-cycle walked v0 -> v2 -> v1: every angle is hit, out of order
+    backwards = make_complex([("v0", []), ("v1", []), ("v2", []),
+                              ("e0", ["v2", "v0"]), ("e1", ["v0", "v1"]),
+                              ("e2", ["v1", "v2"])])
+    with pytest.raises(ValidationError, match="not adjacent"):
+        base_change(PolygonDegeneration(m=3, complex=backwards), 2)
 
 
 def test_base_change_composes_on_the_nose():
@@ -245,13 +268,6 @@ def test_coarse_enclosure_is_refused(tower):
         classify_point(tower, galaxy_point(coarse))
 
 
-def test_classify_accepts_a_plain_level_sequence(tower):
-    c = classify_point(list(tower.levels), galaxy_point(F(1, 6)))
-    assert c.kind == "open" and c.level == 1
-    with pytest.raises(ValidationError):
-        classify_point([], galaxy_point(F(1, 6)))
-
-
 @given(st.integers(min_value=0, max_value=47))
 @settings(deadline=None, max_examples=30)
 def test_open_level_is_minimal(tower, p):
@@ -299,11 +315,11 @@ def galaxy_points(draw):
 def test_closed_form_matches_the_built_levels(tower, points):
     levels = list(tower.levels)
     assert tower.cycle_sizes == tuple(lv.m for lv in levels)
-    # vertex angles read off the built complexes; 1 is the angle 0 again
-    angles = [{a for _, a in lv.labels} | {F(1)} for lv in levels]
+    # vertex angles of the built levels; 1 is the angle 0 again
+    angles = [{lv.label(f"v{j}") for j in range(lv.m)} | {F(1)}
+              for lv in levels]
     for point in points:
         got = _outcome(tower, point)
-        assert got == _outcome(levels, point)
         if point.rational is not None:
             hits = [i for i, ang in enumerate(angles) if point.rational in ang]
             if not hits:

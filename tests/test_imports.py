@@ -1,5 +1,6 @@
-"""Every top-level import of a library module is used in that module, and
-every module-level function and class is named somewhere else.
+"""Every top-level import of a library module is used in that module,
+every module-level function and class is named somewhere else, and every
+member of a library class is read as an attribute somewhere.
 
 No linter ships with the project, so these stdlib ``ast`` scans stand in for
 one.  ``__init__.py`` is exempt from the import scan: its imports are the
@@ -92,3 +93,55 @@ def test_every_definition_is_named_elsewhere(path):
     elsewhere = set().union(*(read_in(p) for p in READERS if p != path))
     assert dead_definitions(path.read_text(encoding="utf-8"),
                             elsewhere) == []
+
+
+def attributes_read(tree: ast.AST) -> set[str]:
+    """Every ``x.name`` read anywhere under a node."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def unread_members(source: str, read: set[str]) -> list[str]:
+    """Methods, properties and annotated fields of the module's classes
+    whose names are not in ``read``; dunder methods are exempt."""
+    unread = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for item in cls.body:
+            if isinstance(item, ast.FunctionDef):
+                name = item.name
+            elif isinstance(item, ast.AnnAssign) and \
+                    isinstance(item.target, ast.Name):
+                name = item.target.id
+            else:
+                continue
+            if not (name.startswith("__") and name.endswith("__")) and \
+                    name not in read:
+                unread.append(f"{cls.name}.{name}")
+    return unread
+
+
+@cache
+def attributes_read_in(path: Path) -> frozenset[str]:
+    return frozenset(attributes_read(
+        ast.parse(path.read_text(encoding="utf-8"))))
+
+
+def test_the_scan_flags_an_unread_member():
+    source = ("from dataclasses import dataclass\n"
+              "@dataclass\nclass P:\n    x: int\n    knob: str = 'a'\n"
+              "    def __post_init__(self):\n        pass\n"
+              "    @property\n    def doubled(self):\n        return 2 * self.x\n"
+              "    def spare(self):\n        return self.doubled\n"
+              "def f(p):\n    p.knob = 'b'\n    return P(x=1, knob='c')\n")
+    read = attributes_read(ast.parse(source))
+    assert read == {"x", "doubled"}
+    assert unread_members(source, read) == ["P.knob", "P.spare"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_member_is_read_somewhere(path):
+    read = set().union(*(attributes_read_in(p) for p in READERS))
+    assert unread_members(path.read_text(encoding="utf-8"), read) == []

@@ -18,13 +18,18 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from test_linalg import matrices, reference_primitivize, reference_rref
+from test_linalg import (
+    matrices,
+    reference_primitivize,
+    reference_rref,
+    reference_solve_affine,
+)
 from test_tropical import polytope_faces
 from troplim import _linalg as la
 from troplim import lattice as lat
 from troplim import tropical as tp
 from troplim.fans import facet_cones
-from troplim._linalg import dot, identity_rows, mat_rank, solve_affine
+from troplim._linalg import dot, identity_rows, mat_rank
 from troplim.errors import NotStronglyConvex, RankCap, ZeroVector
 
 
@@ -38,7 +43,7 @@ def member_oracle(v, generators, n):
             if mat_rank(subset) != size:
                 continue
             cols = [[Fraction(g[i]) for g in subset] for i in range(n)]
-            sol = solve_affine(cols, [Fraction(x) for x in v])
+            sol = reference_solve_affine(cols, [Fraction(x) for x in v])
             if sol is not None and all(c >= 0 for c in sol):
                 return True
     return False

@@ -150,19 +150,6 @@ def test_routines_on_rref_match_the_fraction_reference(data):
 
 @settings(max_examples=200, deadline=None)
 @given(matrices(), st.data())
-def test_solve_affine_matches_the_fraction_reference(data, draw):
-    _, rows = data
-    rhs = draw.draw(st.lists(entries, min_size=len(rows),
-                             max_size=len(rows)))
-    solution = la.solve_affine(rows, rhs)
-    assert solution == reference_solve_affine(rows, rhs)
-    if solution is not None:
-        assert all(type(a) is Fraction for a in solution)
-        assert all(la.dot(row, solution) == b for row, b in zip(rows, rhs))
-
-
-@settings(max_examples=200, deadline=None)
-@given(matrices(), st.data())
 def test_reduce_prepared_is_a_positive_multiple_of_the_reduction(data, draw):
     ncols, rows = data
     v = draw.draw(st.lists(st.integers(-6, 6), min_size=ncols,
