@@ -24,8 +24,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from operator import mul
+from functools import cache, cached_property
+from operator import add
 from typing import Mapping, Optional, Sequence
 
 from . import _linalg as la
@@ -579,32 +579,40 @@ def rational_points(x: DeltaComplex, level: int) -> frozenset:
     return frozenset(points)
 
 
-def _alcoves(m: int, level: int):
-    """Unimodular alcoves of the dilated order simplex level*O_m.
+@cache
+def _interior_offsets(tight: tuple[bool, ...]) -> tuple[tuple, ...]:
+    """Faces from one base point that stay interior to their m-cell.
 
-    Each alcove is the ordered vertex chain b, b+e_{pi(1)}, ..., b+1 for an
-    integer base point and a permutation; exactly level**m of them fit.
+    A face of the Freudenthal subdivision of ``level * O_m`` is a base point
+    y and disjoint nonempty step sets S_1, ..., S_k; its vertices are
+    y + 1_{S_1 ∪ ... ∪ S_a} for a = 0..k, so the base is its least vertex.
+    ``tight[j-1]`` says that barycentric coordinate j vanishes at y
+    (y_j = y_{j+1}, or y_m = 0 for j = m).  Such a coordinate stays
+    nonnegative and vanishes on no vertex exactly when j steps strictly
+    before j + 1 (which may not step at all), or when m steps, for j = m.
+    Coordinate 0 vanishes on none when y_1 < level, the caller's bound.
+
+    Each face is returned as its vertex offsets from y in barycentric
+    coordinates; step i moves one unit from coordinate i - 1 to i.
     """
-    if m == 0:
-        yield ((),)
-        return
-    bases = [b for b in itertools.product(range(level + 1), repeat=m)
-             if all(b[i] >= b[i + 1] for i in range(m - 1))]
-    for b in bases:
-        for pi in itertools.permutations(range(m)):
-            chain = [tuple(b)]
-            cur = list(b)
-            ok = True
-            for step in pi:
-                cur[step] += 1
-                good = all(cur[i] >= cur[i + 1] for i in range(m - 1)) \
-                    and cur[0] <= level and cur[-1] >= 0
-                if not good:
-                    ok = False
-                    break
-                chain.append(tuple(cur))
-            if ok:
-                yield tuple(chain)
+    m = len(tight)
+    out = []
+    # tau[i - 1] is the step set holding i, or 0 when i does not step
+    for tau in itertools.product(range(m + 1), repeat=m):
+        k = max(tau, default=0)
+        if len(set(tau) - {0}) != k:
+            continue  # the step sets are not numbered 1..k
+        # a tight coordinate j steps, and strictly before j + 1
+        if any(t and (not s or 0 < after <= s)
+               for t, s, after in zip(tight, tau, tau[1:] + (0,))):
+            continue
+        offsets = []
+        for a in range(k + 1):
+            stepped = [0] + [int(0 < s <= a) for s in tau] + [0]
+            offsets.append(tuple(stepped[j] - stepped[j + 1]
+                                 for j in range(m + 1)))
+        out.append(tuple(offsets))
+    return tuple(out)
 
 
 def _sub_name(carrier: str, points) -> str:
@@ -639,52 +647,46 @@ class SubdivisionResult:
     def carrier(self, name: str) -> tuple[str, tuple[tuple[int, ...], ...]]:
         return self._carrier_index[name]
 
-    def push_point(self, name: str, coords: Sequence) -> tuple[str, QVec]:
-        """Locate a point of the subdivision in the original complex."""
-        carrier, verts = self.carrier(name)
-        weights = tuple(Fraction(c) for c in coords)
-        if len(weights) != len(verts):
-            raise DimensionMismatch(
-                f"{len(weights)} coordinates for a {len(verts) - 1}-cell")
-        t = tuple(sum(map(mul, weights, col)) / self.level
-                  for col in zip(*verts))
-        return canonical_point(self.original, carrier, t)
-
-    def vertex_location(self, name: str) -> tuple[str, QVec]:
-        return self.push_point(name, (Fraction(1),))
-
 
 def scale_subdivide(x: DeltaComplex, level: int) -> SubdivisionResult:
-    """Exact N-fold subdivision along the integral-affine structure."""
+    """Exact N-fold subdivision along the integral-affine structure.
+
+    Every cell of the subdivision is a face of the Freudenthal subdivision
+    of ``level * O_m`` interior to exactly one cell of ``x``, so each is
+    enumerated once, from that cell: a base point y with y_1 < level and
+    the step sequences that leave it interior (``_interior_offsets``).
+    """
     if not x.affine:
         raise NoAffineStructure(
             "the complex carries no integral-affine charts")
     if level < 1:
         raise ValueError("subdivision level must be a positive integer")
-    found: dict[tuple, int] = {}
+    names: dict[tuple, str] = {}
     for cell in x.cells:
-        for alcove in _alcoves(cell.dim, level):
-            # order coordinates y to level-scaled barycentric ones
-            alcove = [tuple(a - b for a, b in zip((level,) + y, y + (0,)))
-                      for y in alcove]
-            for k in range(1, len(alcove) + 1):
-                for sub in itertools.combinations(alcove, k):
-                    found[_drop_walls(x, cell.name, sub)] = k - 1
-    names = {key: _sub_name(*key) for key in found}
-    # face i omits vertex i, then falls to its own canonical carrier, which
-    # the pass above enumerated; neighbouring cells share faces, so each
-    # (carrier, dropped) pair is pushed once
+        # base points level > y_1 >= ... >= y_m >= 0, in level-scaled
+        # barycentric coordinates
+        for low in itertools.combinations_with_replacement(
+                range(level), cell.dim):
+            y = low[::-1]
+            base = tuple(a - b for a, b in zip((level,) + y, y + (0,)))
+            for offsets in _interior_offsets(tuple(not c for c in base[1:])):
+                key = (cell.name, tuple(tuple(map(add, base, o))
+                                        for o in offsets))
+                names[key] = _sub_name(*key)
+    # face i omits vertex i; it is looked up directly when it stays in its
+    # cell's interior, else it falls to its own canonical carrier, and
+    # neighbouring cells share those, so each is pushed once
     pushed: dict[tuple, str] = {}
     cells = []
-    for key, d in sorted(found.items()):
-        carrier, verts = key
+    for (carrier, verts), name in names.items():
         faces = []
-        for i in range(d + 1) if d else ():
+        for i in range(len(verts)) if len(verts) > 1 else ():
             face = (carrier, verts[:i] + verts[i + 1:])
-            if face not in pushed:
-                pushed[face] = names[_drop_walls(x, *face)]
-            faces.append(pushed[face])
-        cells.append((names[key], faces))
+            face_name = names.get(face) or pushed.get(face)
+            if face_name is None:
+                face_name = pushed[face] = names[_drop_walls(x, *face)]
+            faces.append(face_name)
+        cells.append((name, faces))
     carriers = tuple(sorted((name, key) for key, name in names.items()))
     return SubdivisionResult(
         complex=make_complex(cells, affine=True, provenance=x.provenance),

@@ -5,16 +5,16 @@ The model is an elliptic fibration acquiring a cycle of m rational curves
 circle of circumference 1 with vertices at the angles j/m.  A degree-d base
 change followed by minimal resolution turns I_m into I_{dm}; on skeletons
 this is exactly the d-fold scale subdivision with vertices relabeled j/(dm).
-So a degeneration is determined by its cycle size: its labels are derived
-from m, and a base change checks the subdivision against the (dm)-cycle and
-returns that cycle.  Along a tower of base changes whose degrees form a
-divisibility chain reaching every integer, each rational angle p/q
-eventually becomes a vertex (an open slot of the limit space), while an
-irrational angle stays interior to a strictly shrinking chain of edges and
-survives as a closed point.  Irrational angles are symbols with rational
-enclosures; one too coarse to separate the angle from a vertex is refused.
-Both cases depend only on the cycle sizes m·d, all a tower holds; it builds
-level complexes on request.
+So a degeneration is determined by its cycle size: it holds only m, its
+cycle and labels are derived from m on first read, and a base change is the
+(dm)-cycle by construction, with no subdivision run.  Along a tower of base
+changes whose degrees form a divisibility chain reaching every integer,
+each rational angle p/q eventually becomes a vertex (an open slot of the
+limit space), while an irrational angle stays interior to a strictly
+shrinking chain of edges and survives as a closed point.  Irrational
+angles are symbols with rational enclosures; one too coarse to separate
+the angle from a vertex is refused.  Both cases depend only on the cycle
+sizes m·d, all a tower holds; it builds level degenerations on request.
 
 The decomposition ledger records, for any skeleton at a given level, the
 open slots realized so far (its rational points) and the count of the
@@ -32,7 +32,6 @@ from typing import Optional, Sequence, Union
 from .complexes import (
     Cell,
     DeltaComplex,
-    canonical_point,
     count_cells,
     cycle_complex,
     rational_points,
@@ -58,14 +57,22 @@ class PolygonDegeneration:
     """An I_m degeneration through its skeleton: a labeled m-cycle.
 
     Vertex j carries the angle j/m; the edge e_j covers [j/m, (j+1)/m].
+    Only m is held: the cycle and the labels are derived from it on first
+    read, and kept out of eq, hash and repr.
     """
 
     m: int
-    complex: DeltaComplex
+
+    def __post_init__(self):
+        if self.m < 1:
+            raise ValidationError("an I_m degeneration needs m >= 1")
+
+    @cached_property
+    def complex(self) -> DeltaComplex:
+        return cycle_complex(self.m)
 
     @cached_property
     def _label_index(self) -> dict[str, Fraction]:
-        # built on first read; cached_property keeps it out of eq/hash/repr
         return {f"v{j}": Fraction(j, self.m) for j in range(self.m)}
 
     def label(self, vertex: str) -> Fraction:
@@ -77,69 +84,23 @@ class PolygonDegeneration:
 
 def polygon_degeneration(m: int) -> PolygonDegeneration:
     """The I_m skeleton: an m-cycle with vertices labeled j/m."""
-    if m < 1:
-        raise ValidationError("an I_m degeneration needs m >= 1")
-    return PolygonDegeneration(m=m, complex=cycle_complex(m))
-
-
-def circle_position(p: PolygonDegeneration, cell_name: str,
-                    coords: Sequence) -> Fraction:
-    """Angle in [0, 1) of a point of the cycle, from labels and charts."""
-    name, t = canonical_point(p.complex, cell_name, coords)
-    cell = p.complex.cell(name)
-    if cell.dim == 0:
-        return p.label(name)
-    start = p.label(cell.faces[1])
-    return (start + t[1] * Fraction(1, p.m)) % 1
-
-
-def edge_interval(p: PolygonDegeneration, edge: str
-                  ) -> tuple[Fraction, Fraction]:
-    """The angle interval covered by an edge, on the universal cover."""
-    cell = p.complex.cell(edge)
-    if cell.dim != 1:
-        raise UnknownStratum(f"{edge!r} is not an edge")
-    start = p.label(cell.faces[1])
-    return start, start + Fraction(1, p.m)
+    return PolygonDegeneration(m)
 
 
 def base_change(p: PolygonDegeneration, d: int) -> PolygonDegeneration:
     """Degree-d base change: I_m becomes I_{dm}.
 
-    Computed as the d-fold scale subdivision of the cycle; every
-    subdivision vertex is located on the circle at an angle k/(dm), and the
-    vertices must fill that lattice with each subdivided edge joining
-    neighbours.  The result is then the labeled (dm)-cycle, so iterated
-    base changes compose on the nose.  A vertex's carrier is a cycle
-    vertex, or an edge from ``start`` holding it with integer weights
-    (d - b, b); then k = label(start)·dm + b.
+    On skeletons this is the d-fold scale subdivision of the m-cycle: the
+    subdivision vertices land on the angles k/(dm), each subdivided edge
+    joining neighbours, so the result is the labeled (dm)-cycle.  A
+    degeneration is its cycle size, so the result is built from m·d alone
+    and iterated base changes compose on the nose.
     """
     if d < 1:
         raise ValidationError("base change degree must be >= 1")
     if d == 1:
         return p
-    sub = scale_subdivide(p.complex, d)
-    mm = p.m * d
-    position: dict[str, int] = {}
-    for v in sub.complex.by_dim(0):
-        carrier, (weights,) = sub.carrier(v.name)
-        cell = p.complex.cell(carrier)
-        start, b = (carrier, 0) if cell.dim == 0 else \
-            (cell.faces[1], weights[1])
-        # b is an integer, so k is on the lattice when the label is
-        k = p.label(start) * mm + b
-        if k.denominator != 1:
-            raise ValidationError(
-                f"subdivision vertex at angle {k / mm} is off the "
-                f"(1/{mm})-lattice")
-        position[v.name] = int(k)
-    if sorted(position.values()) != list(range(mm)):
-        raise ValidationError(
-            f"subdivision vertices do not fill the (1/{mm})-lattice")
-    for e in sub.complex.by_dim(1):
-        if position[e.faces[0]] != (position[e.faces[1]] + 1) % mm:
-            raise ValidationError("subdivided edge endpoints are not adjacent")
-    return polygon_degeneration(mm)
+    return polygon_degeneration(p.m * d)
 
 
 # -- towers and point classification -----------------------------------------
@@ -149,7 +110,7 @@ def base_change(p: PolygonDegeneration, d: int) -> PolygonDegeneration:
 class EllipticTower:
     """I_m under base changes of degrees d_i, held by its cycle sizes m·d_i.
 
-    ``levels`` builds the level complexes by base change on first read.
+    ``levels`` builds the level degenerations by base change on first read.
     """
 
     m: int

@@ -108,6 +108,7 @@ from troplim.tropical import (
     trop_poly,
 )
 
+from skeleton_references import push_point, vertex_location
 from test_tropical import reference_hypersurface
 
 SQRT2 = Symbol("sqrt2", F(1414213, 10 ** 6), F(1414214, 10 ** 6))
@@ -380,9 +381,9 @@ def test_criterion_10_randomized_invariant_suites():
         s_ab = scale_subdivide(s_b.complex, a)
         direct = scale_subdivide(base, a * b)
         assert count_cells(s_ab.complex) == count_cells(direct.complex)
-        composed = {s_b.push_point(*s_ab.vertex_location(v.name))
+        composed = {push_point(s_b, *vertex_location(s_ab, v.name))
                     for v in s_ab.complex.by_dim(0)}
-        assert composed == {direct.vertex_location(v.name)
+        assert composed == {vertex_location(direct, v.name)
                             for v in direct.complex.by_dim(0)}
 
     rng = random.Random(1)

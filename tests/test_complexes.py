@@ -2,15 +2,16 @@
 
 import dataclasses
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skeleton_references import alcoves, push_point, vertex_location
 from troplim.complexes import (
     DeltaComplex,
-    _alcoves,
     _drop_walls,
     _lowest_images,
     _sequence_index,
@@ -216,7 +217,7 @@ def test_rational_points_nest(level, factor):
 def test_subdivide_segment():
     s = scale_subdivide(segment_complex(), 3)
     assert count_cells(s.complex) == {0: 4, 1: 3}
-    locs = {s.vertex_location(v.name) for v in s.complex.by_dim(0)}
+    locs = {vertex_location(s, v.name) for v in s.complex.by_dim(0)}
     assert locs == {
         ("z0", (F(1),)), ("z1", (F(1),)),
         ("e", (F(1, 3), F(2, 3))), ("e", (F(2, 3), F(1, 3))),
@@ -274,7 +275,7 @@ def test_subdivision_vertices_are_rational_points():
     for x in (segment_complex(), cycle_complex(1), triangle_complex()):
         for level in (1, 2, 3):
             s = scale_subdivide(x, level)
-            locs = {s.vertex_location(v.name) for v in s.complex.by_dim(0)}
+            locs = {vertex_location(s, v.name) for v in s.complex.by_dim(0)}
             assert locs == rational_points(x, level)
 
 
@@ -286,16 +287,16 @@ def test_subdivision_composes():
         assert count_cells(s2of3.complex) == count_cells(s6.complex)
         composed = set()
         for v in s2of3.complex.by_dim(0):
-            c1, t1 = s2of3.vertex_location(v.name)
-            composed.add(s3.push_point(c1, t1))
-        direct = {s6.vertex_location(v.name) for v in s6.complex.by_dim(0)}
+            c1, t1 = vertex_location(s2of3, v.name)
+            composed.add(push_point(s3, c1, t1))
+        direct = {vertex_location(s6, v.name) for v in s6.complex.by_dim(0)}
         assert composed == direct
 
 
 def test_push_point_interior():
     s = scale_subdivide(segment_complex(), 3)
     edge = sorted(c.name for c in s.complex.by_dim(1))[0]
-    assert s.push_point(edge, (F(1, 2), F(1, 2))) == ("e", (F(5, 6), F(1, 6)))
+    assert push_point(s, edge, (F(1, 2), F(1, 2))) == ("e", (F(5, 6), F(1, 6)))
 
 
 def test_subdivide_requires_affine_structure():
@@ -588,7 +589,7 @@ def reference_scale_subdivide(x, level):
     face pushed in order coordinates."""
     found = {}
     for cell in x.cells:
-        for alcove in _alcoves(cell.dim, level):
+        for alcove in alcoves(cell.dim, level):
             for k in range(1, len(alcove) + 1):
                 for sub in itertools.combinations(alcove, k):
                     found[reference_push_face(x, cell.name, sub, level)] = \
@@ -615,6 +616,32 @@ WALL_SHAPES = {
 }
 
 
+def ordered_complex(rng, nverts, tops):
+    """The ordered simplicial complex spanned by the top simplices, on
+    shuffled three-letter vertex labels; face i of a simplex omits its i-th
+    vertex in index order, as in the benchmark corpus."""
+    labels = rng.sample(["".join(t) for t in itertools.product("abcdefgh",
+                                                               repeat=3)],
+                        nverts)
+    simplices = {s for top in tops for k in range(1, len(top) + 1)
+                 for s in itertools.combinations(sorted(top), k)}
+    name = {s: ".".join(labels[i] for i in s) for s in simplices}
+    return make_complex([(name[s], [name[s[:i] + s[i + 1:]]
+                                    for i in range(len(s))] if len(s) > 1
+                          else []) for s in simplices])
+
+
+def assert_matches_the_reference(x, level):
+    """Cells, faces and carriers of the subdivision are the ones the walk
+    over every alcove face builds."""
+    sub = scale_subdivide(x, level)
+    cells, carriers = reference_scale_subdivide(x, level)
+    assert sorted((c.name, c.faces) for c in sub.complex.cells) == cells
+    assert list(sub.carriers) == [
+        (name, (carrier, tuple(_scaled(y, level) for y in verts)))
+        for name, (carrier, verts) in carriers]
+
+
 @pytest.mark.parametrize("shape", sorted(WALL_SHAPES))
 def test_scale_subdivide_matches_the_order_coordinate_walk(shape):
     """At levels 1-6, ``_drop_walls`` on each alcove face in scaled
@@ -623,7 +650,7 @@ def test_scale_subdivide_matches_the_order_coordinate_walk(shape):
     x = WALL_SHAPES[shape]()
     for level in range(1, 7):
         for cell in x.cells:
-            for alcove in _alcoves(cell.dim, level):
+            for alcove in alcoves(cell.dim, level):
                 for k in range(1, len(alcove) + 1):
                     for sub in itertools.combinations(alcove, k):
                         name, verts = reference_push_face(x, cell.name, sub,
@@ -631,12 +658,32 @@ def test_scale_subdivide_matches_the_order_coordinate_walk(shape):
                         assert _drop_walls(
                             x, cell.name, [_scaled(y, level) for y in sub]
                         ) == (name, tuple(_scaled(y, level) for y in verts))
-        sub = scale_subdivide(x, level)
-        cells, carriers = reference_scale_subdivide(x, level)
-        assert sorted((c.name, c.faces) for c in sub.complex.cells) == cells
-        assert list(sub.carriers) == [
-            (name, (carrier, tuple(_scaled(y, level) for y in verts)))
-            for name, (carrier, verts) in carriers]
+        assert_matches_the_reference(x, level)
+
+
+# shape -> (builder from a seeded rng, highest level): the benchmark
+# corpus's shapes, random pure 2-complexes with six triangles on seven
+# vertices, and the level-3 subdivision of the solid tetrahedron that the
+# corpus subdivides again
+CORPUS_SHAPES = {
+    "triangle": (lambda rng: ordered_complex(rng, 3, [(0, 1, 2)]), 6),
+    "square": (lambda rng: ordered_complex(rng, 4, [(0, 1, 3), (0, 2, 3)]),
+               6),
+    "tetrahedron": (lambda rng: ordered_complex(rng, 4, [(0, 1, 2, 3)]), 6),
+    **{f"random2-{seed}": (lambda rng: ordered_complex(rng, 7, rng.sample(
+        list(itertools.combinations(range(7), 3)), 6)), 6)
+       for seed in range(4)},
+    "resub": (lambda rng: scale_subdivide(
+        ordered_complex(rng, 4, [(0, 1, 2, 3)]), 3).complex, 3),
+}
+
+
+@pytest.mark.parametrize("shape", list(CORPUS_SHAPES))
+def test_scale_subdivide_matches_the_walk_on_corpus_shapes(shape):
+    build, top = CORPUS_SHAPES[shape]
+    x = build(random.Random(shape))
+    for level in range(1, top + 1):
+        assert_matches_the_reference(x, level)
 
 
 @st.composite

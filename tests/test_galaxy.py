@@ -4,11 +4,17 @@ import dataclasses
 import time
 from fractions import Fraction as F
 from math import isqrt
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skeleton_references import (
+    circle_position,
+    edge_interval,
+    vertex_location,
+)
 from troplim.complexes import (
     count_cells,
     cycle_complex,
@@ -29,10 +35,8 @@ from troplim.galaxy import (
     GalaxyPoint,
     PolygonDegeneration,
     base_change,
-    circle_position,
     classify_point,
     decomposition,
-    edge_interval,
     elliptic_tower,
     f_tr_cell,
     galaxy_point,
@@ -62,6 +66,13 @@ def test_polygon_degeneration_labels():
         polygon_degeneration(0)
 
 
+def test_polygon_degeneration_validates_itself():
+    for m in (0, -3):
+        with pytest.raises(ValidationError, match="needs m >= 1"):
+            PolygonDegeneration(m)
+    assert PolygonDegeneration(2).complex == cycle_complex(2)
+
+
 def test_base_change_three_to_six():
     i6 = base_change(polygon_degeneration(3), 2)
     assert i6.m == 6
@@ -83,55 +94,82 @@ def test_base_change_of_a_self_loop():
     assert count_cells(i5.complex) == {0: 5, 1: 5}
 
 
+def labeled_cycle(x, m, labels=None):
+    """A cycle complex read as an I_m skeleton, with its vertex angles given
+    (j/m for ``v{j}`` by default) rather than derived from m."""
+    labels = labels or {f"v{j}": F(j, m) for j in range(m)}
+    return SimpleNamespace(m=m, complex=x, label=labels.__getitem__)
+
+
 def reference_base_change(p, d):
-    """``base_change`` before it read each vertex position off the integer
-    carrier: the vertex is pushed into the cycle and its angle computed in
-    Fractions."""
-    if d == 1:
-        return p
+    """Degree-d base change through the d-fold subdivision of the cycle.
+
+    Each subdivision vertex is pushed into the cycle and its angle computed
+    in Fractions from the labels of ``p`` (anything with ``m``, ``complex``
+    and ``label``).  The angles must lie on the (1/(md))-lattice, fill it,
+    and each subdivided edge must join neighbours; then the result is the
+    (md)-cycle, returned as its size and complex."""
     sub = scale_subdivide(p.complex, d)
     mm = p.m * d
     position = {}
     for v in sub.complex.by_dim(0):
-        k = circle_position(p, *sub.vertex_location(v.name)) * mm
-        assert k.denominator == 1
+        k = circle_position(p, *vertex_location(sub, v.name)) * mm
+        if k.denominator != 1:
+            raise ValidationError(
+                f"subdivision vertex at angle {k / mm} is off the "
+                f"(1/{mm})-lattice")
         position[v.name] = int(k)
-    assert sorted(position.values()) == list(range(mm))
+    if sorted(position.values()) != list(range(mm)):
+        raise ValidationError(
+            f"subdivision vertices do not fill the (1/{mm})-lattice")
     cells = [(f"v{k}", []) for k in position.values()]
     for e in sub.complex.by_dim(1):
         start, end = position[e.faces[1]], position[e.faces[0]]
-        assert end == (start + 1) % mm
+        if end != (start + 1) % mm:
+            raise ValidationError("subdivided edge endpoints are not adjacent")
         cells.append((f"e{start}", [f"v{end}", f"v{start}"]))
-    return PolygonDegeneration(m=mm, complex=make_complex(cells))
+    return mm, make_complex(cells)
 
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_base_change_matches_the_fraction_path(m):
     p = polygon_degeneration(m)
     for d in range(1, 13):
-        got, ref = base_change(p, d), reference_base_change(p, d)
-        assert got == ref
+        got = base_change(p, d)
+        assert (got.m, got.complex) == reference_base_change(p, d)
         assert [got.label(f"v{k}") for k in range(m * d)] == \
-            [ref.label(f"v{k}") for k in range(m * d)] == \
             [F(k, m * d) for k in range(m * d)]
 
 
 def test_base_change_refuses_a_skeleton_off_its_cycle():
-    """Each check runs on the subdivision, not on the derived cycle."""
+    """Each check of the subdivision path fires on a skeleton whose labels,
+    size or edge order disagree with its cycle; no PolygonDegeneration is
+    such a skeleton, since its cycle and labels are derived from m."""
     # vertex v1 labeled 1/5: its subdivision vertices miss the 1/4-lattice
-    skewed = polygon_degeneration(2)
-    skewed.__dict__["_label_index"] = {"v0": F(0), "v1": F(1, 5)}
+    skewed = labeled_cycle(cycle_complex(2), 2, {"v0": F(0), "v1": F(1, 5)})
     with pytest.raises(ValidationError, match="off the"):
-        base_change(skewed, 2)
+        reference_base_change(skewed, 2)
     # a 2-cycle claiming m = 4 covers half of the 1/8-lattice
     with pytest.raises(ValidationError, match="do not fill"):
-        base_change(PolygonDegeneration(m=4, complex=cycle_complex(2)), 2)
+        reference_base_change(labeled_cycle(cycle_complex(2), 4), 2)
     # a 3-cycle walked v0 -> v2 -> v1: every angle is hit, out of order
     backwards = make_complex([("v0", []), ("v1", []), ("v2", []),
                               ("e0", ["v2", "v0"]), ("e1", ["v0", "v1"]),
                               ("e2", ["v1", "v2"])])
     with pytest.raises(ValidationError, match="not adjacent"):
-        base_change(PolygonDegeneration(m=3, complex=backwards), 2)
+        reference_base_change(labeled_cycle(backwards, 3), 2)
+
+
+def test_base_change_is_closed_form():
+    """A base change builds no complex: I_{3·2^40} is held by its size."""
+    start = time.perf_counter()
+    # a small case first, so that a base change that builds its cycle
+    # fails here instead of building 3·2^40 cells
+    assert "complex" not in vars(base_change(polygon_degeneration(3), 2))
+    big = base_change(polygon_degeneration(3), 2 ** 40)
+    assert big == polygon_degeneration(3 * 2 ** 40)
+    assert "complex" not in vars(big)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_base_change_composes_on_the_nose():
