@@ -17,11 +17,11 @@ import argparse
 from fractions import Fraction
 
 from troplim.galaxy import (
+    PolygonDegeneration,
     classify_point,
     decomposition,
     elliptic_tower,
     galaxy_point,
-    polygon_degeneration,
 )
 from troplim.towers import Symbol
 
@@ -65,7 +65,7 @@ def main(argv=None):
         print(f"  {sym.name:>9}: carrier edge widths {widths}")
 
     level = args.decompose_at
-    record = decomposition(polygon_degeneration(args.m), level)
+    record = decomposition(PolygonDegeneration(args.m), level)
     print(f"\ndecomposition of I_{args.m} at level {level}: "
           f"{record.slot_count} open slots, "
           f"{record.non_klt_cells} remaining positive-dimensional cells")

@@ -16,7 +16,6 @@ from .complexes import (
     ToricFiberComplex,
     canonical_point,
     collapse_to_algebraic,
-    compare_fiber,
     count_cells,
     cycle_complex,
     euler_characteristic,
@@ -52,15 +51,14 @@ from .galaxy import (
     elliptic_tower,
     f_tr_cell,
     galaxy_point,
-    polygon_degeneration,
 )
 from .lattice import (
     RANK_CAP,
     Cone,
     Ray,
-    cone_contains,
     cone_from_generators,
     cone_intersect,
+    locate,
     primitive,
 )
 from .sampling import distance_to_ptrop, ptrop_sample_oracle

@@ -21,7 +21,6 @@ from typing import Optional, Sequence
 
 from .complexes import (
     DeltaComplex,
-    compare_fiber,
     count_cells,
     euler_characteristic,
     from_incidence,
@@ -47,7 +46,6 @@ from .galaxy import (
     base_change,
     classify_point,
     decomposition,
-    polygon_degeneration,
 )
 from .io import (
     canonical_json,
@@ -402,6 +400,8 @@ def handle_rational_points(cfg: JobConfig, path: str) -> dict:
 
 def handle_map_fibers(cfg: JobConfig, path: str) -> dict:
     mapping, reference, points = parse_map_fibers(path)
+    reference_euler = (None if reference is None
+                       else euler_characteristic(reference))
     entries = []
     any_mismatch = False
     for cell, coords in points:
@@ -413,14 +413,13 @@ def handle_map_fibers(cfg: JobConfig, path: str) -> dict:
             "euler": fiber.euler,
             "empty": fiber.is_empty,
         }
-        if reference is not None:
-            cmpv = compare_fiber(fiber, reference)
-            entry["match"] = cmpv.match
-            any_mismatch = any_mismatch or not cmpv.match
+        if reference_euler is not None:
+            entry["match"] = fiber.euler == reference_euler
+            any_mismatch = any_mismatch or not entry["match"]
         entries.append(entry)
     out = {"input": path, "points": entries}
-    if reference is not None:
-        out["reference_euler"] = euler_characteristic(reference)
+    if reference_euler is not None:
+        out["reference_euler"] = reference_euler
         out["mismatch"] = any_mismatch
     return out
 
@@ -480,7 +479,7 @@ def handle_galaxy(cfg: JobConfig, path: str) -> dict:
         "points": outcomes,
     }
     if cfg.level is not None:
-        record = decomposition(polygon_degeneration(tower.m), cfg.level)
+        record = decomposition(PolygonDegeneration(tower.m), cfg.level)
         out["decomposition"] = {
             "level": record.level,
             "open_slots": record.slot_count,

@@ -768,23 +768,6 @@ def map_fiber(mapping: ComplexMap, cell_name: str, coords: Sequence
     return FiberComplex(faces_by_dim=tuple(sorted(counts.items())))
 
 
-@dataclass(frozen=True)
-class FiberComparison:
-    """Side-by-side of a computed fiber and a reference dual complex."""
-
-    fiber_euler: int
-    reference_euler: int
-
-    @property
-    def match(self) -> bool:
-        return self.fiber_euler == self.reference_euler
-
-
-def compare_fiber(fiber: FiberComplex, reference: DeltaComplex
-                  ) -> FiberComparison:
-    return FiberComparison(fiber.euler, euler_characteristic(reference))
-
-
 # -- fibers of maps of fans --------------------------------------------------
 
 

@@ -6,12 +6,13 @@ circle of circumference 1 with vertices at the angles j/m.  A degree-d base
 change followed by minimal resolution turns I_m into I_{dm}; on skeletons
 this is exactly the d-fold scale subdivision with vertices relabeled j/(dm).
 So a degeneration is determined by its cycle size: it holds only m, its
-cycle and labels are derived from m on first read, and a base change is the
-(dm)-cycle by construction, with no subdivision run.  Along a tower of base
-changes whose degrees form a divisibility chain reaching every integer,
-each rational angle p/q eventually becomes a vertex (an open slot of the
-limit space), while an irrational angle stays interior to a strictly
-shrinking chain of edges and survives as a closed point.  Irrational
+cycle is derived from m on first read and its labels from the vertex
+names, and a base change is the (dm)-cycle by construction, with no
+subdivision run.  Along a tower of base changes whose degrees form a
+divisibility chain reaching every integer, each rational angle p/q
+eventually becomes a vertex (an open slot of the limit space), while an
+irrational angle stays interior to a strictly shrinking chain of edges and
+survives as a closed point.  Irrational
 angles are symbols with rational enclosures; one too coarse to separate
 the angle from a vertex is refused.  Both cases depend only on the cycle
 sizes m·d, all a tower holds; it builds level degenerations on request.
@@ -57,8 +58,8 @@ class PolygonDegeneration:
     """An I_m degeneration through its skeleton: a labeled m-cycle.
 
     Vertex j carries the angle j/m; the edge e_j covers [j/m, (j+1)/m].
-    Only m is held: the cycle and the labels are derived from it on first
-    read, and kept out of eq, hash and repr.
+    Only m is held: the cycle is derived from it on first read and kept
+    out of eq, hash and repr, and a label is read off the vertex name.
     """
 
     m: int
@@ -71,20 +72,15 @@ class PolygonDegeneration:
     def complex(self) -> DeltaComplex:
         return cycle_complex(self.m)
 
-    @cached_property
-    def _label_index(self) -> dict[str, Fraction]:
-        return {f"v{j}": Fraction(j, self.m) for j in range(self.m)}
-
     def label(self, vertex: str) -> Fraction:
-        angle = self._label_index.get(vertex)
-        if angle is None:
-            raise UnknownStratum(f"no vertex named {vertex!r}")
-        return angle
-
-
-def polygon_degeneration(m: int) -> PolygonDegeneration:
-    """The I_m skeleton: an m-cycle with vertices labeled j/m."""
-    return PolygonDegeneration(m)
+        """The angle j/m of the vertex ``v{j}``, j in canonical decimal."""
+        j, m = vertex[1:], str(self.m)
+        # canonical decimals (no leading zero) compare as numbers do by
+        # (length, digits), so j < m is read without parsing a long name
+        if vertex[:1] == "v" and j.isascii() and j.isdigit() and \
+                (j == "0" or j[0] != "0") and (len(j), j) < (len(m), m):
+            return Fraction(int(j), self.m)
+        raise UnknownStratum(f"no vertex named {vertex!r}")
 
 
 def base_change(p: PolygonDegeneration, d: int) -> PolygonDegeneration:
@@ -100,7 +96,7 @@ def base_change(p: PolygonDegeneration, d: int) -> PolygonDegeneration:
         raise ValidationError("base change degree must be >= 1")
     if d == 1:
         return p
-    return polygon_degeneration(p.m * d)
+    return PolygonDegeneration(p.m * d)
 
 
 # -- towers and point classification -----------------------------------------
@@ -126,7 +122,7 @@ class EllipticTower:
 
     @cached_property
     def levels(self) -> tuple[PolygonDegeneration, ...]:
-        base = polygon_degeneration(self.m)
+        base = PolygonDegeneration(self.m)
         return tuple(base_change(base, d) for d in self.degrees)
 
 

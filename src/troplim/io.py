@@ -62,7 +62,6 @@ from .galaxy import (
     PolygonDegeneration,
     elliptic_tower,
     galaxy_point,
-    polygon_degeneration,
 )
 from .lattice import Cone, cone_from_generators
 from .towers import (
@@ -326,7 +325,7 @@ def parse_cycle_or_complex(path: str
     """A complex file, or {"elliptic": {"m": k}} for the I_k cycle."""
     obj = load_json(path)
     if "elliptic" in obj:
-        return polygon_degeneration(_cycle_size(obj, path)[0])
+        return PolygonDegeneration(_cycle_size(obj, path)[0])
     return parse_complex_data(obj, path)
 
 

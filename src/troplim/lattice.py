@@ -17,8 +17,8 @@ rays of the cone cut out so far, and adjacent rays on opposite sides of a
 new row are combined, adjacency decided from the rows each ray makes tight
 (Fukuda & Prodon 1996).
 
-Containment answers are relative: ``interior`` means the relative interior
-of the cone inside its own span.
+Containment has one answer, the minimal face holding the point (``locate``):
+the cone itself for a point of its relative interior, inside its own span.
 """
 
 from __future__ import annotations
@@ -41,10 +41,6 @@ from .errors import (
 RANK_CAP = 4
 
 IVec = tuple[int, ...]
-
-INTERIOR = "interior"
-BOUNDARY = "boundary"
-OUTSIDE = "outside"
 
 
 @dataclass(frozen=True)
@@ -69,13 +65,6 @@ def primitive(v: Sequence[int]) -> Ray:
     if la.is_zero_vec(v):
         raise ZeroVector(f"no primitive representative of the zero vector {tuple(v)}")
     return Ray(la.primitivize(v))
-
-
-def _check_rank(n: int) -> None:
-    if n > RANK_CAP:
-        raise RankCap(f"ambient rank {n} exceeds the exact-arithmetic cap {RANK_CAP}")
-    if n < 0:
-        raise ValueError("ambient rank must be nonnegative")
 
 
 def halfspaces_to_generators(
@@ -289,7 +278,6 @@ def make_cone(
     generators: Iterable[Sequence[int]],
     n: int | None = None,
     lines: Iterable[Sequence[int]] = (),
-    check_rank: bool = True,
 ) -> Cone:
     """Internal constructor: cone spanned by generators and lines (lines allowed)."""
     gens = [tuple(int(a) for a in g) for g in generators]
@@ -298,8 +286,10 @@ def make_cone(
         if not gens and not lns:
             raise ValueError("ambient rank required for the empty generator set")
         n = len((gens + lns)[0])
-    if check_rank:
-        _check_rank(n)
+    if n > RANK_CAP:
+        raise RankCap(f"ambient rank {n} exceeds the exact-arithmetic cap {RANK_CAP}")
+    if n < 0:
+        raise ValueError("ambient rank must be nonnegative")
     for g in gens + lns:
         if len(g) != n:
             raise DimensionMismatch(f"generator {g} has length {len(g)}, expected {n}")
@@ -330,19 +320,14 @@ def cone_from_generators(
 @functools.cache
 def positive_orthant(n: int) -> Cone:
     """The closed nonnegative orthant as a cone, built once per rank."""
-    return make_cone(la.identity_rows(n), n=n, check_rank=False)
-
-
-@dataclass(frozen=True)
-class Location:
-    """Result of a containment query: kind plus the minimal containing face."""
-
-    kind: str
-    face: Cone | None = None
+    return make_cone(la.identity_rows(n), n=n)
 
 
 def locate(cone: Cone, point) -> Cone | None:
     """Minimal face of the cone containing a point, or None if outside.
+
+    The face is the cone itself exactly when the point lies in the
+    relative interior, since the rows found tight are genuine facets.
 
     The point is an exact rational vector, or an object with ``n`` and a
     ``sign(row)`` method giving its sign (-1, 0 or 1) against an integer
@@ -373,17 +358,6 @@ def locate(cone: Cone, point) -> Cone | None:
         if s == 0:
             active.append(f)
     return _face(cone, active)
-
-
-def cone_contains(cone: Cone, v: Sequence) -> Location:
-    """Locate a rational vector relative to the cone (interior is relative)."""
-    face = locate(cone, v)
-    if face is None:
-        return Location(OUTSIDE)
-    # active facets are genuine facets, so only the interior keeps the dim
-    if face.dim == cone.dim:
-        return Location(INTERIOR)
-    return Location(BOUNDARY, face)
 
 
 def cone_holds(outer: Cone, rays: Sequence[Sequence],

@@ -42,11 +42,10 @@ from .errors import (
 from .fans import Fan, SubdivisionWitness, _split, common_refinement, \
     is_subdivision
 from .lattice import (
-    INTERIOR,
     Cone,
     Ray,
-    cone_contains,
     cone_subset,
+    locate,
     primitive,
 )
 
@@ -268,7 +267,7 @@ class TowardDirection:
             mid = tuple((lo + hi) / 2 for lo, hi in
                         (self.target.interval(i)
                          for i in range(self.target.n)))
-            if cone_contains(carrier, mid).kind == INTERIOR:
+            if locate(carrier, mid) == carrier:
                 new_ray = mid
             else:
                 new_ray = carrier.relint_point()

@@ -46,12 +46,12 @@ from .fans import Fan, fan_from_cones
 from .lattice import (
     RANK_CAP,
     Cone,
+    _build_cone,
     _cone_from_canonical,
     _cone_from_halfspaces,
     cone_intersect,
     face_lattice,
     halfspaces_to_generators,
-    make_cone,
     positive_orthant,
 )
 
@@ -141,8 +141,7 @@ class NewtonPolytope:
 
 def newton_polytope(f: TropicalPolynomial) -> NewtonPolytope:
     """Exact hull of the exponent set."""
-    lifted = make_cone([e + (1,) for e in f.exponents], n=f.n + 1,
-                       check_rank=False)
+    lifted = _build_cone([e + (1,) for e in f.exponents], (), f.n + 1)
     vertices = tuple(sorted(r[:-1] for r in lifted.rays))
     return NewtonPolytope(f.n, vertices)
 

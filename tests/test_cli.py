@@ -3,8 +3,11 @@
 import copy
 import hashlib
 import json
+import subprocess
+import sys
 from fractions import Fraction as F
 from math import isqrt
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +26,7 @@ from troplim.complexes import (
 )
 from troplim.errors import ParseError, ValidationError
 from troplim.fans import fan_from_cones
-from troplim.galaxy import base_change, polygon_degeneration
+from troplim.galaxy import PolygonDegeneration, base_change
 from troplim.lattice import make_cone
 from troplim.towers import (
     StellarAtBarycenters,
@@ -159,7 +162,7 @@ def test_subdivide_elliptic_writes_complex_file(tmp_path, capsys):
     assert code == 0
     assert report["results"][0]["counts"] == {"0": 6, "1": 6}
     emitted = io.parse_complex_data(io.load_json(out), out)
-    assert emitted == base_change(polygon_degeneration(3), 2).complex
+    assert emitted == base_change(PolygonDegeneration(3), 2).complex
     with open(out, encoding="utf-8") as fh:
         assert fh.read() == io.canonical_json(io.serialize_complex(emitted))
 
@@ -986,3 +989,23 @@ def test_schema_mutations_exit_with_a_documented_code(tmp_path, capsys,
             put(tmp_path, "in.json", _replaced(exemplar, field, value))
             assert cli.main(argv) in (0, 2, 3, 4), (field, value)
     capsys.readouterr()
+
+
+def test_the_benchmark_tracer_wraps_a_cli_job(tmp_path):
+    """perfbench/layers.py looks each layer module up in ``sys.modules`` and
+    rebinds the CLI's handler table.  In a fresh interpreter, as in a traced
+    benchmark pass, one trop job through ``run`` counts its handler once."""
+    root = Path(__file__).resolve().parent.parent
+    code = ("import sys; sys.path[:0] = sys.argv[1:3]; "
+            "import layers, troplim, troplim.cli as cli; "
+            "tracer = layers.Tracer(); "
+            "uninstall = layers.install(tracer, troplim); "
+            "args = cli.build_parser().parse_args(['trop', sys.argv[3]]); "
+            "cli.run(cli.config_from_args(args)); uninstall(); "
+            "print(tracer.stat('cli.handle_trop')[0])")
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(root / "src"),
+         str(root / "perfbench"), put(tmp_path, "nodal.json", NODAL)],
+        capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["1"]

@@ -40,7 +40,6 @@ from troplim.galaxy import (
     elliptic_tower,
     f_tr_cell,
     galaxy_point,
-    polygon_degeneration,
 )
 from troplim.towers import Symbol
 
@@ -56,17 +55,17 @@ def tower():
 # -- polygons and base change --
 
 
-def test_polygon_degeneration_labels():
-    p = polygon_degeneration(4)
+def test_degeneration_labels():
+    p = PolygonDegeneration(4)
     assert p.m == 4
     assert count_cells(p.complex) == {0: 4, 1: 4}
     assert [p.label(f"v{j}") for j in range(4)] == \
         [0, F(1, 4), F(1, 2), F(3, 4)]
     with pytest.raises(ValidationError):
-        polygon_degeneration(0)
+        PolygonDegeneration(0)
 
 
-def test_polygon_degeneration_validates_itself():
+def test_degeneration_validates_itself():
     for m in (0, -3):
         with pytest.raises(ValidationError, match="needs m >= 1"):
             PolygonDegeneration(m)
@@ -74,7 +73,7 @@ def test_polygon_degeneration_validates_itself():
 
 
 def test_base_change_three_to_six():
-    i6 = base_change(polygon_degeneration(3), 2)
+    i6 = base_change(PolygonDegeneration(3), 2)
     assert i6.m == 6
     assert count_cells(i6.complex) == {0: 6, 1: 6}
     assert [i6.label(f"v{j}") for j in range(6)] == \
@@ -82,14 +81,14 @@ def test_base_change_three_to_six():
 
 
 def test_base_change_degree_one_is_identity():
-    i3 = polygon_degeneration(3)
+    i3 = PolygonDegeneration(3)
     assert base_change(i3, 1) is i3
     with pytest.raises(ValidationError):
         base_change(i3, 0)
 
 
 def test_base_change_of_a_self_loop():
-    i5 = base_change(polygon_degeneration(1), 5)
+    i5 = base_change(PolygonDegeneration(1), 5)
     assert i5.m == 5
     assert count_cells(i5.complex) == {0: 5, 1: 5}
 
@@ -133,7 +132,7 @@ def reference_base_change(p, d):
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_base_change_matches_the_fraction_path(m):
-    p = polygon_degeneration(m)
+    p = PolygonDegeneration(m)
     for d in range(1, 13):
         got = base_change(p, d)
         assert (got.m, got.complex) == reference_base_change(p, d)
@@ -165,35 +164,64 @@ def test_base_change_is_closed_form():
     start = time.perf_counter()
     # a small case first, so that a base change that builds its cycle
     # fails here instead of building 3·2^40 cells
-    assert "complex" not in vars(base_change(polygon_degeneration(3), 2))
-    big = base_change(polygon_degeneration(3), 2 ** 40)
-    assert big == polygon_degeneration(3 * 2 ** 40)
+    assert "complex" not in vars(base_change(PolygonDegeneration(3), 2))
+    big = base_change(PolygonDegeneration(3), 2 ** 40)
+    assert big == PolygonDegeneration(3 * 2 ** 40)
     assert "complex" not in vars(big)
     assert time.perf_counter() - start < 0.1
 
 
 def test_base_change_composes_on_the_nose():
-    i3 = polygon_degeneration(3)
+    i3 = PolygonDegeneration(3)
     assert base_change(base_change(i3, 2), 3) == base_change(i3, 6)
-    assert base_change(i3, 6) == polygon_degeneration(18)
+    assert base_change(i3, 6) == PolygonDegeneration(18)
 
 
 def test_long_base_change_composes():
     # quadratic-time lookups made the left side alone take seconds
-    i3 = polygon_degeneration(3)
+    i3 = PolygonDegeneration(3)
     assert base_change(i3, 1024) == base_change(base_change(i3, 32), 32)
 
 
 def test_unknown_vertex_label():
-    i6 = base_change(polygon_degeneration(3), 2)
+    i6 = base_change(PolygonDegeneration(3), 2)
     with pytest.raises(UnknownStratum) as exc:
         i6.label("v6")
     assert exc.value.args[0] == "no vertex named 'v6'"
 
 
-def test_label_index_stays_out_of_eq_hash_and_repr():
-    used = polygon_degeneration(5)
+def test_label_reads_the_vertex_name():
+    """One label of I_{3·2^40} is read off its name, with no table of
+    3·2^40 names behind it."""
+    big = base_change(PolygonDegeneration(3), 2 ** 40)
+    start = time.perf_counter()
+    assert big.label("v5") == F(5, 3 * 2 ** 40)
+    assert time.perf_counter() - start < 0.1
+    i3 = PolygonDegeneration(3)
+    for name in ("v05", "v-1", "w1", "v", "v\u0663", "v3"):
+        with pytest.raises(UnknownStratum):
+            i3.label(name)
+
+
+@given(st.integers(min_value=1, max_value=120),
+       st.one_of(st.text(max_size=5),
+                 st.integers(-5, 130).map(lambda j: f"v{j}"),
+                 st.from_regex(r"v0[0-9]{1,3}", fullmatch=True)))
+@settings(deadline=None, max_examples=200)
+def test_label_matches_the_table_of_names(m, name):
+    table = {f"v{j}": F(j, m) for j in range(m)}
+    p = PolygonDegeneration(m)
+    if name in table:
+        assert p.label(name) == table[name]
+    else:
+        with pytest.raises(UnknownStratum):
+            p.label(name)
+
+
+def test_cached_cycle_stays_out_of_eq_hash_and_repr():
+    used = PolygonDegeneration(5)
     assert used.label("v2") == F(2, 5)
+    assert count_cells(used.complex) == {0: 5, 1: 5}
     fresh = dataclasses.replace(used)
     assert vars(used) != vars(fresh)
     assert used == fresh
@@ -205,13 +233,13 @@ def test_label_index_stays_out_of_eq_hash_and_repr():
        st.integers(min_value=1, max_value=3))
 @settings(deadline=None, max_examples=15)
 def test_base_change_component_count(m, a, b):
-    p = base_change(base_change(polygon_degeneration(m), a), b)
+    p = base_change(base_change(PolygonDegeneration(m), a), b)
     assert p.m == m * a * b
     assert len(p.complex.by_dim(1)) == m * a * b
 
 
 def test_circle_position():
-    i3 = polygon_degeneration(3)
+    i3 = PolygonDegeneration(3)
     assert circle_position(i3, "v1", (1,)) == F(1, 3)
     assert circle_position(i3, "e2", (F(1, 2), F(1, 2))) == F(5, 6)
     # the far end of the last edge wraps back to angle zero
@@ -399,7 +427,7 @@ def test_depth_cap_doubling_tower_in_closed_form():
 
 
 def test_f_tr_cell_on_the_hexagon():
-    i6 = base_change(polygon_degeneration(3), 2)
+    i6 = base_change(PolygonDegeneration(3), 2)
     v = f_tr_cell(i6, "C2")
     assert v.name == "v2" and v.dim == 0
     assert i6.label("v2") == F(1, 3)
@@ -416,7 +444,7 @@ def test_f_tr_cell_on_a_plain_complex():
 
 
 def test_f_tr_cell_unknown_stratum():
-    i6 = base_change(polygon_degeneration(3), 2)
+    i6 = base_change(PolygonDegeneration(3), 2)
     for bad in ("C9", "n17", "w0"):
         with pytest.raises(UnknownStratum):
             f_tr_cell(i6, bad)
@@ -425,7 +453,7 @@ def test_f_tr_cell_unknown_stratum():
 
 
 def test_decomposition_counts():
-    r = decomposition(polygon_degeneration(3), 2)
+    r = decomposition(PolygonDegeneration(3), 2)
     assert r.level == 2
     assert r.slot_count == 6
     assert r.non_klt_cells == 6

@@ -137,18 +137,18 @@ def test_cone_equality_is_geometric():
 
 def test_containment_trichotomy():
     c = lat.cone_from_generators([(1, 0), (0, 1)])
-    assert lat.cone_contains(c, (1, 1)).kind == lat.INTERIOR
-    loc = lat.cone_contains(c, (1, 0))
-    assert loc.kind == lat.BOUNDARY
-    assert loc.face.rays == ((1, 0),)
-    assert lat.cone_contains(c, (-1, 1)).kind == lat.OUTSIDE
+    assert lat.locate(c, (1, 1)) == c
+    face = lat.locate(c, (1, 0))
+    assert face is not None and face != c
+    assert face.rays == ((1, 0),)
+    assert lat.locate(c, (-1, 1)) is None
 
 
 def test_containment_minimal_face_is_origin_at_apex():
     c = lat.cone_from_generators([(1, 0), (0, 1)])
-    loc = lat.cone_contains(c, (0, 0))
-    assert loc.kind == lat.BOUNDARY
-    assert loc.face.dim == 0
+    face = lat.locate(c, (0, 0))
+    assert face is not None and face != c
+    assert face.dim == 0
 
 
 # -- intersection -----------------------------------------------------------
@@ -224,16 +224,16 @@ def test_half_plane_cone():
     assert c.rays == ((0, 1),)
     assert c.dim == 2
     assert not c.is_pointed
-    assert lat.cone_contains(c, (-5, 1)).kind == lat.INTERIOR
-    assert lat.cone_contains(c, (3, 0)).kind == lat.BOUNDARY
-    assert lat.cone_contains(c, (0, -1)).kind == lat.OUTSIDE
+    assert lat.locate(c, (-5, 1)) == c
+    assert lat.locate(c, (3, 0)) not in (None, c)
+    assert lat.locate(c, (0, -1)) is None
 
 
 def test_full_space_cone():
     c = lat.make_cone([], n=2, lines=[(1, 0), (0, 1)])
     assert c.dim == 2
     assert c.facets == ()
-    assert lat.cone_contains(c, (-7, 13)).kind == lat.INTERIOR
+    assert lat.locate(c, (-7, 13)) == c
 
 
 # -- randomized properties --------------------------------------------------
@@ -320,9 +320,9 @@ def test_intersect_idempotent(cone):
 @settings(max_examples=80, deadline=None)
 @given(_cones(gen_sets2), small_vec)
 def test_containment_agrees_with_oracle(cone, v):
-    loc = lat.cone_contains(cone, v)
+    face = lat.locate(cone, v)
     member = cone_member_oracle(v, cone)
-    if loc.kind == lat.OUTSIDE:
+    if face is None:
         assert not member
     else:
         assert member
@@ -334,7 +334,7 @@ def test_intersection_membership_agrees_with_oracle(a, b, v):
     both = cone_member_oracle(v, a) and cone_member_oracle(v, b)
     meet = lat.cone_intersect(a, b)
     assert cone_member_oracle(v, meet) == both
-    assert (lat.cone_contains(meet, v).kind != lat.OUTSIDE) == both
+    assert (lat.locate(meet, v) is not None) == both
 
 
 @settings(max_examples=60, deadline=None)
@@ -353,7 +353,7 @@ def test_faces_are_faces(cone):
 @given(_cones(gen_sets3))
 def test_relint_point_is_interior(cone):
     p = cone.relint_point()
-    assert lat.cone_contains(cone, p).kind == lat.INTERIOR
+    assert lat.locate(cone, p) == cone
 
 
 # -- faces against the halfspace references ----------------------------------
@@ -427,7 +427,7 @@ def test_faces_match_the_halfspace_references(cone, other):
         assert lat.cone_is_face(other, cone) == (other in expected)
 
 
-def cone_contains_point(cone, v):
+def facet_member(cone, v):
     """Closed containment test via the facet description: the point test
     that cone containment made once per generator before the direct
     check."""
@@ -441,7 +441,7 @@ def cone_contains_point(cone, v):
 def reference_subset(inner, outer):
     gens = list(inner.rays) + list(inner.lines) + [
         tuple(-a for a in l) for l in inner.lines]
-    return all(cone_contains_point(outer, g) for g in gens)
+    return all(facet_member(outer, g) for g in gens)
 
 
 @st.composite
@@ -527,18 +527,16 @@ def test_derived_cones_match_make_cone(cone, v):
     faces = lat.cone_faces(cone)
     for face in faces:
         assert_rebuilds(face)
-        loc = lat.cone_contains(cone, face.relint_point())
-        if face == cone:
-            assert loc.kind == lat.INTERIOR and loc.face is None
-        else:
-            assert loc.kind == lat.BOUNDARY and loc.face == face
-            assert_rebuilds(loc.face)
+        found = lat.locate(cone, face.relint_point())
+        assert found == face
+        if face != cone:
+            assert_rebuilds(found)
     for facet in facet_cones(cone):
         assert facet in faces and facet.dim == cone.dim - 1
         assert_rebuilds(facet)
-    loc = lat.cone_contains(cone, v)
-    if loc.face is not None:
-        assert_rebuilds(loc.face)
+    found = lat.locate(cone, v)
+    if found is not None and found != cone:
+        assert_rebuilds(found)
 
 
 exponent3 = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))

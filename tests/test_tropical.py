@@ -17,11 +17,11 @@ from troplim.errors import (
     RankCap,
 )
 from troplim.lattice import (
+    _build_cone,
     cone_intersect,
     cone_is_face,
     face_lattice,
     locate,
-    make_cone,
 )
 
 
@@ -80,8 +80,7 @@ def reference_hypersurface(f):
 
 def polytope_faces(p):
     """All nonempty faces as vertex tuples (the polytope itself included)."""
-    lifted = make_cone([v + (1,) for v in p.vertices], n=p.n + 1,
-                       check_rank=False)
+    lifted = _build_cone([v + (1,) for v in p.vertices], (), p.n + 1)
     faces = face_lattice(p.vertices, [(a[:-1], a[-1]) for a in lifted.facets])
     return tuple(sorted(tuple(sorted(fs)) for fs in faces))
 
