@@ -50,11 +50,11 @@ def homogenization_info(lines: Sequence[IVec], rays: Sequence[IVec], n: int
     positive = [r for r in rays if r[-1] > 0]
     if not positive:
         return None
-    total = [Fraction(0)] * (n + 1)
+    total = [0] * (n + 1)
     for r in rays:
         total = [a + b for a, b in zip(total, r)]
     t = total[-1]
-    relint = tuple(c / t for c in total[:-1])
+    relint = tuple(Fraction(c, t) for c in total[:-1])
     vertices = tuple(tuple(Fraction(c, r[-1]) for c in r[:-1])
                      for r in positive)
     # the t = 0 face of the homogenization: its extreme rays are exactly the

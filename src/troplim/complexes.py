@@ -22,6 +22,7 @@ fiber complexes of compatible maps of fans.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
@@ -106,7 +107,8 @@ def make_complex(cells: Sequence[tuple[str, Sequence[str]]],
         raise ValidationError("a complex needs at least one cell")
     names = [n for n, _ in pending]
     if len(set(names)) != len(names):
-        raise ValidationError(f"duplicate cell names in {sorted(names)}")
+        repeats = sorted(n for n, k in Counter(names).items() if k > 1)
+        raise ValidationError(f"duplicate cell names {repeats}")
     for name, faces in sorted(pending, key=lambda p: len(p[1])):
         dim = len(faces) - 1 if faces else 0
         for f in faces:
@@ -269,7 +271,8 @@ def make_incidence(mode: str, strata, closures) -> StrataIncidence:
     ss = tuple(Stratum(str(n), int(c), int(b)) for n, c, b in strata)
     names = [s.name for s in ss]
     if len(set(names)) != len(names):
-        raise ValidationError(f"duplicate stratum names in {sorted(names)}")
+        repeats = sorted(n for n, k in Counter(names).items() if k > 1)
+        raise ValidationError(f"duplicate stratum names {repeats}")
     for s in ss:
         if s.codim < 0 or s.branches < 1:
             raise ValidationError(

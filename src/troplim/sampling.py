@@ -6,7 +6,8 @@ x -> 0 inside the variety, record the vector of -log|coordinate| values,
 normalize, and cluster the resulting directions.  Agreement within loose
 tolerance is strong evidence that the exact combinatorics match the
 analytic limit set; the oracle is deliberately independent of the exact
-code (numpy root finding, no rational arithmetic).
+code (numpy root finding, no rational arithmetic), and imports numpy and
+scipy on first use, so that importing troplim loads neither.
 
 Paths are radial: for plane germs x1 = r exp(i theta) with r halved at each
 depth step, solving for the other coordinate; for surface germs the first
@@ -23,12 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import DimensionMismatch, NoBranchFound
 from .tropical import PTropSet, TropicalPolynomial
+
+if TYPE_CHECKING:
+    import numpy as np
 
 IVec = tuple[int, ...]
 
@@ -56,6 +58,7 @@ class Cluster:
 def lift_coefficients(f: TropicalPolynomial, seed: int = 0
                       ) -> dict[IVec, complex]:
     """Generic complex coefficients for the support of f (moduli in [1/2, 2])."""
+    import numpy as np
     rng = np.random.default_rng(seed)
     out = {}
     for e, _ in f.terms:
@@ -89,6 +92,7 @@ def _batched_roots(polys: Sequence[Sequence[complex]]) -> list[np.ndarray]:
     of the companion matrix, first row -p[1:]/p[0] and ones below the
     diagonal (Edelman & Murakami 1995), stacked by trimmed length.
     """
+    import numpy as np
     roots: list = [None] * len(polys)
     groups: dict[int, list] = {}
     for i, p in enumerate(polys):
@@ -139,6 +143,7 @@ def _draw_path(rng: np.random.Generator, n: int):
 def _slopes(before: np.ndarray, after: np.ndarray) -> list[float]:
     """Exponent estimates for vanishing branches, from the roots at the last
     two radii: the difference quotient of their sorted log magnitudes."""
+    import numpy as np
     if len(before) != len(after):
         return []
     logs = [np.log(np.maximum(np.sort(np.abs(roots)), 1e-280))
@@ -154,6 +159,7 @@ def _cluster(directions: np.ndarray, angle: float) -> list[Cluster]:
     closer than the angle, found by a breadth-first search from each lowest
     unlabelled index; members are summed in increasing index order.
     """
+    import numpy as np
     m = len(directions)
     unit = directions / np.linalg.norm(directions, axis=1, keepdims=True)
     gram = np.clip(unit @ unit.T, -1.0, 1.0)
@@ -180,6 +186,7 @@ def _cluster(directions: np.ndarray, angle: float) -> list[Cluster]:
 def ptrop_sample_oracle(coeffs: Mapping[IVec, complex], n: int,
                         seed: int = 0) -> tuple[Cluster, ...]:
     """Sampled PTrop directions of the germ of {poly = 0} at the origin."""
+    import numpy as np
     if n not in (2, 3):
         raise DimensionMismatch(
             f"the sampler handles 2 or 3 variables, not {n}")
@@ -207,7 +214,7 @@ def ptrop_sample_oracle(coeffs: Mapping[IVec, complex], n: int,
 def distance_to_cone(rays: Sequence[Sequence[int]], u: Sequence[float]
                      ) -> float:
     """Angular distance from a direction to a cone given by its rays."""
-    # imported here: scipy is the oracle's slowest import and only this reads it
+    import numpy as np
     from scipy.optimize import nnls
 
     a = np.asarray(u, dtype=float)

@@ -1009,3 +1009,31 @@ def test_the_benchmark_tracer_wraps_a_cli_job(tmp_path):
         capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["1"]
+
+
+def test_the_benchmark_tracer_wraps_an_oracle_that_loads_numpy_later(
+        tmp_path, capsys):
+    """Installed before numpy is loaded, as in a traced towers pass, the
+    tracer still counts the one oracle call of a ptrop job, and the traced
+    report is byte for byte the report of an untraced run."""
+    root = Path(__file__).resolve().parent.parent
+    path = put(tmp_path, "nodal.json", NODAL)
+    code = ("import sys, hashlib; sys.path[:0] = sys.argv[1:3]; "
+            "import layers, troplim, troplim.cli as cli; "
+            "print('numpy' in sys.modules); "
+            "tracer = layers.Tracer(); "
+            "uninstall = layers.install(tracer, troplim); "
+            "args = cli.build_parser().parse_args("
+            "['ptrop', sys.argv[3], '--json']); "
+            "text = cli.canonical_json(cli.run(cli.config_from_args(args))); "
+            "uninstall(); "
+            "print(tracer.stat('sampling.ptrop_sample_oracle')[0]); "
+            "print(hashlib.sha256(text.encode()).hexdigest())")
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(root / "src"),
+         str(root / "perfbench"), path],
+        capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert cli.main(["ptrop", path, "--json"]) == 0
+    plain = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert out.stdout.split() == ["False", "1", plain]

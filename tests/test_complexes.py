@@ -94,6 +94,19 @@ def test_make_complex_rejects_bad_input():
                       ("T", ["e", "a", "e"])])
 
 
+def test_make_complex_names_only_the_repeated_cells():
+    cells = [(f"v{i}", []) for i in range(3000)] + [("v7", [])]
+    with pytest.raises(ValidationError) as err:
+        make_complex(cells)
+    assert str(err.value) == "duplicate cell names ['v7']"
+    # a subdivision vertex named like an input vertex (the open _sub_name
+    # collision): the message names the one clash
+    x = make_complex([("z0", []), ("e|1", []), ("e", ["e|1", "z0"])])
+    with pytest.raises(ValidationError) as err:
+        scale_subdivide(x, 2)
+    assert str(err.value) == "duplicate cell names ['e|1']"
+
+
 def test_make_complex_rejects_broken_simplicial_identity():
     # two triangles worth of edges wired so d_0 d_1 != d_0 d_0
     with pytest.raises(ValidationError):
@@ -120,6 +133,14 @@ def test_incidence_validation():
     with pytest.raises(ValidationError):
         make_incidence("analytic", [("C", 0, 1), ("D", 0, 1)],
                        [("C", "D")])
+
+
+def test_make_incidence_names_only_the_repeated_strata():
+    strata = [(f"p{i}", 1, 2) for i in range(3000)] + [("C", 0, 1)] * 2 + \
+        [("p7", 1, 2)]
+    with pytest.raises(ValidationError) as err:
+        make_incidence("analytic", strata, [])
+    assert str(err.value) == "duplicate stratum names ['C', 'p7']"
 
 
 def test_nodal_cubic_dual_complexes():

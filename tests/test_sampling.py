@@ -1,8 +1,10 @@
 """Tests for the floating-point PTrop sampling oracle."""
 
+import json
 import math
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,8 @@ from hypothesis import strategies as st
 from troplim import sampling as sm
 from troplim import tropical as tp
 from troplim.errors import DimensionMismatch, NoBranchFound
+
+from test_cli import EXEMPLARS, NODAL, QUADRANT, put
 
 TOL = 1e-2
 
@@ -287,13 +291,48 @@ def test_cluster_components_match_union_find_on_random_sets():
             _union_find_clusters(directions, ANGLE)
 
 
+SRC = Path(sm.__file__).resolve().parents[1]
+
+
+def _fresh(code, *args):
+    """Lines printed by ``code`` run in a fresh interpreter that imports
+    troplim from this checkout."""
+    code = "import sys; sys.path.insert(0, sys.argv[1])\n" + code
+    return subprocess.run([sys.executable, "-c", code, str(SRC), *args],
+                          capture_output=True, text=True, check=True,
+                          timeout=60).stdout.splitlines()
+
+
 def test_importing_the_cli_leaves_scipy_unloaded():
-    src = Path(sm.__file__).resolve().parents[1]
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import troplim.cli; "
-            "print(troplim.cli.__file__); "
-            "print('scipy.optimize' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code, str(src)],
-                         capture_output=True, text=True, check=True,
-                         timeout=60).stdout.split()
-    assert Path(out[0]).resolve().is_relative_to(src)
-    assert out[1] == "False"
+    """Neither ``import troplim`` nor ``import troplim.cli`` loads numpy or
+    scipy, but both load ``troplim.sampling``, where the benchmark tracer
+    looks it up."""
+    for module in ("troplim", "troplim.cli"):
+        out = _fresh(f"import {module}, troplim; print(troplim.__file__); "
+                     "print(*(m in sys.modules for m in "
+                     "('numpy', 'scipy', 'troplim.sampling')))")
+        assert Path(out[0]).resolve().is_relative_to(SRC)
+        assert out[1] == "False False True", module
+
+
+def test_only_a_ptrop_job_loads_numpy(tmp_path):
+    """In one interpreter, a job of every other subcommand leaves numpy and
+    scipy unloaded; a ptrop job whose germ reaches the oracle loads both."""
+    jobs = [[command, put(tmp_path, f"{command}.json", obj)]
+            + ([put(tmp_path, "b.json", QUADRANT)] if command == "refine"
+               else [])
+            for command, obj in sorted(EXEMPLARS.items())
+            if command != "ptrop"]
+    jobs.append(["ptrop", put(tmp_path, "nodal.json", NODAL)])
+    code = textwrap.dedent("""\
+        import contextlib, io, json
+        from troplim import cli
+        for argv in json.loads(sys.argv[2]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv)
+            print(argv[0], code, 'numpy' in sys.modules,
+                  'scipy' in sys.modules)
+        """)
+    out = _fresh(code, json.dumps(jobs))
+    assert out == [f"{argv[0]} 0 False False" for argv in jobs[:-1]] + \
+        ["ptrop 0 True True"]

@@ -29,3 +29,11 @@ def test_script_runs(capsys, name, argv, line):
     assert load_script(name).main(argv) == 0
     out = capsys.readouterr().out
     assert any(row.startswith(line) for row in out.splitlines()), out
+
+
+def test_cli_startup_shows_only_ptrop_loading_numpy(capsys):
+    argv = ["--runs", "1", "fan-validate", "ptrop"]
+    assert load_script("cli_startup").main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[1].startswith("fan-validate: numpy no, scipy no, "), rows
+    assert rows[2].startswith("ptrop: numpy yes, scipy yes, "), rows
