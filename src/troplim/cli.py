@@ -508,17 +508,19 @@ _HANDLERS = {
 
 def run(cfg: JobConfig) -> dict:
     """Execute the job and return the report."""
-    if cfg.subcommand == "refine":
+    refine = cfg.subcommand == "refine"
+    paths = list(cfg.inputs) if refine else sorted(cfg.inputs)
+    # hashed before any handler runs: an artifact's --output may name an input
+    inputs = [{"path": p, "sha256": sha256_file(p)} for p in paths]
+    if refine:
         results = [handle_refine(cfg)]
-        digests = list(cfg.inputs)
     else:
         handler = _HANDLERS[cfg.subcommand]
-        digests = sorted(cfg.inputs)
-        results = [handler(cfg, p) for p in digests]
+        results = [handler(cfg, p) for p in paths]
     return {
         "command": cfg.subcommand,
         "seed": cfg.seed,
-        "inputs": [{"path": p, "sha256": sha256_file(p)} for p in digests],
+        "inputs": inputs,
         "results": results,
     }
 
@@ -658,10 +660,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except TropLimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = canonical_json(report) if cfg.json_out else render_text(report)
-    sys.stdout.write(text)
-    if cfg.output and cfg.subcommand not in _ARTIFACT_COMMANDS:
-        _write(cfg.output, canonical_json(report))
+    report_file = cfg.output and cfg.subcommand not in _ARTIFACT_COMMANDS
+    doc = canonical_json(report) if cfg.json_out or report_file else None
+    sys.stdout.write(doc if cfg.json_out else render_text(report))
+    if report_file:
+        _write(cfg.output, doc)
     return 0
 
 

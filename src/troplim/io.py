@@ -44,6 +44,7 @@ import hashlib
 import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional, Union
 
 from .complexes import (
@@ -77,15 +78,93 @@ from .tropical import TropicalPolynomial, trop_poly
 
 # -- primitives --------------------------------------------------------------
 
+_INF = float("inf")
+
 
 def canonical_json(obj) -> str:
-    """Deterministic rendering used for every file and report."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Deterministic rendering used for every file and report: the text of
+    ``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline.
+
+    json's encoder leaves its C code whenever an indent is set, so the text
+    is written here instead: one recursive pass appending to one list.
+    """
+    out: list[str] = []
+    _write_json(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(obj, out: list[str], nl: str):
+    """Append the JSON of obj, nested at the indent ``nl`` (newline and
+    spaces), to out.  Strings come first because they are most leaves."""
+    if type(obj) is str:
+        out.append(_quote(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        head, sep = "{" + inner, "," + inner
+        for key, value in sorted(obj.items()):
+            out.append(head + _json_key(key) + ": ")
+            _write_json(value, out, inner)
+            head = sep
+        out.append(nl + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        head, sep = "[" + inner, "," + inner
+        for value in obj:
+            out.append(head)
+            _write_json(value, out, inner)
+            head = sep
+        out.append(nl + "]")
+    else:
+        out.append(_json_scalar(obj))
+
+
+def _json_scalar(obj) -> str:
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if obj == _INF:
+            return "Infinity"
+        if obj == -_INF:
+            return "-Infinity"
+        return float.__repr__(obj)
+    raise TypeError(
+        f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        return _quote(key)
+    if key is None or isinstance(key, (int, float)):
+        return _quote(_json_scalar(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {type(key).__name__}")
 
 
 def sha256_file(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+    """Digest of a file's bytes; a file that cannot be read is a ParseError,
+    as in `load_json`."""
+    try:
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def load_json(path: str) -> dict:

@@ -10,6 +10,7 @@ from math import isqrt
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from troplim import cli
 from troplim import io
@@ -18,6 +19,7 @@ from troplim.complexes import (
     from_incidence,
     make_complex,
     nodal_cubic_incidence,
+    scale_subdivide,
     segment_complex,
     square_complex,
     tetrahedron_boundary,
@@ -96,6 +98,56 @@ def test_round_trips_are_byte_identical(tmp_path):
         canonical = io.canonical_json(serialize(parse(path)))
         (tmp_path / name).write_text(canonical, encoding="utf-8")
         assert io.canonical_json(serialize(parse(path))) == canonical
+
+
+# -- canonical JSON against json.dumps ---------------------------------------
+
+
+def json_reference(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+JSON_STRINGS = st.one_of(st.text(), st.sampled_from(
+    ["", '"', "\\", "\x00\x1f\x7f", "caf\u00e9", "\u2028", "\ud800",
+     "\U0001f600", '\\"\n\t']))
+JSON_FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [-0.0, float("nan"), float("inf"), float("-inf"), 1e300, 5e-324]))
+JSON_LEAVES = st.one_of(
+    JSON_STRINGS, st.integers(), st.integers(-2**200, 2**200), st.booleans(),
+    JSON_FLOATS, st.none())
+# one kind of key per object: json sorts keys, and unlike kinds do not compare
+JSON_KEYS = st.sampled_from([JSON_STRINGS, st.integers() | st.booleans(),
+                             JSON_FLOATS, st.none()])
+
+
+def json_trees(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        JSON_KEYS.flatmap(lambda keys: st.dictionaries(keys, children,
+                                                       max_size=4)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.recursive(JSON_LEAVES, json_trees, max_leaves=25))
+def test_canonical_json_matches_json_dumps(obj):
+    assert io.canonical_json(obj) == json_reference(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    {"a": {1, 2}}, [F(1, 2)], {(1, 2): 0}, {1: "a", "b": 2},
+    {"a": [{"b": object()}]}], ids=["set", "fraction", "tuple-key",
+                                    "mixed-keys", "nested-object"])
+def test_canonical_json_raises_as_json_dumps_does(obj):
+    for render in (io.canonical_json, json_reference):
+        with pytest.raises(TypeError) as raised:
+            render(obj)
+        assert raised.type is TypeError
+
+
+def test_canonical_json_of_a_subdivided_tetrahedron():
+    obj = io.serialize_complex(scale_subdivide(tetrahedron_solid(), 4).complex)
+    assert io.canonical_json(obj) == json_reference(obj)
 
 
 def test_parse_tower_specs(tmp_path):
@@ -775,6 +827,45 @@ def test_output_writes_report_for_pure_report_commands(tmp_path, capsys):
         stored = json.load(fh)
     assert stored["command"] == "trop"
     assert stored["results"][0]["cell_count"] == 4
+
+
+def test_json_output_writes_the_stdout_bytes(tmp_path, capsys,
+                                             monkeypatch):
+    """With --json and --output, a report is rendered once and the file
+    holds exactly the bytes written to stdout."""
+    path = put(tmp_path, "nodal.json", NODAL)
+    out = tmp_path / "report.json"
+    renders = []
+
+    def counted(obj):
+        renders.append(obj)
+        return io.canonical_json(obj)
+
+    monkeypatch.setattr(cli, "canonical_json", counted)
+    assert cli.main(["trop", path, "--json", "--output", str(out)]) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+    assert len(renders) == 1
+
+
+def test_inputs_are_hashed_before_an_artifact_overwrites_them(tmp_path,
+                                                              capsys):
+    path = put(tmp_path, "c.json", io.serialize_complex(segment_complex()))
+    before = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    code, report = run_json(capsys, ["subdivide", path, "--N", "2",
+                                     "--output", path])
+    assert code == 0
+    assert report["inputs"] == [{"path": path, "sha256": before}]
+    assert hashlib.sha256(Path(path).read_bytes()).hexdigest() != before
+
+
+@pytest.mark.parametrize("argv", [["trop", "{missing}"],
+                                  ["refine", "{present}", "{missing}"]])
+def test_a_missing_input_is_a_parse_error(tmp_path, capsys, argv):
+    paths = {"missing": str(tmp_path / "missing.json"),
+             "present": put(tmp_path, "q.json", QUADRANT)}
+    assert cli.main([a.format(**paths) for a in argv]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and paths["missing"] in err
 
 
 def test_cone_serialization_helpers():

@@ -145,3 +145,33 @@ def test_the_scan_flags_an_unread_member():
 def test_every_member_is_read_somewhere(path):
     read = set().union(*(attributes_read_in(p) for p in READERS))
     assert unread_members(path.read_text(encoding="utf-8"), read) == []
+
+
+def json_writers(source: str) -> list[str]:
+    """Uses of ``json.dump`` or ``json.dumps``, and imports of either from
+    ``json``: `io.canonical_json` is the one writer of JSON text."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and \
+                node.attr in ("dump", "dumps") and \
+                isinstance(node.value, ast.Name) and node.value.id == "json":
+            found.append(f"line {node.lineno}: json.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            found.extend(f"line {node.lineno}: from json import {a.name}"
+                         for a in node.names if a.name in ("dump", "dumps"))
+    return found
+
+
+def test_the_scan_flags_a_json_writer():
+    source = ("import json\nfrom json import dumps, loads\n"
+              "def f(x, fh):\n    json.dump(x, fh)\n"
+              "    return json.loads(json.dumps(x)), dumps(x)\n")
+    assert json_writers(source) == [
+        "line 2: from json import dumps", "line 4: json.dump",
+        "line 5: json.dumps"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")),
+                         ids=lambda p: p.name)
+def test_only_canonical_json_writes_json(path):
+    assert json_writers(path.read_text(encoding="utf-8")) == []
