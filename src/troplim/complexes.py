@@ -641,11 +641,17 @@ class SubdivisionResult:
     complex: DeltaComplex
     original: DeltaComplex
     level: int
-    carriers: tuple[tuple[str, tuple[str, tuple[tuple[int, ...], ...]]], ...]
+    # (carrier, vertices) -> name of the subdivision cell, as enumerated
+    names: dict[tuple, str] = field(compare=False, repr=False)
+
+    @cached_property
+    def carriers(self) -> tuple[tuple[str, tuple[str, tuple]], ...]:
+        """(name, (carrier, vertices)) of every cell, sorted by name."""
+        return tuple(sorted(self._carrier_index.items()))
 
     @cached_property
     def _carrier_index(self) -> dict[str, tuple[str, tuple]]:
-        return dict(self.carriers)
+        return {name: key for key, name in self.names.items()}
 
     def carrier(self, name: str) -> tuple[str, tuple[tuple[int, ...], ...]]:
         return self._carrier_index[name]
@@ -690,12 +696,11 @@ def scale_subdivide(x: DeltaComplex, level: int) -> SubdivisionResult:
                 face_name = pushed[face] = names[_drop_walls(x, *face)]
             faces.append(face_name)
         cells.append((name, faces))
-    carriers = tuple(sorted((name, key) for key, name in names.items()))
     return SubdivisionResult(
         complex=make_complex(cells, affine=True, provenance=x.provenance),
         original=x,
         level=level,
-        carriers=carriers,
+        names=names,
     )
 
 

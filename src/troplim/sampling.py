@@ -11,17 +11,25 @@ scipy on first use, so that importing troplim loads neither.
 
 Paths are radial: for plane germs x1 = r exp(i theta) with r halved at each
 depth step, solving for the other coordinate; for surface germs the first
-two coordinates get random positive weights w and x3 is solved for.  Every
-path is drawn first, and all their polynomials are solved together as
-companion-matrix eigenvalues, one numpy call per polynomial length, bit for
-bit what numpy.roots returns for each.  The growth exponent of a vanishing
-branch is read off as a difference quotient of log|x_last| between the
-last two radii, which cancels multiplicative constants and converges
-quickly.  Directions are clustered by single linkage in angular distance.
+two coordinates get random positive weights w and x3 is solved for.  The
+growth exponent of a vanishing branch is read off as a difference quotient
+of log|x_last| between the last two radii, which cancels multiplicative
+constants and converges quickly.  Directions are clustered by single
+linkage in angular distance.
+
+Each stage runs over all paths at once, bit for bit as path by path: one
+draw of every path's random numbers (the same stream); each polynomial
+built from a table of the powers of its substituted coordinates, in the
+scalar arithmetic and order of a term-by-term expansion; all polynomials
+solved together as companion-matrix eigenvalues, one numpy call per
+polynomial length, exactly what numpy.roots returns for each; and the
+slopes of the paths whose two root counts agree read with one abs, sort
+and log per count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -68,18 +76,40 @@ def lift_coefficients(f: TropicalPolynomial, seed: int = 0
     return out
 
 
-def _last_var_poly(coeffs: Mapping[IVec, complex], fixed: Sequence[complex]
-                   ) -> list[complex]:
-    """Coefficients in the last variable, highest degree first, after
-    substituting the other coordinates (in Python complex arithmetic)."""
+def _last_var_polys(coeffs: Mapping[IVec, complex],
+                    fixed: Sequence[Sequence[complex]]) -> list[list[complex]]:
+    """Coefficients in the last variable, highest degree first, after each
+    substitution of the other one or two coordinates (in scalar complex
+    arithmetic).
+
+    A substitution's powers are taken once each, into a table of the
+    exponents each coordinate carries.  A term is its coefficient times its
+    power of each coordinate in turn, a zeroth power included, so every
+    product is the one a term-by-term expansion forms.
+    """
     top = max(e[-1] for e in coeffs)
-    poly = [0j] * (top + 1)
-    for e, c in coeffs.items():
-        scale = c
-        for val, k in zip(fixed, e):
-            scale *= val ** k
-        poly[top - e[-1]] += scale
-    return poly
+    kinds = [{e[j] for e in coeffs} for j in range(len(fixed[0]))]
+    polys = []
+    # one loop per number of substituted coordinates: an inner loop over
+    # them costs more than the powers the tables save
+    if len(kinds) == 1:
+        plan = [(c, top - e[-1], e[0]) for e, c in coeffs.items()]
+        for (v,) in fixed:
+            powers = {k: v ** k for k in kinds[0]}
+            poly = [0j] * (top + 1)
+            for c, slot, a in plan:
+                poly[slot] += c * powers[a]
+            polys.append(poly)
+        return polys
+    plan = [(c, top - e[-1], e[0], e[1]) for e, c in coeffs.items()]
+    for v0, v1 in fixed:
+        p0 = {k: v0 ** k for k in kinds[0]}
+        p1 = {k: v1 ** k for k in kinds[1]}
+        poly = [0j] * (top + 1)
+        for c, slot, a, b in plan:
+            poly[slot] += c * p0[a] * p1[b]
+        polys.append(poly)
+    return polys
 
 
 def _batched_roots(polys: Sequence[Sequence[complex]]) -> list[np.ndarray]:
@@ -119,37 +149,25 @@ def _batched_roots(polys: Sequence[Sequence[complex]]) -> list[np.ndarray]:
     return roots
 
 
-def _draw_path(rng: np.random.Generator, n: int):
-    """One path's fixed weights and its substitution r -> the first n - 1
-    coordinates at radius r."""
-    if n == 2:
-        theta = 2 * math.pi * rng.random()
-        phase = complex(math.cos(theta), math.sin(theta))
-
-        def fixed_at(r):
-            return (r * phase,)
-
-        return (1.0,), fixed_at
-    thetas = 2 * math.pi * rng.random(2)
-    w = 0.25 + 1.75 * rng.random(2)
-    phases = [complex(math.cos(t), math.sin(t)) for t in thetas]
-
-    def fixed_at(r):
-        return (r ** w[0] * phases[0], r ** w[1] * phases[1])
-
-    return (float(w[0]), float(w[1])), fixed_at
-
-
-def _slopes(before: np.ndarray, after: np.ndarray) -> list[float]:
-    """Exponent estimates for vanishing branches, from the roots at the last
-    two radii: the difference quotient of their sorted log magnitudes."""
+def _path_slopes(before: Sequence[np.ndarray], after: Sequence[np.ndarray]
+                 ) -> list[list[float]]:
+    """Exponent estimates for each path's vanishing branches, from its roots
+    at the last two radii: the difference quotient of their sorted log
+    magnitudes, and none when the two root counts differ.  The pairs of
+    each length are stacked and read with one abs, sort and log."""
     import numpy as np
-    if len(before) != len(after):
-        return []
-    logs = [np.log(np.maximum(np.sort(np.abs(roots)), 1e-280))
-            for roots in (before, after)]
-    quot = (logs[1] - logs[0]) / math.log(DECAY)
-    return [float(s) for s in quot if MIN_SLOPE < s < MAX_SLOPE]
+    slopes: list[list[float]] = [[] for _ in before]
+    by_length: dict[int, list[int]] = {}
+    for i, (b, a) in enumerate(zip(before, after)):
+        if len(b) == len(a):
+            by_length.setdefault(len(b), []).append(i)
+    for members in by_length.values():
+        pairs = np.array([(before[i], after[i]) for i in members])
+        logs = np.log(np.maximum(np.sort(np.abs(pairs), axis=-1), 1e-280))
+        quot = (logs[:, 1] - logs[:, 0]) / math.log(DECAY)
+        for i, row in zip(members, quot.tolist()):
+            slopes[i] = [s for s in row if MIN_SLOPE < s < MAX_SLOPE]
+    return slopes
 
 
 def _cluster(directions: np.ndarray, angle: float) -> list[Cluster]:
@@ -193,15 +211,29 @@ def ptrop_sample_oracle(coeffs: Mapping[IVec, complex], n: int,
     if not coeffs:
         raise ValueError("need at least one coefficient")
     rng = np.random.default_rng(seed)
-    paths = [_draw_path(rng, n) for _ in range(PATHS)]
     # only the last two radii are read: the slope is their difference quotient
     radii = [INITIAL_RADIUS * DECAY ** k for k in (DEPTH - 2, DEPTH - 1)]
-    roots = _batched_roots([_last_var_poly(coeffs, fixed_at(r))
-                            for _, fixed_at in paths for r in radii])
+    # every path's draws at once: the same stream as one draw per path
+    if n == 2:
+        thetas = 2 * math.pi * rng.random(PATHS)
+        weights = [(1.0,)] * PATHS
+        phases = [complex(math.cos(t), math.sin(t)) for t in thetas]
+        fixed = [(r * phase,) for phase in phases for r in radii]
+    else:
+        draws = rng.random((PATHS, 4))
+        thetas = 2 * math.pi * draws[:, :2]
+        w = 0.25 + 1.75 * draws[:, 2:]
+        weights = [(float(a), float(b)) for a, b in w]
+        fixed = []
+        for (t0, t1), (w0, w1) in zip(thetas, w):
+            p0 = complex(math.cos(t0), math.sin(t0))
+            p1 = complex(math.cos(t1), math.sin(t1))
+            fixed += [(r ** w0 * p0, r ** w1 * p1) for r in radii]
+    roots = _batched_roots(_last_var_polys(coeffs, fixed))
     directions: list[tuple[float, ...]] = []
-    for (weights, _), before, after in zip(paths, roots[::2], roots[1::2]):
-        for slope in _slopes(before, after):
-            vec = weights + (slope,)
+    for vec0, slopes in zip(weights, _path_slopes(roots[::2], roots[1::2])):
+        for slope in slopes:
+            vec = vec0 + (slope,)
             total = sum(vec)
             directions.append(tuple(c / total for c in vec))
     if not directions:
@@ -215,11 +247,15 @@ def distance_to_cone(rays: Sequence[Sequence[int]], u: Sequence[float]
                      ) -> float:
     """Angular distance from a direction to a cone given by its rays."""
     import numpy as np
+    a = np.asarray(u, dtype=float)
+    return _angle_to(np.asarray(rays, dtype=float).T, a / np.linalg.norm(a))
+
+
+def _angle_to(mat: np.ndarray, a: np.ndarray) -> float:
+    """Angle from the unit vector a to the cone spanned by mat's columns."""
+    import numpy as np
     from scipy.optimize import nnls
 
-    a = np.asarray(u, dtype=float)
-    a = a / np.linalg.norm(a)
-    mat = np.asarray(rays, dtype=float).T
     coeffs, _ = nnls(mat, a)
     proj = mat @ coeffs
     norm = np.linalg.norm(proj)
@@ -228,9 +264,20 @@ def distance_to_cone(rays: Sequence[Sequence[int]], u: Sequence[float]
     return float(np.arccos(np.clip(a @ proj / norm, -1.0, 1.0)))
 
 
+@functools.lru_cache(maxsize=1)
+def _ray_matrices(ptset: PTropSet) -> tuple[np.ndarray, ...]:
+    """Each cone's rays as the columns of a float matrix, built once for
+    the distances of every cluster to the same set."""
+    import numpy as np
+    return tuple(np.asarray(cone.rays, dtype=float).T for cone in ptset.cones)
+
+
 def distance_to_ptrop(ptset: PTropSet, u: Sequence[float]) -> float:
     """Angular distance from a direction to the exact PTrop set."""
+    import numpy as np
+    a = np.asarray(u, dtype=float)
+    a = a / np.linalg.norm(a)
     best = math.pi / 2
-    for cone in ptset.cones:
-        best = min(best, distance_to_cone(cone.rays, u))
+    for mat in _ray_matrices(ptset):
+        best = min(best, _angle_to(mat, a))
     return best

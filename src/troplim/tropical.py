@@ -165,14 +165,25 @@ def normal_fan(p: NewtonPolytope) -> Fan:
 
 @dataclass(frozen=True)
 class TropCell:
-    """One cell: locus where exactly the achiever terms attain the minimum."""
+    """One cell: locus where exactly the achiever terms attain the minimum.
 
+    Its affine H-description, rows (coefficients, constant) that vanish or
+    are nonnegative on the cell, is derived from the polynomial on read.
+    """
+
+    poly: TropicalPolynomial
     achievers: tuple[IVec, ...]
-    equations: tuple[tuple[IVec, Fraction], ...]
-    inequalities: tuple[tuple[IVec, Fraction], ...]
     dim: int
     relint_point: tuple[Fraction, ...]
     recession: Cone
+
+    @property
+    def equations(self) -> tuple[tuple[IVec, Fraction], ...]:
+        return _cell_rows(self.poly, self.achievers)[0]
+
+    @property
+    def inequalities(self) -> tuple[tuple[IVec, Fraction], ...]:
+        return _cell_rows(self.poly, self.achievers)[1]
 
 
 @dataclass(frozen=True)
@@ -187,16 +198,17 @@ class TropicalHypersurface:
         return not self.cells
 
 
-def _cell_rows(f: TropicalPolynomial, subset: frozenset):
-    """H-description rows for the locus with achievers >= subset."""
-    idx = sorted(subset)
-    s0 = idx[0]
-    e0, v0 = f.terms[s0]
-    eqs = [(la.vec_sub(f.terms[s][0], e0), f.terms[s][1] - v0)
-           for s in idx[1:]]
-    ineqs = [(la.vec_sub(f.terms[t][0], e0), f.terms[t][1] - v0)
-             for t in range(len(f.terms)) if t not in subset]
-    return eqs, ineqs
+def _cell_rows(f: TropicalPolynomial, achievers):
+    """H-description rows for the locus where the achiever exponents attain
+    the minimum: the first achiever ties with every other one and lies at
+    or below every other term."""
+    on = set(achievers)
+    e0, v0 = next(t for t in f.terms if t[0] in on)
+    eqs, ineqs = [], []
+    for e, v in f.terms:
+        if e != e0:
+            (eqs if e in on else ineqs).append((la.vec_sub(e, e0), v - v0))
+    return tuple(eqs), tuple(ineqs)
 
 
 def trop_hypersurface(f: TropicalPolynomial) -> TropicalHypersurface:
@@ -227,11 +239,9 @@ def trop_hypersurface(f: TropicalPolynomial) -> TropicalHypersurface:
         # in increasing order of x, and the list needs no sort.
         rays = [la.primitivize(r[:-1]) for r in normals if fs <= on[r]]
         info = homogenization_info(cell_lines, rays, n)
-        eqs, ineqs = _cell_rows(f, frozenset(terms[g] for g in fs))
         cells.append(TropCell(
+            poly=f,
             achievers=tuple(sorted(f.terms[terms[g]][0] for g in fs)),
-            equations=tuple(eqs),
-            inequalities=tuple(ineqs),
             dim=info.dim,
             relint_point=info.relint_point,
             recession=info.recession,
@@ -261,13 +271,27 @@ class PTropSet:
 
 
 def _positive_part(cone: Cone) -> Optional[Cone]:
-    """Meet with the nonnegative orthant; keep cones seeing the open orthant."""
-    c = cone_intersect(cone, positive_orthant(cone.n))
-    if c.dim == 0:
+    """Meet with the nonnegative orthant; keep cones seeing the open orthant.
+
+    Two rules settle most cones without a conversion.  By Gordan's
+    alternative a cone misses the open orthant exactly when its dual holds
+    a nonzero vector that is <= 0 in every coordinate: such a vector is
+    nonnegative on the cone and negative on the open orthant.  A facet
+    normal with no positive entry is one, and so is an equation with
+    entries of one sign, taken with the sign that makes it <= 0.  A pointed
+    cone whose rays are all nonnegative lies in the closed orthant, so it
+    is its own meet with it.  Only the other cones are converted.
+    """
+    if any(max(f) <= 0 for f in cone.facets) or \
+            any(max(e) <= 0 or min(e) >= 0 for e in cone.equations):
         return None
-    if any(t == 0 for t in c.relint_point()):
+    if cone.lines or any(min(r) < 0 for r in cone.rays):
+        cone = cone_intersect(cone, positive_orthant(cone.n))
+    if cone.dim == 0:
         return None
-    return c
+    if any(t == 0 for t in cone.relint_point()):
+        return None
+    return cone
 
 
 def _ptrop_set(n: int, cones) -> PTropSet:

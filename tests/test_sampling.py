@@ -92,9 +92,36 @@ def _full_depth_slopes(coeffs, fixed_at, solve):
     return slopes
 
 
+def _last_var_poly(coeffs, fixed):
+    """The polynomial in the last variable, each power taken per term."""
+    top = max(e[-1] for e in coeffs)
+    poly = [0j] * (top + 1)
+    for e, c in coeffs.items():
+        scale = c
+        for val, k in zip(fixed, e):
+            scale *= val ** k
+        poly[top - e[-1]] += scale
+    return poly
+
+
 def _np_roots(coeffs, fixed):
     """One polynomial solved on its own by np.roots."""
-    return np.roots(sm._last_var_poly(coeffs, fixed))
+    return np.roots(_last_var_poly(coeffs, fixed))
+
+
+def _draw_path(rng, n):
+    """One path's weights and its substitution r -> the first n - 1
+    coordinates at radius r, drawn one path at a time as the oracle first
+    did."""
+    if n == 2:
+        theta = 2 * math.pi * rng.random()
+        phase = complex(math.cos(theta), math.sin(theta))
+        return (1.0,), lambda r: (r * phase,)
+    thetas = 2 * math.pi * rng.random(2)
+    w = 0.25 + 1.75 * rng.random(2)
+    phases = [complex(math.cos(t), math.sin(t)) for t in thetas]
+    return ((float(w[0]), float(w[1])),
+            lambda r: (r ** w[0] * phases[0], r ** w[1] * phases[1]))
 
 
 @pytest.mark.parametrize("terms, n, seed", [
@@ -105,36 +132,96 @@ def _np_roots(coeffs, fixed):
 ])
 def test_branch_slopes_solve_only_the_last_two_radii(monkeypatch, terms, n,
                                                      seed):
-    solve, draw, slopes_of = sm._batched_roots, sm._draw_path, sm._slopes
+    solve, slopes_of = sm._batched_roots, sm._path_slopes
     batches = []
-    fixed = []
-    paths = []
+    found = []
 
     def counted(polys):
         batches.append(len(polys))
         return solve(polys)
 
-    def drawn(rng, n):
-        weights, fixed_at = draw(rng, n)
-        fixed.append(fixed_at)
-        return weights, fixed_at
-
     def read(before, after):
         slopes = slopes_of(before, after)
-        paths.append(slopes)
+        found.append(slopes)
         return slopes
 
     monkeypatch.setattr(sm, "_batched_roots", counted)
-    monkeypatch.setattr(sm, "_draw_path", drawn)
-    monkeypatch.setattr(sm, "_slopes", read)
+    monkeypatch.setattr(sm, "_path_slopes", read)
     coeffs = sm.lift_coefficients(tp.trop_poly(terms), seed=seed)
     sm.ptrop_sample_oracle(coeffs, n)
-    # one batch, holding two polynomials per path
+    # one batch, holding two polynomials per path, and one slope stage
     assert batches == [2 * sm.PATHS]
-    assert len(fixed) == len(paths) == sm.PATHS
-    for fixed_at, slopes in zip(fixed, paths):
+    [paths] = found
+    assert len(paths) == sm.PATHS
+    rng = np.random.default_rng(0)
+    for slopes in paths:
+        _, fixed_at = _draw_path(rng, n)
         assert slopes == _full_depth_slopes(coeffs, fixed_at, _np_roots)
     assert any(paths)
+
+
+def _slopes(before, after):
+    """One path's slopes from its roots at the last two radii, as the oracle
+    read them path by path."""
+    if len(before) != len(after):
+        return []
+    logs = [np.log(np.maximum(np.sort(np.abs(roots)), 1e-280))
+            for roots in (before, after)]
+    quot = (logs[1] - logs[0]) / math.log(sm.DECAY)
+    return [float(s) for s in quot if sm.MIN_SLOPE < s < sm.MAX_SLOPE]
+
+
+root = st.one_of(
+    st.just(0j),
+    st.complex_numbers(min_magnitude=1e-9, max_magnitude=1e3,
+                       allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def root_pairs(draw):
+    """Roots of one path at the last two radii, as ``_batched_roots`` gives
+    them: equal or unequal counts, exact zero roots, single roots, and the
+    real zero arrays of a monomial; the second set is often the first one
+    shrunk, so that many slopes fall inside the kept range."""
+    def roots(size):
+        if draw(st.booleans()) and draw(st.booleans()):
+            return np.zeros(size)
+        return np.array(draw(st.lists(root, min_size=size, max_size=size)),
+                        dtype=complex)
+    size = draw(st.integers(0, 4))
+    before = roots(size)
+    if draw(st.booleans()):
+        after = roots(draw(st.integers(0, 4)))
+    else:
+        shrink = draw(st.floats(0.05, 1.0))
+        after = before * shrink ** draw(st.floats(0.1, 6))
+    return before, after
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(root_pairs(), max_size=12))
+def test_path_slopes_match_the_slopes_of_each_path(pairs):
+    before = [b for b, _ in pairs]
+    after = [a for _, a in pairs]
+    assert sm._path_slopes(before, after) == \
+        [_slopes(b, a) for b, a in pairs]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_power_tables_keep_every_coefficient_bit_for_bit(n):
+    @settings(max_examples=40, deadline=None)
+    @given(_germs(n), st.integers(0, 2 ** 16), st.integers(0, 2 ** 16))
+    def check(f, lift_seed, seed):
+        coeffs = sm.lift_coefficients(f, seed=lift_seed)
+        rng = np.random.default_rng(seed)
+        _, fixed_at = _draw_path(rng, n)
+        fixed = [fixed_at(r) for r in (sm.INITIAL_RADIUS, 1.0, 0.0)]
+        for ours, vals in zip(sm._last_var_polys(coeffs, fixed), fixed):
+            theirs = _last_var_poly(coeffs, vals)
+            assert np.array(ours, dtype=complex).tobytes() == \
+                np.array(theirs, dtype=complex).tobytes()
+
+    check()
 
 
 def _same_roots(ours, theirs):
@@ -220,6 +307,32 @@ def test_oracle_matches_the_per_path_reference(n):
                 sm.ptrop_sample_oracle(coeffs, n, seed)
             return
         assert sm.ptrop_sample_oracle(coeffs, n, seed) == expected
+
+    check()
+
+
+def _per_cone_distance(ptset, u):
+    """The distance as a loop of ``distance_to_cone`` calls, one per cone."""
+    best = math.pi / 2
+    for cone in ptset.cones:
+        best = min(best, sm.distance_to_cone(cone.rays, u))
+    return best
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_distance_to_ptrop_matches_the_per_cone_loop(n):
+    """Exactly equal, with the float matrices of a set reused from one
+    direction to the next and rebuilt for the next set."""
+    direction = st.tuples(*[st.floats(1e-3, 10)] * n)
+
+    @settings(max_examples=25, deadline=None)
+    @given(_germs(n), _germs(n), st.lists(direction, min_size=1, max_size=4))
+    def check(f, g, directions):
+        sets = [tp.ptrop_normal_fan(h) for h in (f, g, f)]
+        for ptset in sets:
+            for u in directions:
+                assert sm.distance_to_ptrop(ptset, u) == \
+                    _per_cone_distance(ptset, u)
 
     check()
 

@@ -22,6 +22,8 @@ from troplim.lattice import (
     cone_is_face,
     face_lattice,
     locate,
+    make_cone,
+    positive_orthant,
 )
 
 
@@ -48,7 +50,7 @@ def reference_hypersurface(f):
         seed = queue.popleft()
         if seed in cells or seed in dead:
             continue
-        eqs, ineqs = tp._cell_rows(f, seed)
+        eqs, ineqs = tp._cell_rows(f, [f.terms[i][0] for i in seed])
         info = polyhedron_info(eqs, ineqs, f.n)
         if info is None:
             dead.add(seed)
@@ -59,14 +61,13 @@ def reference_hypersurface(f):
             dead.add(seed)
             if sat in cells:
                 continue
-            eqs, ineqs = tp._cell_rows(f, sat)
+            eqs, ineqs = tp._cell_rows(f, [f.terms[i][0] for i in sat])
             info = polyhedron_info(eqs, ineqs, f.n)
         elif sat in cells:
             continue
         cells[sat] = tp.TropCell(
+            poly=f,
             achievers=tuple(sorted(f.terms[i][0] for i in sat)),
-            equations=tuple(eqs),
-            inequalities=tuple(ineqs),
             dim=info.dim,
             relint_point=info.relint_point,
             recession=info.recession,
@@ -294,6 +295,73 @@ def test_ptrop_filter_drops_boundary_only_cones():
     # y(1 + x): the edge normal lies in {w1 = 0}, never in the open quadrant
     f = tp.trop_poly({(0, 1): 0, (1, 1): 0})
     assert tp.ptrop_normal_fan(f).cones == ()
+
+
+def reference_positive_part(cone):
+    """The meet with the closed orthant by one conversion, kept when it
+    meets the open orthant: ``_positive_part`` without its shortcuts."""
+    c = cone_intersect(cone, positive_orthant(cone.n))
+    if c.dim == 0:
+        return None
+    if any(t == 0 for t in c.relint_point()):
+        return None
+    return c
+
+
+def assert_positive_part_matches(cone):
+    got, expected = tp._positive_part(cone), reference_positive_part(cone)
+    assert got == expected
+    if got is not None:
+        assert (got.facets, got.equations) == \
+            (expected.facets, expected.equations)
+
+
+@pytest.mark.parametrize("rays, lines", [
+    # settled by a facet normal with no positive entry: (-1, 0), and
+    # (0, -1) for a cone touching the closed orthant only on its boundary
+    ([(-1, 0), (0, 1)], []),
+    ([(1, 0), (1, -1)], []),
+    # settled by an equation of one sign: x + y = 0 meets the orthant in 0,
+    # and a cone inside a coordinate hyperplane
+    ([], [(1, -1)]),
+    ([(1, 0, 0), (0, 1, 0)], []),
+    # pointed with nonnegative rays: the cone itself
+    ([(1, 2), (2, 1)], []),
+    # converted, and kept: a negative ray, a line
+    ([(2, 2), (-2, 1)], []),
+    ([(1, 1)], [(1, -1)]),
+    # converted, and dropped: the meet lies in the boundary
+    ([(-2, -1, 3), (0, 2, 3)], []),
+    ([(-1, -1, -2)], [(1, -2, -2)]),
+])
+def test_positive_part_rules_match_the_conversion(rays, lines):
+    assert_positive_part_matches(make_cone(rays, n=len((rays + lines)[0]),
+                                           lines=lines))
+
+
+@st.composite
+def cones_about_the_orthant(draw):
+    """Cones of rank 1-4 from up to four rays and two lines, entries leaning
+    positive, some confined to coordinate hyperplanes."""
+    n = draw(st.integers(1, 4))
+    vec = st.tuples(*[st.integers(-2, 3)] * n)
+    zero = draw(st.sets(st.integers(0, n - 1), max_size=n))
+
+    def confined(v):
+        return tuple(0 if i in zero else a for i, a in enumerate(v))
+    rays = [confined(v) for v in draw(st.lists(vec, max_size=4))]
+    lines = [confined(v) for v in draw(st.lists(vec, max_size=2))]
+    return make_cone(rays, n=n, lines=lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cones_about_the_orthant())
+def test_positive_part_matches_the_conversion(cone):
+    """The shortcuts decide as the conversion does.  Gordan's alternative:
+    a cone misses the open orthant exactly when a nonzero y <= 0 lies in
+    its dual, since y is then >= 0 on the cone and < 0 on the open orthant;
+    a facet normal or a one-signed equation is such a y."""
+    assert_positive_part_matches(cone)
 
 
 # -- ideals ------------------------------------------------------------------
