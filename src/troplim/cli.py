@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 
 from .complexes import (
     DeltaComplex,
+    _signed_sum,
     count_cells,
     euler_characteristic,
     from_incidence,
@@ -351,11 +352,12 @@ def handle_fiber_rank(cfg: JobConfig, path: str) -> dict:
 def handle_dualcx(cfg: JobConfig, path: str) -> dict:
     inc = parse_incidence(path)
     x = from_incidence(inc)
+    counts = count_cells(x)
     out = {
         "input": path,
         "mode": inc.mode,
-        "counts": _counts_json(count_cells(x)),
-        "euler": euler_characteristic(x),
+        "counts": _counts_json(counts),
+        "euler": _signed_sum(counts),
         "complex": serialize_complex(x),
     }
     if cfg.svg:
@@ -371,11 +373,12 @@ def handle_subdivide(cfg: JobConfig, path: str) -> dict:
         y = base_change(x, level).complex
     else:
         y = scale_subdivide(x, level).complex
+    counts = count_cells(y)
     out = {
         "input": path,
         "level": level,
-        "counts": _counts_json(count_cells(y)),
-        "euler": euler_characteristic(y),
+        "counts": _counts_json(counts),
+        "euler": _signed_sum(counts),
         "complex": serialize_complex(y),
     }
     if cfg.svg:

@@ -92,6 +92,22 @@ class DeltaComplex:
         return tuple(c for c in self.cells if c.dim == d)
 
 
+def _refuse_repeats(names: Sequence[str], what: str = "cell") -> None:
+    if len(set(names)) != len(names):
+        repeats = sorted(n for n, k in Counter(names).items() if k > 1)
+        raise ValidationError(f"duplicate {what} names {repeats}")
+
+
+def _assemble(cells: Sequence[Cell], affine: bool = True,
+              provenance: Optional[str] = None) -> DeltaComplex:
+    """The complex of cells known to satisfy the simplicial identities;
+    only their names are checked.  Every complex troplim builds comes
+    through here, an input after ``make_complex`` has validated it."""
+    _refuse_repeats([c.name for c in cells])
+    return DeltaComplex(tuple(sorted(cells, key=lambda c: (c.dim, c.name))),
+                        affine=affine, provenance=provenance)
+
+
 def make_complex(cells: Sequence[tuple[str, Sequence[str]]],
                  affine: bool = True,
                  provenance: Optional[str] = None) -> DeltaComplex:
@@ -105,10 +121,7 @@ def make_complex(cells: Sequence[tuple[str, Sequence[str]]],
     pending = [(str(n), tuple(str(f) for f in fs)) for n, fs in cells]
     if not pending:
         raise ValidationError("a complex needs at least one cell")
-    names = [n for n, _ in pending]
-    if len(set(names)) != len(names):
-        repeats = sorted(n for n, k in Counter(names).items() if k > 1)
-        raise ValidationError(f"duplicate cell names {repeats}")
+    _refuse_repeats([n for n, _ in pending])
     for name, faces in sorted(pending, key=lambda p: len(p[1])):
         dim = len(faces) - 1 if faces else 0
         for f in faces:
@@ -130,8 +143,7 @@ def make_complex(cells: Sequence[tuple[str, Sequence[str]]],
                 raise ValidationError(
                     f"simplicial identity fails on {c.name!r} at ({i},{j}): "
                     f"{left!r} != {right!r}")
-    ordered = tuple(sorted(built.values(), key=lambda c: (c.dim, c.name)))
-    return DeltaComplex(ordered, affine=affine, provenance=provenance)
+    return _assemble(list(built.values()), affine, provenance)
 
 
 def cell_vertices(x: DeltaComplex, name: str) -> tuple[str, ...]:
@@ -229,10 +241,10 @@ def cycle_complex(m: int) -> DeltaComplex:
     """Cycle with m vertices and m edges; m = 1 is a loop on one vertex."""
     if m < 1:
         raise ValueError("a cycle needs at least one edge")
-    cells: list[tuple[str, list[str]]] = [(f"v{i}", []) for i in range(m)]
-    for i in range(m):
-        cells.append((f"e{i}", [f"v{(i + 1) % m}", f"v{i}"]))
-    return make_complex(cells)
+    cells = [Cell(f"v{i}", 0, ()) for i in range(m)]
+    cells += [Cell(f"e{i}", 1, (f"v{(i + 1) % m}", f"v{i}"))
+              for i in range(m)]
+    return _assemble(cells)
 
 
 # -- stratification incidence ------------------------------------------------
@@ -269,10 +281,7 @@ def make_incidence(mode: str, strata, closures) -> StrataIncidence:
     if mode not in ("analytic", "algebraic"):
         raise ValidationError(f"unknown incidence mode {mode!r}")
     ss = tuple(Stratum(str(n), int(c), int(b)) for n, c, b in strata)
-    names = [s.name for s in ss]
-    if len(set(names)) != len(names):
-        repeats = sorted(n for n, k in Counter(names).items() if k > 1)
-        raise ValidationError(f"duplicate stratum names {repeats}")
+    _refuse_repeats([s.name for s in ss], "stratum")
     for s in ss:
         if s.codim < 0 or s.branches < 1:
             raise ValidationError(
@@ -537,19 +546,20 @@ def _drop_walls(x: DeltaComplex, name: str, points: Sequence[Sequence]
 
     While some coordinate vanishes on every point, move to the face of the
     first such coordinate j and drop coordinate j from each point; the
-    points keep their order.
+    points keep their order.  Dropping a coordinate leaves the others as
+    they were, so the walls are the columns that vanish on the input, and
+    one scan finds them all.
     """
-    cell = x.cell(name)
     points = tuple(points)
-    while cell.dim > 0:
-        j = next((j for j, col in enumerate(zip(*points)) if not any(col)),
-                 None)
-        if j is None:
-            break
-        name = cell.faces[j]
-        cell = x.cell(name)
-        points = tuple(p[:j] + p[j + 1:] for p in points)
-    return name, points
+    walls = [j for j, col in enumerate(zip(*points)) if not any(col)]
+    del walls[x.cell(name).dim:]  # a vertex has no face to move to
+    if not walls:
+        return name, points
+    keep = [True] * len(points[0])
+    for shift, j in enumerate(walls):
+        name = x.cell(name).faces[j - shift]
+        keep[j] = False
+    return name, tuple(tuple(itertools.compress(p, keep)) for p in points)
 
 
 def canonical_point(x: DeltaComplex, name: str, coords: Sequence
@@ -618,15 +628,16 @@ def _interior_offsets(tight: tuple[bool, ...]) -> tuple[tuple, ...]:
     return tuple(out)
 
 
-def _sub_name(carrier: str, points) -> str:
+def _sub_name(carrier: str, points, strings=None) -> str:
     """Name of a subdivision cell from its level-scaled barycentric vertices
     in the carrier; each vertex is written in the order-simplex coordinates
-    y_i = b_i + ... + b_m of ``level * O_m``."""
+    y_i = b_i + ... + b_m of ``level * O_m``, once per ``strings`` table."""
     if len(points[0]) == 1:
         return carrier
-    return carrier + "|" + "_".join(
-        ".".join(map(str, reversed(list(itertools.accumulate(p[:0:-1])))))
-        for p in points)
+    strings = {} if strings is None else strings
+    return carrier + "|" + "_".join([strings.get(p) or strings.setdefault(
+        p, ".".join(map(str, reversed(list(itertools.accumulate(p[:0:-1]))))))
+        for p in points])
 
 
 @dataclass(frozen=True)
@@ -671,6 +682,7 @@ def scale_subdivide(x: DeltaComplex, level: int) -> SubdivisionResult:
     if level < 1:
         raise ValueError("subdivision level must be a positive integer")
     names: dict[tuple, str] = {}
+    strings: dict[tuple, str] = {}
     for cell in x.cells:
         # base points level > y_1 >= ... >= y_m >= 0, in level-scaled
         # barycentric coordinates
@@ -681,10 +693,11 @@ def scale_subdivide(x: DeltaComplex, level: int) -> SubdivisionResult:
             for offsets in _interior_offsets(tuple(not c for c in base[1:])):
                 key = (cell.name, tuple(tuple(map(add, base, o))
                                         for o in offsets))
-                names[key] = _sub_name(*key)
+                names[key] = _sub_name(*key, strings)
     # face i omits vertex i; it is looked up directly when it stays in its
     # cell's interior, else it falls to its own canonical carrier, and
-    # neighbouring cells share those, so each is pushed once
+    # neighbouring cells share those, so each is pushed once; Freudenthal
+    # faces satisfy the simplicial identities, so they are not re-checked
     pushed: dict[tuple, str] = {}
     cells = []
     for (carrier, verts), name in names.items():
@@ -695,9 +708,9 @@ def scale_subdivide(x: DeltaComplex, level: int) -> SubdivisionResult:
             if face_name is None:
                 face_name = pushed[face] = names[_drop_walls(x, *face)]
             faces.append(face_name)
-        cells.append((name, faces))
+        cells.append(Cell(name, len(verts) - 1, tuple(faces)))
     return SubdivisionResult(
-        complex=make_complex(cells, affine=True, provenance=x.provenance),
+        complex=_assemble(cells, affine=True, provenance=x.provenance),
         original=x,
         level=level,
         names=names,

@@ -6,10 +6,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skeleton_references import alcoves, push_point, vertex_location
+from troplim import complexes
+from troplim import io as troplim_io
 from troplim.complexes import (
     DeltaComplex,
     _drop_walls,
@@ -52,6 +54,7 @@ from troplim.errors import (
     ValidationError,
 )
 from troplim.fans import fan_from_cones
+from troplim.galaxy import PolygonDegeneration, base_change
 from troplim.lattice import cone_faces, make_cone
 
 
@@ -739,6 +742,138 @@ def test_fiber_face_keys_match_the_sorted_walk(data):
     carrier, verts = _drop_walls(x, name, frozenset(points))
     assert (carrier, tuple(sorted(verts))) == \
         reference_push_fiber_face(x, name, points)
+
+
+
+# -- trusted assembly: generated complexes skip make_complex --
+
+
+def reference_drop_walls(x, name, points):
+    """The wall loop before the one-scan walk: every column is rescanned
+    after each drop."""
+    cell = x.cell(name)
+    points = tuple(points)
+    while cell.dim > 0:
+        j = next((j for j, col in enumerate(zip(*points)) if not any(col)),
+                 None)
+        if j is None:
+            break
+        name = cell.faces[j]
+        cell = x.cell(name)
+        points = tuple(p[:j] + p[j + 1:] for p in points)
+    return name, points
+
+
+@st.composite
+def walled_points(draw):
+    """A cell of one of the wall shapes and 1-4 integer points in its
+    barycentric coordinates, vanishing on any set of columns: adjacent
+    ones, the last one, or all of them (the walk then stops at a vertex)."""
+    x = WALL_SHAPES[draw(st.sampled_from(sorted(WALL_SHAPES)))]()
+    cell = draw(st.sampled_from(x.cells))
+    zero = draw(st.sets(st.integers(0, cell.dim)))
+    points = draw(st.lists(
+        st.tuples(*[st.just(0) if j in zero else st.integers(0, 3)
+                    for j in range(cell.dim + 1)]),
+        min_size=1, max_size=4))
+    return x, cell.name, points
+
+
+@settings(max_examples=200, deadline=None)
+@given(walled_points())
+@example((tetrahedron_solid(), "v0123", [(1, 0, 0, 0), (2, 0, 0, 0)]))
+@example((tetrahedron_solid(), "v0123", [(0, 1, 0, 2), (0, 3, 0, 1)]))
+@example((segment_complex(), "e", [(0, 0)]))
+@example((cycle_complex(1), "e0", [(0, 2)]))
+@example((cycle_complex(1), "e0", [(2, 0), (1, 0)]))
+def test_drop_walls_matches_the_rescanning_loop(data):
+    x, name, points = data
+    assert _drop_walls(x, name, points) == \
+        reference_drop_walls(x, name, points)
+
+
+def assert_make_complex_accepts(y):
+    """make_complex on the (name, faces) pairs of a complex troplim built
+    without it gives back that complex, provenance included."""
+    again = make_complex([(c.name, c.faces) for c in y.cells], y.affine,
+                         y.provenance)
+    assert again == y
+    assert again.provenance == y.provenance
+
+
+# shape -> (complex from a seeded rng, highest level): the wall shapes, the
+# seeded random pure 2-complexes of the walk test, a subdivided subdivision
+# (the corpus's resub-b shape) and analytic duals, whose provenance the
+# subdivision keeps
+ASSEMBLY_SHAPES = {
+    **{name: (lambda rng, build=build: build(), 4)
+       for name, build in WALL_SHAPES.items()},
+    **{name: CORPUS_SHAPES[name] for name in CORPUS_SHAPES
+       if name.startswith("random2-") or name == "resub"},
+    "polygon-dual": (lambda rng: from_incidence(polygon_incidence(3)), 4),
+    "nodal-dual": (lambda rng: from_incidence(nodal_cubic_incidence()), 4),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(ASSEMBLY_SHAPES))
+def test_subdivisions_pass_make_complex(shape):
+    build, top = ASSEMBLY_SHAPES[shape]
+    x = build(random.Random(shape))
+    for level in range(1, min(top, 4) + 1):
+        y = scale_subdivide(x, level).complex
+        assert y.provenance == x.provenance
+        assert_make_complex_accepts(y)
+
+
+def test_cycles_match_the_validated_cells():
+    for m in [*range(1, 41), 1536]:
+        cells = [(f"v{i}", []) for i in range(m)]
+        cells += [(f"e{i}", [f"v{(i + 1) % m}", f"v{i}"]) for i in range(m)]
+        assert cycle_complex(m) == make_complex(cells)
+        assert_make_complex_accepts(cycle_complex(m))
+
+
+def test_generated_complexes_skip_make_complex(monkeypatch):
+    square = square_complex()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("make_complex called on a generated complex")
+
+    monkeypatch.setattr(complexes, "make_complex", refuse)
+    for level in (1, 2, 3):
+        assert euler_characteristic(scale_subdivide(square, level).complex) \
+            == 1
+    assert count_cells(cycle_complex(7)) == {0: 7, 1: 7}
+    assert count_cells(base_change(PolygonDegeneration(3), 4).complex) == \
+        {0: 12, 1: 12}
+
+
+def test_parsed_complexes_are_still_validated(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return make_complex(*args, **kwargs)
+
+    monkeypatch.setattr(troplim_io, "make_complex", counted)
+    sub = scale_subdivide(triangle_complex(), 2).complex
+    data = troplim_io.serialize_complex(sub)
+    assert troplim_io.parse_complex_data(data, "x") == sub
+    # the same cells with two faces of a triangle swapped break an identity
+    top = next(c for c in data["cells"] if len(c["faces"]) == 3)
+    top["faces"][:2] = top["faces"][1::-1]
+    with pytest.raises(ValidationError, match="simplicial identity"):
+        troplim_io.parse_complex_data(data, "x")
+    assert len(calls) == 2
+
+
+def test_subdivision_refuses_a_clash_on_an_interior_vertex():
+    # the level-3 triangle's centre is T|2.1, which the input already names
+    x = make_complex([(c.name, c.faces) for c in triangle_complex().cells]
+                     + [("T|2.1", [])])
+    with pytest.raises(ValidationError) as err:
+        scale_subdivide(x, 3)
+    assert str(err.value) == "duplicate cell names ['T|2.1']"
 
 
 # -- fibers of simplicial maps --
