@@ -830,7 +830,6 @@ def test_cycles_match_the_validated_cells():
         cells = [(f"v{i}", []) for i in range(m)]
         cells += [(f"e{i}", [f"v{(i + 1) % m}", f"v{i}"]) for i in range(m)]
         assert cycle_complex(m) == make_complex(cells)
-        assert_make_complex_accepts(cycle_complex(m))
 
 
 def test_generated_complexes_skip_make_complex(monkeypatch):
