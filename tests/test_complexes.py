@@ -792,15 +792,6 @@ def test_drop_walls_matches_the_rescanning_loop(data):
         reference_drop_walls(x, name, points)
 
 
-def assert_make_complex_accepts(y):
-    """make_complex on the (name, faces) pairs of a complex troplim built
-    without it gives back that complex, provenance included."""
-    again = make_complex([(c.name, c.faces) for c in y.cells], y.affine,
-                         y.provenance)
-    assert again == y
-    assert again.provenance == y.provenance
-
-
 # shape -> (complex from a seeded rng, highest level): the wall shapes, the
 # seeded random pure 2-complexes of the walk test, a subdivided subdivision
 # (the corpus's resub-b shape) and analytic duals, whose provenance the
@@ -817,12 +808,16 @@ ASSEMBLY_SHAPES = {
 
 @pytest.mark.parametrize("shape", sorted(ASSEMBLY_SHAPES))
 def test_subdivisions_pass_make_complex(shape):
+    """make_complex on the (name, faces) pairs of a subdivision, which is
+    assembled without it, gives back that complex, provenance included."""
     build, top = ASSEMBLY_SHAPES[shape]
     x = build(random.Random(shape))
     for level in range(1, min(top, 4) + 1):
         y = scale_subdivide(x, level).complex
-        assert y.provenance == x.provenance
-        assert_make_complex_accepts(y)
+        again = make_complex([(c.name, c.faces) for c in y.cells], y.affine,
+                             y.provenance)
+        assert again == y
+        assert again.provenance == y.provenance == x.provenance
 
 
 def test_cycles_match_the_validated_cells():
