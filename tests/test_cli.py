@@ -466,6 +466,10 @@ SYMBOLIC_TOWERS = {
                       "direction": {"symbols": [_sqrt_symbol(2)],
                                     "entries": [["1", "0"], ["0", "1"],
                                                 ["1/2", "0"]]}},
+    "rank2-refine-with": {"base_fan": QUADRANT, "steps": 2, "strategy": {
+        "kind": "common-refine-with", "fan": DIAMOND},
+                          "direction": {"symbols": [_sqrt_symbol(2)],
+                                        "entries": [["1", "0"], ["0", "1"]]}},
 }
 
 
@@ -474,6 +478,8 @@ SYMBOLIC_TOWERS = {
      "4266b77abeee7ba200d4f5652a965118eb4796a2155860b3df0d34ec31ef1fb5"),
     ("rank3-stellar",
      "492c3bdab77218197ef6e189aa113b00c9ca70de744fd7ad64ef962238b6f724"),
+    ("rank2-refine-with",
+     "b292680e29b44a09d9acb5f28f8be89f4a596ec62d5c6a13f5887ad76a34506e"),
 ])
 def test_limit_point_report_bytes_are_frozen(tmp_path, capsys, monkeypatch,
                                              tower, digest):
@@ -1006,13 +1012,22 @@ STELLAR_TOWER = {"base_fan": QUADRANT, "strategy": STELLAR,
      "names an unknown stratum"),
     ("map-fibers", {**SEGMENT_MAP, "cell_images": {"e": ["f", [0, 1]]}}, [],
      2, "no cell named 'f'"),
+    ("fan-validate", {"rank": 2, "rays": [["1", "0"], ["1"]],
+                      "maximal_cones": [[0, 1]]}, [], 3,
+     "rays[1]: length 1 does not match rank 2"),
+    ("dualcx", {**NODAL_INC, "closures": [["p"]]}, [], 3,
+     "closures[0]: expected a [lower, upper] pair"),
+    ("limit-point", {"base_fan": QUADRANT, "strategy": STELLAR, "steps": 1},
+     [], 3, "missing field 'direction'"),
+    ("trop", [NODAL], [], 3, "top level must be a JSON object"),
 ], ids=["map-reference-int", "map-phi-int", "galaxy-empty-symbol",
         "fiber-rank-empty-symbol", "limit-point-empty-symbol",
         "fan-negative-rank", "negative-exponent", "no-terms",
         "direction-outside-support", "strategy-outside-support",
         "steps-string-over-depth", "steps-bool",
         "steps-negative", "steps-spaces-underscore",
-        "closure-unknown-stratum", "phi-unknown-cell"])
+        "closure-unknown-stratum", "phi-unknown-cell", "ray-length",
+        "closure-not-a-pair", "no-direction", "top-level-list"])
 def test_malformed_inputs_exit_with_a_documented_code(
         tmp_path, capsys, command, obj, flags, code, error):
     path = put(tmp_path, "in.json", obj)
@@ -1080,6 +1095,167 @@ def test_schema_mutations_exit_with_a_documented_code(tmp_path, capsys,
             put(tmp_path, "in.json", _replaced(exemplar, field, value))
             assert cli.main(argv) in (0, 2, 3, 4), (field, value)
     capsys.readouterr()
+
+
+# -- the CLI surface, frozen -------------------------------------------------
+
+
+def _exemplar_argv(tmp_path, monkeypatch, command, obj):
+    """argv of one run on `obj` written to in.json, from inside tmp_path so
+    that the report names a relative path."""
+    monkeypatch.chdir(tmp_path)
+    put(tmp_path, "in.json", obj)
+    put(tmp_path, "b.json", QUADRANT)
+    return [command, "in.json"] + (["b.json"] if command == "refine" else [])
+
+
+# per subcommand: the text summary of its exemplar and the SHA-256 of its
+# --json report
+EXEMPLAR_OUTPUTS = {
+    "dualcx": (
+        "command: dualcx  seed: 0\n"
+        "input: in.json  sha256: 5ef517bee899\n"
+        "in.json: cells 0:1 1:1, euler 0\n",
+        "66efbd915e140248a236d2338e19ed6b6f32c37465c71bfb73eab4799eca2b69"),
+    "fan-validate": (
+        "command: fan-validate  seed: 0\n"
+        "input: in.json  sha256: 60c4bf214796\n"
+        "in.json: 4 maximal cones, valid complete\n",
+        "bd6a29aa074736d557821724ea5dc329497ac107076b3e0a1b5dbb495acd873e"),
+    "fiber-rank": (
+        "command: fiber-rank  seed: 0\n"
+        "input: in.json  sha256: 6ea36c3b466f\n"
+        "in.json: rank 2, fiber dim 0, det +1\n",
+        "57820474cb3034c2ec3fa31eb3c5393e92e7ca076e91d02c88bb2220e6934bb1"),
+    "galaxy": (
+        "command: galaxy  seed: 0\n"
+        "input: in.json  sha256: ac326ea2126c\n"
+        "in.json: 1/6:open s:undecidable\n",
+        "8b8f285698f4cb780d7ec8d0a352c0e99928f35c091940fa95fb339aa46fde42"),
+    "limit-point": (
+        "command: limit-point  seed: 0\n"
+        "input: in.json  sha256: a00555397346\n"
+        "in.json: unresolved cone after depth 2\n",
+        "c98c1e97a7114f223302f7865970253251b03606efbd2dd6397a25e7803ed005"),
+    "map-fibers": (
+        "command: map-fibers  seed: 0\n"
+        "input: in.json  sha256: 7877b039719f\n"
+        "in.json: (e) chi=1, match\n",
+        "9939398c84ec8e2af69fa7bba443cb057f8d6617bfc5705d01a4d610a0dff514"),
+    "ptrop": (
+        "command: ptrop  seed: 0\n"
+        "input: in.json  sha256: 145daf081e25\n"
+        "in.json: points (none), routes agree\n",
+        "1f67a2690a810059986600510ef39a5bc570e39b7b1922df5aaa149234da1191"),
+    "rational-points": (
+        "command: rational-points  seed: 0\n"
+        "input: in.json  sha256: e2e131d44d3c\n"
+        "in.json: 3 rational points at level 1\n",
+        "9e67dfa0243628b42ff55b645a75dc77c93370e9b27c0c6b00c936bbd3a91202"),
+    "refine": (
+        "command: refine  seed: 0\n"
+        "input: in.json  sha256: 60c4bf214796\n"
+        "input: b.json  sha256: 60c4bf214796\n"
+        "in.json + b.json: 4 maximal cones\n",
+        "2b18847dbf9fc5c67dfe27dba4a13a28bcac3678655cefeaa8e753c410efacd5"),
+    "subdivide": (
+        "command: subdivide  seed: 0\n"
+        "input: in.json  sha256: 7f05e69762df\n"
+        "in.json: cells 0:2 1:1, euler 1\n",
+        "f6be5ae4830dbf76cf3addaccf135127ccaf48a4b929c44a725a80c7ab7536bb"),
+    "toric-fiber": (
+        "command: toric-fiber  seed: 0\n"
+        "input: in.json  sha256: 0db5801403f0\n"
+        "in.json: cells 0:3 1:2, euler 1\n",
+        "43b0d475ec2656948ed2cca27964db5134c84de5774fb0412c39af041b9ca72c"),
+    "trop": (
+        "command: trop  seed: 0\n"
+        "input: in.json  sha256: d4dd419f2f8f\n"
+        "in.json: 1 cells, degree 3\n",
+        "e9e40471b647b3a76f888d82ad03627153dc2b38455dcdaccdc710c00ba45ca4"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(EXEMPLARS))
+def test_exemplar_outputs_are_frozen(tmp_path, capsys, monkeypatch, command):
+    """Text summary, --json report, empty stderr and exit 0 of each
+    subcommand's exemplar, frozen before the subcommands were declared in
+    one table."""
+    text, digest = EXEMPLAR_OUTPUTS[command]
+    argv = _exemplar_argv(tmp_path, monkeypatch, command, EXEMPLARS[command])
+    assert cli.main(argv) == 0
+    assert capsys.readouterr() == (text, "")
+    assert cli.main(argv + ["--json"]) == 0
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == digest and err == ""
+
+
+# inputs whose summary line takes the branch its exemplar does not
+SUMMARY_BRANCHES = {
+    "ptrop-oracle": ("ptrop", NODAL, "points [1:2] [2:1], routes agree, "
+                     "2 oracle clusters"),
+    "fan-validate-invalid": ("fan-validate", FAN_FILES["invalid"],
+                             "4 maximal cones, INVALID"),
+    "fan-validate-incomplete": ("fan-validate", FAN_FILES["incomplete"],
+                                "2 maximal cones, valid"),
+    "limit-point-ray": ("limit-point", {
+        "base_fan": QUADRANT, "steps": 6, "strategy": {
+            "kind": "toward-direction", "direction": {"entries": ["2", "3"]}}},
+                        "ray [2:3]"),
+    "map-fibers-no-reference": ("map-fibers", SEGMENT_MAP, "(e) chi=1"),
+    "galaxy-no-points": ("galaxy", {"elliptic": {"m": 3, "degrees": [1]}},
+                         "(no points)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SUMMARY_BRANCHES))
+def test_summary_branches_are_frozen(tmp_path, capsys, monkeypatch, case):
+    command, obj, summary = SUMMARY_BRANCHES[case]
+    assert cli.main(_exemplar_argv(tmp_path, monkeypatch, command, obj)) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1] == "in.json: " + summary and err == ""
+
+
+HELP_DIGESTS = {
+    "troplim":
+        "e4061ee83afa69e75f85b4b53a22d5ef1c368842e973a87d7502b50d426479c3",
+    "dualcx":
+        "12c6bcb822a3bacea580ff3c08b07c825ac2525d02fcbb63b4bcd5844daecb5d",
+    "fan-validate":
+        "9285d823b7c1c7c9169518999004d0450b13eb3d6fa3b40095c0379edd701c04",
+    "fiber-rank":
+        "7d90bc2a1ace6e646a660b0dee4cac6201df053d930bc11f48c72ca3b98810a1",
+    "galaxy":
+        "aeb6fc6ca1cc069736630068260da01da9cbfba56f233f149347aab0b54e5758",
+    "limit-point":
+        "6a7cb3a0cbf2f7e74e88488df050fcb8b46774c7bcf1dec97b61e123efa6ad79",
+    "map-fibers":
+        "a156ded3cc216e8a1fd6d690d099c8db20c139565e6e413ab55d637bbc012a55",
+    "ptrop":
+        "7515fbfe59224b5e314ffe56369ec87a223d6beb1d5b03ffa9abb1b6aac9c51e",
+    "rational-points":
+        "15e1fc523206a55a60eb9e97718bc5c8524de994f69da00d585af55f14855a23",
+    "refine":
+        "53b9c9ea1d3338d09365115ac72055d3b2ae1fc94e916ba3b3d7ea60c6093f9a",
+    "subdivide":
+        "580dcb2baad4d46bd39fc92cf2fe629303ab2a88779e0c3eafc3049c27f16928",
+    "toric-fiber":
+        "c4ab947e6c24827c0982de751d047e7535c7e538149f04167666a79d56f6e703",
+    "trop":
+        "8ab25eab27e81ffcf934b6754884af1a3898dd3465a5ada09489783bffac2a86",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_DIGESTS))
+def test_help_texts_are_frozen(capsys, monkeypatch, command):
+    """SHA-256 of each --help text at 80 columns."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(([] if command == "troplim" else [command]) + ["--help"])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_DIGESTS[command]
+    assert err == ""
 
 
 def test_the_benchmark_tracer_wraps_a_cli_job(tmp_path):

@@ -472,12 +472,32 @@ def _on_some_cell(h, x):
     return False
 
 
+def _tie_point(a, b, t):
+    """A point where terms a and b take the same value, its free
+    coordinate t."""
+    (ea, va), (eb, vb) = a, b
+    d = [p - q for p, q in zip(ea, eb)]
+    i = 1 if d[1] else 0
+    x = [t, t]
+    x[i] = (vb - va - d[1 - i] * t) / d[i]
+    return tuple(x)
+
+
 @settings(max_examples=40, deadline=None)
-@given(polys(2, max_deg=3, max_terms=4), st.tuples(rationals, rationals))
-def test_cells_cover_exactly_the_tie_locus(f, x):
+@given(polys(2, max_deg=3, max_terms=4), st.tuples(rationals, rationals),
+       st.data())
+def test_cells_cover_exactly_the_tie_locus(f, x, data):
+    """Both directions: a random point (almost never on the locus), each
+    cell's relative interior point (always on it) and a point where two
+    chosen terms tie (on it when they are least)."""
     h = tp.trop_hypersurface(f)
-    _, achievers = tp.trop_eval(f, x)
-    assert (len(achievers) >= 2) == _on_some_cell(h, x)
+    points = [x] + [cell.relint_point for cell in h.cells]
+    if len(f.terms) >= 2:
+        a, b = data.draw(st.permutations(f.terms))[:2]
+        points.append(_tie_point(a, b, data.draw(rationals)))
+    for p in points:
+        _, achievers = tp.trop_eval(f, p)
+        assert (len(achievers) >= 2) == _on_some_cell(h, p)
 
 
 @settings(max_examples=25, deadline=None)
