@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -131,16 +132,11 @@ def _write(path: str, text: str):
         fh.write(text)
 
 
-def _svg_path(cfg: JobConfig, path: str) -> str:
-    if cfg.output and len(cfg.inputs) == 1:
-        base = cfg.output
-    else:
-        base = path
-    return (base[:-5] if base.endswith(".json") else base) + ".svg"
-
-
 def _write_svg(cfg: JobConfig, path: str, svg: str) -> str:
-    out = _svg_path(cfg, path)
+    """Write the picture next to --output when the run has one input, else
+    next to `path`; return the picture's path."""
+    base = cfg.output if cfg.output and len(cfg.inputs) == 1 else path
+    out = (base[:-5] if base.endswith(".json") else base) + ".svg"
     _write(out, svg)
     return out
 
@@ -150,6 +146,24 @@ def _maybe_artifact(cfg: JobConfig, result: dict, payload: dict) -> dict:
         _write(cfg.output, canonical_json(payload))
         result["artifact"] = cfg.output
     return result
+
+
+def _complex_result(cfg: JobConfig, path: str, x: DeltaComplex,
+                    **fields) -> dict:
+    """Report of a run that makes a complex: its cell counts, Euler
+    characteristic and cells, with the optional picture and artifact."""
+    counts = count_cells(x)
+    out = {"input": path, **fields, "counts": _counts_json(counts),
+           "euler": _signed_sum(counts), "complex": serialize_complex(x)}
+    if cfg.svg:
+        out["svg"] = _write_svg(cfg, path, complex_svg(x))
+    return _maybe_artifact(cfg, out, out["complex"])
+
+
+def _level(cfg: JobConfig) -> int:
+    """The subdivision level of subdivide and rational-points, 1 unless
+    given."""
+    return 1 if cfg.level is None else cfg.level
 
 
 # -- SVG rendering (deterministic, rank/dimension 2 only) --------------------
@@ -307,7 +321,8 @@ def handle_refine(cfg: JobConfig) -> dict:
         "fan": serialize_fan(fan),
     }
     if cfg.svg:
-        out["svg"] = _write_svg(cfg, path_a, fan_svg(fan))
+        # one picture, of the one artifact when there is one
+        out["svg"] = _write_svg(cfg, cfg.output or path_a, fan_svg(fan))
     return _maybe_artifact(cfg, out, out["fan"])
 
 
@@ -351,43 +366,22 @@ def handle_fiber_rank(cfg: JobConfig, path: str) -> dict:
 
 def handle_dualcx(cfg: JobConfig, path: str) -> dict:
     inc = parse_incidence(path)
-    x = from_incidence(inc)
-    counts = count_cells(x)
-    out = {
-        "input": path,
-        "mode": inc.mode,
-        "counts": _counts_json(counts),
-        "euler": _signed_sum(counts),
-        "complex": serialize_complex(x),
-    }
-    if cfg.svg:
-        out["svg"] = _write_svg(cfg, path, complex_svg(x))
-    return _maybe_artifact(cfg, out, out["complex"])
+    return _complex_result(cfg, path, from_incidence(inc), mode=inc.mode)
 
 
 def handle_subdivide(cfg: JobConfig, path: str) -> dict:
-    level = cfg.level if cfg.level is not None else 1
+    level = _level(cfg)
     x = parse_cycle_or_complex(path)
     if isinstance(x, PolygonDegeneration):
         # base change keeps the canonical circle labels v0..v(Nm-1)
         y = base_change(x, level).complex
     else:
         y = scale_subdivide(x, level).complex
-    counts = count_cells(y)
-    out = {
-        "input": path,
-        "level": level,
-        "counts": _counts_json(counts),
-        "euler": _signed_sum(counts),
-        "complex": serialize_complex(y),
-    }
-    if cfg.svg:
-        out["svg"] = _write_svg(cfg, path, complex_svg(y))
-    return _maybe_artifact(cfg, out, out["complex"])
+    return _complex_result(cfg, path, y, level=level)
 
 
 def handle_rational_points(cfg: JobConfig, path: str) -> dict:
-    level = cfg.level if cfg.level is not None else 1
+    level = _level(cfg)
     x = parse_cycle_or_complex(path)
     if isinstance(x, PolygonDegeneration):
         x = x.complex
@@ -450,13 +444,10 @@ def handle_galaxy(cfg: JobConfig, path: str) -> dict:
             fmt_rational(point.rational)
         try:
             res = classify_point(tower, point)
-        except IncompleteTower as exc:
-            outcomes.append({"point": shown, "kind": "incomplete",
-                             "error": str(exc)})
-            continue
-        except UndecidableSign as exc:
-            outcomes.append({"point": shown, "kind": "undecidable",
-                             "error": str(exc)})
+        except (IncompleteTower, UndecidableSign) as exc:
+            kind = "incomplete" if isinstance(exc, IncompleteTower) else \
+                "undecidable"
+            outcomes.append({"point": shown, "kind": kind, "error": str(exc)})
             continue
         if isinstance(res, OpenPoint):
             outcomes.append({
@@ -491,18 +482,92 @@ def handle_galaxy(cfg: JobConfig, path: str) -> dict:
     return out
 
 
-_HANDLERS = {
-    "trop": handle_trop,
-    "ptrop": handle_ptrop,
-    "fan-validate": handle_fan_validate,
-    "limit-point": handle_limit_point,
-    "fiber-rank": handle_fiber_rank,
-    "dualcx": handle_dualcx,
-    "subdivide": handle_subdivide,
-    "rational-points": handle_rational_points,
-    "map-fibers": handle_map_fibers,
-    "toric-fiber": handle_toric_fiber,
-    "galaxy": handle_galaxy,
+# -- the subcommands ---------------------------------------------------------
+
+
+def _ptrop_line(r: dict) -> str:
+    pts = " ".join("[" + ":".join(p) + "]" for p in r["points"]) or "(none)"
+    agree = "agree" if r["routes_agree"] else "DISAGREE"
+    clusters = "" if r["oracle_clusters"] is None else \
+        f", {len(r['oracle_clusters'])} oracle clusters"
+    return f"points {pts}, routes {agree}{clusters}"
+
+
+def _cells_line(r: dict) -> str:
+    counts = " ".join(f"{d}:{c}" for d, c in r["counts"].items())
+    return f"cells {counts}, euler {r['euler']}"
+
+
+# a subcommand: the function that makes one result, its --help line, the
+# flags it takes beyond --json and --output, and the text line of a result
+Command = namedtuple("Command", "handler help flags summary")
+
+# in the order --help lists them, each row's flags in registration order
+COMMANDS = {
+    "trop": Command(
+        handle_trop, "cell structure of a tropical hypersurface", (),
+        lambda r: f"{r['cell_count']} cells, degree {r['degree']}"),
+    "ptrop": Command(
+        handle_ptrop, "projective tropicalization of a germ, with oracle",
+        ("--seed",), _ptrop_line),
+    "fan-validate": Command(
+        handle_fan_validate, "check the fan axioms and completeness",
+        ("--svg",), lambda r: f"{r['maximal_cones']} maximal cones, " + (
+            "INVALID" if not r["valid"] else
+            "valid complete" if r["complete"] else "valid")),
+    "refine": Command(
+        handle_refine, "common refinement of two fans", ("--svg",),
+        lambda r: f"{r['maximal_cones']} maximal cones"),
+    "limit-point": Command(
+        handle_limit_point, "resolve a direction through a fan tower",
+        ("--depth",), lambda r: "ray [" + ":".join(r["ray"]) + "]"
+        if r["resolved"] else f"unresolved cone after depth {r['depth']}"),
+    "fiber-rank": Command(
+        handle_fiber_rank, "rank and fiber dimension of a symbolic vector",
+        (), lambda r: f"rank {r['rank']}, fiber dim {r['fiber_dim']}, det "
+                      f"{r['det']:+d}"),
+    "dualcx": Command(
+        handle_dualcx, "dual complex of a strata incidence file",
+        ("--svg",), _cells_line),
+    "subdivide": Command(
+        handle_subdivide, "scale subdivision of an affine complex",
+        ("--svg", "--N"), _cells_line),
+    "rational-points": Command(
+        handle_rational_points, "level-N rational points of a complex",
+        ("--level",),
+        lambda r: f"{r['count']} rational points at level {r['level']}"),
+    "map-fibers": Command(
+        handle_map_fibers, "exact fibers of a simplicial map dataset", (),
+        lambda r: ", ".join(f"({p['cell']}) chi={p['euler']}"
+                            for p in r["points"]) + (
+            "" if "mismatch" not in r else
+            ", mismatch" if r["mismatch"] else ", match")),
+    "toric-fiber": Command(
+        handle_toric_fiber, "fiber complex of a compatible map of fans", (),
+        _cells_line),
+    "galaxy": Command(
+        handle_galaxy, "classify angles along an elliptic tower",
+        ("--depth", "--level"),
+        lambda r: " ".join(f"{p['point']}:{p['kind']}"
+                           for p in r["points"]) or "(no points)"),
+}
+# dispatch reads this dict of plain functions, which a tracer may rebind
+_HANDLERS = {name: command.handler for name, command in COMMANDS.items()}
+
+# each flag's one argparse spec; a flag left out is left off the parsed
+# namespace, so its default is JobConfig's
+_FLAGS = {
+    "--json": dict(action="store_true", dest="json_out",
+                   help="emit the report as canonical JSON"),
+    "--output": dict(metavar="PATH",
+                     help="write the primary artifact or report here"),
+    "--seed": dict(type=int, help="seed of the coefficient lift and oracle"),
+    "--depth": dict(type=int,
+                    help=f"tower depth cap (max {TOWER_DEPTH_CAP})"),
+    "--svg": dict(action="store_true",
+                  help="also write an SVG next to the output"),
+    "--N": dict(type=int, dest="level", metavar="N"),
+    "--level": dict(type=int, dest="level", metavar="N"),
 }
 
 
@@ -515,11 +580,8 @@ def run(cfg: JobConfig) -> dict:
     paths = list(cfg.inputs) if refine else sorted(cfg.inputs)
     # hashed before any handler runs: an artifact's --output may name an input
     inputs = [{"path": p, "sha256": sha256_file(p)} for p in paths]
-    if refine:
-        results = [handle_refine(cfg)]
-    else:
-        handler = _HANDLERS[cfg.subcommand]
-        results = [handler(cfg, p) for p in paths]
+    handler = _HANDLERS[cfg.subcommand]
+    results = [handler(cfg)] if refine else [handler(cfg, p) for p in paths]
     return {
         "command": cfg.subcommand,
         "seed": cfg.seed,
@@ -528,61 +590,15 @@ def run(cfg: JobConfig) -> dict:
     }
 
 
-def _summary(cmd: str, res: dict) -> str:
-    if cmd == "trop":
-        return (f"{res['input']}: {res['cell_count']} cells, degree "
-                f"{res['degree']}")
-    if cmd == "ptrop":
-        pts = " ".join("[" + ":".join(p) + "]" for p in res["points"])
-        agree = "agree" if res["routes_agree"] else "DISAGREE"
-        line = f"{res['input']}: points {pts or '(none)'}, routes {agree}"
-        if res["oracle_clusters"] is not None:
-            line += f", {len(res['oracle_clusters'])} oracle clusters"
-        return line
-    if cmd == "fan-validate":
-        state = "valid" if res["valid"] else "INVALID"
-        if res["valid"] and res["complete"]:
-            state += " complete"
-        return (f"{res['input']}: {res['maximal_cones']} maximal cones, "
-                f"{state}")
-    if cmd == "refine":
-        return (f"{' + '.join(res['inputs'])}: {res['maximal_cones']} "
-                f"maximal cones")
-    if cmd == "limit-point":
-        what = "ray [" + ":".join(res["ray"]) + "]" if res["resolved"] \
-            else f"unresolved cone after depth {res['depth']}"
-        return f"{res['input']}: {what}"
-    if cmd == "fiber-rank":
-        return (f"{res['input']}: rank {res['rank']}, fiber dim "
-                f"{res['fiber_dim']}, det {res['det']:+d}")
-    if cmd in ("dualcx", "subdivide"):
-        counts = " ".join(f"{d}:{c}" for d, c in res["counts"].items())
-        return f"{res['input']}: cells {counts}, euler {res['euler']}"
-    if cmd == "rational-points":
-        return (f"{res['input']}: {res['count']} rational points at level "
-                f"{res['level']}")
-    if cmd == "map-fibers":
-        parts = [f"({p['cell']}) chi={p['euler']}" for p in res["points"]]
-        line = f"{res['input']}: " + ", ".join(parts)
-        if "mismatch" in res:
-            line += ", mismatch" if res["mismatch"] else ", match"
-        return line
-    if cmd == "toric-fiber":
-        counts = " ".join(f"{d}:{c}" for d, c in res["counts"].items())
-        return f"{res['input']}: cells {counts}, euler {res['euler']}"
-    if cmd == "galaxy":
-        kinds = " ".join(f"{p['point']}:{p['kind']}" for p in res["points"])
-        return f"{res['input']}: {kinds or '(no points)'}"
-    return str(res)
-
-
 def render_text(report: dict) -> str:
     lines = [f"command: {report['command']}  seed: {report['seed']}"]
     for item in report["inputs"]:
         lines.append(f"input: {item['path']}  sha256: "
                      f"{item['sha256'][:12]}")
+    summary = COMMANDS[report["command"]].summary
     for res in report["results"]:
-        lines.append(_summary(report["command"], res))
+        head = res["input"] if "input" in res else " + ".join(res["inputs"])
+        lines.append(f"{head}: {summary(res)}")
     return "\n".join(lines) + "\n"
 
 
@@ -594,59 +610,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="troplim",
         description="Exact tropical limits: fans, germs, skeletons, towers.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add(name, help_text, svg=False, level_flag=None, level_default=None,
-            seed=False, depth=False):
-        p = sub.add_parser(name, help=help_text)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help,
+                           argument_default=argparse.SUPPRESS)
         p.add_argument("inputs", nargs="+", metavar="FILE")
-        p.add_argument("--json", action="store_true", dest="json_out",
-                       help="emit the report as canonical JSON")
-        p.add_argument("--output", metavar="PATH",
-                       help="write the primary artifact or report here")
-        if seed:
-            p.add_argument("--seed", type=int, default=0,
-                           help="seed of the coefficient lift and oracle")
-        if depth:
-            p.add_argument("--depth", type=int, default=TOWER_DEPTH_CAP,
-                           help=f"tower depth cap (max {TOWER_DEPTH_CAP})")
-        if svg:
-            p.add_argument("--svg", action="store_true",
-                           help="also write an SVG next to the output")
-        if level_flag:
-            p.add_argument(level_flag, type=int, default=level_default,
-                           dest="level", metavar="N")
-        return p
-
-    add("trop", "cell structure of a tropical hypersurface")
-    add("ptrop", "projective tropicalization of a germ, with oracle",
-        seed=True)
-    add("fan-validate", "check the fan axioms and completeness", svg=True)
-    add("refine", "common refinement of two fans", svg=True)
-    add("limit-point", "resolve a direction through a fan tower", depth=True)
-    add("fiber-rank", "rank and fiber dimension of a symbolic vector")
-    add("dualcx", "dual complex of a strata incidence file", svg=True)
-    add("subdivide", "scale subdivision of an affine complex", svg=True,
-        level_flag="--N", level_default=1)
-    add("rational-points", "level-N rational points of a complex",
-        level_flag="--level", level_default=1)
-    add("map-fibers", "exact fibers of a simplicial map dataset")
-    add("toric-fiber", "fiber complex of a compatible map of fans")
-    add("galaxy", "classify angles along an elliptic tower",
-        level_flag="--level", level_default=None, depth=True)
+        for flag in ("--json", "--output") + command.flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> JobConfig:
-    return JobConfig(
-        subcommand=args.subcommand,
-        inputs=tuple(args.inputs),
-        output=args.output,
-        seed=getattr(args, "seed", 0),
-        json_out=args.json_out,
-        svg=getattr(args, "svg", False),
-        depth=getattr(args, "depth", TOWER_DEPTH_CAP),
-        level=getattr(args, "level", None),
-    )
+    return JobConfig(**{**vars(args), "inputs": tuple(args.inputs)})
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -446,7 +446,7 @@ def induced_map(source: DeltaComplex, target: DeltaComplex,
     target cells share a vertex sequence the choice is ambiguous and must
     be supplied through cell_images.
     """
-    vm = {str(a): str(b) for a, b in vertex_map.items()}
+    vm = dict(vertex_map)
     target_vertices = {c.name for c in target.by_dim(0)}
     for v in source.by_dim(0):
         if v.name not in vm:
@@ -454,8 +454,12 @@ def induced_map(source: DeltaComplex, target: DeltaComplex,
         img = vm[v.name]
         if img not in target_vertices:
             raise NotSimplicial(f"{v.name!r} maps to non-vertex {img!r}")
-    given = {str(k): (str(c), tuple(int(i) for i in phi))
+    given = {k: (c, tuple(int(i) for i in phi))
              for k, (c, phi) in (cell_images or {}).items()}
+    unknown = [k for k in given if k not in source._by_name]
+    if unknown:
+        raise ValidationError(
+            f"cell_images[{unknown[0]!r}] names no source cell")
     by_sequence = _sequence_index(target)
     images: dict[str, tuple[str, tuple[int, ...]]] = {}
     for cell in sorted(source.cells, key=lambda c: c.dim):

@@ -202,6 +202,13 @@ def _list(value, where: str) -> list:
     return value
 
 
+def _name(value, where: str) -> str:
+    """A cell, stratum or symbol name, which must be a JSON string."""
+    if not isinstance(value, str):
+        raise ParseError(f"{where}: expected a string, got {value!r}")
+    return value
+
+
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 _INTEGER = re.compile(r"-?[0-9]+")
 
@@ -352,7 +359,7 @@ def parse_incidence(path: str) -> StrataIncidence:
         w = f"{path}.strata[{i}]"
         s = _object(s, w)
         strata.append((
-            str(require_field(s, "name", w)),
+            _name(require_field(s, "name", w), f"{w}.name"),
             parse_int(require_field(s, "codim", w), f"{w}.codim"),
             parse_int(require_field(s, "branches", w), f"{w}.branches"),
         ))
@@ -362,7 +369,8 @@ def parse_incidence(path: str) -> StrataIncidence:
         if not isinstance(pair, list) or len(pair) != 2:
             raise ParseError(
                 f"{path}.closures[{i}]: expected a [lower, upper] pair")
-        closures.append((str(pair[0]), str(pair[1])))
+        closures.append(tuple(_name(v, f"{path}.closures[{i}][{j}]")
+                              for j, v in enumerate(pair)))
     return make_incidence(mode, strata, closures)
 
 
@@ -374,7 +382,9 @@ def parse_complex_data(obj, where: str) -> DeltaComplex:
         w = f"{where}.cells[{i}]"
         c = _object(c, w)
         faces = _list(require_field(c, "faces", w), f"{w}.faces")
-        cells.append((str(require_field(c, "name", w)), [str(f) for f in faces]))
+        cells.append((_name(require_field(c, "name", w), f"{w}.name"),
+                      [_name(f, f"{w}.faces[{j}]")
+                       for j, f in enumerate(faces)]))
     affine = obj.get("affine", True)
     if not isinstance(affine, bool):
         raise ParseError(f"{where}.affine: expected a boolean")
@@ -416,8 +426,9 @@ def parse_map_fibers(path: str) -> tuple[
     source, target = (parse_complex_data(require_field(obj, k, path),
                                          f"{path}.{k}")
                       for k in ("source", "target"))
-    vertex_map = _object(require_field(obj, "vertex_map", path),
-                         f"{path}.vertex_map")
+    vertex_map = {k: _name(v, f"{path}.vertex_map[{k!r}]")
+                  for k, v in _object(require_field(obj, "vertex_map", path),
+                                      f"{path}.vertex_map").items()}
     cell_images = None
     if obj.get("cell_images") is not None:
         cell_images = {}
@@ -426,7 +437,8 @@ def parse_map_fibers(path: str) -> tuple[
             w = f"{path}.cell_images[{k!r}]"
             if not (isinstance(v, list) and len(v) == 2):
                 raise ParseError(f"{w}: expected [target cell, phi]")
-            cell_images[k] = (str(v[0]), tuple(_int_list(v[1], f"{w}[1]")))
+            cell_images[k] = (_name(v[0], f"{w}[0]"),
+                              tuple(_int_list(v[1], f"{w}[1]")))
     reference = None
     if obj.get("reference") is not None:
         reference = parse_complex_data(obj["reference"], f"{path}.reference")
@@ -436,7 +448,7 @@ def parse_map_fibers(path: str) -> tuple[
         w = f"{path}.points[{i}]"
         pt = _object(pt, w)
         coords = _list(require_field(pt, "coords", w), f"{w}.coords")
-        points.append((str(require_field(pt, "cell", w)),
+        points.append((_name(require_field(pt, "cell", w), f"{w}.cell"),
                        [parse_rational(c, f"{w}.coords[{j}]")
                         for j, c in enumerate(coords)]))
     return (induced_map(source, target, vertex_map, cell_images), reference,
@@ -448,7 +460,7 @@ def parse_map_fibers(path: str) -> tuple[
 
 def _symbol(obj, where: str) -> Symbol:
     obj = _object(obj, where)
-    name = str(require_field(obj, "name", where))
+    name = _name(require_field(obj, "name", where), f"{where}.name")
     lo, hi = (parse_rational(require_field(obj, k, where), f"{where}.{k}")
               for k in ("lo", "hi"))
     if lo > hi:

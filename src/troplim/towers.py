@@ -306,6 +306,11 @@ def extend_tower(t: FanTower, strategy, steps: int) -> FanTower:
         else:
             new = strategy.step(fans[-1])
         w = is_subdivision(new, fans[-1])
+        if w is None and isinstance(strategy, CommonRefineWith):
+            # the common refinement's support is the two supports' meet
+            raise OutsideSupport(
+                f"the common-refine-with fan does not cover the support of "
+                f"the level-{len(fans) - 1} fan")
         if w is None:
             raise AssertionError("strategy produced a non-refinement")
         fans.append(new)

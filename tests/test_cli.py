@@ -823,6 +823,40 @@ def test_svg_emission_and_rank_guard(tmp_path, capsys):
     assert cli.main(["fan-validate", rank3, "--svg"]) == 2
 
 
+# per subcommand: argv, first input and how often each mark occurs in the
+# picture (the nodal cubic's one loop edge is a side circle of radius 22)
+SVG_RUNS = {
+    "dualcx": (["dualcx", "in.json"], NODAL_INC,
+               {'r="22"': 1, 'r="4"': 1, "<line": 0}),
+    "subdivide": (["subdivide", "in.json", "--N", "2"],
+                  io.serialize_complex(segment_complex()),
+                  {'r="22"': 0, 'r="4"': 3, "<line": 2}),
+    "refine": (["refine", "in.json", "b.json"], DIAMOND,
+               {"<path": 8, "<line": 8}),
+}
+
+
+@pytest.mark.parametrize("output", [None, "out.json"], ids=["input", "output"])
+@pytest.mark.parametrize("command", sorted(SVG_RUNS))
+def test_svg_goes_next_to_the_one_artifact(tmp_path, capsys, monkeypatch,
+                                           command, output):
+    """An artifact run writes its one picture next to --output, or next to
+    its first input without one."""
+    argv, obj, marks = SVG_RUNS[command]
+    monkeypatch.chdir(tmp_path)
+    put(tmp_path, "in.json", obj)
+    put(tmp_path, "b.json", QUADRANT)
+    flags = ["--output", output] if output else []
+    code, report = run_json(capsys, argv + ["--svg"] + flags)
+    assert code == 0
+    expected = "out.svg" if output else "in.svg"
+    assert report["results"][0]["svg"] == expected
+    assert [p.name for p in tmp_path.glob("*.svg")] == [expected]
+    svg = (tmp_path / expected).read_text(encoding="utf-8")
+    assert svg.startswith("<svg") and svg.endswith("</svg>\n")
+    assert {mark: svg.count(mark) for mark in marks} == marks
+
+
 def test_output_writes_report_for_pure_report_commands(tmp_path, capsys):
     path = put(tmp_path, "nodal.json", NODAL)
     out = str(tmp_path / "report.json")
@@ -968,11 +1002,19 @@ SEGMENT = io.serialize_complex(segment_complex())
 SEGMENT_MAP = {"source": SEGMENT, "target": SEGMENT,
                "vertex_map": {"z0": "z0", "z1": "z1"},
                "points": [{"cell": "e", "coords": ["1/2", "1/2"]}]}
+SYMBOL = {"name": "s", "lo": "1/3", "hi": "1/2"}
 EMPTY_SYMBOL = {"name": "s", "lo": "1/2", "hi": "1/3"}
 UPPER_HALF = {"rank": 2, "rays": [["1", "0"], ["0", "1"], ["-1", "0"]],
               "maximal_cones": [[0, 1], [1, 2]]}
 STELLAR_TOWER = {"base_fan": QUADRANT, "strategy": STELLAR,
                  "direction": {"entries": ["2", "3"]}}
+FIRST_QUADRANT = {"rank": 2, "rays": [["1", "0"], ["0", "1"]],
+                  "maximal_cones": [[0, 1]]}
+# a point onto a vertex named "1": a vertex image 1 must not read as "1"
+POINT_MAP = {"source": {"cells": [{"name": "p", "faces": []}]},
+             "target": {"cells": [{"name": "1", "faces": []}]},
+             "vertex_map": {"p": "1"},
+             "points": [{"cell": "1", "coords": ["1"]}]}
 
 
 @pytest.mark.parametrize("command, obj, flags, code, error", [
@@ -1020,6 +1062,29 @@ STELLAR_TOWER = {"base_fan": QUADRANT, "strategy": STELLAR,
     ("limit-point", {"base_fan": QUADRANT, "strategy": STELLAR, "steps": 1},
      [], 3, "missing field 'direction'"),
     ("trop", [NODAL], [], 3, "top level must be a JSON object"),
+    ("limit-point", {**STELLAR_TOWER, "steps": 1, "strategy": {
+        "kind": "common-refine-with", "fan": FIRST_QUADRANT}}, [], 2,
+     "common-refine-with fan does not cover the support"),
+    ("dualcx", {**NODAL_INC, "strata": [
+        {"name": ["C", 0], "codim": 0, "branches": 1}], "closures": []}, [],
+     3, "strata[0].name: expected a string, got ['C', 0]"),
+    ("dualcx", {**NODAL_INC, "closures": [["p", None]]}, [], 3,
+     "closures[0][1]: expected a string, got None"),
+    ("subdivide", {"cells": [{"name": None, "faces": []}]}, [], 3,
+     "cells[0].name: expected a string, got None"),
+    ("subdivide", {"cells": [{"name": "z0", "faces": []},
+                             {"name": "e", "faces": ["z0", 0]}]}, [], 3,
+     "cells[1].faces[1]: expected a string, got 0"),
+    ("map-fibers", {**POINT_MAP, "vertex_map": {"p": 1}}, [], 3,
+     "vertex_map['p']: expected a string, got 1"),
+    ("map-fibers", {**SEGMENT_MAP, "cell_images": {"e": [True, [0, 1]]}},
+     [], 3, "cell_images['e'][0]: expected a string, got True"),
+    ("map-fibers", {**POINT_MAP, "points": [{"cell": 1, "coords": ["1"]}]},
+     [], 3, "points[0].cell: expected a string, got 1"),
+    ("fiber-rank", {"symbols": [{**SYMBOL, "name": 2}], "entries": ["1"]},
+     [], 3, "symbols[0].name: expected a string, got 2"),
+    ("map-fibers", {**SEGMENT_MAP, "cell_images": {"f": ["e", [0, 1]]}}, [],
+     2, "cell_images['f'] names no source cell"),
 ], ids=["map-reference-int", "map-phi-int", "galaxy-empty-symbol",
         "fiber-rank-empty-symbol", "limit-point-empty-symbol",
         "fan-negative-rank", "negative-exponent", "no-terms",
@@ -1027,7 +1092,11 @@ STELLAR_TOWER = {"base_fan": QUADRANT, "strategy": STELLAR,
         "steps-string-over-depth", "steps-bool",
         "steps-negative", "steps-spaces-underscore",
         "closure-unknown-stratum", "phi-unknown-cell", "ray-length",
-        "closure-not-a-pair", "no-direction", "top-level-list"])
+        "closure-not-a-pair", "no-direction", "top-level-list",
+        "refine-with-a-smaller-support", "stratum-name-list",
+        "closure-name-null", "cell-name-null", "face-name-int",
+        "vertex-image-int", "phi-cell-bool", "point-cell-int",
+        "symbol-name-int", "phi-unknown-source-cell"])
 def test_malformed_inputs_exit_with_a_documented_code(
         tmp_path, capsys, command, obj, flags, code, error):
     path = put(tmp_path, "in.json", obj)
@@ -1036,7 +1105,6 @@ def test_malformed_inputs_exit_with_a_documented_code(
 
 
 # one valid input per subcommand; refine takes QUADRANT as its second fan
-SYMBOL = {"name": "s", "lo": "1/3", "hi": "1/2"}
 EXEMPLARS = {
     "trop": {"vars": 2, "terms": [{"exp": [1, 1], "val": "0"},
                                   {"exp": [3, 0], "val": "1/2"}]},
