@@ -406,12 +406,15 @@ def test_subdivide_report_bytes_are_frozen(tmp_path, capsys, monkeypatch,
                           obj) == digest
 
 
-def _map_file(source, target, vertex_map, points, reference=None):
+def _map_file(source, target, vertex_map, points, reference=None,
+              cell_images=None):
     obj = {"source": io.serialize_complex(source),
            "target": io.serialize_complex(target), "vertex_map": vertex_map,
            "points": [{"cell": c, "coords": list(t)} for c, t in points]}
     if reference is not None:
         obj["reference"] = io.serialize_complex(reference)
+    if cell_images is not None:
+        obj["cell_images"] = cell_images
     return obj
 
 
@@ -427,6 +430,21 @@ MAP_DATASETS = {
     "collapse": _map_file(from_incidence(nodal_cubic_incidence()),
                           make_complex([("C", [])]), {"C": "C"},
                           [("C", ["1"])]),
+    # a 2-dimensional target: points interior to the triangle, on an edge
+    # (one named, one reached by a zero coordinate) and at vertices
+    "tetrahedron-triangle": _map_file(
+        tetrahedron_solid(), triangle_complex(),
+        {"v0": "a", "v1": "b", "v2": "c", "v3": "c"},
+        [("T", ["1/3", "1/3", "1/3"]), ("T", ["1/2", "1/6", "1/3"]),
+         ("bc", ["1/4", "3/4"]), ("T", ["1/2", "0", "1/2"]),
+         ("a", ["1"]), ("c", ["1"])]),
+    # the triple cover of the loop: a self-glued target cell
+    "3-cycle-loop": _map_file(
+        cycle_complex(3), cycle_complex(1),
+        {"v0": "v0", "v1": "v0", "v2": "v0"},
+        [("v0", ["1"]), ("e0", ["1/2", "1/2"]), ("e0", ["1/3", "2/3"]),
+         ("e0", ["0", "1"])],
+        cell_images={f"e{i}": ["e0", [0, 1]] for i in range(3)}),
 }
 
 
@@ -437,6 +455,10 @@ MAP_DATASETS = {
      "eadac089e09077950c8b2723841c8b2c6780f1496a08471641a00dcc1572a7a3"),
     ("collapse",
      "a13f0c0bf517cc00e3a1ee97fea7a189ccb2b73664127d5dc0f25ea6bda4bfc8"),
+    ("tetrahedron-triangle",
+     "2032c7b2ea63277f923bc108070b5ce7621133a5ee22d9587b862bbcb4544bc0"),
+    ("3-cycle-loop",
+     "e25d25ce2a33a621857d3867319ab2541a7ea251c7a7eb4ec074cbdc1182f5eb"),
 ])
 def test_map_fibers_report_bytes_are_frozen(tmp_path, capsys, monkeypatch,
                                             dataset, digest):
