@@ -5,9 +5,8 @@ homogenization cone {(x, t) : E x + e t = 0, A x + a t >= 0, t >= 0} in one
 more dimension.  The polyhedron is nonempty exactly when the cone has a
 generator with positive last coordinate; summing all generators and scaling
 back to t = 1 produces a relative-interior point; the t = 0 face of the cone
-is the recession cone; generators with positive t are the vertices.  All of
-this is one call to the double-description conversion, so every quantity
-here is exact.
+is the recession cone.  All of this is one call to the double-description
+conversion, so every quantity here is exact.
 """
 
 from __future__ import annotations
@@ -26,10 +25,8 @@ Row = tuple[tuple[Fraction, ...], Fraction]  # (coefficients, constant)
 class PolyhedronInfo:
     """Exact facts about a nonempty affine polyhedron."""
 
-    n: int
     dim: int
     relint_point: tuple[Fraction, ...]
-    vertices: tuple[tuple[Fraction, ...], ...]
     recession: Cone
 
 
@@ -47,16 +44,13 @@ def homogenization_info(lines: Sequence[IVec], rays: Sequence[IVec], n: int
                         ) -> Optional[PolyhedronInfo]:
     """The facts of ``polyhedron_info`` read off the canonical (lines, rays)
     of a homogenization cone in rank n + 1; None if no ray has t > 0."""
-    positive = [r for r in rays if r[-1] > 0]
-    if not positive:
+    if not any(r[-1] > 0 for r in rays):
         return None
     total = [0] * (n + 1)
     for r in rays:
         total = [a + b for a, b in zip(total, r)]
     t = total[-1]
     relint = tuple(Fraction(c, t) for c in total[:-1])
-    vertices = tuple(tuple(Fraction(c, r[-1]) for c in r[:-1])
-                     for r in positive)
     # the t = 0 face of the homogenization: its extreme rays are exactly the
     # t = 0 extreme rays, and canonical form survives dropping the t entry
     horizon = [r[:-1] for r in rays if r[-1] == 0]
@@ -64,10 +58,8 @@ def homogenization_info(lines: Sequence[IVec], rays: Sequence[IVec], n: int
     # dimension of the polyhedron is one less than that of its homogenization
     cone_dim = la.mat_rank(list(rays) + list(lines))
     return PolyhedronInfo(
-        n=n,
         dim=cone_dim - 1,
         relint_point=relint,
-        vertices=vertices,
         recession=rec,
     )
 

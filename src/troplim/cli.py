@@ -538,8 +538,8 @@ COMMANDS = {
         lambda r: f"{r['count']} rational points at level {r['level']}"),
     "map-fibers": Command(
         handle_map_fibers, "exact fibers of a simplicial map dataset", (),
-        lambda r: ", ".join(f"({p['cell']}) chi={p['euler']}"
-                            for p in r["points"]) + (
+        lambda r: (", ".join(f"({p['cell']}) chi={p['euler']}"
+                             for p in r["points"]) or "(no points)") + (
             "" if "mismatch" not in r else
             ", mismatch" if r["mismatch"] else ", match")),
     "toric-fiber": Command(

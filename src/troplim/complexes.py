@@ -15,8 +15,9 @@ Provided here: dual complexes of curve-type stratifications (analytic mode
 keeps branch data and can produce loops, algebraic mode cannot), collapse
 from analytic to algebraic, exact N-fold scale subdivision by lattice
 alcoves, rational point enumeration, Euler characteristics, simplicial maps
-induced by vertex assignments, exact polyhedral fibers of such maps, and
-fiber complexes of compatible maps of fans.
+induced by vertex assignments, exact fibers of such maps (in each source
+cell a product of simplices, one per vertex of the target cell), and fiber
+complexes of compatible maps of fans.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from operator import add
 from typing import Mapping, Optional, Sequence
 
 from . import _linalg as la
-from ._polyhedra import affine_dim, polyhedron_info
 from .errors import (
     DimensionMismatch,
     IncoherentIncidence,
@@ -47,7 +47,6 @@ from .lattice import (
     cone_faces,
     cone_holds,
     cone_is_face,
-    face_lattice,
 )
 
 QVec = tuple[Fraction, ...]
@@ -277,10 +276,20 @@ class StrataIncidence:
 
 
 def make_incidence(mode: str, strata, closures) -> StrataIncidence:
-    """Validate mode, codimension monotonicity, and branch arithmetic."""
+    """Validate field types, mode, codimension order and branch arithmetic."""
     if mode not in ("analytic", "algebraic"):
         raise ValidationError(f"unknown incidence mode {mode!r}")
-    ss = tuple(Stratum(str(n), int(c), int(b)) for n, c, b in strata)
+    ss = tuple(Stratum(n, c, b) for n, c, b in strata)
+    pairs = tuple((a, b) for a, b in closures)
+    fields = [(f"strata[{i}].{f}", getattr(s, f), kind)
+              for i, s in enumerate(ss) for f, kind in
+              (("name", str), ("codim", int), ("branches", int))]
+    fields += [(f"closures[{i}][{j}]", v, str)
+               for i, pair in enumerate(pairs) for j, v in enumerate(pair)]
+    for where, v, kind in fields:  # a bool is no count
+        if isinstance(v, bool) or not isinstance(v, kind):
+            raise ValidationError(
+                f"{where}: expected {kind.__name__}, got {v!r}")
     _refuse_repeats([s.name for s in ss], "stratum")
     for s in ss:
         if s.codim < 0 or s.branches < 1:
@@ -291,7 +300,7 @@ def make_incidence(mode: str, strata, closures) -> StrataIncidence:
             raise ValidationError(
                 f"stratum {s.name!r} has {s.branches} branches but "
                 f"codimension {s.codim}; expected codim + 1 branches")
-    inc = StrataIncidence(mode, ss, tuple((str(a), str(b)) for a, b in closures))
+    inc = StrataIncidence(mode, ss, pairs)
     for lower, upper in inc.closures:
         if not {lower, upper} <= inc._by_name.keys():
             raise ValidationError(
@@ -760,7 +769,13 @@ def _occurrences(x: DeltaComplex, name: str, face_name: str):
 
 def map_fiber(mapping: ComplexMap, cell_name: str, coords: Sequence
               ) -> FiberComplex:
-    """The exact fiber of the map over a rational point of the target."""
+    """The exact fiber of the map over a rational point p of the target.
+
+    Over each occurrence of p's cell in a source cell's image, the fiber is
+    the product over that cell's vertices r of p_r times the simplex on the
+    source vertices sent to r.  A face picks a nonempty subset S_r of each
+    class and has dimension sum(|S_r| - 1); its vertices put each p_r at
+    one index of S_r."""
     try:
         tau, p = canonical_point(mapping.target, cell_name, coords)
     except (KeyError, ValueError, DimensionMismatch) as exc:
@@ -768,29 +783,20 @@ def map_fiber(mapping: ComplexMap, cell_name: str, coords: Sequence
     faces: dict[tuple, int] = {}
     for cell in mapping.source.cells:
         image, phi = mapping.cell_image(cell.name)
-        k = mapping.target.cell(image).dim
-        m = cell.dim
         for kept in _occurrences(mapping.target, image, tau):
-            index_of = {r: i for i, r in enumerate(kept)}
-            equations = []
-            for r in range(k + 1):
-                coeffs = tuple(1 if phi[j] == r else 0 for j in range(m + 1))
-                const = -p[index_of[r]] if r in index_of else Fraction(0)
-                equations.append((coeffs, const))
-            rows = [(tuple(1 if i == j else 0 for i in range(m + 1)),
-                     Fraction(0)) for j in range(m + 1)]
-            equations.append((tuple([1] * (m + 1)), Fraction(-1)))
-            info = polyhedron_info(equations, rows, m + 1)
-            if info is None:
-                continue
-            for fs in face_lattice(info.vertices, rows):
+            classes = [[j for j, r in enumerate(phi) if r == t] for t in kept]
+            subsets = [[s for k in range(1, len(c) + 1)
+                        for s in itertools.combinations(c, k)]
+                       for c in classes]
+            for choice in itertools.product(*subsets):
+                verts = [tuple(p[picks.index(j)] if j in picks else 0
+                               for j in range(cell.dim + 1))
+                         for picks in itertools.product(*choice)]
                 # a glued face is one vertex set on its carrier
-                name, verts = _drop_walls(mapping.source, cell.name, fs)
-                faces[name, tuple(sorted(verts))] = affine_dim(verts)
-    counts: dict[int, int] = {}
-    for d in faces.values():
-        counts[d] = counts.get(d, 0) + 1
-    return FiberComplex(faces_by_dim=tuple(sorted(counts.items())))
+                name, verts = _drop_walls(mapping.source, cell.name, verts)
+                faces[name, tuple(sorted(verts))] = sum(
+                    len(s) - 1 for s in choice)
+    return FiberComplex(tuple(sorted(Counter(faces.values()).items())))
 
 
 # -- fibers of maps of fans --------------------------------------------------

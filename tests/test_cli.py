@@ -1293,6 +1293,9 @@ SUMMARY_BRANCHES = {
             "kind": "toward-direction", "direction": {"entries": ["2", "3"]}}},
                         "ray [2:3]"),
     "map-fibers-no-reference": ("map-fibers", SEGMENT_MAP, "(e) chi=1"),
+    "map-fibers-no-points": ("map-fibers", {
+        **SEGMENT_MAP, "points": [], "reference": SEGMENT},
+                             "(no points), match"),
     "galaxy-no-points": ("galaxy", {"elliptic": {"m": 3, "degrees": [1]}},
                          "(no points)"),
 }

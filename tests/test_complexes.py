@@ -1,21 +1,26 @@
 """Tests for generalized complexes, subdivision, maps, and fibers."""
 
 import dataclasses
+import graphlib
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from skeleton_references import alcoves, push_point, vertex_location
 from troplim import complexes
 from troplim import io as troplim_io
+from troplim import lattice
+from troplim._polyhedra import affine_dim
 from troplim.complexes import (
     DeltaComplex,
     _drop_walls,
     _lowest_images,
+    _occurrences,
     _sequence_index,
     _sub_name,
     canonical_point,
@@ -55,7 +60,12 @@ from troplim.errors import (
 )
 from troplim.fans import fan_from_cones
 from troplim.galaxy import PolygonDegeneration, base_change
-from troplim.lattice import cone_faces, make_cone
+from troplim.lattice import (
+    cone_faces,
+    face_lattice,
+    halfspaces_to_generators,
+    make_cone,
+)
 
 
 # -- construction and validation --
@@ -136,6 +146,26 @@ def test_incidence_validation():
     with pytest.raises(ValidationError):
         make_incidence("analytic", [("C", 0, 1), ("D", 0, 1)],
                        [("C", "D")])
+
+
+@pytest.mark.parametrize("bad", [None, ["C", 0], 1.5, True])
+def test_make_incidence_refuses_a_name_that_is_not_a_string(bad):
+    with pytest.raises(ValidationError) as err:
+        make_incidence("analytic", [("C", 0, 1), (bad, 0, 1)], [])
+    assert str(err.value) == f"strata[1].name: expected str, got {bad!r}"
+    with pytest.raises(ValidationError) as err:
+        make_incidence("analytic", [("C", 0, 1), ("p", 1, 2)], [("p", bad)])
+    assert str(err.value) == f"closures[0][1]: expected str, got {bad!r}"
+
+
+@pytest.mark.parametrize("bad", [None, ["C", 0], 1.5, "1", True])
+def test_make_incidence_refuses_a_count_that_is_not_an_int(bad):
+    with pytest.raises(ValidationError) as err:
+        make_incidence("analytic", [("C", bad, 1)], [])
+    assert str(err.value) == f"strata[0].codim: expected int, got {bad!r}"
+    with pytest.raises(ValidationError) as err:
+        make_incidence("analytic", [("p", 1, bad)], [])
+    assert str(err.value) == f"strata[0].branches: expected int, got {bad!r}"
 
 
 def test_make_incidence_names_only_the_repeated_strata():
@@ -935,6 +965,121 @@ def test_segment_identity_fibers_are_points(idx):
     else:
         fib = map_fiber(ident, "e", (1 - p, p))
     assert fib.f_vector == (1,)
+
+
+def reference_map_fiber(mapping, cell_name, coords):
+    """The fiber as a general polytope: for each source cell and each
+    occurrence of the point's cell in its image, the vertices of one
+    conversion of the homogenized fiber, their face lattice, and the affine
+    dimension of each face."""
+    tau, p = canonical_point(mapping.target, cell_name, coords)
+    faces = {}
+    for cell in mapping.source.cells:
+        image, phi = mapping.cell_image(cell.name)
+        k = mapping.target.cell(image).dim
+        m = cell.dim
+        for kept in _occurrences(mapping.target, image, tau):
+            index_of = {r: i for i, r in enumerate(kept)}
+            equations = [tuple(1 if phi[j] == r else 0 for j in range(m + 1))
+                         + (-p[index_of[r]] if r in index_of else 0,)
+                         for r in range(k + 1)]
+            equations.append((1,) * (m + 1) + (-1,))
+            rows = [(tuple(1 if i == j else 0 for i in range(m + 1)), 0)
+                    for j in range(m + 1)]
+            _, rays = halfspaces_to_generators(
+                equations, [r + (0,) for r, _ in rows]
+                + [(0,) * (m + 1) + (1,)], m + 2)
+            vertices = [tuple(F(c, r[-1]) for c in r[:-1])
+                        for r in rays if r[-1] > 0]
+            for fs in face_lattice(vertices, rows) if vertices else ():
+                name, verts = _drop_walls(mapping.source, cell.name, fs)
+                faces[name, tuple(sorted(verts))] = affine_dim(verts)
+    return tuple(sorted(Counter(faces.values()).items()))
+
+
+def random_pure_2_complex(seed):
+    """Six triangles on seven vertices, as in the walk test's corpus."""
+    rng = random.Random(seed)
+    return ordered_complex(rng, 7, rng.sample(
+        list(itertools.combinations(range(7), 3)), 6))
+
+
+FIBER_TARGETS = {"segment": segment_complex, "triangle": triangle_complex,
+                 "loop": lambda: cycle_complex(1)}
+
+
+def vertex_order(x):
+    """A linear order of the vertices that every cell's vertex order
+    follows, or None when the edges close a cycle."""
+    order = graphlib.TopologicalSorter()
+    for edge in x.by_dim(1):
+        first, second = cell_vertices(x, edge.name)
+        order.add(second, first)
+    try:
+        return list(order.static_order())
+    except graphlib.CycleError:
+        return None
+
+
+@st.composite
+def fiber_cases(draw):
+    """A vertex map from a wall shape or a random pure 2-complex onto a
+    segment, triangle or loop, and a rational point of a target cell whose
+    zero coordinates move it to a face.  Half the maps are monotone along
+    a vertex order of the source, so that most of them are simplicial;
+    1-dimensional sources may also wrap around the loop."""
+    source = draw(st.one_of(
+        st.sampled_from(sorted(WALL_SHAPES)).map(lambda n: WALL_SHAPES[n]()),
+        st.integers(0, 9).map(random_pure_2_complex)))
+    shape = draw(st.sampled_from(sorted(FIBER_TARGETS)))
+    target = FIBER_TARGETS[shape]()
+    names = [v.name for v in target.by_dim(0)]  # in the target's order
+    order = vertex_order(source)
+    if order is not None and draw(st.booleans()):
+        picks = sorted(draw(st.lists(st.sampled_from(range(len(names))),
+                                     min_size=len(order),
+                                     max_size=len(order))))
+        vertex_map = {v: names[i] for v, i in zip(order, picks)}
+    else:
+        vertex_map = {v.name: draw(st.sampled_from(names))
+                      for v in source.by_dim(0)}
+    images = None
+    if shape == "loop" and source.dim == 1 and draw(st.booleans()):
+        images = {c.name: ("e0", (0, 1)) for c in source.by_dim(1)}
+    try:
+        mapping = induced_map(source, target, vertex_map, images)
+    except (NotSimplicial, ValidationError):
+        assume(False)
+    cell = draw(st.sampled_from(target.cells))
+    weights = draw(st.lists(st.integers(0, 3), min_size=cell.dim + 1,
+                            max_size=cell.dim + 1).filter(any))
+    return mapping, cell.name, tuple(F(w, sum(weights)) for w in weights)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fiber_cases())
+def test_map_fiber_matches_the_polytope_route(case):
+    mapping, cell, coords = case
+    assert map_fiber(mapping, cell, coords).faces_by_dim == \
+        reference_map_fiber(mapping, cell, coords)
+
+
+def test_map_fiber_runs_no_conversion(monkeypatch):
+    triangle_map = induced_map(tetrahedron_solid(), triangle_complex(),
+                               {"v0": "a", "v1": "b", "v2": "c", "v3": "c"})
+    segment_map = induced_map(tetrahedron_solid(), segment_complex(),
+                              {"v0": "z0", "v1": "z1", "v2": "z1", "v3": "z1"})
+
+    def refuse(*args):
+        raise AssertionError("map_fiber ran a conversion")
+
+    monkeypatch.setattr(lattice, "_halfspaces_to_generators", refuse)
+    assert map_fiber(atiyah_projection(), "e", (F(1, 2), F(1, 2))).f_vector \
+        == (3, 2)
+    assert map_fiber(segment_map, "e", (F(1, 2), F(1, 2))).f_vector == \
+        (3, 3, 1)
+    assert map_fiber(triangle_map, "T", (F(1, 3),) * 3).f_vector == (2, 1)
+    assert map_fiber(triangle_map, "c", (1,)).f_vector == (2, 1)
 
 
 # -- fibers of maps of fans --
