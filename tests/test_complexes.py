@@ -1082,6 +1082,76 @@ def test_map_fiber_runs_no_conversion(monkeypatch):
     assert map_fiber(triangle_map, "c", (1,)).f_vector == (2, 1)
 
 
+# -- iterated faces against the loops each walk replaced --
+
+
+def reference_reduce_image(x, cell_name, phi):
+    """``_reduce_image`` as a missing-vertex loop: drop the lowest target
+    index that phi misses, renumber phi past it, and repeat."""
+    k = x.cell(cell_name).dim
+    while True:
+        missing = [r for r in range(k + 1) if r not in phi]
+        if not missing:
+            return cell_name, phi
+        r = missing[0]
+        cell_name = x.cell(cell_name).faces[r]
+        k -= 1
+        phi = tuple(v - 1 if v > r else v for v in phi)
+
+
+def reference_cell_vertices(x, name):
+    """``cell_vertices`` by the head/tail split: the last face's vertices,
+    then the last vertex of the first face."""
+    c = x.cell(name)
+    if c.dim == 0:
+        return (name,)
+    head = reference_cell_vertices(x, c.faces[-1])
+    tail = reference_cell_vertices(x, c.faces[0])
+    return head + (tail[-1],)
+
+
+def reference_occurrences(x, name, face_name):
+    """``_occurrences`` as a descending loop over the dropped indices."""
+    cell = x.cell(name)
+    fdim = x.cell(face_name).dim
+    for kept in itertools.combinations(range(cell.dim + 1), fdim + 1):
+        cur = name
+        for j in sorted(set(range(cell.dim + 1)) - set(kept), reverse=True):
+            cur = x.cell(cur).faces[j]
+        if cur == face_name:
+            yield kept
+
+
+FACE_SHAPES = {**WALL_SHAPES,
+               **{f"random-{seed}": lambda seed=seed: random_pure_2_complex(seed)
+                  for seed in range(10)}}
+
+
+@pytest.mark.parametrize("shape", sorted(FACE_SHAPES))
+def test_reduce_image_matches_the_missing_vertex_loop(shape):
+    """Every nondecreasing phi of length 1-4 into every cell, the ones that
+    miss some of the cell's vertices included."""
+    x = FACE_SHAPES[shape]()
+    for cell in x.cells:
+        for length in range(1, 5):
+            for phi in itertools.combinations_with_replacement(
+                    range(cell.dim + 1), length):
+                assert complexes._reduce_image(x, cell.name, phi) == \
+                    reference_reduce_image(x, cell.name, phi)
+
+
+@pytest.mark.parametrize("shape", sorted(FACE_SHAPES))
+def test_face_walks_match_the_recursive_and_descending_loops(shape):
+    x = FACE_SHAPES[shape]()
+    for cell in x.cells:
+        assert cell_vertices(x, cell.name) == \
+            reference_cell_vertices(x, cell.name)
+        for face in x.cells:
+            if face.dim <= cell.dim:
+                assert list(_occurrences(x, cell.name, face.name)) == \
+                    list(reference_occurrences(x, cell.name, face.name))
+
+
 # -- fibers of maps of fans --
 
 

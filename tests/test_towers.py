@@ -479,3 +479,62 @@ def test_toward_step_splits_every_cone_holding_a_wall_carrier():
     tower = tw.extend_tower(tw.fan_tower(base), strategy, 2)
     assert tower.fans == tuple(reference_levels(base, strategy, 2))
     assert len(tower.fans[1].maximal) == 10
+
+
+# -- the carrier and its holding cones against the two-pass search ----------
+
+
+def reference_locate(fan, x, among=None):
+    """The carrier search before it handed back the cones holding x: every
+    candidate is located and the least face kept, then the candidates
+    containing that carrier are found again with ``cone_subset``."""
+    among = range(len(fan.maximal)) if among is None else among
+    carrier = None
+    for j in among:
+        face = locate(fan.maximal[j], x)
+        if face is not None and (carrier is None or face.dim < carrier.dim):
+            carrier = face
+    if carrier is None:
+        return None, []
+    return carrier, [j for j in among
+                     if cone_subset(carrier, fan.maximal[j])]
+
+
+def fan_locate(fan, x, among=None):
+    return tw._locate(fan, x, among)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_locate_matches_the_two_pass_search(data):
+    """On the toward and barycentric towers of the children-search test,
+    at every level, for the tower's target and a second target: the whole
+    fan, and the witness children of the cones holding the point one level
+    up, as the chase searches them."""
+    n = data.draw(st.sampled_from((2, 3)))
+    base = orthant_image(n, data.draw(shears(n)))
+    x = data.draw(targets(n))
+    if data.draw(st.booleans()):
+        strategy = tw.TowardDirection(x)
+        steps = data.draw(st.integers(1, 8 if n == 2 else 4))
+    else:
+        strategy = tw.StellarAtBarycenters()
+        steps = data.draw(st.integers(1, 2 if n == 2 else 1))
+    tower = outcome(tw.extend_tower, tw.fan_tower(base), strategy, steps)
+    if tower is UndecidableSign:
+        return
+    for y in (x, data.draw(targets(n))):
+        holding = None
+        for i, fan in enumerate(tower.fans):
+            assert outcome(fan_locate, fan, y) == \
+                outcome(reference_locate, fan, y)
+            among = tower.witnesses[i - 1].children(holding) if i else None
+            expected = outcome(reference_locate, fan, y, among)
+            got = outcome(fan_locate, fan, y, among)
+            assert got == expected
+            if expected is UndecidableSign:
+                break
+            carrier, holding = expected
+            assert carrier is not None
+            assert (got[0].facets, got[0].equations) == \
+                (carrier.facets, carrier.equations)
