@@ -91,6 +91,25 @@ class DeltaComplex:
         return tuple(c for c in self.cells if c.dim == d)
 
 
+def _unpack(items: Sequence, size: int, where: str) -> list[tuple]:
+    """Each item, a tuple or list of ``size`` entries, as a tuple; for any
+    other item a ValidationError names ``where[i]``."""
+    for i, item in enumerate(items):
+        if not isinstance(item, (tuple, list)) or len(item) != size:
+            raise ValidationError(
+                f"{where}[{i}]: expected {size} entries, got {item!r}")
+    return [tuple(item) for item in items]
+
+
+def _refuse_types(fields) -> None:
+    """Refuse the first (where, value, kind) whose value is not of its kind;
+    a bool is no count."""
+    for where, v, kind in fields:
+        if isinstance(v, bool) or not isinstance(v, kind):
+            raise ValidationError(
+                f"{where}: expected {kind.__name__}, got {v!r}")
+
+
 def _refuse_repeats(names: Sequence[str], what: str = "cell") -> None:
     if len(set(names)) != len(names):
         repeats = sorted(n for n, k in Counter(names).items() if k > 1)
@@ -117,9 +136,14 @@ def make_complex(cells: Sequence[tuple[str, Sequence[str]]],
     identity d_i d_j = d_{j-1} d_i for i < j.
     """
     built: dict[str, Cell] = {}
-    pending = [(str(n), tuple(str(f) for f in fs)) for n, fs in cells]
+    pending = [(n, tuple(fs)) for n, fs in _unpack(cells, 2, "cells")]
     if not pending:
         raise ValidationError("a complex needs at least one cell")
+    _refuse_types([(f"cells[{i}].name", n, str)
+                   for i, (n, _) in enumerate(pending)] +
+                  [(f"cells[{i}].faces[{j}]", f, str)
+                   for i, (_, fs) in enumerate(pending)
+                   for j, f in enumerate(fs)])
     _refuse_repeats([n for n, _ in pending])
     for name, faces in sorted(pending, key=lambda p: len(p[1])):
         dim = len(faces) - 1 if faces else 0
@@ -145,14 +169,23 @@ def make_complex(cells: Sequence[tuple[str, Sequence[str]]],
     return _assemble(list(built.values()), affine, provenance)
 
 
+def _face_on(x: DeltaComplex, name: str, kept: Sequence[int]) -> str:
+    """The iterated face of a cell on its vertices at the ascending indices
+    ``kept``.  Every other index is dropped, highest first, so each drop
+    leaves the indices below it in place; by the simplicial identities the
+    order of the drops does not change the face."""
+    cell = x.cell(name)
+    for j in reversed(range(cell.dim + 1)):
+        if j not in kept:
+            cell = x.cell(cell.faces[j])
+    return cell.name
+
+
 def cell_vertices(x: DeltaComplex, name: str) -> tuple[str, ...]:
-    """Ordered vertex names of a cell (repeats allowed)."""
-    c = x.cell(name)
-    if c.dim == 0:
-        return (name,)
-    head = cell_vertices(x, c.faces[-1])
-    tail = cell_vertices(x, c.faces[0])
-    return head + (tail[-1],)
+    """Ordered vertex names of a cell (repeats allowed): vertex k is the
+    face on k alone."""
+    return tuple(_face_on(x, name, (k,))
+                 for k in range(x.cell(name).dim + 1))
 
 
 def count_cells(x: DeltaComplex) -> dict[int, int]:
@@ -279,17 +312,14 @@ def make_incidence(mode: str, strata, closures) -> StrataIncidence:
     """Validate field types, mode, codimension order and branch arithmetic."""
     if mode not in ("analytic", "algebraic"):
         raise ValidationError(f"unknown incidence mode {mode!r}")
-    ss = tuple(Stratum(n, c, b) for n, c, b in strata)
-    pairs = tuple((a, b) for a, b in closures)
-    fields = [(f"strata[{i}].{f}", getattr(s, f), kind)
-              for i, s in enumerate(ss) for f, kind in
-              (("name", str), ("codim", int), ("branches", int))]
-    fields += [(f"closures[{i}][{j}]", v, str)
-               for i, pair in enumerate(pairs) for j, v in enumerate(pair)]
-    for where, v, kind in fields:  # a bool is no count
-        if isinstance(v, bool) or not isinstance(v, kind):
-            raise ValidationError(
-                f"{where}: expected {kind.__name__}, got {v!r}")
+    ss = tuple(Stratum(*s) for s in _unpack(strata, 3, "strata"))
+    pairs = tuple(_unpack(closures, 2, "closures"))
+    _refuse_types([(f"strata[{i}].{f}", getattr(s, f), kind)
+                   for i, s in enumerate(ss) for f, kind in
+                   (("name", str), ("codim", int), ("branches", int))] +
+                  [(f"closures[{i}][{j}]", v, str)
+                   for i, pair in enumerate(pairs)
+                   for j, v in enumerate(pair)])
     _refuse_repeats([s.name for s in ss], "stratum")
     for s in ss:
         if s.codim < 0 or s.branches < 1:
@@ -400,23 +430,10 @@ class ComplexMap:
 
 def _reduce_image(x: DeltaComplex, cell_name: str, phi: tuple[int, ...]
                   ) -> tuple[str, tuple[int, ...]]:
-    """Collapse unused target vertices: canonical (cell, surjection) pair."""
-    cell = x.cell(cell_name)
-    k = cell.dim
-    while True:
-        missing = [r for r in range(k + 1) if r not in phi]
-        if not missing:
-            return cell_name, phi
-        r = missing[0]
-        cell_name = x.cell(cell_name).faces[r]
-        cell = x.cell(cell_name)
-        k -= 1
-        phi = tuple(v - 1 if v > r else v for v in phi)
-
-
-def _delta(i: int, m: int) -> tuple[int, ...]:
-    """The i-th face inclusion {0..m-1} -> {0..m} (skip i)."""
-    return tuple(j if j < i else j + 1 for j in range(m))
+    """Collapse unused target vertices: canonical (cell, surjection) pair,
+    the face on the vertices phi reaches, with phi renumbered onto it."""
+    kept = sorted(set(phi))
+    return _face_on(x, cell_name, kept), tuple(map(kept.index, phi))
 
 
 def _sequence_index(x: DeltaComplex) -> dict[tuple[str, ...], list[str]]:
@@ -507,8 +524,7 @@ def induced_map(source: DeltaComplex, target: DeltaComplex,
             continue
         name, phi = images[cell.name]
         for i in range(cell.dim + 1):
-            face_phi = tuple(phi[j] for j in _delta(i, cell.dim))
-            expected = _reduce_image(target, name, face_phi)
+            expected = _reduce_image(target, name, phi[:i] + phi[i + 1:])
             if images[cell.faces[i]] != expected:
                 raise NotSimplicial(
                     f"face {i} of {cell.name!r} maps to "
@@ -560,19 +576,18 @@ def _drop_walls(x: DeltaComplex, name: str, points: Sequence[Sequence]
     While some coordinate vanishes on every point, move to the face of the
     first such coordinate j and drop coordinate j from each point; the
     points keep their order.  Dropping a coordinate leaves the others as
-    they were, so the walls are the columns that vanish on the input, and
-    one scan finds them all.
+    they were, so the walls are the columns that vanish on the input, one
+    scan finds them all, and the carrier is the face on the other columns.
     """
     points = tuple(points)
     walls = [j for j, col in enumerate(zip(*points)) if not any(col)]
     del walls[x.cell(name).dim:]  # a vertex has no face to move to
     if not walls:
         return name, points
-    keep = [True] * len(points[0])
-    for shift, j in enumerate(walls):
-        name = x.cell(name).faces[j - shift]
-        keep[j] = False
-    return name, tuple(tuple(itertools.compress(p, keep)) for p in points)
+    keep = [j not in walls for j in range(len(points[0]))]
+    kept = list(itertools.compress(range(len(keep)), keep))
+    return _face_on(x, name, kept), tuple(tuple(itertools.compress(p, keep))
+                                          for p in points)
 
 
 def canonical_point(x: DeltaComplex, name: str, coords: Sequence
@@ -760,10 +775,7 @@ def _occurrences(x: DeltaComplex, name: str, face_name: str):
     cell = x.cell(name)
     fdim = x.cell(face_name).dim
     for kept in itertools.combinations(range(cell.dim + 1), fdim + 1):
-        cur = name
-        for j in sorted(set(range(cell.dim + 1)) - set(kept), reverse=True):
-            cur = x.cell(cur).faces[j]
-        if cur == face_name:
+        if _face_on(x, name, kept) == face_name:
             yield kept
 
 

@@ -92,23 +92,26 @@ class Fan:
     def is_pure(self) -> bool:
         return len({c.dim for c in self.maximal}) == 1
 
-    def carrier(self, point,
-                among: Optional[Iterable[int]] = None) -> Optional[Cone]:
-        """The minimal cone of the fan containing the point, or None if
-        outside; the point is anything ``lattice.locate`` takes, a rational
-        vector or a ``towers.SymbolicVector``.
+    def locate(self, point, among: Optional[Iterable[int]] = None
+               ) -> tuple[Optional[Cone], list[int]]:
+        """The carrier of the point, the minimal cone of the fan containing
+        it (None outside), and the indices of the maximal cones holding it;
+        the point is anything ``lattice.locate`` takes, a rational vector or
+        a ``towers.SymbolicVector``.
 
         ``among`` limits the search to the maximal cones of those indices,
-        which must include every one holding the point; every candidate is
-        located and the least face found is kept.
+        which must include every one holding the point.  Each is located
+        once: the least face found is the carrier, a face of every cone
+        holding the point in a valid fan.
         """
-        best = None
-        for c in (self.maximal if among is None
-                  else (self.maximal[j] for j in among)):
-            face = locate(c, point)
-            if face is not None and (best is None or face.dim < best.dim):
-                best = face
-        return best
+        carrier, holding = None, []
+        for j in range(len(self.maximal)) if among is None else among:
+            face = locate(self.maximal[j], point)
+            if face is not None:
+                holding.append(j)
+                if carrier is None or face.dim < carrier.dim:
+                    carrier = face
+        return carrier, holding
 
 
 def _pair_facets(maximal: Sequence[Cone]):

@@ -386,8 +386,9 @@ def cone_intersect(a: Cone, b: Cone) -> Cone:
 
 
 def face_lattice(vertices: Sequence[tuple], rows: Sequence[tuple]
-                 ) -> set[frozenset]:
-    """All nonempty faces of a polytope or cone, as vertex sets.
+                 ) -> dict[frozenset, tuple[int, ...]]:
+    """All nonempty faces of a polytope or cone, each as its vertex set
+    with the ascending indices of the rows that vanish on all of it.
 
     ``rows`` are affine (coefficients, constant) rows nonnegative on the
     vertices and include the facet rows; each cuts out the vertices where it
@@ -397,14 +398,10 @@ def face_lattice(vertices: Sequence[tuple], rows: Sequence[tuple]
     is not returned, so for a cone the minimal face, its lineality space,
     is left to the caller.
     """
-    seeds = []
-    for coeffs, const in rows:
-        active = frozenset(v for v in vertices
-                           if la.dot(coeffs, v) + const == 0)
-        if active:
-            seeds.append(active)
+    seeds = [frozenset(v for v in vertices if la.dot(coeffs, v) + const == 0)
+             for coeffs, const in rows]
     faces = {frozenset(vertices)}
-    queue = list(seeds)
+    queue = [s for s in seeds if s]
     while queue:
         fs = queue.pop()
         if fs in faces:
@@ -414,15 +411,16 @@ def face_lattice(vertices: Sequence[tuple], rows: Sequence[tuple]
             meet = fs & other
             if meet and meet not in faces:
                 queue.append(meet)
-    return faces
+    return {fs: tuple(k for k, seed in enumerate(seeds) if fs <= seed)
+            for fs in faces}
 
 
 def cone_faces(cone: Cone) -> tuple[Cone, ...]:
     """All faces (the cone itself included), each in canonical form."""
-    ray_sets = face_lattice(cone.rays, [(f, 0) for f in cone.facets])
-    ray_sets.add(frozenset())
+    ray_sets = face_lattice(cone.rays, [(f, 0) for f in cone.facets]).keys()
     faces = [_cone_from_canonical(tuple(r for r in cone.rays if r in fs),
-                                  cone.lines, cone.n) for fs in ray_sets]
+                                  cone.lines, cone.n)
+             for fs in ray_sets | {frozenset()}]
     return tuple(sorted(faces, key=lambda c: (c.dim, c.rays, c.lines)))
 
 

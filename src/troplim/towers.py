@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import isqrt, lcm
 from operator import mul
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from . import _linalg as la
 from .errors import (
@@ -298,7 +298,7 @@ def extend_tower(t: FanTower, strategy, steps: int) -> FanTower:
     among = None
     for _ in range(steps):
         if chase:
-            carrier, holding = _locate(fans[-1], strategy.target, among)
+            carrier, holding = fans[-1].locate(strategy.target, among)
             if carrier is None:
                 raise OutsideSupport(
                     "target direction lies outside the fan support")
@@ -374,20 +374,6 @@ def resolve_direction(c: ConeChain) -> LimitPointDescriptor:
     return UnresolvedCone(meet, depth=len(c.entries))
 
 
-def _locate(fan: Fan, x, among: Optional[Sequence[int]] = None
-            ) -> tuple[Optional[Cone], list[int]]:
-    """The carrier of x, searched among the maximal cones of the given
-    indices (all if None), and those of them that hold x: the ones that
-    contain the carrier, which is a face of every cone holding x."""
-    if among is None:
-        among = range(len(fan.maximal))
-    carrier = fan.carrier(x, among)
-    if carrier is None:
-        return None, []
-    return carrier, [j for j in among
-                     if cone_subset(carrier, fan.maximal[j])]
-
-
 def chain_toward(t: FanTower, x: SymbolicVector) -> ConeChain:
     """The chain of minimal carriers of x, one per tower level.
 
@@ -401,7 +387,7 @@ def chain_toward(t: FanTower, x: SymbolicVector) -> ConeChain:
     holding = None
     for i, fan in enumerate(t.fans):
         among = t.witnesses[i - 1].children(holding) if i else None
-        carrier, holding = _locate(fan, x, among)
+        carrier, holding = fan.locate(x, among)
         if carrier is None:
             raise OutsideSupport(
                 f"direction lies outside the level-{i} support")

@@ -225,19 +225,18 @@ def trop_hypersurface(f: TropicalPolynomial) -> TropicalHypersurface:
     # N's lines have t = 0 and z = -<x, e>: dropping z keeps them primitive
     # and in RREF, and N's rays reduced against them
     cell_lines = [l[:-1] for l in lines]
-    on = {r: frozenset(g for g in terms if la.dot(r, g) == 0)
-          for r in normals}
     cells = []
-    for fs in face_lattice(list(terms) + [up], [(r, 0) for r in normals]):
+    for fs, tight in face_lattice(list(terms) + [up],
+                                  [(r, 0) for r in normals]).items():
         if up in fs or len(fs) < 2:
             continue
-        # normals come sorted, and of the projected rays only the order of
-        # those with t = 0 reaches the cell, as its recession rays.  Such a
-        # normal (x, 0, z), tight on a term (e, v, 1) of fs, has
-        # z = -<x, e>, so gcd(x) divides z: dropping z leaves it
-        # primitive, and two of them with equal x are equal.  So they stay
-        # in increasing order of x, and the list needs no sort.
-        rays = [la.primitivize(r[:-1]) for r in normals if fs <= on[r]]
+        # normals come sorted and tight ascends, and of the projected rays
+        # only the order of those with t = 0 reaches the cell, as its
+        # recession rays.  Such a normal (x, 0, z), tight on a term
+        # (e, v, 1) of fs, has z = -<x, e>, so gcd(x) divides z: dropping z
+        # leaves it primitive, and two of them with equal x are equal.  So
+        # they stay in increasing order of x, and the list needs no sort.
+        rays = [la.primitivize(normals[k][:-1]) for k in tight]
         info = homogenization_info(cell_lines, rays, n)
         cells.append(TropCell(
             poly=f,
@@ -328,14 +327,12 @@ def ptrop_normal_fan(f: TropicalPolynomial) -> PTropSet:
     points = [e + (1,) for e in f.exponents]
     lines, normals = halfspaces_to_generators([], points, n + 1)
     cone_lines = [l[:-1] for l in lines]
-    on = {r: frozenset(g for g in points if la.dot(r, g) == 0)
-          for r in normals}
     cones = []
-    for fs in face_lattice(points, [(r, 0) for r in normals]):
+    for fs, tight in face_lattice(points, [(r, 0) for r in normals]).items():
         # the exponents are distinct, so a face of two or more is no vertex
         if len(fs) < 2:
             continue
-        rays = [r[:-1] for r in normals if fs <= on[r]]
+        rays = [normals[k][:-1] for k in tight]
         cones.append(_cone_from_canonical(rays, cone_lines, n))
     return _ptrop_set(n, cones)
 

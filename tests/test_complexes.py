@@ -120,6 +120,16 @@ def test_make_complex_names_only_the_repeated_cells():
     assert str(err.value) == "duplicate cell names ['e|1']"
 
 
+@pytest.mark.parametrize("bad", [None, 1, True])
+def test_make_complex_refuses_a_name_that_is_not_a_string(bad):
+    with pytest.raises(ValidationError) as err:
+        make_complex([("a", []), (bad, [])])
+    assert str(err.value) == f"cells[1].name: expected str, got {bad!r}"
+    with pytest.raises(ValidationError) as err:
+        make_complex([("a", []), ("b", []), ("e", ["b", bad])])
+    assert str(err.value) == f"cells[2].faces[1]: expected str, got {bad!r}"
+
+
 def test_make_complex_rejects_broken_simplicial_identity():
     # two triangles worth of edges wired so d_0 d_1 != d_0 d_0
     with pytest.raises(ValidationError):
@@ -166,6 +176,18 @@ def test_make_incidence_refuses_a_count_that_is_not_an_int(bad):
     with pytest.raises(ValidationError) as err:
         make_incidence("analytic", [("p", 1, bad)], [])
     assert str(err.value) == f"strata[0].branches: expected int, got {bad!r}"
+
+
+@pytest.mark.parametrize("bad", [("C",), ("C", 0), ("C", 0, 1, 2), 5])
+def test_make_incidence_refuses_a_tuple_of_the_wrong_length(bad):
+    with pytest.raises(ValidationError) as err:
+        make_incidence("analytic", [("C", 0, 1), bad], [])
+    assert str(err.value) == f"strata[1]: expected 3 entries, got {bad!r}"
+    if bad == ("C", 0):
+        return  # a pair is a closure
+    with pytest.raises(ValidationError) as err:
+        make_incidence("analytic", [("C", 0, 1)], [bad])
+    assert str(err.value) == f"closures[0]: expected 2 entries, got {bad!r}"
 
 
 def test_make_incidence_names_only_the_repeated_strata():

@@ -499,6 +499,36 @@ def test_cone_faces_converts_once_per_face():
     assert_same_cones(faces, reference_cone_faces(cone))
 
 
+@st.composite
+def vertices_and_rows(draw):
+    """A random cone's extreme rays and facet rows, or a random polytope's
+    vertices and facet rows, read off the lifted hull of 1-7 integer points
+    in ranks 1-3 as ``polytope_faces`` reads them; a row that vanishes
+    nowhere goes first, so a face's indices count every row."""
+    if draw(st.booleans()):
+        cone = draw(face_test_cones)
+        n, vertices, rows = cone.n, cone.rays, [(f, 0) for f in cone.facets]
+    else:
+        n = draw(st.integers(1, 3))
+        points = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n),
+                               min_size=1, max_size=7))
+        lifted = lat._build_cone([p + (1,) for p in points], (), n + 1)
+        vertices = [r[:-1] for r in lifted.rays]
+        rows = [(a[:-1], a[-1]) for a in lifted.facets]
+    return vertices, [((0,) * n, 1)] + rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(vertices_and_rows())
+def test_face_lattice_gives_each_face_its_tight_rows(case):
+    vertices, rows = case
+    faces = lat.face_lattice(vertices, rows)
+    assert frozenset(vertices) in faces
+    for fs, tight in faces.items():
+        assert tight == tuple(k for k, (coeffs, const) in enumerate(rows)
+                              if all(dot(coeffs, v) + const == 0 for v in fs))
+
+
 # -- derived cones against the three-conversion constructor ------------------
 
 

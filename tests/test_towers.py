@@ -311,10 +311,10 @@ def barycentric_fan(steps):
 @given(st.integers(0, 2), small_vec2)
 def test_symbolic_carrier_agrees_with_fan_carrier(steps, v):
     fan = barycentric_fan(steps)
-    carrier = fan.carrier(v)
+    carrier, _ = fan.locate(v)
     assert locate(carrier, v) == carrier
     assert any(cone_is_face(carrier, sigma) for sigma in fan.maximal)
-    sym = fan.carrier(tw.rational_vector(v))
+    sym, _ = fan.locate(tw.rational_vector(v))
     assert sym == carrier
     assert (sym.facets, sym.equations) == (carrier.facets, carrier.equations)
 
@@ -327,7 +327,7 @@ def reference_chain_toward(t, x):
     maximal cone of every level is located."""
     entries = []
     for i, fan in enumerate(t.fans):
-        carrier = fan.carrier(x)
+        carrier, _ = fan.locate(x)
         if carrier is None:
             raise OutsideSupport(f"direction outside level {i}")
         entries.append((i, carrier))
@@ -348,7 +348,7 @@ def reference_toward_step(strategy, fan):
     the cones holding it: the carrier is located among every maximal cone,
     and the fan is split by a stellar subdivision, which tests every
     maximal cone for the new ray."""
-    carrier = fan.carrier(strategy.target)
+    carrier, _ = fan.locate(strategy.target)
     if carrier is None:
         raise OutsideSupport("target direction lies outside the fan support")
     if carrier.dim <= 1:
@@ -500,10 +500,6 @@ def reference_locate(fan, x, among=None):
                      if cone_subset(carrier, fan.maximal[j])]
 
 
-def fan_locate(fan, x, among=None):
-    return tw._locate(fan, x, among)
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_locate_matches_the_two_pass_search(data):
@@ -526,11 +522,11 @@ def test_locate_matches_the_two_pass_search(data):
     for y in (x, data.draw(targets(n))):
         holding = None
         for i, fan in enumerate(tower.fans):
-            assert outcome(fan_locate, fan, y) == \
+            assert outcome(fan.locate, y) == \
                 outcome(reference_locate, fan, y)
             among = tower.witnesses[i - 1].children(holding) if i else None
             expected = outcome(reference_locate, fan, y, among)
-            got = outcome(fan_locate, fan, y, among)
+            got = outcome(fan.locate, y, among)
             assert got == expected
             if expected is UndecidableSign:
                 break
@@ -538,3 +534,22 @@ def test_locate_matches_the_two_pass_search(data):
             assert carrier is not None
             assert (got[0].facets, got[0].equations) == \
                 (carrier.facets, carrier.equations)
+
+
+def test_the_chase_tests_no_cone_in_a_cone(monkeypatch):
+    """The carrier search hands back the cones holding the target, so
+    neither extending a toward tower nor chasing it runs ``cone_subset``,
+    except for the nesting check of the chain it returns, once per level."""
+    calls = []
+
+    def counted(inner, outer):
+        calls.append(inner)
+        return cone_subset(inner, outer)
+
+    monkeypatch.setattr(tw, "cone_subset", counted)
+    x = tw.rational_vector([3, 5, 7])
+    tower = tw.extend_tower(tw.fan_tower(orthant_image(3, [])),
+                            tw.TowardDirection(x), 4)
+    assert calls == []
+    chain = tw.chain_toward(tower, x)
+    assert len(calls) == len(chain.entries) - 1 == 4
