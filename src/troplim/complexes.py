@@ -102,8 +102,7 @@ def _unpack(items: Sequence, size: int, where: str) -> list[tuple]:
 
 
 def _refuse_types(fields) -> None:
-    """Refuse the first (where, value, kind) whose value is not of its kind;
-    a bool is no count."""
+    """Refuse the first (where, value, kind) not of its kind; no bool counts."""
     for where, v, kind in fields:
         if isinstance(v, bool) or not isinstance(v, kind):
             raise ValidationError(
@@ -139,11 +138,13 @@ def make_complex(cells: Sequence[tuple[str, Sequence[str]]],
     pending = [(n, tuple(fs)) for n, fs in _unpack(cells, 2, "cells")]
     if not pending:
         raise ValidationError("a complex needs at least one cell")
-    _refuse_types([(f"cells[{i}].name", n, str)
-                   for i, (n, _) in enumerate(pending)] +
-                  [(f"cells[{i}].faces[{j}]", f, str)
-                   for i, (_, fs) in enumerate(pending)
-                   for j, f in enumerate(fs)])
+    if not all(isinstance(v, str) for n, fs in pending for v in (n, *fs)):
+        # name the first such field; the check above formats no names
+        _refuse_types([(f"cells[{i}].name", n, str)
+                       for i, (n, _) in enumerate(pending)] +
+                      [(f"cells[{i}].faces[{j}]", f, str)
+                       for i, (_, fs) in enumerate(pending)
+                       for j, f in enumerate(fs)])
     _refuse_repeats([n for n, _ in pending])
     for name, faces in sorted(pending, key=lambda p: len(p[1])):
         dim = len(faces) - 1 if faces else 0
@@ -169,23 +170,22 @@ def make_complex(cells: Sequence[tuple[str, Sequence[str]]],
     return _assemble(list(built.values()), affine, provenance)
 
 
-def _face_on(x: DeltaComplex, name: str, kept: Sequence[int]) -> str:
-    """The iterated face of a cell on its vertices at the ascending indices
-    ``kept``.  Every other index is dropped, highest first, so each drop
-    leaves the indices below it in place; by the simplicial identities the
-    order of the drops does not change the face."""
-    cell = x.cell(name)
-    for j in reversed(range(cell.dim + 1)):
-        if j not in kept:
-            cell = x.cell(cell.faces[j])
-    return cell.name
+def _face_without(x: DeltaComplex, name: str, drop: Sequence[int]) -> str:
+    """The iterated face of a cell on the vertices left when those at the
+    ascending indices ``drop`` go.  They are dropped highest first, so
+    each drop leaves the indices below it in place; by the simplicial
+    identities the order of the drops does not change the face."""
+    for j in reversed(drop):
+        name = x.cell(name).faces[j]
+    return name
 
 
 def cell_vertices(x: DeltaComplex, name: str) -> tuple[str, ...]:
     """Ordered vertex names of a cell (repeats allowed): vertex k is the
-    face on k alone."""
-    return tuple(_face_on(x, name, (k,))
-                 for k in range(x.cell(name).dim + 1))
+    face left when every other vertex goes."""
+    d = x.cell(name).dim
+    return tuple(_face_without(x, name, [j for j in range(d + 1) if j != k])
+                 for k in range(d + 1))
 
 
 def count_cells(x: DeltaComplex) -> dict[int, int]:
@@ -433,7 +433,8 @@ def _reduce_image(x: DeltaComplex, cell_name: str, phi: tuple[int, ...]
     """Collapse unused target vertices: canonical (cell, surjection) pair,
     the face on the vertices phi reaches, with phi renumbered onto it."""
     kept = sorted(set(phi))
-    return _face_on(x, cell_name, kept), tuple(map(kept.index, phi))
+    missing = [r for r in range(x.cell(cell_name).dim + 1) if r not in kept]
+    return _face_without(x, cell_name, missing), tuple(map(kept.index, phi))
 
 
 def _sequence_index(x: DeltaComplex) -> dict[tuple[str, ...], list[str]]:
@@ -577,17 +578,18 @@ def _drop_walls(x: DeltaComplex, name: str, points: Sequence[Sequence]
     first such coordinate j and drop coordinate j from each point; the
     points keep their order.  Dropping a coordinate leaves the others as
     they were, so the walls are the columns that vanish on the input, one
-    scan finds them all, and the carrier is the face on the other columns.
+    scan finds them all, and the carrier is the face left without them.
     """
     points = tuple(points)
     walls = [j for j, col in enumerate(zip(*points)) if not any(col)]
-    del walls[x.cell(name).dim:]  # a vertex has no face to move to
+    del walls[len(points[0]) - 1:]  # a vertex has no face to move to
     if not walls:
         return name, points
-    keep = [j not in walls for j in range(len(points[0]))]
-    kept = list(itertools.compress(range(len(keep)), keep))
-    return _face_on(x, name, kept), tuple(tuple(itertools.compress(p, keep))
-                                          for p in points)
+    keep = [True] * len(points[0])
+    for j in walls:
+        keep[j] = False
+    return _face_without(x, name, walls), tuple(
+        tuple(itertools.compress(p, keep)) for p in points)
 
 
 def canonical_point(x: DeltaComplex, name: str, coords: Sequence
@@ -775,7 +777,8 @@ def _occurrences(x: DeltaComplex, name: str, face_name: str):
     cell = x.cell(name)
     fdim = x.cell(face_name).dim
     for kept in itertools.combinations(range(cell.dim + 1), fdim + 1):
-        if _face_on(x, name, kept) == face_name:
+        dropped = [j for j in range(cell.dim + 1) if j not in kept]
+        if _face_without(x, name, dropped) == face_name:
             yield kept
 
 

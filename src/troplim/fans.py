@@ -96,13 +96,11 @@ class Fan:
                ) -> tuple[Optional[Cone], list[int]]:
         """The carrier of the point, the minimal cone of the fan containing
         it (None outside), and the indices of the maximal cones holding it;
-        the point is anything ``lattice.locate`` takes, a rational vector or
-        a ``towers.SymbolicVector``.
+        the point is a rational vector or a ``towers.SymbolicVector``.
 
         ``among`` limits the search to the maximal cones of those indices,
         which must include every one holding the point.  Each is located
-        once: the least face found is the carrier, a face of every cone
-        holding the point in a valid fan.
+        once; in a valid fan the least face found is a face of each holder.
         """
         carrier, holding = None, []
         for j in range(len(self.maximal)) if among is None else among:

@@ -417,10 +417,10 @@ def face_lattice(vertices: Sequence[tuple], rows: Sequence[tuple]
 
 def cone_faces(cone: Cone) -> tuple[Cone, ...]:
     """All faces (the cone itself included), each in canonical form."""
-    ray_sets = face_lattice(cone.rays, [(f, 0) for f in cone.facets]).keys()
+    ray_sets = {frozenset(), *face_lattice(cone.rays,
+                                           [(f, 0) for f in cone.facets])}
     faces = [_cone_from_canonical(tuple(r for r in cone.rays if r in fs),
-                                  cone.lines, cone.n)
-             for fs in ray_sets | {frozenset()}]
+                                  cone.lines, cone.n) for fs in ray_sets]
     return tuple(sorted(faces, key=lambda c: (c.dim, c.rays, c.lines)))
 
 

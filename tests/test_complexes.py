@@ -130,6 +130,13 @@ def test_make_complex_refuses_a_name_that_is_not_a_string(bad):
     assert str(err.value) == f"cells[2].faces[1]: expected str, got {bad!r}"
 
 
+@pytest.mark.parametrize("bad", [("a",), ("a", [], []), 5])
+def test_make_complex_refuses_a_cell_that_is_not_a_pair(bad):
+    with pytest.raises(ValidationError) as err:
+        make_complex([("b", []), bad])
+    assert str(err.value) == f"cells[1]: expected 2 entries, got {bad!r}"
+
+
 def test_make_complex_rejects_broken_simplicial_identity():
     # two triangles worth of edges wired so d_0 d_1 != d_0 d_0
     with pytest.raises(ValidationError):
