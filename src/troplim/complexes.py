@@ -139,7 +139,7 @@ def make_complex(cells: Sequence[tuple[str, Sequence[str]]],
     if not pending:
         raise ValidationError("a complex needs at least one cell")
     if not all(isinstance(v, str) for n, fs in pending for v in (n, *fs)):
-        # name the first such field; the check above formats no names
+        # field names are formatted only once some field fails
         _refuse_types([(f"cells[{i}].name", n, str)
                        for i, (n, _) in enumerate(pending)] +
                       [(f"cells[{i}].faces[{j}]", f, str)
