@@ -137,6 +137,14 @@ def test_make_complex_refuses_a_cell_that_is_not_a_pair(bad):
     assert str(err.value) == f"cells[1]: expected 2 entries, got {bad!r}"
 
 
+@pytest.mark.parametrize("bad", [5, None, "aa"])
+def test_make_complex_refuses_a_face_list_that_is_not_a_list(bad):
+    with pytest.raises(ValidationError) as err:
+        make_complex([("a", []), ("e", bad)])
+    assert str(err.value) == \
+        f"cells[1].faces: expected a list or tuple, got {bad!r}"
+
+
 def test_make_complex_rejects_broken_simplicial_identity():
     # two triangles worth of edges wired so d_0 d_1 != d_0 d_0
     with pytest.raises(ValidationError):
@@ -563,7 +571,9 @@ def test_built_indexes_stay_out_of_eq_hash_and_repr():
     m.cell_image("abd")
     m.vertex_image("a")
     inc.stratum("C")
-    for used in (x, sub, m, inc):
+    cone = lattice.make_cone([(1, 0), (1, 2)], n=2)
+    cone.facets
+    for used in (x, sub, m, inc, cone):
         fresh = dataclasses.replace(used)
         assert len(vars(fresh)) < len(vars(used))  # index built on one side
         assert fresh == used

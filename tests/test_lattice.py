@@ -10,6 +10,7 @@ The conversion itself is also checked against the brute-force enumeration
 of row subsets it replaced, kept here as ``reference_conversion``.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -24,10 +25,11 @@ from test_linalg import (
     reference_rref,
     reference_solve_affine,
 )
-from test_tropical import polytope_faces
+from test_tropical import hypersurface_polys, normal_fan_polys, polytope_faces
 from troplim import _linalg as la
 from troplim import lattice as lat
 from troplim import tropical as tp
+from troplim._polyhedra import homogenization_info
 from troplim.fans import facet_cones
 from troplim._linalg import dot, identity_rows, mat_rank
 from troplim.errors import NotStronglyConvex, RankCap, ZeroVector
@@ -578,6 +580,86 @@ def test_normal_cones_match_make_cone(exponents):
     p = tp.newton_polytope(tp.trop_poly([(e, 0) for e in exponents]))
     for face in polytope_faces(p):
         assert_rebuilds(tp.normal_cone(p, face))
+
+
+# -- the H-side, derived from the V-side on first read -----------------------
+
+
+def test_a_cone_holds_only_its_v_description():
+    assert [f.name for f in dataclasses.fields(lat.Cone)] == \
+        ["n", "rays", "lines"]
+
+
+def assert_dual_of_its_rays(cone):
+    """The cone's H-data is the conversion of its dual: the equations are
+    the dual's lines and the facets its extreme rays."""
+    fresh = lat._halfspaces_to_generators.__wrapped__
+    assert (cone.equations, cone.facets) == \
+        fresh(cone.lines, cone.rays, cone.n)
+
+
+@st.composite
+def derived_cones(draw):
+    """A cone and its derived cones: faces found by ``locate``, every face,
+    every facet and a meet with another cone of the same rank; or the cones
+    of a PTrop set and the recession cones of a hypersurface's cells."""
+    if draw(st.booleans()):
+        cone, other = draw(face_test_cones), draw(cones_with_lines())
+        points = [draw(st.tuples(*[st.integers(-2, 2)] * cone.n))]
+        points += [f.relint_point() for f in facet_cones(cone)]
+        cones = [cone, *lat.cone_faces(cone), *facet_cones(cone)]
+        cones += [f for f in (lat.locate(cone, p) for p in points)
+                  if f is not None]
+        if other.n == cone.n:
+            cones.append(lat.cone_intersect(cone, other))
+        return cones
+    n = draw(st.integers(1, 3))
+    f = draw(normal_fan_polys(n) if draw(st.booleans())
+             else hypersurface_polys(n))
+    if f.has_constant_term():
+        return [c.recession for c in tp.trop_hypersurface(f).cells]
+    return list(tp.ptrop_normal_fan(f).cones)
+
+
+@settings(max_examples=120, deadline=None)
+@given(derived_cones())
+def test_derived_h_sides_are_the_duals_of_the_rays(cones):
+    for cone in cones:
+        assert_dual_of_its_rays(cone)
+
+
+def conversions() -> int:
+    info = lat.halfspaces_to_generators.cache_info()
+    return info.hits + info.misses
+
+
+def test_derived_cones_convert_only_when_their_h_side_is_read():
+    cone = cuboctahedron_cone()
+    other = lat.make_cone([(1, 0, 0, 1), (0, 1, 0, 1), (-1, 0, 0, 1)])
+    start = conversions()
+    faces = [lat._face(cone, cone.facets[:2]),
+             lat.locate(cone, cone.rays[0]), *facet_cones(cone)]
+    assert conversions() == start  # the outer facets were filled on build
+    meet = lat.cone_intersect(cone, other)
+    assert conversions() == start + 1  # the meet's rays, and no more
+    lines, rays = lat.halfspaces_to_generators(
+        [], [(1, 0, 1), (0, 1, 1), (0, 0, 1)], 3)
+    info = homogenization_info(lines, rays, 2)
+    assert conversions() == start + 2
+    for derived in (*faces, meet, info.recession):
+        before = conversions()
+        assert derived.facets is derived.facets
+        assert derived.equations is derived.equations
+        assert conversions() == before + 1
+        assert_dual_of_its_rays(derived)
+
+
+def test_make_cone_converts_twice_even_after_its_facets_are_read():
+    start = conversions()
+    cone = lat.make_cone([(1, 0, 2), (0, 1, 2), (-1, -1, 2), (1, 1, 2)])
+    cone.facets, cone.equations
+    assert conversions() == start + 2
+    assert_dual_of_its_rays(cone)
 
 
 # -- the memoized conversion ------------------------------------------------

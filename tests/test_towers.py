@@ -11,7 +11,7 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from troplim import fans, towers as tw
 from troplim._linalg import _det_int, mat_rank
@@ -107,6 +107,61 @@ def test_fiber_model_normalization():
     assert mat_rank(permuted[:m.rank]) == m.rank
     for i in range(m.rank, 3):
         assert mat_rank(permuted[:m.rank] + [permuted[i]]) == m.rank
+
+
+def reference_fiber_choice(x):
+    """The coordinates ``fiber_model`` puts first, chosen by one rank test
+    per coordinate: each one independent of those already chosen."""
+    chosen, picked = [], []
+    for i, row in enumerate(x.rows):
+        if mat_rank(picked + [row]) > len(picked):
+            chosen.append(i)
+            picked.append(row)
+    return chosen
+
+
+def reference_permutation_sign(order):
+    """(-1) to the number of inversions."""
+    flips = sum(1 for i, j in itertools.combinations(range(len(order)), 2)
+                if order[i] > order[j])
+    return -1 if flips % 2 else 1
+
+
+@st.composite
+def symbolic_vectors(draw):
+    """Nonzero vectors of 1-5 coordinates over 1 and up to three square
+    roots, each coordinate a small combination of at most three shared
+    rows, so that ranks 1-5 and repeated coordinates all come up."""
+    symbols = [tw.Symbol.sqrt(p) for p in (2, 3, 5)][:draw(st.integers(0, 3))]
+    k = len(symbols) + 1
+    coeff = st.integers(-2, 2)
+    base = draw(st.lists(st.lists(coeff, min_size=k, max_size=k),
+                         min_size=1, max_size=3))
+    n = draw(st.integers(1, 5))
+    entries = []
+    for _ in range(n):
+        weights = draw(st.lists(coeff, min_size=len(base),
+                                max_size=len(base)))
+        entries.append([sum(w * b[j] for w, b in zip(weights, base))
+                        + F(draw(coeff), draw(st.sampled_from((1, 3))))
+                        * draw(st.sampled_from((0, 0, 1)))
+                        for j in range(k)])
+    x = tw.symbolic_vector(entries, symbols)
+    assume(not x.is_zero)
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(symbolic_vectors())
+def test_fiber_model_matches_the_rank_per_coordinate_loop(x):
+    m = tw.fiber_model(x.n, x)
+    chosen = reference_fiber_choice(x)
+    order = chosen + [i for i in range(x.n) if i not in chosen]
+    assert m.rank == len(chosen) == tw.fiber_rank(x)
+    assert m.dim == x.n - m.rank
+    assert m.basis_change == tuple(
+        tuple(int(j == order[i]) for j in range(x.n)) for i in range(x.n))
+    assert _det_int(m.basis_change) == reference_permutation_sign(order)
 
 
 # -- tower extension --------------------------------------------------------
