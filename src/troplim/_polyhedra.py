@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import _linalg as la
-from .lattice import Cone, IVec, _cone_from_canonical, halfspaces_to_generators
+from .lattice import Cone, IVec, halfspaces_to_generators
 
 Row = tuple[tuple[Fraction, ...], Fraction]  # (coefficients, constant)
 
@@ -53,8 +53,8 @@ def homogenization_info(lines: Sequence[IVec], rays: Sequence[IVec], n: int
     relint = tuple(Fraction(c, t) for c in total[:-1])
     # the t = 0 face of the homogenization: its extreme rays are exactly the
     # t = 0 extreme rays, and canonical form survives dropping the t entry
-    horizon = [r[:-1] for r in rays if r[-1] == 0]
-    rec = _cone_from_canonical(horizon, [l[:-1] for l in lines], n)
+    rec = Cone(n, tuple(r[:-1] for r in rays if r[-1] == 0),
+               tuple(l[:-1] for l in lines))
     # dimension of the polyhedron is one less than that of its homogenization
     cone_dim = la.mat_rank(list(rays) + list(lines))
     return PolyhedronInfo(

@@ -1,12 +1,15 @@
 """Exact rational cones in a lattice of rank <= 4.
 
-Cones are stored with both descriptions computed eagerly and exactly:
+A cone stores its canonical V-description only:
 
-    V-side: primitive integer extreme rays, plus a lineality basis for the
-            internal constructors that permit lines (normal fans of
-            lower-dimensional polytopes need half-spaces and walls);
-    H-side: integer equations (a basis of the orthogonal complement of the
-            span) and primitive integer facet inner normals.
+    primitive integer extreme rays, plus a lineality basis for the internal
+    constructors that permit lines (normal fans of lower-dimensional
+    polytopes need half-spaces and walls).
+
+Its H-description, integer equations (a basis of the orthogonal complement
+of the span) and primitive integer facet inner normals, is the
+V-description of the dual cone.  It is converted on first read of
+``equations`` or ``facets`` and kept out of equality, hashing and repr.
 
 The public constructor ``cone_from_generators`` enforces strong convexity
 (no line) and the ambient rank cap; everything downstream trusts the stored
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence
@@ -173,13 +176,26 @@ halfspaces_to_generators.cache_info = _halfspaces_to_generators.cache_info
 
 @dataclass(frozen=True)
 class Cone:
-    """A rational polyhedral cone with canonical double description."""
+    """A rational polyhedral cone, held by its canonical V-description."""
 
     n: int
     rays: tuple[IVec, ...]
     lines: tuple[IVec, ...]
-    facets: tuple[IVec, ...] = field(compare=False)
-    equations: tuple[IVec, ...] = field(compare=False)
+
+    @functools.cached_property
+    def _dual(self) -> tuple[tuple[IVec, ...], tuple[IVec, ...]]:
+        # the dual cone's (lines, rays) are this cone's (equations, facets)
+        return halfspaces_to_generators(self.lines, self.rays, self.n)
+
+    @property
+    def equations(self) -> tuple[IVec, ...]:
+        """A basis of the integer rows vanishing on the cone's span."""
+        return self._dual[0]
+
+    @property
+    def facets(self) -> tuple[IVec, ...]:
+        """The primitive integer inner facet normals."""
+        return self._dual[1]
 
     @property
     def dim(self) -> int:
@@ -227,27 +243,11 @@ class Cone:
         return f"Cone(n={self.n}, {', '.join(parts)})"
 
 
-def _cone_from_canonical(
-    rays: Sequence[IVec], lines: Sequence[IVec], n: int
-) -> Cone:
-    """Trusted constructor for (rays, lines) already in canonical form.
-
-    The canonical V-description is independent of the H-description it was
-    derived from, so output of ``halfspaces_to_generators`` can be wrapped
-    directly; only the dual conversion for facets remains.  It is the same
-    engine run on the dual cone, whose lineality is the span complement and
-    whose extreme rays are the facet normals.
-    """
-    equations, facets = halfspaces_to_generators(lines, rays, n)
-    return Cone(n=n, rays=tuple(rays), lines=tuple(lines), facets=facets,
-                equations=equations)
-
-
 def _cone_from_halfspaces(equations: Sequence[Sequence],
                           inequalities: Sequence[Sequence], n: int) -> Cone:
-    """The cone {x : E x = 0, A x >= 0}, converted once and wrapped."""
+    """The cone {x : E x = 0, A x >= 0}, converted once."""
     lines, rays = halfspaces_to_generators(equations, inequalities, n)
-    return _cone_from_canonical(rays, lines, n)
+    return Cone(n, rays, lines)
 
 
 def _face(cone: Cone, active: Sequence[IVec]) -> Cone:
@@ -261,13 +261,20 @@ def _face(cone: Cone, active: Sequence[IVec]) -> Cone:
         return cone
     rays = tuple(r for r in cone.rays
                  if all(la.dot(a, r) == 0 for a in active))
-    return _cone_from_canonical(rays, cone.lines, cone.n)
+    return Cone(cone.n, rays, cone.lines)
 
 
 def _build_cone(rays: Sequence[Sequence], lines: Sequence[Sequence], n: int) -> Cone:
-    equations, facets = halfspaces_to_generators(lines, rays, n)
-    lines_c, rays_c = halfspaces_to_generators(equations, facets, n)
-    cone = Cone(n=n, rays=rays_c, lines=lines_c, facets=facets, equations=equations)
+    """The cone spanned by the generators, from two conversions.
+
+    The first gives the dual's canonical (lines, rays), which depend only
+    on the cone, so they are the cone's H-side as a later read would
+    convert it; the cone is handed them.
+    """
+    dual = halfspaces_to_generators(lines, rays, n)
+    lines_c, rays_c = halfspaces_to_generators(*dual, n)
+    cone = Cone(n, rays_c, lines_c)
+    cone.__dict__["_dual"] = dual
     if not cone_holds(cone, rays, lines):
         raise AssertionError(f"generators {rays} + lines {lines} leave the "
                              f"computed cone")
@@ -419,19 +426,17 @@ def cone_faces(cone: Cone) -> tuple[Cone, ...]:
     """All faces (the cone itself included), each in canonical form."""
     ray_sets = {frozenset(), *face_lattice(cone.rays,
                                            [(f, 0) for f in cone.facets])}
-    faces = [_cone_from_canonical(tuple(r for r in cone.rays if r in fs),
-                                  cone.lines, cone.n) for fs in ray_sets]
+    faces = [Cone(cone.n, tuple(r for r in cone.rays if r in fs), cone.lines)
+             for fs in ray_sets]
     return tuple(sorted(faces, key=lambda c: (c.dim, c.rays, c.lines)))
 
 
 def cone_is_face(face: Cone, cone: Cone) -> bool:
     """Is ``face`` a face of ``cone``?  Exact: the facets vanishing on
-    ``face`` cut out a face, and ``face`` must be that one.  Containment,
-    cheaper than the conversion, is tested first."""
+    ``face`` cut out a face of ``cone``, and ``face`` must be that one, so
+    it lies in ``cone`` too.  Only the facets of ``cone`` are read."""
     if face.n != cone.n:
         raise DimensionMismatch(f"ambient ranks differ: {face.n} vs {cone.n}")
-    if not cone_subset(face, cone):
-        return False
     gens = face.rays + face.lines
     active = [f for f in cone.facets if all(la.dot(f, g) == 0 for g in gens)]
     return _face(cone, active) == face

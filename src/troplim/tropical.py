@@ -47,7 +47,6 @@ from .lattice import (
     RANK_CAP,
     Cone,
     _build_cone,
-    _cone_from_canonical,
     _cone_from_halfspaces,
     cone_intersect,
     face_lattice,
@@ -326,14 +325,14 @@ def ptrop_normal_fan(f: TropicalPolynomial) -> PTropSet:
     n = f.n
     points = [e + (1,) for e in f.exponents]
     lines, normals = halfspaces_to_generators([], points, n + 1)
-    cone_lines = [l[:-1] for l in lines]
+    cone_lines = tuple(l[:-1] for l in lines)
     cones = []
     for fs, tight in face_lattice(points, [(r, 0) for r in normals]).items():
         # the exponents are distinct, so a face of two or more is no vertex
         if len(fs) < 2:
             continue
-        rays = [normals[k][:-1] for k in tight]
-        cones.append(_cone_from_canonical(rays, cone_lines, n))
+        cones.append(Cone(n, tuple(normals[k][:-1] for k in tight),
+                          cone_lines))
     return _ptrop_set(n, cones)
 
 
