@@ -20,6 +20,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from ._linalg import _det_int
 from .complexes import (
     DeltaComplex,
     _signed_sum,
@@ -118,13 +119,6 @@ def _q(vec) -> list[str]:
 
 def _counts_json(counts: dict) -> dict:
     return {str(d): c for d, c in sorted(counts.items())}
-
-
-def _perm_det(rows) -> int:
-    order = [list(r).index(1) for r in rows]
-    flips = sum(1 for i in range(len(order))
-                for j in range(i + 1, len(order)) if order[i] > order[j])
-    return -1 if flips % 2 else 1
 
 
 def _write(path: str, text: str):
@@ -360,7 +354,7 @@ def handle_fiber_rank(cfg: JobConfig, path: str) -> dict:
         "fiber_dim": model.dim,
         "kind": model.kind,
         "basis_change": [list(r) for r in model.basis_change],
-        "det": _perm_det(model.basis_change),
+        "det": _det_int(model.basis_change),
     }
 
 

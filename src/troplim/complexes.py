@@ -135,7 +135,12 @@ def make_complex(cells: Sequence[tuple[str, Sequence[str]]],
     identity d_i d_j = d_{j-1} d_i for i < j.
     """
     built: dict[str, Cell] = {}
-    pending = [(n, tuple(fs)) for n, fs in _unpack(cells, 2, "cells")]
+    pending = _unpack(cells, 2, "cells")
+    for i, (_, fs) in enumerate(pending):
+        if not isinstance(fs, (tuple, list)):
+            raise ValidationError(
+                f"cells[{i}].faces: expected a list or tuple, got {fs!r}")
+    pending = [(n, tuple(fs)) for n, fs in pending]
     if not pending:
         raise ValidationError("a complex needs at least one cell")
     if not all(isinstance(v, str) for n, fs in pending for v in (n, *fs)):
@@ -406,23 +411,16 @@ def nodal_cubic_incidence(mode: str = "analytic") -> StrataIncidence:
 
 @dataclass(frozen=True)
 class ComplexMap:
-    """A simplicial map: each cell lands on a target cell monotonically."""
+    """A simplicial map: each cell lands on a target cell monotonically,
+    so a vertex's image is the target vertex its 0-cell lands on."""
 
     source: DeltaComplex
     target: DeltaComplex
-    vertex_map: tuple[tuple[str, str], ...]
     cell_images: tuple[tuple[str, tuple[str, tuple[int, ...]]], ...]
-
-    @cached_property
-    def _vertex_index(self) -> dict[str, str]:
-        return dict(self.vertex_map)
 
     @cached_property
     def _cell_index(self) -> dict[str, tuple[str, tuple[int, ...]]]:
         return dict(self.cell_images)
-
-    def vertex_image(self, name: str) -> str:
-        return self._vertex_index[name]
 
     def cell_image(self, name: str) -> tuple[str, tuple[int, ...]]:
         return self._cell_index[name]
@@ -530,11 +528,7 @@ def induced_map(source: DeltaComplex, target: DeltaComplex,
                 raise NotSimplicial(
                     f"face {i} of {cell.name!r} maps to "
                     f"{images[cell.faces[i]]}, expected {expected}")
-    return ComplexMap(
-        source, target,
-        tuple(sorted(vm.items())),
-        tuple(sorted(images.items())),
-    )
+    return ComplexMap(source, target, tuple(sorted(images.items())))
 
 
 def identity_map(x: DeltaComplex) -> ComplexMap:

@@ -198,12 +198,9 @@ def fiber_model(n: int, x: SymbolicVector) -> FiberModel:
     if x.n != n:
         raise DimensionMismatch(f"vector has {x.n} coordinates, expected {n}")
     r = fiber_rank(x)
-    chosen: list[int] = []
-    picked_rows: list[tuple[Fraction, ...]] = []
-    for i, row in enumerate(x.rows):
-        if la.mat_rank(picked_rows + [row]) > len(picked_rows):
-            chosen.append(i)
-            picked_rows.append(row)
+    # the pivot columns of the coordinates' coefficient columns: each
+    # coordinate chosen is independent of the coordinates before it
+    chosen = la.rref(zip(*x.rows))[1]
     order = chosen + [i for i in range(n) if i not in chosen]
     perm = tuple(tuple(1 if j == order[i] else 0 for j in range(n))
                  for i in range(n))
@@ -349,7 +346,6 @@ class ResolvedRay:
     """The chain intersects in a single rational ray."""
 
     ray: Ray
-    depth: int
 
 
 @dataclass(frozen=True)
@@ -357,7 +353,6 @@ class UnresolvedCone:
     """The chain intersection still has dimension != 1 at this depth."""
 
     cone: Cone
-    depth: int
 
 
 LimitPointDescriptor = Union[ResolvedRay, UnresolvedCone]
@@ -370,8 +365,8 @@ def resolve_direction(c: ConeChain) -> LimitPointDescriptor:
         raise EmptyChain("cannot resolve an empty chain")
     meet = c.entries[-1][1]
     if meet.dim == 1 and not meet.lines:
-        return ResolvedRay(Ray(meet.rays[0]), depth=len(c.entries))
-    return UnresolvedCone(meet, depth=len(c.entries))
+        return ResolvedRay(Ray(meet.rays[0]))
+    return UnresolvedCone(meet)
 
 
 def chain_toward(t: FanTower, x: SymbolicVector) -> ConeChain:

@@ -557,8 +557,6 @@ def test_unknown_names_raise_the_documented_errors():
     m = identity_map(triangle_complex())
     with pytest.raises(KeyError):
         m.cell_image("zz")
-    with pytest.raises(KeyError):
-        m.vertex_image("ab")
 
 
 def test_built_indexes_stay_out_of_eq_hash_and_repr():
@@ -569,7 +567,6 @@ def test_built_indexes_stay_out_of_eq_hash_and_repr():
     x.cell("abd")
     sub.carrier(sub.complex.cells[-1].name)
     m.cell_image("abd")
-    m.vertex_image("a")
     inc.stratum("C")
     cone = lattice.make_cone([(1, 0), (1, 2)], n=2)
     cone.facets
