@@ -198,8 +198,8 @@ def fiber_model(n: int, x: SymbolicVector) -> FiberModel:
     if x.n != n:
         raise DimensionMismatch(f"vector has {x.n} coordinates, expected {n}")
     r = fiber_rank(x)
-    # the pivot columns of the coordinates' coefficient columns: each
-    # coordinate chosen is independent of the coordinates before it
+    # with the coordinates as columns, each pivot column is independent of
+    # the columns before it
     chosen = la.rref(zip(*x.rows))[1]
     order = chosen + [i for i in range(n) if i not in chosen]
     perm = tuple(tuple(1 if j == order[i] else 0 for j in range(n))
@@ -350,7 +350,7 @@ class ResolvedRay:
 
 @dataclass(frozen=True)
 class UnresolvedCone:
-    """The chain intersection still has dimension != 1 at this depth."""
+    """The chain intersection still has dimension != 1 at its last level."""
 
     cone: Cone
 
