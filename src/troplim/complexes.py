@@ -210,68 +210,7 @@ def euler_characteristic(x: DeltaComplex) -> int:
     return _signed_sum(count_cells(x))
 
 
-def component_ratio(fine: DeltaComplex, coarse: DeltaComplex) -> Fraction:
-    """Ratio of top-cell counts; N^m for an N-fold subdivision in dim m."""
-    if fine.dim != coarse.dim:
-        raise DimensionMismatch(
-            f"top dimensions differ: {fine.dim} vs {coarse.dim}")
-    d = fine.dim
-    return Fraction(len(fine.by_dim(d)), len(coarse.by_dim(d)))
-
-
 # -- ready-made complexes ----------------------------------------------------
-
-
-def point_complex(name: str = "pt") -> DeltaComplex:
-    return make_complex([(name, [])])
-
-
-def segment_complex() -> DeltaComplex:
-    return make_complex([("z0", []), ("z1", []), ("e", ["z1", "z0"])])
-
-
-def triangle_complex() -> DeltaComplex:
-    return make_complex([
-        ("a", []), ("b", []), ("c", []),
-        ("bc", ["c", "b"]), ("ac", ["c", "a"]), ("ab", ["b", "a"]),
-        ("T", ["bc", "ac", "ab"]),
-    ])
-
-
-def square_complex() -> DeltaComplex:
-    """The unit square as two triangles glued along the diagonal.
-
-    Vertices a=(0,0), b=(1,0), c=(0,1), d=(1,1); the diagonal runs a-d.
-    """
-    return make_complex([
-        ("a", []), ("b", []), ("c", []), ("d", []),
-        ("ab", ["b", "a"]), ("ad", ["d", "a"]), ("ac", ["c", "a"]),
-        ("bd", ["d", "b"]), ("cd", ["d", "c"]),
-        ("abd", ["bd", "ad", "ab"]),
-        ("acd", ["cd", "ad", "ac"]),
-    ])
-
-
-def tetrahedron_boundary() -> DeltaComplex:
-    """Four triangles glued as the boundary of a 3-simplex (chi = 2)."""
-    cells = _simplex_cells(3)
-    return make_complex([c for c in cells if len(c[1]) != 4])
-
-
-def tetrahedron_solid() -> DeltaComplex:
-    return make_complex(_simplex_cells(3))
-
-
-def _simplex_cells(m: int) -> list[tuple[str, list[str]]]:
-    """All faces of the standard m-simplex on vertices v0..vm."""
-    out = []
-    for k in range(1, m + 2):
-        for sub in itertools.combinations(range(m + 1), k):
-            name = "v" + "".join(str(i) for i in sub)
-            faces = ["v" + "".join(str(i) for i in sub[:j] + sub[j + 1:])
-                     for j in range(k)] if k > 1 else []
-            out.append((name, faces))
-    return out
 
 
 def cycle_complex(m: int) -> DeltaComplex:

@@ -168,11 +168,6 @@ def symbolic_vector(entries: Sequence[Entry],
     return SymbolicVector(symbols, tuple(rows))
 
 
-def rational_vector(v: Sequence[Coefficient]) -> SymbolicVector:
-    """SymbolicVector wrapper around an ordinary rational vector."""
-    return symbolic_vector(list(v))
-
-
 # -- fiber rank and model ---------------------------------------------------
 
 

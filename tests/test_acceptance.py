@@ -49,7 +49,6 @@ from fractions import Fraction as F
 from itertools import product
 
 from troplim.complexes import (
-    component_ratio,
     collapse_to_algebraic,
     count_cells,
     cycle_complex,
@@ -58,14 +57,8 @@ from troplim.complexes import (
     induced_map,
     map_fiber,
     nodal_cubic_incidence,
-    point_complex,
     rational_points,
     scale_subdivide,
-    segment_complex,
-    square_complex,
-    tetrahedron_boundary,
-    tetrahedron_solid,
-    triangle_complex,
 )
 from troplim.fans import (
     common_refinement,
@@ -95,7 +88,6 @@ from troplim.towers import (
     extend_tower,
     fan_tower,
     fiber_model,
-    rational_vector,
     resolve_direction,
     symbolic_vector,
 )
@@ -107,6 +99,16 @@ from troplim.tropical import (
     trop_poly,
 )
 
+from builders import (
+    component_ratio,
+    point_complex,
+    rational_vector,
+    segment_complex,
+    square_complex,
+    tetrahedron_boundary,
+    tetrahedron_solid,
+    triangle_complex,
+)
 from skeleton_references import push_point, vertex_location
 from test_tropical import reference_hypersurface
 

@@ -12,6 +12,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from builders import (
+    rational_vector,
+    segment_complex,
+    square_complex,
+    tetrahedron_boundary,
+    tetrahedron_solid,
+    triangle_complex,
+)
 from troplim import cli
 from troplim import io
 from troplim.complexes import (
@@ -20,11 +28,6 @@ from troplim.complexes import (
     make_complex,
     nodal_cubic_incidence,
     scale_subdivide,
-    segment_complex,
-    square_complex,
-    tetrahedron_boundary,
-    tetrahedron_solid,
-    triangle_complex,
 )
 from troplim.errors import ParseError, ValidationError
 from troplim.fans import fan_from_cones
@@ -34,7 +37,6 @@ from troplim.towers import (
     StellarAtBarycenters,
     extend_tower,
     fan_tower,
-    rational_vector,
 )
 
 NODAL = {"vars": 2, "terms": [

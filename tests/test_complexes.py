@@ -11,6 +11,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from builders import (
+    component_ratio,
+    point_complex,
+    segment_complex,
+    square_complex,
+    tetrahedron_boundary,
+    tetrahedron_solid,
+    triangle_complex,
+)
 from skeleton_references import alcoves, push_point, vertex_location
 from troplim import complexes
 from troplim import io as troplim_io
@@ -26,7 +35,6 @@ from troplim.complexes import (
     canonical_point,
     cell_vertices,
     collapse_to_algebraic,
-    component_ratio,
     count_cells,
     cycle_complex,
     euler_characteristic,
@@ -37,16 +45,10 @@ from troplim.complexes import (
     make_incidence,
     map_fiber,
     nodal_cubic_incidence,
-    point_complex,
     polygon_incidence,
     rational_points,
     scale_subdivide,
-    segment_complex,
-    square_complex,
-    tetrahedron_boundary,
-    tetrahedron_solid,
     toric_fiber_complex,
-    triangle_complex,
 )
 from troplim.errors import (
     DimensionMismatch,

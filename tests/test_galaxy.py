@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from builders import point_complex, triangle_complex
 from skeleton_references import (
     circle_position,
     edge_interval,
@@ -19,10 +20,8 @@ from troplim.complexes import (
     count_cells,
     cycle_complex,
     make_complex,
-    point_complex,
     rational_points,
     scale_subdivide,
-    triangle_complex,
 )
 from troplim.errors import (
     DepthCap,

@@ -13,6 +13,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from builders import rational_vector
 from troplim import fans, towers as tw
 from troplim._linalg import _det_int, mat_rank
 from troplim.errors import (
@@ -57,7 +58,7 @@ def test_sign_of_rational_and_zero():
     x = tw.symbolic_vector([1, (0, 1)], [SQRT2])
     assert x.sign((1, 0)) == 1
     assert x.sign((-1, 0)) == -1
-    assert tw.rational_vector([1, 1]).sign((1, -1)) == 0
+    assert rational_vector([1, 1]).sign((1, -1)) == 0
 
 
 def test_sign_of_irrational_combination():
@@ -83,18 +84,18 @@ def test_sign_of_undecidable_reports_data():
 
 def test_fiber_rank_examples():
     assert tw.fiber_rank(tw.symbolic_vector([1, (0, 1)], [SQRT2])) == 2
-    assert tw.fiber_rank(tw.rational_vector([1, 1])) == 1
+    assert tw.fiber_rank(rational_vector([1, 1])) == 1
     assert tw.fiber_rank(tw.symbolic_vector([1, (0, 1), (1, 1)], [SQRT2])) == 2
 
 
 def test_fiber_rank_zero_vector_rejected():
     with pytest.raises(ZeroVector):
-        tw.fiber_rank(tw.rational_vector([0, 0]))
+        tw.fiber_rank(rational_vector([0, 0]))
 
 
 def test_fiber_model_dimensions():
     assert tw.fiber_model(2, tw.symbolic_vector([1, (0, 1)], [SQRT2])).dim == 0
-    assert tw.fiber_model(2, tw.rational_vector([1, 1])).dim == 1
+    assert tw.fiber_model(2, rational_vector([1, 1])).dim == 1
     x3 = tw.symbolic_vector([1, (0, 1), (1, 1)], [SQRT2])
     assert tw.fiber_model(3, x3).dim == 1
 
@@ -232,7 +233,7 @@ def test_toward_irrational_never_resolves_at_any_prefix():
 
 
 def test_toward_rational_resolves():
-    x = tw.rational_vector([2, 5])
+    x = rational_vector([2, 5])
     t = tw.extend_tower(tw.fan_tower(quadrant_fan()),
                         tw.TowardDirection(x), 12)
     res = tw.resolve_direction(tw.chain_toward(t, x))
@@ -243,7 +244,7 @@ def test_toward_rational_resolves():
 def test_chain_toward_quadrant_contains_direction():
     t = tw.extend_tower(tw.fan_tower(quadrant_fan()),
                         tw.StellarAtBarycenters(), 2)
-    chain = tw.chain_toward(t, tw.rational_vector([1, 1]))
+    chain = tw.chain_toward(t, rational_vector([1, 1]))
     for _, cone in chain.entries:
         assert locate(cone, (1, 1)) is not None
 
@@ -251,7 +252,7 @@ def test_chain_toward_quadrant_contains_direction():
 def test_chain_toward_zero_rejected():
     t = tw.fan_tower(quadrant_fan())
     with pytest.raises(ZeroVector):
-        tw.chain_toward(t, tw.rational_vector([0, 0]))
+        tw.chain_toward(t, rational_vector([0, 0]))
 
 
 def test_resolve_constant_chain():
@@ -305,7 +306,7 @@ def test_chain_ray_roundtrip_for_tower_rays():
     t = tw.extend_tower(tw.fan_tower(quadrant_fan()),
                         tw.StellarAtBarycenters(), 2)
     for r in t.fans[-1].rays:
-        res = tw.resolve_direction(tw.chain_toward(t, tw.rational_vector(r)))
+        res = tw.resolve_direction(tw.chain_toward(t, rational_vector(r)))
         assert isinstance(res, tw.ResolvedRay)
         assert res.ray.direction == r
 
@@ -316,7 +317,7 @@ def test_chain_ray_roundtrip_for_tower_rays():
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 6), st.integers(1, 6))
 def test_rational_directions_resolve(p, q):
-    x = tw.rational_vector([p, q])
+    x = rational_vector([p, q])
     t = tw.extend_tower(tw.fan_tower(quadrant_fan()),
                         tw.TowardDirection(x), 14)
     res = tw.resolve_direction(tw.chain_toward(t, x))
@@ -348,7 +349,7 @@ def test_symbolic_locate_agrees_with_rational_locate(gens, v):
     c = make_cone(gens)
     for p in [v] + [f.relint_point() for f in cone_faces(c)]:
         expected = locate(c, p)
-        got = locate(c, tw.rational_vector(p))
+        got = locate(c, rational_vector(p))
         assert got == expected
         if got is not None:
             assert (got.facets, got.equations) == \
@@ -369,7 +370,7 @@ def test_symbolic_carrier_agrees_with_fan_carrier(steps, v):
     carrier, _ = fan.locate(v)
     assert locate(carrier, v) == carrier
     assert any(cone_is_face(carrier, sigma) for sigma in fan.maximal)
-    sym, _ = fan.locate(tw.rational_vector(v))
+    sym, _ = fan.locate(rational_vector(v))
     assert sym == carrier
     assert (sym.facets, sym.equations) == (carrier.facets, carrier.equations)
 
@@ -457,7 +458,7 @@ def targets(draw, n):
     coords = st.integers(-3, 3)
     if draw(st.booleans()):
         v = draw(st.tuples(*[coords] * n).filter(any))
-        return tw.rational_vector(v)
+        return rational_vector(v)
     rows = draw(st.tuples(*[st.tuples(coords, coords)] * n)
                 .filter(lambda rows: any(b for _, b in rows)))
     return tw.symbolic_vector(list(rows),
@@ -530,7 +531,7 @@ def test_toward_step_splits_every_cone_holding_a_wall_carrier():
     """A target on a wall of the octant fan is held by two octants; the
     step splits both, as the full-search reference does."""
     base = orthant_image(3, [])
-    strategy = tw.TowardDirection(tw.rational_vector([1, 0, 2]))
+    strategy = tw.TowardDirection(rational_vector([1, 0, 2]))
     tower = tw.extend_tower(tw.fan_tower(base), strategy, 2)
     assert tower.fans == tuple(reference_levels(base, strategy, 2))
     assert len(tower.fans[1].maximal) == 10
@@ -602,7 +603,7 @@ def test_the_chase_tests_no_cone_in_a_cone(monkeypatch):
         return cone_subset(inner, outer)
 
     monkeypatch.setattr(tw, "cone_subset", counted)
-    x = tw.rational_vector([3, 5, 7])
+    x = rational_vector([3, 5, 7])
     tower = tw.extend_tower(tw.fan_tower(orthant_image(3, [])),
                             tw.TowardDirection(x), 4)
     assert calls == []
