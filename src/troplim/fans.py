@@ -2,6 +2,18 @@
 
 A fan is stored by its maximal cones; faces are derived on demand.  Validity
 means every pairwise intersection of stored cones is a common face of both.
+It is certified pair by pair from facet signs, with no conversion: the facet
+normals of each cone that are <= 0 on the other sum to a u that is >= 0 on
+one cone and <= 0 on the other, so their meet lies in u^⊥; when both cones
+have the same lines and meet u^⊥ in the same proper face, that face is the
+meet (Fulton, *Introduction to Toric Varieties*, 1993, §1.2).  Equal cones,
+containments and the pairs the certificate leaves undecided, such as
+opposite cones meeting only at 0 that no sum of facing normals separates,
+get the full check: the meet is converted and compared with both cones'
+faces, so the messages and their order do not depend on the certificate.
+The same signs skip the refinement of a pair whose meet lies in a facet,
+decide whether a facet lies in a carrier's facet, and pick the facets that
+a star split joins to its ray.
 Completeness is certified by facet pairing: a valid fan of full-dimensional
 cones covers the whole space exactly when every facet of every maximal cone
 is shared with exactly one other maximal cone (the support is then closed and
@@ -30,8 +42,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, cmp_to_key
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
+from . import _linalg as la
 from .errors import DimensionMismatch, ValidationError
 from .lattice import (
     Cone,
@@ -132,8 +146,42 @@ def _is_complete(maximal: Sequence[Cone], n: int) -> bool:
     return all(k == 2 for k, _ in _pair_facets(maximal))
 
 
+def _facing(a: Cone, b: Cone) -> list[IVec]:
+    """a's facet normals that are <= 0 on b: on its rays, and 0 on its lines.
+    Each one puts a ∩ b in a proper face of a."""
+    return [f for f in a.facets
+            if all(sum(map(mul, f, r)) <= 0 for r in b.rays)
+            and not any(sum(map(mul, f, l)) for l in b.lines)]
+
+
+def _separated(a: Cone, b: Cone) -> bool:
+    """Is a ∩ b a proper face of both, by a facet-sign certificate?
+
+    u, the sum of ``_facing(a, b)`` minus that of ``_facing(b, a)``, is
+    >= 0 on a and <= 0 on b, so a ∩ b lies in u^⊥.  Each summand has one
+    sign on each cone, so a cone meets u^⊥ in the face spanned by its lines
+    and the rays on which u vanishes.  When a and b have the same lines and
+    those rays are the same proper subset of each, that face is a ∩ b
+    (Fulton's separation lemma).  False leaves the pair undecided.
+    """
+    if a.lines != b.lines:
+        return False
+    u = [0] * a.n
+    for f in _facing(a, b):
+        u = [x + y for x, y in zip(u, f)]
+    for g in _facing(b, a):
+        u = [x - y for x, y in zip(u, g)]
+    on_a = tuple(r for r in a.rays if not sum(map(mul, u, r)))
+    return on_a == tuple(r for r in b.rays if not sum(map(mul, u, r))) and \
+        len(on_a) < min(len(a.rays), len(b.rays))
+
+
 def _violations(cones: list[Cone], n: Optional[int]) -> list[str]:
-    """Every fan axiom the cones break, in the order checked; empty for a fan."""
+    """Every fan axiom the cones break, in the order checked; empty for a fan.
+
+    A pair that ``_separated`` certifies is skipped; every other pair is
+    intersected and its meet checked against both cones.
+    """
     if not cones:
         return ["fan has no cones"]
     violations = [f"cone {i} lives in rank {c.n}, expected {n}"
@@ -145,6 +193,8 @@ def _violations(cones: list[Cone], n: Optional[int]) -> list[str]:
             a, b = cones[i], cones[j]
             if a == b:
                 violations.append(f"cones {i} and {j} are equal")
+                continue
+            if _separated(a, b):
                 continue
             m = cone_intersect(a, b)
             if m == a or m == b:
@@ -274,13 +324,15 @@ def is_subdivision(fine: Fan, coarse: Fan) -> Optional[SubdivisionWitness]:
         sigma = coarse.maximal[j]
         if taus == [sigma]:
             continue
-        sigma_facets = facet_cones(sigma)
         for count, f in _pair_facets(taus):
             if count == 2:
                 continue
             if count > 2:
                 return None
-            if not any(cone_subset(f, sf) for sf in sigma_facets):
+            # f lies in sigma, so in the facet of a normal vanishing on it
+            gens = f.rays + f.lines
+            if not any(all(la.dot(g, x) == 0 for x in gens)
+                       for g in sigma.facets):
                 return None
     return SubdivisionWitness(fine, coarse, tuple(carrier))
 
@@ -296,6 +348,9 @@ def common_refinement(a: Fan, b: Fan) -> Fan:
     pieces = set()
     for sa in a.maximal:
         for sb in b.maximal:
+            if _facing(sa, sb) or _facing(sb, sa):
+                # the meet lies in a facet of one of them
+                continue
             m = cone_intersect(sa, sb)
             if m.dim == d:
                 pieces.add(m)
@@ -328,7 +383,9 @@ def _split(fan: Fan, rays: dict[int, IVec]) -> Fan:
             # a lineality-only or zero cone has no facets to join with
             out.append(sigma)
             continue
-        out += [make_cone(list(f.rays) + [ray], n=fan.n, lines=list(f.lines))
-                for f in facet_cones(sigma)
-                if not cone_holds(f, [ray])]
+        # the ray lies in sigma, so in a facet exactly when its normal
+        # vanishes on it
+        out += [make_cone(list(_face(sigma, (f,)).rays) + [ray], n=fan.n,
+                          lines=list(sigma.lines))
+                for f in sigma.facets if la.dot(f, ray) != 0]
     return _trusted_fan(out, fan.n)

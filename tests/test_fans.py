@@ -4,6 +4,8 @@ Small expected values (cone counts, ray sets, witness existence) were worked
 out by hand on quadrant-sized examples and frozen.  Randomized suites build
 complete rank-2 fans from random ray sets through the angular-sort helper and
 check the refinement algebra and the subdivision partial order against them.
+The facet-sign shortcuts of validation, refinement, subdivision and splitting
+are checked against test-local copies of the converting code they replace.
 """
 
 import itertools
@@ -11,10 +13,11 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from troplim import fans
+from troplim import fans, lattice, towers as tw
 from troplim.errors import ValidationError
 from troplim.lattice import (
-    cone_from_generators as cg, cone_subset, locate, make_cone,
+    cone_faces, cone_from_generators as cg, cone_holds, cone_intersect,
+    cone_is_face, cone_subset, locate, make_cone, primitive,
 )
 
 
@@ -330,25 +333,30 @@ unimodular3 = st.lists(
     min_size=1, max_size=3)
 
 
-def octant_image(shears):
-    """The octant fan under a product of elementary shears e_i += k e_j."""
-    m = [[int(i == j) for j in range(3)] for i in range(3)]
+def shear_columns(n, shears):
+    """The columns of a product of elementary shears e_i += k e_j."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
     for (i, j), k in shears:
         for row in m:
             row[i] += k * row[j]
-    cols = [tuple(m[r][c] for r in range(3)) for c in range(3)]
+    return [tuple(m[r][c] for r in range(n)) for c in range(n)]
+
+
+def orthant_image(n, shears):
+    """The orthant fan under a product of elementary shears."""
+    cols = shear_columns(n, shears)
     cones = []
-    for signs in itertools.product((1, -1), repeat=3):
+    for signs in itertools.product((1, -1), repeat=n):
         cones.append(cg([tuple(s * a for a in col)
                          for s, col in zip(signs, cols)]))
-    return fans.fan_from_cones(cones, 3)
+    return fans.fan_from_cones(cones, n)
 
 
 @settings(max_examples=12, deadline=None)
 @given(unimodular3, unimodular3, st.tuples(*[st.integers(-2, 2)] * 3)
        .filter(any), st.integers(0, 7))
 def test_subdivision_witness_matches_full_scan_rank3(m1, m2, r, drop):
-    a, b = octant_image(m1), octant_image(m2)
+    a, b = orthant_image(3, m1), orthant_image(3, m2)
     s = fans.stellar_subdivision(a, r)
     ab = fans.common_refinement(a, b)
     for fine, coarse in ((s, a), (a, s), (ab, a), (ab, b), (a, a),
@@ -356,3 +364,276 @@ def test_subdivision_witness_matches_full_scan_rank3(m1, m2, r, drop):
                          (non_pure(s, drop), a)):
         assert_same_witness(fine, coarse)
     assert assert_same_witness(ab, b) is not None
+
+
+# -- facet-sign shortcuts against the converting code ------------------------
+
+
+def reference_violations(cones, n):
+    """``_violations`` before the facet-sign certificate: every pair that
+    is not equal is intersected, one conversion each."""
+    if not cones:
+        return ["fan has no cones"]
+    violations = [f"cone {i} lives in rank {c.n}, expected {n}"
+                  for i, c in enumerate(cones) if c.n != n]
+    if violations:
+        return violations
+    for i in range(len(cones)):
+        for j in range(i + 1, len(cones)):
+            a, b = cones[i], cones[j]
+            if a == b:
+                violations.append(f"cones {i} and {j} are equal")
+                continue
+            m = cone_intersect(a, b)
+            if m == a or m == b:
+                violations.append(f"cone {i if m == a else j} is contained "
+                                  f"in cone {j if m == a else i}")
+                continue
+            if not (cone_is_face(m, a) and cone_is_face(m, b)):
+                violations.append(
+                    f"cones {i} and {j} intersect in {m.rays} + lines "
+                    f"{m.lines}, not a common face")
+    return violations
+
+
+def reference_split(fan, rays):
+    """``_split`` before facets were kept by their normal's sign: each facet
+    cone is asked whether it holds the ray."""
+    out = []
+    for j, sigma in enumerate(fan.maximal):
+        ray = rays.get(j)
+        if ray is None or not sigma.facets:
+            out.append(sigma)
+            continue
+        out += [make_cone(list(f.rays) + [ray], n=fan.n, lines=list(f.lines))
+                for f in fans.facet_cones(sigma)
+                if not cone_holds(f, [ray])]
+    return fans._trusted_fan(out, fan.n)
+
+
+def reference_common_refinement(a, b):
+    """``common_refinement`` before facet signs skipped pairs: every pair
+    of maximal cones is intersected."""
+    pieces = {m for sa in a.maximal for sb in b.maximal
+              for m in [cone_intersect(sa, sb)] if m.dim == a.dim}
+    return fans._trusted_fan(pieces, a.n)
+
+
+def shears(n):
+    return st.lists(st.tuples(st.permutations(range(n)).map(lambda p: p[:2]),
+                              st.sampled_from((-1, 1))), max_size=3)
+
+
+def simplex_image(n, shears):
+    """The complete fan of the n + 1 cones each spanned by all but one of
+    e_1, ..., e_n, -(e_1 + ... + e_n), under a product of shears."""
+    cols = shear_columns(n, shears)
+    gens = cols + [tuple(-sum(c) for c in zip(*cols))]
+    return fans.fan_from_cones(
+        [cg(gens[:k] + gens[k + 1:]) for k in range(n + 1)], n)
+
+
+def lifted(fan):
+    """A rank-2 fan times the line through e_3."""
+    return fans.fan_from_cones(
+        [make_cone([r + (0,) for r in c.rays], n=3,
+                   lines=[l + (0,) for l in c.lines] + [(0, 0, 1)])
+         for c in fan.maximal], 3)
+
+
+def t_junction(cols):
+    """Two rank-3 cones meeting in an edge of one and half an edge of the
+    other, under the linear map with the given columns."""
+    def image(v):
+        return tuple(sum(a * c[k] for a, c in zip(v, cols)) for k in range(3))
+    return [cg([image(v) for v in ((0, 0, 1), (2, 0, 1), (0, 2, 1))]),
+            cg([image(v) for v in ((0, 0, 1), (1, 0, 1), (1, -2, 1))])]
+
+
+@st.composite
+def tower_levels(draw):
+    """A level of a barycentric, toward or common-refine-with tower over a
+    sheared orthant fan (ranks 2 and 3) or simplex fan (rank 4)."""
+    n = draw(st.sampled_from((2, 3, 4)))
+    image = orthant_image if n < 4 else simplex_image
+    base = image(n, draw(shears(n)))
+    kind = draw(st.sampled_from(("barycentric", "toward", "refine")))
+    if kind == "barycentric":
+        strategy = tw.StellarAtBarycenters()
+        steps = draw(st.integers(1, 2)) if n == 2 else 1
+    elif kind == "toward":
+        target = draw(st.tuples(*[st.integers(-3, 3)] * n).filter(any))
+        strategy = tw.TowardDirection(tw.symbolic_vector(list(target)))
+        steps = draw(st.integers(1, 3))
+    else:
+        strategy, steps = tw.CommonRefineWith(image(n, draw(shears(n)))), 1
+    return tw.extend_tower(tw.fan_tower(base), strategy, steps).fans[-1]
+
+
+@settings(max_examples=25, deadline=None)
+@given(tower_levels(), st.randoms(use_true_random=False))
+def test_tower_levels_validate_as_the_pairwise_check_does(fan, rnd):
+    cones = list(fan.maximal)
+    rnd.shuffle(cones)
+    assert fans._violations(cones, fan.n) == \
+        reference_violations(cones, fan.n) == []
+
+
+def perfect_cones(height):
+    """The maximal cones of the perfect-cone decomposition of binary
+    quadratic forms (q11, q12, q22) whose Farey triangle {u, v, u + v}
+    has entries of absolute value at most ``height``: each is spanned by
+    the squares (a², ab, b²) of its three vectors."""
+    def sign_free(v):
+        return v if v > (0, 0) else (-v[0], -v[1])
+
+    seen, todo = set(), [frozenset({(1, 0), (0, 1), (1, 1)})]
+    while todo:
+        tri = todo.pop()
+        if tri in seen or max(abs(x) for v in tri for x in v) > height:
+            continue
+        seen.add(tri)
+        for u, v in itertools.combinations(sorted(tri), 2):
+            for w in ((u[0] + v[0], u[1] + v[1]), (u[0] - v[0], u[1] - v[1])):
+                todo.append(frozenset({u, v, sign_free(w)}))
+    return [cg([(a * a, a * b, b * b) for a, b in tri]) for tri in seen]
+
+
+@pytest.mark.parametrize("height", (3, 6))
+def test_perfect_cone_fans_validate_as_the_pairwise_check_does(height):
+    cones = sorted(perfect_cones(height), key=fans._cone_key)
+    assert len(cones) == {3: 14, 6: 46}[height]
+    assert fans._violations(cones, 3) == reference_violations(cones, 3) == []
+    assert all(fans._separated(a, b)
+               for a, b in itertools.combinations(cones, 2))
+
+
+@st.composite
+def cone_lists(draw):
+    """Cones that break the fan axioms in every way validation names:
+    equal cones, a cone inside another (a face of it or not), overlaps
+    without containment, a rank-3 T-junction, cones with lines and a cone
+    of another rank, mixed with maximal cones of valid fans."""
+    n = draw(st.sampled_from((2, 3)))
+    vec = st.tuples(*[st.integers(-2, 2)] * n)
+    cones = []
+    if draw(st.booleans()):
+        fan = draw(st.sampled_from((
+            orthant_image(n, draw(shears(n))),
+            halfplane_fan((1, 2)) if n == 2 else lifted(quadrant_fan()))))
+        cones += draw(st.lists(st.sampled_from(fan.maximal), max_size=4,
+                               unique=True))
+    kinds = st.sampled_from(("random", "lines", "face", "copy", "t-junction",
+                             "rank"))
+    for kind in draw(st.lists(kinds, min_size=1, max_size=4)):
+        if kind in ("face", "copy") and cones:
+            c = draw(st.sampled_from(cones))
+            cones.append(c if kind == "copy"
+                         else draw(st.sampled_from(cone_faces(c))))
+        elif kind == "t-junction" and n == 3:
+            cones += t_junction(shear_columns(3, draw(shears(3))))
+        elif kind == "rank":
+            m = draw(st.sampled_from((n - 1, n + 1)))
+            cones.append(make_cone([(1,) * m], n=m))
+        else:
+            lines = draw(st.lists(vec, max_size=1)) if kind == "lines" else []
+            cones.append(make_cone(draw(st.lists(vec, min_size=1,
+                                                 max_size=3)),
+                                   n=n, lines=lines))
+    return draw(st.permutations(cones))
+
+
+@settings(max_examples=80, deadline=None)
+@given(cone_lists())
+def test_violations_match_the_pairwise_check(cones):
+    n = cones[0].n
+    assert fans._violations(cones, n) == reference_violations(cones, n)
+
+
+def test_the_certificate_leaves_containment_and_t_junctions_to_the_check():
+    quadrant, edge = cg([(1, 0), (0, 1)]), cg([(1, 0)])
+    a, b = t_junction(shear_columns(3, []))
+    for cones in ([quadrant, edge], [edge, quadrant], [a, b], [b, a]):
+        n = cones[0].n
+        assert fans._violations(cones, n) == reference_violations(cones, n)
+        assert fans._violations(cones, n)
+    assert not fans._separated(a, b) and not fans._separated(quadrant, edge)
+    assert fans._separated(quadrant, cg([(0, 1), (-1, 0)]))
+
+
+def assert_same_split(fan, rays):
+    got = fans._split(fan, rays)
+    assert got == reference_split(fan, rays)
+    assert_same_witness(got, fan)
+    return got
+
+
+def assert_same_refinement(a, b):
+    got = fans.common_refinement(a, b)
+    assert got == reference_common_refinement(a, b)
+    for fine, coarse in ((got, a), (got, b), (a, got)):
+        assert_same_witness(fine, coarse)
+
+
+def assert_facet_signs_agree(fan, other, ray):
+    """Split the fan at the ray where it holds it and at its cones' ray
+    sums, refine the results with each other and with ``other``, and
+    compare each step and its witness with the converting code."""
+    stellar = assert_same_split(fan, {
+        j: primitive(ray).direction for j, sigma in enumerate(fan.maximal)
+        if cone_holds(sigma, [ray])})
+    barycentric = assert_same_split(fan, {
+        j: primitive(sigma.relint_point()).direction
+        for j, sigma in enumerate(fan.maximal)
+        if sigma.dim >= 2 and sigma.rays})
+    for a, b in ((fan, other), (other, fan), (stellar, barycentric)):
+        assert_same_refinement(a, b)
+
+
+@settings(max_examples=25, deadline=None)
+@given(complete_fans_2d(), complete_fans_2d(), ray_dirs)
+def test_facet_signs_match_the_converting_code_rank2(a, b, r):
+    assert_facet_signs_agree(a, b, r)
+    # a ray off the halfplanes' line, so that it splits a halfplane
+    normal = (1, 2) if r[0] + 2 * r[1] else (2, -1)
+    assert_facet_signs_agree(halfplane_fan(normal), a, r)
+
+
+@settings(max_examples=10, deadline=None)
+@given(unimodular3, unimodular3, st.tuples(*[st.integers(-2, 2)] * 2)
+       .filter(any), st.integers(-2, 2), complete_fans_2d())
+def test_facet_signs_match_the_converting_code_rank3(m1, m2, r, z, plane):
+    a, b = orthant_image(3, m1), orthant_image(3, m2)
+    assert_facet_signs_agree(a, b, r + (z,))
+    prism = lifted(plane)
+    assert_facet_signs_agree(prism, a, r + (z,))
+    cones = list(prism.maximal)
+    assert fans._violations(cones, 3) == reference_violations(cones, 3) == []
+
+
+def test_facet_signs_leave_few_conversions_on_the_octant(monkeypatch):
+    """Two barycentric steps over the octant fan convert each new cone
+    twice and nothing else; the second step's witness converts nothing;
+    validating its 72 cones, facets read, converts one meet for each of the
+    336 of 2,556 pairs that the certificate leaves undecided."""
+    octant = orthant_image(3, [])
+    calls = []
+    convert = lattice._halfspaces_to_generators
+
+    def counted(*args):
+        calls.append(args)
+        return convert(*args)
+
+    monkeypatch.setattr(lattice, "_halfspaces_to_generators", counted)
+    first = tw.StellarAtBarycenters().step(octant)
+    second = tw.StellarAtBarycenters().step(first)
+    assert (len(second.maximal), len(calls)) == (72, 192)
+    calls.clear()
+    assert fans.is_subdivision(second, first) is not None
+    assert calls == []
+    for sigma in second.maximal:
+        sigma.facets
+    calls.clear()
+    report = fans.validate_fan(second.maximal)
+    assert report.valid and report.complete
+    assert len(calls) == 336
