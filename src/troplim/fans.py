@@ -2,18 +2,6 @@
 
 A fan is stored by its maximal cones; faces are derived on demand.  Validity
 means every pairwise intersection of stored cones is a common face of both.
-It is certified pair by pair from facet signs, with no conversion: the facet
-normals of each cone that are <= 0 on the other sum to a u that is >= 0 on
-one cone and <= 0 on the other, so their meet lies in u^⊥; when both cones
-have the same lines and meet u^⊥ in the same proper face, that face is the
-meet (Fulton, *Introduction to Toric Varieties*, 1993, §1.2).  Equal cones,
-containments and the pairs the certificate leaves undecided, such as
-opposite cones meeting only at 0 that no sum of facing normals separates,
-get the full check: the meet is converted and compared with both cones'
-faces, so the messages and their order do not depend on the certificate.
-The same signs skip the refinement of a pair whose meet lies in a facet,
-decide whether a facet lies in a carrier's facet, and pick the facets that
-a star split joins to its ray.
 Completeness is certified by facet pairing: a valid fan of full-dimensional
 cones covers the whole space exactly when every facet of every maximal cone
 is shared with exactly one other maximal cone (the support is then closed and
@@ -22,6 +10,19 @@ integer computations.  ``Fan.complete`` runs the pairing on first read.  One
 routine, ``_split``, does every star split: stellar subdivision and the
 barycentric and toward-direction tower steps differ only in which cones they
 split and at which rays.
+
+Validity is certified pair by pair from facet signs where they suffice, with
+no conversion: the facet normals of each cone that are <= 0 on the other sum
+to a u that is >= 0 on one cone and <= 0 on the other, so their meet lies in
+u^⊥; when both cones have the same lines and meet u^⊥ in the same proper
+face, that face is the meet (Fulton, *Introduction to Toric Varieties*,
+1993, §1.2).  Equal cones, containments and the pairs the certificate leaves
+undecided, such as opposite cones meeting only at 0 on whose rays the summed
+normals vanish, get the full check: the meet is converted and compared with
+both cones' faces, so the messages and their order do not depend on the
+certificate.  The same signs skip the refinement of a pair whose meet lies
+in a facet, decide whether a facet lies in a carrier's facet, and pick the
+facets that a star split joins to its ray.
 
 ``is_subdivision`` produces a checkable witness.  Containment of each fine
 cone in a coarse carrier is not enough (the fine fan might cover only part of
