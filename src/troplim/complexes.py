@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from operator import add
+from operator import add, itemgetter
 from typing import Mapping, Optional, Sequence
 
 from . import _linalg as la
@@ -503,26 +503,33 @@ def collapse_to_algebraic(x: DeltaComplex
 # -- points and scale subdivision --------------------------------------------
 
 
-def _drop_walls(x: DeltaComplex, name: str, points: Sequence[Sequence]
-                ) -> tuple[str, tuple]:
-    """Carrier of points given in a cell's barycentric coordinates.
+def _split_walls(points: Sequence[Sequence]) -> tuple[tuple[int, ...], tuple]:
+    """The walls of points given in a cell's barycentric coordinates, and
+    the points without those coordinates, in their order.
 
-    While some coordinate vanishes on every point, move to the face of the
-    first such coordinate j and drop coordinate j from each point; the
-    points keep their order.  Dropping a coordinate leaves the others as
-    they were, so the walls are the columns that vanish on the input, one
-    scan finds them all, and the carrier is the face left without them.
+    While some coordinate vanishes on every point, the points move to the
+    face of the first such coordinate j, which drops coordinate j from each.
+    Dropping a coordinate leaves the others as they were, so the walls are
+    the columns that vanish on the input, and one scan finds them all.
     """
     points = tuple(points)
     walls = [j for j, col in enumerate(zip(*points)) if not any(col)]
     del walls[len(points[0]) - 1:]  # a vertex has no face to move to
     if not walls:
-        return name, points
+        return (), points
     keep = [True] * len(points[0])
     for j in walls:
         keep[j] = False
-    return _face_without(x, name, walls), tuple(
+    return tuple(walls), tuple(
         tuple(itertools.compress(p, keep)) for p in points)
+
+
+def _drop_walls(x: DeltaComplex, name: str, points: Sequence[Sequence]
+                ) -> tuple[str, tuple]:
+    """Carrier of points given in a cell's barycentric coordinates: the
+    face left without their walls, with the points reduced onto it."""
+    walls, points = _split_walls(points)
+    return _face_without(x, name, walls), points
 
 
 def canonical_point(x: DeltaComplex, name: str, coords: Sequence
@@ -631,47 +638,87 @@ class SubdivisionResult:
         return self._carrier_index[name]
 
 
+def _templates(top: int, level: int) -> list[tuple]:
+    """For m = 0..top, the Freudenthal faces of ``level * O_m`` interior to
+    O_m, as (vertices, name suffixes, dimensions, wall sets, face getters).
+
+    The faces are enumerated from each base point y with y_1 < level
+    through the step sequences that leave it interior (``_interior_offsets``);
+    a face's vertices are in level-scaled barycentric coordinates, and its
+    suffix is ``_sub_name`` without the carrier.  The names of an m-cell's
+    faces are read from a pool: the names of its own template faces, then
+    those of its face on each wall set in turn, the whole template of
+    dimension m - len(walls) each.  A face getter takes that pool to the
+    names of the face's own codimension-1 faces, face i omitting vertex i.
+    """
+    strings: dict[tuple, str] = {}
+    out: list[tuple] = []
+    indexes: list[dict[tuple, int]] = []
+    for m in range(top + 1):
+        verts = []
+        # base points level > y_1 >= ... >= y_m >= 0
+        for low in itertools.combinations_with_replacement(range(level), m):
+            y = low[::-1]
+            base = tuple(a - b for a, b in zip((level,) + y, y + (0,)))
+            for offsets in _interior_offsets(tuple(not c for c in base[1:])):
+                verts.append(tuple(tuple(map(add, base, o)) for o in offsets))
+        index = {v: i for i, v in enumerate(verts)}
+        indexes.append(index)
+        start: dict[tuple[int, ...], int] = {(): 0}
+        size = len(verts)
+        getters = []
+        for v in verts:
+            row = []
+            for i in range(len(v)) if len(v) > 1 else ():
+                face = v[:i] + v[i + 1:]
+                # a face with no walls stays interior to the same cell
+                at = index.get(face)
+                if at is None:
+                    walls, face = _split_walls(face)
+                    if walls not in start:
+                        start[walls] = size
+                        size += len(out[m - len(walls)][0])
+                    at = start[walls] + indexes[m - len(walls)][face]
+                row.append(at)
+            getters.append(itemgetter(*row) if row else lambda pool: ())
+        out.append((verts, [_sub_name("", v, strings) for v in verts],
+                     [len(v) - 1 for v in verts], list(start)[1:], getters))
+    return out
+
+
 def scale_subdivide(x: DeltaComplex, level: int) -> SubdivisionResult:
     """Exact N-fold subdivision along the integral-affine structure.
 
     Every cell of the subdivision is a face of the Freudenthal subdivision
-    of ``level * O_m`` interior to exactly one cell of ``x``, so each is
-    enumerated once, from that cell: a base point y with y_1 < level and
-    the step sequences that leave it interior (``_interior_offsets``).
+    of ``level * O_m`` interior to exactly one cell of ``x``.  Those faces,
+    their names after the carrier's and where their own faces fall, depend
+    only on m and the level, so they are worked out once per dimension for
+    this call (``_templates``).  Each cell then takes its dimension's
+    template: a face's name is the carrier's name followed by the suffix,
+    and a face of a face that falls on walls of the cell is read from the
+    cell's face without those walls, found once per wall set.  Freudenthal
+    faces satisfy the simplicial identities, so they are not re-checked.
     """
     if not x.affine:
         raise NoAffineStructure(
             "the complex carries no integral-affine charts")
     if level < 1:
         raise ValueError("subdivision level must be a positive integer")
+    templates = _templates(x.dim, level)
     names: dict[tuple, str] = {}
-    strings: dict[tuple, str] = {}
-    for cell in x.cells:
-        # base points level > y_1 >= ... >= y_m >= 0, in level-scaled
-        # barycentric coordinates
-        for low in itertools.combinations_with_replacement(
-                range(level), cell.dim):
-            y = low[::-1]
-            base = tuple(a - b for a, b in zip((level,) + y, y + (0,)))
-            for offsets in _interior_offsets(tuple(not c for c in base[1:])):
-                key = (cell.name, tuple(tuple(map(add, base, o))
-                                        for o in offsets))
-                names[key] = _sub_name(*key, strings)
-    # face i omits vertex i; it is looked up directly when it stays in its
-    # cell's interior, else it falls to its own canonical carrier, and
-    # neighbouring cells share those, so each is pushed once; Freudenthal
-    # faces satisfy the simplicial identities, so they are not re-checked
-    pushed: dict[tuple, str] = {}
     cells = []
-    for (carrier, verts), name in names.items():
-        faces = []
-        for i in range(len(verts)) if len(verts) > 1 else ():
-            face = (carrier, verts[:i] + verts[i + 1:])
-            face_name = names.get(face) or pushed.get(face)
-            if face_name is None:
-                face_name = pushed[face] = names[_drop_walls(x, *face)]
-            faces.append(face_name)
-        cells.append(Cell(name, len(verts) - 1, tuple(faces)))
+    # the names of each cell's template faces, filled in before any
+    # coface of the cell reads them
+    instances: dict[str, list[str]] = {}
+    for cell in sorted(x.cells, key=lambda c: c.dim):
+        verts, suffixes, dims, walls, getters = templates[cell.dim]
+        own = [cell.name + s for s in suffixes]
+        pool = list(own)
+        for w in walls:
+            pool += instances[_face_without(x, cell.name, w)]
+        instances[cell.name] = own
+        names.update(zip(zip(itertools.repeat(cell.name), verts), own))
+        cells += map(Cell, own, dims, [get(pool) for get in getters])
     return SubdivisionResult(
         complex=_assemble(cells, affine=True, provenance=x.provenance),
         original=x,

@@ -376,17 +376,21 @@ def stellar_subdivision(fan: Fan, ray) -> Fan:
 
 def _split(fan: Fan, rays: dict[int, IVec]) -> Fan:
     """Replace each maximal cone j in ``rays``, which must hold ``rays[j]``,
-    by the joins of its facets missing that ray with it."""
+    by the joins of its facets missing that ray with it; a cone with no
+    such facet holds the ray in its lineality space and stays whole."""
     out = []
     for j, sigma in enumerate(fan.maximal):
         ray = rays.get(j)
-        if ray is None or not sigma.facets:
-            # a lineality-only or zero cone has no facets to join with
-            out.append(sigma)
-            continue
         # the ray lies in sigma, so in a facet exactly when its normal
         # vanishes on it
+        missing = [] if ray is None else [
+            f for f in sigma.facets if la.dot(f, ray) != 0]
+        if not missing:
+            # no ray, or one in every facet, so in sigma's lineality space
+            # (a lineality-only or zero cone has no facets at all): sigma
+            # is its own star
+            out.append(sigma)
+            continue
         out += [make_cone(list(_face(sigma, (f,)).rays) + [ray], n=fan.n,
-                          lines=list(sigma.lines))
-                for f in sigma.facets if la.dot(f, ray) != 0]
+                          lines=list(sigma.lines)) for f in missing]
     return _trusted_fan(out, fan.n)

@@ -3,8 +3,9 @@ ratio and rational direction vectors.
 
 None of these is reached by the library: the complexes (a point, a
 segment, a triangle, the square as two triangles, the boundary and the
-solid tetrahedron) are what the tests subdivide, map and compare, and a
-rational vector is the plain case of a symbolic direction.
+solid tetrahedron, the torus of two triangles) are what the tests
+subdivide, map and compare, and a rational vector is the plain case of a
+symbolic direction.
 """
 
 import itertools
@@ -62,6 +63,17 @@ def tetrahedron_boundary() -> DeltaComplex:
 
 def tetrahedron_solid() -> DeltaComplex:
     return make_complex(_simplex_cells(3))
+
+
+def torus() -> DeltaComplex:
+    """The torus R^2/Z^2 as a Δ-complex: one vertex, three loop edges a, b,
+    c (the sides and the diagonal of the unit square) and two triangles;
+    level N subdivides it into N^2 vertices, 3N^2 edges and 2N^2
+    triangles."""
+    return make_complex([
+        ("v", []), ("a", ["v", "v"]), ("b", ["v", "v"]), ("c", ["v", "v"]),
+        ("T0", ["b", "c", "a"]), ("T1", ["a", "c", "b"]),
+    ])
 
 
 def _simplex_cells(m: int) -> list[tuple[str, list[str]]]:

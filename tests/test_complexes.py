@@ -18,6 +18,7 @@ from builders import (
     square_complex,
     tetrahedron_boundary,
     tetrahedron_solid,
+    torus,
     triangle_complex,
 )
 from skeleton_references import alcoves, push_point, vertex_location
@@ -704,6 +705,7 @@ WALL_SHAPES = {
     "square": square_complex, "solid-tetrahedron": tetrahedron_solid,
     "boundary-tetrahedron": tetrahedron_boundary,
     "loop": lambda: cycle_complex(1), "3-cycle": lambda: cycle_complex(3),
+    "torus": torus,
 }
 
 
@@ -775,6 +777,35 @@ def test_scale_subdivide_matches_the_walk_on_corpus_shapes(shape):
     x = build(random.Random(shape))
     for level in range(1, top + 1):
         assert_matches_the_reference(x, level)
+
+
+@st.composite
+def subdivision_inputs(draw):
+    """A level from 1 to 6 and a wall shape or the ordered simplicial
+    complex spanned by up to four random simplices of dimension at most 3."""
+    level = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        return WALL_SHAPES[draw(st.sampled_from(sorted(WALL_SHAPES)))](), level
+    nverts = draw(st.integers(1, 6))
+    tops = draw(st.lists(st.sets(st.integers(0, nverts - 1), min_size=1,
+                                 max_size=4).map(sorted).map(tuple),
+                         min_size=1, max_size=4))
+    return ordered_complex(draw(st.randoms(use_true_random=False)), nverts,
+                           tops), level
+
+
+@settings(max_examples=40, deadline=None)
+@given(subdivision_inputs())
+def test_scale_subdivide_matches_the_walk_on_random_complexes(data):
+    assert_matches_the_reference(*data)
+
+
+def test_torus_subdivides_into_n_squared_squares():
+    """Level N cuts the torus of two triangles into N^2 unit squares, each
+    two triangles, on the N^2 points of (Z/N)^2."""
+    for level in range(1, 7):
+        assert count_cells(scale_subdivide(torus(), level).complex) == \
+            {0: level ** 2, 1: 3 * level ** 2, 2: 2 * level ** 2}
 
 
 @st.composite
@@ -927,6 +958,14 @@ def test_parsed_complexes_are_still_validated(monkeypatch):
     with pytest.raises(ValidationError, match="simplicial identity"):
         troplim_io.parse_complex_data(data, "x")
     assert len(calls) == 2
+
+
+@pytest.mark.xfail(strict=True, raises=ValidationError, reason=(
+    "subdivision cell names can repeat an input name (ROADMAP item 4)"))
+def test_subdivision_names_stay_apart_from_input_names():
+    # the segment's midpoint is named e|1, which the input already names
+    x = make_complex([("z0", []), ("e|1", []), ("e", ["e|1", "z0"])])
+    assert count_cells(scale_subdivide(x, 2).complex) == {0: 3, 1: 2}
 
 
 def test_subdivision_refuses_a_clash_on_an_interior_vertex():

@@ -190,6 +190,22 @@ def test_stellar_on_octant_facet_ray():
     assert fans.validate_fan(st_fan.maximal).valid
 
 
+def test_stellar_at_a_ray_in_the_lines_keeps_the_support():
+    """A ray in the lineality space of the cones holding it lies in every
+    facet of each, so they stay whole instead of dropping out: the closed
+    half-planes with normal (0, 1) at (1, 0), and in rank 3 the same
+    half-spaces times the line through e_3, and the quadrant wedges, at a
+    ray of their lines."""
+    plane = halfplane_fan((0, 1))
+    for fan, ray in ((plane, (1, 0)), (plane, (-1, 0)),
+                     (lifted(plane), (1, 0, 0)), (lifted(plane), (2, 0, -1)),
+                     (lifted(quadrant_fan()), (0, 0, 1))):
+        st_fan = fans.stellar_subdivision(fan, ray)
+        assert st_fan == fan
+        assert st_fan.complete
+        assert fans.is_subdivision(st_fan, fan) is not None
+
+
 def test_fan_from_rays_2d():
     assert fans.fan_from_rays_2d([(1, 0), (0, 1), (-1, 0), (0, -1)]) == \
         quadrant_fan()
