@@ -677,7 +677,7 @@ def _templates(top: int, level: int) -> list[tuple]:
                     walls, face = _split_walls(face)
                     if walls not in start:
                         start[walls] = size
-                        size += len(out[m - len(walls)][0])
+                        size += len(indexes[m - len(walls)])
                     at = start[walls] + indexes[m - len(walls)][face]
                 row.append(at)
             getters.append(itemgetter(*row) if row else lambda pool: ())
