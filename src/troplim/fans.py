@@ -386,9 +386,8 @@ def _split(fan: Fan, rays: dict[int, IVec]) -> Fan:
         missing = [] if ray is None else [
             f for f in sigma.facets if la.dot(f, ray) != 0]
         if not missing:
-            # no ray, or one in every facet, so in sigma's lineality space
-            # (a lineality-only or zero cone has no facets at all): sigma
-            # is its own star
+            # no ray, or one in every facet and so in sigma's lineality
+            # space (all of a cone with no facets): sigma is its own star
             out.append(sigma)
             continue
         out += [make_cone(list(_face(sigma, (f,)).rays) + [ray], n=fan.n,
