@@ -5,8 +5,8 @@ homogenization cone {(x, t) : E x + e t = 0, A x + a t >= 0, t >= 0} in one
 more dimension.  The polyhedron is nonempty exactly when the cone has a
 generator with positive last coordinate; summing all generators and scaling
 back to t = 1 produces a relative-interior point; the t = 0 face of the cone
-is the recession cone.  All of this is one call to the double-description
-conversion, so every quantity here is exact.
+is the recession cone.  All of this is read off the canonical generators
+of one double-description conversion, so every quantity here is exact.
 """
 
 from __future__ import annotations
@@ -16,9 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import _linalg as la
-from .lattice import Cone, IVec, halfspaces_to_generators
-
-Row = tuple[tuple[Fraction, ...], Fraction]  # (coefficients, constant)
+from .lattice import Cone, IVec
 
 
 @dataclass(frozen=True)
@@ -30,20 +28,11 @@ class PolyhedronInfo:
     recession: Cone
 
 
-def polyhedron_info(equations: Sequence[Row], inequalities: Sequence[Row],
-                    n: int) -> Optional[PolyhedronInfo]:
-    """Analyze {x : eq rows vanish, ineq rows nonnegative}; None if empty."""
-    eqs = [coeffs + (const,) for coeffs, const in equations]
-    ineqs = [coeffs + (const,) for coeffs, const in inequalities]
-    ineqs.append(tuple([Fraction(0)] * n) + (Fraction(1),))
-    lines, rays = halfspaces_to_generators(eqs, ineqs, n + 1)
-    return homogenization_info(lines, rays, n)
-
-
 def homogenization_info(lines: Sequence[IVec], rays: Sequence[IVec], n: int
                         ) -> Optional[PolyhedronInfo]:
-    """The facts of ``polyhedron_info`` read off the canonical (lines, rays)
-    of a homogenization cone in rank n + 1; None if no ray has t > 0."""
+    """Dimension, a relative-interior point and the recession cone of a
+    polyhedron, read off the canonical (lines, rays) of its homogenization
+    cone in rank n + 1; None if no ray has t > 0, so it is empty."""
     if not any(r[-1] > 0 for r in rays):
         return None
     total = [0] * (n + 1)

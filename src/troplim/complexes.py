@@ -23,6 +23,7 @@ complexes of compatible maps of fans.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -301,7 +302,7 @@ def from_incidence(inc: StrataIncidence) -> DeltaComplex:
             f"{sorted(s.name for s in deep)}")
     components = [s for s in inc.strata if s.codim == 0]
     nodes = [s for s in inc.strata if s.codim == 1]
-    cells: list[tuple[str, list[str]]] = [(s.name, []) for s in components]
+    cells = [Cell(s.name, 0, ()) for s in components]
     uppers: dict[str, set[str]] = {}
     for lower, upper in inc.closures:
         uppers.setdefault(lower, set()).add(upper)
@@ -313,16 +314,16 @@ def from_incidence(inc: StrataIncidence) -> DeltaComplex:
                     f"node {node.name!r} closure-linked to non-component "
                     f"{u!r}")
         if len(linked) == 2:
-            cells.append((node.name, [linked[1], linked[0]]))
+            cells.append(Cell(node.name, 1, (linked[1], linked[0])))
         elif len(linked) == 1:
             if inc.mode == "analytic":
-                cells.append((node.name, [linked[0], linked[0]]))
+                cells.append(Cell(node.name, 1, (linked[0], linked[0])))
             # algebraic mode cannot separate the branches: nothing to add
         else:
             raise IncoherentIncidence(
                 f"node {node.name!r} touches {len(linked)} components; "
                 f"expected 1 or 2")
-    return make_complex(cells, provenance=inc.mode)
+    return _assemble(cells, provenance=inc.mode)
 
 
 def polygon_incidence(m: int, mode: str = "analytic") -> StrataIncidence:
@@ -490,8 +491,7 @@ def collapse_to_algebraic(x: DeltaComplex
         raise IncoherentIncidence("collapse is defined for curve-type duals")
     loops = [c for c in x.by_dim(1) if c.faces[0] == c.faces[1]]
     kept = [c for c in x.cells if c not in loops]
-    collapsed = make_complex(
-        [(c.name, list(c.faces)) for c in kept], provenance="algebraic")
+    collapsed = _assemble(kept, provenance="algebraic")
     images = {c.name: (c.name, tuple(range(c.dim + 1))) for c in kept}
     for c in loops:
         images[c.name] = (c.faces[0], (0, 0))
@@ -598,6 +598,28 @@ def _interior_offsets(tight: tuple[bool, ...]) -> tuple[tuple, ...]:
     return tuple(out)
 
 
+def subdivision_counts(x: DeltaComplex, level: int) -> dict[int, int]:
+    """``count_cells(scale_subdivide(x, level).complex)``, no cell built.
+
+    An m-cell's faces are those of ``_interior_offsets(tight)`` from each
+    base point whose vanishing coordinates are ``tight``.  Those base
+    points split the level into m + 1 - |tight| positive parts, coordinate
+    0 and the others, so there are C(level - 1, m - |tight|) of them.
+    """
+    if level < 1:
+        raise ValueError("subdivision level must be a positive integer")
+    if not x.affine:
+        raise NoAffineStructure(
+            "the complex carries no integral-affine charts")
+    counts: Counter = Counter()
+    for m, cells in Counter(c.dim for c in x.cells).items():
+        for tight in itertools.product((False, True), repeat=m):
+            bases = cells * math.comb(level - 1, m - sum(tight))
+            for offsets in _interior_offsets(tight):
+                counts[len(offsets) - 1] += bases
+    return {d: k for d, k in sorted(counts.items()) if k}
+
+
 def _sub_name(carrier: str, points, strings=None) -> str:
     """Name of a subdivision cell from its level-scaled barycentric vertices
     in the carrier; each vertex is written in the order-simplex coordinates
@@ -622,8 +644,6 @@ class SubdivisionResult:
     complex: DeltaComplex
     original: DeltaComplex
     level: int
-    # (carrier, vertices) -> name of the subdivision cell, as enumerated
-    names: dict[tuple, str] = field(compare=False, repr=False)
 
     @cached_property
     def carriers(self) -> tuple[tuple[str, tuple[str, tuple]], ...]:
@@ -632,7 +652,10 @@ class SubdivisionResult:
 
     @cached_property
     def _carrier_index(self) -> dict[str, tuple[str, tuple]]:
-        return {name: key for key, name in self.names.items()}
+        # read on first use from the templates the cells were made from
+        templates = _templates(self.original.dim, self.level)
+        return {c.name + s: (c.name, v) for c in self.original.cells
+                for v, s in zip(*templates[c.dim][:2])}
 
     def carrier(self, name: str) -> tuple[str, tuple[tuple[int, ...], ...]]:
         return self._carrier_index[name]
@@ -705,25 +728,22 @@ def scale_subdivide(x: DeltaComplex, level: int) -> SubdivisionResult:
     if level < 1:
         raise ValueError("subdivision level must be a positive integer")
     templates = _templates(x.dim, level)
-    names: dict[tuple, str] = {}
     cells = []
     # the names of each cell's template faces, filled in before any
     # coface of the cell reads them
     instances: dict[str, list[str]] = {}
     for cell in sorted(x.cells, key=lambda c: c.dim):
-        verts, suffixes, dims, walls, getters = templates[cell.dim]
+        _, suffixes, dims, walls, getters = templates[cell.dim]
         own = [cell.name + s for s in suffixes]
         pool = list(own)
         for w in walls:
             pool += instances[_face_without(x, cell.name, w)]
         instances[cell.name] = own
-        names.update(zip(zip(itertools.repeat(cell.name), verts), own))
         cells += map(Cell, own, dims, [get(pool) for get in getters])
     return SubdivisionResult(
         complex=_assemble(cells, affine=True, provenance=x.provenance),
         original=x,
         level=level,
-        names=names,
     )
 
 

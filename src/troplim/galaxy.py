@@ -17,9 +17,9 @@ angles are symbols with rational enclosures; one too coarse to separate
 the angle from a vertex is refused.  Both cases depend only on the cycle
 sizes m·d, all a tower holds; it builds level degenerations on request.
 
-The decomposition ledger records, for any skeleton at a given level, the
-open slots realized so far (its rational points) and the count of the
-remaining positive-dimensional cells.
+The decomposition ledger counts, for any skeleton at a given level, the
+open slots realized so far (its rational points) and the remaining
+positive-dimensional cells, from the shape of the level-N subdivision.
 """
 
 from __future__ import annotations
@@ -30,14 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
-from .complexes import (
-    Cell,
-    DeltaComplex,
-    count_cells,
-    cycle_complex,
-    rational_points,
-    scale_subdivide,
-)
+from .complexes import Cell, DeltaComplex, cycle_complex, subdivision_counts
 from .errors import (
     DepthCap,
     IncompleteTower,
@@ -46,8 +39,6 @@ from .errors import (
     ValidationError,
 )
 from .towers import TOWER_DEPTH_CAP, Symbol
-
-QVec = tuple[Fraction, ...]
 
 
 # -- polygon degenerations ---------------------------------------------------
@@ -280,24 +271,24 @@ def f_tr_cell(skeleton: Union[PolygonDegeneration, DeltaComplex],
 
 @dataclass(frozen=True)
 class DecompositionRecord:
-    """Open slots realized at one level, plus the leftover cell count."""
+    """Open slots realized at one level, and the leftover cell count."""
 
     level: int
-    open_slots: tuple[tuple[str, QVec], ...]
+    slot_count: int
     non_klt_cells: int
-
-    @property
-    def slot_count(self) -> int:
-        return len(self.open_slots)
 
 
 def decomposition(skeleton: Union[PolygonDegeneration, DeltaComplex],
                   level: int) -> DecompositionRecord:
-    """Decompose a skeleton at a level: rational points vs remaining cells."""
+    """Decompose a skeleton at a level: rational points vs remaining cells.
+
+    The open slots are the vertices of the level-N subdivision, one per
+    rational point, and the rest are its positive-dimensional cells; both
+    are counted from the subdivision's shape, with no cell built.
+    """
     x = skeleton.complex if isinstance(skeleton, PolygonDegeneration) \
         else skeleton
-    slots = tuple(sorted(rational_points(x, level)))
-    counts = count_cells(scale_subdivide(x, level).complex)
-    non_klt = sum(c for d, c in counts.items() if d > 0)
-    return DecompositionRecord(level=level, open_slots=slots,
-                               non_klt_cells=non_klt)
+    counts = subdivision_counts(x, level)
+    slots = counts.pop(0)
+    return DecompositionRecord(level=level, slot_count=slots,
+                               non_klt_cells=sum(counts.values()))

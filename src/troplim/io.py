@@ -353,6 +353,9 @@ def parse_polynomial(path: str) -> TropicalPolynomial:
 def parse_incidence(path: str) -> StrataIncidence:
     obj = load_json(path)
     mode = require_field(obj, "mode", path)
+    if mode not in ("analytic", "algebraic"):
+        raise ParseError(f"{path}.mode: expected 'analytic' or 'algebraic', "
+                         f"got {mode!r}")
     strata = []
     for i, s in enumerate(_list(require_field(obj, "strata", path),
                                 f"{path}.strata")):

@@ -243,14 +243,6 @@ def ptrop_sample_oracle(coeffs: Mapping[IVec, complex], n: int,
     return tuple(_cluster(np.asarray(directions), CLUSTER_ANGLE))
 
 
-def distance_to_cone(rays: Sequence[Sequence[int]], u: Sequence[float]
-                     ) -> float:
-    """Angular distance from a direction to a cone given by its rays."""
-    import numpy as np
-    a = np.asarray(u, dtype=float)
-    return _angle_to(np.asarray(rays, dtype=float).T, a / np.linalg.norm(a))
-
-
 def _angle_to(mat: np.ndarray, a: np.ndarray) -> float:
     """Angle from the unit vector a to the cone spanned by mat's columns."""
     import numpy as np

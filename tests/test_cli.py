@@ -1109,6 +1109,12 @@ POINT_MAP = {"source": {"cells": [{"name": "p", "faces": []}]},
      [], 3, "symbols[0].name: expected a string, got 2"),
     ("map-fibers", {**SEGMENT_MAP, "cell_images": {"f": ["e", [0, 1]]}}, [],
      2, "cell_images['f'] names no source cell"),
+    ("dualcx", {**NODAL_INC, "mode": 5}, [], 3,
+     "mode: expected 'analytic' or 'algebraic', got 5"),
+    ("dualcx", {**NODAL_INC, "mode": ["analytic"]}, [], 3,
+     "mode: expected 'analytic' or 'algebraic', got ['analytic']"),
+    ("dualcx", {**NODAL_INC, "mode": "tropical"}, [], 3,
+     "mode: expected 'analytic' or 'algebraic', got 'tropical'"),
 ], ids=["map-reference-int", "map-phi-int", "galaxy-empty-symbol",
         "fiber-rank-empty-symbol", "limit-point-empty-symbol",
         "fan-negative-rank", "negative-exponent", "no-terms",
@@ -1120,7 +1126,8 @@ POINT_MAP = {"source": {"cells": [{"name": "p", "faces": []}]},
         "refine-with-a-smaller-support", "stratum-name-list",
         "closure-name-null", "cell-name-null", "face-name-int",
         "vertex-image-int", "phi-cell-bool", "point-cell-int",
-        "symbol-name-int", "phi-unknown-source-cell"])
+        "symbol-name-int", "phi-unknown-source-cell", "mode-int",
+        "mode-list", "mode-unknown"])
 def test_malformed_inputs_exit_with_a_documented_code(
         tmp_path, capsys, command, obj, flags, code, error):
     path = put(tmp_path, "in.json", obj)

@@ -49,6 +49,7 @@ from troplim.complexes import (
     polygon_incidence,
     rational_points,
     scale_subdivide,
+    subdivision_counts,
     toric_fiber_complex,
 )
 from troplim.errors import (
@@ -798,6 +799,36 @@ def subdivision_inputs(draw):
 @given(subdivision_inputs())
 def test_scale_subdivide_matches_the_walk_on_random_complexes(data):
     assert_matches_the_reference(*data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(subdivision_inputs())
+def test_subdivision_counts_match_the_built_subdivision(data):
+    """The counts read off the Freudenthal patterns are the cells the
+    templates build, and the vertices are the rational points."""
+    x, level = data
+    counts = subdivision_counts(x, level)
+    assert counts == count_cells(scale_subdivide(x, level).complex)
+    assert counts[0] == len(rational_points(x, level))
+
+
+def test_subdivision_counts_refuse_what_scale_subdivide_refuses():
+    with pytest.raises(ValueError):
+        subdivision_counts(triangle_complex(), 0)
+    flat = make_complex([("a", [])], affine=False)
+    with pytest.raises(NoAffineStructure):
+        subdivision_counts(flat, 2)
+
+
+def test_a_fresh_subdivision_holds_no_carrier_index():
+    """Carriers are read from the templates on first read, not kept by
+    ``scale_subdivide``; both readers build the same index."""
+    for read in (lambda sub: sub.carrier("a"), lambda sub: sub.carriers):
+        sub = scale_subdivide(square_complex(), 3)
+        assert "_carrier_index" not in vars(sub)
+        read(sub)
+        assert "_carrier_index" in vars(sub)
+    assert sub.carrier("a") == ("a", ((3,),))
 
 
 def test_torus_subdivides_into_n_squared_squares():

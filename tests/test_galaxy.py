@@ -16,6 +16,7 @@ from skeleton_references import (
     edge_interval,
     vertex_location,
 )
+from troplim import complexes
 from troplim.complexes import (
     count_cells,
     cycle_complex,
@@ -466,5 +467,16 @@ def test_decomposition_counts():
 def test_decomposition_slots_are_rational_points(level):
     x = triangle_complex()
     r = decomposition(x, level)
-    assert set(r.open_slots) == rational_points(x, level)
     assert r.slot_count == len(rational_points(x, level))
+
+
+def test_decomposition_builds_no_subdivision(monkeypatch):
+    """At level 10^9 only a count can finish: I_3 has 3·10^9 vertices and
+    as many edges, and neither a subdivision nor a point is built."""
+    def refuse(*args):
+        raise AssertionError("decomposition built a subdivision")
+
+    monkeypatch.setattr(complexes, "scale_subdivide", refuse)
+    monkeypatch.setattr(complexes, "rational_points", refuse)
+    r = decomposition(PolygonDegeneration(3), 10 ** 9)
+    assert r.slot_count == r.non_klt_cells == 3 * 10 ** 9

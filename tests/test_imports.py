@@ -22,12 +22,6 @@ READERS = sorted(p for d in ("src", "tests", "scripts")
 PROGRAM = sorted(p for d in ("src", "scripts", "perfbench")
                  for p in (ROOT / d).rglob("*.py"))
 
-# definitions only the tests name, each kept until the ROADMAP item named
-TEST_ONLY = {
-    "sampling.py": {"distance_to_cone"},   # item 2, dropping scipy
-    "_polyhedra.py": {"polyhedron_info"},  # item 1, the benchmark stage
-}
-
 
 def unused_imports(source: str) -> list[str]:
     """Names bound by top-level imports that nothing else in the module reads."""
@@ -110,7 +104,7 @@ def test_every_definition_is_named_outside_the_tests(path):
     so the exported API stays."""
     elsewhere = set().union(*(read_in(p) for p in PROGRAM if p != path))
     assert dead_definitions(path.read_text(encoding="utf-8"),
-                            elsewhere) == sorted(TEST_ONLY.get(path.name, ()))
+                            elsewhere) == []
 
 
 def attributes_read(tree: ast.AST) -> set[str]:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from troplim import tropical as tp
-from troplim._polyhedra import affine_dim, polyhedron_info
+from troplim._polyhedra import affine_dim, homogenization_info
 from troplim.errors import (
     BoundViolation,
     DimensionMismatch,
@@ -21,6 +21,7 @@ from troplim.lattice import (
     cone_intersect,
     cone_is_face,
     face_lattice,
+    halfspaces_to_generators,
     locate,
     make_cone,
     positive_orthant,
@@ -33,6 +34,18 @@ def nodal_cubic():
 
 def line_poly():
     return tp.trop_poly({(1, 0): 0, (0, 1): 0})
+
+
+def polyhedron_info(equations, inequalities, n):
+    """Dimension, a relative-interior point and the recession cone of
+    {x : eq rows vanish, ineq rows nonnegative}, each row (coefficients,
+    constant), through one conversion of its homogenization; None if it is
+    empty."""
+    eqs = [coeffs + (const,) for coeffs, const in equations]
+    ineqs = [coeffs + (const,) for coeffs, const in inequalities]
+    ineqs.append(tuple([F(0)] * n) + (F(1),))
+    lines, rays = halfspaces_to_generators(eqs, ineqs, n + 1)
+    return homogenization_info(lines, rays, n)
 
 
 def reference_hypersurface(f):
