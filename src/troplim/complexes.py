@@ -119,8 +119,10 @@ def _refuse_repeats(names: Sequence[str], what: str = "cell") -> None:
 def _assemble(cells: Sequence[Cell], affine: bool = True,
               provenance: Optional[str] = None) -> DeltaComplex:
     """The complex of cells known to satisfy the simplicial identities;
-    only their names are checked.  Every complex troplim builds comes
-    through here, an input after ``make_complex`` has validated it."""
+    only that there are some, with unique names, is checked.  Every complex
+    troplim builds comes through here, an input after ``make_complex``."""
+    if not cells:
+        raise ValidationError("a complex needs at least one cell")
     _refuse_repeats([c.name for c in cells])
     return DeltaComplex(tuple(sorted(cells, key=lambda c: (c.dim, c.name))),
                         affine=affine, provenance=provenance)
@@ -142,8 +144,6 @@ def make_complex(cells: Sequence[tuple[str, Sequence[str]]],
             raise ValidationError(
                 f"cells[{i}].faces: expected a list or tuple, got {fs!r}")
     pending = [(n, tuple(fs)) for n, fs in pending]
-    if not pending:
-        raise ValidationError("a complex needs at least one cell")
     if not all(isinstance(v, str) for n, fs in pending for v in (n, *fs)):
         # field names are formatted only once some field fails
         _refuse_types([(f"cells[{i}].name", n, str)
@@ -196,10 +196,7 @@ def cell_vertices(x: DeltaComplex, name: str) -> tuple[str, ...]:
 
 def count_cells(x: DeltaComplex) -> dict[int, int]:
     """Number of cells in each dimension."""
-    out: dict[int, int] = {}
-    for c in x.cells:
-        out[c.dim] = out.get(c.dim, 0) + 1
-    return out
+    return dict(Counter(c.dim for c in x.cells))
 
 
 def _signed_sum(counts: dict[int, int]) -> int:
@@ -225,6 +222,9 @@ def cycle_complex(m: int) -> DeltaComplex:
 
 
 # -- stratification incidence ------------------------------------------------
+
+
+INCIDENCE_MODES = ("analytic", "algebraic")
 
 
 @dataclass(frozen=True)
@@ -255,7 +255,7 @@ class StrataIncidence:
 
 def make_incidence(mode: str, strata, closures) -> StrataIncidence:
     """Validate field types, mode, codimension order and branch arithmetic."""
-    if mode not in ("analytic", "algebraic"):
+    if mode not in INCIDENCE_MODES:
         raise ValidationError(f"unknown incidence mode {mode!r}")
     ss = tuple(Stratum(*s) for s in _unpack(strata, 3, "strata"))
     pairs = tuple(_unpack(closures, 2, "closures"))

@@ -48,6 +48,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional, Union
 
 from .complexes import (
+    INCIDENCE_MODES,
     ComplexMap,
     DeltaComplex,
     StrataIncidence,
@@ -353,9 +354,9 @@ def parse_polynomial(path: str) -> TropicalPolynomial:
 def parse_incidence(path: str) -> StrataIncidence:
     obj = load_json(path)
     mode = require_field(obj, "mode", path)
-    if mode not in ("analytic", "algebraic"):
-        raise ParseError(f"{path}.mode: expected 'analytic' or 'algebraic', "
-                         f"got {mode!r}")
+    if mode not in INCIDENCE_MODES:
+        raise ParseError(f"{path}.mode: expected " + " or ".join(
+            map(repr, INCIDENCE_MODES)) + f", got {mode!r}")
     strata = []
     for i, s in enumerate(_list(require_field(obj, "strata", path),
                                 f"{path}.strata")):

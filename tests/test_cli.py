@@ -1115,6 +1115,8 @@ POINT_MAP = {"source": {"cells": [{"name": "p", "faces": []}]},
      "mode: expected 'analytic' or 'algebraic', got ['analytic']"),
     ("dualcx", {**NODAL_INC, "mode": "tropical"}, [], 3,
      "mode: expected 'analytic' or 'algebraic', got 'tropical'"),
+    ("dualcx", {**NODAL_INC, "strata": [], "closures": []}, [], 2,
+     "a complex needs at least one cell"),
 ], ids=["map-reference-int", "map-phi-int", "galaxy-empty-symbol",
         "fiber-rank-empty-symbol", "limit-point-empty-symbol",
         "fan-negative-rank", "negative-exponent", "no-terms",
@@ -1127,7 +1129,7 @@ POINT_MAP = {"source": {"cells": [{"name": "p", "faces": []}]},
         "closure-name-null", "cell-name-null", "face-name-int",
         "vertex-image-int", "phi-cell-bool", "point-cell-int",
         "symbol-name-int", "phi-unknown-source-cell", "mode-int",
-        "mode-list", "mode-unknown"])
+        "mode-list", "mode-unknown", "no-strata"])
 def test_malformed_inputs_exit_with_a_documented_code(
         tmp_path, capsys, command, obj, flags, code, error):
     path = put(tmp_path, "in.json", obj)

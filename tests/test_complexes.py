@@ -247,6 +247,12 @@ def test_incidence_rejects_deep_or_wide_strata():
         from_incidence(wide)
 
 
+@pytest.mark.parametrize("mode", ["analytic", "algebraic"])
+def test_an_incidence_without_strata_has_no_dual_complex(mode):
+    with pytest.raises(ValidationError, match="at least one cell"):
+        from_incidence(make_incidence(mode, [], []))
+
+
 def test_collapse_loop_to_point():
     loop = from_incidence(nodal_cubic_incidence("analytic"))
     collapsed, mapping = collapse_to_algebraic(loop)
