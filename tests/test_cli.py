@@ -1198,6 +1198,64 @@ def test_schema_mutations_exit_with_a_documented_code(tmp_path, capsys,
     capsys.readouterr()
 
 
+def _deleted(obj, path):
+    out = copy.deepcopy(obj)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    del node[path[-1]]
+    return out
+
+
+# per subcommand: the SHA-256 of the exit code and stderr of every run of
+# test_schema_mutation_errors_are_frozen, frozen before io read every field
+# through one helper
+SCHEMA_MUTATION_DIGESTS = {
+    "dualcx":
+        "c9b4f2accadd5e26775a8907a512e0d455934fe8fcd2682b5bb662309ef91168",
+    "fan-validate":
+        "cd3428322b0ec060ce1633d4930a27fadc50ecd1f02fddc696451b338f7a4c05",
+    "fiber-rank":
+        "4320211d0509bf501438dcbf1a2d87bfc4e616b96c2716bd2547c2e54c63ee6e",
+    "galaxy":
+        "331f67bbc17a167f75dfb312deb0073ff2896185f76acc733a4c3a5b34c8d7a8",
+    "limit-point":
+        "519ff12d43d958bece672a6d55464b751c1d3390afce5f2e8c3a0c9c2861aa9c",
+    "map-fibers":
+        "81dc8aa2b6c4deda9da66afea3b67bf5dedfeb0f07fa8059f1338208a21cb101",
+    "ptrop":
+        "a7bff666080d4818d5e794886bc563f1c598ad548b05f0ca8632f9ec243f1948",
+    "rational-points":
+        "d688beae5091ef369f7ab2d88e969c56c0b4e670071b07a9d0a3be6e470d4b39",
+    "refine":
+        "04e1de020056c32348967e4a401a7845e3f8460028c191636c97ad48a3bbd56f",
+    "subdivide":
+        "6402c4bf3882ffd4dfa68a1cb3ee7ca7dcf134865f263d15fbd8708092c51dbf",
+    "toric-fiber":
+        "9333368b2c4457590f932055e4cecb86d44c8d93288086068143c0fc7091c2c0",
+    "trop":
+        "e30af4adbfd3d63c05ad5a3f99af2f91683550807b1388e66660dc8f687d3106",
+}
+
+
+@pytest.mark.parametrize("command", sorted(EXEMPLARS))
+def test_schema_mutation_errors_are_frozen(tmp_path, capsys, monkeypatch,
+                                           command):
+    """Each field of a valid input deleted, and replaced in turn by each
+    JSON kind: the exit code and the error message of every run."""
+    exemplar = EXEMPLARS[command]
+    argv = _exemplar_argv(tmp_path, monkeypatch, command, exemplar)
+    log = hashlib.sha256()
+    for field in _field_paths(exemplar):
+        for obj in [_deleted(exemplar, field)] + [
+                _replaced(exemplar, field, value)
+                for value in (None, True, -1, "x", [], {})]:
+            put(tmp_path, "in.json", obj)
+            code = cli.main(argv)
+            log.update(f"{field} {code} {capsys.readouterr().err}\n".encode())
+    assert log.hexdigest() == SCHEMA_MUTATION_DIGESTS[command]
+
+
 # -- the CLI surface, frozen -------------------------------------------------
 
 
