@@ -185,22 +185,55 @@ def load_json(path: str) -> dict:
     return obj
 
 
-def require_field(obj: dict, key: str, where: str):
-    if key not in obj:
-        raise ParseError(f"{where}: missing field {key!r}")
-    return obj[key]
+_REQUIRED = object()
+
+
+def _field(obj, key: str, where: str, read, *args, default=_REQUIRED):
+    """Field `key` of the object at `where`, as ``read(value,
+    f"{where}.{key}", *args)``, so every error names the field's path.  A
+    missing field is a ParseError unless a default is given, which is
+    returned unread."""
+    if key not in _object(obj, where):
+        if default is _REQUIRED:
+            raise ParseError(f"{where}: missing field {key!r}")
+        return default
+    return read(obj[key], f"{where}.{key}", *args)
+
+
+def _items(value, where: str) -> list[tuple[object, str]]:
+    """Each item of the list at `where`, with its path."""
+    return [(v, f"{where}[{i}]") for i, v in enumerate(_list(value, where))]
+
+
+def _typed(value, where: str, types, expected: str):
+    if not isinstance(value, types):
+        raise ParseError(f"{where}: expected {expected}")
+    return value
 
 
 def _object(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ParseError(f"{where}: expected an object")
-    return value
+    return _typed(value, where, dict, "an object")
 
 
 def _list(value, where: str) -> list:
-    if not isinstance(value, list):
-        raise ParseError(f"{where}: expected a list")
-    return value
+    return _typed(value, where, list, "a list")
+
+
+def _pair(value, where: str, expected: str) -> list[tuple[object, str]]:
+    """The two items of a two-item list, with their paths."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise ParseError(f"{where}: expected {expected}")
+    return _items(value, where)
+
+
+def _map(value, where: str, read) -> dict:
+    """Each value of the object at `where`, read at its key's path."""
+    return {k: read(v, f"{where}[{k!r}]")
+            for k, v in _object(value, where).items()}
+
+
+def _nullable(value, where: str, read, *args):
+    return None if value is None else read(value, where, *args)
 
 
 def _name(value, where: str) -> str:
@@ -251,40 +284,44 @@ def fmt_rational(q: Fraction) -> str:
 
 
 def _int_list(value, where: str, low: Optional[int] = None) -> list[int]:
-    return [parse_int(v, f"{where}[{i}]", low)
-            for i, v in enumerate(_list(value, where))]
+    return [parse_int(v, w, low) for v, w in _items(value, where)]
 
 
 def _int_rows(value, where: str) -> list[list[int]]:
-    return [_int_list(row, f"{where}[{i}]")
-            for i, row in enumerate(_list(value, where))]
+    return [_int_list(row, w) for row, w in _items(value, where)]
+
+
+def _sized(row: list, where: str, n: int, of: str) -> list:
+    if len(row) != n:
+        raise ParseError(
+            f"{where}: length {len(row)} does not match {of} {n}")
+    return row
 
 
 # -- fans --------------------------------------------------------------------
 
 
-def parse_fan_data(obj, where: str) -> tuple[int, list[Cone]]:
-    """Rank and maximal cones of a fan object, without the fan axioms."""
-    obj = _object(obj, where)
-    rank = parse_int(require_field(obj, "rank", where), f"{where}.rank",
-                     low=0)
-    rays = _int_rows(require_field(obj, "rays", where), f"{where}.rays")
-    for i, ray in enumerate(rays):
-        if len(ray) != rank:
-            raise ParseError(
-                f"{where}.rays[{i}]: length {len(ray)} does not match rank "
-                f"{rank}")
+def _rays(value, where: str, rank: int) -> list[list[int]]:
+    """Every ray is read before any length is checked."""
+    return [_sized(ray, w, rank, "rank")
+            for ray, w in _items(_int_rows(value, where), where)]
+
+
+def _cones(value, where: str, rays: list, rank: int) -> list[Cone]:
     cones = []
-    for i, idxs in enumerate(_int_rows(
-            require_field(obj, "maximal_cones", where),
-            f"{where}.maximal_cones")):
+    for idxs, w in _items(_int_rows(value, where), where):
         for j in idxs:
             if not 0 <= j < len(rays):
-                raise ParseError(
-                    f"{where}.maximal_cones[{i}]: ray index {j} out of "
-                    f"range")
+                raise ParseError(f"{w}: ray index {j} out of range")
         cones.append(cone_from_generators([rays[j] for j in idxs], n=rank))
-    return rank, cones
+    return cones
+
+
+def parse_fan_data(obj, where: str) -> tuple[int, list[Cone]]:
+    """Rank and maximal cones of a fan object, without the fan axioms."""
+    rank = _field(obj, "rank", where, parse_int, 0)
+    rays = _field(obj, "rays", where, _rays, rank)
+    return rank, _field(obj, "maximal_cones", where, _cones, rays, rank)
 
 
 def _fan(obj, where: str) -> Fan:
@@ -301,17 +338,17 @@ def parse_fan_cones(path: str) -> tuple[int, list[Cone]]:
     return parse_fan_data(load_json(path), path)
 
 
+def _cone(obj, where: str, n: int) -> Cone:
+    return cone_from_generators(_field(obj, "rays", where, _int_rows), n=n)
+
+
 def parse_toric_fiber(path: str) -> tuple[list[list[int]], Fan, Fan, Cone]:
     """Lattice map, source and target fans and base cone of a toric-fiber
     file."""
     obj = load_json(path)
-    matrix = _int_rows(require_field(obj, "matrix", path), f"{path}.matrix")
-    source, target = (_fan(require_field(obj, k, path), f"{path}.{k}")
-                      for k in ("source", "target"))
-    base = _object(require_field(obj, "base", path), f"{path}.base")
-    rays = _int_rows(require_field(base, "rays", f"{path}.base"),
-                     f"{path}.base.rays")
-    return matrix, source, target, cone_from_generators(rays, n=target.n)
+    matrix = _field(obj, "matrix", path, _int_rows)
+    source, target = (_field(obj, k, path, _fan) for k in ("source", "target"))
+    return matrix, source, target, _field(obj, "base", path, _cone, target.n)
 
 
 def serialize_fan(fan: Fan) -> dict:
@@ -328,73 +365,56 @@ def serialize_fan(fan: Fan) -> dict:
 # -- polynomials -------------------------------------------------------------
 
 
+def _exponent(value, where: str, n: int) -> tuple[int, ...]:
+    return tuple(_sized(_int_list(value, where, 0), where, n, "vars"))
+
+
+def _terms(value, where: str, n: int) -> list[tuple[tuple, Fraction]]:
+    terms = _items(value, where)
+    if not terms:
+        raise ParseError(f"{where}: expected at least one term")
+    return [(_field(t, "exp", w, _exponent, n),
+             _field(t, "val", w, parse_rational)) for t, w in terms]
+
+
 def parse_polynomial(path: str) -> TropicalPolynomial:
     obj = load_json(path)
-    n = parse_int(require_field(obj, "vars", path), f"{path}.vars")
-    terms_raw = _list(require_field(obj, "terms", path), f"{path}.terms")
-    if not terms_raw:
-        raise ParseError(f"{path}.terms: expected at least one term")
-    terms = []
-    for i, t in enumerate(terms_raw):
-        where = f"{path}.terms[{i}]"
-        t = _object(t, where)
-        exp = _int_list(require_field(t, "exp", where), f"{where}.exp",
-                        low=0)
-        if len(exp) != n:
-            raise ParseError(
-                f"{where}.exp: length {len(exp)} does not match vars {n}")
-        val = parse_rational(require_field(t, "val", where), f"{where}.val")
-        terms.append((tuple(exp), val))
-    return trop_poly(terms, n=n)
+    n = _field(obj, "vars", path, parse_int)
+    return trop_poly(_field(obj, "terms", path, _terms, n), n=n)
 
 
 # -- incidence and complexes -------------------------------------------------
 
 
+def _mode(value, where: str) -> str:
+    if value not in INCIDENCE_MODES:
+        raise ParseError(f"{where}: expected " + " or ".join(
+            map(repr, INCIDENCE_MODES)) + f", got {value!r}")
+    return value
+
+
 def parse_incidence(path: str) -> StrataIncidence:
     obj = load_json(path)
-    mode = require_field(obj, "mode", path)
-    if mode not in INCIDENCE_MODES:
-        raise ParseError(f"{path}.mode: expected " + " or ".join(
-            map(repr, INCIDENCE_MODES)) + f", got {mode!r}")
-    strata = []
-    for i, s in enumerate(_list(require_field(obj, "strata", path),
-                                f"{path}.strata")):
-        w = f"{path}.strata[{i}]"
-        s = _object(s, w)
-        strata.append((
-            _name(require_field(s, "name", w), f"{w}.name"),
-            parse_int(require_field(s, "codim", w), f"{w}.codim"),
-            parse_int(require_field(s, "branches", w), f"{w}.branches"),
-        ))
-    closures = []
-    for i, pair in enumerate(_list(require_field(obj, "closures", path),
-                                   f"{path}.closures")):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ParseError(
-                f"{path}.closures[{i}]: expected a [lower, upper] pair")
-        closures.append(tuple(_name(v, f"{path}.closures[{i}][{j}]")
-                              for j, v in enumerate(pair)))
+    mode = _field(obj, "mode", path, _mode)
+    strata = [(_field(s, "name", w, _name), _field(s, "codim", w, parse_int),
+               _field(s, "branches", w, parse_int))
+              for s, w in _field(obj, "strata", path, _items)]
+    closures = [tuple(_name(v, vw) for v, vw in
+                      _pair(pair, w, "a [lower, upper] pair"))
+                for pair, w in _field(obj, "closures", path, _items)]
     return make_incidence(mode, strata, closures)
 
 
 def parse_complex_data(obj, where: str) -> DeltaComplex:
-    obj = _object(obj, where)
     cells = []
-    for i, c in enumerate(_list(require_field(obj, "cells", where),
-                                f"{where}.cells")):
-        w = f"{where}.cells[{i}]"
-        c = _object(c, w)
-        faces = _list(require_field(c, "faces", w), f"{w}.faces")
-        cells.append((_name(require_field(c, "name", w), f"{w}.name"),
-                      [_name(f, f"{w}.faces[{j}]")
-                       for j, f in enumerate(faces)]))
-    affine = obj.get("affine", True)
-    if not isinstance(affine, bool):
-        raise ParseError(f"{where}.affine: expected a boolean")
-    provenance = obj.get("provenance")
-    if provenance is not None and not isinstance(provenance, str):
-        raise ParseError(f"{where}.provenance: expected a string or null")
+    for c, w in _field(obj, "cells", where, _items):
+        faces = _field(c, "faces", w, _items)
+        cells.append((_field(c, "name", w, _name),
+                      [_name(f, fw) for f, fw in faces]))
+    affine = _field(obj, "affine", where, _typed, bool, "a boolean",
+                    default=True)
+    provenance = _field(obj, "provenance", where, _typed, (str, type(None)),
+                        "a string or null", default=None)
     return make_complex(cells, affine=affine, provenance=provenance)
 
 
@@ -406,11 +426,13 @@ def serialize_complex(x: DeltaComplex) -> dict:
     }
 
 
-def _cycle_size(obj: dict, where: str) -> tuple[int, dict]:
-    """m of the {"elliptic": {"m": int, ...}} form, and the inner object."""
-    ell = _object(require_field(obj, "elliptic", where), f"{where}.elliptic")
-    where = f"{where}.elliptic"
-    return parse_int(require_field(ell, "m", where), f"{where}.m"), ell
+def _cycle_size(obj, where: str) -> int:
+    """m of the {"m": int, ...} object under "elliptic"."""
+    return _field(obj, "m", where, parse_int)
+
+
+def _tower_data(obj, where: str) -> tuple[int, list[int]]:
+    return _cycle_size(obj, where), _field(obj, "degrees", where, _int_list)
 
 
 def parse_cycle_or_complex(path: str
@@ -418,8 +440,13 @@ def parse_cycle_or_complex(path: str
     """A complex file, or {"elliptic": {"m": k}} for the I_k cycle."""
     obj = load_json(path)
     if "elliptic" in obj:
-        return PolygonDegeneration(_cycle_size(obj, path)[0])
+        return PolygonDegeneration(_field(obj, "elliptic", path, _cycle_size))
     return parse_complex_data(obj, path)
+
+
+def _image(value, where: str) -> tuple[str, tuple[int, ...]]:
+    (cell, cell_at), (phi, phi_at) = _pair(value, where, "[target cell, phi]")
+    return _name(cell, cell_at), tuple(_int_list(phi, phi_at))
 
 
 def parse_map_fibers(path: str) -> tuple[
@@ -427,34 +454,18 @@ def parse_map_fibers(path: str) -> tuple[
     """The simplicial map, the optional reference complex and the query
     points (cell name, barycentric coordinates) of a map-fibers file."""
     obj = load_json(path)
-    source, target = (parse_complex_data(require_field(obj, k, path),
-                                         f"{path}.{k}")
+    source, target = (_field(obj, k, path, parse_complex_data)
                       for k in ("source", "target"))
-    vertex_map = {k: _name(v, f"{path}.vertex_map[{k!r}]")
-                  for k, v in _object(require_field(obj, "vertex_map", path),
-                                      f"{path}.vertex_map").items()}
-    cell_images = None
-    if obj.get("cell_images") is not None:
-        cell_images = {}
-        for k, v in _object(obj["cell_images"],
-                            f"{path}.cell_images").items():
-            w = f"{path}.cell_images[{k!r}]"
-            if not (isinstance(v, list) and len(v) == 2):
-                raise ParseError(f"{w}: expected [target cell, phi]")
-            cell_images[k] = (_name(v[0], f"{w}[0]"),
-                              tuple(_int_list(v[1], f"{w}[1]")))
-    reference = None
-    if obj.get("reference") is not None:
-        reference = parse_complex_data(obj["reference"], f"{path}.reference")
+    vertex_map = _field(obj, "vertex_map", path, _map, _name)
+    cell_images = _field(obj, "cell_images", path, _nullable, _map, _image,
+                         default=None)
+    reference = _field(obj, "reference", path, _nullable, parse_complex_data,
+                       default=None)
     points = []
-    for i, pt in enumerate(_list(require_field(obj, "points", path),
-                                 f"{path}.points")):
-        w = f"{path}.points[{i}]"
-        pt = _object(pt, w)
-        coords = _list(require_field(pt, "coords", w), f"{w}.coords")
-        points.append((_name(require_field(pt, "cell", w), f"{w}.cell"),
-                       [parse_rational(c, f"{w}.coords[{j}]")
-                        for j, c in enumerate(coords)]))
+    for pt, w in _field(obj, "points", path, _items):
+        coords = _field(pt, "coords", w, _items)
+        points.append((_field(pt, "cell", w, _name),
+                       [parse_rational(c, cw) for c, cw in coords]))
     return (induced_map(source, target, vertex_map, cell_images), reference,
             points)
 
@@ -463,10 +474,8 @@ def parse_map_fibers(path: str) -> tuple[
 
 
 def _symbol(obj, where: str) -> Symbol:
-    obj = _object(obj, where)
-    name = _name(require_field(obj, "name", where), f"{where}.name")
-    lo, hi = (parse_rational(require_field(obj, k, where), f"{where}.{k}")
-              for k in ("lo", "hi"))
+    name = _field(obj, "name", where, _name)
+    lo, hi = (_field(obj, k, where, parse_rational) for k in ("lo", "hi"))
     if lo > hi:
         raise ParseError(f"{where}: lo {fmt_rational(lo)} exceeds hi "
                          f"{fmt_rational(hi)}")
@@ -474,18 +483,11 @@ def _symbol(obj, where: str) -> Symbol:
 
 
 def parse_symbolic_vector_data(obj, where: str) -> SymbolicVector:
-    obj = _object(obj, where)
-    symbols = [_symbol(s, f"{where}.symbols[{i}]") for i, s in enumerate(
-        _list(obj.get("symbols", []), f"{where}.symbols"))]
-    entries = []
-    for i, e in enumerate(_list(require_field(obj, "entries", where),
-                                f"{where}.entries")):
-        w = f"{where}.entries[{i}]"
-        if isinstance(e, list):
-            entries.append([parse_rational(c, f"{w}[{j}]")
-                            for j, c in enumerate(e)])
-        else:
-            entries.append(parse_rational(e, w))
+    symbols = [_symbol(s, w)
+               for s, w in _field(obj, "symbols", where, _items, default=[])]
+    entries = [[parse_rational(c, cw) for c, cw in _items(e, w)]
+               if isinstance(e, list) else parse_rational(e, w)
+               for e, w in _field(obj, "entries", where, _items)]
     return symbolic_vector(entries, symbols)
 
 
@@ -499,33 +501,28 @@ def parse_symbolic_vector(path: str) -> SymbolicVector:
 def parse_galaxy(path: str) -> tuple[EllipticTower, list[GalaxyPoint]]:
     """The elliptic tower and the angles of a galaxy file."""
     obj = load_json(path)
-    m, ell = _cycle_size(obj, path)
-    degrees = _int_list(require_field(ell, "degrees", f"{path}.elliptic"),
-                        f"{path}.elliptic.degrees")
-    points = []
-    for i, raw in enumerate(_list(obj.get("points", []), f"{path}.points")):
-        where = f"{path}.points[{i}]"
-        if isinstance(raw, dict):
-            point = _symbol(require_field(raw, "symbol", where),
-                            f"{where}.symbol")
-        else:
-            point = parse_rational(raw, where)
-        points.append(galaxy_point(point))
+    m, degrees = _field(obj, "elliptic", path, _tower_data)
+    points = [galaxy_point(_field(raw, "symbol", w, _symbol)
+                           if isinstance(raw, dict) else parse_rational(raw, w))
+              for raw, w in _field(obj, "points", path, _items, default=[])]
     return elliptic_tower(m, degrees), points
 
 
+def _strategy_kind(value, where: str) -> str:
+    if value not in ("stellar-at-barycenters", "toward-direction",
+                     "common-refine-with"):
+        raise ParseError(f"{where}: unknown strategy {value!r}")
+    return value
+
+
 def _parse_strategy(obj, where: str):
-    obj = _object(obj, where)
-    kind = require_field(obj, "kind", where)
+    kind = _field(obj, "kind", where, _strategy_kind)
     if kind == "stellar-at-barycenters":
         return StellarAtBarycenters()
     if kind == "toward-direction":
-        return TowardDirection(parse_symbolic_vector_data(
-            require_field(obj, "direction", where), f"{where}.direction"))
-    if kind == "common-refine-with":
-        return CommonRefineWith(_fan(require_field(obj, "fan", where),
-                                     f"{where}.fan"))
-    raise ParseError(f"{where}.kind: unknown strategy {kind!r}")
+        return TowardDirection(_field(obj, "direction", where,
+                                      parse_symbolic_vector_data))
+    return CommonRefineWith(_field(obj, "fan", where, _fan))
 
 
 def parse_limit_point(path: str) -> tuple[Fan, object, int, SymbolicVector]:
@@ -542,19 +539,15 @@ def parse_limit_point(path: str) -> tuple[Fan, object, int, SymbolicVector]:
         raise ValidationError(
             f"{path}: limit-point needs a fan tower, not an elliptic tower "
             f"input")
-    base = _fan(require_field(obj, "base_fan", path), f"{path}.base_fan")
-    steps = parse_int(obj.get("steps", 0), f"{path}.steps", low=0)
+    base = _field(obj, "base_fan", path, _fan)
+    steps = _field(obj, "steps", path, parse_int, 0, default=0)
     strategy = None
     if steps or "strategy" in obj:
-        strategy = _parse_strategy(require_field(obj, "strategy", path),
-                                   f"{path}.strategy")
-    if "direction" in obj:
-        direction = parse_symbolic_vector_data(obj["direction"],
-                                               f"{path}.direction")
-    elif isinstance(strategy, TowardDirection):
-        direction = strategy.target
+        strategy = _field(obj, "strategy", path, _parse_strategy)
+    if "direction" in obj or not isinstance(strategy, TowardDirection):
+        direction = _field(obj, "direction", path, parse_symbolic_vector_data)
     else:
-        raise ParseError(f"{path}: missing field 'direction'")
+        direction = strategy.target
     return base, strategy, steps, direction
 
 
