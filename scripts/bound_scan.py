@@ -26,9 +26,8 @@ import argparse
 import random
 from fractions import Fraction
 
-from troplim.tropical import ptrop_normal_fan, trop_poly
+from troplim.tropical import PTROP_ORDER_BOUND, ptrop_normal_fan, trop_poly
 
-BOUND = (1, 1, 2, 2, 3, 3, 3)
 
 WITNESSES = [
     ("y^4 + x*y^2 + x^2*y + x^4",
@@ -64,7 +63,7 @@ def main(argv=None):
         f = trop_poly(coeffs)
         d = f.degree
         print(f"  degree {d}: {label}: {point_count(f)} points "
-              f"(bound claims {BOUND[d - 1]})")
+              f"(bound claims {PTROP_ORDER_BOUND[d - 1]})")
     print()
 
     total = 0
@@ -77,7 +76,7 @@ def main(argv=None):
                 f = random_degree_d_germ(rng, d)
                 total += 1
                 count = point_count(f)
-                if count > BOUND[d - 1]:
+                if count > PTROP_ORDER_BOUND[d - 1]:
                     per_seed += 1
                     violations.append((seed, d, count, f))
         print(f"seed {seed}: {per_seed} violation(s) in "
@@ -88,7 +87,7 @@ def main(argv=None):
     for seed, d, count, f in violations:
         terms = ", ".join(f"x^{i}*y^{j}" for (i, j), _ in f.terms)
         print(f"  seed {seed}, degree {d}: {count} points "
-              f"(bound {BOUND[d - 1]}) from [{terms}]")
+              f"(bound {PTROP_ORDER_BOUND[d - 1]}) from [{terms}]")
     if violations:
         print("\nthe bound is a strong empirical tendency, not a theorem: "
               "staircase-shaped supports break it")

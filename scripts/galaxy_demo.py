@@ -16,6 +16,7 @@ Usage:
 import argparse
 from fractions import Fraction
 
+from troplim.errors import IncompleteTower, UndecidableSign
 from troplim.galaxy import (
     PolygonDegeneration,
     classify_point,
@@ -52,7 +53,7 @@ def main(argv=None):
     for theta in SAMPLE_RATIONALS:
         try:
             res = classify_point(tower, galaxy_point(theta))
-        except Exception as exc:  # a too-short tower cannot certify
+        except IncompleteTower as exc:  # a too-short tower cannot certify
             print(f"  {str(theta):>6}: {type(exc).__name__}: {exc}")
             continue
         print(f"  {str(theta):>6}: open from level {res.level} "
@@ -60,7 +61,11 @@ def main(argv=None):
 
     print("\nirrational angles (closed points):")
     for sym in SAMPLE_SYMBOLS:
-        res = classify_point(tower, galaxy_point(sym))
+        try:
+            res = classify_point(tower, galaxy_point(sym))
+        except UndecidableSign as exc:  # edges narrower than the enclosure
+            print(f"  {sym.name:>9}: {type(exc).__name__}: {exc}")
+            continue
         widths = ", ".join(str(c.width) for c in res.carriers)
         print(f"  {sym.name:>9}: carrier edge widths {widths}")
 

@@ -487,6 +487,15 @@ def _ptrop_line(r: dict) -> str:
     return f"points {pts}, routes {agree}{clusters}"
 
 
+def _galaxy_line(r: dict) -> str:
+    line = " ".join(f"{p['point']}:{p['kind']}"
+                    for p in r["points"]) or "(no points)"
+    d = r.get("decomposition")
+    return line if d is None else (
+        f"{line}, level {d['level']}: {d['open_slots']} open slots, "
+        f"{d['non_klt_cells']} non-klt cells")
+
+
 def _cells_line(r: dict) -> str:
     counts = " ".join(f"{d}:{c}" for d, c in r["counts"].items())
     return f"cells {counts}, euler {r['euler']}"
@@ -541,9 +550,7 @@ COMMANDS = {
         _cells_line),
     "galaxy": Command(
         handle_galaxy, "classify angles along an elliptic tower",
-        ("--depth", "--level"),
-        lambda r: " ".join(f"{p['point']}:{p['kind']}"
-                           for p in r["points"]) or "(no points)"),
+        ("--depth", "--level"), _galaxy_line),
 }
 # dispatch reads this dict of plain functions, which a tracer may rebind
 _HANDLERS = {name: command.handler for name, command in COMMANDS.items()}

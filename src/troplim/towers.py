@@ -36,12 +36,14 @@ from .errors import (
     EmptyChain,
     IndexOutOfRange,
     OutsideSupport,
+    RankCap,
     UndecidableSign,
     ZeroVector,
 )
 from .fans import Fan, SubdivisionWitness, _split, common_refinement, \
     is_subdivision
 from .lattice import (
+    RANK_CAP,
     Cone,
     Ray,
     cone_subset,
@@ -192,6 +194,9 @@ def fiber_model(n: int, x: SymbolicVector) -> FiberModel:
     """Fiber descriptor plus a GL(n,Z) move putting independent coords first."""
     if x.n != n:
         raise DimensionMismatch(f"vector has {x.n} coordinates, expected {n}")
+    if n > RANK_CAP:
+        raise RankCap(
+            f"ambient rank {n} exceeds the exact-arithmetic cap {RANK_CAP}")
     r = fiber_rank(x)
     # with the coordinates as columns, each pivot column is independent of
     # the columns before it

@@ -730,6 +730,29 @@ def test_fan_validate_reports_invalid_without_failing(tmp_path, capsys):
     assert res["valid"] is False and res["violations"]
 
 
+@pytest.mark.parametrize("fan, complete", [
+    ({"rank": 2, "rays": [["1", "0"]], "maximal_cones": [[0]]}, False),
+    ({"rank": 0, "rays": [], "maximal_cones": [[]]}, True),
+], ids=["lone-ray", "rank-0"])
+def test_fan_validate_decides_completeness_of_the_smallest_fans(
+        tmp_path, capsys, fan, complete):
+    code, report = run_json(capsys, ["fan-validate",
+                                     put(tmp_path, "f.json", fan)])
+    (result,) = report["results"]
+    assert code == 0 and result["valid"] and result["complete"] == complete
+
+
+def test_an_integer_past_the_digit_limit_is_a_parse_error(tmp_path, capsys):
+    """int() refuses a string of more digits than sys.int_max_str_digits
+    with ValueError, which parse_int reports as a schema error."""
+    assert 0 < sys.get_int_max_str_digits() < 5000
+    digits = "9" * 5000
+    path = put(tmp_path, "p.json", {**NODAL, "vars": digits})
+    assert cli.main(["trop", path]) == 3
+    assert f"vars: expected an integer, got '{digits}'" in \
+        capsys.readouterr().err
+
+
 def test_refine_writes_fan_artifact(tmp_path, capsys):
     a = put(tmp_path, "a.json", QUADRANT)
     b = put(tmp_path, "b.json", DIAMOND)
@@ -1117,6 +1140,8 @@ POINT_MAP = {"source": {"cells": [{"name": "p", "faces": []}]},
      "mode: expected 'analytic' or 'algebraic', got 'tropical'"),
     ("dualcx", {**NODAL_INC, "strata": [], "closures": []}, [], 2,
      "a complex needs at least one cell"),
+    ("fiber-rank", {"entries": ["1", "2", "3", "4", "5"]}, [], 4,
+     "resource cap: ambient rank 5 exceeds the exact-arithmetic cap 4"),
 ], ids=["map-reference-int", "map-phi-int", "galaxy-empty-symbol",
         "fiber-rank-empty-symbol", "limit-point-empty-symbol",
         "fan-negative-rank", "negative-exponent", "no-terms",
@@ -1129,7 +1154,7 @@ POINT_MAP = {"source": {"cells": [{"name": "p", "faces": []}]},
         "closure-name-null", "cell-name-null", "face-name-int",
         "vertex-image-int", "phi-cell-bool", "point-cell-int",
         "symbol-name-int", "phi-unknown-source-cell", "mode-int",
-        "mode-list", "mode-unknown", "no-strata"])
+        "mode-list", "mode-unknown", "no-strata", "fiber-rank-over-cap"])
 def test_malformed_inputs_exit_with_a_documented_code(
         tmp_path, capsys, command, obj, flags, code, error):
     path = put(tmp_path, "in.json", obj)
@@ -1367,13 +1392,17 @@ SUMMARY_BRANCHES = {
                              "(no points), match"),
     "galaxy-no-points": ("galaxy", {"elliptic": {"m": 3, "degrees": [1]}},
                          "(no points)"),
+    "galaxy-level": ("galaxy", EXEMPLARS["galaxy"],
+                     "1/6:open s:undecidable, level 4: 12 open slots, "
+                     "12 non-klt cells", "--level", "4"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(SUMMARY_BRANCHES))
 def test_summary_branches_are_frozen(tmp_path, capsys, monkeypatch, case):
-    command, obj, summary = SUMMARY_BRANCHES[case]
-    assert cli.main(_exemplar_argv(tmp_path, monkeypatch, command, obj)) == 0
+    command, obj, summary, *flags = SUMMARY_BRANCHES[case]
+    argv = _exemplar_argv(tmp_path, monkeypatch, command, obj) + flags
+    assert cli.main(argv) == 0
     out, err = capsys.readouterr()
     assert out.splitlines()[-1] == "in.json: " + summary and err == ""
 

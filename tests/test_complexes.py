@@ -552,6 +552,31 @@ def test_explicit_images_checked_against_vertices():
                      "e": ("e", (0, 1)), "f": ("f", (0, 1))})
 
 
+def test_explicit_image_on_a_parallel_face_is_refused():
+    """The edge pq is sent to B, parallel to the face A of T that the
+    image of S puts it on."""
+    source = make_complex([("p", []), ("q", []), ("r", []),
+                           ("pq", ["q", "p"]), ("qr", ["r", "q"]),
+                           ("pr", ["r", "p"]), ("S", ["qr", "pr", "pq"])])
+    target = make_complex([("x", []), ("y", []), ("z", []),
+                           ("A", ["y", "x"]), ("B", ["y", "x"]),
+                           ("yz", ["z", "y"]), ("xz", ["z", "x"]),
+                           ("T", ["yz", "xz", "A"])])
+    with pytest.raises(NotSimplicial) as err:
+        induced_map(source, target, {"p": "x", "q": "y", "r": "z"},
+                    {"pq": ("B", (0, 1)), "S": ("T", (0, 1, 2))})
+    assert str(err.value) == \
+        "face 2 of 'S' maps to ('B', (0, 1)), expected ('A', (0, 1))"
+
+
+def test_explicit_image_must_be_monotone():
+    with pytest.raises(ValidationError) as err:
+        induced_map(segment_complex(), segment_complex(),
+                    {"z0": "z0", "z1": "z1"}, {"e": ("e", (1, 0))})
+    assert str(err.value) == \
+        "cell_images['e'] is not a monotone surjection onto 'e'"
+
+
 # -- indexed lookups --
 
 

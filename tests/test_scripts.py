@@ -20,11 +20,16 @@ def load_script(name):
     ("galaxy_demo", ["--levels", "12"],
      "cycle sizes per level: [3, 6, 12, 24, 48, 96, 192, 384, 768, 1536, "
      "3072, 6144]"),
+    ("galaxy_demo", ["--levels", "20"],
+     "    sqrt2-1: UndecidableSign: enclosure [414213/1000000, "
+     "207107/500000] of sqrt2-1 is not strictly inside one edge of the "
+     "786432-gon"),
     ("bound_scan", ["--seeds", "0", "--per-degree", "5"],
      "seed 0: 0 violation(s) in 35 germs"),
     ("ptrop_survey", ["--germs", "3"],
      "exact routes: 9 germs, 0 disagreements, "),
-], ids=["galaxy_demo", "bound_scan", "ptrop_survey"])
+], ids=["galaxy_demo", "galaxy_demo-20-levels", "bound_scan",
+        "ptrop_survey"])
 def test_script_runs(capsys, name, argv, line):
     assert load_script(name).main(argv) == 0
     out = capsys.readouterr().out
