@@ -730,29 +730,6 @@ def test_fan_validate_reports_invalid_without_failing(tmp_path, capsys):
     assert res["valid"] is False and res["violations"]
 
 
-@pytest.mark.parametrize("fan, complete", [
-    ({"rank": 2, "rays": [["1", "0"]], "maximal_cones": [[0]]}, False),
-    ({"rank": 0, "rays": [], "maximal_cones": [[]]}, True),
-], ids=["lone-ray", "rank-0"])
-def test_fan_validate_decides_completeness_of_the_smallest_fans(
-        tmp_path, capsys, fan, complete):
-    code, report = run_json(capsys, ["fan-validate",
-                                     put(tmp_path, "f.json", fan)])
-    (result,) = report["results"]
-    assert code == 0 and result["valid"] and result["complete"] == complete
-
-
-def test_an_integer_past_the_digit_limit_is_a_parse_error(tmp_path, capsys):
-    """int() refuses a string of more digits than sys.int_max_str_digits
-    with ValueError, which parse_int reports as a schema error."""
-    assert 0 < sys.get_int_max_str_digits() < 5000
-    digits = "9" * 5000
-    path = put(tmp_path, "p.json", {**NODAL, "vars": digits})
-    assert cli.main(["trop", path]) == 3
-    assert f"vars: expected an integer, got '{digits}'" in \
-        capsys.readouterr().err
-
-
 def test_refine_writes_fan_artifact(tmp_path, capsys):
     a = put(tmp_path, "a.json", QUADRANT)
     b = put(tmp_path, "b.json", DIAMOND)
@@ -1142,6 +1119,10 @@ POINT_MAP = {"source": {"cells": [{"name": "p", "faces": []}]},
      "a complex needs at least one cell"),
     ("fiber-rank", {"entries": ["1", "2", "3", "4", "5"]}, [], 4,
      "resource cap: ambient rank 5 exceeds the exact-arithmetic cap 4"),
+    # more digits than sys.int_max_str_digits (4,300): int() raises
+    # ValueError, which parse_int reports as a schema error
+    ("trop", {**NODAL, "vars": "9" * 5000}, [], 3,
+     "vars: expected an integer, got '" + "9" * 5000 + "'"),
 ], ids=["map-reference-int", "map-phi-int", "galaxy-empty-symbol",
         "fiber-rank-empty-symbol", "limit-point-empty-symbol",
         "fan-negative-rank", "negative-exponent", "no-terms",
@@ -1154,7 +1135,8 @@ POINT_MAP = {"source": {"cells": [{"name": "p", "faces": []}]},
         "closure-name-null", "cell-name-null", "face-name-int",
         "vertex-image-int", "phi-cell-bool", "point-cell-int",
         "symbol-name-int", "phi-unknown-source-cell", "mode-int",
-        "mode-list", "mode-unknown", "no-strata", "fiber-rank-over-cap"])
+        "mode-list", "mode-unknown", "no-strata", "fiber-rank-over-cap",
+        "integer-past-digit-limit"])
 def test_malformed_inputs_exit_with_a_documented_code(
         tmp_path, capsys, command, obj, flags, code, error):
     path = put(tmp_path, "in.json", obj)
@@ -1374,7 +1356,8 @@ def test_exemplar_outputs_are_frozen(tmp_path, capsys, monkeypatch, command):
     assert hashlib.sha256(out.encode()).hexdigest() == digest and err == ""
 
 
-# inputs whose summary line takes the branch its exemplar does not
+# inputs whose summary line takes a branch its exemplar does not, or that
+# sit at the edge of one
 SUMMARY_BRANCHES = {
     "ptrop-oracle": ("ptrop", NODAL, "points [1:2] [2:1], routes agree, "
                      "2 oracle clusters"),
@@ -1382,6 +1365,12 @@ SUMMARY_BRANCHES = {
                              "4 maximal cones, INVALID"),
     "fan-validate-incomplete": ("fan-validate", FAN_FILES["incomplete"],
                                 "2 maximal cones, valid"),
+    "fan-validate-lone-ray": ("fan-validate", {
+        "rank": 2, "rays": [["1", "0"]], "maximal_cones": [[0]]},
+                              "1 maximal cones, valid"),
+    "fan-validate-rank-0": ("fan-validate", {
+        "rank": 0, "rays": [], "maximal_cones": [[]]},
+                            "1 maximal cones, valid complete"),
     "limit-point-ray": ("limit-point", {
         "base_fan": QUADRANT, "steps": 6, "strategy": {
             "kind": "toward-direction", "direction": {"entries": ["2", "3"]}}},
