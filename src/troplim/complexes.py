@@ -794,7 +794,7 @@ def map_fiber(mapping: ComplexMap, cell_name: str, coords: Sequence
     try:
         tau, p = canonical_point(mapping.target, cell_name, coords)
     except (KeyError, ValueError, DimensionMismatch) as exc:
-        raise PointOutsideTarget(str(exc)) from exc
+        raise PointOutsideTarget(exc.args[0]) from exc
     faces: dict[tuple, int] = {}
     for cell in mapping.source.cells:
         image, phi = mapping.cell_image(cell.name)

@@ -23,10 +23,6 @@ class NotStronglyConvex(TropLimError):
     """The generated cone contains a line."""
 
 
-class IndexOutOfRange(TropLimError, IndexError):
-    """A level or cell index is outside the stored range."""
-
-
 class ResourceCap(TropLimError):
     """Input exceeds a documented resource limit."""
 

@@ -280,10 +280,9 @@ def fan_from_rays_2d(rays: Sequence) -> Fan:
 
 @dataclass(frozen=True)
 class SubdivisionWitness:
-    """Carrier assignment certifying that `fine` subdivides `coarse`."""
+    """Carrier assignment certifying that a fine fan subdivides a coarse
+    one: the index of the coarse cone holding each fine maximal cone."""
 
-    fine: Fan
-    coarse: Fan
     carrier: tuple[int, ...]
 
     def children(self, coarse: Iterable[int]) -> list[int]:
@@ -335,7 +334,7 @@ def is_subdivision(fine: Fan, coarse: Fan) -> Optional[SubdivisionWitness]:
             if not any(all(la.dot(g, x) == 0 for x in gens)
                        for g in sigma.facets):
                 return None
-    return SubdivisionWitness(fine, coarse, tuple(carrier))
+    return SubdivisionWitness(tuple(carrier))
 
 
 def common_refinement(a: Fan, b: Fan) -> Fan:

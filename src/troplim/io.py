@@ -482,11 +482,21 @@ def _symbol(obj, where: str) -> Symbol:
     return Symbol(name, lo, hi)
 
 
+def _entry(value, where: str, symbols: list[Symbol]):
+    """A rational, or a list of its coefficients over 1 and the symbols."""
+    if not isinstance(value, list):
+        return parse_rational(value, where)
+    if len(value) != len(symbols) + 1:
+        basis = ", ".join(["1"] + [s.name for s in symbols])
+        raise ParseError(f"{where}: expected one coefficient for each of "
+                         f"({basis}), got {len(value)}")
+    return [parse_rational(c, cw) for c, cw in _items(value, where)]
+
+
 def parse_symbolic_vector_data(obj, where: str) -> SymbolicVector:
     symbols = [_symbol(s, w)
                for s, w in _field(obj, "symbols", where, _items, default=[])]
-    entries = [[parse_rational(c, cw) for c, cw in _items(e, w)]
-               if isinstance(e, list) else parse_rational(e, w)
+    entries = [_entry(e, w, symbols)
                for e, w in _field(obj, "entries", where, _items)]
     return symbolic_vector(entries, symbols)
 

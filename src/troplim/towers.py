@@ -34,7 +34,6 @@ from .errors import (
     DepthCap,
     DimensionMismatch,
     EmptyChain,
-    IndexOutOfRange,
     OutsideSupport,
     RankCap,
     UndecidableSign,
@@ -156,16 +155,16 @@ def symbolic_vector(entries: Sequence[Entry],
     symbols = tuple(symbols)
     k = len(symbols)
     rows = []
-    for e in entries:
+    for i, e in enumerate(entries):
         if isinstance(e, (int, Fraction)):
             row = (Fraction(e),) + (Fraction(0),) * k
         else:
-            coeffs = [Fraction(c) for c in e]
-            if len(coeffs) != k + 1:
+            row = tuple(Fraction(c) for c in e)
+            if len(row) != k + 1:
+                basis = ", ".join(["1"] + [s.name for s in symbols])
                 raise DimensionMismatch(
-                    f"entry {e} needs {k + 1} coefficients over (1, "
-                    + ", ".join(s.name for s in symbols) + ")")
-            row = tuple(coeffs)
+                    f"entry {i}: expected one coefficient for each of "
+                    f"({basis}), got {len(row)}")
         rows.append(row)
     return SymbolicVector(symbols, tuple(rows))
 
@@ -220,12 +219,6 @@ class FanTower:
     @property
     def depth(self) -> int:
         return len(self.fans)
-
-    def level(self, i: int) -> Fan:
-        if not 0 <= i < len(self.fans):
-            raise IndexOutOfRange(f"level {i} not in tower of depth "
-                                  f"{len(self.fans)}")
-        return self.fans[i]
 
 
 def fan_tower(base: Fan) -> FanTower:
@@ -282,24 +275,40 @@ class CommonRefineWith:
         return common_refinement(fan, self.other)
 
 
+def _carriers(fans, witnesses, x: SymbolicVector, start: int, outside: str):
+    """The carrier of x on each level from ``start`` on, with the indices of
+    the maximal cones holding it; a miss raises OutsideSupport(outside)
+    formatted with the level.  The lists may grow while the walk runs.  A
+    fine cone holding x lies in its witness carrier, which then holds x, so
+    each later level is searched among the children of the cones holding x.
+    """
+    holding = None
+    i = start
+    while i < len(fans):
+        among = None if holding is None else witnesses[i - 1].children(holding)
+        carrier, holding = fans[i].locate(x, among)
+        if carrier is None:
+            raise OutsideSupport(outside.format(i))
+        yield carrier, holding
+        i += 1
+
+
 def extend_tower(t: FanTower, strategy, steps: int) -> FanTower:
     """Append `steps` refinements produced by the strategy; a toward step
-    is handed the target's carrier and the cones holding it, searched among
-    the witness children of the cones that held it one level up."""
+    is handed the target's carrier on the last level and the cones holding
+    it."""
     if t.depth + steps > TOWER_DEPTH_CAP:
         raise DepthCap(f"tower depth {t.depth + steps} exceeds the cap of "
                        f"{TOWER_DEPTH_CAP}")
     fans = list(t.fans)
     witnesses = list(t.witnesses)
     chase = isinstance(strategy, TowardDirection)
-    among = None
+    if chase:
+        walk = _carriers(fans, witnesses, strategy.target, len(fans) - 1,
+                         "target direction lies outside the fan support")
     for _ in range(steps):
         if chase:
-            carrier, holding = fans[-1].locate(strategy.target, among)
-            if carrier is None:
-                raise OutsideSupport(
-                    "target direction lies outside the fan support")
-            new = strategy.step(fans[-1], carrier, holding)
+            new = strategy.step(fans[-1], *next(walk))
         else:
             new = strategy.step(fans[-1])
         w = is_subdivision(new, fans[-1])
@@ -312,8 +321,6 @@ def extend_tower(t: FanTower, strategy, steps: int) -> FanTower:
             raise AssertionError("strategy produced a non-refinement")
         fans.append(new)
         witnesses.append(w)
-        if chase:
-            among = w.children(holding)
     return FanTower(tuple(fans), tuple(witnesses))
 
 
@@ -370,21 +377,10 @@ def resolve_direction(c: ConeChain) -> LimitPointDescriptor:
 
 
 def chain_toward(t: FanTower, x: SymbolicVector) -> ConeChain:
-    """The chain of minimal carriers of x, one per tower level.
-
-    A fine cone holding x lies in its witness carrier, which then holds x,
-    so each level is searched among the children of the cones holding x
-    one level up (and ``extend_tower`` chases a target the same way).
-    """
+    """The chain of minimal carriers of x, one per tower level."""
     if x.is_zero:
         raise ZeroVector("cannot chase the zero direction")
-    entries = []
-    holding = None
-    for i, fan in enumerate(t.fans):
-        among = t.witnesses[i - 1].children(holding) if i else None
-        carrier, holding = fan.locate(x, among)
-        if carrier is None:
-            raise OutsideSupport(
-                f"direction lies outside the level-{i} support")
-        entries.append((i, carrier))
-    return cone_chain(entries)
+    return cone_chain(enumerate(
+        carrier for carrier, _ in _carriers(
+            t.fans, t.witnesses, x, 0,
+            "direction lies outside the level-{} support")))

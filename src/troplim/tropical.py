@@ -7,8 +7,9 @@ Its cells are dual to the lower faces of conv{(e, v)}, the regular
 subdivision of the Newton polytope that the valuations induce
 (Maclagan & Sturmfels, Introduction to Tropical Geometry, Prop. 3.1.6), so
 one conversion of the cone over the lifted terms and the upward ray yields
-every cell exactly, each with the achieving term set and an affine
-H-description.
+every cell exactly, each with its achieving term set, dimension, a
+relative-interior point and recession cone.  A cell's H-description rows
+follow from the polynomial and the achievers, so no cell stores them.
 
 The projective tropicalization of a principal germ (the set of limit
 directions of coordinatewise -log absolute values along the germ) is
@@ -164,25 +165,12 @@ def normal_fan(p: NewtonPolytope) -> Fan:
 
 @dataclass(frozen=True)
 class TropCell:
-    """One cell: locus where exactly the achiever terms attain the minimum.
+    """One cell: locus where exactly the achiever terms attain the minimum."""
 
-    Its affine H-description, rows (coefficients, constant) that vanish or
-    are nonnegative on the cell, is derived from the polynomial on read.
-    """
-
-    poly: TropicalPolynomial
     achievers: tuple[IVec, ...]
     dim: int
     relint_point: tuple[Fraction, ...]
     recession: Cone
-
-    @property
-    def equations(self) -> tuple[tuple[IVec, Fraction], ...]:
-        return _cell_rows(self.poly, self.achievers)[0]
-
-    @property
-    def inequalities(self) -> tuple[tuple[IVec, Fraction], ...]:
-        return _cell_rows(self.poly, self.achievers)[1]
 
 
 @dataclass(frozen=True)
@@ -195,19 +183,6 @@ class TropicalHypersurface:
     @property
     def is_empty(self) -> bool:
         return not self.cells
-
-
-def _cell_rows(f: TropicalPolynomial, achievers):
-    """H-description rows for the locus where the achiever exponents attain
-    the minimum: the first achiever ties with every other one and lies at
-    or below every other term."""
-    on = set(achievers)
-    e0, v0 = next(t for t in f.terms if t[0] in on)
-    eqs, ineqs = [], []
-    for e, v in f.terms:
-        if e != e0:
-            (eqs if e in on else ineqs).append((la.vec_sub(e, e0), v - v0))
-    return tuple(eqs), tuple(ineqs)
 
 
 def trop_hypersurface(f: TropicalPolynomial) -> TropicalHypersurface:
@@ -238,7 +213,6 @@ def trop_hypersurface(f: TropicalPolynomial) -> TropicalHypersurface:
         rays = [la.primitivize(normals[k][:-1]) for k in tight]
         info = homogenization_info(cell_lines, rays, n)
         cells.append(TropCell(
-            poly=f,
             achievers=tuple(sorted(f.terms[terms[g]][0] for g in fs)),
             dim=info.dim,
             relint_point=info.relint_point,

@@ -1119,6 +1119,8 @@ POINT_MAP = {"source": {"cells": [{"name": "p", "faces": []}]},
      "a complex needs at least one cell"),
     ("fiber-rank", {"entries": ["1", "2", "3", "4", "5"]}, [], 4,
      "resource cap: ambient rank 5 exceeds the exact-arithmetic cap 4"),
+    ("fiber-rank", {"symbols": [SYMBOL], "entries": ["1", ["0", "1", "2"]]},
+     [], 3, "entries[1]: expected one coefficient for each of (1, s), got 3"),
     # more digits than sys.int_max_str_digits (4,300): int() raises
     # ValueError, which parse_int reports as a schema error
     ("trop", {**NODAL, "vars": "9" * 5000}, [], 3,
@@ -1136,7 +1138,7 @@ POINT_MAP = {"source": {"cells": [{"name": "p", "faces": []}]},
         "vertex-image-int", "phi-cell-bool", "point-cell-int",
         "symbol-name-int", "phi-unknown-source-cell", "mode-int",
         "mode-list", "mode-unknown", "no-strata", "fiber-rank-over-cap",
-        "integer-past-digit-limit"])
+        "coefficient-list-length", "integer-past-digit-limit"])
 def test_malformed_inputs_exit_with_a_documented_code(
         tmp_path, capsys, command, obj, flags, code, error):
     path = put(tmp_path, "in.json", obj)
@@ -1216,20 +1218,22 @@ def _deleted(obj, path):
 
 # per subcommand: the SHA-256 of the exit code and stderr of every run of
 # test_schema_mutation_errors_are_frozen, frozen before io read every field
-# through one helper
+# through one helper; fiber-rank, limit-point and map-fibers re-frozen when a
+# coefficient list of the wrong length became a parse error and the
+# unknown-cell message of map-fibers lost its quotes
 SCHEMA_MUTATION_DIGESTS = {
     "dualcx":
         "c9b4f2accadd5e26775a8907a512e0d455934fe8fcd2682b5bb662309ef91168",
     "fan-validate":
         "cd3428322b0ec060ce1633d4930a27fadc50ecd1f02fddc696451b338f7a4c05",
     "fiber-rank":
-        "4320211d0509bf501438dcbf1a2d87bfc4e616b96c2716bd2547c2e54c63ee6e",
+        "083c7f5d99f9b7013d6ddcaa63852e8a26d3b114ad01902479649192f7580555",
     "galaxy":
         "331f67bbc17a167f75dfb312deb0073ff2896185f76acc733a4c3a5b34c8d7a8",
     "limit-point":
-        "519ff12d43d958bece672a6d55464b751c1d3390afce5f2e8c3a0c9c2861aa9c",
+        "16c588e840871e3a3e7e0cd908e33986689408f5cf50f539510c8bf2c7c9ff6b",
     "map-fibers":
-        "81dc8aa2b6c4deda9da66afea3b67bf5dedfeb0f07fa8059f1338208a21cb101",
+        "b931c3e793844c715109af87407c5deff9820ab95b98378bc401a83ac48f6b27",
     "ptrop":
         "a7bff666080d4818d5e794886bc563f1c598ad548b05f0ca8632f9ec243f1948",
     "rational-points":

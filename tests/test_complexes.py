@@ -1084,8 +1084,9 @@ def test_collapse_fiber_recovers_the_loop():
 
 def test_fiber_point_must_lie_in_target():
     proj = atiyah_projection()
-    with pytest.raises(PointOutsideTarget):
+    with pytest.raises(PointOutsideTarget) as exc:
         map_fiber(proj, "missing", (1,))
+    assert str(exc.value) == "no cell named 'missing'"
     with pytest.raises(PointOutsideTarget):
         map_fiber(proj, "e", (F(3, 2), F(-1, 2)))
     with pytest.raises(PointOutsideTarget):

@@ -114,10 +114,11 @@ def test_octant_fan_complete():
 
 
 def test_quadrants_subdivide_halfplanes():
-    w = fans.is_subdivision(quadrant_fan(), halfplane_fan((0, 1)))
+    fine, coarse = quadrant_fan(), halfplane_fan((0, 1))
+    w = fans.is_subdivision(fine, coarse)
     assert w is not None
-    for i, tau in enumerate(w.fine.maximal):
-        sigma = w.coarse.maximal[w.carrier[i]]
+    for i, tau in enumerate(fine.maximal):
+        sigma = coarse.maximal[w.carrier[i]]
         for r in tau.rays:
             assert locate(sigma, r) is not None
 

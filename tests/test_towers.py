@@ -17,8 +17,8 @@ from builders import rational_vector
 from troplim import fans, towers as tw
 from troplim._linalg import _det_int, mat_rank
 from troplim.errors import (
-    DepthCap, DimensionMismatch, EmptyChain, IndexOutOfRange, OutsideSupport,
-    RankCap, UndecidableSign, ZeroVector,
+    DepthCap, DimensionMismatch, EmptyChain, OutsideSupport, RankCap,
+    UndecidableSign, ZeroVector,
 )
 from troplim.lattice import (
     RANK_CAP, cone_faces, cone_is_face, cone_subset, locate, make_cone,
@@ -50,8 +50,10 @@ def test_sqrt_symbol_of_square_is_exact():
 
 
 def test_symbolic_vector_entry_validation():
-    with pytest.raises(DimensionMismatch):
-        tw.symbolic_vector([(1, 2, 3)], [SQRT2])
+    with pytest.raises(DimensionMismatch) as exc:
+        tw.symbolic_vector([1, (1, 2, 3)], [SQRT2])
+    assert str(exc.value) == \
+        "entry 1: expected one coefficient for each of (1, sqrt2), got 3"
 
 
 def test_sign_of_rational_and_zero():
@@ -178,7 +180,7 @@ def test_barycentric_step_splits_every_cone():
     assert len(t.fans[1].maximal) == 8
     assert t.fans[1].rays == (
         (-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
-    assert t.witnesses[0].fine == t.fans[1]
+    assert len(t.witnesses[0].carrier) == len(t.fans[1].maximal)
 
 
 def test_zero_steps_is_identity():
@@ -203,10 +205,8 @@ def test_common_refine_strategy_absorbs():
 def test_ray_stability_along_towers():
     t = tw.extend_tower(tw.fan_tower(quadrant_fan()),
                         tw.StellarAtBarycenters(), 3)
-    for i in range(t.depth - 1):
-        assert set(t.level(i).rays) <= set(t.level(i + 1).rays)
-    with pytest.raises(IndexOutOfRange):
-        t.level(t.depth)
+    for coarse, fine in zip(t.fans, t.fans[1:]):
+        assert set(coarse.rays) <= set(fine.rays)
 
 
 # -- chains toward directions -----------------------------------------------
@@ -529,6 +529,26 @@ def test_children_search_matches_full_search(data):
     assert chain == expected
     for (_, got), (_, want) in zip(chain.entries, expected.entries):
         assert (got.facets, got.equations) == (want.facets, want.equations)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_toward_tower_extended_in_two_calls_equals_one_call(data):
+    """The second call starts its walk at the last level of a depth-3
+    tower, with a full search there; it builds the tower that four steps
+    in one call build, and the chain of that tower is the full search's."""
+    n = data.draw(st.sampled_from((2, 3)))
+    base = tw.fan_tower(orthant_image(n, data.draw(shears(n))))
+    x = data.draw(targets(n))
+    strategy = tw.TowardDirection(x)
+    once = outcome(tw.extend_tower, base, strategy, 4)
+    half = outcome(tw.extend_tower, base, strategy, 2)
+    twice = half if half is UndecidableSign else \
+        outcome(tw.extend_tower, half, strategy, 2)
+    assert twice == once
+    if once is not UndecidableSign:
+        assert outcome(tw.chain_toward, once, x) == \
+            outcome(reference_chain_toward, once, x)
 
 
 def test_toward_step_splits_every_cone_holding_a_wall_carrier():

@@ -48,6 +48,20 @@ def polyhedron_info(equations, inequalities, n):
     return homogenization_info(lines, rays, n)
 
 
+def cell_rows(f, achievers):
+    """H-description rows, each (coefficients, constant), of the locus
+    where the achiever exponents attain the minimum: the first achiever
+    ties with every other one and lies at or below every other term."""
+    on = set(achievers)
+    e0, v0 = next(t for t in f.terms if t[0] in on)
+    eqs, ineqs = [], []
+    for e, v in f.terms:
+        if e != e0:
+            diff = tuple(a - b for a, b in zip(e, e0))
+            (eqs if e in on else ineqs).append((diff, v - v0))
+    return tuple(eqs), tuple(ineqs)
+
+
 def reference_hypersurface(f):
     """Cells by search over achiever sets: from each pair of terms, convert
     the locus where those terms achieve the minimum, saturate the seed with
@@ -63,7 +77,7 @@ def reference_hypersurface(f):
         seed = queue.popleft()
         if seed in cells or seed in dead:
             continue
-        eqs, ineqs = tp._cell_rows(f, [f.terms[i][0] for i in seed])
+        eqs, ineqs = cell_rows(f, [f.terms[i][0] for i in seed])
         info = polyhedron_info(eqs, ineqs, f.n)
         if info is None:
             dead.add(seed)
@@ -74,12 +88,11 @@ def reference_hypersurface(f):
             dead.add(seed)
             if sat in cells:
                 continue
-            eqs, ineqs = tp._cell_rows(f, [f.terms[i][0] for i in sat])
+            eqs, ineqs = cell_rows(f, [f.terms[i][0] for i in sat])
             info = polyhedron_info(eqs, ineqs, f.n)
         elif sat in cells:
             continue
         cells[sat] = tp.TropCell(
-            poly=f,
             achievers=tuple(sorted(f.terms[i][0] for i in sat)),
             dim=info.dim,
             relint_point=info.relint_point,
@@ -220,12 +233,13 @@ def test_normal_fan_nodal_cubic_complete():
 
 
 def test_hypersurface_of_line_is_diagonal():
-    h = tp.trop_hypersurface(line_poly())
+    f = line_poly()
+    h = tp.trop_hypersurface(f)
     assert len(h.cells) == 1
     cell = h.cells[0]
     assert cell.dim == 1
     assert cell.achievers == ((0, 1), (1, 0))
-    assert cell.equations == (((1, -1), F(0)),)
+    assert cell_rows(f, cell.achievers)[0] == (((1, -1), F(0)),)
     assert cell.recession.lines == ((1, 1),)
     assert cell.recession.rays == ()
 
@@ -253,7 +267,7 @@ def test_hypersurface_valuations_shift_cells():
     f = tp.trop_poly([((1, 0), 0), ((0, 1), 1)])
     h = tp.trop_hypersurface(f)
     assert len(h.cells) == 1
-    assert h.cells[0].equations == (((1, -1), F(-1)),)
+    assert cell_rows(f, h.cells[0].achievers)[0] == (((1, -1), F(-1)),)
     value, achievers = tp.trop_eval(f, (2, 1))
     assert value == 2 and len(achievers) == 2
 
@@ -475,12 +489,13 @@ def test_trop_eval_matches_direct_minimum(f, x):
         e for e, val in per_term.items() if val == value))
 
 
-def _on_some_cell(h, x):
+def _on_some_cell(f, h, x):
     for cell in h.cells:
+        equations, inequalities = cell_rows(f, cell.achievers)
         if all(sum(c * xc for c, xc in zip(row, x)) + b == 0
-               for row, b in cell.equations) and \
+               for row, b in equations) and \
            all(sum(c * xc for c, xc in zip(row, x)) + b >= 0
-               for row, b in cell.inequalities):
+               for row, b in inequalities):
             return True
     return False
 
@@ -510,7 +525,7 @@ def test_cells_cover_exactly_the_tie_locus(f, x, data):
         points.append(_tie_point(a, b, data.draw(rationals)))
     for p in points:
         _, achievers = tp.trop_eval(f, p)
-        assert (len(achievers) >= 2) == _on_some_cell(h, p)
+        assert (len(achievers) >= 2) == _on_some_cell(f, h, p)
 
 
 @settings(max_examples=25, deadline=None)
