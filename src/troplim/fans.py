@@ -9,7 +9,9 @@ open off a codimension-2 set, hence everything).  Both criteria are exact
 integer computations.  ``Fan.complete`` runs the pairing on first read.  One
 routine, ``_split``, does every star split: stellar subdivision and the
 barycentric and toward-direction tower steps differ only in which cones they
-split and at which rays.
+split and at which rays.  It writes each join of a pointed cone down from
+its rays, with no conversion, and returns the subdivision witness, since it
+knows which cone each join came from.
 
 Validity is certified pair by pair from facet signs where they suffice, with
 no conversion: the facet normals of each cone that are <= 0 on the other sum
@@ -32,8 +34,8 @@ the same carrier or lie inside a facet of the carrier itself.  A standard
 walking argument shows this is equivalent to the fine cones tiling the
 carrier exactly.  A fine cone equal to a coarse cone is its own carrier, found
 by value; the witness is the one a scan gives, since in a valid fan a maximal
-cone lies in no other.  A stellar step leaves most cones untouched, so only
-the new cones are scanned.
+cone lies in no other.  Split steps never call it, since ``_split`` returns
+the same witness; it serves common refinements and the ``refine`` report.
 
 All constructors return canonical values (cones sorted by dimension and ray
 data), so golden tests can compare fans directly.
@@ -370,14 +372,25 @@ def stellar_subdivision(fan: Fan, ray) -> Fan:
     if not holding:
         raise ValidationError(
             f"ray {r.direction} lies outside the fan support")
-    return _split(fan, holding)
+    return _split(fan, holding)[0]
 
 
-def _split(fan: Fan, rays: dict[int, IVec]) -> Fan:
-    """Replace each maximal cone j in ``rays``, which must hold ``rays[j]``,
-    by the joins of its facets missing that ray with it; a cone with no
-    such facet holds the ray in its lineality space and stays whole."""
-    out = []
+def _split(fan: Fan, rays: dict[int, IVec]
+           ) -> tuple[Fan, SubdivisionWitness]:
+    """Replace each maximal cone j in ``rays``, which must hold the
+    primitive ray ``rays[j]``, by the joins of its facets missing that ray
+    with it; a cone with no such facet holds the ray in its lineality space
+    and stays whole.  Returns the new fan and its witness over ``fan``.
+
+    For a pointed sigma, the normal f of a facet F missing the ray r is
+    >= 0 on F + r and vanishes on it exactly along F, so F is a face of the
+    join and r the one generator off f^⊥: the join's canonical rays are F's
+    rays and r, sorted, with no conversion.  A sigma with lines goes through
+    ``make_cone``.  Each join lies in sigma, and a full-dimensional one in
+    no other maximal cone of a valid fan, so its carrier is j; a cone left
+    whole is its own.  These are the carriers ``is_subdivision`` finds.
+    """
+    carrier: dict[Cone, int] = {}
     for j, sigma in enumerate(fan.maximal):
         ray = rays.get(j)
         # the ray lies in sigma, so in a facet exactly when its normal
@@ -387,8 +400,16 @@ def _split(fan: Fan, rays: dict[int, IVec]) -> Fan:
         if not missing:
             # no ray, or one in every facet and so in sigma's lineality
             # space (all of a cone with no facets): sigma is its own star
-            out.append(sigma)
+            carrier[sigma] = j
             continue
-        out += [make_cone(list(_face(sigma, (f,)).rays) + [ray], n=fan.n,
-                          lines=list(sigma.lines)) for f in missing]
-    return _trusted_fan(out, fan.n)
+        for f in missing:
+            face = _face(sigma, (f,)).rays
+            if sigma.lines:
+                join = make_cone(list(face) + [ray], n=fan.n,
+                                 lines=list(sigma.lines))
+            else:
+                join = Cone(fan.n, tuple(sorted(face + (ray,))), ())
+            carrier[join] = j
+    maximal = tuple(sorted(carrier, key=_cone_key))
+    return Fan(fan.n, maximal), \
+        SubdivisionWitness(tuple(carrier[c] for c in maximal))

@@ -494,8 +494,14 @@ def _entry(value, where: str, symbols: list[Symbol]):
 
 
 def parse_symbolic_vector_data(obj, where: str) -> SymbolicVector:
-    symbols = [_symbol(s, w)
-               for s, w in _field(obj, "symbols", where, _items, default=[])]
+    symbols: list[Symbol] = []
+    for s, w in _field(obj, "symbols", where, _items, default=[]):
+        symbol = _symbol(s, w)
+        earlier = [t.name for t in symbols]
+        if symbol.name in earlier:
+            raise ParseError(f"{w}.name: repeats the name {symbol.name!r} of "
+                             f"symbols[{earlier.index(symbol.name)}]")
+        symbols.append(symbol)
     entries = [_entry(e, w, symbols)
                for e, w in _field(obj, "entries", where, _items)]
     return symbolic_vector(entries, symbols)

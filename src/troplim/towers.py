@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import isqrt, lcm
 from operator import mul
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from . import _linalg as la
 from .errors import (
@@ -37,6 +37,7 @@ from .errors import (
     OutsideSupport,
     RankCap,
     UndecidableSign,
+    ValidationError,
     ZeroVector,
 )
 from .fans import Fan, SubdivisionWitness, _split, common_refinement, \
@@ -151,8 +152,14 @@ def _combination_interval(row, symbols):
 
 def symbolic_vector(entries: Sequence[Entry],
                     symbols: Sequence[Symbol] = ()) -> SymbolicVector:
-    """Build a SymbolicVector; plain numbers mean rational coordinates."""
+    """Build a SymbolicVector; plain numbers mean rational coordinates.
+    Symbols must have distinct names."""
     symbols = tuple(symbols)
+    names = [s.name for s in symbols]
+    for i, name in enumerate(names):
+        if names.index(name) < i:
+            raise ValidationError(f"symbols {names.index(name)} and {i} "
+                                  f"share the name {name!r}")
     k = len(symbols)
     rows = []
     for i, e in enumerate(entries):
@@ -230,7 +237,7 @@ def fan_tower(base: Fan) -> FanTower:
 class StellarAtBarycenters:
     """Split every maximal cone of dimension >= 2 at its primitive ray sum."""
 
-    def step(self, fan: Fan) -> Fan:
+    def step(self, fan: Fan) -> tuple[Fan, SubdivisionWitness]:
         # a ray sum lies inside its own maximal cone only, so one pass gives
         # what splitting the cones one after another gives
         return _split(fan, {
@@ -245,12 +252,14 @@ class TowardDirection:
 
     target: SymbolicVector
 
-    def step(self, fan: Fan, carrier: Cone, holding: Sequence[int]) -> Fan:
+    def step(self, fan: Fan, carrier: Cone, holding: Sequence[int]
+             ) -> tuple[Fan, SubdivisionWitness]:
         """Split at a new ray inside ``carrier``, the target's carrier,
         whose relative interior holds the ray; so the cones to split are
-        ``holding``, the indices of the maximal cones containing it."""
+        ``holding``, the indices of the maximal cones containing it.  A
+        carrier of dimension <= 1 leaves the fan as it is."""
         if carrier.dim <= 1:
-            return fan
+            return fan, SubdivisionWitness(tuple(range(len(fan.maximal))))
         if carrier.n == 2 and len(carrier.rays) == 2:
             new_ray = carrier.relint_point()
         else:
@@ -271,8 +280,11 @@ class CommonRefineWith:
 
     other: Fan
 
-    def step(self, fan: Fan) -> Fan:
-        return common_refinement(fan, self.other)
+    def step(self, fan: Fan) -> tuple[Fan, Optional[SubdivisionWitness]]:
+        """The refinement and its witness over ``fan``, None when the other
+        fan does not cover ``fan``'s support."""
+        new = common_refinement(fan, self.other)
+        return new, is_subdivision(new, fan)
 
 
 def _carriers(fans, witnesses, x: SymbolicVector, start: int, outside: str):
@@ -294,9 +306,9 @@ def _carriers(fans, witnesses, x: SymbolicVector, start: int, outside: str):
 
 
 def extend_tower(t: FanTower, strategy, steps: int) -> FanTower:
-    """Append `steps` refinements produced by the strategy; a toward step
-    is handed the target's carrier on the last level and the cones holding
-    it."""
+    """Append `steps` refinements produced by the strategy, each step
+    giving the new fan with its witness; a toward step is handed the
+    target's carrier on the last level and the cones holding it."""
     if t.depth + steps > TOWER_DEPTH_CAP:
         raise DepthCap(f"tower depth {t.depth + steps} exceeds the cap of "
                        f"{TOWER_DEPTH_CAP}")
@@ -308,17 +320,15 @@ def extend_tower(t: FanTower, strategy, steps: int) -> FanTower:
                          "target direction lies outside the fan support")
     for _ in range(steps):
         if chase:
-            new = strategy.step(fans[-1], *next(walk))
+            new, w = strategy.step(fans[-1], *next(walk))
         else:
-            new = strategy.step(fans[-1])
-        w = is_subdivision(new, fans[-1])
-        if w is None and isinstance(strategy, CommonRefineWith):
-            # the common refinement's support is the two supports' meet
+            new, w = strategy.step(fans[-1])
+        if w is None:
+            # only a common refinement, whose support is the two supports'
+            # meet, can miss part of the fan
             raise OutsideSupport(
                 f"the common-refine-with fan does not cover the support of "
                 f"the level-{len(fans) - 1} fan")
-        if w is None:
-            raise AssertionError("strategy produced a non-refinement")
         fans.append(new)
         witnesses.append(w)
     return FanTower(tuple(fans), tuple(witnesses))

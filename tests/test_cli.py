@@ -1121,6 +1121,9 @@ POINT_MAP = {"source": {"cells": [{"name": "p", "faces": []}]},
      "resource cap: ambient rank 5 exceeds the exact-arithmetic cap 4"),
     ("fiber-rank", {"symbols": [SYMBOL], "entries": ["1", ["0", "1", "2"]]},
      [], 3, "entries[1]: expected one coefficient for each of (1, s), got 3"),
+    ("fiber-rank", {"symbols": [SYMBOL, SYMBOL],
+                    "entries": ["1", ["0", "1", "-1"]]},
+     [], 3, "symbols[1].name: repeats the name 's' of symbols[0]"),
     # more digits than sys.int_max_str_digits (4,300): int() raises
     # ValueError, which parse_int reports as a schema error
     ("trop", {**NODAL, "vars": "9" * 5000}, [], 3,
@@ -1138,7 +1141,8 @@ POINT_MAP = {"source": {"cells": [{"name": "p", "faces": []}]},
         "vertex-image-int", "phi-cell-bool", "point-cell-int",
         "symbol-name-int", "phi-unknown-source-cell", "mode-int",
         "mode-list", "mode-unknown", "no-strata", "fiber-rank-over-cap",
-        "coefficient-list-length", "integer-past-digit-limit"])
+        "coefficient-list-length", "symbol-name-repeated",
+        "integer-past-digit-limit"])
 def test_malformed_inputs_exit_with_a_documented_code(
         tmp_path, capsys, command, obj, flags, code, error):
     path = put(tmp_path, "in.json", obj)

@@ -578,10 +578,17 @@ def test_the_certificate_leaves_containment_and_t_junctions_to_the_check():
     assert fans._separated(quadrant, cg([(0, 1), (-1, 0)]))
 
 
-def assert_same_split(fan, rays):
-    got = fans._split(fan, rays)
-    assert got == reference_split(fan, rays)
-    assert_same_witness(got, fan)
+def assert_same_split(fan, rays, got=None):
+    """``_split``'s fan and witness, or the step result ``got`` made with
+    these rays, against the converting code: every cone with the facets and
+    equations ``make_cone`` gives it, and the witness ``is_subdivision``
+    finds."""
+    got, w = fans._split(fan, rays) if got is None else got
+    ref = reference_split(fan, rays)
+    assert got == ref
+    assert [(c.facets, c.equations) for c in got.maximal] == \
+        [(c.facets, c.equations) for c in ref.maximal]
+    assert w == assert_same_witness(got, fan)
     return got
 
 
@@ -628,11 +635,43 @@ def test_facet_signs_match_the_converting_code_rank3(m1, m2, r, z, plane):
     assert fans._violations(cones, 3) == reference_violations(cones, 3) == []
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_split_steps_match_the_converting_code(data):
+    """Stellar, barycentric and toward steps on pointed complete fans of
+    ranks 2-4 (sheared orthant and simplex fans, and common refinements of
+    two, whose cones need not be simplicial): each join and its facets and
+    equations are those of ``make_cone``, and each witness is the one
+    ``is_subdivision`` finds."""
+    n = data.draw(st.sampled_from((2, 3, 4)))
+    image = data.draw(st.sampled_from((orthant_image, simplex_image)))
+    fan = image(n, data.draw(shears(n)))
+    if n < 4 and data.draw(st.booleans()):
+        fan = fans.common_refinement(fan, image(n, data.draw(shears(n))))
+    vec = st.tuples(*[st.integers(-3, 3)] * n).filter(any)
+    r = primitive(data.draw(vec)).direction
+    assert_same_split(fan, {j: r for j, sigma in enumerate(fan.maximal)
+                            if cone_holds(sigma, [r])})
+    assert_same_split(fan, {j: primitive(sigma.relint_point()).direction
+                            for j, sigma in enumerate(fan.maximal)},
+                      tw.StellarAtBarycenters().step(fan))
+    x = data.draw(vec)
+    carrier, holding = fan.locate(x)
+    got = tw.TowardDirection(tw.symbolic_vector(list(x))).step(
+        fan, carrier, holding)
+    if carrier.dim <= 1:
+        assert got == (fan, fans.is_subdivision(fan, fan))
+        return
+    new_ray, = set(got[0].rays) - set(fan.rays)
+    assert_same_split(fan, dict.fromkeys(holding, new_ray), got)
+
+
 def test_facet_signs_leave_few_conversions_on_the_octant(monkeypatch):
-    """Two barycentric steps over the octant fan convert each new cone
-    twice and nothing else; the second step's witness converts nothing;
-    validating its 72 cones, facets read, converts one meet for each of the
-    336 of 2,556 pairs that the certificate leaves undecided."""
+    """Two barycentric steps over the octant fan convert only the facets
+    of the first step's cones, which the second step reads, and build each
+    join and its witness with no conversion; validating the 72 cones of the
+    second, facets read, converts one meet for each of the 336 of 2,556
+    pairs that the certificate leaves undecided."""
     octant = orthant_image(3, [])
     calls = []
     convert = lattice._halfspaces_to_generators
@@ -642,11 +681,11 @@ def test_facet_signs_leave_few_conversions_on_the_octant(monkeypatch):
         return convert(*args)
 
     monkeypatch.setattr(lattice, "_halfspaces_to_generators", counted)
-    first = tw.StellarAtBarycenters().step(octant)
-    second = tw.StellarAtBarycenters().step(first)
-    assert (len(second.maximal), len(calls)) == (72, 192)
+    first, _ = tw.StellarAtBarycenters().step(octant)
+    second, w = tw.StellarAtBarycenters().step(first)
+    assert (len(second.maximal), len(calls)) == (72, 96)
     calls.clear()
-    assert fans.is_subdivision(second, first) is not None
+    assert fans.is_subdivision(second, first) == w
     assert calls == []
     for sigma in second.maximal:
         sigma.facets

@@ -18,7 +18,7 @@ from troplim import fans, towers as tw
 from troplim._linalg import _det_int, mat_rank
 from troplim.errors import (
     DepthCap, DimensionMismatch, EmptyChain, OutsideSupport, RankCap,
-    UndecidableSign, ZeroVector,
+    UndecidableSign, ValidationError, ZeroVector,
 )
 from troplim.lattice import (
     RANK_CAP, cone_faces, cone_is_face, cone_subset, locate, make_cone,
@@ -54,6 +54,10 @@ def test_symbolic_vector_entry_validation():
         tw.symbolic_vector([1, (1, 2, 3)], [SQRT2])
     assert str(exc.value) == \
         "entry 1: expected one coefficient for each of (1, sqrt2), got 3"
+    # two symbols of one name would be read as independent
+    with pytest.raises(ValidationError) as exc:
+        tw.symbolic_vector([1, (0, 1, -1)], [SQRT2, SQRT2])
+    assert str(exc.value) == "symbols 0 and 1 share the name 'sqrt2'"
 
 
 def test_sign_of_rational_and_zero():
@@ -435,7 +439,7 @@ def reference_levels(base, strategy, steps):
         elif isinstance(strategy, tw.TowardDirection):
             levels.append(reference_toward_step(strategy, levels[-1]))
         else:
-            levels.append(strategy.step(levels[-1]))
+            levels.append(strategy.step(levels[-1])[0])
     return levels
 
 
@@ -488,7 +492,7 @@ def test_completeness_on_read_matches_validation(data):
     base = orthant_image(n, data.draw(shears(n)))
     ray = data.draw(st.tuples(*[st.integers(-2, 2)] * n).filter(any))
     levels = [base, fans.stellar_subdivision(base, ray),
-              tw.StellarAtBarycenters().step(base),
+              tw.StellarAtBarycenters().step(base)[0],
               fans.common_refinement(base,
                                      orthant_image(n, data.draw(shears(n))))]
     tower = outcome(tw.extend_tower, tw.fan_tower(base),
