@@ -11,9 +11,9 @@ This script first prints those witnesses, then measures how often random
 degree-d germs trip the bound.  Every germ is drawn from the frozen
 generator also used by the acceptance suite (each exponent of total
 degree <= d kept with probability 0.3, at least two terms, top degree
-exactly d, valuations in -3..3).  Violations are counted by comparing the
-raw point count against the table, so a violation is a data point here,
-not a crash.
+exactly d, valuations in -3..3).  Each `BoundViolation` is caught and
+read for its count and bound, so a violation is a data point here, not a
+crash.
 
 Typical output: seed 0 produces no violations in 700 germs; seed 2
 produces a single degree-4 violation, a rate of about 0.05%.
@@ -26,7 +26,8 @@ import argparse
 import random
 from fractions import Fraction
 
-from troplim.tropical import PTROP_ORDER_BOUND, ptrop_normal_fan, trop_poly
+from troplim.errors import BoundViolation
+from troplim.tropical import PTROP_ORDER_BOUND, count_ptrop_points, trop_poly
 
 
 WITNESSES = [
@@ -46,11 +47,6 @@ def random_degree_d_germ(rng, d):
             return trop_poly({e: Fraction(rng.randint(-3, 3)) for e in exps})
 
 
-def point_count(f):
-    """Raw number of points, without the bound check."""
-    return len(ptrop_normal_fan(f).cones)
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
@@ -62,7 +58,11 @@ def main(argv=None):
     for label, coeffs in WITNESSES:
         f = trop_poly(coeffs)
         d = f.degree
-        print(f"  degree {d}: {label}: {point_count(f)} points "
+        try:
+            count = count_ptrop_points(f)
+        except BoundViolation as exc:
+            count = exc.count
+        print(f"  degree {d}: {label}: {count} points "
               f"(bound claims {PTROP_ORDER_BOUND[d - 1]})")
     print()
 
@@ -75,19 +75,20 @@ def main(argv=None):
             for _ in range(args.per_degree):
                 f = random_degree_d_germ(rng, d)
                 total += 1
-                count = point_count(f)
-                if count > PTROP_ORDER_BOUND[d - 1]:
+                try:
+                    count_ptrop_points(f)
+                except BoundViolation as exc:
                     per_seed += 1
-                    violations.append((seed, d, count, f))
+                    violations.append((seed, d, exc, f))
         print(f"seed {seed}: {per_seed} violation(s) in "
               f"{7 * args.per_degree} germs")
 
     print(f"\noverall: {len(violations)} violation(s) in {total} germs "
           f"({len(violations) / total:.2%})")
-    for seed, d, count, f in violations:
+    for seed, d, exc, f in violations:
         terms = ", ".join(f"x^{i}*y^{j}" for (i, j), _ in f.terms)
-        print(f"  seed {seed}, degree {d}: {count} points "
-              f"(bound {PTROP_ORDER_BOUND[d - 1]}) from [{terms}]")
+        print(f"  seed {seed}, degree {d}: {exc.count} points "
+              f"(bound {exc.bound}) from [{terms}]")
     if violations:
         print("\nthe bound is a strong empirical tendency, not a theorem: "
               "staircase-shaped supports break it")

@@ -15,7 +15,6 @@ from .complexes import (
     SubdivisionResult,
     ToricFiberComplex,
     canonical_point,
-    collapse_to_algebraic,
     count_cells,
     cycle_complex,
     euler_characteristic,
@@ -24,8 +23,6 @@ from .complexes import (
     make_complex,
     make_incidence,
     map_fiber,
-    nodal_cubic_incidence,
-    polygon_incidence,
     rational_points,
     scale_subdivide,
     toric_fiber_complex,
@@ -36,9 +33,7 @@ from .fans import (
     FanReport,
     common_refinement,
     fan_from_cones,
-    fan_from_rays_2d,
     is_subdivision,
-    stellar_subdivision,
     validate_fan,
 )
 from .galaxy import (
@@ -49,7 +44,6 @@ from .galaxy import (
     classify_point,
     decomposition,
     elliptic_tower,
-    f_tr_cell,
     galaxy_point,
 )
 from .lattice import (
@@ -79,12 +73,8 @@ from .tropical import (
     PTropSet,
     TropicalPolynomial,
     count_ptrop_points,
-    newton_polytope,
-    normal_fan,
-    ptrop_ideal,
     ptrop_normal_fan,
     ptrop_recession,
-    trop_eval,
     trop_hypersurface,
     trop_poly,
 )

@@ -26,10 +26,6 @@ def dot(u: Sequence, v: Sequence) -> Fraction | int:
     return sum(a * b for a, b in zip(u, v))
 
 
-def vec_sub(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def is_zero_vec(u: Sequence) -> bool:
     return all(a == 0 for a in u)
 

@@ -52,9 +52,3 @@ def homogenization_info(lines: Sequence[IVec], rays: Sequence[IVec], n: int
         recession=rec,
     )
 
-
-def affine_dim(points: Sequence[Sequence]) -> int:
-    """Affine dimension of a nonempty point set."""
-    p0 = points[0]
-    return la.mat_rank([la.vec_sub(p, p0) for p in points[1:]])
-

@@ -109,6 +109,8 @@ class JobConfig:
                 f"depth must lie in 1..{TOWER_DEPTH_CAP}")
         if self.level is not None and self.level < 1:
             raise ValidationError("level must be a positive integer")
+        if self.seed < 0:
+            raise ValidationError("seed must be a nonnegative integer")
 
 
 # -- small helpers -----------------------------------------------------------

@@ -12,12 +12,11 @@ transition maps lie in GL(Z) acting affinely, which is what makes exact
 scale subdivision possible.
 
 Provided here: dual complexes of curve-type stratifications (analytic mode
-keeps branch data and can produce loops, algebraic mode cannot), collapse
-from analytic to algebraic, exact N-fold scale subdivision by lattice
-alcoves, rational point enumeration, Euler characteristics, simplicial maps
-induced by vertex assignments, exact fibers of such maps (in each source
-cell a product of simplices, one per vertex of the target cell), and fiber
-complexes of compatible maps of fans.
+keeps branch data and can produce loops, algebraic mode cannot), exact
+N-fold scale subdivision by lattice alcoves, rational point enumeration,
+Euler characteristics, simplicial maps induced by vertex assignments, exact
+fibers of such maps (in each source cell a product of simplices, one per
+vertex of the target cell), and fiber complexes of compatible maps of fans.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from . import _linalg as la
 from .errors import (
     DimensionMismatch,
     IncoherentIncidence,
-    MissingProvenance,
     NoAffineStructure,
     NotCompatible,
     NotSimplicial,
@@ -326,26 +324,6 @@ def from_incidence(inc: StrataIncidence) -> DeltaComplex:
     return _assemble(cells, provenance=inc.mode)
 
 
-def polygon_incidence(m: int, mode: str = "analytic") -> StrataIncidence:
-    """Incidence of a cycle of m rational curves (one curve self-glued if 1)."""
-    if m < 1:
-        raise ValueError("need at least one component")
-    strata = [(f"C{i}", 0, 1) for i in range(m)]
-    strata += [(f"n{i}", 1, 2) for i in range(m)]
-    closures = []
-    for i in range(m):
-        closures.append((f"n{i}", f"C{i}"))
-        if (i + 1) % m != i:
-            closures.append((f"n{i}", f"C{(i + 1) % m}"))
-    return make_incidence(mode, strata, closures)
-
-
-def nodal_cubic_incidence(mode: str = "analytic") -> StrataIncidence:
-    """An irreducible curve with one double point."""
-    return make_incidence(
-        mode, [("C", 0, 1), ("p", 1, 2)], [("p", "C")])
-
-
 # -- maps of complexes -------------------------------------------------------
 
 
@@ -469,35 +447,6 @@ def induced_map(source: DeltaComplex, target: DeltaComplex,
                     f"face {i} of {cell.name!r} maps to "
                     f"{images[cell.faces[i]]}, expected {expected}")
     return ComplexMap(source, target, tuple(sorted(images.items())))
-
-
-def identity_map(x: DeltaComplex) -> ComplexMap:
-    """The identity, with every cell assigned to itself explicitly."""
-    return induced_map(
-        x, x, {v.name: v.name for v in x.by_dim(0)},
-        {c.name: (c.name, tuple(range(c.dim + 1))) for c in x.cells})
-
-
-def collapse_to_algebraic(x: DeltaComplex
-                          ) -> tuple[DeltaComplex, ComplexMap]:
-    """Forget branch data: collapse loop edges of an analytic dual complex."""
-    if x.provenance is None:
-        raise MissingProvenance(
-            "complex has no stratification provenance; build it through "
-            "from_incidence")
-    if x.provenance == "algebraic":
-        return x, identity_map(x)
-    if x.dim > 1:
-        raise IncoherentIncidence("collapse is defined for curve-type duals")
-    loops = [c for c in x.by_dim(1) if c.faces[0] == c.faces[1]]
-    kept = [c for c in x.cells if c not in loops]
-    collapsed = _assemble(kept, provenance="algebraic")
-    images = {c.name: (c.name, tuple(range(c.dim + 1))) for c in kept}
-    for c in loops:
-        images[c.name] = (c.faces[0], (0, 0))
-    mapping = induced_map(
-        x, collapsed, {v.name: v.name for v in x.by_dim(0)}, images)
-    return collapsed, mapping
 
 
 # -- points and scale subdivision --------------------------------------------

@@ -62,15 +62,20 @@ class NoBranchFound(TropLimError):
 
 
 class BoundViolation(TropLimError):
-    """A computed count exceeds the asserted combinatorial bound."""
+    """A computed count exceeds the asserted combinatorial bound.
+
+    The count and the bound it exceeds are carried along, so a caller that
+    treats a violation as data reads them instead of recomputing either.
+    """
+
+    def __init__(self, message, count=None, bound=None):
+        super().__init__(message)
+        self.count = count
+        self.bound = bound
 
 
 class IncoherentIncidence(TropLimError):
     """Stratum incidence data does not define a complex."""
-
-
-class MissingProvenance(TropLimError):
-    """The complex does not carry the incidence data needed for this operation."""
 
 
 class NoAffineStructure(TropLimError):

@@ -1,4 +1,4 @@
-"""Rational polyhedral fans: validation, refinement, and stellar subdivision.
+"""Rational polyhedral fans: validation, refinement, and star splits.
 
 A fan is stored by its maximal cones; faces are derived on demand.  Validity
 means every pairwise intersection of stored cones is a common face of both.
@@ -7,11 +7,11 @@ cones covers the whole space exactly when every facet of every maximal cone
 is shared with exactly one other maximal cone (the support is then closed and
 open off a codimension-2 set, hence everything).  Both criteria are exact
 integer computations.  ``Fan.complete`` runs the pairing on first read.  One
-routine, ``_split``, does every star split: stellar subdivision and the
-barycentric and toward-direction tower steps differ only in which cones they
-split and at which rays.  It writes each join of a pointed cone down from
-its rays, with no conversion, and returns the subdivision witness, since it
-knows which cone each join came from.
+routine, ``_split``, does every star split: the barycentric and
+toward-direction tower steps differ only in which cones they split and at
+which rays.  It writes each join down from its rays, with no conversion,
+and returns the subdivision witness, since it knows which cone each join
+came from.
 
 Validity is certified pair by pair from facet signs where they suffice, with
 no conversion: the facet normals of each cone that are <= 0 on the other sum
@@ -44,7 +44,7 @@ data), so golden tests can compare fans directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -52,15 +52,11 @@ from . import _linalg as la
 from .errors import DimensionMismatch, ValidationError
 from .lattice import (
     Cone,
-    Ray,
     _face,
-    cone_holds,
     cone_intersect,
     cone_is_face,
     cone_subset,
     locate,
-    make_cone,
-    primitive,
 )
 
 IVec = tuple[int, ...]
@@ -239,44 +235,6 @@ def fan_from_cones(cones: Sequence[Cone], n: Optional[int] = None) -> Fan:
     return _trusted_fan(cones, n)
 
 
-# -- rank-2 angular order ---------------------------------------------------
-
-
-def _half(v: IVec) -> int:
-    """0 for directions with angle in [0, pi), 1 otherwise."""
-    return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
-
-
-def angular_cmp(u: IVec, v: IVec) -> int:
-    """Exact counterclockwise comparison of plane directions from (1,0)."""
-    h = _half(u) - _half(v)
-    if h:
-        return h
-    c = u[0] * v[1] - u[1] * v[0]
-    return 0 if c == 0 else (-1 if c > 0 else 1)
-
-
-def fan_from_rays_2d(rays: Sequence) -> Fan:
-    """Complete rank-2 fan whose maximal cones join angularly adjacent rays."""
-    prims = sorted({primitive(r).direction for r in rays},
-                   key=cmp_to_key(angular_cmp))
-    if len(prims) < 3:
-        raise ValidationError("need at least 3 ray directions for a complete "
-                              "rank-2 fan")
-    cones = []
-    for i, a in enumerate(prims):
-        b = prims[(i + 1) % len(prims)]
-        # counterclockwise gap from a to b must stay below a half turn
-        if a[0] * b[1] - a[1] * b[0] <= 0:
-            raise ValidationError(f"rays {a} and {b} leave an angular gap of "
-                                  "a half turn or more")
-        cones.append(make_cone([a, b], n=2))
-    fan = fan_from_cones(cones, 2)
-    if not fan.complete:
-        raise ValidationError("rays do not positively span the plane")
-    return fan
-
-
 # -- subdivision ------------------------------------------------------------
 
 
@@ -361,20 +319,6 @@ def common_refinement(a: Fan, b: Fan) -> Fan:
     return _trusted_fan(pieces, a.n)
 
 
-def stellar_subdivision(fan: Fan, ray) -> Fan:
-    """Split every cone containing the ray along it, leaving the rest."""
-    r = ray if isinstance(ray, Ray) else primitive(ray)
-    if r.rank != fan.n:
-        raise DimensionMismatch(
-            f"ray has rank {r.rank}, fan has rank {fan.n}")
-    holding = {j: r.direction for j, sigma in enumerate(fan.maximal)
-               if cone_holds(sigma, [r.direction])}
-    if not holding:
-        raise ValidationError(
-            f"ray {r.direction} lies outside the fan support")
-    return _split(fan, holding)[0]
-
-
 def _split(fan: Fan, rays: dict[int, IVec]
            ) -> tuple[Fan, SubdivisionWitness]:
     """Replace each maximal cone j in ``rays``, which must hold the
@@ -382,13 +326,14 @@ def _split(fan: Fan, rays: dict[int, IVec]
     with it; a cone with no such facet holds the ray in its lineality space
     and stays whole.  Returns the new fan and its witness over ``fan``.
 
-    For a pointed sigma, the normal f of a facet F missing the ray r is
-    >= 0 on F + r and vanishes on it exactly along F, so F is a face of the
-    join and r the one generator off f^⊥: the join's canonical rays are F's
-    rays and r, sorted, with no conversion.  A sigma with lines goes through
-    ``make_cone``.  Each join lies in sigma, and a full-dimensional one in
-    no other maximal cone of a valid fan, so its carrier is j; a cone left
-    whole is its own.  These are the carriers ``is_subdivision`` finds.
+    The normal f of a facet F missing the ray r is >= 0 on F + r and
+    vanishes on it exactly along F, so F is a face of the join and r the one
+    generator off f^⊥.  The join lies in sigma and holds its lines, so its
+    lines are sigma's: its canonical rays are F's rays and r reduced modulo
+    those lines, sorted, with no conversion.  A full-dimensional join lies
+    in no other maximal cone of a valid fan, so its carrier is j; a cone
+    left whole is its own.  These are the carriers ``is_subdivision``
+    finds.
     """
     carrier: dict[Cone, int] = {}
     for j, sigma in enumerate(fan.maximal):
@@ -402,14 +347,13 @@ def _split(fan: Fan, rays: dict[int, IVec]
             # space (all of a cone with no facets): sigma is its own star
             carrier[sigma] = j
             continue
+        # the canonical representative of the ray modulo the lines: each
+        # RREF line pivots on its first nonzero entry
+        pivots = [next(i for i, a in enumerate(l) if a) for l in sigma.lines]
+        ray = la.primitivize(la.reduce_prepared(ray, sigma.lines, pivots))
         for f in missing:
             face = _face(sigma, (f,)).rays
-            if sigma.lines:
-                join = make_cone(list(face) + [ray], n=fan.n,
-                                 lines=list(sigma.lines))
-            else:
-                join = Cone(fan.n, tuple(sorted(face + (ray,))), ())
-            carrier[join] = j
+            carrier[Cone(fan.n, tuple(sorted(face + (ray,))), sigma.lines)] = j
     maximal = tuple(sorted(carrier, key=_cone_key))
     return Fan(fan.n, maximal), \
         SubdivisionWitness(tuple(carrier[c] for c in maximal))

@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
-from .complexes import Cell, DeltaComplex, cycle_complex, subdivision_counts
+from .complexes import DeltaComplex, cycle_complex, subdivision_counts
 from .errors import (
     DepthCap,
     IncompleteTower,
@@ -181,20 +181,12 @@ class OpenPoint:
     level: int
     vertex: str
 
-    @property
-    def kind(self) -> str:
-        return "open"
-
 
 @dataclass(frozen=True)
 class ClosedPoint:
     """An irrational angle: interior to a shrinking edge at every level."""
 
     carriers: tuple[CarrierEdge, ...]
-
-    @property
-    def kind(self) -> str:
-        return "closed"
 
 
 def _carrier_index(m: int, sym: Symbol) -> int:
@@ -237,33 +229,6 @@ def classify_point(tower: EllipticTower, point: GalaxyPoint
             level=i, cell=f"e{k}",
             interval=(Fraction(k, m), Fraction(k + 1, m))))
     return ClosedPoint(carriers=tuple(carriers))
-
-
-# -- strata to skeleton cells ------------------------------------------------
-
-
-def f_tr_cell(skeleton: Union[PolygonDegeneration, DeltaComplex],
-              stratum: str) -> Cell:
-    """Skeleton cell carrying a stratum of the degeneration.
-
-    For an I_m model, component C_j sits at vertex j and the double point
-    n_j between components j and j+1 spans the edge [j/m, (j+1)/m].  For a
-    general skeleton the strata are addressed by cell name directly.
-    """
-    s = str(stratum)
-    if isinstance(skeleton, PolygonDegeneration):
-        x = skeleton.complex
-        if s.startswith("C") and s[1:].isdigit():
-            s = "v" + s[1:]
-        elif s.startswith("n") and s[1:].isdigit():
-            s = "e" + s[1:]
-    else:
-        x = skeleton
-    try:
-        return x.cell(s)
-    except KeyError:
-        raise UnknownStratum(
-            f"no stratum {stratum!r} on this skeleton") from None
 
 
 # -- decomposition ledger ----------------------------------------------------

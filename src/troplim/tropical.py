@@ -1,4 +1,4 @@
-"""Tropical polynomials, Newton polytopes, hypersurfaces, and PTrop.
+"""Tropical polynomials, hypersurfaces, and PTrop.
 
 Everything here is min-plus: a term (e, v) contributes v + <e, x> and the
 polynomial evaluates to the minimum over its terms.  The tropical
@@ -33,22 +33,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import _linalg as la
-from ._polyhedra import affine_dim, homogenization_info
+from ._polyhedra import homogenization_info
 from .errors import (
     BoundViolation,
     DimensionMismatch,
     OriginNotOnGerm,
     RankCap,
 )
-from .fans import Fan, fan_from_cones
 from .lattice import (
     RANK_CAP,
     Cone,
-    _build_cone,
-    _cone_from_halfspaces,
     cone_intersect,
     face_lattice,
     halfspaces_to_generators,
@@ -104,60 +101,6 @@ def trop_poly(terms, n: Optional[int] = None) -> TropicalPolynomial:
         if e not in seen or v < seen[e]:
             seen[e] = v
     return TropicalPolynomial(n, tuple(sorted(seen.items())))
-
-
-def trop_eval(f: TropicalPolynomial, x: Sequence
-              ) -> tuple[Fraction, tuple[IVec, ...]]:
-    """Min-plus value at x together with the set of achieving exponents."""
-    if len(x) != f.n:
-        raise DimensionMismatch(
-            f"point has length {len(x)}, polynomial has {f.n} variables")
-    xs = [Fraction(c) for c in x]
-    best = None
-    achievers: list[IVec] = []
-    for e, v in f.terms:
-        val = v + sum(c * xc for c, xc in zip(e, xs))
-        if best is None or val < best:
-            best, achievers = val, [e]
-        elif val == best:
-            achievers.append(e)
-    return best, tuple(achievers)
-
-
-# -- Newton polytopes and normal fans ---------------------------------------
-
-
-@dataclass(frozen=True)
-class NewtonPolytope:
-    """Convex hull of the exponents."""
-
-    n: int
-    vertices: tuple[IVec, ...]
-
-    @property
-    def dim(self) -> int:
-        return affine_dim(self.vertices)
-
-
-def newton_polytope(f: TropicalPolynomial) -> NewtonPolytope:
-    """Exact hull of the exponent set."""
-    lifted = _build_cone([e + (1,) for e in f.exponents], (), f.n + 1)
-    vertices = tuple(sorted(r[:-1] for r in lifted.rays))
-    return NewtonPolytope(f.n, vertices)
-
-
-def normal_cone(p: NewtonPolytope, face: Sequence[IVec]) -> Cone:
-    """Directions minimized exactly on the given face (min convention)."""
-    v0 = face[0]
-    eqs = [la.vec_sub(v, v0) for v in face[1:]]
-    ineqs = [la.vec_sub(u, v0) for u in p.vertices]
-    return _cone_from_halfspaces(eqs, ineqs, p.n)
-
-
-def normal_fan(p: NewtonPolytope) -> Fan:
-    """Complete fan of vertex normal cones."""
-    cones = [normal_cone(p, (v,)) for v in p.vertices]
-    return fan_from_cones(cones, p.n)
 
 
 # -- tropical hypersurfaces -------------------------------------------------
@@ -315,28 +258,6 @@ def ptrop_recession(h: TropicalHypersurface) -> PTropSet:
     return _ptrop_set(h.n, (cell.recession for cell in h.cells))
 
 
-@dataclass(frozen=True)
-class IdealPTrop:
-    """Intersection of generator PTrop sets; exact only for tropical bases."""
-
-    ptset: PTropSet
-    upper_bound: bool
-
-
-def ptrop_ideal(gens: Sequence[TropicalPolynomial],
-                tropical_basis_asserted: bool = False) -> IdealPTrop:
-    """Intersect the per-generator sets; flag the result unless asserted."""
-    if not gens:
-        raise ValueError("need at least one generator")
-    sets = [ptrop_normal_fan(g) for g in gens]
-    current = list(sets[0].cones)
-    for s in sets[1:]:
-        current = [cone_intersect(a, b) for a in current for b in s.cones]
-    ptset = _ptrop_set(gens[0].n, current)
-    return IdealPTrop(ptset, upper_bound=not tropical_basis_asserted
-                      and len(gens) > 1)
-
-
 def count_ptrop_points(f: TropicalPolynomial) -> int:
     """Number of PTrop points of a plane germ, checked against the g bound."""
     if f.n != 2:
@@ -349,5 +270,6 @@ def count_ptrop_points(f: TropicalPolynomial) -> int:
         if count > bound:
             raise BoundViolation(
                 f"degree-{d} germ has {count} projective tropicalization "
-                f"points, exceeding the claimed bound {bound}")
+                f"points, exceeding the claimed bound {bound}",
+                count=count, bound=bound)
     return count

@@ -1,19 +1,44 @@
-"""Hand-built inputs for the tests: small Δ-complexes, a cell-count
-ratio and rational direction vectors.
+"""Hand-built inputs and small references for the tests.
 
-None of these is reached by the library: the complexes (a point, a
+None of these is reached by the library.  The complexes (a point, a
 segment, a triangle, the square as two triangles, the boundary and the
 solid tetrahedron, the torus of two triangles) are what the tests
 subdivide, map and compare, and a rational vector is the plain case of a
-symbolic direction.
+symbolic direction.  The incidences of a cycle of rational curves and of
+a nodal cubic, with the collapse of an analytic dual complex to its
+algebraic one, build the dual-complex examples.  The Newton polytope and
+its normal fan, a stellar subdivision at one ray and the complete rank-2
+fan of a ray set are the references that the exact routes, the split
+steps and the randomized fan suites compare against or build from.
 """
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 
-from troplim.complexes import DeltaComplex, make_complex
-from troplim.errors import DimensionMismatch
+from troplim import _linalg as la
+from troplim import fans, lattice
+from troplim.complexes import (
+    ComplexMap,
+    DeltaComplex,
+    StrataIncidence,
+    induced_map,
+    make_complex,
+    make_incidence,
+)
+from troplim.errors import (
+    DimensionMismatch,
+    IncoherentIncidence,
+    TropLimError,
+    ValidationError,
+)
+from troplim.fans import Fan, fan_from_cones
+from troplim.lattice import Cone, Ray, cone_holds, make_cone, primitive
 from troplim.towers import SymbolicVector, symbolic_vector
+from troplim.tropical import TropicalPolynomial
+
+IVec = tuple[int, ...]
 
 
 def component_ratio(fine: DeltaComplex, coarse: DeltaComplex) -> Fraction:
@@ -91,3 +116,158 @@ def _simplex_cells(m: int) -> list[tuple[str, list[str]]]:
 def rational_vector(v) -> SymbolicVector:
     """SymbolicVector wrapper around an ordinary rational vector."""
     return symbolic_vector(list(v))
+
+
+# -- incidences and their dual complexes ------------------------------------
+
+
+class MissingProvenance(TropLimError):
+    """The complex does not carry the incidence data needed for this operation."""
+
+
+def polygon_incidence(m: int, mode: str = "analytic") -> StrataIncidence:
+    """Incidence of a cycle of m rational curves (one curve self-glued if 1)."""
+    if m < 1:
+        raise ValueError("need at least one component")
+    strata = [(f"C{i}", 0, 1) for i in range(m)]
+    strata += [(f"n{i}", 1, 2) for i in range(m)]
+    closures = []
+    for i in range(m):
+        closures.append((f"n{i}", f"C{i}"))
+        if (i + 1) % m != i:
+            closures.append((f"n{i}", f"C{(i + 1) % m}"))
+    return make_incidence(mode, strata, closures)
+
+
+def nodal_cubic_incidence(mode: str = "analytic") -> StrataIncidence:
+    """An irreducible curve with one double point."""
+    return make_incidence(
+        mode, [("C", 0, 1), ("p", 1, 2)], [("p", "C")])
+
+
+def identity_map(x: DeltaComplex) -> ComplexMap:
+    """The identity, with every cell assigned to itself explicitly."""
+    return induced_map(
+        x, x, {v.name: v.name for v in x.by_dim(0)},
+        {c.name: (c.name, tuple(range(c.dim + 1))) for c in x.cells})
+
+
+def collapse_to_algebraic(x: DeltaComplex
+                          ) -> tuple[DeltaComplex, ComplexMap]:
+    """Forget branch data: collapse loop edges of an analytic dual complex."""
+    if x.provenance is None:
+        raise MissingProvenance(
+            "complex has no stratification provenance; build it through "
+            "from_incidence")
+    if x.provenance == "algebraic":
+        return x, identity_map(x)
+    if x.dim > 1:
+        raise IncoherentIncidence("collapse is defined for curve-type duals")
+    loops = [c for c in x.by_dim(1) if c.faces[0] == c.faces[1]]
+    kept = [c for c in x.cells if c not in loops]
+    collapsed = make_complex([(c.name, c.faces) for c in kept],
+                             provenance="algebraic")
+    images = {c.name: (c.name, tuple(range(c.dim + 1))) for c in kept}
+    for c in loops:
+        images[c.name] = (c.faces[0], (0, 0))
+    mapping = induced_map(
+        x, collapsed, {v.name: v.name for v in x.by_dim(0)}, images)
+    return collapsed, mapping
+
+
+# -- Newton polytopes and normal fans ---------------------------------------
+
+
+def _minus(u, v) -> tuple:
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def affine_dim(points) -> int:
+    """Affine dimension of a nonempty point set."""
+    p0 = points[0]
+    return la.mat_rank([_minus(p, p0) for p in points[1:]])
+
+
+@dataclass(frozen=True)
+class NewtonPolytope:
+    """Convex hull of the exponents."""
+
+    n: int
+    vertices: tuple[IVec, ...]
+
+    @property
+    def dim(self) -> int:
+        return affine_dim(self.vertices)
+
+
+def newton_polytope(f: TropicalPolynomial) -> NewtonPolytope:
+    """Exact hull of the exponent set."""
+    lifted = lattice._build_cone([e + (1,) for e in f.exponents], (), f.n + 1)
+    vertices = tuple(sorted(r[:-1] for r in lifted.rays))
+    return NewtonPolytope(f.n, vertices)
+
+
+def normal_cone(p: NewtonPolytope, face) -> Cone:
+    """Directions minimized exactly on the given face (min convention)."""
+    v0 = face[0]
+    eqs = [_minus(v, v0) for v in face[1:]]
+    ineqs = [_minus(u, v0) for u in p.vertices]
+    return lattice._cone_from_halfspaces(eqs, ineqs, p.n)
+
+
+def normal_fan(p: NewtonPolytope) -> Fan:
+    """Complete fan of vertex normal cones."""
+    cones = [normal_cone(p, (v,)) for v in p.vertices]
+    return fan_from_cones(cones, p.n)
+
+
+# -- fans -------------------------------------------------------------------
+
+
+def stellar_subdivision(fan: Fan, ray) -> Fan:
+    """Split every cone containing the ray along it, leaving the rest."""
+    r = ray if isinstance(ray, Ray) else primitive(ray)
+    if r.rank != fan.n:
+        raise DimensionMismatch(
+            f"ray has rank {r.rank}, fan has rank {fan.n}")
+    holding = {j: r.direction for j, sigma in enumerate(fan.maximal)
+               if cone_holds(sigma, [r.direction])}
+    if not holding:
+        raise ValidationError(
+            f"ray {r.direction} lies outside the fan support")
+    return fans._split(fan, holding)[0]
+
+
+def _half(v: IVec) -> int:
+    """0 for directions with angle in [0, pi), 1 otherwise."""
+    return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
+
+
+def angular_cmp(u: IVec, v: IVec) -> int:
+    """Exact counterclockwise comparison of plane directions from (1,0)."""
+    h = _half(u) - _half(v)
+    if h:
+        return h
+    c = u[0] * v[1] - u[1] * v[0]
+    return 0 if c == 0 else (-1 if c > 0 else 1)
+
+
+def fan_from_rays_2d(rays) -> Fan:
+    """Complete rank-2 fan whose maximal cones join angularly adjacent rays."""
+    prims = sorted({primitive(r).direction for r in rays},
+                   key=cmp_to_key(angular_cmp))
+    if len(prims) < 3:
+        raise ValidationError("need at least 3 ray directions for a complete "
+                              "rank-2 fan")
+    cones = []
+    for i, a in enumerate(prims):
+        b = prims[(i + 1) % len(prims)]
+        # counterclockwise gap from a to b must stay below a half turn
+        if a[0] * b[1] - a[1] * b[0] <= 0:
+            raise ValidationError(f"rays {a} and {b} leave an angular gap of "
+                                  "a half turn or more")
+        cones.append(make_cone([a, b], n=2))
+    fan = fan_from_cones(cones, 2)
+    if not fan.complete:
+        raise ValidationError("rays do not positively span the plane")
+    return fan

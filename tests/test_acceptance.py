@@ -49,25 +49,23 @@ from fractions import Fraction as F
 from itertools import product
 
 from troplim.complexes import (
-    collapse_to_algebraic,
     count_cells,
     cycle_complex,
     euler_characteristic,
     from_incidence,
     induced_map,
     map_fiber,
-    nodal_cubic_incidence,
     rational_points,
     scale_subdivide,
 )
 from troplim.fans import (
     common_refinement,
     fan_from_cones,
-    fan_from_rays_2d,
     is_subdivision,
-    stellar_subdivision,
 )
 from troplim.galaxy import (
+    ClosedPoint,
+    OpenPoint,
     PolygonDegeneration,
     base_change,
     classify_point,
@@ -100,11 +98,15 @@ from troplim.tropical import (
 )
 
 from builders import (
+    collapse_to_algebraic,
     component_ratio,
+    fan_from_rays_2d,
+    nodal_cubic_incidence,
     point_complex,
     rational_vector,
     segment_complex,
     square_complex,
+    stellar_subdivision,
     tetrahedron_boundary,
     tetrahedron_solid,
     triangle_complex,
@@ -258,12 +260,12 @@ def test_criterion_06_open_closed_points_along_the_doubling_tower():
                   F(5, 12): (2, "v5"), F(7, 48): (4, "v7")}
     for theta, (level, vertex) in first_open.items():
         res = classify_point(tower, galaxy_point(theta))
-        assert res.kind == "open"
+        assert isinstance(res, OpenPoint)
         assert (res.level, res.vertex) == (level, vertex)
         assert res.label == theta
     for sym in (SQRT2_MINUS_1, GOLDEN_MINUS_1):
         res = classify_point(tower, galaxy_point(sym))
-        assert res.kind == "closed"
+        assert isinstance(res, ClosedPoint)
         assert len(res.carriers) == 11
         for i, edge in enumerate(res.carriers):
             assert edge.width == F(1, 3 * 2 ** i)

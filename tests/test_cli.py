@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from builders import (
+    nodal_cubic_incidence,
     rational_vector,
     segment_complex,
     square_complex,
@@ -26,7 +27,6 @@ from troplim.complexes import (
     cycle_complex,
     from_incidence,
     make_complex,
-    nodal_cubic_incidence,
     scale_subdivide,
 )
 from troplim.errors import ParseError, ValidationError
@@ -1128,6 +1128,8 @@ POINT_MAP = {"source": {"cells": [{"name": "p", "faces": []}]},
     # ValueError, which parse_int reports as a schema error
     ("trop", {**NODAL, "vars": "9" * 5000}, [], 3,
      "vars: expected an integer, got '" + "9" * 5000 + "'"),
+    ("ptrop", NODAL, ["--seed", "-1"], 2,
+     "error: seed must be a nonnegative integer"),
 ], ids=["map-reference-int", "map-phi-int", "galaxy-empty-symbol",
         "fiber-rank-empty-symbol", "limit-point-empty-symbol",
         "fan-negative-rank", "negative-exponent", "no-terms",
@@ -1142,7 +1144,7 @@ POINT_MAP = {"source": {"cells": [{"name": "p", "faces": []}]},
         "symbol-name-int", "phi-unknown-source-cell", "mode-int",
         "mode-list", "mode-unknown", "no-strata", "fiber-rank-over-cap",
         "coefficient-list-length", "symbol-name-repeated",
-        "integer-past-digit-limit"])
+        "integer-past-digit-limit", "seed-negative"])
 def test_malformed_inputs_exit_with_a_documented_code(
         tmp_path, capsys, command, obj, flags, code, error):
     path = put(tmp_path, "in.json", obj)

@@ -12,8 +12,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from builders import (
+    MissingProvenance,
+    affine_dim,
+    collapse_to_algebraic,
     component_ratio,
+    identity_map,
+    nodal_cubic_incidence,
     point_complex,
+    polygon_incidence,
     segment_complex,
     square_complex,
     tetrahedron_boundary,
@@ -25,7 +31,6 @@ from skeleton_references import alcoves, push_point, vertex_location
 from troplim import complexes
 from troplim import io as troplim_io
 from troplim import lattice
-from troplim._polyhedra import affine_dim
 from troplim.complexes import (
     DeltaComplex,
     _drop_walls,
@@ -35,18 +40,14 @@ from troplim.complexes import (
     _sub_name,
     canonical_point,
     cell_vertices,
-    collapse_to_algebraic,
     count_cells,
     cycle_complex,
     euler_characteristic,
     from_incidence,
-    identity_map,
     induced_map,
     make_complex,
     make_incidence,
     map_fiber,
-    nodal_cubic_incidence,
-    polygon_incidence,
     rational_points,
     scale_subdivide,
     subdivision_counts,
@@ -55,7 +56,6 @@ from troplim.complexes import (
 from troplim.errors import (
     DimensionMismatch,
     IncoherentIncidence,
-    MissingProvenance,
     NoAffineStructure,
     NotCompatible,
     NotSimplicial,

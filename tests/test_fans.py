@@ -13,6 +13,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from builders import fan_from_rays_2d, stellar_subdivision
 from troplim import fans, lattice, towers as tw
 from troplim.errors import ValidationError
 from troplim.lattice import (
@@ -165,7 +166,7 @@ def test_refinement_absorption():
 
 
 def test_stellar_at_interior_ray():
-    st_fan = fans.stellar_subdivision(quadrant_fan(), (1, 1))
+    st_fan = stellar_subdivision(quadrant_fan(), (1, 1))
     assert len(st_fan.maximal) == 5
     assert st_fan.rays == ((-1, 0), (0, -1), (0, 1), (1, 0), (1, 1))
     assert fans.validate_fan(st_fan.maximal).valid
@@ -175,18 +176,18 @@ def test_stellar_at_interior_ray():
 
 def test_stellar_at_existing_ray_is_identity():
     f = quadrant_fan()
-    assert fans.stellar_subdivision(f, (1, 0)) == f
+    assert stellar_subdivision(f, (1, 0)) == f
 
 
 def test_stellar_outside_support_rejected():
     f = fans.fan_from_cones([cg([(1, 0), (0, 1)])])
     with pytest.raises(ValidationError):
-        fans.stellar_subdivision(f, (-1, -1))
+        stellar_subdivision(f, (-1, -1))
 
 
 def test_stellar_on_octant_facet_ray():
     f = fans.fan_from_cones([cg([(1, 0, 0), (0, 1, 0), (0, 0, 1)])])
-    st_fan = fans.stellar_subdivision(f, (1, 1, 0))
+    st_fan = stellar_subdivision(f, (1, 1, 0))
     assert len(st_fan.maximal) == 2
     assert fans.validate_fan(st_fan.maximal).valid
 
@@ -201,19 +202,19 @@ def test_stellar_at_a_ray_in_the_lines_keeps_the_support():
     for fan, ray in ((plane, (1, 0)), (plane, (-1, 0)),
                      (lifted(plane), (1, 0, 0)), (lifted(plane), (2, 0, -1)),
                      (lifted(quadrant_fan()), (0, 0, 1))):
-        st_fan = fans.stellar_subdivision(fan, ray)
+        st_fan = stellar_subdivision(fan, ray)
         assert st_fan == fan
         assert st_fan.complete
         assert fans.is_subdivision(st_fan, fan) is not None
 
 
 def test_fan_from_rays_2d():
-    assert fans.fan_from_rays_2d([(1, 0), (0, 1), (-1, 0), (0, -1)]) == \
+    assert fan_from_rays_2d([(1, 0), (0, 1), (-1, 0), (0, -1)]) == \
         quadrant_fan()
     with pytest.raises(ValidationError):
-        fans.fan_from_rays_2d([(1, 0), (0, 1), (-1, -1)][:2])
+        fan_from_rays_2d([(1, 0), (0, 1), (-1, -1)][:2])
     with pytest.raises(ValidationError):
-        fans.fan_from_rays_2d([(1, 0), (0, 1), (-1, 1)])
+        fan_from_rays_2d([(1, 0), (0, 1), (-1, 1)])
 
 
 # -- randomized properties --------------------------------------------------
@@ -225,7 +226,7 @@ ray_dirs = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(
 @st.composite
 def complete_fans_2d(draw, extra=st.lists(ray_dirs, max_size=4)):
     base = [(1, 0), (0, 1), (-1, 0), (0, -1)]
-    return fans.fan_from_rays_2d(base + draw(extra))
+    return fan_from_rays_2d(base + draw(extra))
 
 
 @settings(max_examples=60, deadline=None)
@@ -238,7 +239,7 @@ def test_complete_rank2_cone_count_equals_ray_count(fan):
 @settings(max_examples=40, deadline=None)
 @given(complete_fans_2d(), ray_dirs)
 def test_stellar_properties(fan, r):
-    st_fan = fans.stellar_subdivision(fan, r)
+    st_fan = stellar_subdivision(fan, r)
     assert fans.validate_fan(st_fan.maximal).valid
     assert st_fan.complete
     assert fans.is_subdivision(st_fan, fan) is not None
@@ -269,7 +270,7 @@ def test_subdivision_partial_order_transitive(a, b, c):
 @settings(max_examples=30, deadline=None)
 @given(complete_fans_2d())
 def test_subdivision_antisymmetric(fan):
-    st_fan = fans.stellar_subdivision(fan, (1, 1))
+    st_fan = stellar_subdivision(fan, (1, 1))
     if st_fan != fan:
         assert fans.is_subdivision(fan, st_fan) is None
 
@@ -333,7 +334,7 @@ def non_pure(fan, drop):
 @settings(max_examples=30, deadline=None)
 @given(complete_fans_2d(), complete_fans_2d(), ray_dirs, st.integers(0, 7))
 def test_subdivision_witness_matches_full_scan_rank2(a, b, r, drop):
-    s = fans.stellar_subdivision(a, r)
+    s = stellar_subdivision(a, r)
     ab = fans.common_refinement(a, b)
     for fine, coarse in ((s, a), (a, s), (ab, a), (ab, b), (a, ab), (a, a),
                          (partial(s, drop), a), (s, partial(a, drop)),
@@ -374,7 +375,7 @@ def orthant_image(n, shears):
        .filter(any), st.integers(0, 7))
 def test_subdivision_witness_matches_full_scan_rank3(m1, m2, r, drop):
     a, b = orthant_image(3, m1), orthant_image(3, m2)
-    s = fans.stellar_subdivision(a, r)
+    s = stellar_subdivision(a, r)
     ab = fans.common_refinement(a, b)
     for fine, coarse in ((s, a), (a, s), (ab, a), (ab, b), (a, a),
                          (partial(s, drop), a), (s, partial(a, drop)),
@@ -415,16 +416,15 @@ def reference_violations(cones, n):
 
 def reference_split(fan, rays):
     """``_split`` before facets were kept by their normal's sign: each facet
-    cone is asked whether it holds the ray."""
+    cone is asked whether it holds the ray.  A cone with no facet missing
+    the ray holds it in its lineality space and stays whole."""
     out = []
     for j, sigma in enumerate(fan.maximal):
         ray = rays.get(j)
-        if ray is None or not sigma.facets:
-            out.append(sigma)
-            continue
-        out += [make_cone(list(f.rays) + [ray], n=fan.n, lines=list(f.lines))
-                for f in fans.facet_cones(sigma)
-                if not cone_holds(f, [ray])]
+        joins = [] if ray is None else [
+            make_cone(list(f.rays) + [ray], n=fan.n, lines=list(f.lines))
+            for f in fans.facet_cones(sigma) if not cone_holds(f, [ray])]
+        out += joins or [sigma]
     return fans._trusted_fan(out, fan.n)
 
 
@@ -448,6 +448,19 @@ def simplex_image(n, shears):
     gens = cols + [tuple(-sum(c) for c in zip(*cols))]
     return fans.fan_from_cones(
         [cg(gens[:k] + gens[k + 1:]) for k in range(n + 1)], n)
+
+
+def with_lines(fan, n, cols):
+    """A fan times the span of the last n - fan.n unit vectors of rank n,
+    under the linear map with the given columns."""
+    def image(v):
+        v = v + (0,) * (n - len(v))
+        return tuple(sum(a * c[k] for a, c in zip(v, cols)) for k in range(n))
+    span = [image((0,) * k + (1,)) for k in range(fan.n, n)]
+    return fans.fan_from_cones(
+        [make_cone([image(r) for r in c.rays], n=n,
+                   lines=[image(l) for l in c.lines] + span)
+         for c in fan.maximal], n)
 
 
 def lifted(fan):
@@ -635,19 +648,24 @@ def test_facet_signs_match_the_converting_code_rank3(m1, m2, r, z, plane):
     assert fans._violations(cones, 3) == reference_violations(cones, 3) == []
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_split_steps_match_the_converting_code(data):
     """Stellar, barycentric and toward steps on pointed complete fans of
     ranks 2-4 (sheared orthant and simplex fans, and common refinements of
-    two, whose cones need not be simplicial): each join and its facets and
-    equations are those of ``make_cone``, and each witness is the one
-    ``is_subdivision`` finds."""
+    two, whose cones need not be simplicial), and stellar and barycentric
+    steps on such fans of lower rank times a sheared lineality space: each
+    join and its facets and equations are those of ``make_cone``, and each
+    witness is the one ``is_subdivision`` finds."""
     n = data.draw(st.sampled_from((2, 3, 4)))
+    # the rank of the pointed part: n for about half the examples
+    k = data.draw(st.integers(1, n - 1)) if data.draw(st.booleans()) else n
     image = data.draw(st.sampled_from((orthant_image, simplex_image)))
-    fan = image(n, data.draw(shears(n)))
-    if n < 4 and data.draw(st.booleans()):
-        fan = fans.common_refinement(fan, image(n, data.draw(shears(n))))
+    fan = image(k, data.draw(shears(k)) if k > 1 else [])
+    if 1 < k < 4 and data.draw(st.booleans()):
+        fan = fans.common_refinement(fan, image(k, data.draw(shears(k))))
+    if k < n:
+        fan = with_lines(fan, n, shear_columns(n, data.draw(shears(n))))
     vec = st.tuples(*[st.integers(-3, 3)] * n).filter(any)
     r = primitive(data.draw(vec)).direction
     assert_same_split(fan, {j: r for j, sigma in enumerate(fan.maximal)
@@ -655,6 +673,8 @@ def test_split_steps_match_the_converting_code(data):
     assert_same_split(fan, {j: primitive(sigma.relint_point()).direction
                             for j, sigma in enumerate(fan.maximal)},
                       tw.StellarAtBarycenters().step(fan))
+    if k < n:
+        return
     x = data.draw(vec)
     carrier, holding = fan.locate(x)
     got = tw.TowardDirection(tw.symbolic_vector(list(x))).step(

@@ -32,13 +32,14 @@ from troplim.errors import (
     ValidationError,
 )
 from troplim.galaxy import (
+    ClosedPoint,
     GalaxyPoint,
+    OpenPoint,
     PolygonDegeneration,
     base_change,
     classify_point,
     decomposition,
     elliptic_tower,
-    f_tr_cell,
     galaxy_point,
 )
 from troplim.towers import Symbol
@@ -63,6 +64,12 @@ def test_degeneration_labels():
         [0, F(1, 4), F(1, 2), F(3, 4)]
     with pytest.raises(ValidationError):
         PolygonDegeneration(0)
+    # the hexagon of a degree-2 base change of I_3
+    i6 = base_change(PolygonDegeneration(3), 2)
+    assert i6.label("v2") == F(1, 3)
+    assert edge_interval(i6, "e2") == (F(1, 3), F(1, 2))
+    with pytest.raises(UnknownStratum):
+        edge_interval(i6, "v0")
 
 
 def test_degeneration_validates_itself():
@@ -297,7 +304,7 @@ def test_rational_angles_open_at_the_divisibility_level(tower):
     expected = [(F(0), 0), (F(1, 6), 1), (F(5, 12), 2), (F(2, 3), 0)]
     for theta, level in expected:
         c = classify_point(tower, galaxy_point(theta))
-        assert c.kind == "open"
+        assert isinstance(c, OpenPoint)
         assert c.level == level
         assert c.label == theta
         assert tower.levels[level].label(c.vertex) == theta
@@ -313,7 +320,7 @@ def test_rational_angle_beyond_the_tower(tower):
 def test_irrational_angles_closed_with_shrinking_carriers(tower):
     for sym in (SQRT2_MINUS_1, GOLDEN_MINUS_1):
         c = classify_point(tower, galaxy_point(sym))
-        assert c.kind == "closed"
+        assert isinstance(c, ClosedPoint)
         assert [ce.width for ce in c.carriers] == \
             [F(1, 3 * 2 ** i) for i in range(5)]
         for outer, inner in zip(c.carriers, c.carriers[1:]):
@@ -391,14 +398,15 @@ def test_closed_form_matches_the_built_levels(tower, points):
             if not hits:
                 assert got[0] is IncompleteTower
                 continue
-            assert got.kind == "open" and got.level == hits[0]
+            assert isinstance(got, OpenPoint) and got.level == hits[0]
             assert levels[got.level].label(got.vertex) == point.rational
             continue
         sym = point.symbol
         if any(sym.lo <= a <= sym.hi for ang in angles for a in ang):
             assert got[0] is UndecidableSign
             continue
-        assert got.kind == "closed" and len(got.carriers) == len(levels)
+        assert isinstance(got, ClosedPoint) and \
+            len(got.carriers) == len(levels)
         for lv, edge in zip(levels, got.carriers):
             assert edge_interval(lv, edge.cell) == edge.interval
             assert edge.interval[0] < sym.lo and sym.hi < edge.interval[1]
@@ -409,11 +417,11 @@ def test_depth_cap_doubling_tower_in_closed_form():
     tower = elliptic_tower(3, [2 ** i for i in range(64)])
     theta = F(5, 3 * 2 ** 62)
     c = classify_point(tower, galaxy_point(theta))
-    assert (c.kind, c.level, c.vertex) == ("open", 62, "v5")
+    assert isinstance(c, OpenPoint) and (c.level, c.vertex) == (62, "v5")
     lo = F(isqrt(2 * 10 ** 80) - 10 ** 40, 10 ** 40)
     sym = Symbol("sqrt2-1", lo, lo + F(1, 10 ** 40))
     c = classify_point(tower, galaxy_point(sym))
-    assert c.kind == "closed"
+    assert isinstance(c, ClosedPoint)
     assert [ce.width for ce in c.carriers] == \
         [F(1, 3 * 2 ** i) for i in range(64)]
     for outer, inner in zip(c.carriers, c.carriers[1:]):
@@ -423,33 +431,7 @@ def test_depth_cap_doubling_tower_in_closed_form():
     assert time.perf_counter() - start < 1
 
 
-# -- strata and decomposition --
-
-
-def test_f_tr_cell_on_the_hexagon():
-    i6 = base_change(PolygonDegeneration(3), 2)
-    v = f_tr_cell(i6, "C2")
-    assert v.name == "v2" and v.dim == 0
-    assert i6.label("v2") == F(1, 3)
-    e = f_tr_cell(i6, "n2")
-    assert e.name == "e2" and e.dim == 1
-    assert edge_interval(i6, "e2") == (F(1, 3), F(1, 2))
-
-
-def test_f_tr_cell_on_a_plain_complex():
-    t = triangle_complex()
-    assert f_tr_cell(t, "ab").dim == 1
-    with pytest.raises(UnknownStratum):
-        f_tr_cell(t, "zz")
-
-
-def test_f_tr_cell_unknown_stratum():
-    i6 = base_change(PolygonDegeneration(3), 2)
-    for bad in ("C9", "n17", "w0"):
-        with pytest.raises(UnknownStratum):
-            f_tr_cell(i6, bad)
-    with pytest.raises(UnknownStratum):
-        edge_interval(i6, "v0")
+# -- decomposition --
 
 
 def test_decomposition_counts():

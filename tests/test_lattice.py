@@ -19,6 +19,7 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from builders import newton_polytope, normal_cone
 from test_linalg import (
     matrices,
     reference_primitivize,
@@ -577,9 +578,9 @@ exponent3 = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
 @settings(max_examples=40, deadline=None)
 @given(st.lists(exponent3, min_size=2, max_size=6, unique=True))
 def test_normal_cones_match_make_cone(exponents):
-    p = tp.newton_polytope(tp.trop_poly([(e, 0) for e in exponents]))
+    p = newton_polytope(tp.trop_poly([(e, 0) for e in exponents]))
     for face in polytope_faces(p):
-        assert_rebuilds(tp.normal_cone(p, face))
+        assert_rebuilds(normal_cone(p, face))
 
 
 # -- the H-side, derived from the V-side on first read -----------------------

@@ -13,7 +13,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from builders import rational_vector
+from builders import fan_from_rays_2d, rational_vector, stellar_subdivision
 from troplim import fans, towers as tw
 from troplim._linalg import _det_int, mat_rank
 from troplim.errors import (
@@ -199,7 +199,7 @@ def test_depth_cap():
 
 
 def test_common_refine_strategy_absorbs():
-    diag = fans.fan_from_rays_2d([(1, 1), (-1, 1), (-1, -1), (1, -1)])
+    diag = fan_from_rays_2d([(1, 1), (-1, 1), (-1, -1), (1, -1)])
     t = tw.extend_tower(tw.fan_tower(quadrant_fan()),
                         tw.CommonRefineWith(diag), 2)
     assert len(t.fans[1].maximal) == 8
@@ -403,7 +403,7 @@ def reference_barycentric_step(fan):
     out = fan
     for sigma in fan.maximal:
         if sigma.dim >= 2 and sigma.rays:
-            out = fans.stellar_subdivision(out, sigma.relint_point())
+            out = stellar_subdivision(out, sigma.relint_point())
     return out
 
 
@@ -427,7 +427,7 @@ def reference_toward_step(strategy, fan):
             new_ray = mid
         else:
             new_ray = carrier.relint_point()
-    return fans.stellar_subdivision(fan, new_ray)
+    return stellar_subdivision(fan, new_ray)
 
 
 def reference_levels(base, strategy, steps):
@@ -491,7 +491,7 @@ def test_completeness_on_read_matches_validation(data):
     n = data.draw(st.sampled_from((2, 3)))
     base = orthant_image(n, data.draw(shears(n)))
     ray = data.draw(st.tuples(*[st.integers(-2, 2)] * n).filter(any))
-    levels = [base, fans.stellar_subdivision(base, ray),
+    levels = [base, stellar_subdivision(base, ray),
               tw.StellarAtBarycenters().step(base)[0],
               fans.common_refinement(base,
                                      orthant_image(n, data.draw(shears(n))))]

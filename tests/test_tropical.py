@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from builders import affine_dim, newton_polytope, normal_cone, normal_fan
 from troplim import tropical as tp
-from troplim._polyhedra import affine_dim, homogenization_info
+from troplim._polyhedra import homogenization_info
 from troplim.errors import (
     BoundViolation,
     DimensionMismatch,
@@ -34,6 +35,23 @@ def nodal_cubic():
 
 def line_poly():
     return tp.trop_poly({(1, 0): 0, (0, 1): 0})
+
+
+def trop_eval(f, x):
+    """Min-plus value at x together with the set of achieving exponents."""
+    if len(x) != f.n:
+        raise DimensionMismatch(
+            f"point has length {len(x)}, polynomial has {f.n} variables")
+    xs = [F(c) for c in x]
+    best = None
+    achievers = []
+    for e, v in f.terms:
+        val = v + sum(c * xc for c, xc in zip(e, xs))
+        if best is None or val < best:
+            best, achievers = val, [e]
+        elif val == best:
+            achievers.append(e)
+    return best, tuple(achievers)
 
 
 def polyhedron_info(equations, inequalities, n):
@@ -82,7 +100,7 @@ def reference_hypersurface(f):
         if info is None:
             dead.add(seed)
             continue
-        _, achieved = tp.trop_eval(f, info.relint_point)
+        _, achieved = trop_eval(f, info.relint_point)
         sat = frozenset(exp_index[e] for e in achieved)
         if seed != sat:
             dead.add(seed)
@@ -117,8 +135,8 @@ def reference_normal_fan(f):
     polytope's faces from its own hull, and each positive-dimensional
     face's normal cone converted from its defining rows."""
     tp._require_germ(f)
-    p = tp.newton_polytope(f)
-    return tp._ptrop_set(f.n, [tp.normal_cone(p, face)
+    p = newton_polytope(f)
+    return tp._ptrop_set(f.n, [normal_cone(p, face)
                                for face in polytope_faces(p)
                                if affine_dim(face) >= 1])
 
@@ -156,45 +174,45 @@ def test_trop_poly_duplicate_exponent_keeps_dominant_valuation():
 
 
 def test_trop_eval_unique_achiever():
-    value, achievers = tp.trop_eval(line_poly(), (1, 2))
+    value, achievers = trop_eval(line_poly(), (1, 2))
     assert value == 1
     assert achievers == ((1, 0),)
 
 
 def test_trop_eval_tie():
-    value, achievers = tp.trop_eval(line_poly(), (1, 1))
+    value, achievers = trop_eval(line_poly(), (1, 1))
     assert value == 1
     assert achievers == ((0, 1), (1, 0))
 
 
 def test_trop_eval_nodal_cubic():
-    value, achievers = tp.trop_eval(nodal_cubic(), (2, 1))
+    value, achievers = trop_eval(nodal_cubic(), (2, 1))
     assert value == 3
     assert achievers == ((0, 3), (1, 1))
 
 
 def test_trop_eval_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        tp.trop_eval(line_poly(), (1, 2, 3))
+        trop_eval(line_poly(), (1, 2, 3))
 
 
 # -- Newton polytopes --------------------------------------------------------
 
 
 def test_newton_polytope_nodal_cubic():
-    p = tp.newton_polytope(nodal_cubic())
+    p = newton_polytope(nodal_cubic())
     assert p.vertices == ((0, 3), (1, 1), (3, 0))
     assert p.dim == 2
 
 
 def test_newton_polytope_drops_interior_points():
     f = tp.trop_poly({(0, 0): 0, (2, 0): 0, (0, 2): 0, (1, 1): 0})
-    p = tp.newton_polytope(f)
+    p = newton_polytope(f)
     assert p.vertices == ((0, 0), (0, 2), (2, 0))
 
 
 def test_polytope_faces_triangle():
-    p = tp.newton_polytope(nodal_cubic())
+    p = newton_polytope(nodal_cubic())
     faces = polytope_faces(p)
     assert len(faces) == 7  # 3 vertices, 3 edges, the triangle
     dims = sorted(affine_dim(fc) for fc in faces)
@@ -202,13 +220,13 @@ def test_polytope_faces_triangle():
 
 
 def test_polytope_faces_segment():
-    p = tp.newton_polytope(line_poly())
+    p = newton_polytope(line_poly())
     assert polytope_faces(p) == (
         ((0, 1),), ((0, 1), (1, 0)), ((1, 0),))
 
 
 def test_normal_fan_splits_at_diagonal():
-    fan = tp.normal_fan(tp.newton_polytope(line_poly()))
+    fan = normal_fan(newton_polytope(line_poly()))
     assert fan.complete
     assert {(c.rays, c.lines) for c in fan.maximal} == {
         (((0, 1),), ((1, 1),)),
@@ -217,14 +235,14 @@ def test_normal_fan_splits_at_diagonal():
 
 
 def test_normal_fan_single_monomial_is_everything():
-    fan = tp.normal_fan(tp.newton_polytope(tp.trop_poly({(2, 1): 0})))
+    fan = normal_fan(newton_polytope(tp.trop_poly({(2, 1): 0})))
     assert fan.complete
     assert len(fan.maximal) == 1
     assert fan.maximal[0].dim == 2
 
 
 def test_normal_fan_nodal_cubic_complete():
-    fan = tp.normal_fan(tp.newton_polytope(nodal_cubic()))
+    fan = normal_fan(newton_polytope(nodal_cubic()))
     assert fan.complete
     assert len(fan.maximal) == 3
 
@@ -268,7 +286,7 @@ def test_hypersurface_valuations_shift_cells():
     h = tp.trop_hypersurface(f)
     assert len(h.cells) == 1
     assert cell_rows(f, h.cells[0].achievers)[0] == (((1, -1), F(-1)),)
-    value, achievers = tp.trop_eval(f, (2, 1))
+    value, achievers = trop_eval(f, (2, 1))
     assert value == 2 and len(achievers) == 2
 
 
@@ -391,32 +409,6 @@ def test_positive_part_matches_the_conversion(cone):
     assert_positive_part_matches(cone)
 
 
-# -- ideals ------------------------------------------------------------------
-
-
-def test_ptrop_ideal_single_generator_not_flagged():
-    res = tp.ptrop_ideal([nodal_cubic()])
-    assert not res.upper_bound
-    assert res.ptset == tp.ptrop_normal_fan(nodal_cubic())
-
-
-def test_ptrop_ideal_pairwise_intersection():
-    g1 = tp.trop_poly({(1, 0, 0): 0, (0, 1, 0): 0, (0, 0, 1): 0})
-    g2 = tp.trop_poly({(1, 0, 0): 0, (0, 1, 0): 0})
-    res = tp.ptrop_ideal([g1, g2])
-    assert res.upper_bound
-    assert [(c.dim, c.rays) for c in res.ptset.cones] == [
-        (1, ((1, 1, 1),)),
-        (2, ((0, 0, 1), (1, 1, 1))),
-    ]
-
-
-def test_ptrop_ideal_asserted_basis_unflagged():
-    g1 = tp.trop_poly({(1, 0, 0): 0, (0, 1, 0): 0, (0, 0, 1): 0})
-    g2 = tp.trop_poly({(1, 0, 0): 0, (0, 1, 0): 0})
-    assert not tp.ptrop_ideal([g1, g2], tropical_basis_asserted=True).upper_bound
-
-
 # -- point counts and the degree bound ---------------------------------------
 
 
@@ -437,16 +429,18 @@ def test_degree_four_staircase_violates_bound():
     # y^4 + x y^2 + x^2 y + x^4: three points against a claimed bound of 2
     f = tp.trop_poly({(0, 4): 0, (1, 2): 0, (2, 1): 0, (4, 0): 0})
     assert tp.ptrop_normal_fan(f).points == ((1, 1), (1, 2), (2, 1))
-    with pytest.raises(BoundViolation):
+    with pytest.raises(BoundViolation) as caught:
         tp.count_ptrop_points(f)
+    assert (caught.value.count, caught.value.bound) == (3, 2)
 
 
 def test_degree_seven_staircase_violates_bound():
     # y^7 + x y^4 + x^2 y^2 + x^3 y + x^5: four points against a bound of 3
     f = tp.trop_poly({(0, 7): 0, (1, 4): 0, (2, 2): 0, (3, 1): 0, (5, 0): 0})
     assert len(tp.ptrop_normal_fan(f).points) == 4
-    with pytest.raises(BoundViolation):
+    with pytest.raises(BoundViolation) as caught:
         tp.count_ptrop_points(f)
+    assert (caught.value.count, caught.value.bound) == (4, 3)
 
 
 def test_count_beyond_degree_seven_unchecked():
@@ -473,15 +467,15 @@ def polys(n, max_deg=3, max_terms=5):
        st.fractions(min_value=0, max_value=1, max_denominator=8))
 def test_trop_eval_concave(f, x, y, lam):
     mid = tuple(lam * a + (1 - lam) * b for a, b in zip(x, y))
-    vx, _ = tp.trop_eval(f, x)
-    vy, _ = tp.trop_eval(f, y)
-    vm, _ = tp.trop_eval(f, mid)
+    vx, _ = trop_eval(f, x)
+    vy, _ = trop_eval(f, y)
+    vm, _ = trop_eval(f, mid)
     assert vm >= lam * vx + (1 - lam) * vy
 
 
 @given(polys(2), st.tuples(rationals, rationals))
 def test_trop_eval_matches_direct_minimum(f, x):
-    value, achievers = tp.trop_eval(f, x)
+    value, achievers = trop_eval(f, x)
     per_term = {e: v + sum(c * xc for c, xc in zip(e, x))
                 for e, v in f.terms}
     assert value == min(per_term.values())
@@ -524,7 +518,7 @@ def test_cells_cover_exactly_the_tie_locus(f, x, data):
         a, b = data.draw(st.permutations(f.terms))[:2]
         points.append(_tie_point(a, b, data.draw(rationals)))
     for p in points:
-        _, achievers = tp.trop_eval(f, p)
+        _, achievers = trop_eval(f, p)
         assert (len(achievers) >= 2) == _on_some_cell(f, h, p)
 
 
@@ -535,7 +529,7 @@ def test_cell_recession_directions_stay_in_cell(f):
     for cell in h.cells:
         for ray in cell.recession.rays:
             probe = tuple(p + 7 * r for p, r in zip(cell.relint_point, ray))
-            _, achievers = tp.trop_eval(f, probe)
+            _, achievers = trop_eval(f, probe)
             assert set(cell.achievers) <= set(achievers)
 
 
