@@ -90,7 +90,7 @@ def main(argv=None):
             print(f"{describe(f):<44} {'-':>8} {len(exact.cones):>6} "
                   f"{'no branches':>11}")
             continue
-        worst = max(distance_to_ptrop(exact, c.direction) for c in clusters)
+        worst = max(distance_to_ptrop(exact, [c.direction for c in clusters]))
         exact_count = len(exact.points) if f.n == 2 else len(exact.cones)
         flag = "" if worst < 1e-2 else "  <-- off"
         print(f"{describe(f):<44} {len(clusters):>8} {exact_count:>6} "

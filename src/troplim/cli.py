@@ -272,12 +272,12 @@ def handle_ptrop(cfg: JobConfig, path: str) -> dict:
     if f.n in (2, 3):
         coeffs = lift_coefficients(f, seed=cfg.seed)
         clusters = ptrop_sample_oracle(coeffs, f.n, seed=cfg.seed)
+        distances = distance_to_ptrop(exact, [cl.direction for cl in clusters])
         result["oracle_clusters"] = [{
             "direction": [round(v, 9) for v in cl.direction],
             "size": cl.size,
-            "distance_to_exact": round(distance_to_ptrop(
-                exact, cl.direction), 9),
-        } for cl in clusters]
+            "distance_to_exact": round(d, 9),
+        } for cl, d in zip(clusters, distances)]
     return result
 
 

@@ -17,19 +17,22 @@ of log|x_last| between the last two radii, which cancels multiplicative
 constants and converges quickly.  Directions are clustered by single
 linkage in angular distance.
 
-Each stage runs over all paths at once, bit for bit as path by path: one
-draw of every path's random numbers (the same stream); each polynomial
-built from a table of the powers of its substituted coordinates, in the
-scalar arithmetic and order of a term-by-term expansion; all polynomials
-solved together as companion-matrix eigenvalues, one numpy call per
-polynomial length, exactly what numpy.roots returns for each; and the
-slopes of the paths whose two root counts agree read with one abs, sort
-and log per count.
+Each stage runs over all paths at once, in whole arrays, bit for bit as
+path by path: one draw of every path's random numbers (the same stream);
+one complex array of polynomials, one row per path and radius, built on
+the real and imaginary parts of power tables with the formulas of Python's
+scalar complex product and integer power, term by term in a fixed order;
+each row's nonzero span read off a mask, and the rows of one trimmed length
+gathered and solved together as companion-matrix eigenvalues, exactly what
+numpy.roots returns for each; the slopes of the paths whose two root counts
+agree read with one abs, sort and log per count; and the directions divided
+by totals summed in the order Python's sum adds floats.  numpy's array
+complex product and square differ from Python's in the last bits on many
+inputs, so neither is used.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -76,76 +79,97 @@ def lift_coefficients(f: TropicalPolynomial, seed: int = 0
     return out
 
 
-def _last_var_polys(coeffs: Mapping[IVec, complex],
-                    fixed: Sequence[Sequence[complex]]) -> list[list[complex]]:
-    """Coefficients in the last variable, highest degree first, after each
-    substitution of the other one or two coordinates (in scalar complex
-    arithmetic).
+def _prod(ar, ai, br, bi):
+    """(ar + ai i)(br + bi i), formed as CPython's complex product forms it,
+    on floats or float arrays alike."""
+    return ar * br - ai * bi, ar * bi + ai * br
 
-    A substitution's powers are taken once each, into a table of the
-    exponents each coordinate carries.  A term is its coefficient times its
-    power of each coordinate in turn, a zeroth power included, so every
-    product is the one a term-by-term expansion forms.
+
+def _powers(re: np.ndarray, im: np.ndarray, exponents) -> dict:
+    """The real and imaginary parts of x ** k for each exponent k, by
+    CPython's repeated squaring for integer powers: from 1, times each
+    squaring x ** (2 ** bit) whose bit k sets, lowest bit first.
+
+    Python raises exponents above 100 by a polar formula instead, and numpy
+    scalars those from 100 on by libm's cpow; such a power may differ from
+    theirs in the last bits.
     """
+    squares = [(re, im)]
+    while 1 << len(squares) <= max(exponents):
+        squares.append(_prod(*squares[-1], *squares[-1]))
+    table = {}
+    for k in exponents:
+        power = (1.0, 0.0)
+        for bit, square in enumerate(squares):
+            if k >> bit & 1:
+                power = _prod(*power, *square)
+        table[k] = power
+    return table
+
+
+def _last_var_polys(coeffs: Mapping[IVec, complex],
+                    fixed: np.ndarray) -> np.ndarray:
+    """Coefficients in the last variable, highest degree first, one row per
+    row of ``fixed``, the values substituted for the other one or two
+    coordinates.
+
+    The arithmetic is a term-by-term expansion in scalar complex arithmetic,
+    done on the real and imaginary parts of whole columns: each
+    coordinate's powers are taken once, into a table of the exponents it
+    carries, and a term is its coefficient times its power of each
+    coordinate in turn, a zeroth power included, added to its slot in
+    ``coeffs`` order.
+    """
+    import numpy as np
     top = max(e[-1] for e in coeffs)
-    kinds = [{e[j] for e in coeffs} for j in range(len(fixed[0]))]
-    polys = []
-    # one loop per number of substituted coordinates: an inner loop over
-    # them costs more than the powers the tables save
-    if len(kinds) == 1:
-        plan = [(c, top - e[-1], e[0]) for e, c in coeffs.items()]
-        for (v,) in fixed:
-            powers = {k: v ** k for k in kinds[0]}
-            poly = [0j] * (top + 1)
-            for c, slot, a in plan:
-                poly[slot] += c * powers[a]
-            polys.append(poly)
-        return polys
-    plan = [(c, top - e[-1], e[0], e[1]) for e, c in coeffs.items()]
-    for v0, v1 in fixed:
-        p0 = {k: v0 ** k for k in kinds[0]}
-        p1 = {k: v1 ** k for k in kinds[1]}
-        poly = [0j] * (top + 1)
-        for c, slot, a, b in plan:
-            poly[slot] += c * p0[a] * p1[b]
-        polys.append(poly)
+    tables = [_powers(fixed.real[:, j].copy(), fixed.imag[:, j].copy(),
+                      {e[j] for e in coeffs})
+              for j in range(fixed.shape[1])]
+    polys = np.zeros((len(fixed), top + 1), dtype=complex)
+    re, im = polys.real, polys.imag
+    for e, c in coeffs.items():
+        c = complex(c)
+        term = (c.real, c.imag)
+        for table, k in zip(tables, e):
+            term = _prod(*term, *table[k])
+        re[:, top - e[-1]] += term[0]
+        im[:, top - e[-1]] += term[1]
     return polys
 
 
-def _batched_roots(polys: Sequence[Sequence[complex]]) -> list[np.ndarray]:
-    """np.roots of every polynomial, bit for bit, with one eigenvalue call
-    per trimmed length.
+def _batched_roots(polys: np.ndarray) -> list[np.ndarray]:
+    """np.roots of every row of a complex array, bit for bit, with one
+    eigenvalue call per trimmed length.
 
     As in np.roots: leading zeros are stripped, each trailing zero adds one
-    zero root after the eigenvalues, and a polynomial that is zero, or
-    constant once trimmed, has no other root.  The rest are the eigenvalues
-    of the companion matrix, first row -p[1:]/p[0] and ones below the
-    diagonal (Edelman & Murakami 1995), stacked by trimmed length.
+    zero root after the eigenvalues, and a row that is zero, or constant
+    once trimmed, has no other root.  Each row's first and last nonzero
+    entries are read off a nonzero mask with ``argmax``; the rows of one
+    trimmed length are gathered into one array, whose companion matrices,
+    first row -p[1:]/p[0] and ones below the diagonal (Edelman & Murakami
+    1995), are stacked into one eigenvalue call.
     """
     import numpy as np
-    roots: list = [None] * len(polys)
-    groups: dict[int, list] = {}
-    for i, p in enumerate(polys):
-        nonzero = [j for j, c in enumerate(p) if c]
-        if not nonzero:
-            roots[i] = np.array([])
-            continue
-        first, last = nonzero[0], nonzero[-1]
-        zeros = len(p) - last - 1
-        if first == last:
-            roots[i] = np.zeros(zeros)
-            continue
-        groups.setdefault(last - first + 1, []).append(
-            (i, p[first:last + 1], zeros))
-    for size, members in groups.items():
-        p = np.array([trimmed for _, trimmed, _ in members], dtype=complex)
-        companion = np.zeros((len(members), size - 1, size - 1), dtype=complex)
+    width = polys.shape[1]
+    nonzero = polys != 0
+    first = nonzero.argmax(axis=1)
+    last = width - 1 - nonzero[:, ::-1].argmax(axis=1)
+    zeros = (width - 1 - last).tolist()
+    sizes = np.where(nonzero.any(axis=1), last - first + 1, 0)
+    # a zero row has no root (its mask puts its last nonzero entry at the
+    # end, so it counts no trailing zero), a constant one only those zeros
+    roots: list = [np.zeros(z) if size < 2 else None
+                   for size, z in zip(sizes.tolist(), zeros)]
+    for size in np.unique(sizes[sizes > 1]).tolist():
+        rows = np.flatnonzero(sizes == size)
+        p = polys[rows[:, None], first[rows, None] + np.arange(size)]
+        companion = np.zeros((len(rows), size - 1, size - 1), dtype=complex)
         companion[:, 0, :] = -p[:, 1:] / p[:, :1]
         below = np.arange(size - 2)
         companion[:, below + 1, below] = 1
-        for (i, _, zeros), eig in zip(members,
-                                      np.linalg.eigvals(companion)):
-            roots[i] = np.concatenate((eig, np.zeros(zeros, eig.dtype)))
+        for i, eig in zip(rows.tolist(), np.linalg.eigvals(companion)):
+            roots[i] = np.concatenate((eig, np.zeros(zeros[i], eig.dtype))) \
+                if zeros[i] else eig
     return roots
 
 
@@ -180,9 +204,16 @@ def _cluster(directions: np.ndarray, angle: float) -> list[Cluster]:
     import numpy as np
     m = len(directions)
     unit = directions / np.linalg.norm(directions, axis=1, keepdims=True)
-    gram = np.clip(unit @ unit.T, -1.0, 1.0)
-    # the upper triangle, mirrored, so the graph is symmetric bit for bit
-    close = np.triu(np.arccos(gram) < angle, 1)
+    gram = unit @ unit.T
+    # arccos(gram) < angle, decided by gram alone outside a band around
+    # cos(angle) that is far wider than arccos's error, and by arccos on the
+    # few pairs inside it; the upper triangle, mirrored, so the graph is
+    # symmetric bit for bit
+    cos = math.cos(angle)
+    close = gram > cos + 1e-9
+    band = (gram > cos - 1e-9) & ~close
+    close[band] = np.arccos(gram[band]) < angle
+    close = np.triu(close, 1)
     close |= close.T
     labels = np.full(m, -1)
     clusters = []
@@ -213,34 +244,37 @@ def ptrop_sample_oracle(coeffs: Mapping[IVec, complex], n: int,
     rng = np.random.default_rng(seed)
     # only the last two radii are read: the slope is their difference quotient
     radii = [INITIAL_RADIUS * DECAY ** k for k in (DEPTH - 2, DEPTH - 1)]
-    # every path's draws at once: the same stream as one draw per path
+    # every path's draws at once: the same stream as one draw per path.  A
+    # path's coordinates at each radius are the complex products r * phase
+    # or r ** w * phase, with libm's cos, sin and pow
     if n == 2:
-        thetas = 2 * math.pi * rng.random(PATHS)
-        weights = [(1.0,)] * PATHS
-        phases = [complex(math.cos(t), math.sin(t)) for t in thetas]
-        fixed = [(r * phase,) for phase in phases for r in radii]
+        thetas = 2 * math.pi * rng.random((PATHS, 1))
+        weights = np.ones((PATHS, 1))
+        scale = np.array(radii)[:, None]
     else:
         draws = rng.random((PATHS, 4))
         thetas = 2 * math.pi * draws[:, :2]
-        w = 0.25 + 1.75 * draws[:, 2:]
-        weights = [(float(a), float(b)) for a, b in w]
-        fixed = []
-        for (t0, t1), (w0, w1) in zip(thetas, w):
-            p0 = complex(math.cos(t0), math.sin(t0))
-            p1 = complex(math.cos(t1), math.sin(t1))
-            fixed += [(r ** w0 * p0, r ** w1 * p1) for r in radii]
-    roots = _batched_roots(_last_var_polys(coeffs, fixed))
-    directions: list[tuple[float, ...]] = []
-    for vec0, slopes in zip(weights, _path_slopes(roots[::2], roots[1::2])):
-        for slope in slopes:
-            vec = vec0 + (slope,)
-            total = sum(vec)
-            directions.append(tuple(c / total for c in vec))
-    if not directions:
+        weights = 0.25 + 1.75 * draws[:, 2:]
+        scale = np.array([[[r ** w for w in ws] for r in radii]
+                          for ws in weights.tolist()])
+    thetas = thetas.tolist()
+    cos = np.array([[math.cos(t) for t in ts] for ts in thetas])[:, None]
+    sin = np.array([[math.sin(t) for t in ts] for ts in thetas])[:, None]
+    fixed = np.empty((PATHS, len(radii), n - 1), dtype=complex)
+    fixed.real, fixed.imag = _prod(scale, 0.0, cos, sin)
+    roots = _batched_roots(_last_var_polys(coeffs, fixed.reshape(-1, n - 1)))
+    slopes = _path_slopes(roots[::2], roots[1::2])
+    rows = np.repeat(np.arange(PATHS), [len(s) for s in slopes])
+    if not rows.size:
         raise NoBranchFound(
             "no path produced a branch approaching the origin; the germ may "
             "miss the origin entirely")
-    return tuple(_cluster(np.asarray(directions), CLUSTER_ANGLE))
+    last = np.array([s for path in slopes for s in path])
+    w = weights[rows]
+    # summed left to right, as Python 3.11's sum adds floats: (w0 + w1) + s
+    total = (w[:, 0] if n == 2 else w[:, 0] + w[:, 1]) + last
+    directions = np.column_stack((w, last)) / total[:, None]
+    return tuple(_cluster(directions, CLUSTER_ANGLE))
 
 
 def _angle_to(mat: np.ndarray, a: np.ndarray) -> float:
@@ -253,23 +287,21 @@ def _angle_to(mat: np.ndarray, a: np.ndarray) -> float:
     norm = np.linalg.norm(proj)
     if norm < 1e-12:
         return math.pi / 2
-    return float(np.arccos(np.clip(a @ proj / norm, -1.0, 1.0)))
+    return float(np.arccos(min(max(a @ proj / norm, -1.0), 1.0)))
 
 
-@functools.lru_cache(maxsize=1)
-def _ray_matrices(ptset: PTropSet) -> tuple[np.ndarray, ...]:
-    """Each cone's rays as the columns of a float matrix, built once for
-    the distances of every cluster to the same set."""
+def distance_to_ptrop(ptset: PTropSet, directions: Sequence[Sequence[float]]
+                      ) -> list[float]:
+    """Angular distance from each direction to the exact PTrop set, with
+    each cone's rays made the columns of a float matrix once."""
     import numpy as np
-    return tuple(np.asarray(cone.rays, dtype=float).T for cone in ptset.cones)
-
-
-def distance_to_ptrop(ptset: PTropSet, u: Sequence[float]) -> float:
-    """Angular distance from a direction to the exact PTrop set."""
-    import numpy as np
-    a = np.asarray(u, dtype=float)
-    a = a / np.linalg.norm(a)
-    best = math.pi / 2
-    for mat in _ray_matrices(ptset):
-        best = min(best, _angle_to(mat, a))
-    return best
+    mats = [np.asarray(cone.rays, dtype=float).T for cone in ptset.cones]
+    distances = []
+    for u in directions:
+        a = np.asarray(u, dtype=float)
+        a = a / np.linalg.norm(a)
+        best = math.pi / 2
+        for mat in mats:
+            best = min(best, _angle_to(mat, a))
+        distances.append(best)
+    return distances

@@ -201,8 +201,7 @@ def test_criterion_02_sampling_oracle_matches_exact_ptrop():
     for idx, f in enumerate(germs):
         exact = ptrop_normal_fan(f)
         clusters = ptrop_sample_oracle(lift_coefficients(f, seed=idx), f.n)
-        for c in clusters:
-            dist = distance_to_ptrop(exact, c.direction)
+        for dist in distance_to_ptrop(exact, [c.direction for c in clusters]):
             worst = max(worst, dist)
             assert dist < 1e-2
         if f.n == 2:

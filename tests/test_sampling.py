@@ -9,13 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from troplim import sampling as sm
 from troplim import tropical as tp
 from troplim.errors import DimensionMismatch, NoBranchFound
 
+from test_acceptance import WORKED_EXAMPLES
 from test_cli import EXEMPLARS, NODAL, QUADRANT, put
 
 TOL = 1e-2
@@ -26,8 +27,8 @@ def test_nodal_cubic_two_clusters_near_exact_points():
     clusters = sm.ptrop_sample_oracle(sm.lift_coefficients(f, seed=1), 2)
     assert len(clusters) == 2
     exact = tp.ptrop_normal_fan(f)
-    for c in clusters:
-        assert sm.distance_to_ptrop(exact, c.direction) < TOL
+    assert max(sm.distance_to_ptrop(exact, [c.direction for c in clusters])
+               ) < TOL
     # the double branch collects twice the samples of the simple one
     sizes = sorted(c.size for c in clusters)
     assert sizes == [200, 400]
@@ -53,8 +54,8 @@ def test_surface_samples_land_on_exact_cone():
     clusters = sm.ptrop_sample_oracle(sm.lift_coefficients(f, seed=3), 3)
     exact = tp.ptrop_normal_fan(f)
     assert clusters
-    for c in clusters:
-        assert sm.distance_to_ptrop(exact, c.direction) < TOL
+    assert max(sm.distance_to_ptrop(exact, [c.direction for c in clusters])
+               ) < TOL
 
 
 def test_sampler_rejects_unsupported_rank():
@@ -213,6 +214,12 @@ def test_path_slopes_match_the_slopes_of_each_path(pairs):
         [_slopes(b, a) for b, a in pairs]
 
 
+# coordinates with a zero part of either sign, substituted next to the
+# radius-0 rows of a drawn path
+SIGNED_ZEROS = [complex(a, b) for a in (0.0, -0.0, 0.5, -2.0)
+                for b in (0.0, -0.0, 0.25, -1.5)]
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_power_tables_keep_every_coefficient_bit_for_bit(n):
     @settings(max_examples=40, deadline=None)
@@ -222,10 +229,14 @@ def test_power_tables_keep_every_coefficient_bit_for_bit(n):
         rng = np.random.default_rng(seed)
         _, fixed_at = _draw_path(rng, n)
         fixed = [fixed_at(r) for r in (sm.INITIAL_RADIUS, 1.0, 0.0)]
-        for ours, vals in zip(sm._last_var_polys(coeffs, fixed), fixed):
+        fixed += [(z,) * (n - 1) for z in SIGNED_ZEROS]
+        if n == 3:
+            fixed += [(z, fixed[0][1]) for z in SIGNED_ZEROS]
+        ours = sm._last_var_polys(coeffs, np.array(fixed, dtype=complex))
+        assert ours.shape == (len(fixed), max(e[-1] for e in coeffs) + 1)
+        for row, vals in zip(ours, fixed):
             theirs = _last_var_poly(coeffs, vals)
-            assert np.array(ours, dtype=complex).tobytes() == \
-                np.array(theirs, dtype=complex).tobytes()
+            assert row.tobytes() == np.array(theirs, dtype=complex).tobytes()
 
     check()
 
@@ -251,8 +262,15 @@ coefficient = st.one_of(
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.lists(coefficient, min_size=1, max_size=8), max_size=10))
 def test_batched_roots_match_np_roots_bit_for_bit(polys):
+    """Each row is one polynomial left-padded with zeros to a common width;
+    np.roots strips leading zeros, so it reads the unpadded polynomial."""
     polys = [np.array(p, dtype=complex) for p in EDGE_POLYS + polys]
-    for ours, p in zip(sm._batched_roots(polys), polys):
+    width = max(len(p) for p in polys)
+    padded = np.array([[0] * (width - len(p)) + list(p) for p in polys],
+                      dtype=complex)
+    roots = sm._batched_roots(padded)
+    assert len(roots) == len(polys)
+    for ours, p in zip(roots, polys):
         assert _same_roots(ours, np.roots(p))
 
 
@@ -317,6 +335,20 @@ def test_oracle_matches_the_per_path_reference(n):
     check()
 
 
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("f", [f for f in WORKED_EXAMPLES if f.n in (2, 3)])
+def test_oracle_matches_the_reference_on_the_worked_germs(f, seed):
+    """The oracle as the CLI runs it, lifted and sampled at one seed."""
+    coeffs = sm.lift_coefficients(f, seed=seed)
+    try:
+        expected = _reference_oracle(coeffs, f.n, seed)
+    except NoBranchFound:
+        with pytest.raises(NoBranchFound):
+            sm.ptrop_sample_oracle(coeffs, f.n, seed)
+        return
+    assert sm.ptrop_sample_oracle(coeffs, f.n, seed) == expected
+
+
 def _per_cone_distance(ptset, u):
     """The distance as a loop of ``distance_to_cone`` calls, one per cone."""
     best = math.pi / 2
@@ -327,20 +359,58 @@ def _per_cone_distance(ptset, u):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_distance_to_ptrop_matches_the_per_cone_loop(n):
-    """Exactly equal, with the float matrices of a set reused from one
-    direction to the next and rebuilt for the next set."""
+    """Exactly equal, one distance per direction, in order."""
     direction = st.tuples(*[st.floats(1e-3, 10)] * n)
 
     @settings(max_examples=25, deadline=None)
-    @given(_germs(n), _germs(n), st.lists(direction, min_size=1, max_size=4))
-    def check(f, g, directions):
-        sets = [tp.ptrop_normal_fan(h) for h in (f, g, f)]
-        for ptset in sets:
-            for u in directions:
-                assert sm.distance_to_ptrop(ptset, u) == \
-                    _per_cone_distance(ptset, u)
+    @given(_germs(n), st.lists(direction, max_size=4))
+    def check(f, directions):
+        ptset = tp.ptrop_normal_fan(f)
+        assert sm.distance_to_ptrop(ptset, directions) == \
+            [_per_cone_distance(ptset, u) for u in directions]
 
     check()
+
+
+def _clipped_angle_to(mat, a):
+    """``_angle_to`` with its cosine clipped into [-1, 1] by np.clip."""
+    from scipy.optimize import nnls
+    coeffs, _ = nnls(mat, a)
+    proj = mat @ coeffs
+    norm = np.linalg.norm(proj)
+    if norm < 1e-12:
+        return math.pi / 2
+    return float(np.arccos(np.clip(a @ proj / norm, -1.0, 1.0)))
+
+
+@st.composite
+def cones_and_directions(draw):
+    """Rays of a random cone in rank 2 or 3 and a direction that is random,
+    a positive combination of the rays (inside the cone), or one ray
+    scaled (parallel to it)."""
+    n = draw(st.sampled_from([2, 3]))
+    ray = st.tuples(*[st.integers(-3, 3)] * n).filter(any)
+    rays = draw(st.lists(ray, min_size=1, max_size=4))
+    kind = draw(st.sampled_from(["random", "inside", "parallel"]))
+    if kind == "random":
+        u = np.array(draw(st.tuples(*[st.floats(-10, 10)] * n)))
+    elif kind == "inside":
+        weights = draw(st.lists(st.floats(1e-3, 10), min_size=len(rays),
+                                max_size=len(rays)))
+        u = np.asarray(weights) @ np.asarray(rays, dtype=float)
+    else:
+        u = draw(st.floats(1e-3, 10)) * np.asarray(draw(st.sampled_from(rays)),
+                                                   dtype=float)
+    norm = np.linalg.norm(u)
+    assume(norm > 1e-9)
+    return np.asarray(rays, dtype=float).T, u / norm
+
+
+@settings(max_examples=200, deadline=None)
+@given(cones_and_directions())
+def test_angle_to_matches_the_clipped_cosine(case):
+    mat, a = case
+    assert sm._angle_to(mat, a).hex() == _clipped_angle_to(mat, a).hex()
 
 
 def _union_find_clusters(directions, angle):
