@@ -122,7 +122,7 @@ def _last_var_polys(coeffs: Mapping[IVec, complex],
     """
     import numpy as np
     top = max(e[-1] for e in coeffs)
-    tables = [_powers(fixed.real[:, j].copy(), fixed.imag[:, j].copy(),
+    tables = [_powers(fixed.real[:, j], fixed.imag[:, j],
                       {e[j] for e in coeffs})
               for j in range(fixed.shape[1])]
     polys = np.zeros((len(fixed), top + 1), dtype=complex)
