@@ -1464,6 +1464,78 @@ def test_help_texts_are_frozen(capsys, monkeypatch, command):
     assert err == ""
 
 
+# per usage error: its argv, and the SHA-256 of its exit code and stderr at
+# 80 columns; no input file is read, since parsing fails first
+USAGE_ERRORS = {
+    "no-subcommand": ([], "aadf807f44c4ed95f2fc2cc087171a02"
+                          "730139c786928beedd51928553ba663f"),
+    "unknown-subcommand": (["tropic", "in.json"],
+                           "3b7096e64ba6829268119c493431d63d"
+                           "f921e88cde2f1a8bb92ef955bf984bda"),
+    "trop-no-file": (["trop"], "37bef0253bfa1a2ddade1b1a8f02f52f"
+                               "16498b15e993a3d67f7c3fbfd11e5ea1"),
+    "ptrop-no-file": (["ptrop"], "b942c78131c0a0030020c4fe6ad53c92"
+                                 "50dda0c51e9158c271a670ff6ed24d0d"),
+    "fan-validate-no-file": (["fan-validate"],
+                             "ab8e7556bf5b7be04fad09e211b69b86"
+                             "af7710669be199214c04715bc9a5d74f"),
+    "refine-no-file": (["refine"], "a99dd3496b9e23a99a2c0008c89ae5d8"
+                                   "330fa26e1ba5fc84297ae42cf3d65b38"),
+    "limit-point-no-file": (["limit-point"],
+                            "5beb2fc0a4ca72d43351408c8ba0998c"
+                            "2eed98b76f0b365fdd93c37d286224ee"),
+    "fiber-rank-no-file": (["fiber-rank"],
+                           "2cd729ca41f8e6c4b7de9d0ad869c0b1"
+                           "c0d7a23193142c0a3ed025f1cc613acf"),
+    "dualcx-no-file": (["dualcx"], "9cc02c65e4862355b618874b4e88f292"
+                                   "4be77408ef1d616521c2e7fedb4c7c28"),
+    "subdivide-no-file": (["subdivide"], "46250adefc6adfb2fee7922402243303"
+                                         "a1513ededbab19875b9d38ad8ee5a446"),
+    "rational-points-no-file": (["rational-points"],
+                                "218fd3e5b83c8643bee0a883ebc55e8d"
+                                "480b43e68624b87de4f978d4b96e4458"),
+    "map-fibers-no-file": (["map-fibers"],
+                           "03986452816db510dcc79c537a627622"
+                           "daebc479a4a08a2ed76a74f0680dae29"),
+    "toric-fiber-no-file": (["toric-fiber"],
+                            "5ebd40dad0fde9e60d76db5893325445"
+                            "e92de4a240e2867bbef3254246519c4f"),
+    "galaxy-no-file": (["galaxy"], "72fe11e950c1cfe6b240be76ac16f408"
+                                   "4bbe2243a2de2b0fe09f7f3db18b2d63"),
+    "unregistered-flag": (["trop", "in.json", "--depth", "2"],
+                          "828a83f5b5512ce5c08eb3e0b21e99db"
+                          "0031b937f6f0eb7fb6cbc4f65e1a4108"),
+    "seed-not-an-integer": (["ptrop", "in.json", "--seed", "x"],
+                            "8475fa099b622f3d479d128320b06c7c"
+                            "13e57ecca84f3daca63c2448a4928ad7"),
+    "depth-not-an-integer": (["limit-point", "in.json", "--depth", "1.5"],
+                             "db7b60ab9eedc37f82e30fcfde2c0fd7"
+                             "8950114c0ead83ca9f0b9cb7f21f413a"),
+    "N-not-an-integer": (["subdivide", "in.json", "--N", "two"],
+                         "9836880164502287eddb32a60c43fa3e"
+                         "c3dedda52327430594039e0eaeee53f7"),
+    "level-not-an-integer": (["rational-points", "in.json", "--level", "3/2"],
+                             "c751576b17eeb34ef6def321d59c9d0e"
+                             "34ff2fd6440ffa94565adcc0f683bd55"),
+    "flag-missing-value": (["ptrop", "in.json", "--seed"],
+                           "1246202229080dc0fab562722049ea18"
+                           "c68dafadb0a06ac0768822a74bddc8db"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_usage_errors_are_frozen(capsys, monkeypatch, case):
+    """SHA-256 of each usage error's exit code and stderr at 80 columns."""
+    argv, digest = USAGE_ERRORS[case]
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert out == ""
+    log = f"{exc.value.code}\n{err}".encode()
+    assert hashlib.sha256(log).hexdigest() == digest
+
+
 def test_the_benchmark_tracer_wraps_a_cli_job(tmp_path):
     """perfbench/layers.py looks each layer module up in ``sys.modules`` and
     rebinds the CLI's handler table.  In a fresh interpreter, as in a traced
