@@ -174,12 +174,16 @@ def load_json(path: str) -> dict:
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: byte {exc.start}: not UTF-8 text") from exc
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: nested too deeply to parse") from exc
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: top level must be a JSON object")
     return obj

@@ -1146,6 +1146,9 @@ POINT_MAP = {"source": {"cells": [{"name": "p", "faces": []}]},
      "vars: expected an integer, got '" + "9" * 5000 + "'"),
     ("ptrop", NODAL, ["--seed", "-1"], 2,
      "error: seed must be a nonnegative integer"),
+    # bytes are written as they are: files that no JSON encoder writes
+    ("trop", b'\xff\xfe{"vars": 2}', [], 3, "in.json: byte 0: not UTF-8 text"),
+    ("trop", b"[" * 100000, [], 3, "in.json: nested too deeply to parse"),
 ], ids=["map-reference-int", "map-phi-int", "galaxy-empty-symbol",
         "fiber-rank-empty-symbol", "limit-point-empty-symbol",
         "fan-negative-rank", "negative-exponent", "no-terms",
@@ -1160,10 +1163,15 @@ POINT_MAP = {"source": {"cells": [{"name": "p", "faces": []}]},
         "symbol-name-int", "phi-unknown-source-cell", "mode-int",
         "mode-list", "mode-unknown", "no-strata", "fiber-rank-over-cap",
         "coefficient-list-length", "symbol-name-repeated",
-        "integer-past-digit-limit", "seed-negative"])
+        "integer-past-digit-limit", "seed-negative", "not-utf-8",
+        "nested-too-deeply"])
 def test_malformed_inputs_exit_with_a_documented_code(
         tmp_path, capsys, command, obj, flags, code, error):
-    path = put(tmp_path, "in.json", obj)
+    if isinstance(obj, bytes):
+        path = str(tmp_path / "in.json")
+        (tmp_path / "in.json").write_bytes(obj)
+    else:
+        path = put(tmp_path, "in.json", obj)
     assert cli.main([command, path] + flags) == code
     assert error in capsys.readouterr().err
 
