@@ -6,7 +6,10 @@ directory and runs the CLI on it in a fresh interpreter --runs times, from
 the sources next to this script.  Each process runs `troplim.cli` as
 `python -m troplim.cli` does (through runpy), with an exit hook that
 reports whether numpy or scipy was loaded.  The printed time is the median
-wall time of a whole process, interpreter start-up included.
+wall time of a whole process, interpreter start-up included.  Beside it
+is the median in-process time of `build_parser().parse_args(argv)` on the
+same command line, over PARSE_REPEATS calls: a cost of a few milliseconds
+that the spread of whole-process times hides.
 
 Usage:
     python3 scripts/cli_startup.py [--runs 5] [subcommand ...]
@@ -23,6 +26,11 @@ import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
+
+from troplim.cli import build_parser  # noqa: E402
+
+PARSE_REPEATS = 101
 
 # runs the CLI as `python -m troplim.cli` would, then names the loaded
 # numeric modules on the last line of stderr
@@ -77,19 +85,29 @@ INPUTS = {
 }
 
 
-def run_once(command, paths, env):
-    """Wall seconds of one CLI process, and whether it loaded numpy and
-    scipy; raises RuntimeError if the run fails."""
-    argv = [sys.executable, "-c", PROBE, command, *paths, "--json"]
+def run_once(argv, env):
+    """Wall seconds of one CLI process on `argv`, and whether it loaded
+    numpy and scipy; raises RuntimeError if the run fails."""
+    command = argv[0]
     start = time.perf_counter()
-    out = subprocess.run(argv, capture_output=True, text=True, env=env,
-                         timeout=120)
+    out = subprocess.run([sys.executable, "-c", PROBE, *argv],
+                         capture_output=True, text=True, env=env, timeout=120)
     seconds = time.perf_counter() - start
     if out.returncode != 0:
         raise RuntimeError(f"{command} exited {out.returncode}: "
                            f"{out.stderr.strip()}")
     _, numpy, scipy = out.stderr.splitlines()[-1].split()
     return seconds, numpy == "True", scipy == "True"
+
+
+def parse_seconds(argv):
+    """Median seconds of `build_parser().parse_args(argv)` in this process."""
+    times = []
+    for _ in range(PARSE_REPEATS):
+        start = time.perf_counter()
+        build_parser().parse_args(argv)
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
 
 
 def main(argv=None):
@@ -116,12 +134,14 @@ def main(argv=None):
                 paths.append(os.path.join(tmp, f"{command}-{i}.json"))
                 with open(paths[-1], "w", encoding="utf-8") as fh:
                     json.dump(obj, fh)
-            runs = [run_once(command, paths, env) for _ in range(args.runs)]
+            argv = [command, *paths, "--json"]
+            runs = [run_once(argv, env) for _ in range(args.runs)]
             numpy = any(r[1] for r in runs)
             scipy = any(r[2] for r in runs)
             print(f"{command}: numpy {'yes' if numpy else 'no'}, "
                   f"scipy {'yes' if scipy else 'no'}, "
-                  f"{statistics.median(r[0] for r in runs):.3f} s")
+                  f"{statistics.median(r[0] for r in runs):.3f} s, "
+                  f"parse {parse_seconds(argv) * 1e3:.2f} ms")
     return 0
 
 

@@ -608,17 +608,34 @@ def render_text(report: dict) -> str:
 # -- argument parsing --------------------------------------------------------
 
 
+class _LazySubparser:
+    """A subcommand's parser, built only when its command line is parsed.
+
+    argparse's subparsers action calls nothing on a sub-parser but
+    `parse_known_args`, so a run builds the one parser it uses instead of
+    all of them; each call builds afresh, so nothing is kept."""
+
+    def __init__(self, flags, **kwargs):
+        self.flags = flags
+        self.kwargs = kwargs
+
+    def parse_known_args(self, args=None, namespace=None):
+        p = argparse.ArgumentParser(argument_default=argparse.SUPPRESS,
+                                    **self.kwargs)
+        p.add_argument("inputs", nargs="+", metavar="FILE")
+        for flag in ("--json", "--output") + self.flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        return p.parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="troplim",
         description="Exact tropical limits: fans, germs, skeletons, towers.")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    sub = parser.add_subparsers(dest="subcommand", required=True,
+                                parser_class=_LazySubparser)
     for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.help,
-                           argument_default=argparse.SUPPRESS)
-        p.add_argument("inputs", nargs="+", metavar="FILE")
-        for flag in ("--json", "--output") + command.flags:
-            p.add_argument(flag, **_FLAGS[flag])
+        sub.add_parser(name, help=command.help, flags=command.flags)
     return parser
 
 

@@ -1,7 +1,9 @@
 """Tests for file formats and the command-line surface."""
 
+import argparse
 import copy
 import hashlib
+import itertools
 import json
 import subprocess
 import sys
@@ -1542,6 +1544,71 @@ def test_usage_errors_are_frozen(capsys, monkeypatch, case):
     assert out == ""
     log = f"{exc.value.code}\n{err}".encode()
     assert hashlib.sha256(log).hexdigest() == digest
+
+
+def _eager_parser():
+    """The reference parser: build_parser as it was when it built every
+    subcommand's parser up front."""
+    parser = argparse.ArgumentParser(
+        prog="troplim",
+        description="Exact tropical limits: fans, germs, skeletons, towers.")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, command in cli.COMMANDS.items():
+        p = sub.add_parser(name, help=command.help,
+                           argument_default=argparse.SUPPRESS)
+        p.add_argument("inputs", nargs="+", metavar="FILE")
+        for flag in ("--json", "--output") + command.flags:
+            p.add_argument(flag, **cli._FLAGS[flag])
+    return parser
+
+
+# each flag as a command line gives it
+FLAG_WORDS = {"--json": ["--json"], "--svg": ["--svg"],
+              "--output": ["--output", "out.json"], "--seed": ["--seed", "7"],
+              "--depth": ["--depth", "3"], "--N": ["--N", "2"],
+              "--level": ["--level", "4"]}
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_a_run_builds_only_the_parser_of_its_subcommand(monkeypatch,
+                                                        command):
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser().parse_args([command, "in.json"])
+    assert progs == ["troplim", f"troplim {command}"]
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_lazy_subparsers_parse_as_the_eager_parser(command):
+    """Every combination of the subcommand's flags, after and before two
+    input files, gives the reference parser's namespace."""
+    flags = ("--json", "--output") + cli.COMMANDS[command].flags
+    for k in range(len(flags) + 1):
+        for chosen in itertools.combinations(flags, k):
+            words = [w for flag in chosen for w in FLAG_WORDS[flag]]
+            files = ["a.json", "b.json"]
+            for argv in ([command] + files + words, [command] + words + files):
+                assert cli.build_parser().parse_args(argv) == \
+                    _eager_parser().parse_args(argv), argv
+
+
+def test_build_parser_keeps_no_subparser_between_calls():
+    def subparsers(parser):
+        action, = (a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        return action.choices
+
+    first, second = subparsers(cli.build_parser()), \
+        subparsers(cli.build_parser())
+    assert list(first) == list(second) == list(cli.COMMANDS)
+    assert not {id(p) for p in first.values()} & \
+        {id(p) for p in second.values()}
 
 
 def test_the_benchmark_tracer_wraps_a_cli_job(tmp_path):

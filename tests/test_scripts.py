@@ -1,6 +1,7 @@
 """Smoke tests: each experiment script runs end to end on tiny arguments."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -40,5 +41,7 @@ def test_cli_startup_shows_only_ptrop_loading_numpy(capsys):
     argv = ["--runs", "1", "fan-validate", "ptrop"]
     assert load_script("cli_startup").main(argv) == 0
     rows = capsys.readouterr().out.splitlines()
-    assert rows[1].startswith("fan-validate: numpy no, scipy no, "), rows
-    assert rows[2].startswith("ptrop: numpy yes, scipy yes, "), rows
+    assert re.fullmatch(r"fan-validate: numpy no, scipy no, \d+\.\d{3} s, "
+                        r"parse \d+\.\d{2} ms", rows[1]), rows
+    assert re.fullmatch(r"ptrop: numpy yes, scipy yes, \d+\.\d{3} s, "
+                        r"parse \d+\.\d{2} ms", rows[2]), rows
