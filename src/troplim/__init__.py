@@ -7,6 +7,7 @@ oracle against the exact projective tropicalization.
 """
 
 from .complexes import (
+    CELL_CAP,
     Cell,
     ComplexMap,
     DeltaComplex,

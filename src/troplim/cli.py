@@ -8,7 +8,7 @@ short human summary.  `--output` captures the primary artifact: for
 complex file, and for every other subcommand the JSON report itself.
 
 Exit codes: 0 success, 2 validation failure, 3 parse failure, 4 resource
-cap (ambient rank or tower depth).
+cap (ambient rank, tower depth or cells built).
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ from .io import (
     parse_polynomial,
     parse_symbolic_vector,
     parse_toric_fiber,
-    serialize_complex,
     serialize_fan,
     sha256_file,
 )
@@ -137,7 +136,7 @@ def _write_svg(cfg: JobConfig, path: str, svg: str) -> str:
     return out
 
 
-def _maybe_artifact(cfg: JobConfig, result: dict, payload: dict) -> dict:
+def _maybe_artifact(cfg: JobConfig, result: dict, payload) -> dict:
     if cfg.output:
         _write(cfg.output, canonical_json(payload))
         result["artifact"] = cfg.output
@@ -147,13 +146,14 @@ def _maybe_artifact(cfg: JobConfig, result: dict, payload: dict) -> dict:
 def _complex_result(cfg: JobConfig, path: str, x: DeltaComplex,
                     **fields) -> dict:
     """Report of a run that makes a complex: its cell counts, Euler
-    characteristic and cells, with the optional picture and artifact."""
+    characteristic and the complex itself, which `canonical_json` writes in
+    the complex schema, with the optional picture and artifact."""
     counts = count_cells(x)
     out = {"input": path, **fields, "counts": _counts_json(counts),
-           "euler": _signed_sum(counts), "complex": serialize_complex(x)}
+           "euler": _signed_sum(counts), "complex": x}
     if cfg.svg:
         out["svg"] = _write_svg(cfg, path, complex_svg(x))
-    return _maybe_artifact(cfg, out, out["complex"])
+    return _maybe_artifact(cfg, out, x)
 
 
 def _level(cfg: JobConfig) -> int:

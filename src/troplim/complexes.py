@@ -32,6 +32,7 @@ from typing import Mapping, Optional, Sequence
 
 from . import _linalg as la
 from .errors import (
+    CellCap,
     DimensionMismatch,
     IncoherentIncidence,
     NoAffineStructure,
@@ -49,6 +50,10 @@ from .lattice import (
 )
 
 QVec = tuple[Fraction, ...]
+
+# the most cells (or rational points) one call builds; each builder counts
+# in closed form first and refuses a larger result before building any
+CELL_CAP = 10 ** 6
 
 
 # -- complexes ---------------------------------------------------------------
@@ -206,6 +211,11 @@ def euler_characteristic(x: DeltaComplex) -> int:
     return _signed_sum(count_cells(x))
 
 
+def _refuse_beyond_cap(count: int, what: str) -> None:
+    if count > CELL_CAP:
+        raise CellCap(f"{count} {what} exceed the cell cap of {CELL_CAP}")
+
+
 # -- ready-made complexes ----------------------------------------------------
 
 
@@ -213,6 +223,7 @@ def cycle_complex(m: int) -> DeltaComplex:
     """Cycle with m vertices and m edges; m = 1 is a loop on one vertex."""
     if m < 1:
         raise ValueError("a cycle needs at least one edge")
+    _refuse_beyond_cap(2 * m, f"cells of the {m}-cycle")
     cells = [Cell(f"v{i}", 0, ()) for i in range(m)]
     cells += [Cell(f"e{i}", 1, (f"v{(i + 1) % m}", f"v{i}"))
               for i in range(m)]
@@ -499,6 +510,9 @@ def rational_points(x: DeltaComplex, level: int) -> frozenset:
     """All points with barycentric denominators dividing the level."""
     if level < 1:
         raise ValueError("level must be a positive integer")
+    # an m-cell holds C(level - 1, m) of them in its interior
+    _refuse_beyond_cap(sum(math.comb(level - 1, c.dim) for c in x.cells),
+                       f"rational points at level {level}")
     points = set()
     for cell in x.cells:
         d = cell.dim
@@ -676,6 +690,8 @@ def scale_subdivide(x: DeltaComplex, level: int) -> SubdivisionResult:
             "the complex carries no integral-affine charts")
     if level < 1:
         raise ValueError("subdivision level must be a positive integer")
+    _refuse_beyond_cap(sum(subdivision_counts(x, level).values()),
+                       f"cells of the level-{level} subdivision")
     templates = _templates(x.dim, level)
     cells = []
     # the names of each cell's template faces, filled in before any

@@ -2,8 +2,8 @@
 
 Every error raised by the library derives from TropLimError so callers can
 catch library failures in one clause.  ResourceCap subclasses mark inputs
-that exceed documented size limits (ambient rank, tower depth); the CLI maps
-them to a dedicated exit code.
+that exceed documented size limits (ambient rank, tower depth, cells built);
+the CLI maps them to a dedicated exit code.
 """
 
 
@@ -33,6 +33,10 @@ class RankCap(ResourceCap):
 
 class DepthCap(ResourceCap):
     """Tower extended beyond the configured depth limit."""
+
+
+class CellCap(ResourceCap):
+    """A complex or point set larger than the cell cap, refused unbuilt."""
 
 
 class EmptyChain(TropLimError):

@@ -87,7 +87,10 @@ def canonical_json(obj) -> str:
     ``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline.
 
     json's encoder leaves its C code whenever an indent is set, so the text
-    is written here instead: one recursive pass appending to one list.
+    is written here instead: one recursive pass appending to one list.  A
+    DeltaComplex, at any depth, is written as its dict form ``{"affine":
+    bool, "cells": [{"faces": [names], "name": name}, ...], "provenance":
+    str|null}``, the complex schema.
     """
     out: list[str] = []
     _write_json(obj, out, "\n")
@@ -123,10 +126,12 @@ def _write_json(obj, out: list[str], nl: str):
             head = sep
         out.append(nl + "]")
     else:
-        out.append(_json_scalar(obj))
+        out.append(_json_leaf(obj, nl))
 
 
-def _json_scalar(obj) -> str:
+def _json_leaf(obj, nl: str = "\n") -> str:
+    """The JSON of a value that is not a dict, list or tuple; a complex,
+    checked last so that no other value pays for it, is written whole."""
     if isinstance(obj, str):
         return _quote(obj)
     if obj is None:
@@ -145,15 +150,41 @@ def _json_scalar(obj) -> str:
         if obj == -_INF:
             return "-Infinity"
         return float.__repr__(obj)
+    if isinstance(obj, DeltaComplex):
+        return _complex_json(obj, nl)
     raise TypeError(
         f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _complex_json(x: DeltaComplex, nl: str) -> str:
+    """The JSON of a complex's dict form nested at ``nl``: one loop over
+    the cells, each cell's text built from one join of its quoted face
+    names."""
+    # the indents of the complex's keys, its cells, their keys, face names
+    keys = nl + "  "
+    cell = keys + "  "
+    field = cell + "  "
+    face = field + "  "
+    head, sep, tail = "[" + face, "," + face, field + "]"
+    open_cell, name = "{" + field + '"faces": ', "," + field + '"name": '
+    close_cell = cell + "}"
+    cells = [open_cell
+             + (head + sep.join(map(_quote, c.faces)) + tail if c.faces
+                else "[]")
+             + name + _quote(c.name) + close_cell for c in x.cells]
+    return ("{" + keys + '"affine": ' + _json_leaf(x.affine) + ","
+            + keys + '"cells": '
+            + ("[" + cell + ("," + cell).join(cells) + keys + "]"
+               if cells else "[]")
+            + "," + keys + '"provenance": ' + _json_leaf(x.provenance)
+            + nl + "}")
 
 
 def _json_key(key) -> str:
     if isinstance(key, str):
         return _quote(key)
     if key is None or isinstance(key, (int, float)):
-        return _quote(_json_scalar(key))
+        return _quote(_json_leaf(key))
     raise TypeError(f"keys must be str, int, float, bool or None, "
                     f"not {type(key).__name__}")
 
@@ -420,14 +451,6 @@ def parse_complex_data(obj, where: str) -> DeltaComplex:
     provenance = _field(obj, "provenance", where, _typed, (str, type(None)),
                         "a string or null", default=None)
     return make_complex(cells, affine=affine, provenance=provenance)
-
-
-def serialize_complex(x: DeltaComplex) -> dict:
-    return {
-        "cells": [{"name": c.name, "faces": list(c.faces)} for c in x.cells],
-        "affine": x.affine,
-        "provenance": x.provenance,
-    }
 
 
 def _cycle_size(obj, where: str) -> int:

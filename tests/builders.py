@@ -3,7 +3,8 @@
 None of these is reached by the library.  The complexes (a point, a
 segment, a triangle, the square as two triangles, the boundary and the
 solid tetrahedron, the torus of two triangles) are what the tests
-subdivide, map and compare, and a rational vector is the plain case of a
+subdivide, map and compare, their dict form is what complex files hold,
+and a rational vector is the plain case of a
 symbolic direction.  The incidences of a cycle of rational curves and of
 a nodal cubic, with the collapse of an analytic dual complex to its
 algebraic one, build the dual-complex examples.  The Newton polytope and
@@ -111,6 +112,16 @@ def _simplex_cells(m: int) -> list[tuple[str, list[str]]]:
                      for j in range(k)] if k > 1 else []
             out.append((name, faces))
     return out
+
+
+def serialize_complex(x: DeltaComplex) -> dict:
+    """The dict form of a complex in the input schema: what complex files
+    hold, and the reference for `io.canonical_json` of a complex."""
+    return {
+        "cells": [{"name": c.name, "faces": list(c.faces)} for c in x.cells],
+        "affine": x.affine,
+        "provenance": x.provenance,
+    }
 
 
 def rational_vector(v) -> SymbolicVector:

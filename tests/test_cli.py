@@ -7,20 +7,23 @@ import itertools
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from math import isqrt
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from builders import (
     nodal_cubic_incidence,
     rational_vector,
     segment_complex,
+    serialize_complex,
     square_complex,
     tetrahedron_boundary,
     tetrahedron_solid,
+    torus,
     triangle_complex,
 )
 from troplim import cli
@@ -93,9 +96,9 @@ def test_parse_polynomial_exact_values(tmp_path):
 def test_round_trips_are_byte_identical(tmp_path):
     cases = [
         ("fan.json", QUADRANT, io.parse_fan, io.serialize_fan),
-        ("cx.json", io.serialize_complex(segment_complex()),
+        ("cx.json", serialize_complex(segment_complex()),
          lambda p: io.parse_complex_data(io.load_json(p), p),
-         io.serialize_complex),
+         lambda x: x),
     ]
     for name, obj, parse, serialize in cases:
         path = put(tmp_path, name, obj)
@@ -150,8 +153,67 @@ def test_canonical_json_raises_as_json_dumps_does(obj):
 
 
 def test_canonical_json_of_a_subdivided_tetrahedron():
-    obj = io.serialize_complex(scale_subdivide(tetrahedron_solid(), 4).complex)
-    assert io.canonical_json(obj) == json_reference(obj)
+    x = scale_subdivide(tetrahedron_solid(), 4).complex
+    assert io.canonical_json(x) == json_reference(serialize_complex(x))
+
+
+# cell names built from what json escapes and what subdivision names use
+AWKWARD_NAMES = st.lists(st.sampled_from(
+    ['"', "\\", "\x00", "\x1f", "\x7f", "\u00e9", "\u2028", "\ud800",
+     "\U0001f600", "|", "_", ".", "a", "0"]), min_size=1, max_size=4).map(
+    "".join)
+
+
+@st.composite
+def awkward_complexes(draw):
+    """A small complex with its cells renamed to awkward strings, affine or
+    not, with or without a provenance, and scale-subdivided at a small
+    level when affine."""
+    shape = draw(st.sampled_from([segment_complex, triangle_complex,
+                                  square_complex, torus,
+                                  tetrahedron_boundary]))()
+    n = len(shape.cells)
+    rename = dict(zip([c.name for c in shape.cells], draw(st.lists(
+        AWKWARD_NAMES, min_size=n, max_size=n, unique=True))))
+    affine = draw(st.booleans())
+    x = make_complex([(rename[c.name], [rename[f] for f in c.faces])
+                      for c in shape.cells], affine=affine,
+                     provenance=draw(st.none() | JSON_STRINGS))
+    level = draw(st.integers(1, 3))
+    if affine and level > 1:
+        try:
+            x = scale_subdivide(x, level).complex
+        except ValidationError:
+            assume(False)  # a subdivision name repeats an input name
+    return x
+
+
+@st.composite
+def placed_complexes(draw, x):
+    """x nested 0-3 deep in lists, tuples and dicts beside other JSON
+    values, with the same tree holding x's dict form instead."""
+    tree, reference = x, serialize_complex(x)
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from([list, tuple, dict]))
+        if kind is dict:
+            others = draw(st.dictionaries(JSON_STRINGS, JSON_LEAVES,
+                                          max_size=3))
+            key = draw(JSON_STRINGS)
+            tree, reference = ({**others, key: tree},
+                               {**others, key: reference})
+        else:
+            before, after = (draw(st.lists(JSON_LEAVES, max_size=2))
+                             for _ in range(2))
+            tree, reference = (kind(before + [tree] + after),
+                               kind(before + [reference] + after))
+    return tree, reference
+
+
+@settings(deadline=None, max_examples=150)
+@given(awkward_complexes().flatmap(placed_complexes))
+def test_canonical_json_writes_a_complex_as_its_dict_form(trees):
+    tree, reference = trees
+    assert io.canonical_json(tree) == json_reference(reference)
 
 
 def test_parse_tower_specs(tmp_path):
@@ -236,16 +298,39 @@ def test_subdivide_elliptic_writes_complex_file(tmp_path, capsys):
     emitted = io.parse_complex_data(io.load_json(out), out)
     assert emitted == base_change(PolygonDegeneration(3), 2).complex
     with open(out, encoding="utf-8") as fh:
-        assert fh.read() == io.canonical_json(io.serialize_complex(emitted))
+        assert fh.read() == io.canonical_json(serialize_complex(emitted))
+
+
+@pytest.mark.parametrize("argv, obj, message", [
+    (["subdivide", "--N"], {"elliptic": {"m": 3}},
+     "6000000000 cells of the 3000000000-cycle"),
+    (["subdivide", "--N"], serialize_complex(segment_complex()),
+     "2000000001 cells of the level-1000000000 subdivision"),
+    (["rational-points", "--level"], {"elliptic": {"m": 3}},
+     "3000000000 rational points at level 1000000000"),
+    (["rational-points", "--level"], serialize_complex(triangle_complex()),
+     "500000001500000001 rational points at level 1000000000"),
+], ids=["subdivide-cycle", "subdivide-complex", "points-cycle",
+        "points-complex"])
+def test_a_level_beyond_the_cell_cap_exits_4_unbuilt(tmp_path, capsys, argv,
+                                                     obj, message):
+    """The count comes first, in closed form, so a level whose result
+    passes the cell cap is refused at once instead of built."""
+    path = put(tmp_path, "x.json", obj)
+    start = time.perf_counter()
+    assert cli.main(argv + ["1000000000", path]) == 4
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == \
+        f"resource cap: {message} exceed the cell cap of 1000000\n"
 
 
 def test_map_fibers_k3_mismatch(tmp_path, capsys):
     path = put(tmp_path, "k3.json", {
-        "source": io.serialize_complex(tetrahedron_solid()),
-        "target": io.serialize_complex(segment_complex()),
+        "source": serialize_complex(tetrahedron_solid()),
+        "target": serialize_complex(segment_complex()),
         "vertex_map": {"v0": "z0", "v1": "z1", "v2": "z1", "v3": "z1"},
         "points": [{"cell": "e", "coords": ["1/2", "1/2"]}],
-        "reference": io.serialize_complex(tetrahedron_boundary())})
+        "reference": serialize_complex(tetrahedron_boundary())})
     code, report = run_json(capsys, ["map-fibers", path])
     assert code == 0
     res = report["results"][0]
@@ -420,7 +505,7 @@ SUBDIVIDE_SHAPES = {
 def test_subdivide_report_bytes_are_frozen(tmp_path, capsys, monkeypatch,
                                            shape, level, digest):
     """Frozen from the order-coordinate wall walk of each alcove face."""
-    obj = io.serialize_complex(SUBDIVIDE_SHAPES[shape]())
+    obj = serialize_complex(SUBDIVIDE_SHAPES[shape]())
     assert _frozen_report(tmp_path, capsys, monkeypatch,
                           ["subdivide", "--N", str(level)], "x.json",
                           obj) == digest
@@ -428,11 +513,11 @@ def test_subdivide_report_bytes_are_frozen(tmp_path, capsys, monkeypatch,
 
 def _map_file(source, target, vertex_map, points, reference=None,
               cell_images=None):
-    obj = {"source": io.serialize_complex(source),
-           "target": io.serialize_complex(target), "vertex_map": vertex_map,
+    obj = {"source": serialize_complex(source),
+           "target": serialize_complex(target), "vertex_map": vertex_map,
            "points": [{"cell": c, "coords": list(t)} for c, t in points]}
     if reference is not None:
-        obj["reference"] = io.serialize_complex(reference)
+        obj["reference"] = serialize_complex(reference)
     if cell_images is not None:
         obj["cell_images"] = cell_images
     return obj
@@ -590,7 +675,7 @@ BANANA_INC = {"mode": "analytic",
     (["dualcx"], BANANA_INC,
      "2a6c1f0f219a45868118efb5fa260de0c8f6a89285ae3e3927949dd1477ced5a",
      "5c207fd8b2a5b0e2db6219d5c9fbe75be05e0c06639f5b42fcfe702c83b4295a"),
-    (["subdivide", "--N", "2"], io.serialize_complex(square_complex()),
+    (["subdivide", "--N", "2"], serialize_complex(square_complex()),
      "2ac551dee23ae93274efbac52400ea468c800915413cbada124f881cbc9b20a6",
      "b7ee848dd1019072b258b53f1dc1bab63d463738060988c2be119424907451ce"),
 ], ids=["dualcx", "subdivide"])
@@ -871,7 +956,7 @@ SVG_RUNS = {
     "dualcx": (["dualcx", "in.json"], NODAL_INC,
                {'r="22"': 1, 'r="4"': 1, "<line": 0}),
     "subdivide": (["subdivide", "in.json", "--N", "2"],
-                  io.serialize_complex(segment_complex()),
+                  serialize_complex(segment_complex()),
                   {'r="22"': 0, 'r="4"': 3, "<line": 2}),
     "refine": (["refine", "in.json", "b.json"], DIAMOND,
                {"<path": 8, "<line": 8}),
@@ -931,7 +1016,7 @@ def test_json_output_writes_the_stdout_bytes(tmp_path, capsys,
 
 def test_inputs_are_hashed_before_an_artifact_overwrites_them(tmp_path,
                                                               capsys):
-    path = put(tmp_path, "c.json", io.serialize_complex(segment_complex()))
+    path = put(tmp_path, "c.json", serialize_complex(segment_complex()))
     before = hashlib.sha256(Path(path).read_bytes()).hexdigest()
     code, report = run_json(capsys, ["subdivide", path, "--N", "2",
                                      "--output", path])
@@ -1032,7 +1117,7 @@ def test_limit_point_non_object_direction_is_parse_error(tmp_path, capsys,
 def test_map_fibers_non_list_points_are_parse_errors(tmp_path, capsys,
                                                      field, value):
     point = {"cell": "pt", "coords": value if field == "coords" else ["1"]}
-    pt = io.serialize_complex(make_complex([("pt", [])]))
+    pt = serialize_complex(make_complex([("pt", [])]))
     path = put(tmp_path, "mf.json", {
         "source": pt, "target": pt, "vertex_map": {"pt": "pt"},
         "points": value if field == "points" else [point]})
@@ -1040,7 +1125,7 @@ def test_map_fibers_non_list_points_are_parse_errors(tmp_path, capsys,
     assert "expected a list" in capsys.readouterr().err
 
 
-SEGMENT = io.serialize_complex(segment_complex())
+SEGMENT = serialize_complex(segment_complex())
 SEGMENT_MAP = {"source": SEGMENT, "target": SEGMENT,
                "vertex_map": {"z0": "z0", "z1": "z1"},
                "points": [{"cell": "e", "coords": ["1/2", "1/2"]}]}

@@ -21,6 +21,7 @@ from builders import (
     point_complex,
     polygon_incidence,
     segment_complex,
+    serialize_complex,
     square_complex,
     tetrahedron_boundary,
     tetrahedron_solid,
@@ -54,6 +55,7 @@ from troplim.complexes import (
     toric_fiber_complex,
 )
 from troplim.errors import (
+    CellCap,
     DimensionMismatch,
     IncoherentIncidence,
     NoAffineStructure,
@@ -851,6 +853,24 @@ def test_subdivision_counts_refuse_what_scale_subdivide_refuses():
         subdivision_counts(flat, 2)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: scale_subdivide(tetrahedron_solid(), 3).complex.cells,
+    lambda: scale_subdivide(torus(), 4).complex.cells,
+    lambda: rational_points(tetrahedron_solid(), 5),
+    lambda: cycle_complex(7).cells,
+], ids=["subdivide-tetrahedron", "subdivide-torus", "points", "cycle"])
+def test_the_cell_cap_counts_what_is_built(monkeypatch, build):
+    """Each builder's closed-form count is exactly what it builds: at the
+    cap it builds, one below it refuses, naming the count and the cap."""
+    size = len(build())
+    monkeypatch.setattr(complexes, "CELL_CAP", size)
+    assert len(build()) == size
+    monkeypatch.setattr(complexes, "CELL_CAP", size - 1)
+    with pytest.raises(CellCap, match=f"^{size} .* exceed the cell cap of "
+                                      f"{size - 1}$"):
+        build()
+
+
 def test_a_fresh_subdivision_holds_no_carrier_index():
     """Carriers are read from the templates on first read, not kept by
     ``scale_subdivide``; both readers build the same index."""
@@ -1012,7 +1032,7 @@ def test_parsed_complexes_are_still_validated(monkeypatch):
 
     monkeypatch.setattr(troplim_io, "make_complex", counted)
     sub = scale_subdivide(triangle_complex(), 2).complex
-    data = troplim_io.serialize_complex(sub)
+    data = serialize_complex(sub)
     assert troplim_io.parse_complex_data(data, "x") == sub
     # the same cells with two faces of a triangle swapped break an identity
     top = next(c for c in data["cells"] if len(c["faces"]) == 3)
