@@ -249,11 +249,14 @@ def decomposition(skeleton: Union[PolygonDegeneration, DeltaComplex],
 
     The open slots are the vertices of the level-N subdivision, one per
     rational point, and the rest are its positive-dimensional cells; both
-    are counted from the subdivision's shape, with no cell built.
+    are counted from the subdivision's shape, with no cell built.  The
+    counts are linear in the cells of each dimension, and an m-cycle has
+    as many as m loops, so a degeneration's cycle is counted as m copies
+    of the one-loop cycle, not built.
     """
-    x = skeleton.complex if isinstance(skeleton, PolygonDegeneration) \
-        else skeleton
+    copies, x = (skeleton.m, cycle_complex(1)) \
+        if isinstance(skeleton, PolygonDegeneration) else (1, skeleton)
     counts = subdivision_counts(x, level)
     slots = counts.pop(0)
-    return DecompositionRecord(level=level, slot_count=slots,
-                               non_klt_cells=sum(counts.values()))
+    return DecompositionRecord(level=level, slot_count=copies * slots,
+                               non_klt_cells=copies * sum(counts.values()))

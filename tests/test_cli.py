@@ -324,6 +324,19 @@ def test_a_level_beyond_the_cell_cap_exits_4_unbuilt(tmp_path, capsys, argv,
         f"resource cap: {message} exceed the cell cap of 1000000\n"
 
 
+def test_galaxy_level_is_not_capped(tmp_path, capsys):
+    """galaxy --level counts the level-N cells of I_m and builds none, so
+    neither the level nor an m whose cycle would pass the cell cap (1.2
+    million cells here) is refused."""
+    path = put(tmp_path, "g.json", {"elliptic": {"m": 600000, "degrees": [1]},
+                                    "points": []})
+    code, report = run_json(capsys, ["galaxy", "--level", "1000000000", path])
+    assert code == 0
+    assert report["results"][0]["decomposition"] == {
+        "level": 10 ** 9, "open_slots": 6 * 10 ** 14,
+        "non_klt_cells": 6 * 10 ** 14}
+
+
 def test_map_fibers_k3_mismatch(tmp_path, capsys):
     path = put(tmp_path, "k3.json", {
         "source": serialize_complex(tetrahedron_solid()),

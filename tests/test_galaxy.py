@@ -462,3 +462,16 @@ def test_decomposition_builds_no_subdivision(monkeypatch):
     monkeypatch.setattr(complexes, "rational_points", refuse)
     r = decomposition(PolygonDegeneration(3), 10 ** 9)
     assert r.slot_count == r.non_klt_cells == 3 * 10 ** 9
+
+
+def test_decomposition_builds_no_cycle():
+    """A degeneration's cycle is counted, not built, so no cell cap limits
+    its m; a small case first, so that a decomposition that builds its
+    cycle fails here instead of building 2·10^9 cells."""
+    small = PolygonDegeneration(3)
+    decomposition(small, 2)
+    assert "complex" not in vars(small)
+    big = PolygonDegeneration(10 ** 9)
+    r = decomposition(big, 5)
+    assert r.slot_count == r.non_klt_cells == 5 * 10 ** 9
+    assert "complex" not in vars(big)
