@@ -259,7 +259,7 @@ def handle_trop(cfg: JobConfig, path: str) -> dict:
 def handle_ptrop(cfg: JobConfig, path: str) -> dict:
     f = parse_polynomial(path)
     exact = ptrop_normal_fan(f)
-    via_recession = ptrop_recession(trop_hypersurface(f))
+    via_recession = ptrop_recession(f)
     result = {
         "input": path,
         "vars": f.n,

@@ -506,6 +506,9 @@ def _symbol(obj, where: str) -> Symbol:
     if lo > hi:
         raise ParseError(f"{where}: lo {fmt_rational(lo)} exceeds hi "
                          f"{fmt_rational(hi)}")
+    if lo == hi:
+        raise ParseError(f"{where}: lo equals hi {fmt_rational(hi)}, a "
+                         f"rational, so the box holds no irrational")
     return Symbol(name, lo, hi)
 
 

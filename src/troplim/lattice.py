@@ -324,12 +324,6 @@ def cone_from_generators(
     return cone
 
 
-@functools.cache
-def positive_orthant(n: int) -> Cone:
-    """The closed nonnegative orthant as a cone, built once per rank."""
-    return make_cone(la.identity_rows(n), n=n)
-
-
 def locate(cone: Cone, point) -> Cone | None:
     """Minimal face of the cone containing a point, or None if outside.
 

@@ -70,14 +70,15 @@ class Symbol:
 
     @staticmethod
     def sqrt(k: int) -> "Symbol":
-        """Symbol for sqrt(k) with a width-10^-6 rational enclosure."""
+        """Symbol for sqrt(k) with a width-10^-6 rational enclosure; k must
+        not be a perfect square."""
         if k <= 0:
             raise ValueError("sqrt symbol needs a positive argument")
+        if isqrt(k) ** 2 == k:
+            raise ValueError(f"sqrt({k}) = {isqrt(k)} is rational")
         s = isqrt(k * _ENCLOSURE_DEN ** 2)
-        lo = Fraction(s, _ENCLOSURE_DEN)
-        hi = lo if s * s == k * _ENCLOSURE_DEN ** 2 else \
-            Fraction(s + 1, _ENCLOSURE_DEN)
-        return Symbol(f"sqrt{k}", lo, hi)
+        return Symbol(f"sqrt{k}", Fraction(s, _ENCLOSURE_DEN),
+                      Fraction(s + 1, _ENCLOSURE_DEN))
 
 
 Coefficient = Union[int, Fraction]

@@ -13,19 +13,20 @@ follow from the polynomial and the achievers, so no cell stores them.
 
 The projective tropicalization of a principal germ (the set of limit
 directions of coordinatewise -log absolute values along the germ) is
-computed by two independent exact routes that a theorem makes equal:
+computed by two independent exact routes that a theorem makes equal, each
+read off one conversion of a cone with the unit vectors among its
+generators:
 
-  * normal-fan route: normal cones of the positive-dimensional faces of the
-    Newton polytope, all read off one conversion of the cone over the
-    lifted exponents (e, 1), intersected with the nonnegative orthant and
-    kept when they meet the open positive orthant;
-  * recession route: recession cones of the tropical hypersurface cells,
-    filtered the same way.
+  * normal-fan route: normal cones of the bounded positive-dimensional
+    faces of the local Newton polyhedron conv(exponents) + R>=0^n
+    (Kouchnirenko, Polyedres de Newton et nombres de Milnor, 1976);
+  * recession route: recession cones of the tropical hypersurface's cells
+    cut to the orthant, kept when they meet the open orthant.
 
-Both routes return the same canonical cone sets because the recession cone
-of the cell with achiever set S equals the normal cone of the smallest face
-of the Newton polytope containing S, every positive-dimensional face arises
-this way from some nonempty cell, and the filter is applied identically.
+They agree because the recession cone of the cell with achiever set S is
+the normal cone of the smallest Newton face F containing S, F + {0} has
+normal cone N_F ∩ R>=0^n in the polyhedron, and a face of the polyhedron
+is bounded exactly when its normal cone meets the open orthant.
 The numeric sampling oracle lives in the sampling module.
 """
 
@@ -43,14 +44,7 @@ from .errors import (
     OriginNotOnGerm,
     RankCap,
 )
-from .lattice import (
-    RANK_CAP,
-    Cone,
-    cone_intersect,
-    face_lattice,
-    halfspaces_to_generators,
-    positive_orthant,
-)
+from .lattice import RANK_CAP, Cone, face_lattice, halfspaces_to_generators
 
 IVec = tuple[int, ...]
 
@@ -128,25 +122,35 @@ class TropicalHypersurface:
         return not self.cells
 
 
-def trop_hypersurface(f: TropicalPolynomial) -> TropicalHypersurface:
-    """All cells, from one conversion of the cone C over the lifted terms
-    (e, v, 1) and the upward ray (0, 1, 0).  C's faces off the upward ray
-    are the lower faces of conv{(e, v)}; their term sets of two or more are
-    the saturated achiever sets S.  The face of the dual N = {(x, t, z)}
-    vanishing on S (N's lines and the facet normals of C vanishing on S)
-    maps one-to-one onto the homogenized cell when z is dropped."""
-    n = f.n
+def _lower_faces(f: TropicalPolynomial, extra: list[IVec]):
+    """One conversion of the cone C over the lifted terms (e, v, 1), the
+    upward ray (0, 1, 0) and the extra generators: the lifted terms, each
+    mapped to its index in f.terms, the lines and sorted rays of the dual
+    N = {(x, t, z)}, and each face of C off the upward ray with two or more
+    terms, with the ascending indices of the rays of N vanishing on it.
+    The face of N vanishing on such a face, homogenized by t, is a cell,
+    and z = -v t - <x, e> on it for each of its terms (e, v, 1)."""
     terms = {la.primitivize(e + (v, 1)): i for i, (e, v) in enumerate(f.terms)}
-    up = (0,) * n + (1, 0)
-    lines, normals = halfspaces_to_generators([], list(terms) + [up], n + 2)
+    up = (0,) * f.n + (1, 0)
+    gens = [*terms, up, *extra]
+    lines, normals = halfspaces_to_generators([], gens, f.n + 2)
+    faces = [(fs, tight) for fs, tight in
+             face_lattice(gens, [(r, 0) for r in normals]).items()
+             if up not in fs and len(terms.keys() & fs) >= 2]
+    return terms, lines, normals, faces
+
+
+def trop_hypersurface(f: TropicalPolynomial) -> TropicalHypersurface:
+    """All cells, from one conversion: the lower faces with two or more
+    terms are the saturated achiever sets S, and the face of the dual
+    vanishing on S is the homogenized cell once z is dropped."""
+    n = f.n
+    terms, lines, normals, faces = _lower_faces(f, [])
     # N's lines have t = 0 and z = -<x, e>: dropping z keeps them primitive
     # and in RREF, and N's rays reduced against them
     cell_lines = [l[:-1] for l in lines]
     cells = []
-    for fs, tight in face_lattice(list(terms) + [up],
-                                  [(r, 0) for r in normals]).items():
-        if up in fs or len(fs) < 2:
-            continue
+    for fs, tight in faces:
         # normals come sorted and tight ascends, and of the projected rays
         # only the order of those with t = 0 reaches the cell, as its
         # recession rays.  Such a normal (x, 0, z), tight on a term
@@ -170,7 +174,8 @@ def trop_hypersurface(f: TropicalPolynomial) -> TropicalHypersurface:
 
 @dataclass(frozen=True)
 class PTropSet:
-    """Projectivized rational cones in the closed orthant, canonically sorted."""
+    """Projectivized rational cones in the closed orthant, canonically
+    sorted; each is pointed, so a point exactly when it has one ray."""
 
     n: int
     cones: tuple[Cone, ...]
@@ -178,44 +183,16 @@ class PTropSet:
     @property
     def points(self) -> tuple[IVec, ...]:
         """Primitive representatives of the dimension-1 elements."""
-        return tuple(c.rays[0] for c in self.cones if c.dim == 1)
+        return tuple(c.rays[0] for c in self.cones if len(c.rays) == 1)
 
     @property
     def is_finite(self) -> bool:
-        return all(c.dim <= 1 for c in self.cones)
-
-
-def _positive_part(cone: Cone) -> Optional[Cone]:
-    """Meet with the nonnegative orthant; keep cones seeing the open orthant.
-
-    Two rules settle most cones without a conversion.  By Gordan's
-    alternative a cone misses the open orthant exactly when its dual holds
-    a nonzero vector that is <= 0 in every coordinate: such a vector is
-    nonnegative on the cone and negative on the open orthant.  A facet
-    normal with no positive entry is one, and so is an equation with
-    entries of one sign, taken with the sign that makes it <= 0.  A pointed
-    cone whose rays are all nonnegative lies in the closed orthant, so it
-    is its own meet with it.  Only the other cones are converted.
-    """
-    if any(max(f) <= 0 for f in cone.facets) or \
-            any(max(e) <= 0 or min(e) >= 0 for e in cone.equations):
-        return None
-    if cone.lines or any(min(r) < 0 for r in cone.rays):
-        cone = cone_intersect(cone, positive_orthant(cone.n))
-    if cone.dim == 0:
-        return None
-    if any(t == 0 for t in cone.relint_point()):
-        return None
-    return cone
+        return all(len(c.rays) <= 1 for c in self.cones)
 
 
 def _ptrop_set(n: int, cones) -> PTropSet:
-    kept = set()
-    for c in cones:
-        pos = _positive_part(c)
-        if pos is not None:
-            kept.add(pos)
-    return PTropSet(n, tuple(sorted(kept, key=lambda c: (c.dim, c.rays))))
+    return PTropSet(n, tuple(sorted(set(cones), key=lambda c: (
+        la.mat_rank(c.rays), c.rays))))
 
 
 def _require_germ(f: TropicalPolynomial):
@@ -226,36 +203,50 @@ def _require_germ(f: TropicalPolynomial):
 
 
 def ptrop_normal_fan(f: TropicalPolynomial) -> PTropSet:
-    """PTrop via normal cones of positive-dimensional Newton faces, from one
-    conversion of the cone over the lifted exponents (e, 1).
-
-    Its dual N = {(x, z) : <x, e> + z >= 0} has the facet normals of the
-    Newton polytope as rays and the normal space of its affine hull as
-    lines.  The normal cone of a face F is the face of N vanishing on F
-    (N's lines and the rays vanishing on F) with z dropped, one-to-one
-    since z = -<x, e> on it for e in F.  So the dropped form is canonical
-    already: gcd(x) divides z, so each normal stays primitive; two normals
-    with equal x are equal, so their sorted order is kept; and no line has
-    its pivot in z (z = 0 wherever x = 0), so the lines stay in RREF.
+    """PTrop via the normal cones of the bounded positive-dimensional faces
+    of the polyhedron P + R>=0^n, P the Newton polytope, from one
+    conversion of the cone C over the lifted exponents (e, 1) and the unit
+    vectors (e_i, 0).  Its dual N = {(x, z) : <x, e> + z >= 0, x >= 0} is
+    pointed.  A face of C with no unit vector is bounded, with two or more
+    exponents positive-dimensional, and its normal cone, which meets the
+    open orthant, is the face of N vanishing on it with z dropped.  That is
+    canonical: z = -<x, e> there, so gcd(x) divides z and each normal stays
+    primitive, and normals with equal x are equal, so their order is kept.
     """
     _require_germ(f)
     n = f.n
-    points = [e + (1,) for e in f.exponents]
-    lines, normals = halfspaces_to_generators([], points, n + 1)
-    cone_lines = tuple(l[:-1] for l in lines)
+    gens = [e + (1,) for e in f.exponents]
+    gens += [u + (0,) for u in la.identity_rows(n)]
+    _, normals = halfspaces_to_generators([], gens, n + 1)
     cones = []
-    for fs, tight in face_lattice(points, [(r, 0) for r in normals]).items():
-        # the exponents are distinct, so a face of two or more is no vertex
-        if len(fs) < 2:
+    for fs, tight in face_lattice(gens, [(r, 0) for r in normals]).items():
+        # the unit vectors are the generators with z = 0
+        if len(fs) < 2 or any(g[-1] == 0 for g in fs):
             continue
-        cones.append(Cone(n, tuple(normals[k][:-1] for k in tight),
-                          cone_lines))
+        cones.append(Cone(n, tuple(normals[k][:-1] for k in tight), ()))
     return _ptrop_set(n, cones)
 
 
-def ptrop_recession(h: TropicalHypersurface) -> PTropSet:
-    """PTrop via recession cones of the hypersurface cells."""
-    return _ptrop_set(h.n, (cell.recession for cell in h.cells))
+def ptrop_recession(f: TropicalPolynomial) -> PTropSet:
+    """PTrop via the recession cones of the hypersurface's cells cut to the
+    orthant, from one conversion of the cone over the lifted terms, the
+    upward ray and the unit vectors (e_i, 0, 0).  A cut cell's recession
+    cone is its face at t = 0 with t and z dropped, canonical as in the
+    normal-fan route.  A cell whose recession cone meets the open orthant
+    meets the orthant, and its cut then has recession cone
+    rec(cell) ∩ R>=0^n, so the cones kept are those whose ray sum is
+    positive in every coordinate.
+    """
+    _require_germ(f)
+    n = f.n
+    _, _, normals, faces = _lower_faces(
+        f, [u + (0, 0) for u in la.identity_rows(n)])
+    cones = []
+    for _, tight in faces:
+        rays = tuple(normals[k][:n] for k in tight if normals[k][n] == 0)
+        if min(map(sum, zip(*rays)), default=0) > 0:
+            cones.append(Cone(n, rays, ()))
+    return _ptrop_set(n, cones)
 
 
 def count_ptrop_points(f: TropicalPolynomial) -> int:

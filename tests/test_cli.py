@@ -1144,6 +1144,8 @@ SEGMENT_MAP = {"source": SEGMENT, "target": SEGMENT,
                "points": [{"cell": "e", "coords": ["1/2", "1/2"]}]}
 SYMBOL = {"name": "s", "lo": "1/3", "hi": "1/2"}
 EMPTY_SYMBOL = {"name": "s", "lo": "1/2", "hi": "1/3"}
+# a box of width 0 holds the rational 1 and no irrational
+POINT_SYMBOL = {"name": "s", "lo": "1", "hi": "1"}
 UPPER_HALF = {"rank": 2, "rays": [["1", "0"], ["0", "1"], ["-1", "0"]],
               "maximal_cones": [[0, 1], [1, 2]]}
 STELLAR_TOWER = {"base_fan": QUADRANT, "strategy": STELLAR,
@@ -1249,6 +1251,16 @@ POINT_MAP = {"source": {"cells": [{"name": "p", "faces": []}]},
     # bytes are written as they are: files that no JSON encoder writes
     ("trop", b'\xff\xfe{"vars": 2}', [], 3, "in.json: byte 0: not UTF-8 text"),
     ("trop", b"[" * 100000, [], 3, "in.json: nested too deeply to parse"),
+    # (1, s - 1) would read as rank 2, though s = 1 makes it (1, 0)
+    ("fiber-rank", {"symbols": [POINT_SYMBOL], "entries": ["1", ["-1", "1"]]},
+     [], 3, "symbols[0]: lo equals hi 1, a rational, so the box holds no "
+     "irrational"),
+    ("galaxy", {"elliptic": {"m": 3, "degrees": [1, 2]},
+                "points": [{"symbol": POINT_SYMBOL}]}, [], 3,
+     "points[0].symbol: lo equals hi 1, a rational"),
+    ("limit-point", {"base_fan": QUADRANT, "direction": {
+        "symbols": [POINT_SYMBOL], "entries": [["0", "1"], ["1", "0"]]}},
+     [], 3, "direction.symbols[0]: lo equals hi 1, a rational"),
 ], ids=["map-reference-int", "map-phi-int", "galaxy-empty-symbol",
         "fiber-rank-empty-symbol", "limit-point-empty-symbol",
         "fan-negative-rank", "negative-exponent", "no-terms",
@@ -1264,7 +1276,8 @@ POINT_MAP = {"source": {"cells": [{"name": "p", "faces": []}]},
         "mode-list", "mode-unknown", "no-strata", "fiber-rank-over-cap",
         "coefficient-list-length", "symbol-name-repeated",
         "integer-past-digit-limit", "seed-negative", "not-utf-8",
-        "nested-too-deeply"])
+        "nested-too-deeply", "fiber-rank-zero-width-symbol",
+        "galaxy-zero-width-symbol", "limit-point-zero-width-symbol"])
 def test_malformed_inputs_exit_with_a_documented_code(
         tmp_path, capsys, command, obj, flags, code, error):
     if isinstance(obj, bytes):

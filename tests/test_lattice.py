@@ -544,16 +544,6 @@ def assert_rebuilds(cone):
     assert rebuilt.equations == cone.equations
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_positive_orthant_is_built_once_per_rank(n):
-    orthant = lat.positive_orthant(n)
-    assert lat.positive_orthant(n) is orthant
-    expected = lat.make_cone(identity_rows(n), n=n)
-    assert orthant == expected
-    assert orthant.facets == expected.facets
-    assert orthant.equations == expected.equations
-
-
 @settings(max_examples=60, deadline=None)
 @given(_cones(gen_sets3), small_vec3)
 def test_derived_cones_match_make_cone(cone, v):

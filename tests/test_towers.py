@@ -45,8 +45,9 @@ def test_sqrt_symbol_enclosure():
 
 
 def test_sqrt_symbol_of_square_is_exact():
-    s = tw.Symbol.sqrt(4)
-    assert s.lo == s.hi == 2
+    # sqrt(4) = 2 is rational: a box [2, 2] would be taken as irrational
+    with pytest.raises(ValueError, match=r"sqrt\(4\) = 2 is rational"):
+        tw.Symbol.sqrt(4)
 
 
 def test_symbolic_vector_entry_validation():

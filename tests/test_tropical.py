@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from builders import affine_dim, newton_polytope, normal_cone, normal_fan
 from troplim import tropical as tp
+from troplim._linalg import identity_rows
 from troplim._polyhedra import homogenization_info
 from troplim.errors import (
     BoundViolation,
@@ -25,7 +26,6 @@ from troplim.lattice import (
     halfspaces_to_generators,
     locate,
     make_cone,
-    positive_orthant,
 )
 
 
@@ -130,22 +130,51 @@ def polytope_faces(p):
     return tuple(sorted(tuple(sorted(fs)) for fs in faces))
 
 
+def reference_positive_part(cone):
+    """The meet with the closed orthant by one conversion, kept when it
+    meets the open orthant."""
+    orthant = make_cone(identity_rows(cone.n), n=cone.n)
+    c = cone_intersect(cone, orthant)
+    if c.dim == 0:
+        return None
+    if any(t == 0 for t in c.relint_point()):
+        return None
+    return c
+
+
+def reference_ptrop_set(n, cones):
+    """The positive parts of the cones that meet the open orthant, each
+    once, sorted by dimension and rays."""
+    kept = {reference_positive_part(c) for c in cones} - {None}
+    return tp.PTropSet(n, tuple(sorted(kept, key=lambda c: (c.dim, c.rays))))
+
+
 def reference_normal_fan(f):
     """The normal-fan route with one H-to-V conversion per face: the Newton
     polytope's faces from its own hull, and each positive-dimensional
-    face's normal cone converted from its defining rows."""
+    face's normal cone converted from its defining rows and met with the
+    orthant."""
     tp._require_germ(f)
     p = newton_polytope(f)
-    return tp._ptrop_set(f.n, [normal_cone(p, face)
-                               for face in polytope_faces(p)
-                               if affine_dim(face) >= 1])
+    return reference_ptrop_set(f.n, [normal_cone(p, face)
+                                     for face in polytope_faces(p)
+                                     if affine_dim(face) >= 1])
+
+
+def reference_recession(f):
+    """The recession route over the reference cells, each recession cone
+    met with the orthant by its own conversion."""
+    tp._require_germ(f)
+    return reference_ptrop_set(
+        f.n, [cell.recession for cell in reference_hypersurface(f).cells])
 
 
 def assert_routes_agree(f):
-    """Normal fan, new cells and reference cells give one PTrop set."""
+    """Normal fan, the recession route and the reference cells give one
+    PTrop set."""
     exact = tp.ptrop_normal_fan(f)
-    assert exact == tp.ptrop_recession(tp.trop_hypersurface(f))
-    assert exact == tp.ptrop_recession(reference_hypersurface(f))
+    assert exact == tp.ptrop_recession(f)
+    assert exact == reference_recession(f)
 
 
 # -- construction and evaluation --------------------------------------------
@@ -319,7 +348,7 @@ def test_ptrop_constant_term_rejected():
 def test_ptrop_single_monomial_empty():
     f = tp.trop_poly({(2, 1): 0})
     assert tp.ptrop_normal_fan(f).cones == ()
-    assert tp.ptrop_recession(tp.trop_hypersurface(f)).cones == ()
+    assert tp.ptrop_recession(f).cones == ()
 
 
 def test_ptrop_routes_agree_on_examples():
@@ -340,73 +369,7 @@ def test_ptrop_filter_drops_boundary_only_cones():
     # y(1 + x): the edge normal lies in {w1 = 0}, never in the open quadrant
     f = tp.trop_poly({(0, 1): 0, (1, 1): 0})
     assert tp.ptrop_normal_fan(f).cones == ()
-
-
-def reference_positive_part(cone):
-    """The meet with the closed orthant by one conversion, kept when it
-    meets the open orthant: ``_positive_part`` without its shortcuts."""
-    c = cone_intersect(cone, positive_orthant(cone.n))
-    if c.dim == 0:
-        return None
-    if any(t == 0 for t in c.relint_point()):
-        return None
-    return c
-
-
-def assert_positive_part_matches(cone):
-    got, expected = tp._positive_part(cone), reference_positive_part(cone)
-    assert got == expected
-    if got is not None:
-        assert (got.facets, got.equations) == \
-            (expected.facets, expected.equations)
-
-
-@pytest.mark.parametrize("rays, lines", [
-    # settled by a facet normal with no positive entry: (-1, 0), and
-    # (0, -1) for a cone touching the closed orthant only on its boundary
-    ([(-1, 0), (0, 1)], []),
-    ([(1, 0), (1, -1)], []),
-    # settled by an equation of one sign: x + y = 0 meets the orthant in 0,
-    # and a cone inside a coordinate hyperplane
-    ([], [(1, -1)]),
-    ([(1, 0, 0), (0, 1, 0)], []),
-    # pointed with nonnegative rays: the cone itself
-    ([(1, 2), (2, 1)], []),
-    # converted, and kept: a negative ray, a line
-    ([(2, 2), (-2, 1)], []),
-    ([(1, 1)], [(1, -1)]),
-    # converted, and dropped: the meet lies in the boundary
-    ([(-2, -1, 3), (0, 2, 3)], []),
-    ([(-1, -1, -2)], [(1, -2, -2)]),
-])
-def test_positive_part_rules_match_the_conversion(rays, lines):
-    assert_positive_part_matches(make_cone(rays, n=len((rays + lines)[0]),
-                                           lines=lines))
-
-
-@st.composite
-def cones_about_the_orthant(draw):
-    """Cones of rank 1-4 from up to four rays and two lines, entries leaning
-    positive, some confined to coordinate hyperplanes."""
-    n = draw(st.integers(1, 4))
-    vec = st.tuples(*[st.integers(-2, 3)] * n)
-    zero = draw(st.sets(st.integers(0, n - 1), max_size=n))
-
-    def confined(v):
-        return tuple(0 if i in zero else a for i, a in enumerate(v))
-    rays = [confined(v) for v in draw(st.lists(vec, max_size=4))]
-    lines = [confined(v) for v in draw(st.lists(vec, max_size=2))]
-    return make_cone(rays, n=n, lines=lines)
-
-
-@settings(max_examples=300, deadline=None)
-@given(cones_about_the_orthant())
-def test_positive_part_matches_the_conversion(cone):
-    """The shortcuts decide as the conversion does.  Gordan's alternative:
-    a cone misses the open orthant exactly when a nonzero y <= 0 lies in
-    its dual, since y is then >= 0 on the cone and < 0 on the open orthant;
-    a facet normal or a one-signed equation is such a y."""
-    assert_positive_part_matches(cone)
+    assert tp.ptrop_recession(f).cones == ()
 
 
 # -- point counts and the degree bound ---------------------------------------
@@ -596,6 +559,47 @@ def test_normal_fan_route_matches_reference(n, examples):
     @given(normal_fan_polys(n))
     def check(f):
         assert tp.ptrop_normal_fan(f) == reference_normal_fan(f)
+
+    check()
+
+
+def repeated_direction_polys(n):
+    """Terms at e, 2e and 3e, plus up to two more: exponents that share a
+    direction from the origin."""
+    exps = st.tuples(*([st.integers(0, 2)] * n)).filter(any)
+    return st.tuples(exps, st.lists(rationals, min_size=3, max_size=3),
+                     st.dictionaries(exps, rationals, max_size=2)).map(
+        lambda t: tp.trop_poly([(tuple(k * c for c in t[0]), v)
+                                for k, v in zip((1, 2, 3), t[1])]
+                               + list(t[2].items())))
+
+
+def single_term_polys(n):
+    exps = st.tuples(*([st.integers(0, 3)] * n)).filter(any)
+    return st.tuples(exps, rationals).map(lambda t: tp.trop_poly([t]))
+
+
+def dominated_polys(n):
+    """A term at m and terms at m + d for d >= 0: m lies below every other
+    exponent, so the Newton polyhedron is m + R>=0^n and PTrop is empty."""
+    exps = st.tuples(*([st.integers(0, 2)] * n))
+    return st.tuples(exps.filter(any), rationals,
+                     st.dictionaries(exps.filter(any), rationals,
+                                     min_size=1, max_size=4)).map(
+        lambda t: tp.trop_poly([(t[0], t[1])] + [
+            (tuple(a + b for a, b in zip(t[0], d)), v)
+            for d, v in t[2].items()]))
+
+
+@pytest.mark.parametrize("n, examples", [(2, 100), (3, 60), (4, 30)])
+def test_recession_route_matches_reference(n, examples):
+    """The one-conversion recession route against the reference cells,
+    each recession cone met with the orthant by its own conversion."""
+    @settings(max_examples=examples, deadline=None)
+    @given(st.one_of(normal_fan_polys(n), repeated_direction_polys(n),
+                     single_term_polys(n), dominated_polys(n)))
+    def check(f):
+        assert tp.ptrop_recession(f) == reference_recession(f)
 
     check()
 
