@@ -46,7 +46,7 @@ from .lattice import (
     Cone,
     cone_faces,
     cone_holds,
-    cone_is_face,
+    locate,
 )
 
 QVec = tuple[Fraction, ...]
@@ -609,11 +609,6 @@ class SubdivisionResult:
     level: int
 
     @cached_property
-    def carriers(self) -> tuple[tuple[str, tuple[str, tuple]], ...]:
-        """(name, (carrier, vertices)) of every cell, sorted by name."""
-        return tuple(sorted(self._carrier_index.items()))
-
-    @cached_property
     def _carrier_index(self) -> dict[str, tuple[str, tuple]]:
         # read on first use from the templates the cells were made from
         templates = _templates(self.original.dim, self.level)
@@ -813,7 +808,10 @@ def toric_fiber_complex(matrix: Sequence[Sequence[int]], source: Fan,
         if not any(cone_holds(tau, *image(sigma)) for tau in target.maximal):
             raise NotCompatible(
                 f"image of {sigma} lies in no cone of the target fan")
-    if not any(cone_is_face(base, tau) for tau in target.maximal):
+    # base is a face of tau exactly when it is the minimal face of tau
+    # holding its ray sum
+    p = base.relint_point()
+    if not any(locate(tau, p) == base for tau in target.maximal):
         raise ValidationError("the base cone is not a cone of the target fan")
     seen: dict[tuple, Cone] = {}
     for sigma in source.maximal:

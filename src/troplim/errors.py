@@ -102,10 +102,6 @@ class NotCompatible(TropLimError):
     """The lattice map does not send every source cone into a target cone."""
 
 
-class UnknownStratum(TropLimError):
-    """No stratum with the requested identifier."""
-
-
 class IncompleteTower(TropLimError):
     """The finite tower cannot certify the query (divisibility never reached)."""
 

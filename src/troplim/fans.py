@@ -20,11 +20,14 @@ u^⊥; when both cones have the same lines and meet u^⊥ in the same proper
 face, that face is the meet (Fulton, *Introduction to Toric Varieties*,
 1993, §1.2).  Equal cones, containments and the pairs the certificate leaves
 undecided, such as opposite cones meeting only at 0 on whose rays the summed
-normals vanish, get the full check: the meet is converted and compared with
-both cones' faces, so the messages and their order do not depend on the
+normals vanish, get the full check: the meet is converted, and it is a face
+of each cone exactly when ``lattice.locate`` finds it as the minimal face
+holding its ray sum, so the messages and their order do not depend on the
 certificate.  The same signs skip the refinement of a pair whose meet lies
 in a facet, decide whether a facet lies in a carrier's facet, and pick the
-facets that a star split joins to its ray.
+facets that a star split joins to its ray.  Since the cones of a valid fan
+meet in common faces, every maximal cone holding a point gives the same
+minimal face, so ``Fan.locate`` keeps the first one it finds.
 
 ``is_subdivision`` produces a checkable witness.  Containment of each fine
 cone in a coarse carrier is not enough (the fine fan might cover only part of
@@ -53,9 +56,8 @@ from .errors import DimensionMismatch, ValidationError
 from .lattice import (
     Cone,
     _face,
+    cone_holds,
     cone_intersect,
-    cone_is_face,
-    cone_subset,
     locate,
 )
 
@@ -113,14 +115,16 @@ class Fan:
 
         ``among`` limits the search to the maximal cones of those indices,
         which must include every one holding the point.  Each is located
-        once; in a valid fan the least face found is a face of each holder.
+        once, and the first face found is the carrier: the cones of a valid
+        fan meet in common faces, so the minimal face holding the point is
+        the same cone in every holder.
         """
         carrier, holding = None, []
         for j in range(len(self.maximal)) if among is None else among:
             face = locate(self.maximal[j], point)
             if face is not None:
                 holding.append(j)
-                if carrier is None or face.dim < carrier.dim:
+                if carrier is None:
                     carrier = face
         return carrier, holding
 
@@ -200,7 +204,10 @@ def _violations(cones: list[Cone], n: Optional[int]) -> list[str]:
                 violations.append(f"cone {i if m == a else j} is contained "
                                   f"in cone {j if m == a else i}")
                 continue
-            if not (cone_is_face(m, a) and cone_is_face(m, b)):
+            # m lies in both, so it is a face of each exactly when it is the
+            # minimal face holding its relative interior point
+            p = m.relint_point()
+            if not (locate(a, p) == m and locate(b, p) == m):
                 violations.append(
                     f"cones {i} and {j} intersect in {m.rays} + lines "
                     f"{m.lines}, not a common face")
@@ -271,7 +278,7 @@ def is_subdivision(fine: Fan, coarse: Fan) -> Optional[SubdivisionWitness]:
         found = index.get((tau.rays, tau.lines))
         if found is None:
             found = next((j for j, sigma in enumerate(coarse.maximal)
-                          if cone_subset(tau, sigma)), None)
+                          if cone_holds(sigma, tau.rays, tau.lines)), None)
             if found is None:
                 return None
         carrier.append(found)

@@ -35,7 +35,6 @@ from .errors import (
     DepthCap,
     IncompleteTower,
     UndecidableSign,
-    UnknownStratum,
     ValidationError,
 )
 from .towers import TOWER_DEPTH_CAP, Symbol
@@ -50,7 +49,7 @@ class PolygonDegeneration:
 
     Vertex j carries the angle j/m; the edge e_j covers [j/m, (j+1)/m].
     Only m is held: the cycle is derived from it on first read and kept
-    out of eq, hash and repr, and a label is read off the vertex name.
+    out of eq, hash and repr.
     """
 
     m: int
@@ -62,16 +61,6 @@ class PolygonDegeneration:
     @cached_property
     def complex(self) -> DeltaComplex:
         return cycle_complex(self.m)
-
-    def label(self, vertex: str) -> Fraction:
-        """The angle j/m of the vertex ``v{j}``, j in canonical decimal."""
-        j, m = vertex[1:], str(self.m)
-        # canonical decimals (no leading zero) compare as numbers do by
-        # (length, digits), so j < m is read without parsing a long name
-        if vertex[:1] == "v" and j.isascii() and j.isdigit() and \
-                (j == "0" or j[0] != "0") and (len(j), j) < (len(m), m):
-            return Fraction(int(j), self.m)
-        raise UnknownStratum(f"no vertex named {vertex!r}")
 
 
 def base_change(p: PolygonDegeneration, d: int) -> PolygonDegeneration:

@@ -2,26 +2,30 @@
 
 A cone stores its canonical V-description only:
 
-    primitive integer extreme rays, plus a lineality basis for the internal
-    constructors that permit lines (normal fans of lower-dimensional
-    polytopes need half-spaces and walls).
+    primitive integer extreme rays, plus a lineality basis for the cones
+    that a meet or a face leaves with lines (normal fans of
+    lower-dimensional polytopes need half-spaces and walls).
 
 Its H-description, integer equations (a basis of the orthogonal complement
 of the span) and primitive integer facet inner normals, is the
 V-description of the dual cone.  It is converted on first read of
 ``equations`` or ``facets`` and kept out of equality, hashing and repr.
 
-The public constructor ``cone_from_generators`` enforces strong convexity
-(no line) and the ambient rank cap; everything downstream trusts the stored
-canonical form.  Conversion both ways runs through one workhorse,
-``halfspaces_to_generators``, the double description method (Motzkin et
-al. 1953) over Z: rows are added one at a time to the lines and extreme
-rays of the cone cut out so far, and adjacent rays on opposite sides of a
-new row are combined, adjacency decided from the rows each ray makes tight
-(Fukuda & Prodon 1996).
+Two constructors convert: ``cone_from_generators``, which enforces strong
+convexity (no line) and the ambient rank cap, and ``cone_intersect``.
+Faces are read off the stored rays with no conversion, and everything
+downstream trusts the stored canonical form.  Conversion both ways runs
+through one workhorse, ``halfspaces_to_generators``, the double description
+method (Motzkin et al. 1953) over Z: rows are added one at a time to the
+lines and extreme rays of the cone cut out so far, and adjacent rays on
+opposite sides of a new row are combined, adjacency decided from the rows
+each ray makes tight (Fukuda & Prodon 1996).
 
-Containment has one answer, the minimal face holding the point (``locate``):
-the cone itself for a point of its relative interior, inside its own span.
+Each containment question has one routine.  ``locate`` gives the minimal
+face holding a point: the cone itself for a point of its relative
+interior, inside its own span.  So a cone f is a face of c exactly when
+``locate(c, f.relint_point()) == f``.  ``cone_holds`` decides whether a cone
+given by generators lies in another.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import _linalg as la
 from .errors import (
@@ -57,10 +61,6 @@ class Ray:
             raise ZeroVector("ray direction must be nonzero")
         if self.direction != la.primitivize(self.direction):
             raise ValueError(f"ray direction {self.direction} is not primitive")
-
-    @property
-    def rank(self) -> int:
-        return len(self.direction)
 
 
 def primitive(v: Sequence[int]) -> Ray:
@@ -243,13 +243,6 @@ class Cone:
         return f"Cone(n={self.n}, {', '.join(parts)})"
 
 
-def _cone_from_halfspaces(equations: Sequence[Sequence],
-                          inequalities: Sequence[Sequence], n: int) -> Cone:
-    """The cone {x : E x = 0, A x >= 0}, converted once."""
-    lines, rays = halfspaces_to_generators(equations, inequalities, n)
-    return Cone(n, rays, lines)
-
-
 def _face(cone: Cone, active: Sequence[IVec]) -> Cone:
     """The face of the cone on which the given facet rows vanish.
 
@@ -264,62 +257,42 @@ def _face(cone: Cone, active: Sequence[IVec]) -> Cone:
     return Cone(cone.n, rays, cone.lines)
 
 
-def _build_cone(rays: Sequence[Sequence], lines: Sequence[Sequence], n: int) -> Cone:
-    """The cone spanned by the generators, from two conversions.
-
-    The first gives the dual's canonical (lines, rays), which depend only
-    on the cone, so they are the cone's H-side as a later read would
-    convert it; the cone is handed them.
-    """
-    dual = halfspaces_to_generators(lines, rays, n)
-    lines_c, rays_c = halfspaces_to_generators(*dual, n)
-    cone = Cone(n, rays_c, lines_c)
-    cone.__dict__["_dual"] = dual
-    if not cone_holds(cone, rays, lines):
-        raise AssertionError(f"generators {rays} + lines {lines} leave the "
-                             f"computed cone")
-    return cone
-
-
-def make_cone(
-    generators: Iterable[Sequence[int]],
-    n: int | None = None,
-    lines: Iterable[Sequence[int]] = (),
-) -> Cone:
-    """Internal constructor: cone spanned by generators and lines (lines allowed)."""
-    gens = [tuple(int(a) for a in g) for g in generators]
-    lns = [tuple(int(a) for a in g) for g in lines]
-    if n is None:
-        if not gens and not lns:
-            raise ValueError("ambient rank required for the empty generator set")
-        n = len((gens + lns)[0])
-    if n > RANK_CAP:
-        raise RankCap(f"ambient rank {n} exceeds the exact-arithmetic cap {RANK_CAP}")
-    if n < 0:
-        raise ValueError("ambient rank must be nonnegative")
-    for g in gens + lns:
-        if len(g) != n:
-            raise DimensionMismatch(f"generator {g} has length {len(g)}, expected {n}")
-    gens = [g for g in gens if not la.is_zero_vec(g)]
-    return _build_cone(gens, lns, n)
-
-
 def cone_from_generators(
     generators: Sequence[Sequence[int]], n: int | None = None
 ) -> Cone:
     """Strongly convex cone spanned by nonzero integer generators.
 
     Raises ZeroVector on a zero generator, NotStronglyConvex when the
-    generators span a line, RankCap above rank 4.
+    generators span a line, RankCap above rank 4.  The cone comes from two
+    conversions.  The first gives the dual's canonical (lines, rays), which
+    depend only on the cone, so they are the cone's H-side as a later read
+    would convert it; the cone is handed them.
     """
     gens = [tuple(int(a) for a in g) for g in generators]
     for g in gens:
         if la.is_zero_vec(g):
             raise ZeroVector(f"zero generator in {gens}")
-    cone = make_cone(gens, n=n)
-    if cone.lines:
+    if n is None:
+        if not gens:
+            raise ValueError("ambient rank required for the empty generator set")
+        n = len(gens[0])
+    if n > RANK_CAP:
+        raise RankCap(f"ambient rank {n} exceeds the exact-arithmetic cap {RANK_CAP}")
+    if n < 0:
+        raise ValueError("ambient rank must be nonnegative")
+    for g in gens:
+        if len(g) != n:
+            raise DimensionMismatch(f"generator {g} has length {len(g)}, expected {n}")
+    dual = halfspaces_to_generators((), gens, n)
+    lines, rays = halfspaces_to_generators(*dual, n)
+    cone = Cone(n, rays, lines)
+    cone.__dict__["_dual"] = dual
+    if not cone_holds(cone, gens):
+        raise AssertionError(f"generators {gens} + lines [] leave the "
+                             f"computed cone")
+    if lines:
         raise NotStronglyConvex(
-            f"generators {gens} span the line through {cone.lines[0]}"
+            f"generators {gens} span the line through {lines[0]}"
         )
     return cone
 
@@ -382,8 +355,9 @@ def cone_intersect(a: Cone, b: Cone) -> Cone:
     """Exact intersection, canonical form (may be any face, down to {0})."""
     if a.n != b.n:
         raise DimensionMismatch(f"ambient ranks differ: {a.n} vs {b.n}")
-    return _cone_from_halfspaces(a.equations + b.equations,
-                                 a.facets + b.facets, a.n)
+    lines, rays = halfspaces_to_generators(a.equations + b.equations,
+                                           a.facets + b.facets, a.n)
+    return Cone(a.n, rays, lines)
 
 
 def face_lattice(vertices: Sequence[tuple], rows: Sequence[tuple]
@@ -423,19 +397,3 @@ def cone_faces(cone: Cone) -> tuple[Cone, ...]:
     faces = [Cone(cone.n, tuple(r for r in cone.rays if r in fs), cone.lines)
              for fs in ray_sets]
     return tuple(sorted(faces, key=lambda c: (c.dim, c.rays, c.lines)))
-
-
-def cone_is_face(face: Cone, cone: Cone) -> bool:
-    """Is ``face`` a face of ``cone``?  Exact: the facets vanishing on
-    ``face`` cut out a face of ``cone``, and ``face`` must be that one, so
-    it lies in ``cone`` too.  Only the facets of ``cone`` are read."""
-    if face.n != cone.n:
-        raise DimensionMismatch(f"ambient ranks differ: {face.n} vs {cone.n}")
-    gens = face.rays + face.lines
-    active = [f for f in cone.facets if all(la.dot(f, g) == 0 for g in gens)]
-    return _face(cone, active) == face
-
-
-def cone_subset(inner: Cone, outer: Cone) -> bool:
-    """Is every point of ``inner`` contained in ``outer``?"""
-    return cone_holds(outer, inner.rays, inner.lines)

@@ -46,7 +46,7 @@ from .lattice import (
     RANK_CAP,
     Cone,
     Ray,
-    cone_subset,
+    cone_holds,
     locate,
     primitive,
 )
@@ -67,6 +67,10 @@ class Symbol:
     def __post_init__(self):
         if self.lo > self.hi:
             raise ValueError(f"empty enclosure for {self.name}")
+        if self.lo == self.hi:
+            # a zero-width box is a rational, which no symbol may be
+            raise ValueError(f"enclosure [{self.lo}, {self.hi}] of "
+                             f"{self.name} has no interior")
 
     @staticmethod
     def sqrt(k: int) -> "Symbol":
@@ -349,14 +353,9 @@ class ConeChain:
         for (i, a), (j, b) in zip(self.entries, self.entries[1:]):
             if j <= i:
                 raise ValueError(f"levels {i}, {j} out of order")
-            if not cone_subset(b, a):
+            if not cone_holds(a, b.rays, b.lines):
                 raise ValueError(
                     f"cone at level {j} is not contained in cone at level {i}")
-
-
-def cone_chain(entries) -> ConeChain:
-    """Chain constructor from (level, cone) pairs with integer levels."""
-    return ConeChain(tuple((int(i), c) for i, c in entries))
 
 
 @dataclass(frozen=True)
@@ -391,7 +390,7 @@ def chain_toward(t: FanTower, x: SymbolicVector) -> ConeChain:
     """The chain of minimal carriers of x, one per tower level."""
     if x.is_zero:
         raise ZeroVector("cannot chase the zero direction")
-    return cone_chain(enumerate(
+    return ConeChain(tuple(enumerate(
         carrier for carrier, _ in _carriers(
             t.fans, t.witnesses, x, 0,
-            "direction lies outside the level-{} support")))
+            "direction lies outside the level-{} support"))))

@@ -117,10 +117,6 @@ class TropicalHypersurface:
     n: int
     cells: tuple[TropCell, ...]
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.cells
-
 
 def _lower_faces(f: TropicalPolynomial, extra: list[IVec]):
     """One conversion of the cone C over the lifted terms (e, v, 1), the

@@ -10,7 +10,11 @@ a nodal cubic, with the collapse of an analytic dual complex to its
 algebraic one, build the dual-complex examples.  The Newton polytope and
 its normal fan, a stellar subdivision at one ray and the complete rank-2
 fan of a ray set are the references that the exact routes, the split
-steps and the randomized fan suites compare against or build from.
+steps and the randomized fan suites compare against or build from.  Cones
+with lines, which the library reads off half-spaces only, come from
+``make_cone``; ``cone_is_face`` is the reference that ``lattice.locate``
+finds faces against, and ``label`` reads the angle of a galaxy vertex off
+its name.
 """
 
 import itertools
@@ -35,7 +39,14 @@ from troplim.errors import (
     ValidationError,
 )
 from troplim.fans import Fan, fan_from_cones
-from troplim.lattice import Cone, Ray, cone_holds, make_cone, primitive
+from troplim.galaxy import PolygonDegeneration
+from troplim.lattice import (
+    Cone,
+    Ray,
+    cone_holds,
+    halfspaces_to_generators,
+    primitive,
+)
 from troplim.towers import SymbolicVector, symbolic_vector
 from troplim.tropical import TropicalPolynomial
 
@@ -186,6 +197,59 @@ def collapse_to_algebraic(x: DeltaComplex
     return collapsed, mapping
 
 
+# -- cones -------------------------------------------------------------------
+
+
+def cone_from_halfspaces(equations, inequalities, n: int) -> Cone:
+    """The cone {x : E x = 0, A x >= 0}, converted once."""
+    lines, rays = halfspaces_to_generators(equations, inequalities, n)
+    return Cone(n, rays, lines)
+
+
+def make_cone(generators, n=None, lines=()) -> Cone:
+    """The cone spanned by generators and lines, which the library builds
+    only from half-spaces: the dual's (lines, rays) first, then the cone
+    from them, which is handed its dual.  Zero generators span nothing."""
+    gens = [tuple(int(a) for a in g) for g in generators]
+    lns = [tuple(int(a) for a in g) for g in lines]
+    if n is None:
+        n = len((gens + lns)[0])
+    dual = halfspaces_to_generators(lns, gens, n)
+    cone = cone_from_halfspaces(*dual, n)
+    cone.__dict__["_dual"] = dual
+    return cone
+
+
+def cone_is_face(face: Cone, cone: Cone) -> bool:
+    """Is ``face`` a face of ``cone``?  The facets of ``cone`` vanishing on
+    ``face`` cut out a face of ``cone``, and ``face`` must be that one: the
+    reference for ``locate(cone, face.relint_point()) == face``."""
+    if face.n != cone.n:
+        raise DimensionMismatch(f"ambient ranks differ: {face.n} vs {cone.n}")
+    gens = face.rays + face.lines
+    active = [f for f in cone.facets if all(la.dot(f, g) == 0 for g in gens)]
+    return lattice._face(cone, active) == face
+
+
+# -- galaxy labels -----------------------------------------------------------
+
+
+class UnknownStratum(TropLimError):
+    """No vertex with the requested name."""
+
+
+def label(p: PolygonDegeneration, vertex: str) -> Fraction:
+    """The angle j/m of the vertex ``v{j}`` of an I_m degeneration, j in
+    canonical decimal, read off the name."""
+    j, m = vertex[1:], str(p.m)
+    # canonical decimals (no leading zero) compare as numbers do by
+    # (length, digits), so j < m is read without parsing a long name
+    if vertex[:1] == "v" and j.isascii() and j.isdigit() and \
+            (j == "0" or j[0] != "0") and (len(j), j) < (len(m), m):
+        return Fraction(int(j), p.m)
+    raise UnknownStratum(f"no vertex named {vertex!r}")
+
+
 # -- Newton polytopes and normal fans ---------------------------------------
 
 
@@ -213,7 +277,7 @@ class NewtonPolytope:
 
 def newton_polytope(f: TropicalPolynomial) -> NewtonPolytope:
     """Exact hull of the exponent set."""
-    lifted = lattice._build_cone([e + (1,) for e in f.exponents], (), f.n + 1)
+    lifted = make_cone([e + (1,) for e in f.exponents], n=f.n + 1)
     vertices = tuple(sorted(r[:-1] for r in lifted.rays))
     return NewtonPolytope(f.n, vertices)
 
@@ -223,7 +287,7 @@ def normal_cone(p: NewtonPolytope, face) -> Cone:
     v0 = face[0]
     eqs = [_minus(v, v0) for v in face[1:]]
     ineqs = [_minus(u, v0) for u in p.vertices]
-    return lattice._cone_from_halfspaces(eqs, ineqs, p.n)
+    return cone_from_halfspaces(eqs, ineqs, p.n)
 
 
 def normal_fan(p: NewtonPolytope) -> Fan:
@@ -238,9 +302,9 @@ def normal_fan(p: NewtonPolytope) -> Fan:
 def stellar_subdivision(fan: Fan, ray) -> Fan:
     """Split every cone containing the ray along it, leaving the rest."""
     r = ray if isinstance(ray, Ray) else primitive(ray)
-    if r.rank != fan.n:
+    if len(r.direction) != fan.n:
         raise DimensionMismatch(
-            f"ray has rank {r.rank}, fan has rank {fan.n}")
+            f"ray has rank {len(r.direction)}, fan has rank {fan.n}")
     holding = {j: r.direction for j, sigma in enumerate(fan.maximal)
                if cone_holds(sigma, [r.direction])}
     if not holding:

@@ -10,8 +10,8 @@ import itertools
 from fractions import Fraction as F
 from operator import mul
 
+from builders import UnknownStratum
 from troplim.complexes import canonical_point
-from troplim.errors import UnknownStratum
 
 
 def alcoves(m, level):

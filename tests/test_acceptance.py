@@ -72,7 +72,7 @@ from troplim.galaxy import (
     elliptic_tower,
     galaxy_point,
 )
-from troplim.lattice import make_cone, primitive
+from troplim.lattice import cone_from_generators, primitive
 from troplim.sampling import (
     distance_to_ptrop,
     lift_coefficients,
@@ -275,7 +275,7 @@ def test_criterion_07_direction_chains_and_fiber_models():
     start = time.monotonic()
     quadrants = fan_from_rays_2d([(1, 0), (0, 1), (-1, 0), (0, -1)])
     octants = fan_from_cones(
-        [make_cone([(sx, 0, 0), (0, sy, 0), (0, 0, sz)], n=3)
+        [cone_from_generators([(sx, 0, 0), (0, sy, 0), (0, 0, sz)], n=3)
          for sx in (1, -1) for sy in (1, -1) for sz in (1, -1)], n=3)
     directions = [
         (1, 1), (2, 1), (1, 2), (3, 1), (1, 3),

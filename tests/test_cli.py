@@ -37,7 +37,7 @@ from troplim.complexes import (
 from troplim.errors import ParseError, ValidationError
 from troplim.fans import fan_from_cones
 from troplim.galaxy import PolygonDegeneration, base_change
-from troplim.lattice import make_cone
+from troplim.lattice import cone_from_generators
 from troplim.towers import (
     StellarAtBarycenters,
     extend_tower,
@@ -1049,7 +1049,7 @@ def test_a_missing_input_is_a_parse_error(tmp_path, capsys, argv):
 
 
 def test_cone_serialization_helpers():
-    cone = make_cone([(1, 0), (1, 2)], n=2)
+    cone = cone_from_generators([(1, 0), (1, 2)], n=2)
     assert io.cone_to_json(cone) == {"rays": [["1", "0"], ["1", "2"]]}
     fan = fan_from_cones([cone])
     blob = io.serialize_fan(fan)

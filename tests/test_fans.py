@@ -13,12 +13,17 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from builders import fan_from_rays_2d, stellar_subdivision
+from builders import (
+    cone_is_face,
+    fan_from_rays_2d,
+    make_cone,
+    stellar_subdivision,
+)
 from troplim import fans, lattice, towers as tw
 from troplim.errors import ValidationError
 from troplim.lattice import (
     cone_faces, cone_from_generators as cg, cone_holds, cone_intersect,
-    cone_is_face, cone_subset, locate, make_cone, primitive,
+    locate, primitive,
 )
 
 
@@ -288,7 +293,7 @@ def reference_is_subdivision(fine, coarse):
     for tau in fine.maximal:
         found = None
         for j, sigma in enumerate(coarse.maximal):
-            if cone_subset(tau, sigma):
+            if cone_holds(sigma, tau.rays, tau.lines):
                 found = j
                 break
         if found is None:
@@ -306,7 +311,8 @@ def reference_is_subdivision(fine, coarse):
                 continue
             if count > 2:
                 return None
-            if not any(cone_subset(f, sf) for sf in sigma_facets):
+            if not any(cone_holds(sf, f.rays, f.lines)
+                       for sf in sigma_facets):
                 return None
     return tuple(carrier)
 

@@ -19,7 +19,13 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from builders import newton_polytope, normal_cone
+from builders import (
+    cone_from_halfspaces,
+    cone_is_face,
+    make_cone,
+    newton_polytope,
+    normal_cone,
+)
 from test_linalg import (
     matrices,
     reference_primitivize,
@@ -210,19 +216,25 @@ def test_octant_has_eight_faces():
     assert sorted(f.dim for f in faces) == [0, 1, 1, 1, 2, 2, 2, 3]
 
 
+def is_face(face, cone):
+    """The library's face test: ``face`` is the minimal face of ``cone``
+    holding its own ray sum."""
+    return lat.locate(cone, face.relint_point()) == face
+
+
 def test_cone_is_face_examples():
     c = lat.cone_from_generators([(1, 0), (0, 1)])
-    assert lat.cone_is_face(lat.cone_from_generators([(1, 0)]), c)
-    assert not lat.cone_is_face(lat.cone_from_generators([(1, 1)]), c)
-    assert lat.cone_is_face(lat.make_cone([], n=2), c)
-    assert lat.cone_is_face(c, c)
+    for face, expected in ((lat.cone_from_generators([(1, 0)]), True),
+                           (lat.cone_from_generators([(1, 1)]), False),
+                           (make_cone([], n=2), True), (c, True)):
+        assert cone_is_face(face, c) == is_face(face, c) == expected
 
 
 # -- lineality (internal constructor) ---------------------------------------
 
 
 def test_half_plane_cone():
-    c = lat.make_cone([(0, 1)], lines=[(1, 0)])
+    c = make_cone([(0, 1)], lines=[(1, 0)])
     assert c.lines == ((1, 0),)
     assert c.rays == ((0, 1),)
     assert c.dim == 2
@@ -233,7 +245,7 @@ def test_half_plane_cone():
 
 
 def test_full_space_cone():
-    c = lat.make_cone([], n=2, lines=[(1, 0), (0, 1)])
+    c = make_cone([], n=2, lines=[(1, 0), (0, 1)])
     assert c.dim == 2
     assert c.facets == ()
     assert lat.locate(c, (-7, 13)) == c
@@ -253,7 +265,7 @@ gen_sets3 = st.lists(small_vec3, min_size=1, max_size=4)
 
 
 def _cones(gen_lists):
-    return gen_lists.map(lambda gens: lat.make_cone(gens))
+    return gen_lists.map(lambda gens: make_cone(gens))
 
 
 @settings(max_examples=120, deadline=None)
@@ -262,7 +274,7 @@ def test_roundtrip_h_to_v_rank2(cone):
     lines, rays = lat.halfspaces_to_generators(
         cone.equations, cone.facets, cone.n
     )
-    rebuilt = lat.make_cone(list(rays), n=cone.n, lines=list(lines))
+    rebuilt = make_cone(list(rays), n=cone.n, lines=list(lines))
     assert rebuilt == cone
 
 
@@ -272,14 +284,14 @@ def test_roundtrip_h_to_v_rank3(cone):
     lines, rays = lat.halfspaces_to_generators(
         cone.equations, cone.facets, cone.n
     )
-    rebuilt = lat.make_cone(list(rays), n=cone.n, lines=list(lines))
+    rebuilt = make_cone(list(rays), n=cone.n, lines=list(lines))
     assert rebuilt == cone
 
 
 @settings(max_examples=100, deadline=None)
 @given(gen_sets2)
 def test_generators_satisfy_own_halfspaces(gens):
-    cone = lat.make_cone(gens)
+    cone = make_cone(gens)
     for g in gens:
         for facet in cone.facets:
             assert dot(facet, g) >= 0
@@ -290,7 +302,7 @@ def test_generators_satisfy_own_halfspaces(gens):
 @settings(max_examples=100, deadline=None)
 @given(gen_sets2)
 def test_pointedness_matches_public_constructor(gens):
-    cone = lat.make_cone(gens)
+    cone = make_cone(gens)
     if cone.lines:
         with pytest.raises(NotStronglyConvex):
             lat.cone_from_generators(gens)
@@ -346,7 +358,7 @@ def test_faces_are_faces(cone):
     faces = lat.cone_faces(cone)
     assert cone in faces
     for f in faces:
-        assert lat.cone_is_face(f, cone)
+        assert is_face(f, cone)
     dims = [f.dim for f in faces]
     # the minimal face (the lineality space) appears exactly once
     assert dims.count(min(dims)) == 1
@@ -367,8 +379,8 @@ def reference_face(cone, active):
     join the equations, and the result is converted and wrapped."""
     if not active:
         return cone
-    return lat._cone_from_halfspaces(cone.equations + tuple(active),
-                                     cone.facets, cone.n)
+    return cone_from_halfspaces(cone.equations + tuple(active),
+                                cone.facets, cone.n)
 
 
 def reference_cone_faces(cone):
@@ -398,10 +410,10 @@ def cones_with_lines(draw):
     vec = st.tuples(*[st.integers(-2, 2)] * n)
     kind = draw(st.sampled_from(("lines", "zero", "space")))
     if kind == "zero":
-        return lat.make_cone([], n=n)
+        return make_cone([], n=n)
     if kind == "space":
-        return lat.make_cone([], n=n, lines=identity_rows(n))
-    return lat.make_cone(draw(st.lists(vec, max_size=6)), n=n,
+        return make_cone([], n=n, lines=identity_rows(n))
+    return make_cone(draw(st.lists(vec, max_size=6)), n=n,
                          lines=draw(st.lists(vec, min_size=1, max_size=n)))
 
 
@@ -425,9 +437,9 @@ def test_faces_match_the_halfspace_references(cone, other):
             assert_same_cones((lat._face(cone, subset),),
                               (reference_face(cone, subset),))
     for face in expected:
-        assert lat.cone_is_face(face, cone)
+        assert is_face(face, cone)
     if other.n == cone.n:
-        assert lat.cone_is_face(other, cone) == (other in expected)
+        assert is_face(other, cone) == (other in expected)
 
 
 def facet_member(cone, v):
@@ -455,7 +467,7 @@ def cone_pairs(draw):
     vector, so that both answers come up."""
     n = draw(st.integers(1, 4))
     vec = st.tuples(*[st.integers(-2, 2)] * n)
-    outer = lat.make_cone(draw(st.lists(vec, max_size=5)), n=n,
+    outer = make_cone(draw(st.lists(vec, max_size=5)), n=n,
                           lines=draw(st.lists(vec, max_size=2)))
     gens = list(outer.rays) + list(outer.lines) + [
         tuple(-a for a in l) for l in outer.lines]
@@ -471,15 +483,42 @@ def cone_pairs(draw):
     else:
         rays = draw(st.lists(vec, max_size=5))
         lines = draw(st.lists(vec, max_size=2))
-    return lat.make_cone(rays, n=n, lines=lines), outer
+    return make_cone(rays, n=n, lines=lines), outer
 
 
 @settings(max_examples=300, deadline=None)
 @given(cone_pairs())
-def test_cone_subset_matches_the_pointwise_reference(pair):
+def test_cone_holds_matches_the_pointwise_reference(pair):
     inner, outer = pair
-    assert lat.cone_subset(inner, outer) == reference_subset(inner, outer)
-    assert lat.cone_subset(outer, outer)
+    assert lat.cone_holds(outer, inner.rays, inner.lines) == \
+        reference_subset(inner, outer)
+    assert lat.cone_holds(outer, outer.rays, outer.lines)
+
+
+@st.composite
+def face_candidates(draw):
+    """Two cones of one rank 2-4, with or without lines, and a candidate
+    face of the first: a face of either cone, their meet, or the other
+    cone."""
+    n = draw(st.integers(2, 4))
+    vec = st.tuples(*[st.integers(-2, 2)] * n)
+
+    def cone():
+        return make_cone(draw(st.lists(vec, max_size=5)), n=n,
+                         lines=draw(st.lists(vec, max_size=1)))
+    c, other = cone(), cone()
+    meet = lat.cone_intersect(c, other)
+    pool = [*lat.cone_faces(c), *lat.cone_faces(other), meet, other]
+    return draw(st.sampled_from(pool)), c
+
+
+@settings(max_examples=300, deadline=None)
+@given(face_candidates())
+def test_locate_finds_exactly_the_faces_of_a_cone(case):
+    """A cone f is a face of c exactly when ``locate`` finds it as the
+    minimal face of c holding its ray sum."""
+    f, c = case
+    assert is_face(f, c) == cone_is_face(f, c)
 
 
 def cuboctahedron_cone():
@@ -515,7 +554,7 @@ def vertices_and_rows(draw):
         n = draw(st.integers(1, 3))
         points = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n),
                                min_size=1, max_size=7))
-        lifted = lat._build_cone([p + (1,) for p in points], (), n + 1)
+        lifted = make_cone([p + (1,) for p in points], n=n + 1)
         vertices = [r[:-1] for r in lifted.rays]
         rows = [(a[:-1], a[-1]) for a in lifted.facets]
     return vertices, [((0,) * n, 1)] + rows
@@ -537,7 +576,7 @@ def test_face_lattice_gives_each_face_its_tight_rows(case):
 
 def assert_rebuilds(cone):
     """The cone equals make_cone of its own V-data, H-data included."""
-    rebuilt = lat.make_cone(list(cone.rays), n=cone.n, lines=list(cone.lines))
+    rebuilt = make_cone(list(cone.rays), n=cone.n, lines=list(cone.lines))
     assert rebuilt == cone
     # facets and equations are compare=False, so check them explicitly
     assert rebuilt.facets == cone.facets
@@ -626,7 +665,8 @@ def conversions() -> int:
 
 def test_derived_cones_convert_only_when_their_h_side_is_read():
     cone = cuboctahedron_cone()
-    other = lat.make_cone([(1, 0, 0, 1), (0, 1, 0, 1), (-1, 0, 0, 1)])
+    other = lat.cone_from_generators(
+        [(1, 0, 0, 1), (0, 1, 0, 1), (-1, 0, 0, 1)])
     start = conversions()
     faces = [lat._face(cone, cone.facets[:2]),
              lat.locate(cone, cone.rays[0]), *facet_cones(cone)]
@@ -645,9 +685,10 @@ def test_derived_cones_convert_only_when_their_h_side_is_read():
         assert_dual_of_its_rays(derived)
 
 
-def test_make_cone_converts_twice_even_after_its_facets_are_read():
+def test_cone_from_generators_converts_twice_even_after_its_facets_are_read():
     start = conversions()
-    cone = lat.make_cone([(1, 0, 2), (0, 1, 2), (-1, -1, 2), (1, 1, 2)])
+    cone = lat.cone_from_generators(
+        [(1, 0, 2), (0, 1, 2), (-1, -1, 2), (1, 1, 2)])
     cone.facets, cone.equations
     assert conversions() == start + 2
     assert_dual_of_its_rays(cone)

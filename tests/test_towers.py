@@ -13,16 +13,20 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from builders import fan_from_rays_2d, rational_vector, stellar_subdivision
+from builders import (
+    cone_is_face,
+    fan_from_rays_2d,
+    make_cone,
+    rational_vector,
+    stellar_subdivision,
+)
 from troplim import fans, towers as tw
 from troplim._linalg import _det_int, mat_rank
 from troplim.errors import (
     DepthCap, DimensionMismatch, EmptyChain, OutsideSupport, RankCap,
     UndecidableSign, ValidationError, ZeroVector,
 )
-from troplim.lattice import (
-    RANK_CAP, cone_faces, cone_is_face, cone_subset, locate, make_cone,
-)
+from troplim.lattice import RANK_CAP, cone_faces, cone_holds, locate
 from troplim.lattice import cone_from_generators as cg
 
 SQRT2 = tw.Symbol.sqrt(2)
@@ -48,6 +52,16 @@ def test_sqrt_symbol_of_square_is_exact():
     # sqrt(4) = 2 is rational: a box [2, 2] would be taken as irrational
     with pytest.raises(ValueError, match=r"sqrt\(4\) = 2 is rational"):
         tw.Symbol.sqrt(4)
+
+
+def test_symbol_refuses_a_box_without_interior():
+    # a box [1, 1] holds only a rational, and [2, 1] holds nothing
+    with pytest.raises(ValueError,
+                       match=r"enclosure \[1, 1\] of s has no interior"):
+        tw.Symbol("s", F(1), F(1))
+    with pytest.raises(ValueError, match="empty enclosure for s"):
+        tw.Symbol("s", F(2), F(1))
+    assert tw.Symbol("s", F(1), F(2)).hi == 2
 
 
 def test_symbolic_vector_entry_validation():
@@ -224,7 +238,7 @@ def test_toward_irrational_shrinks_strictly():
     assert len(chain.entries) == 6
     for (_, a), (_, b) in zip(chain.entries, chain.entries[1:]):
         # strictly nested plane cones have strictly smaller angles
-        assert cone_subset(b, a) and b != a
+        assert cone_holds(a, b.rays, b.lines) and b != a
     # convergents of sqrt 2 appear as carrier rays
     assert chain.entries[-1][1].rays == ((2, 3), (5, 7))
     res = tw.resolve_direction(chain)
@@ -237,7 +251,7 @@ def test_toward_irrational_never_resolves_at_any_prefix():
     t = tw.extend_tower(tw.fan_tower(quadrant_fan()), tw.TowardDirection(x), 6)
     chain = tw.chain_toward(t, x)
     for d in range(1, len(chain.entries) + 1):
-        prefix = tw.cone_chain(chain.entries[:d])
+        prefix = tw.ConeChain(chain.entries[:d])
         assert isinstance(tw.resolve_direction(prefix), tw.UnresolvedCone)
 
 
@@ -266,18 +280,18 @@ def test_chain_toward_zero_rejected():
 
 def test_resolve_constant_chain():
     ray = cg([(1, 1)])
-    chain = tw.cone_chain([(0, ray), (1, ray), (2, ray)])
+    chain = tw.ConeChain(((0, ray), (1, ray), (2, ray)))
     res = tw.resolve_direction(chain)
     assert isinstance(res, tw.ResolvedRay)
     assert res.ray.direction == (1, 1)
 
 
 def test_resolve_nested_chain_to_boundary_ray():
-    chain = tw.cone_chain([
+    chain = tw.ConeChain((
         (0, cg([(1, 0), (0, 1)])), (1, cg([(1, 0), (1, 1)])),
         (2, cg([(1, 0), (2, 1)])), (3, cg([(1, 0), (3, 1)])),
         (4, cg([(1, 0)])),
-    ])
+    ))
     res = tw.resolve_direction(chain)
     assert isinstance(res, tw.ResolvedRay)
     assert res.ray.direction == (1, 0)
@@ -290,8 +304,6 @@ def test_resolve_empty_chain_rejected():
 
 def test_chain_constructor_rejects_non_nested():
     entries = ((0, cg([(1, 0), (1, 1)])), (1, cg([(0, 1), (1, 1)])))
-    with pytest.raises(ValueError):
-        tw.cone_chain(entries)
     with pytest.raises(ValueError):
         tw.ConeChain(entries)
     with pytest.raises(ValueError):
@@ -396,7 +408,7 @@ def reference_chain_toward(t, x):
         if carrier is None:
             raise OutsideSupport(f"direction outside level {i}")
         entries.append((i, carrier))
-    return tw.cone_chain(entries)
+    return tw.ConeChain(tuple(entries))
 
 
 def reference_barycentric_step(fan):
@@ -572,7 +584,7 @@ def test_toward_step_splits_every_cone_holding_a_wall_carrier():
 def reference_locate(fan, x, among=None):
     """The carrier search before it handed back the cones holding x: every
     candidate is located and the least face kept, then the candidates
-    containing that carrier are found again with ``cone_subset``."""
+    containing that carrier are found again with ``cone_holds``."""
     among = range(len(fan.maximal)) if among is None else among
     carrier = None
     for j in among:
@@ -582,7 +594,8 @@ def reference_locate(fan, x, among=None):
     if carrier is None:
         return None, []
     return carrier, [j for j in among
-                     if cone_subset(carrier, fan.maximal[j])]
+                     if cone_holds(fan.maximal[j], carrier.rays,
+                                   carrier.lines)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -623,15 +636,15 @@ def test_locate_matches_the_two_pass_search(data):
 
 def test_the_chase_tests_no_cone_in_a_cone(monkeypatch):
     """The carrier search hands back the cones holding the target, so
-    neither extending a toward tower nor chasing it runs ``cone_subset``,
+    neither extending a toward tower nor chasing it runs ``cone_holds``,
     except for the nesting check of the chain it returns, once per level."""
     calls = []
 
-    def counted(inner, outer):
-        calls.append(inner)
-        return cone_subset(inner, outer)
+    def counted(outer, rays, lines=()):
+        calls.append(rays)
+        return cone_holds(outer, rays, lines)
 
-    monkeypatch.setattr(tw, "cone_subset", counted)
+    monkeypatch.setattr(tw, "cone_holds", counted)
     x = rational_vector([3, 5, 7])
     tower = tw.extend_tower(tw.fan_tower(orthant_image(3, [])),
                             tw.TowardDirection(x), 4)

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from builders import affine_dim, newton_polytope, normal_cone, normal_fan
+from builders import (
+    affine_dim,
+    cone_is_face,
+    make_cone,
+    newton_polytope,
+    normal_cone,
+    normal_fan,
+)
 from troplim import tropical as tp
 from troplim._linalg import identity_rows
 from troplim._polyhedra import homogenization_info
@@ -19,13 +26,10 @@ from troplim.errors import (
     RankCap,
 )
 from troplim.lattice import (
-    _build_cone,
     cone_intersect,
-    cone_is_face,
     face_lattice,
     halfspaces_to_generators,
     locate,
-    make_cone,
 )
 
 
@@ -125,7 +129,7 @@ def reference_hypersurface(f):
 
 def polytope_faces(p):
     """All nonempty faces as vertex tuples (the polytope itself included)."""
-    lifted = _build_cone([v + (1,) for v in p.vertices], (), p.n + 1)
+    lifted = make_cone([v + (1,) for v in p.vertices], n=p.n + 1)
     faces = face_lattice(p.vertices, [(a[:-1], a[-1]) for a in lifted.facets])
     return tuple(sorted(tuple(sorted(fs)) for fs in faces))
 
@@ -292,7 +296,7 @@ def test_hypersurface_of_line_is_diagonal():
 
 
 def test_hypersurface_single_monomial_empty():
-    assert tp.trop_hypersurface(tp.trop_poly({(2, 1): 0})).is_empty
+    assert not tp.trop_hypersurface(tp.trop_poly({(2, 1): 0})).cells
 
 
 def test_hypersurface_nodal_cubic_cells():
