@@ -6,9 +6,8 @@ circle of circumference 1 with vertices at the angles j/m.  A degree-d base
 change followed by minimal resolution turns I_m into I_{dm}; on skeletons
 this is exactly the d-fold scale subdivision with vertices relabeled j/(dm).
 So a degeneration is determined by its cycle size: it holds only m, its
-cycle is derived from m on first read and its labels from the vertex
-names, and a base change is the (dm)-cycle by construction, with no
-subdivision run.  Along a tower of base changes whose degrees form a
+cycle is derived from m on first read, and a base change is the
+(dm)-cycle by construction, with no subdivision run.  Along a tower of base changes whose degrees form a
 divisibility chain reaching every integer, each rational angle p/q
 eventually becomes a vertex (an open slot of the limit space), while an
 irrational angle stays interior to a strictly shrinking chain of edges and
