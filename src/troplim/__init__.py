@@ -34,7 +34,6 @@ from .fans import (
     FanReport,
     common_refinement,
     fan_from_cones,
-    is_subdivision,
     validate_fan,
 )
 from .galaxy import (

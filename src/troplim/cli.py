@@ -41,8 +41,7 @@ from .errors import (
     UndecidableSign,
     ValidationError,
 )
-from .fans import Fan, _trusted_fan, common_refinement, is_subdivision, \
-    validate_fan
+from .fans import Fan, _trusted_fan, common_refinement, validate_fan
 from .galaxy import (
     OpenPoint,
     PolygonDegeneration,
@@ -306,14 +305,14 @@ def handle_refine(cfg: JobConfig) -> dict:
         raise ValidationError("refine takes exactly two fan files")
     path_a, path_b = cfg.inputs
     a, b = parse_fan(path_a), parse_fan(path_b)
-    fan = common_refinement(a, b)
+    fan, over_a, over_b = common_refinement(a, b)
     out = {
         "inputs": [path_a, path_b],
         "rank": fan.n,
         "maximal_cones": len(fan.maximal),
         "complete": fan.complete,
-        "refines_first": is_subdivision(fan, a) is not None,
-        "refines_second": is_subdivision(fan, b) is not None,
+        "refines_first": over_a is not None,
+        "refines_second": over_b is not None,
         "fan": serialize_fan(fan),
     }
     if cfg.svg:

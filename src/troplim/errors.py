@@ -2,8 +2,8 @@
 
 Every error raised by the library derives from TropLimError so callers can
 catch library failures in one clause.  ResourceCap subclasses mark inputs
-that exceed documented size limits (ambient rank, tower depth, cells built);
-the CLI maps them to a dedicated exit code.
+that exceed documented size limits (ambient rank, tower depth, cells built,
+the sampling oracle's degree); the CLI maps them to a dedicated exit code.
 """
 
 

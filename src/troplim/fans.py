@@ -29,19 +29,18 @@ facets that a star split joins to its ray.  Since the cones of a valid fan
 meet in common faces, every maximal cone holding a point gives the same
 minimal face, so ``Fan.locate`` keeps the first one it finds.
 
-``is_subdivision`` produces a checkable witness.  Containment of each fine
-cone in a coarse carrier is not enough (the fine fan might cover only part of
-a carrier), so the witness is verified by relative facet pairing inside each
-carrier: every facet of a fine cone must either be shared with a sibling in
-the same carrier or lie inside a facet of the carrier itself.  A standard
-walking argument shows this is equivalent to the fine cones tiling the
-carrier exactly.  A fine cone equal to a coarse cone is its own carrier, found
-by value; the witness is the one a scan gives, since in a valid fan a maximal
-cone lies in no other.  Split steps never call it, since ``_split`` returns
-the same witness; it serves common refinements and the ``refine`` report.
+A subdivision witness records the coarse cone that carries each fine
+cone.  ``common_refinement`` knows its pieces' carriers, as ``_split``
+does: a full-dimensional piece lies in exactly one maximal cone of a valid
+pure fan.  Containment is not enough (the refinement might cover only part
+of a carrier), so it checks each witness by relative facet pairing inside
+each carrier: every facet of a fine cone must either be shared with a
+sibling in the same carrier or lie inside a facet of the carrier itself.  A
+standard walking argument shows this is equivalent to the fine cones tiling
+the carrier exactly; a witness that fails is None.
 
-All constructors return canonical values (cones sorted by dimension and ray
-data), so golden tests can compare fans directly.
+All constructors return canonical values (cones sorted by ray data), so
+golden tests can compare fans directly.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ from .errors import DimensionMismatch, ValidationError
 from .lattice import (
     Cone,
     _face,
-    cone_holds,
     cone_intersect,
     locate,
 )
@@ -65,8 +63,8 @@ IVec = tuple[int, ...]
 
 
 def _cone_key(c: Cone):
-    """Deterministic sort key for cones."""
-    return (c.dim, c.rays, c.lines)
+    """Deterministic sort key for cones, read with no conversion."""
+    return (c.rays, c.lines)
 
 
 def facet_cones(c: Cone) -> tuple[Cone, ...]:
@@ -258,30 +256,11 @@ class SubdivisionWitness:
         return [i for i, j in enumerate(self.carrier) if j in coarse]
 
 
-def is_subdivision(fine: Fan, coarse: Fan) -> Optional[SubdivisionWitness]:
-    """Witness that every coarse cone is tiled by fine cones, or None.
-
-    A fine cone's carrier is the first coarse cone containing it.  A fine
-    cone equal to a coarse cone is its own, looked up by value (in a valid
-    fan no maximal cone lies in another, so a scan finds the same); a
-    carrier tiled by itself alone needs no facet pairing.
-    """
-    if fine.n != coarse.n:
-        raise DimensionMismatch(
-            f"fans live in ranks {fine.n} and {coarse.n}")
-    if not (fine.is_pure and coarse.is_pure and fine.dim == coarse.dim):
-        return None
-    index = {(sigma.rays, sigma.lines): j
-             for j, sigma in enumerate(coarse.maximal)}
-    carrier = []
-    for tau in fine.maximal:
-        found = index.get((tau.rays, tau.lines))
-        if found is None:
-            found = next((j for j, sigma in enumerate(coarse.maximal)
-                          if cone_holds(sigma, tau.rays, tau.lines)), None)
-            if found is None:
-                return None
-        carrier.append(found)
+def _tiles(fine: Fan, coarse: Fan, carrier: Sequence[int]
+           ) -> Optional[SubdivisionWitness]:
+    """The witness of a carrier assignment, each fine cone in the coarse
+    cone of its index, or None when the fine cones do not tile every coarse
+    cone.  A carrier tiled by itself alone needs no facet pairing."""
     groups: dict[int, list[Cone]] = {}
     for i, j in enumerate(carrier):
         groups.setdefault(j, []).append(fine.maximal[i])
@@ -304,26 +283,34 @@ def is_subdivision(fine: Fan, coarse: Fan) -> Optional[SubdivisionWitness]:
     return SubdivisionWitness(tuple(carrier))
 
 
-def common_refinement(a: Fan, b: Fan) -> Fan:
-    """Coarsest fan refining both, from full-dimensional pairwise meets."""
+def common_refinement(a: Fan, b: Fan) -> tuple[
+        Fan, Optional[SubdivisionWitness], Optional[SubdivisionWitness]]:
+    """Coarsest fan refining both, from full-dimensional pairwise meets,
+    with its witness over a and over b; None over a fan whose support the
+    other does not cover.  A full-dimensional meet of a's cone i and b's
+    cone j lies in no other maximal cone of either, so i and j are its
+    carriers."""
     if a.n != b.n:
         raise DimensionMismatch(f"fans live in ranks {a.n} and {b.n}")
     if not (a.is_pure and b.is_pure and a.dim == b.dim):
         raise ValidationError("common refinement needs pure fans of equal "
                               "dimension")
     d = a.dim
-    pieces = set()
-    for sa in a.maximal:
-        for sb in b.maximal:
+    carriers: dict[Cone, tuple[int, int]] = {}
+    for i, sa in enumerate(a.maximal):
+        for j, sb in enumerate(b.maximal):
             if _facing(sa, sb) or _facing(sb, sa):
                 # the meet lies in a facet of one of them
                 continue
             m = cone_intersect(sa, sb)
             if m.dim == d:
-                pieces.add(m)
-    if not pieces:
+                carriers[m] = (i, j)
+    if not carriers:
         raise ValidationError("fan supports have no full-dimensional overlap")
-    return _trusted_fan(pieces, a.n)
+    fan = _trusted_fan(carriers, a.n)
+    over = [carriers[c] for c in fan.maximal]
+    return fan, _tiles(fan, a, [i for i, _ in over]), \
+        _tiles(fan, b, [j for _, j in over])
 
 
 def _split(fan: Fan, rays: dict[int, IVec]
@@ -339,8 +326,7 @@ def _split(fan: Fan, rays: dict[int, IVec]
     lines are sigma's: its canonical rays are F's rays and r reduced modulo
     those lines, sorted, with no conversion.  A full-dimensional join lies
     in no other maximal cone of a valid fan, so its carrier is j; a cone
-    left whole is its own.  These are the carriers ``is_subdivision``
-    finds.
+    left whole is its own.
     """
     carrier: dict[Cone, int] = {}
     for j, sigma in enumerate(fan.maximal):

@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .errors import DimensionMismatch, NoBranchFound
+from .errors import DimensionMismatch, NoBranchFound, ResourceCap
 from .tropical import PTropSet, TropicalPolynomial
 
 if TYPE_CHECKING:
@@ -56,6 +56,10 @@ DECAY = 0.5
 MIN_SLOPE = 0.08
 MAX_SLOPE = 50.0
 CLUSTER_ANGLE = 3e-3
+# the largest degree in the solved variable that the oracle samples: it
+# solves 2 * PATHS companion matrices of side one less, and x + y^64 took
+# 1.9 s and 65 MB on 2 vCPUs, x + y^150 24.5 s and 186 MB
+DEGREE_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -234,13 +238,20 @@ def _cluster(directions: np.ndarray, angle: float) -> list[Cluster]:
 
 def ptrop_sample_oracle(coeffs: Mapping[IVec, complex], n: int,
                         seed: int = 0) -> tuple[Cluster, ...]:
-    """Sampled PTrop directions of the germ of {poly = 0} at the origin."""
-    import numpy as np
+    """Sampled PTrop directions of the germ of {poly = 0} at the origin.
+    A germ of degree above DEGREE_CAP in the last variable, the one solved
+    for, is refused with ResourceCap before anything is built."""
     if n not in (2, 3):
         raise DimensionMismatch(
             f"the sampler handles 2 or 3 variables, not {n}")
     if not coeffs:
         raise ValueError("need at least one coefficient")
+    degree = max(e[-1] for e in coeffs)
+    if degree > DEGREE_CAP:
+        raise ResourceCap(
+            f"degree {degree} in the last variable exceeds the sampling "
+            f"oracle's cap of {DEGREE_CAP}")
+    import numpy as np
     rng = np.random.default_rng(seed)
     # only the last two radii are read: the slope is their difference quotient
     radii = [INITIAL_RADIUS * DECAY ** k for k in (DEPTH - 2, DEPTH - 1)]

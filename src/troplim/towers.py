@@ -40,8 +40,7 @@ from .errors import (
     ValidationError,
     ZeroVector,
 )
-from .fans import Fan, SubdivisionWitness, _split, common_refinement, \
-    is_subdivision
+from .fans import Fan, SubdivisionWitness, _split, common_refinement
 from .lattice import (
     RANK_CAP,
     Cone,
@@ -288,8 +287,8 @@ class CommonRefineWith:
     def step(self, fan: Fan) -> tuple[Fan, Optional[SubdivisionWitness]]:
         """The refinement and its witness over ``fan``, None when the other
         fan does not cover ``fan``'s support."""
-        new = common_refinement(fan, self.other)
-        return new, is_subdivision(new, fan)
+        new, witness, _ = common_refinement(fan, self.other)
+        return new, witness
 
 
 def _carriers(fans, witnesses, x: SymbolicVector, start: int, outside: str):

@@ -114,7 +114,6 @@ class TropCell:
 class TropicalHypersurface:
     """The non-differentiability locus of trop(f), as a cell list."""
 
-    n: int
     cells: tuple[TropCell, ...]
 
 
@@ -162,7 +161,7 @@ def trop_hypersurface(f: TropicalPolynomial) -> TropicalHypersurface:
             recession=info.recession,
         ))
     cells.sort(key=lambda c: (c.dim, c.achievers))
-    return TropicalHypersurface(n, tuple(cells))
+    return TropicalHypersurface(tuple(cells))
 
 
 # -- projective tropicalization ---------------------------------------------
@@ -173,7 +172,6 @@ class PTropSet:
     """Projectivized rational cones in the closed orthant, canonically
     sorted; each is pointed, so a point exactly when it has one ray."""
 
-    n: int
     cones: tuple[Cone, ...]
 
     @property
@@ -186,8 +184,8 @@ class PTropSet:
         return all(len(c.rays) <= 1 for c in self.cones)
 
 
-def _ptrop_set(n: int, cones) -> PTropSet:
-    return PTropSet(n, tuple(sorted(set(cones), key=lambda c: (
+def _ptrop_set(cones) -> PTropSet:
+    return PTropSet(tuple(sorted(set(cones), key=lambda c: (
         la.mat_rank(c.rays), c.rays))))
 
 
@@ -220,7 +218,7 @@ def ptrop_normal_fan(f: TropicalPolynomial) -> PTropSet:
         if len(fs) < 2 or any(g[-1] == 0 for g in fs):
             continue
         cones.append(Cone(n, tuple(normals[k][:-1] for k in tight), ()))
-    return _ptrop_set(n, cones)
+    return _ptrop_set(cones)
 
 
 def ptrop_recession(f: TropicalPolynomial) -> PTropSet:
@@ -242,7 +240,7 @@ def ptrop_recession(f: TropicalPolynomial) -> PTropSet:
         rays = tuple(normals[k][:n] for k in tight if normals[k][n] == 0)
         if min(map(sum, zip(*rays)), default=0) > 0:
             cones.append(Cone(n, rays, ()))
-    return _ptrop_set(n, cones)
+    return _ptrop_set(cones)
 
 
 def count_ptrop_points(f: TropicalPolynomial) -> int:

@@ -8,9 +8,10 @@ and a rational vector is the plain case of a
 symbolic direction.  The incidences of a cycle of rational curves and of
 a nodal cubic, with the collapse of an analytic dual complex to its
 algebraic one, build the dual-complex examples.  The Newton polytope and
-its normal fan, a stellar subdivision at one ray and the complete rank-2
-fan of a ray set are the references that the exact routes, the split
-steps and the randomized fan suites compare against or build from.  Cones
+its normal fan, a stellar subdivision at one ray, the complete rank-2
+fan of a ray set and the carrier search ``is_subdivision`` are the
+references that the exact routes, the split steps, the refinement
+witnesses and the randomized fan suites compare against or build from.  Cones
 with lines, which the library reads off half-spaces only, come from
 ``make_cone``; ``cone_is_face`` is the reference that ``lattice.locate``
 finds faces against, and ``label`` reads the angle of a galaxy vertex off
@@ -311,6 +312,31 @@ def stellar_subdivision(fan: Fan, ray) -> Fan:
         raise ValidationError(
             f"ray {r.direction} lies outside the fan support")
     return fans._split(fan, holding)[0]
+
+
+def is_subdivision(fine: Fan, coarse: Fan):
+    """The witness that every coarse cone is tiled by fine cones, or None,
+    by search: a fine cone's carrier is the first coarse cone containing
+    it.  A fine cone equal to a coarse cone is its own, looked up by value
+    (in a valid fan no maximal cone lies in another, so a scan finds the
+    same)."""
+    if fine.n != coarse.n:
+        raise DimensionMismatch(
+            f"fans live in ranks {fine.n} and {coarse.n}")
+    if not (fine.is_pure and coarse.is_pure and fine.dim == coarse.dim):
+        return None
+    index = {(sigma.rays, sigma.lines): j
+             for j, sigma in enumerate(coarse.maximal)}
+    carrier = []
+    for tau in fine.maximal:
+        found = index.get((tau.rays, tau.lines))
+        if found is None:
+            found = next((j for j, sigma in enumerate(coarse.maximal)
+                          if cone_holds(sigma, tau.rays, tau.lines)), None)
+            if found is None:
+                return None
+        carrier.append(found)
+    return fans._tiles(fine, coarse, carrier)
 
 
 def _half(v: IVec) -> int:

@@ -58,11 +58,7 @@ from troplim.complexes import (
     rational_points,
     scale_subdivide,
 )
-from troplim.fans import (
-    common_refinement,
-    fan_from_cones,
-    is_subdivision,
-)
+from troplim.fans import common_refinement, fan_from_cones
 from troplim.galaxy import (
     ClosedPoint,
     OpenPoint,
@@ -100,6 +96,7 @@ from builders import (
     collapse_to_algebraic,
     component_ratio,
     fan_from_rays_2d,
+    is_subdivision,
     nodal_cubic_incidence,
     point_complex,
     rational_vector,
@@ -401,12 +398,12 @@ def test_criterion_10_randomized_invariant_suites():
     rng = random.Random(3)
     for _ in range(200):
         a, b = random_complete_fan_2d(rng), random_complete_fan_2d(rng)
-        ab = common_refinement(a, b)
-        assert ab == common_refinement(b, a)
-        assert common_refinement(a, a) == a
-        assert common_refinement(a, ab) == ab
-        assert is_subdivision(ab, a) is not None
-        assert is_subdivision(ab, b) is not None
+        ab, over_a, over_b = common_refinement(a, b)
+        assert ab == common_refinement(b, a)[0]
+        assert common_refinement(a, a)[0] == a
+        assert common_refinement(a, ab)[0] == ab
+        assert over_a == is_subdivision(ab, a) is not None
+        assert over_b == is_subdivision(ab, b) is not None
 
     rng = random.Random(4)
     for _ in range(200):

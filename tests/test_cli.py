@@ -28,6 +28,8 @@ from builders import (
 )
 from troplim import cli
 from troplim import io
+from troplim import lattice
+from troplim import sampling
 from troplim.complexes import (
     cycle_complex,
     from_incidence,
@@ -322,6 +324,25 @@ def test_a_level_beyond_the_cell_cap_exits_4_unbuilt(tmp_path, capsys, argv,
     assert time.perf_counter() - start < 1
     assert capsys.readouterr().err == \
         f"resource cap: {message} exceed the cell cap of 1000000\n"
+
+
+def test_an_oracle_degree_beyond_the_cap_exits_4_unbuilt(tmp_path, capsys,
+                                                        monkeypatch):
+    """The oracle reads the degree in the variable it solves for first, so
+    x + y^150, whose companion matrices took 24.5 s to solve before the cap,
+    is refused at once with no polynomial array built."""
+    def unreachable(*args):
+        raise AssertionError("a polynomial array was built")
+
+    monkeypatch.setattr(sampling, "_last_var_polys", unreachable)
+    path = put(tmp_path, "x.json", {"vars": 2, "terms": [
+        {"exp": [1, 0], "val": "0"}, {"exp": [0, 150], "val": "0"}]})
+    start = time.perf_counter()
+    assert cli.main(["ptrop", path]) == 4
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        "resource cap: degree 150 in the last variable exceeds the sampling "
+        "oracle's cap of 64\n")
 
 
 def test_galaxy_level_is_not_capped(tmp_path, capsys):
@@ -844,6 +865,32 @@ def test_fan_validate_reports_invalid_without_failing(tmp_path, capsys):
     assert code == 0
     res = report["results"][0]
     assert res["valid"] is False and res["violations"]
+
+
+@pytest.mark.parametrize("complete", [True, False],
+                         ids=["complete", "partial"])
+def test_refine_runs_no_containment_check(tmp_path, monkeypatch, complete):
+    """refine reads both verdicts off the witnesses its refinement hands
+    over, so it calls cone_holds through no module, with a second fan that
+    covers the first or only one of its cones.  Parsing is left out:
+    building a cone checks it with cone_holds."""
+    paths = (put(tmp_path, "a.json", QUADRANT),
+             put(tmp_path, "b.json", DIAMOND if complete else FIRST_QUADRANT))
+    monkeypatch.setattr(cli, "parse_fan",
+                        {p: io.parse_fan(p) for p in paths}.__getitem__)
+    holds, calls = lattice.cone_holds, []
+
+    def counted(*args):
+        calls.append(args)
+        return holds(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("troplim") and \
+                getattr(module, "cone_holds", None) is holds:
+            monkeypatch.setattr(module, "cone_holds", counted)
+    out = cli.handle_refine(cli.JobConfig("refine", paths))
+    assert (out["refines_first"], out["refines_second"]) == (complete, True)
+    assert calls == []
 
 
 def test_refine_writes_fan_artifact(tmp_path, capsys):

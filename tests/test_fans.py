@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from builders import (
     cone_is_face,
     fan_from_rays_2d,
+    is_subdivision,
     make_cone,
     stellar_subdivision,
 )
@@ -121,7 +122,7 @@ def test_octant_fan_complete():
 
 def test_quadrants_subdivide_halfplanes():
     fine, coarse = quadrant_fan(), halfplane_fan((0, 1))
-    w = fans.is_subdivision(fine, coarse)
+    w = is_subdivision(fine, coarse)
     assert w is not None
     for i, tau in enumerate(fine.maximal):
         sigma = coarse.maximal[w.carrier[i]]
@@ -131,40 +132,50 @@ def test_quadrants_subdivide_halfplanes():
 
 def test_subdivision_reflexive():
     f = quadrant_fan()
-    assert fans.is_subdivision(f, f) is not None
+    assert is_subdivision(f, f) is not None
 
 
 def test_transverse_halfplanes_not_subdivision():
-    assert fans.is_subdivision(halfplane_fan((0, 1)),
-                               halfplane_fan((1, -1))) is None
+    assert is_subdivision(halfplane_fan((0, 1)),
+                          halfplane_fan((1, -1))) is None
 
 
 def test_partial_cover_not_subdivision():
     part = fans.fan_from_cones([cg([(1, 0), (1, 1)])])
     whole = fans.fan_from_cones([cg([(1, 0), (0, 1)])])
-    assert fans.is_subdivision(part, whole) is None
+    assert is_subdivision(part, whole) is None
 
 
 # -- common refinement ------------------------------------------------------
 
 
 def test_refinement_of_quadrants_and_diagonal():
-    cr = fans.common_refinement(quadrant_fan(), halfplane_fan((1, -1)))
+    cr, over_q, over_h = fans.common_refinement(quadrant_fan(),
+                                                halfplane_fan((1, -1)))
     assert len(cr.maximal) == 6
     assert cr.complete
-    assert fans.is_subdivision(cr, quadrant_fan()) is not None
-    assert fans.is_subdivision(cr, halfplane_fan((1, -1))) is not None
+    assert over_q == is_subdivision(cr, quadrant_fan()) is not None
+    assert over_h == is_subdivision(cr, halfplane_fan((1, -1))) is not None
 
 
 def test_refinement_idempotent():
     f = quadrant_fan()
-    assert fans.common_refinement(f, f) == f
+    w = fans.SubdivisionWitness((0, 1, 2, 3))
+    assert fans.common_refinement(f, f) == (f, w, w)
+
+
+def test_refinement_of_a_partial_fan_has_one_witness():
+    """The first quadrant alone covers one cone of the quadrant fan: the
+    refinement is that cone, which subdivides it but not the whole fan."""
+    part = fans.fan_from_cones([cg([(1, 0), (0, 1)])])
+    assert fans.common_refinement(quadrant_fan(), part) == \
+        (part, None, fans.SubdivisionWitness((0,)))
 
 
 def test_refinement_absorption():
     a, b = quadrant_fan(), halfplane_fan((1, -1))
-    ab = fans.common_refinement(a, b)
-    assert fans.common_refinement(a, ab) == ab
+    ab = fans.common_refinement(a, b)[0]
+    assert fans.common_refinement(a, ab)[0] == ab
 
 
 # -- stellar subdivision ----------------------------------------------------
@@ -176,7 +187,7 @@ def test_stellar_at_interior_ray():
     assert st_fan.rays == ((-1, 0), (0, -1), (0, 1), (1, 0), (1, 1))
     assert fans.validate_fan(st_fan.maximal).valid
     assert st_fan.complete
-    assert fans.is_subdivision(st_fan, quadrant_fan()) is not None
+    assert is_subdivision(st_fan, quadrant_fan()) is not None
 
 
 def test_stellar_at_existing_ray_is_identity():
@@ -210,7 +221,7 @@ def test_stellar_at_a_ray_in_the_lines_keeps_the_support():
         st_fan = stellar_subdivision(fan, ray)
         assert st_fan == fan
         assert st_fan.complete
-        assert fans.is_subdivision(st_fan, fan) is not None
+        assert is_subdivision(st_fan, fan) is not None
 
 
 def test_fan_from_rays_2d():
@@ -247,29 +258,29 @@ def test_stellar_properties(fan, r):
     st_fan = stellar_subdivision(fan, r)
     assert fans.validate_fan(st_fan.maximal).valid
     assert st_fan.complete
-    assert fans.is_subdivision(st_fan, fan) is not None
+    assert is_subdivision(st_fan, fan) is not None
     assert set(fan.rays) <= set(st_fan.rays)
 
 
 @settings(max_examples=30, deadline=None)
 @given(complete_fans_2d(), complete_fans_2d())
 def test_refinement_commutative_and_subdivides(a, b):
-    ab = fans.common_refinement(a, b)
-    assert ab == fans.common_refinement(b, a)
+    ab, over_a, over_b = fans.common_refinement(a, b)
+    assert ab == fans.common_refinement(b, a)[0]
     assert ab.complete
-    assert fans.is_subdivision(ab, a) is not None
-    assert fans.is_subdivision(ab, b) is not None
+    assert over_a == is_subdivision(ab, a) is not None
+    assert over_b == is_subdivision(ab, b) is not None
 
 
 @settings(max_examples=20, deadline=None)
 @given(complete_fans_2d(), complete_fans_2d(), complete_fans_2d())
 def test_subdivision_partial_order_transitive(a, b, c):
     """Refinement chains compose: a∧b∧c subdivides a∧b subdivides a."""
-    ab = fans.common_refinement(a, b)
-    abc = fans.common_refinement(ab, c)
-    assert fans.is_subdivision(ab, a) is not None
-    assert fans.is_subdivision(abc, ab) is not None
-    assert fans.is_subdivision(abc, a) is not None
+    ab = fans.common_refinement(a, b)[0]
+    abc = fans.common_refinement(ab, c)[0]
+    assert is_subdivision(ab, a) is not None
+    assert is_subdivision(abc, ab) is not None
+    assert is_subdivision(abc, a) is not None
 
 
 @settings(max_examples=30, deadline=None)
@@ -277,7 +288,7 @@ def test_subdivision_partial_order_transitive(a, b, c):
 def test_subdivision_antisymmetric(fan):
     st_fan = stellar_subdivision(fan, (1, 1))
     if st_fan != fan:
-        assert fans.is_subdivision(fan, st_fan) is None
+        assert is_subdivision(fan, st_fan) is None
 
 
 # -- by-value carriers against the full scan --------------------------------
@@ -318,7 +329,7 @@ def reference_is_subdivision(fine, coarse):
 
 
 def assert_same_witness(fine, coarse):
-    w = fans.is_subdivision(fine, coarse)
+    w = is_subdivision(fine, coarse)
     assert (None if w is None else w.carrier) == \
         reference_is_subdivision(fine, coarse)
     return w
@@ -341,7 +352,7 @@ def non_pure(fan, drop):
 @given(complete_fans_2d(), complete_fans_2d(), ray_dirs, st.integers(0, 7))
 def test_subdivision_witness_matches_full_scan_rank2(a, b, r, drop):
     s = stellar_subdivision(a, r)
-    ab = fans.common_refinement(a, b)
+    ab = fans.common_refinement(a, b)[0]
     for fine, coarse in ((s, a), (a, s), (ab, a), (ab, b), (a, ab), (a, a),
                          (partial(s, drop), a), (s, partial(a, drop)),
                          (non_pure(s, drop), a), (s, non_pure(a, drop)),
@@ -382,7 +393,7 @@ def orthant_image(n, shears):
 def test_subdivision_witness_matches_full_scan_rank3(m1, m2, r, drop):
     a, b = orthant_image(3, m1), orthant_image(3, m2)
     s = stellar_subdivision(a, r)
-    ab = fans.common_refinement(a, b)
+    ab = fans.common_refinement(a, b)[0]
     for fine, coarse in ((s, a), (a, s), (ab, a), (ab, b), (a, a),
                          (partial(s, drop), a), (s, partial(a, drop)),
                          (non_pure(s, drop), a)):
@@ -612,16 +623,20 @@ def assert_same_split(fan, rays, got=None):
 
 
 def assert_same_refinement(a, b):
-    got = fans.common_refinement(a, b)
+    """The refinement against the converting code, and the witnesses it
+    hands over against the carrier search's."""
+    got, over_a, over_b = fans.common_refinement(a, b)
     assert got == reference_common_refinement(a, b)
-    for fine, coarse in ((got, a), (got, b), (a, got)):
-        assert_same_witness(fine, coarse)
+    assert over_a == assert_same_witness(got, a)
+    assert over_b == assert_same_witness(got, b)
+    assert_same_witness(a, got)
 
 
 def assert_facet_signs_agree(fan, other, ray):
     """Split the fan at the ray where it holds it and at its cones' ray
-    sums, refine the results with each other and with ``other``, and
-    compare each step and its witness with the converting code."""
+    sums, refine the results with each other and with ``other``, and the
+    fan less one cone with ``other``, and compare each step and its
+    witnesses with the converting code."""
     stellar = assert_same_split(fan, {
         j: primitive(ray).direction for j, sigma in enumerate(fan.maximal)
         if cone_holds(sigma, [ray])})
@@ -629,7 +644,9 @@ def assert_facet_signs_agree(fan, other, ray):
         j: primitive(sigma.relint_point()).direction
         for j, sigma in enumerate(fan.maximal)
         if sigma.dim >= 2 and sigma.rays})
-    for a, b in ((fan, other), (other, fan), (stellar, barycentric)):
+    part = partial(fan, 0)
+    for a, b in ((fan, other), (other, fan), (stellar, barycentric),
+                 (part, other), (other, part)):
         assert_same_refinement(a, b)
 
 
@@ -669,7 +686,7 @@ def test_split_steps_match_the_converting_code(data):
     image = data.draw(st.sampled_from((orthant_image, simplex_image)))
     fan = image(k, data.draw(shears(k)) if k > 1 else [])
     if 1 < k < 4 and data.draw(st.booleans()):
-        fan = fans.common_refinement(fan, image(k, data.draw(shears(k))))
+        fan = fans.common_refinement(fan, image(k, data.draw(shears(k))))[0]
     if k < n:
         fan = with_lines(fan, n, shear_columns(n, data.draw(shears(n))))
     vec = st.tuples(*[st.integers(-3, 3)] * n).filter(any)
@@ -686,7 +703,7 @@ def test_split_steps_match_the_converting_code(data):
     got = tw.TowardDirection(tw.symbolic_vector(list(x))).step(
         fan, carrier, holding)
     if carrier.dim <= 1:
-        assert got == (fan, fans.is_subdivision(fan, fan))
+        assert got == (fan, is_subdivision(fan, fan))
         return
     new_ray, = set(got[0].rays) - set(fan.rays)
     assert_same_split(fan, dict.fromkeys(holding, new_ray), got)
@@ -709,10 +726,8 @@ def test_facet_signs_leave_few_conversions_on_the_octant(monkeypatch):
     monkeypatch.setattr(lattice, "_halfspaces_to_generators", counted)
     first, _ = tw.StellarAtBarycenters().step(octant)
     second, w = tw.StellarAtBarycenters().step(first)
-    assert (len(second.maximal), len(calls)) == (72, 96)
-    calls.clear()
-    assert fans.is_subdivision(second, first) == w
-    assert calls == []
+    assert (len(second.maximal), len(calls)) == (72, 24)
+    assert is_subdivision(second, first) == w
     for sigma in second.maximal:
         sigma.facets
     calls.clear()

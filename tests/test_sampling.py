@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from troplim import sampling as sm
 from troplim import tropical as tp
-from troplim.errors import DimensionMismatch, NoBranchFound
+from troplim.errors import DimensionMismatch, NoBranchFound, ResourceCap
 
 from test_acceptance import WORKED_EXAMPLES
 from test_cli import EXEMPLARS, NODAL, QUADRANT, put
@@ -61,6 +61,23 @@ def test_surface_samples_land_on_exact_cone():
 def test_sampler_rejects_unsupported_rank():
     with pytest.raises(DimensionMismatch):
         sm.ptrop_sample_oracle({(1, 0, 0, 0): 1.0}, 4)
+
+
+def test_sampler_refuses_a_degree_above_the_cap_unbuilt(monkeypatch):
+    """At a cap of 3, x + y^3 and x^5 + y, of degree 1 in y, the variable
+    solved for, are sampled, and x + y^4 is refused with no polynomial
+    array built."""
+    monkeypatch.setattr(sm, "DEGREE_CAP", 3)
+    assert sm.ptrop_sample_oracle({(1, 0): 1.0, (0, 3): 1.0}, 2)
+    assert sm.ptrop_sample_oracle({(5, 0): 1.0, (0, 1): 1.0}, 2)
+
+    def unreachable(*args):
+        raise AssertionError("a polynomial array was built")
+
+    monkeypatch.setattr(sm, "_last_var_polys", unreachable)
+    with pytest.raises(ResourceCap, match="degree 4 in the last variable "
+                       "exceeds the sampling oracle's cap of 3"):
+        sm.ptrop_sample_oracle({(1, 0): 1.0, (0, 4): 1.0}, 2)
 
 
 def test_sampler_deterministic_per_seed():

@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 from builders import (
     cone_is_face,
     fan_from_rays_2d,
+    is_subdivision,
     make_cone,
     rational_vector,
     stellar_subdivision,
@@ -506,8 +507,8 @@ def test_completeness_on_read_matches_validation(data):
     ray = data.draw(st.tuples(*[st.integers(-2, 2)] * n).filter(any))
     levels = [base, stellar_subdivision(base, ray),
               tw.StellarAtBarycenters().step(base)[0],
-              fans.common_refinement(base,
-                                     orthant_image(n, data.draw(shears(n))))]
+              fans.common_refinement(
+                  base, orthant_image(n, data.draw(shears(n))))[0]]
     tower = outcome(tw.extend_tower, tw.fan_tower(base),
                     tw.TowardDirection(data.draw(targets(n))), 2)
     if tower is not UndecidableSign:
@@ -546,6 +547,28 @@ def test_children_search_matches_full_search(data):
     assert chain == expected
     for (_, got), (_, want) in zip(chain.entries, expected.entries):
         assert (got.facets, got.equations) == (want.facets, want.equations)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_common_refine_steps_hand_over_the_searched_witness(data):
+    """Each common-refine-with step's witness, read off the refinement, is
+    the one the carrier search finds, also when the other fan lacks a cone
+    and so covers only part of the support, where both are None."""
+    n = data.draw(st.sampled_from((2, 3)))
+    fan = orthant_image(n, data.draw(shears(n)))
+    other = orthant_image(n, data.draw(shears(n)))
+    if data.draw(st.booleans()):
+        drop = data.draw(st.integers(0, len(other.maximal) - 1))
+        other = fans._trusted_fan(other.maximal[:drop]
+                                  + other.maximal[drop + 1:], n)
+    strategy = tw.CommonRefineWith(other)
+    for _ in range(2):
+        new, w = strategy.step(fan)
+        assert w == is_subdivision(new, fan)
+        if w is None:
+            return
+        fan = new
 
 
 @settings(max_examples=25, deadline=None)

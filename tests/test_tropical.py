@@ -90,7 +90,7 @@ def reference_hypersurface(f):
     the achievers at its relative-interior point, and grow by one term."""
     m = len(f.terms)
     if m == 1:
-        return tp.TropicalHypersurface(f.n, ())
+        return tp.TropicalHypersurface(())
     exp_index = {e: i for i, (e, _) in enumerate(f.terms)}
     cells = {}
     dead = set()
@@ -124,7 +124,7 @@ def reference_hypersurface(f):
             if t not in sat:
                 queue.append(sat | {t})
     ordered = sorted(cells.values(), key=lambda c: (c.dim, c.achievers))
-    return tp.TropicalHypersurface(f.n, tuple(ordered))
+    return tp.TropicalHypersurface(tuple(ordered))
 
 
 def polytope_faces(p):
@@ -146,11 +146,11 @@ def reference_positive_part(cone):
     return c
 
 
-def reference_ptrop_set(n, cones):
+def reference_ptrop_set(cones):
     """The positive parts of the cones that meet the open orthant, each
     once, sorted by dimension and rays."""
     kept = {reference_positive_part(c) for c in cones} - {None}
-    return tp.PTropSet(n, tuple(sorted(kept, key=lambda c: (c.dim, c.rays))))
+    return tp.PTropSet(tuple(sorted(kept, key=lambda c: (c.dim, c.rays))))
 
 
 def reference_normal_fan(f):
@@ -160,9 +160,9 @@ def reference_normal_fan(f):
     orthant."""
     tp._require_germ(f)
     p = newton_polytope(f)
-    return reference_ptrop_set(f.n, [normal_cone(p, face)
-                                     for face in polytope_faces(p)
-                                     if affine_dim(face) >= 1])
+    return reference_ptrop_set([normal_cone(p, face)
+                                for face in polytope_faces(p)
+                                if affine_dim(face) >= 1])
 
 
 def reference_recession(f):
@@ -170,7 +170,7 @@ def reference_recession(f):
     met with the orthant by its own conversion."""
     tp._require_germ(f)
     return reference_ptrop_set(
-        f.n, [cell.recession for cell in reference_hypersurface(f).cells])
+        [cell.recession for cell in reference_hypersurface(f).cells])
 
 
 def assert_routes_agree(f):
