@@ -35,7 +35,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import _linalg as la
 from .errors import (
@@ -360,10 +360,12 @@ def cone_intersect(a: Cone, b: Cone) -> Cone:
     return Cone(a.n, rays, lines)
 
 
-def face_lattice(vertices: Sequence[tuple], rows: Sequence[tuple]
-                 ) -> dict[frozenset, tuple[int, ...]]:
-    """All nonempty faces of a polytope or cone, each as its vertex set
-    with the ascending indices of the rows that vanish on all of it.
+def face_lattice(vertices: Sequence[tuple], rows: Sequence[tuple],
+                 keep: Callable[[int], bool] | None = None
+                 ) -> dict[int, tuple[int, ...]]:
+    """Nonempty faces of a polytope or cone, each as the bitmask of its
+    vertices (bit i for ``vertices[i]``, which are distinct) with the
+    ascending indices of the rows that vanish on all of it.
 
     ``rows`` are affine (coefficients, constant) rows nonnegative on the
     vertices and include the facet rows; each cuts out the vertices where it
@@ -372,28 +374,38 @@ def face_lattice(vertices: Sequence[tuple], rows: Sequence[tuple]
     as the vertices and each facet gives the row (facet, 0).  The empty set
     is not returned, so for a cone the minimal face, its lineality space,
     is left to the caller.
+
+    The walk starts at the whole set and meets each face it reaches with
+    every row.  A face that ``keep`` rejects (the whole set included) is
+    not returned, and one other than the whole set is not met further.  So
+    the walk returns every face that ``keep`` accepts exactly when each of
+    them is the meet of rows whose partial meets ``keep`` all accepts: for
+    instance when ``keep`` accepts every face holding an accepted face.
     """
-    seeds = [frozenset(v for v in vertices if la.dot(coeffs, v) + const == 0)
+    seeds = [sum(1 << i for i, v in enumerate(vertices)
+                 if la.dot(coeffs, v) + const == 0)
              for coeffs, const in rows]
-    faces = {frozenset(vertices)}
-    queue = [s for s in seeds if s]
+    full = (1 << len(vertices)) - 1
+    seen = {full}
+    faces = [full] if keep is None or keep(full) else []
+    queue = [full]
     while queue:
         fs = queue.pop()
-        if fs in faces:
-            continue
-        faces.add(fs)
         for other in seeds:
             meet = fs & other
-            if meet and meet not in faces:
-                queue.append(meet)
-    return {fs: tuple(k for k, seed in enumerate(seeds) if fs <= seed)
+            if meet and meet not in seen:
+                seen.add(meet)
+                if keep is None or keep(meet):
+                    faces.append(meet)
+                    queue.append(meet)
+    return {fs: tuple(k for k, seed in enumerate(seeds) if fs & seed == fs)
             for fs in faces}
 
 
 def cone_faces(cone: Cone) -> tuple[Cone, ...]:
     """All faces (the cone itself included), each in canonical form."""
-    ray_sets = {frozenset(), *face_lattice(cone.rays,
-                                           [(f, 0) for f in cone.facets])}
-    faces = [Cone(cone.n, tuple(r for r in cone.rays if r in fs), cone.lines)
-             for fs in ray_sets]
+    masks = {0, *face_lattice(cone.rays, [(f, 0) for f in cone.facets])}
+    faces = [Cone(cone.n, tuple(r for i, r in enumerate(cone.rays)
+                                if mask >> i & 1), cone.lines)
+             for mask in masks]
     return tuple(sorted(faces, key=lambda c: (c.dim, c.rays, c.lines)))

@@ -70,9 +70,22 @@ class Cluster:
     size: int
 
 
+def _require_degree(exponents) -> None:
+    """Refuse, with ResourceCap, a support of degree above DEGREE_CAP in
+    the last variable, the one the oracle solves for."""
+    degree = max(e[-1] for e in exponents)
+    if degree > DEGREE_CAP:
+        raise ResourceCap(
+            f"degree {degree} in the last variable exceeds the sampling "
+            f"oracle's cap of {DEGREE_CAP}")
+
+
 def lift_coefficients(f: TropicalPolynomial, seed: int = 0
                       ) -> dict[IVec, complex]:
-    """Generic complex coefficients for the support of f (moduli in [1/2, 2])."""
+    """Generic complex coefficients for the support of f (moduli in [1/2, 2]).
+    A support that the oracle would refuse is refused here, before numpy
+    is loaded."""
+    _require_degree(f.exponents)
     import numpy as np
     rng = np.random.default_rng(seed)
     out = {}
@@ -246,11 +259,7 @@ def ptrop_sample_oracle(coeffs: Mapping[IVec, complex], n: int,
             f"the sampler handles 2 or 3 variables, not {n}")
     if not coeffs:
         raise ValueError("need at least one coefficient")
-    degree = max(e[-1] for e in coeffs)
-    if degree > DEGREE_CAP:
-        raise ResourceCap(
-            f"degree {degree} in the last variable exceeds the sampling "
-            f"oracle's cap of {DEGREE_CAP}")
+    _require_degree(coeffs)
     import numpy as np
     rng = np.random.default_rng(seed)
     # only the last two radii are read: the slope is their difference quotient
@@ -304,15 +313,39 @@ def _angle_to(mat: np.ndarray, a: np.ndarray) -> float:
 def distance_to_ptrop(ptset: PTropSet, directions: Sequence[Sequence[float]]
                       ) -> list[float]:
     """Angular distance from each direction to the exact PTrop set, with
-    each cone's rays made the columns of a float matrix once."""
+    each cone's rays made the columns of a float matrix once.
+
+    Each cone lies in a spherical cap: the centre c is the normalized sum of
+    its unit rays and the radius rho the largest angle from c to a ray.
+    The rays lie in the closed orthant, so rho < pi/2 and the cap is convex
+    and holds the whole cone, and by the triangle inequality the angle from
+    u to the cone is at least angle(u, c) - rho.  The cones are solved in
+    increasing order of that bound until it passes the best angle so far by
+    more than 1e-6, far above the rounding of the angles, so every cone left
+    out is farther than the best and the minimum keeps its bits.
+    """
     import numpy as np
+    if not ptset.cones or not len(directions):
+        return [math.pi / 2] * len(directions)
     mats = [np.asarray(cone.rays, dtype=float).T for cone in ptset.cones]
+    units = [mat / np.linalg.norm(mat, axis=0) for mat in mats]
+    centres = np.array([u.sum(axis=1) for u in units])
+    centres /= np.linalg.norm(centres, axis=1, keepdims=True)
+    radii = np.array([np.arccos(min(1.0, float((c @ u).min())))
+                      for c, u in zip(centres, units)])
+    dirs = np.asarray(directions, dtype=float)
+    cosines = dirs @ centres.T / np.linalg.norm(dirs, axis=1, keepdims=True)
+    lower = (np.arccos(np.clip(cosines, -1.0, 1.0)) - radii).tolist()
     distances = []
-    for u in directions:
+    for u, bounds in zip(directions, lower):
+        # normalized alone, so the bits _angle_to sees do not depend on
+        # the other directions
         a = np.asarray(u, dtype=float)
         a = a / np.linalg.norm(a)
         best = math.pi / 2
-        for mat in mats:
-            best = min(best, _angle_to(mat, a))
+        for k in sorted(range(len(bounds)), key=bounds.__getitem__):
+            if bounds[k] > best + 1e-6:
+                break
+            best = min(best, _angle_to(mats[k], a))
         distances.append(best)
     return distances

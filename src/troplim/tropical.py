@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from . import _linalg as la
 from ._polyhedra import homogenization_info
@@ -117,22 +117,40 @@ class TropicalHypersurface:
     cells: tuple[TropCell, ...]
 
 
+def _holds_two(m: int) -> Callable[[int], bool]:
+    """Keeps a face holding two or more of the vertices with bits below m.
+    A face holds every vertex of a face below it, so the face walk may
+    prune on it."""
+    low = (1 << m) - 1
+    return lambda fs: (fs & low).bit_count() >= 2
+
+
+def _lower(m: int) -> Callable[[int], bool]:
+    """Keeps a face off the vertex at bit m holding two or more of the
+    vertices below it.  Any face but the whole set is the meet of the rows'
+    sets holding it, one of them off the vertex if the face is, so the face
+    walk reaches it through faces off the vertex that hold it, and so hold
+    its two vertices as well: the walk may prune on both conditions."""
+    two = _holds_two(m)
+    return lambda fs: not fs >> m & 1 and two(fs)
+
+
 def _lower_faces(f: TropicalPolynomial, extra: list[IVec]):
     """One conversion of the cone C over the lifted terms (e, v, 1), the
-    upward ray (0, 1, 0) and the extra generators: the lifted terms, each
-    mapped to its index in f.terms, the lines and sorted rays of the dual
-    N = {(x, t, z)}, and each face of C off the upward ray with two or more
-    terms, with the ascending indices of the rays of N vanishing on it.
-    The face of N vanishing on such a face, homogenized by t, is a cell,
-    and z = -v t - <x, e> on it for each of its terms (e, v, 1)."""
-    terms = {la.primitivize(e + (v, 1)): i for i, (e, v) in enumerate(f.terms)}
-    up = (0,) * f.n + (1, 0)
-    gens = [*terms, up, *extra]
+    upward ray (0, 1, 0) and the extra generators: the lines and sorted
+    rays of the dual N = {(x, t, z)}, and each face of C off the upward ray
+    with two or more terms, as its bitmask over the generators (bit i for
+    the i-th term below bit m = len(f.terms), the upward ray at bit m),
+    with the ascending indices of the rays of N vanishing on it.  The face
+    of N vanishing on such a face, homogenized by t, is a cell, and
+    z = -v t - <x, e> on it for each of its terms (e, v, 1).  The face walk
+    prunes on both conditions (see ``_lower``)."""
+    m = len(f.terms)
+    gens = [la.primitivize(e + (v, 1)) for e, v in f.terms]
+    gens += [(0,) * f.n + (1, 0), *extra]
     lines, normals = halfspaces_to_generators([], gens, f.n + 2)
-    faces = [(fs, tight) for fs, tight in
-             face_lattice(gens, [(r, 0) for r in normals]).items()
-             if up not in fs and len(terms.keys() & fs) >= 2]
-    return terms, lines, normals, faces
+    faces = face_lattice(gens, [(r, 0) for r in normals], _lower(m))
+    return lines, normals, faces.items()
 
 
 def trop_hypersurface(f: TropicalPolynomial) -> TropicalHypersurface:
@@ -140,7 +158,7 @@ def trop_hypersurface(f: TropicalPolynomial) -> TropicalHypersurface:
     terms are the saturated achiever sets S, and the face of the dual
     vanishing on S is the homogenized cell once z is dropped."""
     n = f.n
-    terms, lines, normals, faces = _lower_faces(f, [])
+    lines, normals, faces = _lower_faces(f, [])
     # N's lines have t = 0 and z = -<x, e>: dropping z keeps them primitive
     # and in RREF, and N's rays reduced against them
     cell_lines = [l[:-1] for l in lines]
@@ -155,7 +173,8 @@ def trop_hypersurface(f: TropicalPolynomial) -> TropicalHypersurface:
         rays = [la.primitivize(normals[k][:-1]) for k in tight]
         info = homogenization_info(cell_lines, rays, n)
         cells.append(TropCell(
-            achievers=tuple(sorted(f.terms[terms[g]][0] for g in fs)),
+            achievers=tuple(sorted(e for i, (e, _) in enumerate(f.terms)
+                                   if fs >> i & 1)),
             dim=info.dim,
             relint_point=info.relint_point,
             recession=info.recession,
@@ -208,16 +227,17 @@ def ptrop_normal_fan(f: TropicalPolynomial) -> PTropSet:
     primitive, and normals with equal x are equal, so their order is kept.
     """
     _require_germ(f)
-    n = f.n
+    n, m = f.n, len(f.terms)
     gens = [e + (1,) for e in f.exponents]
     gens += [u + (0,) for u in la.identity_rows(n)]
     _, normals = halfspaces_to_generators([], gens, n + 1)
-    cones = []
-    for fs, tight in face_lattice(gens, [(r, 0) for r in normals]).items():
-        # the unit vectors are the generators with z = 0
-        if len(fs) < 2 or any(g[-1] == 0 for g in fs):
-            continue
-        cones.append(Cone(n, tuple(normals[k][:-1] for k in tight), ()))
+    # the unit vectors are the generators from bit m on; a face with none
+    # of them may be reached only through faces with some, so that is
+    # checked after the walk
+    cones = [Cone(n, tuple(normals[k][:-1] for k in tight), ())
+             for fs, tight in face_lattice(
+                 gens, [(r, 0) for r in normals], _holds_two(m)).items()
+             if not fs >> m]
     return _ptrop_set(cones)
 
 
@@ -233,7 +253,7 @@ def ptrop_recession(f: TropicalPolynomial) -> PTropSet:
     """
     _require_germ(f)
     n = f.n
-    _, _, normals, faces = _lower_faces(
+    _, normals, faces = _lower_faces(
         f, [u + (0, 0) for u in la.identity_rows(n)])
     cones = []
     for _, tight in faces:

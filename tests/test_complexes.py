@@ -1150,7 +1150,8 @@ def reference_map_fiber(mapping, cell_name, coords):
             vertices = [tuple(F(c, r[-1]) for c in r[:-1])
                         for r in rays if r[-1] > 0]
             for fs in face_lattice(vertices, rows) if vertices else ():
-                name, verts = _drop_walls(mapping.source, cell.name, fs)
+                name, verts = _drop_walls(mapping.source, cell.name, [
+                    v for i, v in enumerate(vertices) if fs >> i & 1])
                 faces[name, tuple(sorted(verts))] = affine_dim(verts)
     return tuple(sorted(Counter(faces.values()).items()))
 

@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import textwrap
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from troplim import sampling as sm
 from troplim import tropical as tp
 from troplim.errors import DimensionMismatch, NoBranchFound, ResourceCap
+from troplim.lattice import cone_from_generators
 
 from test_acceptance import WORKED_EXAMPLES
 from test_cli import EXEMPLARS, NODAL, QUADRANT, put
@@ -389,6 +391,73 @@ def test_distance_to_ptrop_matches_the_per_cone_loop(n):
     check()
 
 
+@st.composite
+def ptrop_sets_and_directions(draw):
+    """The PTrop set of a random germ in 2 or 3 variables, empty sets
+    included, and directions of each kind: inside a cone, on a face two
+    cones share, on a ray, nearly orthogonal to every cone, and random."""
+    n = draw(st.sampled_from([2, 3]))
+    ptset = tp.ptrop_normal_fan(draw(_germs(n)))
+
+    def inside(rays):
+        """A positive combination of the rays."""
+        rays = np.asarray(rays, dtype=float)
+        return np.asarray(draw(st.lists(st.floats(1e-3, 10), min_size=len(
+            rays), max_size=len(rays)))) @ rays
+
+    directions = [draw(st.tuples(*[st.floats(-10, 10)] * n))]
+    if ptset.cones:
+        directions.append(inside(draw(st.sampled_from(ptset.cones)).rays))
+        ray = draw(st.sampled_from(ptset.cones)).rays
+        directions.append(inside([draw(st.sampled_from(ray))]))
+        shared = [sorted(set(a.rays) & set(b.rays))
+                  for a, b in combinations(ptset.cones, 2)]
+        if any(shared):
+            directions.append(inside(draw(st.sampled_from(
+                [face for face in shared if face]))))
+        # minus the sum of every unit ray is obtuse to every cone, and a
+        # small positive shift brings it just inside pi/2 of some of them
+        total = sum((r / np.linalg.norm(r, axis=1, keepdims=True)).sum(axis=0)
+                    for r in (np.asarray(c.rays, dtype=float)
+                              for c in ptset.cones))
+        shift = draw(st.tuples(*[st.floats(0, 1e-3)] * n))
+        directions.append(-total / np.linalg.norm(total) + shift)
+    assume(all(np.linalg.norm(u) > 1e-9 for u in directions))
+    return ptset, directions
+
+
+@settings(max_examples=150, deadline=None)
+@given(ptrop_sets_and_directions())
+def test_pruned_distance_is_the_minimum_over_every_cone(case):
+    """Exactly equal to the minimum of ``_angle_to`` over every cone."""
+    ptset, directions = case
+    assert sm.distance_to_ptrop(ptset, directions) == \
+        [_per_cone_distance(ptset, u) for u in directions]
+
+
+def test_distance_to_an_empty_ptrop_set_is_a_right_angle():
+    empty = tp.PTropSet(())
+    assert sm.distance_to_ptrop(empty, [(1.0, 2.0), (-1.0, 0.5)]) == \
+        [math.pi / 2] * 2
+    assert sm.distance_to_ptrop(empty, []) == []
+
+
+def test_a_direction_inside_one_of_disjoint_cones_solves_that_cone_only(
+        monkeypatch):
+    """The caps of the other cones lie far from the direction, so their
+    lower bounds pass the angle 0 of the first cone solved."""
+    ptset = tp.PTropSet(tuple(cone_from_generators(rays) for rays in (
+        [(6, 1, 1), (6, 2, 1), (6, 1, 2)], [(1, 6, 1), (2, 6, 1)],
+        [(1, 1, 6)])))
+    solved = []
+    angle_to = sm._angle_to
+    monkeypatch.setattr(sm, "_angle_to", lambda mat, a: solved.append(
+        mat.T.tolist()) or angle_to(mat, a))
+    [distance] = sm.distance_to_ptrop(ptset, [(18.0, 4.0, 4.0)])
+    assert distance < 1e-6
+    assert solved == [[[6, 1, 1], [6, 1, 2], [6, 2, 1]]]
+
+
 def _clipped_angle_to(mat, a):
     """``_angle_to`` with its cosine clipped into [-1, 1] by np.clip."""
     from scipy.optimize import nnls
@@ -542,3 +611,18 @@ def test_only_a_ptrop_job_loads_numpy(tmp_path):
     out = _fresh(code, json.dumps(jobs))
     assert out == [f"{argv[0]} 0 False False" for argv in jobs[:-1]] + \
         ["ptrop 0 True True"]
+
+
+def test_a_degree_beyond_the_cap_is_refused_before_numpy_loads(tmp_path):
+    """ptrop on x + y^150 exits 4 with the cap's message, and the lift of
+    its coefficients, which comes first, refuses it before numpy loads."""
+    path = put(tmp_path, "x.json", {"vars": 2, "terms": [
+        {"exp": [1, 0], "val": "0"}, {"exp": [0, 150], "val": "0"}]})
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from troplim import cli; code = cli.main(['ptrop', sys.argv[2]]); "
+            "print(code, 'numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, str(SRC), path],
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout == "4 False\n"
+    assert out.stderr == ("resource cap: degree 150 in the last variable "
+                          "exceeds the sampling oracle's cap of 64\n")

@@ -131,7 +131,8 @@ def polytope_faces(p):
     """All nonempty faces as vertex tuples (the polytope itself included)."""
     lifted = make_cone([v + (1,) for v in p.vertices], n=p.n + 1)
     faces = face_lattice(p.vertices, [(a[:-1], a[-1]) for a in lifted.facets])
-    return tuple(sorted(tuple(sorted(fs)) for fs in faces))
+    return tuple(sorted(tuple(sorted(v for i, v in enumerate(p.vertices)
+                                     if fs >> i & 1)) for fs in faces))
 
 
 def reference_positive_part(cone):
@@ -563,6 +564,67 @@ def test_normal_fan_route_matches_reference(n, examples):
     @given(normal_fan_polys(n))
     def check(f):
         assert tp.ptrop_normal_fan(f) == reference_normal_fan(f)
+
+    check()
+
+
+@st.composite
+def face_lattice_cases(draw):
+    """Generators and rows of a random cone, or points and affine rows of a
+    random polytope, in rank 1-4, from one conversion of the cone over
+    them (points lifted by 1), and a bit position m up to the generator
+    count."""
+    n = draw(st.integers(1, 4))
+    points = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n),
+                           min_size=1, max_size=8, unique=True))
+    if draw(st.booleans()):
+        vertices = [p for p in points if any(p)]
+        _, normals = halfspaces_to_generators([], vertices, n)
+        rows = [(r, 0) for r in normals]
+    else:
+        vertices = points
+        _, normals = halfspaces_to_generators(
+            [], [p + (1,) for p in points], n + 1)
+        rows = [(r[:-1], r[-1]) for r in normals]
+    return vertices, rows, draw(st.integers(0, len(vertices)))
+
+
+def filtered_face_lattice(vertices, rows, keep):
+    return {fs: tight for fs, tight in face_lattice(vertices, rows).items()
+            if keep(fs)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(face_lattice_cases())
+def test_pruned_face_lattice_is_the_filtered_lattice(case):
+    """Each predicate that tropical prunes the face walk on gives the whole
+    lattice filtered by it, on cones and polytopes."""
+    vertices, rows, m = case
+    for keep in (tp._holds_two(m), tp._lower(m)):
+        assert face_lattice(vertices, rows, keep) == \
+            filtered_face_lattice(vertices, rows, keep)
+
+
+@pytest.mark.parametrize("n, examples", [(1, 30), (2, 80), (3, 50),
+                                         (4, 25)])
+def test_pruned_face_walks_of_germs_are_the_filtered_lattices(n, examples):
+    """Every face walk of the hypersurface and of both PTrop routes, on the
+    lifted terms of a germ, gives the whole lattice filtered by the walk's
+    own predicate."""
+    def checked(vertices, rows, keep):
+        pruned = face_lattice(vertices, rows, keep)
+        assert pruned == filtered_face_lattice(vertices, rows, keep)
+        return pruned
+
+    @settings(max_examples=examples, deadline=None)
+    @given(st.one_of(hypersurface_polys(n), normal_fan_polys(n)))
+    def check(f):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tp, "face_lattice", checked)
+            tp.trop_hypersurface(f)
+            if not f.has_constant_term():
+                tp.ptrop_normal_fan(f)
+                tp.ptrop_recession(f)
 
     check()
 
