@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 IVec = tuple[int, ...]
@@ -23,7 +24,7 @@ def dot(u: Sequence, v: Sequence) -> Fraction | int:
     """Exact inner product."""
     if len(u) != len(v):
         raise ValueError(f"length mismatch {len(u)} vs {len(v)}")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def is_zero_vec(u: Sequence) -> bool:

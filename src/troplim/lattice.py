@@ -19,7 +19,13 @@ through one workhorse, ``halfspaces_to_generators``, the double description
 method (Motzkin et al. 1953) over Z: rows are added one at a time to the
 lines and extreme rays of the cone cut out so far, and adjacent rays on
 opposite sides of a new row are combined, adjacency decided from the rows
-each ray makes tight (Fukuda & Prodon 1996).
+each ray makes tight (Fukuda & Prodon 1996).  Two adjacent rays span a
+2-dimensional face modulo the lines, cut out by the rows tight on both, so
+those number at least n - len(lines) - 2 and a pair with fewer is skipped
+unscanned.  The engine keeps each ray's tight rows as an int bitmask and
+hands them over with the rays, bit j for the j-th inequality as the caller
+gave it, so ``face_lattice`` walks the faces of a cone over generators
+from the masks of their one conversion, with no row evaluated again.
 
 Each containment question has one routine.  ``locate`` gives the minimal
 face holding a point: the cone itself for a point of its relative
@@ -72,20 +78,30 @@ def primitive(v: Sequence[int]) -> Ray:
 
 def halfspaces_to_generators(
     equations: Sequence[Sequence], inequalities: Sequence[Sequence], n: int
-) -> tuple[tuple[IVec, ...], tuple[IVec, ...]]:
-    """V-description (lines, rays) of {x : E x = 0, A x >= 0}.
+) -> tuple[tuple[IVec, ...], tuple[IVec, ...], tuple[int, ...]]:
+    """V-description (lines, rays) of {x : E x = 0, A x >= 0}, with each
+    ray's tight rows.
 
     Returns canonical primitive integer data: ``lines`` is an RREF-scaled
     basis of the lineality space, ``rays`` are the extreme rays modulo
     lineality, reduced to canonical coset representatives and sorted, so
-    the result does not depend on the order or the scaling of the rows.
+    lines and rays do not depend on the order or the scaling of the rows.
+    The third entry gives, for each ray, the int bitmask of the
+    inequalities vanishing on it, bit j for ``inequalities[j]`` as given:
+    a repeated row sets the bit of each copy and a zero row is set in every
+    mask.  Every row vanishes on the lines, so reducing a ray modulo them
+    keeps its tight rows, and the masks are the engine's own, read off
+    with no further evaluation.
 
     The rows are added one at a time, equations first, starting from the
     whole space (lines = the unit vectors, no rays).  A row that is nonzero
     on some line turns that line into a ray (or drops it, for an equation);
     otherwise each pair of adjacent rays on opposite sides of the row gives
     a new ray on it, and the rays on its negative side go.  Every new
-    vector is an integer combination, primitivized.
+    vector is an integer combination, primitivized.  Two rays are adjacent
+    when they span a 2-dimensional face modulo the lines; the rows tight
+    on that face have rank n - len(lines) - 2, so a pair with fewer common
+    tight rows is not adjacent and is dropped before the adjacency test.
 
     Memoized on the rows exactly as given, in a process-wide LRU cache of
     1024 entries (``halfspaces_to_generators.cache_info()``).  Equal rows
@@ -100,13 +116,14 @@ def halfspaces_to_generators(
 @functools.lru_cache(maxsize=1024)
 def _halfspaces_to_generators(
     equations: tuple[tuple, ...], inequalities: tuple[tuple, ...], n: int
-) -> tuple[tuple[IVec, ...], tuple[IVec, ...]]:
+) -> tuple[tuple[IVec, ...], tuple[IVec, ...], tuple[int, ...]]:
     # a positive scaling keeps each halfspace and each equation's kernel, so
     # the engine runs on primitive integer rows from here on
-    rows = [(a, True) for a in dict.fromkeys(map(la.primitivize, equations))]
-    rows += [(a, False)
-             for a in dict.fromkeys(map(la.primitivize, inequalities))]
-    rows = [(a, is_eq) for a, is_eq in rows if not la.is_zero_vec(a)]
+    eqs = [a for a in dict.fromkeys(map(la.primitivize, equations))
+           if not la.is_zero_vec(a)]
+    ineqs = [la.primitivize(a) for a in inequalities]
+    unique = [a for a in dict.fromkeys(ineqs) if not la.is_zero_vec(a)]
+    rows = [(a, True) for a in eqs] + [(a, False) for a in unique]
     # the cone of the rows added so far is span(lines) + cone(rays); rays
     # are its extreme rays modulo the lines, each with the bitmask of the
     # added rows it makes tight
@@ -137,32 +154,48 @@ def _halfspaces_to_generators(
         # equations come first, before any ray exists, so a row that gets
         # here with rays is an inequality: its nonnegative side stays
         values = [sum(map(mul, a, r)) for r in rays]
+        positive = [p for p, s in enumerate(values) if s > 0]
+        negative = [q for q, s in enumerate(values) if s < 0]
+        need = n - len(lines) - 2
         new_rays, new_tight = [], []
-        for p, sp in enumerate(values):
-            if sp <= 0:
-                continue
-            for q, sq in enumerate(values):
-                if sq >= 0:
-                    continue
+        for p in positive:
+            for q in negative:
                 # adjacent when no third ray is tight on every row both are
                 # (Fukuda & Prodon 1996, combinatorial test)
                 common = tight[p] & tight[q]
-                if any(m & common == common and i != p and i != q
-                       for i, m in enumerate(tight)):
+                if common.bit_count() < need or any(
+                        m & common == common and i != p and i != q
+                        for i, m in enumerate(tight)):
                     continue
-                new_rays.append(_cancel(sp, rays[q], sq, rays[p]))
+                new_rays.append(_cancel(values[p], rays[q], values[q],
+                                        rays[p]))
                 new_tight.append(common | bit)
         keep = [i for i, s in enumerate(values) if s >= 0]
         rays = [rays[i] for i in keep] + new_rays
         tight = [tight[i] | bit if values[i] == 0 else tight[i]
                  for i in keep] + new_tight
     # the RREF rows are the canonical basis of the lineality space, and each
-    # ray is reduced to its canonical coset representative
+    # ray is reduced to its canonical coset representative; with no lines
+    # each ray is primitive, so canonical already
     lines, pivots = la.rref(lines)
-    reduced = {la.primitivize(la.reduce_prepared(r, lines, pivots))
-               for r in rays}
-    return tuple(lines), tuple(sorted(r for r in reduced
-                                      if not la.is_zero_vec(r)))
+    if lines:
+        reduced = {la.primitivize(la.reduce_prepared(r, lines, pivots)): m
+                   for r, m in zip(rays, tight)}
+        reduced.pop((0,) * n, None)
+    else:
+        reduced = dict(zip(rays, tight))
+    rays = sorted(reduced)
+    # the inequalities' engine bits follow the equations' in the order
+    # given, so with no zero or repeated row a shift maps each mask back;
+    # otherwise each row reads its engine bit, 0 (always set) for a zero row
+    if len(unique) == len(ineqs):
+        masks = [reduced[r] >> len(eqs) for r in rays]
+    else:
+        where = {a: 1 << (len(eqs) + i) for i, a in enumerate(unique)}
+        bits = [where.get(a, 0) for a in ineqs]
+        masks = [sum(1 << j for j, b in enumerate(bits) if m & b == b)
+                 for m in map(reduced.__getitem__, rays)]
+    return tuple(lines), tuple(rays), tuple(masks)
 
 
 def _cancel(s: int, v: IVec, t: int, w: IVec) -> IVec:
@@ -183,8 +216,10 @@ class Cone:
     lines: tuple[IVec, ...]
 
     @functools.cached_property
-    def _dual(self) -> tuple[tuple[IVec, ...], tuple[IVec, ...]]:
-        # the dual cone's (lines, rays) are this cone's (equations, facets)
+    def _dual(self) -> tuple[tuple[IVec, ...], tuple[IVec, ...],
+                             tuple[int, ...]]:
+        # the dual cone's (lines, rays) are this cone's (equations, facets),
+        # and each facet's mask holds the rays it vanishes on
         return halfspaces_to_generators(self.lines, self.rays, self.n)
 
     @property
@@ -263,10 +298,11 @@ def cone_from_generators(
     """Strongly convex cone spanned by nonzero integer generators.
 
     Raises ZeroVector on a zero generator, NotStronglyConvex when the
-    generators span a line, RankCap above rank 4.  The cone comes from two
-    conversions.  The first gives the dual's canonical (lines, rays), which
-    depend only on the cone, so they are the cone's H-side as a later read
-    would convert it; the cone is handed them.
+    generators span a line, RankCap above rank 4, DimensionMismatch on a
+    generator of another length, and ValueError on a negative rank or on no
+    generators and no rank.  The cone comes from two conversions (see
+    ``_from_dual``).  The AssertionError is an internal self-check: the
+    generators lie in the cone they span.
     """
     gens = [tuple(int(a) for a in g) for g in generators]
     for g in gens:
@@ -283,17 +319,31 @@ def cone_from_generators(
     for g in gens:
         if len(g) != n:
             raise DimensionMismatch(f"generator {g} has length {len(g)}, expected {n}")
-    dual = halfspaces_to_generators((), gens, n)
-    lines, rays = halfspaces_to_generators(*dual, n)
-    cone = Cone(n, rays, lines)
-    cone.__dict__["_dual"] = dual
+    dual_lines, facets, _ = halfspaces_to_generators((), gens, n)
+    cone = _from_dual(dual_lines, facets, n)
     if not cone_holds(cone, gens):
-        raise AssertionError(f"generators {gens} + lines [] leave the "
+        raise AssertionError(f"internal: generators {gens} leave the "
                              f"computed cone")
-    if lines:
+    if cone.lines:
         raise NotStronglyConvex(
-            f"generators {gens} span the line through {lines[0]}"
+            f"generators {gens} span the line through {cone.lines[0]}"
         )
+    return cone
+
+
+def _from_dual(dual_lines: Sequence[IVec], facets: Sequence[IVec],
+               n: int) -> Cone:
+    """The cone whose dual has these canonical (lines, rays), from one
+    conversion.  Those depend only on the cone, so they are its H-side as a
+    later read would convert it; the cone is handed them, with each
+    facet's mask over the rays transposed from each ray's mask over the
+    facets, as the cone's own conversion would give it."""
+    lines, rays, on_facets = halfspaces_to_generators(dual_lines, facets, n)
+    cone = Cone(n, rays, lines)
+    cone.__dict__["_dual"] = (
+        tuple(dual_lines), tuple(facets),
+        tuple(sum(1 << i for i, m in enumerate(on_facets) if m >> k & 1)
+              for k in range(len(facets))))
     return cone
 
 
@@ -355,37 +405,36 @@ def cone_intersect(a: Cone, b: Cone) -> Cone:
     """Exact intersection, canonical form (may be any face, down to {0})."""
     if a.n != b.n:
         raise DimensionMismatch(f"ambient ranks differ: {a.n} vs {b.n}")
-    lines, rays = halfspaces_to_generators(a.equations + b.equations,
-                                           a.facets + b.facets, a.n)
+    lines, rays, _ = halfspaces_to_generators(a.equations + b.equations,
+                                              a.facets + b.facets, a.n)
     return Cone(a.n, rays, lines)
 
 
-def face_lattice(vertices: Sequence[tuple], rows: Sequence[tuple],
+def face_lattice(count: int, seeds: Sequence[int],
                  keep: Callable[[int], bool] | None = None
                  ) -> dict[int, tuple[int, ...]]:
-    """Nonempty faces of a polytope or cone, each as the bitmask of its
-    vertices (bit i for ``vertices[i]``, which are distinct) with the
-    ascending indices of the rows that vanish on all of it.
+    """Nonempty faces of a polytope or cone with ``count`` distinct
+    vertices, each as the bitmask of its vertices with the ascending
+    indices of the rows that vanish on all of it.
 
-    ``rows`` are affine (coefficients, constant) rows nonnegative on the
-    vertices and include the facet rows; each cuts out the vertices where it
-    vanishes, and the faces are the whole vertex set together with every
-    nonempty intersection of those sets.  For a cone the extreme rays act
-    as the vertices and each facet gives the row (facet, 0).  The empty set
-    is not returned, so for a cone the minimal face, its lineality space,
-    is left to the caller.
+    ``seeds[k]`` is the bitmask of the vertices on which row k vanishes,
+    bit i for vertex i, over rows nonnegative on the vertices that include
+    the facet rows.  A conversion gives them with no evaluation: the masks
+    of ``halfspaces_to_generators(equations, vertices, n)`` are, for each
+    of its rays r, the seed of the row r over the given vertices.  The
+    faces are the whole vertex set together with every nonempty
+    intersection of seeds.  For a cone the extreme rays act as the vertices
+    and the facets as the rows.  The empty set is not returned, so for a
+    cone the minimal face, its lineality space, is left to the caller.
 
     The walk starts at the whole set and meets each face it reaches with
-    every row.  A face that ``keep`` rejects (the whole set included) is
+    every seed.  A face that ``keep`` rejects (the whole set included) is
     not returned, and one other than the whole set is not met further.  So
     the walk returns every face that ``keep`` accepts exactly when each of
     them is the meet of rows whose partial meets ``keep`` all accepts: for
     instance when ``keep`` accepts every face holding an accepted face.
     """
-    seeds = [sum(1 << i for i, v in enumerate(vertices)
-                 if la.dot(coeffs, v) + const == 0)
-             for coeffs, const in rows]
-    full = (1 << len(vertices)) - 1
+    full = (1 << count) - 1
     seen = {full}
     faces = [full] if keep is None or keep(full) else []
     queue = [full]
@@ -404,7 +453,7 @@ def face_lattice(vertices: Sequence[tuple], rows: Sequence[tuple],
 
 def cone_faces(cone: Cone) -> tuple[Cone, ...]:
     """All faces (the cone itself included), each in canonical form."""
-    masks = {0, *face_lattice(cone.rays, [(f, 0) for f in cone.facets])}
+    masks = {0, *face_lattice(len(cone.rays), cone._dual[2])}
     faces = [Cone(cone.n, tuple(r for i, r in enumerate(cone.rays)
                                 if mask >> i & 1), cone.lines)
              for mask in masks]

@@ -143,13 +143,15 @@ def _lower_faces(f: TropicalPolynomial, extra: list[IVec]):
     the i-th term below bit m = len(f.terms), the upward ray at bit m),
     with the ascending indices of the rays of N vanishing on it.  The face
     of N vanishing on such a face, homogenized by t, is a cell, and
-    z = -v t - <x, e> on it for each of its terms (e, v, 1).  The face walk
-    prunes on both conditions (see ``_lower``)."""
+    z = -v t - <x, e> on it for each of its terms (e, v, 1).  The
+    conversion's masks are the generators each ray of N vanishes on, so
+    the face walk reads them, and prunes on both conditions (see
+    ``_lower``)."""
     m = len(f.terms)
     gens = [la.primitivize(e + (v, 1)) for e, v in f.terms]
     gens += [(0,) * f.n + (1, 0), *extra]
-    lines, normals = halfspaces_to_generators([], gens, f.n + 2)
-    faces = face_lattice(gens, [(r, 0) for r in normals], _lower(m))
+    lines, normals, seeds = halfspaces_to_generators([], gens, f.n + 2)
+    faces = face_lattice(len(gens), seeds, _lower(m))
     return lines, normals, faces.items()
 
 
@@ -230,13 +232,13 @@ def ptrop_normal_fan(f: TropicalPolynomial) -> PTropSet:
     n, m = f.n, len(f.terms)
     gens = [e + (1,) for e in f.exponents]
     gens += [u + (0,) for u in la.identity_rows(n)]
-    _, normals = halfspaces_to_generators([], gens, n + 1)
+    _, normals, seeds = halfspaces_to_generators([], gens, n + 1)
     # the unit vectors are the generators from bit m on; a face with none
     # of them may be reached only through faces with some, so that is
     # checked after the walk
     cones = [Cone(n, tuple(normals[k][:-1] for k in tight), ())
              for fs, tight in face_lattice(
-                 gens, [(r, 0) for r in normals], _holds_two(m)).items()
+                 len(gens), seeds, _holds_two(m)).items()
              if not fs >> m]
     return _ptrop_set(cones)
 

@@ -15,13 +15,17 @@ witnesses and the randomized fan suites compare against or build from.  Cones
 with lines, which the library reads off half-spaces only, come from
 ``make_cone``; ``cone_is_face`` is the reference that ``lattice.locate``
 finds faces against, and ``label`` reads the angle of a galaxy vertex off
-its name.
+its name.  ``face_lattice`` walks the faces of a vertex set with rows
+evaluated on it, the reference for the library's walk over conversion
+masks, and ``unpruned_conversion`` is the conversion engine with no bound
+on its pairs, each ray's mask read off by evaluation.
 """
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
+from operator import mul
 
 from troplim import _linalg as la
 from troplim import fans, lattice
@@ -203,7 +207,7 @@ def collapse_to_algebraic(x: DeltaComplex
 
 def cone_from_halfspaces(equations, inequalities, n: int) -> Cone:
     """The cone {x : E x = 0, A x >= 0}, converted once."""
-    lines, rays = halfspaces_to_generators(equations, inequalities, n)
+    lines, rays, _ = halfspaces_to_generators(equations, inequalities, n)
     return Cone(n, rays, lines)
 
 
@@ -215,10 +219,8 @@ def make_cone(generators, n=None, lines=()) -> Cone:
     lns = [tuple(int(a) for a in g) for g in lines]
     if n is None:
         n = len((gens + lns)[0])
-    dual = halfspaces_to_generators(lns, gens, n)
-    cone = cone_from_halfspaces(*dual, n)
-    cone.__dict__["_dual"] = dual
-    return cone
+    dual_lines, facets, _ = halfspaces_to_generators(lns, gens, n)
+    return lattice._from_dual(dual_lines, facets, n)
 
 
 def cone_is_face(face: Cone, cone: Cone) -> bool:
@@ -230,6 +232,86 @@ def cone_is_face(face: Cone, cone: Cone) -> bool:
     gens = face.rays + face.lines
     active = [f for f in cone.facets if all(la.dot(f, g) == 0 for g in gens)]
     return lattice._face(cone, active) == face
+
+
+def face_lattice(vertices, rows, keep=None) -> dict[int, tuple[int, ...]]:
+    """``lattice.face_lattice`` with each row's seed evaluated: ``rows`` are
+    affine (coefficients, constant) rows nonnegative on the distinct
+    vertices, and row k's seed holds the vertices on which it vanishes."""
+    seeds = [sum(1 << i for i, v in enumerate(vertices)
+                 if la.dot(coeffs, v) + const == 0)
+             for coeffs, const in rows]
+    full = (1 << len(vertices)) - 1
+    seen = {full}
+    faces = [full] if keep is None or keep(full) else []
+    queue = [full]
+    while queue:
+        fs = queue.pop()
+        for other in seeds:
+            meet = fs & other
+            if meet and meet not in seen:
+                seen.add(meet)
+                if keep is None or keep(meet):
+                    faces.append(meet)
+                    queue.append(meet)
+    return {fs: tuple(k for k, seed in enumerate(seeds) if fs & seed == fs)
+            for fs in faces}
+
+
+def unpruned_conversion(equations, inequalities, n: int):
+    """``lattice.halfspaces_to_generators`` as its engine ran before the
+    pair bound: every pair of rays goes to the adjacency test.  Each ray's
+    mask is read off by evaluating every inequality on it."""
+    rows = [(a, True) for a in dict.fromkeys(map(la.primitivize, equations))]
+    rows += [(a, False)
+             for a in dict.fromkeys(map(la.primitivize, inequalities))]
+    rows = [(a, is_eq) for a, is_eq in rows if not la.is_zero_vec(a)]
+    lines = la.identity_rows(n)
+    rays, tight = [], []
+    for k, (a, is_eq) in enumerate(rows):
+        bit = 1 << k
+        on_lines = [sum(map(mul, a, l)) for l in lines]
+        j = next((j for j, s in enumerate(on_lines) if s), None)
+        if j is not None:
+            s = on_lines.pop(j)
+            l = lines.pop(j)
+            if s < 0:
+                s, l = -s, tuple(-x for x in l)
+            lines = [lattice._cancel(s, u, t, l) if t else u
+                     for u, t in zip(lines, on_lines)]
+            on_rays = [sum(map(mul, a, r)) for r in rays]
+            rays = [lattice._cancel(s, r, t, l) if t else r
+                    for r, t in zip(rays, on_rays)]
+            tight = [m | bit for m in tight]
+            if not is_eq:
+                rays.append(l)
+                tight.append(bit - 1)
+            continue
+        values = [sum(map(mul, a, r)) for r in rays]
+        new_rays, new_tight = [], []
+        for p, sp in enumerate(values):
+            if sp <= 0:
+                continue
+            for q, sq in enumerate(values):
+                if sq >= 0:
+                    continue
+                common = tight[p] & tight[q]
+                if any(m & common == common and i != p and i != q
+                       for i, m in enumerate(tight)):
+                    continue
+                new_rays.append(lattice._cancel(sp, rays[q], sq, rays[p]))
+                new_tight.append(common | bit)
+        keep = [i for i, s in enumerate(values) if s >= 0]
+        rays = [rays[i] for i in keep] + new_rays
+        tight = [tight[i] | bit if values[i] == 0 else tight[i]
+                 for i in keep] + new_tight
+    lines, pivots = la.rref(lines)
+    reduced = {la.primitivize(la.reduce_prepared(r, lines, pivots))
+               for r in rays}
+    rays = sorted(r for r in reduced if not la.is_zero_vec(r))
+    masks = [sum(1 << j for j, a in enumerate(inequalities)
+                 if la.dot(a, r) == 0) for r in rays]
+    return tuple(lines), tuple(rays), tuple(masks)
 
 
 # -- galaxy labels -----------------------------------------------------------

@@ -977,6 +977,37 @@ def test_exit_code_validation_failure(tmp_path, capsys):
     assert "exactly two fan files" in capsys.readouterr().err
 
 
+POSITIVE_QUADRANT = {"rank": 2, "rays": [["1", "0"], ["0", "1"]],
+                     "maximal_cones": [[0, 1]]}
+
+
+@pytest.mark.parametrize("other, errors", [
+    ({"rank": 3, "rays": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+      "maximal_cones": [[0, 1, 2]]},
+     ["fans live in ranks 2 and 3", "fans live in ranks 3 and 2"]),
+    ({"rank": 2, "rays": [["1", "0"], ["0", "1"], ["-1", "-1"]],
+      "maximal_cones": [[0, 1], [2]]},
+     ["common refinement needs pure fans of equal dimension"] * 2),
+    ({"rank": 2, "rays": [["-1", "0"], ["0", "-1"]],
+      "maximal_cones": [[0, 1]]},
+     ["fan supports have no full-dimensional overlap"] * 2),
+], ids=["ranks-differ", "not-pure", "no-overlap"])
+def test_refine_refusals_exit_2(tmp_path, capsys, other, errors):
+    first = put(tmp_path, "a.json", POSITIVE_QUADRANT)
+    second = put(tmp_path, "b.json", other)
+    for argv, error in zip((["refine", first, second],
+                            ["refine", second, first]), errors):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def test_toric_fiber_base_ray_of_the_wrong_length_exits_2(tmp_path, capsys):
+    path = put(tmp_path, "tf.json", {**TORIC_FIBER, "base": {"rays": [[1, 0]]}})
+    assert cli.main(["toric-fiber", path]) == 2
+    assert capsys.readouterr().err == \
+        "error: generator (1, 0) has length 2, expected 1\n"
+
+
 @pytest.mark.parametrize("command, flag", [
     ("trop", ["--seed", "1"]), ("fan-validate", ["--depth", "3"])])
 def test_flags_are_registered_only_where_read(tmp_path, capsys, command,

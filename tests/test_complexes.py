@@ -16,6 +16,7 @@ from builders import (
     affine_dim,
     collapse_to_algebraic,
     component_ratio,
+    face_lattice,
     identity_map,
     nodal_cubic_incidence,
     point_complex,
@@ -69,7 +70,6 @@ from troplim.galaxy import PolygonDegeneration, base_change
 from troplim.lattice import (
     cone_faces,
     cone_from_generators,
-    face_lattice,
     halfspaces_to_generators,
 )
 
@@ -1144,7 +1144,7 @@ def reference_map_fiber(mapping, cell_name, coords):
             equations.append((1,) * (m + 1) + (-1,))
             rows = [(tuple(1 if i == j else 0 for i in range(m + 1)), 0)
                     for j in range(m + 1)]
-            _, rays = halfspaces_to_generators(
+            _, rays, _ = halfspaces_to_generators(
                 equations, [r + (0,) for r, _ in rows]
                 + [(0,) * (m + 1) + (1,)], m + 2)
             vertices = [tuple(F(c, r[-1]) for c in r[:-1])

@@ -22,9 +22,11 @@ from hypothesis import given, settings, strategies as st
 from builders import (
     cone_from_halfspaces,
     cone_is_face,
+    face_lattice,
     make_cone,
     newton_polytope,
     normal_cone,
+    unpruned_conversion,
 )
 from test_linalg import (
     matrices,
@@ -39,7 +41,12 @@ from troplim import tropical as tp
 from troplim._polyhedra import homogenization_info
 from troplim.fans import facet_cones
 from troplim._linalg import dot, identity_rows, mat_rank
-from troplim.errors import NotStronglyConvex, RankCap, ZeroVector
+from troplim.errors import (
+    DimensionMismatch,
+    NotStronglyConvex,
+    RankCap,
+    ZeroVector,
+)
 
 
 def member_oracle(v, generators, n):
@@ -127,6 +134,36 @@ def test_zero_generator_rejected():
 def test_rank_cap():
     with pytest.raises(RankCap):
         lat.cone_from_generators([(1, 0, 0, 0, 0)])
+
+
+@pytest.mark.parametrize("generators, n, error, message", [
+    ([], None, ValueError, "ambient rank required"),
+    ([], -1, ValueError, "must be nonnegative"),
+    ([(1, 0)], -1, ValueError, "must be nonnegative"),
+    ([(1, 0), (1, 0, 0)], None, DimensionMismatch, "has length 3, expected 2"),
+    ([(1, 0)], 3, DimensionMismatch, "has length 2, expected 3"),
+], ids=["empty-no-rank", "empty-negative-rank", "negative-rank",
+        "ragged", "short"])
+def test_cone_from_generators_refuses_bad_shapes(generators, n, error,
+                                                 message):
+    """No input file reaches the first three: every reader passes the
+    rank, which it parses as nonnegative.  A short base ray of a
+    toric-fiber file reaches the length check (see test_cli.py)."""
+    with pytest.raises(error, match=message):
+        lat.cone_from_generators(generators, n)
+
+
+def test_cone_holds_and_cone_intersect_refuse_other_ranks():
+    """No input file reaches these: a toric-fiber file's matrix shape is
+    checked before any image is tested, and a fan's cones share its rank."""
+    quadrant = lat.cone_from_generators([(1, 0), (0, 1)])
+    octant = lat.cone_from_generators(identity_rows(3))
+    with pytest.raises(DimensionMismatch, match="wrong length"):
+        lat.cone_holds(quadrant, [(1, 0, 0)])
+    with pytest.raises(DimensionMismatch, match="wrong length"):
+        lat.cone_holds(quadrant, [(1, 0)], [(0, 1, 0)])
+    with pytest.raises(DimensionMismatch, match="ranks differ: 2 vs 3"):
+        lat.cone_intersect(quadrant, octant)
 
 
 def test_redundant_generators_dropped():
@@ -271,7 +308,7 @@ def _cones(gen_lists):
 @settings(max_examples=120, deadline=None)
 @given(_cones(gen_sets2))
 def test_roundtrip_h_to_v_rank2(cone):
-    lines, rays = lat.halfspaces_to_generators(
+    lines, rays, _ = lat.halfspaces_to_generators(
         cone.equations, cone.facets, cone.n
     )
     rebuilt = make_cone(list(rays), n=cone.n, lines=list(lines))
@@ -281,7 +318,7 @@ def test_roundtrip_h_to_v_rank2(cone):
 @settings(max_examples=80, deadline=None)
 @given(_cones(gen_sets3))
 def test_roundtrip_h_to_v_rank3(cone):
-    lines, rays = lat.halfspaces_to_generators(
+    lines, rays, _ = lat.halfspaces_to_generators(
         cone.equations, cone.facets, cone.n
     )
     rebuilt = make_cone(list(rays), n=cone.n, lines=list(lines))
@@ -545,8 +582,9 @@ def test_cone_faces_converts_once_per_face():
 def vertices_and_rows(draw):
     """A random cone's extreme rays and facet rows, or a random polytope's
     vertices and facet rows, read off the lifted hull of 1-7 integer points
-    in ranks 1-3 as ``polytope_faces`` reads them; a row that vanishes
-    nowhere goes first, so a face's indices count every row."""
+    in ranks 1-3 as ``polytope_faces`` reads them, with each row's seed
+    from the masks of the cone's conversion; a row that vanishes nowhere
+    goes first, so a face's indices count every row."""
     if draw(st.booleans()):
         cone = draw(face_test_cones)
         n, vertices, rows = cone.n, cone.rays, [(f, 0) for f in cone.facets]
@@ -554,17 +592,20 @@ def vertices_and_rows(draw):
         n = draw(st.integers(1, 3))
         points = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n),
                                min_size=1, max_size=7))
-        lifted = make_cone([p + (1,) for p in points], n=n + 1)
-        vertices = [r[:-1] for r in lifted.rays]
-        rows = [(a[:-1], a[-1]) for a in lifted.facets]
-    return vertices, [((0,) * n, 1)] + rows
+        cone = make_cone([p + (1,) for p in points], n=n + 1)
+        vertices = [r[:-1] for r in cone.rays]
+        rows = [(a[:-1], a[-1]) for a in cone.facets]
+    return vertices, [((0,) * n, 1)] + rows, [0, *cone._dual[2]]
 
 
 @settings(max_examples=150, deadline=None)
 @given(vertices_and_rows())
 def test_face_lattice_gives_each_face_its_tight_rows(case):
-    vertices, rows = case
-    faces = lat.face_lattice(vertices, rows)
+    """The walk over the conversion's masks is the reference walk over the
+    rows evaluated on the vertices, and each face has its tight rows."""
+    vertices, rows, seeds = case
+    faces = lat.face_lattice(len(vertices), seeds)
+    assert faces == face_lattice(vertices, rows)
     assert (1 << len(vertices)) - 1 in faces
     for fs, tight in faces.items():
         members = [v for i, v in enumerate(vertices) if fs >> i & 1]
@@ -624,9 +665,10 @@ def test_a_cone_holds_only_its_v_description():
 
 def assert_dual_of_its_rays(cone):
     """The cone's H-data is the conversion of its dual: the equations are
-    the dual's lines and the facets its extreme rays."""
+    the dual's lines and the facets its extreme rays, each with the mask of
+    the rays it vanishes on."""
     fresh = lat._halfspaces_to_generators.__wrapped__
-    assert (cone.equations, cone.facets) == \
+    assert (cone.equations, cone.facets, cone._dual[2]) == \
         fresh(cone.lines, cone.rays, cone.n)
 
 
@@ -675,7 +717,7 @@ def test_derived_cones_convert_only_when_their_h_side_is_read():
     assert conversions() == start  # the outer facets were filled on build
     meet = lat.cone_intersect(cone, other)
     assert conversions() == start + 1  # the meet's rays, and no more
-    lines, rays = lat.halfspaces_to_generators(
+    lines, rays, _ = lat.halfspaces_to_generators(
         [], [(1, 0, 1), (0, 1, 1), (0, 0, 1)], 3)
     info = homogenization_info(lines, rays, 2)
     assert conversions() == start + 2
@@ -728,11 +770,11 @@ def test_fraction_and_int_rows_give_identical_int_results():
         a = lat.halfspaces_to_generators(*first, 3)
         b = lat.halfspaces_to_generators(*second, 3)
         assert a == b == expected and repr(a) == repr(b) == repr(expected)
-        assert _all_int(a)
+        assert _all_int(a[:2])
     halves = lat.halfspaces_to_generators(
         [], [(Fraction(1, 2), Fraction(-1, 3), 0),
              (0, Fraction(2, 3), Fraction(1, 4))], 3)
-    assert _all_int(halves)
+    assert _all_int(halves[:2])
 
 
 def test_repeated_conversion_is_a_cache_hit():
@@ -785,8 +827,9 @@ FROZEN_CONVERSIONS = [
 @pytest.mark.parametrize("args, expected", FROZEN_CONVERSIONS)
 def test_conversion_matches_frozen_results(args, expected):
     result = lat._halfspaces_to_generators.__wrapped__(*args)
-    assert result == expected
-    assert repr(result) == repr(expected)
+    assert result[:2] == expected
+    assert repr(result[:2]) == repr(expected)
+    assert result[2] == tight_masks(args[1], result[1])
 
 
 def _scaled(row, s):
@@ -963,8 +1006,27 @@ def conversion_inputs(draw):
 def test_engine_matches_the_brute_force_reference(args):
     result = lat._halfspaces_to_generators.__wrapped__(*args)
     expected = reference_conversion(*args)
-    assert result == expected
-    assert repr(result) == repr(expected)
+    assert result[:2] == expected
+    assert repr(result[:2]) == repr(expected)
+
+
+def tight_masks(inequalities, rays):
+    """Each ray's mask by evaluation: bit j when row j vanishes on it."""
+    return tuple(sum(1 << j for j, a in enumerate(inequalities)
+                     if dot(a, r) == 0) for r in rays)
+
+
+@settings(max_examples=400, deadline=None)
+@given(conversion_inputs())
+def test_masks_are_the_tight_rows_and_the_pair_bound_drops_no_ray(args):
+    """Each ray's mask holds exactly the inequalities, in the order given,
+    that vanish on it, repeated, zero, Fraction and non-primitive rows
+    included; and the engine, which skips pairs with too few common tight
+    rows, gives what it gives with every pair tested."""
+    result = lat._halfspaces_to_generators.__wrapped__(*args)
+    assert result[2] == tight_masks(args[1], result[1])
+    assert result == unpruned_conversion(*args)
+    assert repr(result) == repr(unpruned_conversion(*args))
 
 
 def lifted_hull_rows():
@@ -985,9 +1047,12 @@ def test_lifted_hull_rays_carry_extremality_certificates():
     every row, and the rows tight on it have rank n - len(lines) - 1, so it
     spans a one-dimensional face modulo the lineality."""
     rows = lifted_hull_rows()
-    lines, rays = lat._halfspaces_to_generators.__wrapped__((), rows, 6)
+    lines, rays, masks = lat._halfspaces_to_generators.__wrapped__(
+        (), rows, 6)
     # the count the brute-force reference gives on these rows
     assert len(rays) == 69
+    assert (lines, rays, masks) == unpruned_conversion((), rows, 6)
+    assert masks == tight_masks(rows, rays)
     for line in lines:
         assert all(dot(a, line) == 0 for a in rows)
     for r in rays:

@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 from builders import (
     affine_dim,
     cone_is_face,
+    face_lattice,
     make_cone,
     newton_polytope,
     normal_cone,
     normal_fan,
 )
+from troplim import lattice
 from troplim import tropical as tp
 from troplim._linalg import identity_rows
 from troplim._polyhedra import homogenization_info
@@ -27,7 +29,6 @@ from troplim.errors import (
 )
 from troplim.lattice import (
     cone_intersect,
-    face_lattice,
     halfspaces_to_generators,
     locate,
 )
@@ -66,7 +67,7 @@ def polyhedron_info(equations, inequalities, n):
     eqs = [coeffs + (const,) for coeffs, const in equations]
     ineqs = [coeffs + (const,) for coeffs, const in inequalities]
     ineqs.append(tuple([F(0)] * n) + (F(1),))
-    lines, rays = halfspaces_to_generators(eqs, ineqs, n + 1)
+    lines, rays, _ = halfspaces_to_generators(eqs, ineqs, n + 1)
     return homogenization_info(lines, rays, n)
 
 
@@ -572,21 +573,21 @@ def test_normal_fan_route_matches_reference(n, examples):
 def face_lattice_cases(draw):
     """Generators and rows of a random cone, or points and affine rows of a
     random polytope, in rank 1-4, from one conversion of the cone over
-    them (points lifted by 1), and a bit position m up to the generator
-    count."""
+    them (points lifted by 1) with its masks, and a bit position m up to
+    the generator count."""
     n = draw(st.integers(1, 4))
     points = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n),
                            min_size=1, max_size=8, unique=True))
     if draw(st.booleans()):
         vertices = [p for p in points if any(p)]
-        _, normals = halfspaces_to_generators([], vertices, n)
+        _, normals, seeds = halfspaces_to_generators([], vertices, n)
         rows = [(r, 0) for r in normals]
     else:
         vertices = points
-        _, normals = halfspaces_to_generators(
+        _, normals, seeds = halfspaces_to_generators(
             [], [p + (1,) for p in points], n + 1)
         rows = [(r[:-1], r[-1]) for r in normals]
-    return vertices, rows, draw(st.integers(0, len(vertices)))
+    return vertices, rows, seeds, draw(st.integers(0, len(vertices)))
 
 
 def filtered_face_lattice(vertices, rows, keep):
@@ -597,29 +598,42 @@ def filtered_face_lattice(vertices, rows, keep):
 @settings(max_examples=200, deadline=None)
 @given(face_lattice_cases())
 def test_pruned_face_lattice_is_the_filtered_lattice(case):
-    """Each predicate that tropical prunes the face walk on gives the whole
-    lattice filtered by it, on cones and polytopes."""
-    vertices, rows, m = case
+    """Each predicate that tropical prunes the face walk on gives, over the
+    conversion's masks, the whole reference lattice filtered by it, on
+    cones and polytopes."""
+    vertices, rows, seeds, m = case
     for keep in (tp._holds_two(m), tp._lower(m)):
-        assert face_lattice(vertices, rows, keep) == \
+        assert lattice.face_lattice(len(vertices), seeds, keep) == \
             filtered_face_lattice(vertices, rows, keep)
 
 
 @pytest.mark.parametrize("n, examples", [(1, 30), (2, 80), (3, 50),
                                          (4, 25)])
 def test_pruned_face_walks_of_germs_are_the_filtered_lattices(n, examples):
-    """Every face walk of the hypersurface and of both PTrop routes, on the
-    lifted terms of a germ, gives the whole lattice filtered by the walk's
+    """Every face walk of the hypersurface and of both PTrop routes, over
+    the masks of the conversion before it, gives the whole reference
+    lattice of the converted generators and rays filtered by the walk's
     own predicate."""
-    def checked(vertices, rows, keep):
-        pruned = face_lattice(vertices, rows, keep)
-        assert pruned == filtered_face_lattice(vertices, rows, keep)
+    converted = []
+
+    def convert(equations, inequalities, n):
+        result = halfspaces_to_generators(equations, inequalities, n)
+        converted.append((inequalities, result[1]))
+        return result
+
+    def checked(count, seeds, keep):
+        gens, normals = converted.pop()
+        pruned = lattice.face_lattice(count, seeds, keep)
+        assert count == len(gens)
+        assert pruned == filtered_face_lattice(
+            gens, [(r, 0) for r in normals], keep)
         return pruned
 
     @settings(max_examples=examples, deadline=None)
     @given(st.one_of(hypersurface_polys(n), normal_fan_polys(n)))
     def check(f):
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tp, "halfspaces_to_generators", convert)
             mp.setattr(tp, "face_lattice", checked)
             tp.trop_hypersurface(f)
             if not f.has_constant_term():
