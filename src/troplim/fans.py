@@ -9,18 +9,23 @@ open off a codimension-2 set, hence everything).  Both criteria are exact
 integer computations.  ``Fan.complete`` runs the pairing on first read.  One
 routine, ``_split``, does every star split: the barycentric and
 toward-direction tower steps differ only in which cones they split and at
-which rays.  It writes each join down from its rays, with no conversion,
-and returns the subdivision witness, since it knows which cone each join
-came from.
+which rays.  It writes each join down with no conversion, its rays and
+also its H-side, the equations and facets read off the split cone's
+facets and ridges, and returns the subdivision witness, since it knows
+which cone each join came from.
 
 Validity is certified pair by pair from facet signs where they suffice, with
 no conversion: the facet normals of each cone that are <= 0 on the other sum
 to a u that is >= 0 on one cone and <= 0 on the other, so their meet lies in
 u^⊥; when both cones have the same lines and meet u^⊥ in the same proper
 face, that face is the meet (Fulton, *Introduction to Toric Varieties*,
-1993, §1.2).  Equal cones, containments and the pairs the certificate leaves
-undecided, such as opposite cones meeting only at 0 on whose rays the summed
-normals vanish, get the full check: the meet is converted, and it is a face
+1993, §1.2).  The signs are read from one sign table of all the cones:
+each facet is evaluated once on each distinct ray and line and kept as
+two bitmasks, where it is <= 0 and where it is 0, so the certificate of a
+pair is a few mask operations and u is never formed.  Equal cones,
+containments and the pairs the certificate leaves undecided, such as
+opposite cones meeting only at 0 on whose rays the summed normals
+vanish, get the full check: the meet is converted, and it is a face
 of each cone exactly when ``lattice.locate`` finds it as the minimal face
 holding its ray sum, so the messages and their order do not depend on the
 certificate.  The same signs skip the refinement of a pair whose meet lies
@@ -69,7 +74,7 @@ def _cone_key(c: Cone):
 
 def facet_cones(c: Cone) -> tuple[Cone, ...]:
     """The codimension-1 faces of a cone, one per facet normal."""
-    return tuple(_face(c, (f,)) for f in c.facets)
+    return tuple(_face(c, mask) for mask in c._dual[2])
 
 
 @dataclass(frozen=True)
@@ -147,41 +152,72 @@ def _is_complete(maximal: Sequence[Cone], n: int) -> bool:
     return all(k == 2 for k, _ in _pair_facets(maximal))
 
 
-def _facing(a: Cone, b: Cone) -> list[IVec]:
-    """a's facet normals that are <= 0 on b: on its rays, and 0 on its lines.
-    Each one puts a ∩ b in a proper face of a."""
-    return [f for f in a.facets
-            if all(sum(map(mul, f, r)) <= 0 for r in b.rays)
-            and not any(sum(map(mul, f, l)) for l in b.lines)]
+def _sign_table(cones: Sequence[Cone]) -> list[tuple[int, int, list]]:
+    """One row per cone: its rays and its lines as bitmasks over the
+    distinct rays and lines of all the cones, and for each of its facets
+    the masks of those vectors on which the facet is <= 0 and is 0.  Each
+    facet is evaluated once on each vector."""
+    index: dict[IVec, int] = {}
+    for c in cones:
+        for v in c.rays + c.lines:
+            index.setdefault(v, 1 << len(index))
+    table = []
+    for c in cones:
+        facets = []
+        for f in c.facets:
+            le = zero = 0
+            for v, bit in index.items():
+                s = sum(map(mul, f, v))
+                if s <= 0:
+                    le |= bit
+                    if not s:
+                        zero |= bit
+            facets.append((le, zero))
+        table.append((sum(map(index.get, c.rays)),
+                      sum(map(index.get, c.lines)), facets))
+    return table
 
 
-def _separated(a: Cone, b: Cone) -> bool:
-    """Is a ∩ b a proper face of both, by a facet-sign certificate?
+def _facing(a, b) -> list[int]:
+    """The zero masks of a's facet normals that are <= 0 on b: on its rays,
+    and 0 on its lines; a and b are rows of one ``_sign_table``.  Each
+    normal puts a ∩ b in a proper face of a."""
+    rays, lines, _ = b
+    return [zero for le, zero in a[2]
+            if rays & le == rays and lines & zero == lines]
 
-    u, the sum of ``_facing(a, b)`` minus that of ``_facing(b, a)``, is
-    >= 0 on a and <= 0 on b, so a ∩ b lies in u^⊥.  Each summand has one
-    sign on each cone, so a cone meets u^⊥ in the face spanned by its lines
-    and the rays on which u vanishes.  When a and b have the same lines and
-    those rays are the same proper subset of each, that face is a ∩ b
-    (Fulton's separation lemma).  False leaves the pair undecided.
+
+def _separated(a, b) -> bool:
+    """Is a ∩ b a proper face of both, by a facet-sign certificate?  a and
+    b are rows of one ``_sign_table``.
+
+    u, the sum of the normals ``_facing(a, b)`` minus those of
+    ``_facing(b, a)``, is >= 0 on a and <= 0 on b, so a ∩ b lies in u^⊥.
+    On a's rays every summand is >= 0 and on b's every one is <= 0, so u
+    vanishes on a ray of either exactly where every summand does: in the
+    AND of their zero masks, and u itself is never formed.  A cone meets
+    u^⊥ in the face spanned by its lines and those rays, and when a and b
+    have the same lines and those rays are the same proper subset of each,
+    that face is a ∩ b (Fulton's separation lemma).  False leaves the pair
+    undecided.
     """
-    if a.lines != b.lines:
+    (rays_a, lines_a, _), (rays_b, lines_b, _) = a, b
+    if lines_a != lines_b:
         return False
-    u = [0] * a.n
-    for f in _facing(a, b):
-        u = [x + y for x, y in zip(u, f)]
-    for g in _facing(b, a):
-        u = [x - y for x, y in zip(u, g)]
-    on_a = tuple(r for r in a.rays if not sum(map(mul, u, r)))
-    return on_a == tuple(r for r in b.rays if not sum(map(mul, u, r))) and \
-        len(on_a) < min(len(a.rays), len(b.rays))
+    vanish = -1
+    for zero in _facing(a, b) + _facing(b, a):
+        vanish &= zero
+    on_a = rays_a & vanish
+    return on_a == rays_b & vanish and \
+        on_a.bit_count() < min(rays_a.bit_count(), rays_b.bit_count())
 
 
 def _violations(cones: list[Cone], n: Optional[int]) -> list[str]:
     """Every fan axiom the cones break, in the order checked; empty for a fan.
 
-    A pair that ``_separated`` certifies is skipped; every other pair is
-    intersected and its meet checked against both cones.
+    A pair that ``_separated`` certifies from one sign table of all the
+    cones is skipped; every other pair is intersected and its meet checked
+    against both cones.
     """
     if not cones:
         return ["fan has no cones"]
@@ -189,13 +225,14 @@ def _violations(cones: list[Cone], n: Optional[int]) -> list[str]:
                   for i, c in enumerate(cones) if c.n != n]
     if violations:
         return violations
+    table = _sign_table(cones)
     for i in range(len(cones)):
         for j in range(i + 1, len(cones)):
             a, b = cones[i], cones[j]
             if a == b:
                 violations.append(f"cones {i} and {j} are equal")
                 continue
-            if _separated(a, b):
+            if _separated(table[i], table[j]):
                 continue
             m = cone_intersect(a, b)
             if m == a or m == b:
@@ -296,10 +333,12 @@ def common_refinement(a: Fan, b: Fan) -> tuple[
         raise ValidationError("common refinement needs pure fans of equal "
                               "dimension")
     d = a.dim
+    table = _sign_table(a.maximal + b.maximal)
+    signs_a, signs_b = table[:len(a.maximal)], table[len(a.maximal):]
     carriers: dict[Cone, tuple[int, int]] = {}
-    for i, sa in enumerate(a.maximal):
-        for j, sb in enumerate(b.maximal):
-            if _facing(sa, sb) or _facing(sb, sa):
+    for i, (sa, ta) in enumerate(zip(a.maximal, signs_a)):
+        for j, (sb, tb) in enumerate(zip(b.maximal, signs_b)):
+            if _facing(ta, tb) or _facing(tb, ta):
                 # the meet lies in a facet of one of them
                 continue
             m = cone_intersect(sa, sb)
@@ -313,6 +352,44 @@ def common_refinement(a: Fan, b: Fan) -> tuple[
         _tiles(fan, b, [j for _, j in over])
 
 
+def _join(sigma: Cone, i: int, ray: IVec, values: Sequence[int]) -> Cone:
+    """The join of sigma's facet F_i with a ray r of sigma off it, handed
+    its H-side; r is reduced modulo sigma's lines and ``values[k]`` is
+    f_k·r up to one positive factor for every k.
+
+    The join is a pyramid over F_i with apex r, spanning sigma's span, so
+    its equations are sigma's and its facets are F_i, with normal f_i, and
+    the join of r with each facet F_i ∩ F_k of F_i, a ridge of sigma, with
+    normal h = (f_i·r) f_k - (f_k·r) f_i: h vanishes on r and on the ridge
+    and is (f_i·r) f_k >= 0 on F_i.  F_i ∩ F_k is a ridge exactly when no
+    third facet vanishes on all of its rays (the combinatorial adjacency
+    test on the dual side, Fukuda & Prodon 1996).  f_i and f_k are
+    canonical modulo the equations, zero in their pivot columns, so h is
+    too, and primitive it is canonical.  Each normal's mask marks the
+    join's rays it vanishes on: F_i's rays for f_i, and r with the ridge's
+    rays for h.
+    """
+    facets, masks = sigma.facets, sigma._dual[2]
+    face = masks[i]
+    rays = tuple(sorted(_face(sigma, face).rays + (ray,)))
+    bit = {r: 1 << t for t, r in enumerate(rays)}
+    normals = {facets[i]: (1 << len(rays)) - 1 - bit[ray]}
+    for k, (f, mask) in enumerate(zip(facets, masks)):
+        ridge = face & mask
+        if k == i or any(m & ridge == ridge for t, m in enumerate(masks)
+                         if t != i and t != k):
+            continue
+        h = la.primitivize([values[i] * x - values[k] * y
+                            for x, y in zip(f, facets[i])])
+        normals[h] = bit[ray] | sum(bit[r] for t, r in enumerate(sigma.rays)
+                                    if ridge >> t & 1)
+    order = sorted(normals)
+    join = Cone(sigma.n, rays, sigma.lines)
+    join.__dict__["_dual"] = (sigma.equations, tuple(order),
+                              tuple(map(normals.__getitem__, order)))
+    return join
+
+
 def _split(fan: Fan, rays: dict[int, IVec]
            ) -> tuple[Fan, SubdivisionWitness]:
     """Replace each maximal cone j in ``rays``, which must hold the
@@ -324,18 +401,17 @@ def _split(fan: Fan, rays: dict[int, IVec]
     vanishes on it exactly along F, so F is a face of the join and r the one
     generator off f^⊥.  The join lies in sigma and holds its lines, so its
     lines are sigma's: its canonical rays are F's rays and r reduced modulo
-    those lines, sorted, with no conversion.  A full-dimensional join lies
-    in no other maximal cone of a valid fan, so its carrier is j; a cone
-    left whole is its own.
+    those lines, sorted, with no conversion, and ``_join`` writes down its
+    equations and facets.  A full-dimensional join lies in no other maximal
+    cone of a valid fan, so its carrier is j; a cone left whole is its own.
     """
     carrier: dict[Cone, int] = {}
     for j, sigma in enumerate(fan.maximal):
         ray = rays.get(j)
         # the ray lies in sigma, so in a facet exactly when its normal
         # vanishes on it
-        missing = [] if ray is None else [
-            f for f in sigma.facets if la.dot(f, ray) != 0]
-        if not missing:
+        values = [] if ray is None else [la.dot(f, ray) for f in sigma.facets]
+        if not any(values):
             # no ray, or one in every facet and so in sigma's lineality
             # space (all of a cone with no facets): sigma is its own star
             carrier[sigma] = j
@@ -344,9 +420,9 @@ def _split(fan: Fan, rays: dict[int, IVec]
         # RREF line pivots on its first nonzero entry
         pivots = [next(i for i, a in enumerate(l) if a) for l in sigma.lines]
         ray = la.primitivize(la.reduce_prepared(ray, sigma.lines, pivots))
-        for f in missing:
-            face = _face(sigma, (f,)).rays
-            carrier[Cone(fan.n, tuple(sorted(face + (ray,))), sigma.lines)] = j
+        for i, value in enumerate(values):
+            if value:
+                carrier[_join(sigma, i, ray, values)] = j
     maximal = tuple(sorted(carrier, key=_cone_key))
     return Fan(fan.n, maximal), \
         SubdivisionWitness(tuple(carrier[c] for c in maximal))

@@ -13,7 +13,9 @@ V-description of the dual cone.  It is converted on first read of
 
 Two constructors convert: ``cone_from_generators``, which enforces strong
 convexity (no line) and the ambient rank cap, and ``cone_intersect``.
-Faces are read off the stored rays with no conversion, and everything
+A face is read off facet masks: each facet's mask marks the stored rays
+it vanishes on, and the face of a set of facets keeps the rays in the AND
+of their masks, with no conversion and no row evaluated.  Everything
 downstream trusts the stored canonical form.  Conversion both ways runs
 through one workhorse, ``halfspaces_to_generators``, the double description
 method (Motzkin et al. 1953) over Z: rows are added one at a time to the
@@ -278,18 +280,17 @@ class Cone:
         return f"Cone(n={self.n}, {', '.join(parts)})"
 
 
-def _face(cone: Cone, active: Sequence[IVec]) -> Cone:
-    """The face of the cone on which the given facet rows vanish.
+def _face(cone: Cone, mask: int) -> Cone:
+    """The face of the cone spanned by its lines and the rays whose bits
+    are set in ``mask``, bit i for ``cone.rays[i]``.
 
-    The rows must be facets of the cone, so the face is the lineality space
-    plus the extreme rays on which every row vanishes; that subset of the
-    canonical rays, under the same lines, is canonical already.
+    The mask is an AND of facet masks from ``cone._dual[2]``, so the face
+    is the lineality space plus the extreme rays on which those facets
+    vanish; that subset of the canonical rays, under the same lines, is
+    canonical already.
     """
-    if not active:
-        return cone
-    rays = tuple(r for r in cone.rays
-                 if all(la.dot(a, r) == 0 for a in active))
-    return Cone(cone.n, rays, cone.lines)
+    return Cone(cone.n, tuple(r for i, r in enumerate(cone.rays)
+                              if mask >> i & 1), cone.lines)
 
 
 def cone_from_generators(
@@ -351,7 +352,9 @@ def locate(cone: Cone, point) -> Cone | None:
     """Minimal face of the cone containing a point, or None if outside.
 
     The face is the cone itself exactly when the point lies in the
-    relative interior, since the rows found tight are genuine facets.
+    relative interior, since the rows found tight are genuine facets: it
+    keeps the rays in the AND of the tight facets' masks, and the cone
+    itself is returned when no facet is tight.
 
     The point is an exact rational vector, or an object with ``n`` and a
     ``sign(row)`` method giving its sign (-1, 0 or 1) against an integer
@@ -374,14 +377,16 @@ def locate(cone: Cone, point) -> Cone | None:
         raise DimensionMismatch(f"vector length {n} vs ambient {cone.n}")
     if any(sign(e) != 0 for e in cone.equations):
         return None
-    active = []
-    for f in cone.facets:
+    full = mask = (1 << len(cone.rays)) - 1
+    for f, on in zip(cone.facets, cone._dual[2]):
         s = sign(f)
         if s < 0:
             return None
         if s == 0:
-            active.append(f)
-    return _face(cone, active)
+            mask &= on
+    # a facet vanishes on a proper subset of the rays, so the mask stays
+    # full exactly when no facet is tight
+    return cone if mask == full else _face(cone, mask)
 
 
 def cone_holds(outer: Cone, rays: Sequence[Sequence],
@@ -454,7 +459,5 @@ def face_lattice(count: int, seeds: Sequence[int],
 def cone_faces(cone: Cone) -> tuple[Cone, ...]:
     """All faces (the cone itself included), each in canonical form."""
     masks = {0, *face_lattice(len(cone.rays), cone._dual[2])}
-    faces = [Cone(cone.n, tuple(r for i, r in enumerate(cone.rays)
-                                if mask >> i & 1), cone.lines)
-             for mask in masks]
+    faces = [_face(cone, mask) for mask in masks]
     return tuple(sorted(faces, key=lambda c: (c.dim, c.rays, c.lines)))

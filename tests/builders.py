@@ -11,14 +11,18 @@ algebraic one, build the dual-complex examples.  The Newton polytope and
 its normal fan, a stellar subdivision at one ray, the complete rank-2
 fan of a ray set and the carrier search ``is_subdivision`` are the
 references that the exact routes, the split steps, the refinement
-witnesses and the randomized fan suites compare against or build from.  Cones
-with lines, which the library reads off half-spaces only, come from
-``make_cone``; ``cone_is_face`` is the reference that ``lattice.locate``
-finds faces against, and ``label`` reads the angle of a galaxy vertex off
-its name.  ``face_lattice`` walks the faces of a vertex set with rows
-evaluated on it, the reference for the library's walk over conversion
-masks, and ``unpruned_conversion`` is the conversion engine with no bound
-on its pairs, each ray's mask read off by evaluation.
+witnesses and the randomized fan suites compare against or build from.
+The facet-sign certificate with every sign evaluated (``facing``,
+``separated`` and ``certified_refinement``) is the reference for the
+sign tables of fan validation and refinement.  Cones with lines, which
+the library reads off half-spaces only, come from ``make_cone``;
+``cone_is_face``, which evaluates its own rows, is the reference that
+``lattice.locate`` finds faces against, and ``label`` reads the angle of
+a galaxy vertex off its name.  ``face_lattice`` walks the faces of a
+vertex set with rows evaluated on it, the reference for the library's
+walk over conversion masks, and ``unpruned_conversion`` is the
+conversion engine with no bound on its pairs, each ray's mask read off
+by evaluation.
 """
 
 import itertools
@@ -231,7 +235,9 @@ def cone_is_face(face: Cone, cone: Cone) -> bool:
         raise DimensionMismatch(f"ambient ranks differ: {face.n} vs {cone.n}")
     gens = face.rays + face.lines
     active = [f for f in cone.facets if all(la.dot(f, g) == 0 for g in gens)]
-    return lattice._face(cone, active) == face
+    rays = tuple(r for r in cone.rays
+                 if all(la.dot(f, r) == 0 for f in active))
+    return Cone(cone.n, rays, cone.lines) == face
 
 
 def face_lattice(vertices, rows, keep=None) -> dict[int, tuple[int, ...]]:
@@ -419,6 +425,48 @@ def is_subdivision(fine: Fan, coarse: Fan):
                 return None
         carrier.append(found)
     return fans._tiles(fine, coarse, carrier)
+
+
+def facing(a: Cone, b: Cone) -> list[IVec]:
+    """``fans._facing`` with each sign evaluated: a's facet normals that
+    are <= 0 on b's rays and 0 on its lines."""
+    return [f for f in a.facets
+            if all(sum(map(mul, f, r)) <= 0 for r in b.rays)
+            and not any(sum(map(mul, f, l)) for l in b.lines)]
+
+
+def separated(a: Cone, b: Cone) -> bool:
+    """``fans._separated`` with u formed and evaluated: the sum of
+    ``facing(a, b)`` minus that of ``facing(b, a)``, whose zero set on each
+    cone's rays must be the same proper subset of both, under equal
+    lines."""
+    if a.lines != b.lines:
+        return False
+    u = [0] * a.n
+    for f in facing(a, b):
+        u = [x + y for x, y in zip(u, f)]
+    for g in facing(b, a):
+        u = [x - y for x, y in zip(u, g)]
+    on_a = tuple(r for r in a.rays if not sum(map(mul, u, r)))
+    return on_a == tuple(r for r in b.rays if not sum(map(mul, u, r))) and \
+        len(on_a) < min(len(a.rays), len(b.rays))
+
+
+def certified_refinement(a: Fan, b: Fan):
+    """``fans.common_refinement`` with ``facing`` skipping the pairs whose
+    meet lies in a facet: the fan and its witnesses over a and b."""
+    carriers = {}
+    for i, sa in enumerate(a.maximal):
+        for j, sb in enumerate(b.maximal):
+            if facing(sa, sb) or facing(sb, sa):
+                continue
+            m = lattice.cone_intersect(sa, sb)
+            if m.dim == a.dim:
+                carriers[m] = (i, j)
+    fan = fans._trusted_fan(carriers, a.n)
+    over = [carriers[c] for c in fan.maximal]
+    return fan, fans._tiles(fan, a, [i for i, _ in over]), \
+        fans._tiles(fan, b, [j for _, j in over])
 
 
 def _half(v: IVec) -> int:

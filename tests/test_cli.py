@@ -1339,6 +1339,14 @@ POINT_MAP = {"source": {"cells": [{"name": "p", "faces": []}]},
     ("limit-point", {"base_fan": QUADRANT, "direction": {
         "symbols": [POINT_SYMBOL], "entries": [["0", "1"], ["1", "0"]]}},
      [], 3, "direction.symbols[0]: lo equals hi 1, a rational"),
+    # a node's upper strata have lower codimension, so they are components:
+    # the order check refuses a node-to-node link before from_incidence can
+    ("dualcx", {**NODAL_INC, "strata": NODAL_INC["strata"] + [
+        {"name": "q", "codim": 1, "branches": 2}],
+        "closures": [["p", "C"], ["p", "q"]]}, [], 2,
+     "closure pair ('p', 'q') must strictly increase codimension: 1 vs 1"),
+    ("subdivide", serialize_complex(tetrahedron_solid()), ["--svg"], 2,
+     "svg rendering covers complexes of dimension <= 2, got 3"),
 ], ids=["map-reference-int", "map-phi-int", "galaxy-empty-symbol",
         "fiber-rank-empty-symbol", "limit-point-empty-symbol",
         "fan-negative-rank", "negative-exponent", "no-terms",
@@ -1355,7 +1363,8 @@ POINT_MAP = {"source": {"cells": [{"name": "p", "faces": []}]},
         "coefficient-list-length", "symbol-name-repeated",
         "integer-past-digit-limit", "seed-negative", "not-utf-8",
         "nested-too-deeply", "fiber-rank-zero-width-symbol",
-        "galaxy-zero-width-symbol", "limit-point-zero-width-symbol"])
+        "galaxy-zero-width-symbol", "limit-point-zero-width-symbol",
+        "node-linked-to-a-node", "svg-of-a-tetrahedron"])
 def test_malformed_inputs_exit_with_a_documented_code(
         tmp_path, capsys, command, obj, flags, code, error):
     if isinstance(obj, bytes):

@@ -249,6 +249,21 @@ def test_incidence_rejects_deep_or_wide_strata():
         from_incidence(wide)
 
 
+def test_from_incidence_refuses_a_node_linked_to_a_non_component():
+    """No file reaches this refusal: a node has codimension 1 and
+    ``make_incidence`` makes every closure pair strictly lower the
+    codimension, so a node's upper strata are components (``troplim
+    dualcx`` refuses such a pair first, exit 2).  An incidence built
+    directly reaches it."""
+    inc = complexes.StrataIncidence(
+        "analytic", (complexes.Stratum("C", 0, 1), complexes.Stratum("p", 1, 2),
+                     complexes.Stratum("q", 1, 2)),
+        (("p", "C"), ("p", "q")))
+    with pytest.raises(IncoherentIncidence,
+                       match="node 'p' closure-linked to non-component 'q'"):
+        from_incidence(inc)
+
+
 @pytest.mark.parametrize("mode", ["analytic", "algebraic"])
 def test_an_incidence_without_strata_has_no_dual_complex(mode):
     with pytest.raises(ValidationError, match="at least one cell"):

@@ -11,13 +11,16 @@ are checked against test-local copies of the converting code they replace.
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from builders import (
+    certified_refinement,
     cone_is_face,
+    facing,
     fan_from_rays_2d,
     is_subdivision,
     make_cone,
+    separated,
     stellar_subdivision,
 )
 from troplim import fans, lattice, towers as tw
@@ -453,6 +456,21 @@ def reference_common_refinement(a, b):
     return fans._trusted_fan(pieces, a.n)
 
 
+def assert_same_certificate(cones):
+    """The sign table's certificate against the evaluated one on every
+    pair: the same facing normals, each by its zero mask, and the same
+    separated pairs, when every cone has one rank (validation stops at
+    the ranks otherwise); and the violations against the pairwise check."""
+    n = cones[0].n
+    assert fans._violations(cones, n) == reference_violations(cones, n)
+    if any(c.n != n for c in cones):
+        return
+    table = fans._sign_table(cones)
+    for (a, ta), (b, tb) in itertools.permutations(zip(cones, table), 2):
+        assert len(fans._facing(ta, tb)) == len(facing(a, b))
+        assert fans._separated(ta, tb) == separated(a, b)
+
+
 def shears(n):
     return st.lists(st.tuples(st.permutations(range(n)).map(lambda p: p[:2]),
                               st.sampled_from((-1, 1))), max_size=3)
@@ -518,12 +536,16 @@ def tower_levels(draw):
 
 
 @settings(max_examples=25, deadline=None)
-@given(tower_levels(), st.randoms(use_true_random=False))
-def test_tower_levels_validate_as_the_pairwise_check_does(fan, rnd):
+@given(tower_levels(), tower_levels(), st.randoms(use_true_random=False))
+def test_tower_levels_validate_as_the_pairwise_check_does(fan, other, rnd):
     cones = list(fan.maximal)
     rnd.shuffle(cones)
     assert fans._violations(cones, fan.n) == \
         reference_violations(cones, fan.n) == []
+    assert_same_certificate(cones)
+    if other.n == fan.n:
+        assert fans.common_refinement(fan, other) == \
+            certified_refinement(fan, other)
 
 
 def perfect_cones(height):
@@ -551,8 +573,14 @@ def test_perfect_cone_fans_validate_as_the_pairwise_check_does(height):
     cones = sorted(perfect_cones(height), key=fans._cone_key)
     assert len(cones) == {3: 14, 6: 46}[height]
     assert fans._violations(cones, 3) == reference_violations(cones, 3) == []
+    table = fans._sign_table(cones)
     assert all(fans._separated(a, b)
-               for a, b in itertools.combinations(cones, 2))
+               for a, b in itertools.combinations(table, 2))
+    assert_same_certificate(cones)
+    perfect = fans.fan_from_cones(cones, 3)
+    for other in (orthant_image(3, []), simplex_image(3, [((0, 1), 1)])):
+        assert fans.common_refinement(perfect, other) == \
+            certified_refinement(perfect, other)
 
 
 @st.composite
@@ -593,8 +621,7 @@ def cone_lists(draw):
 @settings(max_examples=80, deadline=None)
 @given(cone_lists())
 def test_violations_match_the_pairwise_check(cones):
-    n = cones[0].n
-    assert fans._violations(cones, n) == reference_violations(cones, n)
+    assert_same_certificate(cones)
 
 
 def test_the_certificate_leaves_containment_and_t_junctions_to_the_check():
@@ -604,8 +631,10 @@ def test_the_certificate_leaves_containment_and_t_junctions_to_the_check():
         n = cones[0].n
         assert fans._violations(cones, n) == reference_violations(cones, n)
         assert fans._violations(cones, n)
-    assert not fans._separated(a, b) and not fans._separated(quadrant, edge)
-    assert fans._separated(quadrant, cg([(0, 1), (-1, 0)]))
+    assert not fans._separated(*fans._sign_table([a, b]))
+    assert not fans._separated(*fans._sign_table([quadrant, edge]))
+    assert fans._separated(*fans._sign_table([quadrant,
+                                              cg([(0, 1), (-1, 0)])]))
 
 
 def assert_same_split(fan, rays, got=None):
@@ -626,6 +655,7 @@ def assert_same_refinement(a, b):
     """The refinement against the converting code, and the witnesses it
     hands over against the carrier search's."""
     got, over_a, over_b = fans.common_refinement(a, b)
+    assert (got, over_a, over_b) == certified_refinement(a, b)
     assert got == reference_common_refinement(a, b)
     assert over_a == assert_same_witness(got, a)
     assert over_b == assert_same_witness(got, b)
@@ -710,11 +740,11 @@ def test_split_steps_match_the_converting_code(data):
 
 
 def test_facet_signs_leave_few_conversions_on_the_octant(monkeypatch):
-    """Two barycentric steps over the octant fan convert only the facets
-    of the first step's cones, which the second step reads, and build each
-    join and its witness with no conversion; validating the 72 cones of the
-    second, facets read, converts one meet for each of the 336 of 2,556
-    pairs that the certificate leaves undecided."""
+    """Two barycentric steps over the octant fan build each join, its
+    facets and its witness with no conversion, so the second step reads
+    the first step's facets unconverted; validating the 72 cones of the
+    second converts one meet for each of the 336 of 2,556 pairs that the
+    certificate leaves undecided."""
     octant = orthant_image(3, [])
     calls = []
     convert = lattice._halfspaces_to_generators
@@ -726,7 +756,7 @@ def test_facet_signs_leave_few_conversions_on_the_octant(monkeypatch):
     monkeypatch.setattr(lattice, "_halfspaces_to_generators", counted)
     first, _ = tw.StellarAtBarycenters().step(octant)
     second, w = tw.StellarAtBarycenters().step(first)
-    assert (len(second.maximal), len(calls)) == (72, 24)
+    assert (len(second.maximal), len(calls)) == (72, 0)
     assert is_subdivision(second, first) == w
     for sigma in second.maximal:
         sigma.facets
@@ -734,3 +764,41 @@ def test_facet_signs_leave_few_conversions_on_the_octant(monkeypatch):
     report = fans.validate_fan(second.maximal)
     assert report.valid and report.complete
     assert len(calls) == 336
+
+
+@st.composite
+def split_cases(draw):
+    """A cone of rank 1-4, spanned by generators and lines (so it may have
+    lines, equations, or both), with a primitive ray in it: a nonnegative
+    combination of its rays plus one of its lines, through its relative
+    interior when every ray takes part and on some of its facets when
+    not."""
+    n = draw(st.integers(1, 4))
+    vec = st.tuples(*[st.integers(-2, 2)] * n)
+    sigma = make_cone(draw(st.lists(vec, min_size=1, max_size=n + 2)), n=n,
+                      lines=draw(st.lists(vec, max_size=max(n - 2, 0))))
+    assume(sigma.rays)
+    relint = draw(st.booleans())
+    weights = st.integers(1, 3) if relint else st.integers(0, 1)
+    # one ray at least takes part, so the ray is off the lines
+    ray = list(sigma.rays[0])
+    for r in sigma.rays:
+        w = draw(weights)
+        ray = [x + w * a for x, a in zip(ray, r)]
+    for l in sigma.lines:
+        w = draw(st.integers(-2, 2))
+        ray = [x + w * a for x, a in zip(ray, l)]
+    return sigma, ray
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_cases())
+def test_split_joins_carry_the_converted_h_side(case):
+    """Each join that ``_split`` builds is handed the equations, facets and
+    facet masks that converting its rays and lines gives."""
+    sigma, ray = case
+    fan = fans.Fan(sigma.n, (sigma,))
+    got, _ = fans._split(fan, {0: primitive(ray).direction})
+    for join in got.maximal:
+        assert join._dual == lattice.halfspaces_to_generators(
+            join.lines, join.rays, join.n)

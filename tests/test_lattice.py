@@ -36,6 +36,7 @@ from test_linalg import (
 )
 from test_tropical import hypersurface_polys, normal_fan_polys, polytope_faces
 from troplim import _linalg as la
+from troplim import fans
 from troplim import lattice as lat
 from troplim import tropical as tp
 from troplim._polyhedra import homogenization_info
@@ -469,10 +470,15 @@ face_test_cones = st.one_of(_cones(gen_sets2), _cones(gen_sets3),
 def test_faces_match_the_halfspace_references(cone, other):
     expected = reference_cone_faces(cone)
     assert_same_cones(lat.cone_faces(cone), expected)
+    full = (1 << len(cone.rays)) - 1
     for k in range(len(cone.facets) + 1):
-        for subset in combinations(cone.facets, k):
-            assert_same_cones((lat._face(cone, subset),),
-                              (reference_face(cone, subset),))
+        for subset in combinations(range(len(cone.facets)), k):
+            mask = full
+            for i in subset:
+                mask &= cone._dual[2][i]
+            assert_same_cones(
+                (lat._face(cone, mask),),
+                (reference_face(cone, [cone.facets[i] for i in subset]),))
     for face in expected:
         assert is_face(face, cone)
     if other.n == cone.n:
@@ -708,12 +714,19 @@ def conversions() -> int:
 
 
 def test_derived_cones_convert_only_when_their_h_side_is_read():
+    """Faces, meets and recession cones convert on the first read of their
+    H-side; the joins of a split are handed theirs and never convert."""
     cone = cuboctahedron_cone()
     other = lat.cone_from_generators(
         [(1, 0, 0, 1), (0, 1, 0, 1), (-1, 0, 0, 1)])
     start = conversions()
-    faces = [lat._face(cone, cone.facets[:2]),
+    faces = [lat._face(cone, cone._dual[2][0] & cone._dual[2][1]),
              lat.locate(cone, cone.rays[0]), *facet_cones(cone)]
+    joins = fans._split(fans.Fan(4, (cone,)),
+                        {0: la.primitivize(cone.relint_point())})[0].maximal
+    assert len(joins) == len(cone.facets)
+    for join in joins:
+        assert_dual_of_its_rays(join)
     assert conversions() == start  # the outer facets were filled on build
     meet = lat.cone_intersect(cone, other)
     assert conversions() == start + 1  # the meet's rays, and no more

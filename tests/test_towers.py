@@ -76,6 +76,18 @@ def test_symbolic_vector_entry_validation():
     assert str(exc.value) == "symbols 0 and 1 share the name 'sqrt2'"
 
 
+def test_sign_refuses_a_functional_of_the_wrong_length():
+    """No input reaches this refusal: the one caller, ``lattice.locate``,
+    compares the vector's length with the cone's rank first and raises
+    DimensionMismatch itself."""
+    x = tw.symbolic_vector([1, (0, 1)], [SQRT2])
+    with pytest.raises(DimensionMismatch,
+                       match="functional has length 3, vector has 2"):
+        x.sign((1, 0, 0))
+    with pytest.raises(DimensionMismatch, match="vector length 2 vs ambient 3"):
+        locate(cg([(1, 0, 0)]), x)
+
+
 def test_sign_of_rational_and_zero():
     x = tw.symbolic_vector([1, (0, 1)], [SQRT2])
     assert x.sign((1, 0)) == 1
