@@ -90,15 +90,9 @@ def mat_rank(rows: Iterable[Sequence]) -> int:
 
 
 def _det_int(rows: Sequence[Sequence[int]]) -> int:
-    """Integer determinant: direct formulas up to 3x3, Bareiss above."""
+    """Integer determinant of a square matrix of size >= 1, by Bareiss
+    elimination: each division is exact, so no entry leaves Z."""
     n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    if n == 3:
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     m = [list(r) for r in rows]
     sign = 1
     prev = 1

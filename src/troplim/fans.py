@@ -2,12 +2,7 @@
 
 A fan is stored by its maximal cones; faces are derived on demand.  Validity
 means every pairwise intersection of stored cones is a common face of both.
-Completeness is certified by facet pairing: a valid fan of full-dimensional
-cones covers the whole space exactly when every facet of every maximal cone
-is shared with exactly one other maximal cone (the support is then closed and
-open off a codimension-2 set, hence everything).  Both criteria are exact
-integer computations.  ``Fan.complete`` runs the pairing on first read.  One
-routine, ``_split``, does every star split: the barycentric and
+One routine, ``_split``, does every star split: the barycentric and
 toward-direction tower steps differ only in which cones they split and at
 which rays.  It writes each join down with no conversion, its rays and
 also its H-side, the equations and facets read off the split cone's
@@ -29,20 +24,26 @@ vanish, get the full check: the meet is converted, and it is a face
 of each cone exactly when ``lattice.locate`` finds it as the minimal face
 holding its ray sum, so the messages and their order do not depend on the
 certificate.  The same signs skip the refinement of a pair whose meet lies
-in a facet, decide whether a facet lies in a carrier's facet, and pick the
-facets that a star split joins to its ray.  Since the cones of a valid fan
-meet in common faces, every maximal cone holding a point gives the same
-minimal face, so ``Fan.locate`` keeps the first one it finds.
+in a facet and pick the facets that a star split joins to its ray.  Since
+the cones of a valid fan meet in common faces, every maximal cone holding
+a point gives the same minimal face, so ``Fan.locate`` keeps the first one
+it finds.
 
-A subdivision witness records the coarse cone that carries each fine
-cone.  ``common_refinement`` knows its pieces' carriers, as ``_split``
-does: a full-dimensional piece lies in exactly one maximal cone of a valid
-pure fan.  Containment is not enough (the refinement might cover only part
-of a carrier), so it checks each witness by relative facet pairing inside
-each carrier: every facet of a fine cone must either be shared with a
-sibling in the same carrier or lie inside a facet of the carrier itself.  A
-standard walking argument shows this is equivalent to the fine cones tiling
-the carrier exactly; a witness that fails is None.
+Completeness and subdivision witnesses ask one question, whether some
+cones of a valid fan tile a cone sigma holding them, and ``_tiled``
+answers it by facet pairing: the cones, all of sigma's dimension, tile it
+exactly when each of their facets is shared by exactly two of them, or
+belongs to one only and lies in sigma's boundary, where ``lattice.locate``
+finds a proper face (a standard walking argument: their union is then
+closed and open in sigma off a codimension-2 set).  A fan is complete when
+its full-dimensional cones tile the whole space, which has no facet and so
+no boundary; ``Fan.complete`` asks on first read.  A subdivision witness
+records the coarse cone that carries each fine cone.
+``common_refinement`` knows its pieces' carriers, as ``_split`` does: a
+full-dimensional piece lies in exactly one maximal cone of a valid pure
+fan.  Containment is not enough (the refinement might cover only part of
+a carrier), so the pieces must tile each carrier; a witness that fails is
+None.
 
 All constructors return canonical values (cones sorted by ray data), so
 golden tests can compare fans directly.
@@ -132,24 +133,23 @@ class Fan:
         return carrier, holding
 
 
-def _pair_facets(maximal: Sequence[Cone]):
-    """Each facet cone of the given cones with the number sharing it."""
-    pairs: dict = {}
-    for c in maximal:
+def _tiled(cones: Sequence[Cone], sigma: Cone) -> bool:
+    """Do the cones, cones of a valid fan with sigma's dimension that lie
+    in sigma, tile it?  Each facet must be shared by two of them, or belong
+    to one and lie in sigma's boundary."""
+    # keyed by ray data, which hashes and compares faster than the cone
+    count: dict = {}
+    for c in cones:
         for f in facet_cones(c):
-            pairs.setdefault((f.rays, f.lines), [0, f])[0] += 1
-    return pairs.values()
+            count.setdefault((f.rays, f.lines), [0, f])[0] += 1
+    return all(k == 2 or k == 1 and locate(sigma, f.relint_point()) != sigma
+               for k, f in count.values())
 
 
 def _is_complete(maximal: Sequence[Cone], n: int) -> bool:
-    """Facet-pairing completeness test for a valid fan."""
-    if not maximal:
-        return False
-    if any(c.dim != n for c in maximal):
-        return False
-    if n == 0:
-        return True
-    return all(k == 2 for k, _ in _pair_facets(maximal))
+    """Do the maximal cones of a valid fan tile the whole space?"""
+    return bool(maximal) and all(c.dim == n for c in maximal) and \
+        _tiled(maximal, Cone(n, (), tuple(la.identity_rows(n))))
 
 
 def _sign_table(cones: Sequence[Cone]) -> list[tuple[int, int, list]]:
@@ -305,18 +305,8 @@ def _tiles(fine: Fan, coarse: Fan, carrier: Sequence[int]
         return None
     for j, taus in groups.items():
         sigma = coarse.maximal[j]
-        if taus == [sigma]:
-            continue
-        for count, f in _pair_facets(taus):
-            if count == 2:
-                continue
-            if count > 2:
-                return None
-            # f lies in sigma, so in the facet of a normal vanishing on it
-            gens = f.rays + f.lines
-            if not any(all(la.dot(g, x) == 0 for x in gens)
-                       for g in sigma.facets):
-                return None
+        if taus != [sigma] and not _tiled(taus, sigma):
+            return None
     return SubdivisionWitness(tuple(carrier))
 
 

@@ -12,6 +12,9 @@ its normal fan, a stellar subdivision at one ray, the complete rank-2
 fan of a ray set and the carrier search ``is_subdivision`` are the
 references that the exact routes, the split steps, the refinement
 witnesses and the randomized fan suites compare against or build from.
+Facet pairing with every boundary sign evaluated (``pair_facets``,
+``is_complete`` and ``tiles``) is the reference for the fan layer's one
+tiling check.
 The facet-sign certificate with every sign evaluated (``facing``,
 ``separated`` and ``certified_refinement``) is the reference for the
 sign tables of fan validation and refinement.  Cones with lines, which
@@ -424,7 +427,51 @@ def is_subdivision(fine: Fan, coarse: Fan):
             if found is None:
                 return None
         carrier.append(found)
-    return fans._tiles(fine, coarse, carrier)
+    return tiles(fine, coarse, carrier)
+
+
+def pair_facets(cones):
+    """Each facet cone of the given cones with the number sharing it."""
+    pairs = {}
+    for c in cones:
+        for f in fans.facet_cones(c):
+            pairs.setdefault((f.rays, f.lines), [0, f])[0] += 1
+    return pairs.values()
+
+
+def is_complete(maximal, n) -> bool:
+    """``fans._is_complete`` as facet pairing alone: a valid fan of
+    full-dimensional cones is complete when every facet is shared by
+    exactly two of them, and a rank-0 fan of the zero cone is."""
+    if not maximal or any(c.dim != n for c in maximal):
+        return False
+    return n == 0 or all(k == 2 for k, _ in pair_facets(maximal))
+
+
+def tiles(fine: Fan, coarse: Fan, carrier):
+    """``fans._tiles`` with each facet of a fine cone that no sibling
+    shares tested against the carrier's facets by evaluation: it lies in
+    the carrier's boundary when some facet normal vanishes on all of its
+    rays and lines."""
+    groups = {}
+    for i, j in enumerate(carrier):
+        groups.setdefault(j, []).append(fine.maximal[i])
+    if len(groups) != len(coarse.maximal):
+        return None
+    for j, taus in groups.items():
+        sigma = coarse.maximal[j]
+        if taus == [sigma]:
+            continue
+        for count, f in pair_facets(taus):
+            if count == 2:
+                continue
+            if count > 2:
+                return None
+            gens = f.rays + f.lines
+            if not any(all(la.dot(g, x) == 0 for x in gens)
+                       for g in sigma.facets):
+                return None
+    return fans.SubdivisionWitness(tuple(carrier))
 
 
 def facing(a: Cone, b: Cone) -> list[IVec]:
@@ -465,8 +512,8 @@ def certified_refinement(a: Fan, b: Fan):
                 carriers[m] = (i, j)
     fan = fans._trusted_fan(carriers, a.n)
     over = [carriers[c] for c in fan.maximal]
-    return fan, fans._tiles(fan, a, [i for i, _ in over]), \
-        fans._tiles(fan, b, [j for _, j in over])
+    return fan, tiles(fan, a, [i for i, _ in over]), \
+        tiles(fan, b, [j for _, j in over])
 
 
 def _half(v: IVec) -> int:

@@ -5,7 +5,9 @@ out by hand on quadrant-sized examples and frozen.  Randomized suites build
 complete rank-2 fans from random ray sets through the angular-sort helper and
 check the refinement algebra and the subdivision partial order against them.
 The facet-sign shortcuts of validation, refinement, subdivision and splitting
-are checked against test-local copies of the converting code they replace.
+are checked against test-local copies of the converting code they replace,
+and the one tiling check behind completeness and refinement witnesses
+against facet pairing with its boundary signs evaluated.
 """
 
 import itertools
@@ -15,11 +17,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from builders import (
     certified_refinement,
+    cone_from_halfspaces,
     cone_is_face,
     facing,
     fan_from_rays_2d,
+    is_complete,
     is_subdivision,
     make_cone,
+    pair_facets,
     separated,
     stellar_subdivision,
 )
@@ -320,7 +325,7 @@ def reference_is_subdivision(fine, coarse):
         return None
     for j, taus in groups.items():
         sigma_facets = fans.facet_cones(coarse.maximal[j])
-        for count, f in fans._pair_facets(taus):
+        for count, f in pair_facets(taus):
             if count == 2:
                 continue
             if count > 2:
@@ -635,6 +640,113 @@ def test_the_certificate_leaves_containment_and_t_junctions_to_the_check():
     assert not fans._separated(*fans._sign_table([quadrant, edge]))
     assert fans._separated(*fans._sign_table([quadrant,
                                               cg([(0, 1), (-1, 0)])]))
+
+
+# -- the one tiling check against facet pairing with evaluated signs --------
+
+
+def embedded(fan):
+    """A rank-2 fan in the plane x_3 = 0 of rank 3: pure of dimension 2, so
+    its facets pair up although it is not complete."""
+    return fans.fan_from_cones(
+        [make_cone([r + (0,) for r in c.rays], n=3,
+                   lines=[l + (0,) for l in c.lines]) for c in fan.maximal], 3)
+
+
+def low_fans(n):
+    """The valid fans of rank n of two opposite rays and of a line: above
+    rank 1 their cones are not full-dimensional, and their facets pair up
+    or are none."""
+    e = tuple(int(i == 0) for i in range(n))
+    return [fans.fan_from_cones([cg([e]), cg([tuple(-a for a in e)])], n),
+            fans.fan_from_cones([make_cone([], n=n, lines=[e])], n)]
+
+
+@st.composite
+def fans_to_tile(draw):
+    """A valid fan from each family the tiling check meets: complete rank-2
+    fans, tower levels of ranks 2-4, truncated perfect-cone fans, fans with
+    lines, fans of lower dimension, the zero fan of rank 0, and any of
+    these less one cone, whose support then covers less."""
+    kind = draw(st.sampled_from(("rank2", "tower", "perfect", "lines",
+                                 "embedded", "low", "rank0")))
+    if kind == "rank2":
+        fan = draw(complete_fans_2d())
+    elif kind == "tower":
+        fan = draw(tower_levels())
+    elif kind == "perfect":
+        fan = fans.fan_from_cones(perfect_cones(draw(st.sampled_from(
+            (2, 3)))), 3)
+    elif kind == "lines":
+        fan = draw(st.sampled_from((
+            halfplane_fan((1, 2)), lifted(quadrant_fan()),
+            lifted(halfplane_fan((0, 1))),
+            with_lines(orthant_image(2, draw(shears(2))), 4,
+                       shear_columns(4, draw(shears(4)))))))
+    elif kind == "embedded":
+        fan = embedded(draw(complete_fans_2d()))
+    elif kind == "low":
+        fan = draw(st.sampled_from(low_fans(draw(st.integers(1, 3)))))
+    else:
+        fan = fans.fan_from_cones([cone_from_halfspaces([], [], 0)], 0)
+    if len(fan.maximal) > 1 and draw(st.booleans()):
+        fan = partial(fan, draw(st.integers(0, len(fan.maximal) - 1)))
+    return fan
+
+
+def assert_same_tiling(a, b):
+    """Completeness of both fans, fresh and by validation, and both
+    witnesses of their refinement, against the reference."""
+    for fan in (a, b):
+        fresh = fans.Fan(fan.n, fan.maximal)
+        assert fresh.complete == is_complete(fan.maximal, fan.n) == \
+            fans.validate_fan(fan.maximal, fan.n).complete
+    if a.n != b.n or not (a.is_pure and b.is_pure and a.dim == b.dim):
+        return
+    ref = certified_refinement(a, b)
+    if not ref[0].maximal:
+        with pytest.raises(ValidationError):
+            fans.common_refinement(a, b)
+        return
+    assert fans.common_refinement(a, b) == ref
+    assert ref[1:] == (is_subdivision(ref[0], a), is_subdivision(ref[0], b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(fans_to_tile(), fans_to_tile())
+def test_completeness_and_witnesses_match_facet_pairing(a, b):
+    assert_same_tiling(a, b)
+    assert_same_tiling(a, a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cone_lists())
+def test_validated_completeness_matches_facet_pairing(cones):
+    report = fans.validate_fan(cones)
+    n = cones[0].n
+    assert report.complete == (report.valid and is_complete(cones, n))
+    if report.valid:
+        assert fans.fan_from_cones(cones).complete == report.complete
+
+
+def test_the_tiling_check_meets_each_family():
+    """Fixed cases: an incomplete fan whose facets all pair, a fan less a
+    cone, the zero fan, and witnesses of None over a fan whose support the
+    refinement does not cover."""
+    plane = embedded(quadrant_fan())
+    zero = fans.fan_from_cones([cone_from_halfspaces([], [], 0)], 0)
+    rays, line = low_fans(2)
+    for fan, complete in ((plane, False), (rays, False), (line, False),
+                          (partial(quadrant_fan(), 0), False), (zero, True),
+                          (lifted(quadrant_fan()), True)):
+        assert fans.Fan(fan.n, fan.maximal).complete is complete
+        assert is_complete(fan.maximal, fan.n) is complete
+    part = partial(quadrant_fan(), 0)
+    _, over_q, over_p = fans.common_refinement(quadrant_fan(), part)
+    assert over_q is None and over_p is not None
+    assert_same_tiling(quadrant_fan(), part)
+    assert_same_tiling(zero, zero)
+    assert_same_tiling(plane, embedded(halfplane_fan((1, -1))))
 
 
 def assert_same_split(fan, rays, got=None):

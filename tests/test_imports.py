@@ -109,16 +109,43 @@ def test_every_definition_is_named_outside_the_tests(path):
                             elsewhere) == []
 
 
-def attributes_read(tree: ast.AST) -> set[str]:
-    """Every ``x.name`` read anywhere under a node."""
-    return {node.attr for node in ast.walk(tree)
+def attributes_read(tree: ast.AST) -> set[tuple[str | None, str]]:
+    """Every ``x.name`` read anywhere under a node, as (owner, name).  The
+    owner is the class of x where it is evident: the first parameter of a
+    method, in its class, or a parameter annotated with a bare name; None
+    otherwise."""
+    methods = {fn: cls.name for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) for fn in cls.body
+               if isinstance(fn, ast.FunctionDef) and not any(
+                   isinstance(d, ast.Name) and d.id == "staticmethod"
+                   for d in fn.decorator_list)}
+    typed = {}
+    # ast.walk meets a function before the functions inside it, so an inner
+    # parameter that shadows an outer one overrides it
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        params = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+        classes = {a.arg: a.annotation.id
+                   if isinstance(a.annotation, ast.Name) else None
+                   for a in params}
+        if fn in methods and params:
+            classes[params[0].arg] = methods[fn]
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Attribute) and \
+                    isinstance(node.value, ast.Name) and \
+                    node.value.id in classes:
+                typed[node] = classes[node.value.id]
+    return {(typed.get(node), node.attr) for node in ast.walk(tree)
             if isinstance(node, ast.Attribute)
             and isinstance(node.ctx, ast.Load)}
 
 
-def unread_members(source: str, read: set[str]) -> list[str]:
+def unread_members(source: str,
+                   read: set[tuple[str | None, str]]) -> list[str]:
     """Methods, properties and annotated fields of the module's classes
-    whose names are not in ``read``; dunder methods are exempt."""
+    read neither through a receiver of their own class nor through one of
+    no evident class; dunder methods are exempt."""
     unread = []
     for cls in ast.walk(ast.parse(source)):
         if not isinstance(cls, ast.ClassDef):
@@ -132,7 +159,7 @@ def unread_members(source: str, read: set[str]) -> list[str]:
             else:
                 continue
             if not (name.startswith("__") and name.endswith("__")) and \
-                    name not in read:
+                    (None, name) not in read and (cls.name, name) not in read:
                 unread.append(f"{cls.name}.{name}")
     return unread
 
@@ -151,8 +178,31 @@ def test_the_scan_flags_an_unread_member():
               "    def spare(self):\n        return self.doubled\n"
               "def f(p):\n    p.knob = 'b'\n    return P(x=1, knob='c')\n")
     read = attributes_read(ast.parse(source))
-    assert read == {"x", "doubled"}
+    assert read == {("P", "x"), ("P", "doubled")}
     assert unread_members(source, read) == ["P.knob", "P.spare"]
+
+
+def test_the_scan_matches_a_read_to_its_evident_class():
+    """A and B share the member ``size``: ``self.size`` in A and ``b.size``
+    with b annotated B read only their own class's, and a receiver of no
+    evident class reads every member of that name."""
+    classes = ("class A:\n    def size(self):\n        return 1\n"
+               "    def twice(self):\n        return 2 * self.size()\n"
+               "class B:\n    def size(self):\n        return 2\n")
+    typed = ("def f(a: A, b: B):\n    return a.twice(), b.size()\n"
+             "def g(b: B):\n    def h(b):\n        return b.twice()\n"
+             "    return h\n")
+    source = classes + "def f(a: A):\n    return a.twice()\n"
+    read = attributes_read(ast.parse(source))
+    assert read == {("A", "size"), ("A", "twice")}
+    assert unread_members(source, read) == ["B.size"]
+    read = attributes_read(ast.parse(classes + typed))
+    assert read == {("A", "size"), ("A", "twice"), ("B", "size"),
+                    (None, "twice")}
+    assert unread_members(classes, read) == []
+    source = classes + "def g(x):\n    return x.size()\n"
+    assert unread_members(source, attributes_read(ast.parse(source))) == \
+        ["A.twice"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -163,8 +213,11 @@ def test_every_member_is_read_somewhere(path):
 
 # members that only the tests read, kept for the work that will read them:
 # Cone.is_unimodular for towers over moduli fans (ROADMAP item 8) and
-# Symbol.sqrt for rank-3 toward towers (item 3)
-TEST_READ_MEMBERS = {"Cone.is_unimodular", "Symbol.sqrt"}
+# Symbol.sqrt for rank-3 toward towers (item 3); and SubdivisionResult.carrier,
+# which the tests locate points through and the benchmark's tracer wraps by
+# name (perfbench/layers.py, METHODS)
+TEST_READ_MEMBERS = {"Cone.is_unimodular", "Symbol.sqrt",
+                     "SubdivisionResult.carrier"}
 
 
 def test_every_member_is_read_outside_the_tests():

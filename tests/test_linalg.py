@@ -3,7 +3,9 @@
 `_linalg.rref` eliminates in the integers.  The Gauss-Jordan elimination
 over `Fraction` below is the reference it replaced; the routines built on
 `rref` are checked against references built on it, on mixed int/Fraction
-matrices with zero, duplicate and dependent rows.
+matrices with zero, duplicate and dependent rows.  The integer determinant
+is checked against Gaussian elimination over `Fraction` on square integer
+matrices, singular ones included.
 """
 
 from fractions import Fraction
@@ -54,6 +56,25 @@ def reference_rref(rows):
         pivots.append(col)
         col += 1
     return [tuple(r) for r in out], pivots
+
+
+def reference_det(rows):
+    """Determinant over Q: Gaussian elimination with row swaps, Fraction
+    entries, the product of the pivots."""
+    m = [[Fraction(a) for a in row] for row in rows]
+    det = Fraction(1)
+    for col in range(len(m)):
+        piv = next((i for i in range(col, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in m[col + 1:]:
+            f = r[col] / m[col][col]
+            r[:] = [a - f * b for a, b in zip(r, m[col])]
+    return det
 
 
 def reference_primitivize(v):
@@ -190,3 +211,46 @@ def test_primitivize_matches_the_fraction_reference(vec):
     result = la.primitivize(vec)
     assert result == reference_primitivize(vec)
     assert all(type(a) is int for a in result)
+
+
+# -- det --------------------------------------------------------------------
+
+
+@st.composite
+def square_matrices(draw):
+    """Square integer matrices of sizes 1-5; about half are made singular
+    by a zero, repeated or combined row, or a zero column."""
+    n = draw(st.integers(1, 5))
+    row = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    kind = draw(st.sampled_from(("any", "zero row", "repeat", "comb",
+                                 "zero column")))
+    if kind == "zero row":
+        rows[draw(st.integers(0, n - 1))] = [0] * n
+    elif kind == "zero column":
+        k = draw(st.integers(0, n - 1))
+        rows = [r[:k] + [0] + r[k + 1:] for r in rows]
+    elif kind != "any" and n > 1:
+        # row i becomes a combination of one other row, or of two
+        i, j, *rest = draw(st.permutations(range(n)))
+        s, t = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        other = rows[rest[0]] if kind == "comb" and rest else [0] * n
+        rows[i] = [s * a + t * b for a, b in zip(rows[j], other)]
+    return rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(square_matrices())
+def test_det_matches_the_fraction_reference(rows):
+    det = la._det_int(rows)
+    assert type(det) is int
+    assert det == reference_det(rows)
+
+
+def test_det_cases():
+    assert la._det_int([[7]]) == 7
+    assert la._det_int([[0, 1], [1, 0]]) == -1
+    assert la._det_int([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    assert la._det_int([[2, 0, 0, 0], [0, 3, 0, 0], [0, 0, 0, 5],
+                        [0, 0, 7, 0]]) == -210
+    assert la._det_int([[1, 2], [2, 4]]) == 0

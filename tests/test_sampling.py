@@ -65,6 +65,18 @@ def test_sampler_rejects_unsupported_rank():
         sm.ptrop_sample_oracle({(1, 0, 0, 0): 1.0}, 4)
 
 
+def test_sampler_refuses_no_coefficients():
+    """No input file reaches this refusal: `ptrop` reads its file with
+    `io.parse_polynomial`, which refuses an empty term list first (exit 3,
+    the `trop` row of
+    `test_cli.py::test_malformed_inputs_exit_with_a_documented_code`).  The
+    guard stays for direct callers, since without it the degree check
+    would fail on the max of an empty sequence."""
+    for n in (2, 3):
+        with pytest.raises(ValueError, match="need at least one coefficient"):
+            sm.ptrop_sample_oracle({}, n)
+
+
 def test_sampler_refuses_a_degree_above_the_cap_unbuilt(monkeypatch):
     """At a cap of 3, x + y^3 and x^5 + y, of degree 1 in y, the variable
     solved for, are sampled, and x + y^4 is refused with no polynomial
