@@ -27,8 +27,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from operator import add, itemgetter
-from typing import Mapping, Optional, Sequence
+from operator import add, attrgetter, itemgetter
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import _linalg as la
 from .errors import (
@@ -59,8 +59,7 @@ CELL_CAP = 10 ** 6
 # -- complexes ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     """A simplex: dim+1 ordered codimension-1 faces, named."""
 
     name: str
@@ -127,8 +126,9 @@ def _assemble(cells: Sequence[Cell], affine: bool = True,
     if not cells:
         raise ValidationError("a complex needs at least one cell")
     _refuse_repeats([c.name for c in cells])
-    return DeltaComplex(tuple(sorted(cells, key=lambda c: (c.dim, c.name))),
-                        affine=affine, provenance=provenance)
+    return DeltaComplex(
+        tuple(sorted(cells, key=attrgetter("dim", "name"))),
+        affine=affine, provenance=provenance)
 
 
 def make_complex(cells: Sequence[tuple[str, Sequence[str]]],
@@ -224,9 +224,14 @@ def cycle_complex(m: int) -> DeltaComplex:
     if m < 1:
         raise ValueError("a cycle needs at least one edge")
     _refuse_beyond_cap(2 * m, f"cells of the {m}-cycle")
-    cells = [Cell(f"v{i}", 0, ()) for i in range(m)]
-    cells += [Cell(f"e{i}", 1, (f"v{(i + 1) % m}", f"v{i}"))
-              for i in range(m)]
+    # each index written once; ordered by that text, the cells come out
+    # in (dim, name) order already
+    text = [str(i) for i in range(m)]
+    order = sorted(range(m), key=text.__getitem__)
+    vs = ["v" + t for t in text]
+    succ = vs[1:] + vs[:1]
+    cells = [Cell(vs[i], 0, ()) for i in order]
+    cells += [Cell("e" + text[i], 1, (succ[i], vs[i])) for i in order]
     return _assemble(cells)
 
 

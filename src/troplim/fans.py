@@ -226,10 +226,11 @@ def _violations(cones: list[Cone], n: Optional[int]) -> list[str]:
     if violations:
         return violations
     table = _sign_table(cones)
+    keys = [_cone_key(c) for c in cones]
     for i in range(len(cones)):
         for j in range(i + 1, len(cones)):
             a, b = cones[i], cones[j]
-            if a == b:
+            if keys[i] == keys[j]:
                 violations.append(f"cones {i} and {j} are equal")
                 continue
             if _separated(table[i], table[j]):
@@ -262,7 +263,8 @@ def validate_fan(cones: Sequence[Cone], n: Optional[int] = None) -> FanReport:
 
 def _trusted_fan(cones: Sequence[Cone], n: int) -> Fan:
     """Build a fan from cones known to satisfy the axioms."""
-    return Fan(n, tuple(sorted(set(cones), key=_cone_key)))
+    unique = {_cone_key(c): c for c in cones}
+    return Fan(n, tuple(unique[k] for k in sorted(unique)))
 
 
 def fan_from_cones(cones: Sequence[Cone], n: Optional[int] = None) -> Fan:
@@ -325,7 +327,8 @@ def common_refinement(a: Fan, b: Fan) -> tuple[
     d = a.dim
     table = _sign_table(a.maximal + b.maximal)
     signs_a, signs_b = table[:len(a.maximal)], table[len(a.maximal):]
-    carriers: dict[Cone, tuple[int, int]] = {}
+    # each meet with its carriers, keyed by its rays and lines
+    carriers: dict[tuple, tuple[Cone, int, int]] = {}
     for i, (sa, ta) in enumerate(zip(a.maximal, signs_a)):
         for j, (sb, tb) in enumerate(zip(b.maximal, signs_b)):
             if _facing(ta, tb) or _facing(tb, ta):
@@ -333,13 +336,13 @@ def common_refinement(a: Fan, b: Fan) -> tuple[
                 continue
             m = cone_intersect(sa, sb)
             if m.dim == d:
-                carriers[m] = (i, j)
+                carriers[_cone_key(m)] = (m, i, j)
     if not carriers:
         raise ValidationError("fan supports have no full-dimensional overlap")
-    fan = _trusted_fan(carriers, a.n)
-    over = [carriers[c] for c in fan.maximal]
-    return fan, _tiles(fan, a, [i for i, _ in over]), \
-        _tiles(fan, b, [j for _, j in over])
+    over = [carriers[k] for k in sorted(carriers)]
+    fan = Fan(a.n, tuple(m for m, _, _ in over))
+    return fan, _tiles(fan, a, [i for _, i, _ in over]), \
+        _tiles(fan, b, [j for _, _, j in over])
 
 
 def _join(sigma: Cone, i: int, ray: IVec, values: Sequence[int]) -> Cone:
@@ -395,7 +398,8 @@ def _split(fan: Fan, rays: dict[int, IVec]
     equations and facets.  A full-dimensional join lies in no other maximal
     cone of a valid fan, so its carrier is j; a cone left whole is its own.
     """
-    carrier: dict[Cone, int] = {}
+    # each piece with its carrier, keyed by its rays and lines
+    carrier: dict[tuple, tuple[Cone, int]] = {}
     for j, sigma in enumerate(fan.maximal):
         ray = rays.get(j)
         # the ray lies in sigma, so in a facet exactly when its normal
@@ -404,7 +408,7 @@ def _split(fan: Fan, rays: dict[int, IVec]
         if not any(values):
             # no ray, or one in every facet and so in sigma's lineality
             # space (all of a cone with no facets): sigma is its own star
-            carrier[sigma] = j
+            carrier[_cone_key(sigma)] = (sigma, j)
             continue
         # the canonical representative of the ray modulo the lines: each
         # RREF line pivots on its first nonzero entry
@@ -412,7 +416,8 @@ def _split(fan: Fan, rays: dict[int, IVec]
         ray = la.primitivize(la.reduce_prepared(ray, sigma.lines, pivots))
         for i, value in enumerate(values):
             if value:
-                carrier[_join(sigma, i, ray, values)] = j
-    maximal = tuple(sorted(carrier, key=_cone_key))
-    return Fan(fan.n, maximal), \
-        SubdivisionWitness(tuple(carrier[c] for c in maximal))
+                join = _join(sigma, i, ray, values)
+                carrier[_cone_key(join)] = (join, j)
+    pieces = [carrier[k] for k in sorted(carrier)]
+    return Fan(fan.n, tuple(c for c, _ in pieces)), \
+        SubdivisionWitness(tuple(j for _, j in pieces))

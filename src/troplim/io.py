@@ -157,9 +157,9 @@ def _json_leaf(obj, nl: str = "\n") -> str:
 
 
 def _complex_json(x: DeltaComplex, nl: str) -> str:
-    """The JSON of a complex's dict form nested at ``nl``: one loop over
-    the cells, each cell's text built from one join of its quoted face
-    names."""
+    """The JSON of a complex's dict form nested at ``nl``: one f-string
+    per cell, around one join of its quoted face names, and one join of
+    the cells' texts."""
     # the indents of the complex's keys, its cells, their keys, face names
     keys = nl + "  "
     cell = keys + "  "
@@ -168,16 +168,15 @@ def _complex_json(x: DeltaComplex, nl: str) -> str:
     head, sep, tail = "[" + face, "," + face, field + "]"
     open_cell, name = "{" + field + '"faces": ', "," + field + '"name": '
     close_cell = cell + "}"
-    cells = [open_cell
-             + (head + sep.join(map(_quote, c.faces)) + tail if c.faces
-                else "[]")
-             + name + _quote(c.name) + close_cell for c in x.cells]
-    return ("{" + keys + '"affine": ' + _json_leaf(x.affine) + ","
-            + keys + '"cells": '
-            + ("[" + cell + ("," + cell).join(cells) + keys + "]"
-               if cells else "[]")
-            + "," + keys + '"provenance": ' + _json_leaf(x.provenance)
-            + nl + "}")
+    cells = "[]"
+    if x.cells:
+        cells = f"[{cell}" + f",{cell}".join([
+            f"{open_cell}{head}{sep.join(map(_quote, c.faces))}{tail}"
+            f"{name}{_quote(c.name)}{close_cell}" if c.faces else
+            f"{open_cell}[]{name}{_quote(c.name)}{close_cell}"
+            for c in x.cells]) + f"{keys}]"
+    return (f'{{{keys}"affine": {_json_leaf(x.affine)},{keys}"cells": '
+            f'{cells},{keys}"provenance": {_json_leaf(x.provenance)}{nl}}}')
 
 
 def _json_key(key) -> str:

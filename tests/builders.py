@@ -4,10 +4,13 @@ None of these is reached by the library.  The complexes (a point, a
 segment, a triangle, the square as two triangles, the boundary and the
 solid tetrahedron, the torus of two triangles) are what the tests
 subdivide, map and compare, their dict form is what complex files hold,
-and a rational vector is the plain case of a
-symbolic direction.  The incidences of a cycle of rational curves and of
-a nodal cubic, with the collapse of an analytic dual complex to its
-algebraic one, build the dual-complex examples.  The Newton polytope and
+and its ``json.dumps`` text is what `io.canonical_json` must write.  The
+m-cycle with its names formatted per cell and validated by
+``make_complex`` is the reference for ``cycle_complex``.  A rational
+vector is the plain case of a symbolic direction.  The incidences of a
+cycle of rational curves and of a nodal cubic, with the collapse of an
+analytic dual complex to its algebraic one, build the dual-complex
+examples.  The Newton polytope and
 its normal fan, a stellar subdivision at one ray, the complete rank-2
 fan of a ray set and the carrier search ``is_subdivision`` are the
 references that the exact routes, the split steps, the refinement
@@ -29,6 +32,7 @@ by evaluation.
 """
 
 import itertools
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -145,6 +149,18 @@ def serialize_complex(x: DeltaComplex) -> dict:
         "affine": x.affine,
         "provenance": x.provenance,
     }
+
+
+def json_reference(obj) -> str:
+    """The text `io.canonical_json` must write for obj."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def cycle_reference(m: int) -> DeltaComplex:
+    """The m-cycle with each name formatted per cell, through make_complex."""
+    return make_complex([(f"v{i}", []) for i in range(m)] +
+                        [(f"e{i}", [f"v{(i + 1) % m}", f"v{i}"])
+                         for i in range(m)])
 
 
 def rational_vector(v) -> SymbolicVector:

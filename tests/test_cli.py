@@ -16,6 +16,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from builders import (
+    json_reference,
     nodal_cubic_incidence,
     rational_vector,
     segment_complex,
@@ -31,6 +32,7 @@ from troplim import io
 from troplim import lattice
 from troplim import sampling
 from troplim.complexes import (
+    Cell,
     cycle_complex,
     from_incidence,
     make_complex,
@@ -112,10 +114,6 @@ def test_round_trips_are_byte_identical(tmp_path):
 # -- canonical JSON against json.dumps ---------------------------------------
 
 
-def json_reference(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
 JSON_STRINGS = st.one_of(st.text(), st.sampled_from(
     ["", '"', "\\", "\x00\x1f\x7f", "caf\u00e9", "\u2028", "\ud800",
      "\U0001f600", '\\"\n\t']))
@@ -137,8 +135,13 @@ def json_trees(children):
                                                        max_size=4)))
 
 
+# a raw cell is a named tuple, which json.dumps writes as a list
+JSON_CELLS = st.builds(Cell, JSON_STRINGS, st.integers(),
+                       st.lists(JSON_STRINGS, max_size=3).map(tuple))
+
+
 @settings(deadline=None, max_examples=300)
-@given(st.recursive(JSON_LEAVES, json_trees, max_leaves=25))
+@given(st.recursive(JSON_LEAVES | JSON_CELLS, json_trees, max_leaves=25))
 def test_canonical_json_matches_json_dumps(obj):
     assert io.canonical_json(obj) == json_reference(obj)
 

@@ -16,8 +16,10 @@ from builders import (
     affine_dim,
     collapse_to_algebraic,
     component_ratio,
+    cycle_reference,
     face_lattice,
     identity_map,
+    json_reference,
     nodal_cubic_incidence,
     point_complex,
     polygon_incidence,
@@ -34,7 +36,9 @@ from troplim import complexes
 from troplim import io as troplim_io
 from troplim import lattice
 from troplim.complexes import (
+    Cell,
     DeltaComplex,
+    _assemble,
     _drop_walls,
     _lowest_images,
     _occurrences,
@@ -164,6 +168,36 @@ def test_make_complex_rejects_broken_simplicial_identity():
 def test_cycle_needs_an_edge():
     with pytest.raises(ValueError):
         cycle_complex(0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 9, 10, 11, 99, 100, 101, 999, 1000,
+                               1001, 1536])
+def test_cycle_complex_matches_the_reference(m):
+    """Names written once per index and ordered by their text give the
+    cells, order and faces of names formatted per cell and sorted by
+    make_complex, across every change in digit count."""
+    x, reference = cycle_complex(m), cycle_reference(m)
+    assert [(c.name, c.dim, c.faces) for c in x.cells] == \
+        [(c.name, c.dim, c.faces) for c in reference.cells]
+    assert x == reference
+    assert troplim_io.canonical_json(x) == \
+        json_reference(serialize_complex(reference))
+
+
+def test_cells_are_values():
+    """A cell is immutable, and the same cells make equal complexes with
+    equal hashes through make_complex and through _assemble."""
+    x = tetrahedron_solid()
+    cell = x.cells[-1]
+    with pytest.raises(AttributeError):
+        cell.name = "other"
+    with pytest.raises(AttributeError):
+        cell.faces = ()
+    assert cell == Cell(cell.name, cell.dim, cell.faces)
+    rebuilt = make_complex([(c.name, c.faces) for c in reversed(x.cells)])
+    assembled = _assemble(list(reversed(x.cells)))
+    assert rebuilt == assembled == x
+    assert hash(rebuilt) == hash(assembled) == hash(x)
 
 
 # -- stratification incidence --
