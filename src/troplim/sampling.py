@@ -22,13 +22,14 @@ path by path: one draw of every path's random numbers (the same stream);
 one complex array of polynomials, one row per path and radius, built on
 the real and imaginary parts of power tables with the formulas of Python's
 scalar complex product and integer power, term by term in a fixed order;
-each row's nonzero span read off a mask, and the rows of one trimmed length
-gathered and solved together as companion-matrix eigenvalues, exactly what
-numpy.roots returns for each; the slopes of the paths whose two root counts
-agree read with one abs, sort and log per count; and the directions divided
-by totals summed in the order Python's sum adds floats.  numpy's array
-complex product and square differ from Python's in the last bits on many
-inputs, so neither is used.
+the rows of one trimmed length solved together as companion-matrix
+eigenvalues, exactly what numpy.roots returns for each, of which only the
+magnitudes are kept, in one zero-padded table; the slopes of the paths
+whose two root counts agree read off it with one sort, log and difference
+per count; the directions divided by totals summed in the order Python's
+sum adds floats; and the clusters grown over the rows of the closeness
+graph packed as int bitmasks.  numpy's array complex product and square
+differ from Python's in the last bits on many inputs, so neither is used.
 """
 
 from __future__ import annotations
@@ -154,29 +155,32 @@ def _last_var_polys(coeffs: Mapping[IVec, complex],
     return polys
 
 
-def _batched_roots(polys: np.ndarray) -> list[np.ndarray]:
-    """np.roots of every row of a complex array, bit for bit, with one
-    eigenvalue call per trimmed length.
+def _root_slopes(polys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exponent estimates for the vanishing branches of each path, whose
+    polynomials at the last two radii are rows 2i and 2i + 1: the path
+    indices, increasing, and beside them the difference quotients of the
+    path's sorted log root magnitudes inside (MIN_SLOPE, MAX_SLOPE), none
+    for a path whose two root counts differ.
 
-    As in np.roots: leading zeros are stripped, each trailing zero adds one
-    zero root after the eigenvalues, and a row that is zero, or constant
-    once trimmed, has no other root.  Each row's first and last nonzero
-    entries are read off a nonzero mask with ``argmax``; the rows of one
-    trimmed length are gathered into one array, whose companion matrices,
-    first row -p[1:]/p[0] and ones below the diagonal (Edelman & Murakami
-    1995), are stacked into one eigenvalue call.
+    The roots are np.roots' of each row, bit for bit: leading zeros are
+    stripped, each trailing zero adds one zero root, and a row that is zero,
+    or constant once trimmed, has no other root.  Each row's nonzero span is
+    read off a mask with ``argmax``; the rows of one trimmed length are
+    gathered, and their companion matrices, first row -p[1:]/p[0] and ones
+    below the diagonal (Edelman & Murakami 1995), stacked into one
+    eigenvalue call.  Only the magnitudes are kept, in one table whose zero
+    padding stands for the zero roots.
     """
     import numpy as np
     width = polys.shape[1]
     nonzero = polys != 0
     first = nonzero.argmax(axis=1)
     last = width - 1 - nonzero[:, ::-1].argmax(axis=1)
-    zeros = (width - 1 - last).tolist()
     sizes = np.where(nonzero.any(axis=1), last - first + 1, 0)
     # a zero row has no root (its mask puts its last nonzero entry at the
     # end, so it counts no trailing zero), a constant one only those zeros
-    roots: list = [np.zeros(z) if size < 2 else None
-                   for size, z in zip(sizes.tolist(), zeros)]
+    counts = np.maximum(sizes - 1, 0) + (width - 1 - last)
+    mags = np.zeros((len(polys), counts.max(initial=0)))
     for size in np.unique(sizes[sizes > 1]).tolist():
         rows = np.flatnonzero(sizes == size)
         p = polys[rows[:, None], first[rows, None] + np.arange(size)]
@@ -184,68 +188,66 @@ def _batched_roots(polys: np.ndarray) -> list[np.ndarray]:
         companion[:, 0, :] = -p[:, 1:] / p[:, :1]
         below = np.arange(size - 2)
         companion[:, below + 1, below] = 1
-        for i, eig in zip(rows.tolist(), np.linalg.eigvals(companion)):
-            roots[i] = np.concatenate((eig, np.zeros(zeros[i], eig.dtype))) \
-                if zeros[i] else eig
-    return roots
-
-
-def _path_slopes(before: Sequence[np.ndarray], after: Sequence[np.ndarray]
-                 ) -> list[list[float]]:
-    """Exponent estimates for each path's vanishing branches, from its roots
-    at the last two radii: the difference quotient of their sorted log
-    magnitudes, and none when the two root counts differ.  The pairs of
-    each length are stacked and read with one abs, sort and log."""
-    import numpy as np
-    slopes: list[list[float]] = [[] for _ in before]
-    by_length: dict[int, list[int]] = {}
-    for i, (b, a) in enumerate(zip(before, after)):
-        if len(b) == len(a):
-            by_length.setdefault(len(b), []).append(i)
-    for members in by_length.values():
-        pairs = np.array([(before[i], after[i]) for i in members])
-        logs = np.log(np.maximum(np.sort(np.abs(pairs), axis=-1), 1e-280))
-        quot = (logs[:, 1] - logs[:, 0]) / math.log(DECAY)
-        for i, row in zip(members, quot.tolist()):
-            slopes[i] = [s for s in row if MIN_SLOPE < s < MAX_SLOPE]
-    return slopes
+        mags[rows, :size - 1] = np.abs(np.linalg.eigvals(companion))
+    before, after = counts[::2], counts[1::2]
+    slopes = np.full((len(before), mags.shape[1]), -np.inf)  # kept by none
+    for count in np.unique(before[before == after]).tolist():
+        paths = np.flatnonzero((before == count) & (after == count))
+        pairs = mags[2 * paths[:, None] + np.arange(2), :count]
+        logs = np.log(np.maximum(np.sort(pairs, axis=-1), 1e-280))
+        slopes[paths, :count] = (logs[:, 1] - logs[:, 0]) / math.log(DECAY)
+    paths, branches = np.nonzero((MIN_SLOPE < slopes) & (slopes < MAX_SLOPE))
+    return paths, slopes[paths, branches]
 
 
 def _cluster(directions: np.ndarray, angle: float) -> list[Cluster]:
     """Single-linkage clustering at the given angular threshold.
 
     Clusters are the connected components of the graph linking directions
-    closer than the angle, found by a breadth-first search from each lowest
-    unlabelled index; members are summed in increasing index order.
+    closer than the angle, each grown from its lowest index by OR-ing the
+    graph's rows, packed into int bitmasks, of its newly reached members.
+    One stable argsort of the labels lists each cluster's members in
+    increasing index order, the order in which they are summed.
     """
     import numpy as np
     m = len(directions)
     unit = directions / np.linalg.norm(directions, axis=1, keepdims=True)
+    # one symmetric product (syrk) with its triangle copied, so the graph
+    # is symmetric bit for bit
     gram = unit @ unit.T
     # arccos(gram) < angle, decided by gram alone outside a band around
-    # cos(angle) that is far wider than arccos's error, and by arccos on the
-    # few pairs inside it; the upper triangle, mirrored, so the graph is
-    # symmetric bit for bit
+    # cos(angle) far wider than arccos's error, and by arccos inside it
     cos = math.cos(angle)
     close = gram > cos + 1e-9
     band = (gram > cos - 1e-9) & ~close
     close[band] = np.arccos(gram[band]) < angle
-    close = np.triu(close, 1)
-    close |= close.T
-    labels = np.full(m, -1)
-    clusters = []
+    packed = np.packbits(close, axis=1, bitorder="little")
+    step, data = packed.shape[1], packed.tobytes()
+    rows = [int.from_bytes(data[i:i + step], "little")
+            for i in range(0, m * step, step)]
+    labels = [-1] * m
+    sizes: list[int] = []
     for seed in range(m):
         if labels[seed] >= 0:
             continue
-        frontier = np.array([seed])
-        while frontier.size:
-            labels[frontier] = seed
-            frontier = np.flatnonzero(close[frontier].any(axis=0)
-                                      & (labels < 0))
-        members = np.flatnonzero(labels == seed)
-        total = unit[members].sum(axis=0)
+        reached = frontier = 1 << seed
+        while frontier:
+            grown = 0
+            while frontier:
+                bit = frontier & -frontier
+                i = bit.bit_length() - 1
+                labels[i] = len(sizes)
+                grown |= rows[i]
+                frontier ^= bit
+            frontier = grown & ~reached
+            reached |= frontier
+        sizes.append(reached.bit_count())
+    order = np.argsort(labels, kind="stable")
+    clusters = []
+    for end, size in zip(np.cumsum(sizes).tolist(), sizes):
+        total = unit[order[end - size:end]].sum(axis=0)
         norm = total / total.sum()
-        clusters.append(Cluster(tuple(float(c) for c in norm), len(members)))
+        clusters.append(Cluster(tuple(norm.tolist()), size))
     return sorted(clusters, key=lambda c: c.direction)
 
 
@@ -282,14 +284,12 @@ def ptrop_sample_oracle(coeffs: Mapping[IVec, complex], n: int,
     sin = np.array([[math.sin(t) for t in ts] for ts in thetas])[:, None]
     fixed = np.empty((PATHS, len(radii), n - 1), dtype=complex)
     fixed.real, fixed.imag = _prod(scale, 0.0, cos, sin)
-    roots = _batched_roots(_last_var_polys(coeffs, fixed.reshape(-1, n - 1)))
-    slopes = _path_slopes(roots[::2], roots[1::2])
-    rows = np.repeat(np.arange(PATHS), [len(s) for s in slopes])
+    rows, last = _root_slopes(
+        _last_var_polys(coeffs, fixed.reshape(-1, n - 1)))
     if not rows.size:
         raise NoBranchFound(
             "no path produced a branch approaching the origin; the germ may "
             "miss the origin entirely")
-    last = np.array([s for path in slopes for s in path])
     w = weights[rows]
     # summed left to right, as Python 3.11's sum adds floats: (w0 + w1) + s
     total = (w[:, 0] if n == 2 else w[:, 0] + w[:, 1]) + last

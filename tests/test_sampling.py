@@ -162,6 +162,30 @@ def _draw_path(rng, n):
             lambda r: (r ** w[0] * phases[0], r ** w[1] * phases[1]))
 
 
+def _per_path(paths, slopes, count):
+    """The stage's path indices and slopes as one list per path, after
+    checking that the paths come out in increasing order."""
+    assert paths.dtype.kind == "i" and (np.diff(paths) >= 0).all()
+    out = [[] for _ in range(count)]
+    for i, s in zip(paths.tolist(), slopes.tolist()):
+        out[i].append(s)
+    return out
+
+
+def _stage(rows):
+    """``_root_slopes`` of polynomials left-padded with zeros to a common
+    width, rows 2i and 2i + 1 being path i's, as one list per path."""
+    width = max(map(len, rows), default=1)
+    padded = np.zeros((len(rows), width), dtype=complex)
+    for row, p in zip(padded, rows):
+        row[width - len(p):] = p
+    return _per_path(*sm._root_slopes(padded), len(rows) // 2)
+
+
+def _bits(per_path):
+    return [[s.hex() for s in slopes] for slopes in per_path]
+
+
 @pytest.mark.parametrize("terms, n, seed", [
     ({(1, 1): 0, (3, 0): 0, (0, 3): 0}, 2, 1),
     ({(2, 1): 0, (0, 2): 0, (5, 0): 0, (1, 3): 0}, 2, 4),
@@ -170,27 +194,28 @@ def _draw_path(rng, n):
 ])
 def test_branch_slopes_solve_only_the_last_two_radii(monkeypatch, terms, n,
                                                      seed):
-    solve, slopes_of = sm._batched_roots, sm._path_slopes
+    eigvals, stage = np.linalg.eigvals, sm._root_slopes
     batches = []
     found = []
 
-    def counted(polys):
-        batches.append(len(polys))
-        return solve(polys)
+    def counted(companions):
+        batches.append(companions.shape)
+        return eigvals(companions)
 
-    def read(before, after):
-        slopes = slopes_of(before, after)
-        found.append(slopes)
-        return slopes
+    def read(polys):
+        found.append(stage(polys))
+        return found[-1]
 
-    monkeypatch.setattr(sm, "_batched_roots", counted)
-    monkeypatch.setattr(sm, "_path_slopes", read)
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    monkeypatch.setattr(sm, "_root_slopes", read)
     coeffs = sm.lift_coefficients(tp.trop_poly(terms), seed=seed)
     sm.ptrop_sample_oracle(coeffs, n)
-    # one batch, holding two polynomials per path, and one slope stage
-    assert batches == [2 * sm.PATHS]
-    [paths] = found
-    assert len(paths) == sm.PATHS
+    # one eigenvalue call per trimmed length, holding two polynomials per
+    # path in all, and one slope stage
+    assert len({shape[1:] for shape in batches}) == len(batches)
+    assert sum(shape[0] for shape in batches) == 2 * sm.PATHS
+    [result] = found
+    paths = _per_path(*result, sm.PATHS)
     rng = np.random.default_rng(0)
     for slopes in paths:
         _, fixed_at = _draw_path(rng, n)
@@ -217,10 +242,10 @@ root = st.one_of(
 
 @st.composite
 def root_pairs(draw):
-    """Roots of one path at the last two radii, as ``_batched_roots`` gives
-    them: equal or unequal counts, exact zero roots, single roots, and the
-    real zero arrays of a monomial; the second set is often the first one
-    shrunk, so that many slopes fall inside the kept range."""
+    """Roots of one path at the last two radii: equal or unequal counts,
+    exact zero roots, single roots, and the real zero roots of a monomial;
+    the second set is often the first one shrunk, so that many slopes fall
+    inside the kept range."""
     def roots(size):
         if draw(st.booleans()) and draw(st.booleans()):
             return np.zeros(size)
@@ -239,10 +264,12 @@ def root_pairs(draw):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(root_pairs(), max_size=12))
 def test_path_slopes_match_the_slopes_of_each_path(pairs):
-    before = [b for b, _ in pairs]
-    after = [a for _, a in pairs]
-    assert sm._path_slopes(before, after) == \
-        [_slopes(b, a) for b, a in pairs]
+    """Each path's two rows are the polynomials with the drawn roots, and
+    its slopes are those of np.roots of each row, path by path."""
+    rows = [np.atleast_1d(np.poly(roots)) for pair in pairs for roots in pair]
+    assert _bits(_stage(rows)) == _bits(
+        [_slopes(np.roots(b), np.roots(a))
+         for b, a in zip(rows[::2], rows[1::2])])
 
 
 # coordinates with a zero part of either sign, substituted next to the
@@ -272,11 +299,6 @@ def test_power_tables_keep_every_coefficient_bit_for_bit(n):
     check()
 
 
-def _same_roots(ours, theirs):
-    return (ours.dtype == theirs.dtype and ours.shape == theirs.shape
-            and ours.tobytes() == theirs.tobytes())
-
-
 # np.roots strips leading zeros, appends one zero root per trailing zero,
 # and finds no root of a polynomial that is zero or constant once trimmed
 EDGE_POLYS = [
@@ -293,16 +315,22 @@ coefficient = st.one_of(
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.lists(coefficient, min_size=1, max_size=8), max_size=10))
 def test_batched_roots_match_np_roots_bit_for_bit(polys):
-    """Each row is one polynomial left-padded with zeros to a common width;
-    np.roots strips leading zeros, so it reads the unpadded polynomial."""
+    """Each row is paired with the monomial of its root count, whose roots
+    are exact zeros, and read with the slope window opened: every root
+    gives one slope, the log quotient of its magnitude, so the rows' sorted
+    root magnitudes are those of np.roots, which strips leading zeros."""
     polys = [np.array(p, dtype=complex) for p in EDGE_POLYS + polys]
-    width = max(len(p) for p in polys)
-    padded = np.array([[0] * (width - len(p)) + list(p) for p in polys],
-                      dtype=complex)
-    roots = sm._batched_roots(padded)
-    assert len(roots) == len(polys)
-    for ours, p in zip(roots, polys):
-        assert _same_roots(ours, np.roots(p))
+    rows = []
+    for p in polys:
+        rows += [[1] + [0] * len(np.roots(p)), p]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sm, "MIN_SLOPE", -math.inf)
+        mp.setattr(sm, "MAX_SLOPE", math.inf)
+        ours = _stage(rows)
+        theirs = [_slopes(np.roots(m), np.roots(p))
+                  for m, p in zip(rows[::2], rows[1::2])]
+    assert _bits(ours) == _bits(theirs)
+    assert [len(s) for s in ours] == [len(np.roots(p)) for p in polys]
 
 
 def _reference_oracle(coeffs, n, seed=0):
@@ -525,12 +553,10 @@ def _union_find_clusters(directions, angle):
             i = parent[i]
         return i
 
-    for i in range(m):
-        for j in range(i + 1, m):
-            if close[i, j]:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
+    for i, j in np.argwhere(np.triu(close, 1)).tolist():
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
     groups = {}
     for i in range(m):
         groups.setdefault(find(i), []).append(i)
@@ -549,7 +575,18 @@ def _arc(m, step):
     return np.stack([np.cos(t), np.sin(t), np.full(m, 0.5)], axis=1)
 
 
+def _grid(side, step):
+    """side ** 2 positive directions (1, a, b) on a square grid of the
+    given spacing in a and b."""
+    a, b = np.meshgrid(np.arange(side), np.arange(side))
+    return np.column_stack([np.ones(side ** 2), 0.5 + step * a.ravel(),
+                            0.5 + step * b.ravel()])
+
+
 ANGLE = sm.CLUSTER_ANGLE
+# 800 plane directions (1, s), s drawn around 1.5 with spread 1e-4
+DENSE = np.column_stack([np.ones(800), 1.5 + np.random.default_rng(7).normal(
+    scale=1e-4, size=800)])
 
 
 @pytest.mark.parametrize("name, directions, sizes", [
@@ -559,6 +596,10 @@ ANGLE = sm.CLUSTER_ANGLE
     ("all close", np.tile([[0.2, 0.3, 0.5]], (25, 1)), [25]),
     ("two chains", np.concatenate([_arc(9, ANGLE), _arc(7, ANGLE)[::-1]
                                    + [0, 0, 1]]), [7, 9]),
+    # oracle-sized sets: a germ's paths times its branches
+    ("dense plane", DENSE, [800]),
+    ("long chain", _arc(320, ANGLE), [320]),
+    ("singleton grid", _grid(15, 20 * ANGLE), [1] * 225),
 ])
 def test_cluster_shapes_match_union_find(name, directions, sizes):
     clusters = sm._cluster(directions, ANGLE)
@@ -576,6 +617,18 @@ def test_cluster_components_match_union_find_on_random_sets():
         directions = np.abs(picks + noise) + 1e-3
         assert sm._cluster(directions, ANGLE) == \
             _union_find_clusters(directions, ANGLE)
+
+
+@pytest.mark.parametrize("columns", [2, 3])
+def test_gram_of_unit_directions_is_symmetric_bit_for_bit(columns):
+    """``_cluster`` reads its graph off the whole Gram with no mirror, which
+    holds because numpy forms unit @ unit.T as one symmetric product."""
+    rng = np.random.default_rng(columns)
+    for m in (1, 2, 3, 7, 8, 64, 65, 127, 300, 513, 800):
+        directions = rng.random((m, columns)) + 1e-3
+        unit = directions / np.linalg.norm(directions, axis=1, keepdims=True)
+        gram = unit @ unit.T
+        assert gram.tobytes() == gram.T.tobytes()
 
 
 SRC = Path(sm.__file__).resolve().parents[1]
