@@ -8,7 +8,8 @@ short human summary.  `--output` captures the primary artifact: for
 complex file, and for every other subcommand the JSON report itself.
 
 Exit codes: 0 success, 2 validation failure, 3 parse failure, 4 resource
-cap (ambient rank, tower depth or cells built).
+cap (ambient rank, tower depth, cells built or the sampling oracle's
+degree, `sampling.DEGREE_CAP`).
 """
 
 from __future__ import annotations

@@ -262,9 +262,8 @@ def validate_fan(cones: Sequence[Cone], n: Optional[int] = None) -> FanReport:
 
 
 def _trusted_fan(cones: Sequence[Cone], n: int) -> Fan:
-    """Build a fan from cones known to satisfy the axioms."""
-    unique = {_cone_key(c): c for c in cones}
-    return Fan(n, tuple(unique[k] for k in sorted(unique)))
+    """Build a fan from pairwise unequal cones that satisfy the axioms."""
+    return Fan(n, tuple(sorted(cones, key=_cone_key)))
 
 
 def fan_from_cones(cones: Sequence[Cone], n: Optional[int] = None) -> Fan:

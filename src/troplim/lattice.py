@@ -18,16 +18,16 @@ it vanishes on, and the face of a set of facets keeps the rays in the AND
 of their masks, with no conversion and no row evaluated.  Everything
 downstream trusts the stored canonical form.  Conversion both ways runs
 through one workhorse, ``halfspaces_to_generators``, the double description
-method (Motzkin et al. 1953) over Z: rows are added one at a time to the
-lines and extreme rays of the cone cut out so far, and adjacent rays on
-opposite sides of a new row are combined, adjacency decided from the rows
-each ray makes tight (Fukuda & Prodon 1996).  Two adjacent rays span a
-2-dimensional face modulo the lines, cut out by the rows tight on both, so
-those number at least n - len(lines) - 2 and a pair with fewer is skipped
-unscanned.  The engine keeps each ray's tight rows as an int bitmask and
-hands them over with the rays, bit j for the j-th inequality as the caller
-gave it, so ``face_lattice`` walks the faces of a cone over generators
-from the masks of their one conversion, with no row evaluated again.
+method (Motzkin et al. 1953) over Z: the rows are added one at a time, as
+given, to the lines and extreme rays of the cone cut out so far, and
+adjacent rays on opposite sides of a new row are combined, adjacency decided
+from the rows each ray makes tight (Fukuda & Prodon 1996).  Two adjacent
+rays span a 2-dimensional face modulo the lines, cut out by the rows tight
+on both, so those number at least n - len(lines) - 2 (each copy of a repeat
+counts, which only loosens this) and a pair with fewer is skipped unscanned.
+Each ray's tight rows are an int bitmask, bit j for the j-th inequality as
+given, so ``face_lattice`` walks the faces of a cone over generators from
+the masks of their one conversion, with no row evaluated again.
 
 Each containment question has one routine.  ``locate`` gives the minimal
 face holding a point: the cone itself for a point of its relative
@@ -95,15 +95,15 @@ def halfspaces_to_generators(
     keeps its tight rows, and the masks are the engine's own, read off
     with no further evaluation.
 
-    The rows are added one at a time, equations first, starting from the
-    whole space (lines = the unit vectors, no rays).  A row that is nonzero
-    on some line turns that line into a ray (or drops it, for an equation);
-    otherwise each pair of adjacent rays on opposite sides of the row gives
-    a new ray on it, and the rays on its negative side go.  Every new
-    vector is an integer combination, primitivized.  Two rays are adjacent
-    when they span a 2-dimensional face modulo the lines; the rows tight
-    on that face have rank n - len(lines) - 2, so a pair with fewer common
-    tight rows is not adjacent and is dropped before the adjacency test.
+    The rows are added one at a time as given, equations first, from the
+    whole space (lines = the unit vectors, no rays).  A row nonzero on some
+    line turns that line into a ray (or drops it, for an equation); otherwise
+    each pair of adjacent rays on opposite sides of the row gives a new ray
+    on it, and the rays on its negative side go.  Every new vector is an
+    integer combination, primitivized.  Two rays are adjacent when they span
+    a 2-dimensional face modulo the lines; the rows tight on it have rank
+    n - len(lines) - 2, so a pair with fewer common tight bits is skipped
+    before the adjacency test (repeats, counted per copy, only loosen this).
 
     Memoized on the rows exactly as given, in a process-wide LRU cache of
     1024 entries (``halfspaces_to_generators.cache_info()``).  Equal rows
@@ -120,12 +120,10 @@ def _halfspaces_to_generators(
     equations: tuple[tuple, ...], inequalities: tuple[tuple, ...], n: int
 ) -> tuple[tuple[IVec, ...], tuple[IVec, ...], tuple[int, ...]]:
     # a positive scaling keeps each halfspace and each equation's kernel, so
-    # the engine runs on primitive integer rows from here on
-    eqs = [a for a in dict.fromkeys(map(la.primitivize, equations))
-           if not la.is_zero_vec(a)]
-    ineqs = [la.primitivize(a) for a in inequalities]
-    unique = [a for a in dict.fromkeys(ineqs) if not la.is_zero_vec(a)]
-    rows = [(a, True) for a in eqs] + [(a, False) for a in unique]
+    # the engine runs on primitive integer rows from here on; every row is
+    # added as given, so engine bit k is the caller's row k
+    rows = ([(la.primitivize(a), True) for a in equations]
+            + [(la.primitivize(a), False) for a in inequalities])
     # the cone of the rows added so far is span(lines) + cone(rays); rays
     # are its extreme rays modulo the lines, each with the bitmask of the
     # added rows it makes tight
@@ -158,6 +156,8 @@ def _halfspaces_to_generators(
         values = [sum(map(mul, a, r)) for r in rays]
         positive = [p for p, s in enumerate(values) if s > 0]
         negative = [q for q, s in enumerate(values) if s < 0]
+        # the pair bound counts bits, once per copy of a repeated row, so
+        # repeats only loosen it
         need = n - len(lines) - 2
         new_rays, new_tight = [], []
         for p in positive:
@@ -177,27 +177,17 @@ def _halfspaces_to_generators(
         tight = [tight[i] | bit if values[i] == 0 else tight[i]
                  for i in keep] + new_tight
     # the RREF rows are the canonical basis of the lineality space, and each
-    # ray is reduced to its canonical coset representative; with no lines
-    # each ray is primitive, so canonical already
+    # ray, extreme modulo the lines, is reduced to its own nonzero canonical
+    # coset representative; with no lines each ray is primitive already
     lines, pivots = la.rref(lines)
     if lines:
-        reduced = {la.primitivize(la.reduce_prepared(r, lines, pivots)): m
-                   for r, m in zip(rays, tight)}
-        reduced.pop((0,) * n, None)
-    else:
-        reduced = dict(zip(rays, tight))
-    rays = sorted(reduced)
-    # the inequalities' engine bits follow the equations' in the order
-    # given, so with no zero or repeated row a shift maps each mask back;
-    # otherwise each row reads its engine bit, 0 (always set) for a zero row
-    if len(unique) == len(ineqs):
-        masks = [reduced[r] >> len(eqs) for r in rays]
-    else:
-        where = {a: 1 << (len(eqs) + i) for i, a in enumerate(unique)}
-        bits = [where.get(a, 0) for a in ineqs]
-        masks = [sum(1 << j for j, b in enumerate(bits) if m & b == b)
-                 for m in map(reduced.__getitem__, rays)]
-    return tuple(lines), tuple(rays), tuple(masks)
+        rays = [la.primitivize(la.reduce_prepared(r, lines, pivots))
+                for r in rays]
+    masks = dict(zip(rays, tight))
+    rays = sorted(masks)
+    # the inequalities' bits follow the equations', in the order given
+    return (tuple(lines), tuple(rays),
+            tuple(masks[r] >> len(equations) for r in rays))
 
 
 def _cancel(s: int, v: IVec, t: int, w: IVec) -> IVec:

@@ -285,8 +285,10 @@ def face_lattice(vertices, rows, keep=None) -> dict[int, tuple[int, ...]]:
 
 def unpruned_conversion(equations, inequalities, n: int):
     """``lattice.halfspaces_to_generators`` as its engine ran before the
-    pair bound: every pair of rays goes to the adjacency test.  Each ray's
-    mask is read off by evaluating every inequality on it."""
+    pair bound: every pair of rays goes to the adjacency test.  Unlike the
+    engine, which adds every row as given, it still drops zero and repeated
+    rows and reads each ray's mask off by evaluating every inequality on
+    it, so it stays independent of the engine's own masks."""
     rows = [(a, True) for a in dict.fromkeys(map(la.primitivize, equations))]
     rows += [(a, False)
              for a in dict.fromkeys(map(la.primitivize, inequalities))]

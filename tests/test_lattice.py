@@ -986,8 +986,10 @@ def test_reference_kernels_match_the_fraction_reference(data):
 @st.composite
 def conversion_inputs(draw):
     """(equations, inequalities, n) at ranks 1-6, with up to 2 equations,
-    zero, duplicate and Fraction-scaled rows, and lineality from equations,
-    dependent rows and trailing coordinates that no row reads."""
+    zero, duplicate and Fraction-scaled rows, every row repeated wholesale
+    (as ``cone_intersect(c, c)`` hands over ``c.facets + c.facets``), and
+    lineality from equations, dependent rows and trailing coordinates that
+    no row reads."""
     n = draw(st.integers(1, 6))
     unread = draw(st.integers(0, n - 1)) if draw(st.booleans()) else 0
     row = st.lists(st.integers(-3, 3), min_size=n - unread,
@@ -1000,12 +1002,14 @@ def conversion_inputs(draw):
         # more than the lineality and has many rays
         w = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
         rows = [r if dot(r, w) >= 0 else tuple(-a for a in r) for r in rows]
-    for kind in draw(st.lists(st.sampled_from(("zero", "dup", "scaled")),
-                              max_size=3)):
+    kinds = st.sampled_from(("zero", "dup", "scaled", "copy"))
+    for kind in draw(st.lists(kinds, max_size=3)):
         if kind == "zero" or not rows:
             rows.append((0,) * n)
         elif kind == "dup":
             rows.append(draw(st.sampled_from(rows)))
+        elif kind == "copy":
+            rows += rows
         else:
             s = draw(st.fractions(Fraction(1, 6), 6, max_denominator=6))
             rows.append(tuple(s * a for a in draw(st.sampled_from(rows))))
