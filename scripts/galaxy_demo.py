@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Walk through the galaxy of an elliptic degeneration tower.
 
-Sets up the tower of cycle skeletons over an I_m model with doubling
+Sets up the tower over the circle skeleton of an I_m model with doubling
 base-change degrees (held by its cycle sizes; no level complex is
 built), classifies a few sample angles on the limit circle (rational
 angles become vertices at a finite level and stay open; irrational
@@ -18,10 +18,9 @@ from fractions import Fraction
 
 from troplim.errors import IncompleteTower, UndecidableSign
 from troplim.galaxy import (
-    PolygonDegeneration,
+    EllipticTower,
     classify_point,
     decomposition,
-    elliptic_tower,
     galaxy_point,
 )
 from troplim.towers import Symbol
@@ -45,7 +44,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     degrees = [2 ** i for i in range(args.levels)]
-    tower = elliptic_tower(args.m, degrees)
+    tower = EllipticTower(args.m, degrees)
     print(f"tower over I_{args.m}, degrees {degrees}")
     print(f"cycle sizes per level: {list(tower.cycle_sizes)}\n")
 
@@ -70,7 +69,7 @@ def main(argv=None):
         print(f"  {sym.name:>9}: carrier edge widths {widths}")
 
     level = args.decompose_at
-    record = decomposition(PolygonDegeneration(args.m), level)
+    record = decomposition(tower.circle, level)
     print(f"\ndecomposition of I_{args.m} at level {level}: "
           f"{record.slot_count} open slots, "
           f"{record.non_klt_cells} remaining positive-dimensional cells")

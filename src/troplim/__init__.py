@@ -37,13 +37,12 @@ from .fans import (
     validate_fan,
 )
 from .galaxy import (
+    Circle,
     EllipticTower,
     GalaxyPoint,
-    PolygonDegeneration,
-    base_change,
+    Skeleton,
     classify_point,
     decomposition,
-    elliptic_tower,
     galaxy_point,
 )
 from .lattice import (

@@ -30,7 +30,6 @@ from .complexes import (
     from_incidence,
     map_fiber,
     rational_points,
-    scale_subdivide,
     toric_fiber_complex,
 )
 from .errors import (
@@ -43,18 +42,11 @@ from .errors import (
     ValidationError,
 )
 from .fans import Fan, _trusted_fan, common_refinement, validate_fan
-from .galaxy import (
-    OpenPoint,
-    PolygonDegeneration,
-    base_change,
-    classify_point,
-    decomposition,
-)
+from .galaxy import OpenPoint, classify_point, decomposition
 from .io import (
     canonical_json,
     cone_to_json,
     fmt_rational,
-    parse_cycle_or_complex,
     parse_fan,
     parse_fan_cones,
     parse_galaxy,
@@ -62,6 +54,7 @@ from .io import (
     parse_limit_point,
     parse_map_fibers,
     parse_polynomial,
+    parse_skeleton,
     parse_symbolic_vector,
     parse_toric_fiber,
     serialize_fan,
@@ -367,21 +360,13 @@ def handle_dualcx(cfg: JobConfig, path: str) -> dict:
 
 def handle_subdivide(cfg: JobConfig, path: str) -> dict:
     level = _level(cfg)
-    x = parse_cycle_or_complex(path)
-    if isinstance(x, PolygonDegeneration):
-        # base change keeps the canonical circle labels v0..v(Nm-1)
-        y = base_change(x, level).complex
-    else:
-        y = scale_subdivide(x, level).complex
-    return _complex_result(cfg, path, y, level=level)
+    return _complex_result(cfg, path, parse_skeleton(path).level(level),
+                           level=level)
 
 
 def handle_rational_points(cfg: JobConfig, path: str) -> dict:
     level = _level(cfg)
-    x = parse_cycle_or_complex(path)
-    if isinstance(x, PolygonDegeneration):
-        x = x.complex
-    pts = sorted(rational_points(x, level))
+    pts = sorted(rational_points(parse_skeleton(path).complex, level))
     return {
         "input": path,
         "level": level,
@@ -463,13 +448,13 @@ def handle_galaxy(cfg: JobConfig, path: str) -> dict:
             })
     out = {
         "input": path,
-        "m": tower.m,
+        "m": tower.circle.m,
         "degrees": list(tower.degrees),
         "cycle_sizes": list(tower.cycle_sizes),
         "points": outcomes,
     }
     if cfg.level is not None:
-        record = decomposition(PolygonDegeneration(tower.m), cfg.level)
+        record = decomposition(tower.circle, cfg.level)
         out["decomposition"] = {
             "level": record.level,
             "open_slots": record.slot_count,

@@ -333,7 +333,9 @@ def common_refinement(a: Fan, b: Fan) -> tuple[
             if _facing(ta, tb) or _facing(tb, ta):
                 # the meet lies in a facet of one of them
                 continue
-            m = cone_intersect(sa, sb)
+            # an equal pair's meet is the cone itself, with no conversion
+            m = sa if _cone_key(sa) == _cone_key(sb) else \
+                cone_intersect(sa, sb)
             if m.dim == d:
                 carriers[_cone_key(m)] = (m, i, j)
     if not carriers:

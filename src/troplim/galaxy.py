@@ -1,24 +1,29 @@
 """Galaxy skeletons of one-parameter degenerations.
 
-The model is an elliptic fibration acquiring a cycle of m rational curves
-(an I_m fiber).  Its dual complex is the m-cycle with unit affine charts, a
-circle of circumference 1 with vertices at the angles j/m.  A degree-d base
-change followed by minimal resolution turns I_m into I_{dm}; on skeletons
-this is exactly the d-fold scale subdivision with vertices relabeled j/(dm).
-So a degeneration is determined by its cycle size: it holds only m, its
-cycle is derived from m on first read, and a base change is the
-(dm)-cycle by construction, with no subdivision run.  Along a tower of base changes whose degrees form a
-divisibility chain reaching every integer, each rational angle p/q
-eventually becomes a vertex (an open slot of the limit space), while an
-irrational angle stays interior to a strictly shrinking chain of edges and
-survives as a closed point.  Irrational
-angles are symbols with rational enclosures; one too coarse to separate
-the angle from a vertex is refused.  Both cases depend only on the cycle
-sizes m·d, all a tower holds; it builds level degenerations on request.
+A skeleton is a value with three reads: its base complex (`complex`), its
+level-d complex (`level(d)`), the dual complex after a degree-d base change,
+and that level's cell counts with nothing built (`counts(d)`).  For a
+semistable model, base change of degree d followed by the standard
+resolution subdivides the dual complex d-fold (Kempf, Knudsen, Mumford and
+Saint-Donat, *Toroidal Embeddings I*, 1973), so a `Skeleton` given as an
+affine Δ-complex has the d-fold scale subdivision as its level d.
+
+The `Circle` is the skeleton of an elliptic fibration acquiring a cycle of
+m rational curves (an I_m fiber): the m-cycle with unit affine charts, a
+circle of circumference 1 with vertices at the angles j/m.  Base change
+turns I_m into I_{dm}, the (dm)-cycle with vertices relabeled j/(dm), so a
+circle holds only m and answers every read in closed form from m·d.  Along
+a tower of base changes whose degrees form a divisibility chain reaching
+every integer, each rational angle p/q eventually becomes a vertex (an open
+slot of the limit space), while an irrational angle stays interior to a
+strictly shrinking chain of edges and survives as a closed point.
+Irrational angles are symbols with rational enclosures; one too coarse to
+separate the angle from a vertex is refused.  Both cases depend only on the
+cycle sizes m·d, all a tower holds; it builds no level.
 
 The decomposition ledger counts, for any skeleton at a given level, the
 open slots realized so far (its rational points) and the remaining
-positive-dimensional cells, from the shape of the level-N subdivision.
+positive-dimensional cells, from the skeleton's level counts.
 """
 
 from __future__ import annotations
@@ -29,7 +34,12 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
-from .complexes import DeltaComplex, cycle_complex, subdivision_counts
+from .complexes import (
+    DeltaComplex,
+    cycle_complex,
+    scale_subdivide,
+    subdivision_counts,
+)
 from .errors import (
     DepthCap,
     IncompleteTower,
@@ -39,16 +49,31 @@ from .errors import (
 from .towers import TOWER_DEPTH_CAP, Symbol
 
 
-# -- polygon degenerations ---------------------------------------------------
+# -- skeletons ---------------------------------------------------------------
+
+
+class Skeleton:
+    """A skeleton given as an affine Δ-complex, kept as given; its level d
+    is the d-fold scale subdivision."""
+
+    def __init__(self, x: DeltaComplex):
+        self.complex = x
+
+    def level(self, d: int) -> DeltaComplex:
+        return scale_subdivide(self.complex, d).complex
+
+    def counts(self, d: int) -> dict[int, int]:
+        return subdivision_counts(self.complex, d)
 
 
 @dataclass(frozen=True)
-class PolygonDegeneration:
-    """An I_m degeneration through its skeleton: a labeled m-cycle.
+class Circle(Skeleton):
+    """The skeleton of an I_m degeneration: the labeled m-cycle.
 
-    Vertex j carries the angle j/m; the edge e_j covers [j/m, (j+1)/m].
-    Only m is held: the cycle is derived from it on first read and kept
-    out of eq, hash and repr.
+    Vertex ``v{j}`` carries the angle j/m; the edge ``e{j}`` covers
+    [j/m, (j+1)/m].  Only m is held: the cycle is derived from it on first
+    read and kept out of eq, hash and repr, and level d is the (md)-cycle,
+    which keeps the ``v{k}``/``e{k}`` names, with no subdivision run.
     """
 
     m: int
@@ -61,67 +86,50 @@ class PolygonDegeneration:
     def complex(self) -> DeltaComplex:
         return cycle_complex(self.m)
 
+    def level(self, d: int) -> DeltaComplex:
+        return cycle_complex(self.m * d)
 
-def base_change(p: PolygonDegeneration, d: int) -> PolygonDegeneration:
-    """Degree-d base change: I_m becomes I_{dm}.
-
-    On skeletons this is the d-fold scale subdivision of the m-cycle: the
-    subdivision vertices land on the angles k/(dm), each subdivided edge
-    joining neighbours, so the result is the labeled (dm)-cycle.  A
-    degeneration is its cycle size, so the result is built from m·d alone
-    and iterated base changes compose on the nose.
-    """
-    if d < 1:
-        raise ValidationError("base change degree must be >= 1")
-    if d == 1:
-        return p
-    return PolygonDegeneration(p.m * d)
+    def counts(self, d: int) -> dict[int, int]:
+        if d < 1:
+            raise ValueError("subdivision level must be a positive integer")
+        return {0: self.m * d, 1: self.m * d}
 
 
 # -- towers and point classification -----------------------------------------
 
 
-@dataclass(frozen=True)
 class EllipticTower:
-    """I_m under base changes of degrees d_i, held by its cycle sizes m·d_i.
+    """The I_m circle under base changes of cumulative degrees d_i, held by
+    its cycle sizes m·d_i.
 
-    ``levels`` builds the level degenerations by base change on first read.
+    The degrees must form a divisibility chain of positive integers, at
+    least one and at most the depth cap; they are checked first, then m.
     """
 
-    m: int
-    degrees: tuple[int, ...]
+    def __init__(self, m: int, degrees: Sequence[int]):
+        degs = tuple(int(d) for d in degrees)
+        if not degs:
+            raise ValidationError("a tower needs at least one level")
+        if any(d < 1 for d in degs):
+            raise ValidationError("degrees must be positive")
+        for a, b in zip(degs, degs[1:]):
+            if b % a != 0:
+                raise ValidationError(
+                    f"degrees must form a divisibility chain: {a} does not "
+                    f"divide {b}")
+        if len(degs) > TOWER_DEPTH_CAP:
+            raise DepthCap(
+                f"tower depth {len(degs)} exceeds {TOWER_DEPTH_CAP}")
+        self.circle = Circle(m)
+        self.degrees = degs
 
     @property
     def cycle_sizes(self) -> tuple[int, ...]:
-        return tuple(self.m * d for d in self.degrees)
+        return tuple(self.circle.m * d for d in self.degrees)
 
     @property
     def depth(self) -> int:
         return len(self.degrees)
-
-    @cached_property
-    def levels(self) -> tuple[PolygonDegeneration, ...]:
-        base = PolygonDegeneration(self.m)
-        return tuple(base_change(base, d) for d in self.degrees)
-
-
-def elliptic_tower(m: int, degrees: Sequence[int]) -> EllipticTower:
-    """Tower over I_m with cumulative degrees forming a divisibility chain."""
-    degs = tuple(int(d) for d in degrees)
-    if not degs:
-        raise ValidationError("a tower needs at least one level")
-    if any(d < 1 for d in degs):
-        raise ValidationError("degrees must be positive")
-    for a, b in zip(degs, degs[1:]):
-        if b % a != 0:
-            raise ValidationError(
-                f"degrees must form a divisibility chain: {a} does not "
-                f"divide {b}")
-    if len(degs) > TOWER_DEPTH_CAP:
-        raise DepthCap(f"tower depth {len(degs)} exceeds {TOWER_DEPTH_CAP}")
-    if m < 1:
-        raise ValidationError("an I_m degeneration needs m >= 1")
-    return EllipticTower(m=m, degrees=degs)
 
 
 @dataclass(frozen=True)
@@ -231,20 +239,14 @@ class DecompositionRecord:
     non_klt_cells: int
 
 
-def decomposition(skeleton: Union[PolygonDegeneration, DeltaComplex],
-                  level: int) -> DecompositionRecord:
+def decomposition(skeleton: Skeleton, level: int) -> DecompositionRecord:
     """Decompose a skeleton at a level: rational points vs remaining cells.
 
-    The open slots are the vertices of the level-N subdivision, one per
+    The open slots are the vertices of the level-N complex, one per
     rational point, and the rest are its positive-dimensional cells; both
-    are counted from the subdivision's shape, with no cell built.  The
-    counts are linear in the cells of each dimension, and an m-cycle has
-    as many as m loops, so a degeneration's cycle is counted as m copies
-    of the one-loop cycle, not built.
+    are read off the skeleton's level counts, with no cell built.
     """
-    copies, x = (skeleton.m, cycle_complex(1)) \
-        if isinstance(skeleton, PolygonDegeneration) else (1, skeleton)
-    counts = subdivision_counts(x, level)
+    counts = skeleton.counts(level)
     slots = counts.pop(0)
-    return DecompositionRecord(level=level, slot_count=copies * slots,
-                               non_klt_cells=copies * sum(counts.values()))
+    return DecompositionRecord(level=level, slot_count=slots,
+                               non_klt_cells=sum(counts.values()))

@@ -21,7 +21,8 @@ Schemas (all JSON objects):
                "closures": [["lower", "upper"], ...]}
   complex     {"cells": [{"name": s, "faces": [names]}, ...],
                "affine": bool, "provenance": str|null}
-               or {"elliptic": {"m": int}} for the I_m cycle
+  skeleton    a complex, kept as given, or {"elliptic": {"m": int >= 1}}
+               for the circle of I_m, held by m (subdivide, rational-points)
   vector      {"symbols": [symbol, ...],
                "entries": ["p/q" or ["c0", "c1", ...], ...]}
   symbol      {"name": s, "lo": "p/q", "hi": "p/q"} with lo <= hi
@@ -45,7 +46,7 @@ import json
 import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Optional, Union
+from typing import Optional
 
 from .complexes import (
     INCIDENCE_MODES,
@@ -59,10 +60,10 @@ from .complexes import (
 from .errors import ParseError, ValidationError
 from .fans import Fan, fan_from_cones
 from .galaxy import (
+    Circle,
     EllipticTower,
     GalaxyPoint,
-    PolygonDegeneration,
-    elliptic_tower,
+    Skeleton,
     galaxy_point,
 )
 from .lattice import Cone, cone_from_generators
@@ -461,13 +462,13 @@ def _tower_data(obj, where: str) -> tuple[int, list[int]]:
     return _cycle_size(obj, where), _field(obj, "degrees", where, _int_list)
 
 
-def parse_cycle_or_complex(path: str
-                           ) -> Union[PolygonDegeneration, DeltaComplex]:
-    """A complex file, or {"elliptic": {"m": k}} for the I_k cycle."""
+def parse_skeleton(path: str) -> Skeleton:
+    """The skeleton of a complex file, or of {"elliptic": {"m": k}}: the
+    I_k circle."""
     obj = load_json(path)
     if "elliptic" in obj:
-        return PolygonDegeneration(_field(obj, "elliptic", path, _cycle_size))
-    return parse_complex_data(obj, path)
+        return Circle(_field(obj, "elliptic", path, _cycle_size))
+    return Skeleton(parse_complex_data(obj, path))
 
 
 def _image(value, where: str) -> tuple[str, tuple[int, ...]]:
@@ -550,7 +551,7 @@ def parse_galaxy(path: str) -> tuple[EllipticTower, list[GalaxyPoint]]:
     points = [galaxy_point(_field(raw, "symbol", w, _symbol)
                            if isinstance(raw, dict) else parse_rational(raw, w))
               for raw, w in _field(obj, "points", path, _items, default=[])]
-    return elliptic_tower(m, degrees), points
+    return EllipticTower(m, degrees), points
 
 
 def _strategy_kind(value, where: str) -> str:

@@ -55,7 +55,6 @@ from troplim.errors import (
     ValidationError,
 )
 from troplim.fans import Fan, fan_from_cones
-from troplim.galaxy import PolygonDegeneration
 from troplim.lattice import (
     Cone,
     Ray,
@@ -348,15 +347,15 @@ class UnknownStratum(TropLimError):
     """No vertex with the requested name."""
 
 
-def label(p: PolygonDegeneration, vertex: str) -> Fraction:
-    """The angle j/m of the vertex ``v{j}`` of an I_m degeneration, j in
-    canonical decimal, read off the name."""
-    j, m = vertex[1:], str(p.m)
+def label(m: int, vertex: str) -> Fraction:
+    """The angle j/m of the vertex ``v{j}`` of the m-cycle, the circle of
+    an I_m degeneration, j in canonical decimal, read off the name."""
+    j, size = vertex[1:], str(m)
     # canonical decimals (no leading zero) compare as numbers do by
     # (length, digits), so j < m is read without parsing a long name
     if vertex[:1] == "v" and j.isascii() and j.isdigit() and \
-            (j == "0" or j[0] != "0") and (len(j), j) < (len(m), m):
-        return Fraction(int(j), p.m)
+            (j == "0" or j[0] != "0") and (len(j), j) < (len(size), size):
+        return Fraction(int(j), m)
     raise UnknownStratum(f"no vertex named {vertex!r}")
 
 

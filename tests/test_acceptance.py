@@ -60,12 +60,11 @@ from troplim.complexes import (
 )
 from troplim.fans import common_refinement, fan_from_cones
 from troplim.galaxy import (
+    Circle,
     ClosedPoint,
+    EllipticTower,
     OpenPoint,
-    PolygonDegeneration,
-    base_change,
     classify_point,
-    elliptic_tower,
     galaxy_point,
 )
 from troplim.lattice import cone_from_generators, primitive
@@ -225,12 +224,14 @@ def test_criterion_03_point_count_bound_on_random_germs():
 
 
 def test_criterion_04_base_change_of_cycle_degenerations():
-    p3 = PolygonDegeneration(3)
-    doubled = base_change(p3, 2)
-    assert doubled.m == 6
-    assert count_cells(doubled.complex) == {0: 6, 1: 6}
-    assert doubled == PolygonDegeneration(6)
-    assert base_change(base_change(p3, 2), 3) == base_change(p3, 6)
+    i3 = Circle(3)
+    doubled = i3.level(2)
+    assert count_cells(doubled) == i3.counts(2) == {0: 6, 1: 6}
+    assert doubled == cycle_complex(6)
+    # level 2 then level 3 is level 6, as cycle sizes and as complexes
+    i6 = Circle(len(doubled.by_dim(1)))
+    assert i6.counts(3) == i3.counts(6) == {0: 18, 1: 18}
+    assert i6.level(3) == i3.level(6)
     print("criterion 4: PASS - I_3 doubles to I_6 (6 vertices, 6 edges); "
           "degree-2 then degree-3 equals degree-6")
 
@@ -250,7 +251,7 @@ def test_criterion_05_top_cell_ratio_is_n_to_the_m():
 
 
 def test_criterion_06_open_closed_points_along_the_doubling_tower():
-    tower = elliptic_tower(3, [2 ** i for i in range(11)])
+    tower = EllipticTower(3, [2 ** i for i in range(11)])
     first_open = {F(0): (0, "v0"), F(1, 6): (1, "v1"),
                   F(5, 12): (2, "v5"), F(7, 48): (4, "v7")}
     for theta, (level, vertex) in first_open.items():

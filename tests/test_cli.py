@@ -40,7 +40,7 @@ from troplim.complexes import (
 )
 from troplim.errors import ParseError, ValidationError
 from troplim.fans import fan_from_cones
-from troplim.galaxy import PolygonDegeneration, base_change
+from troplim.galaxy import Circle
 from troplim.lattice import cone_from_generators
 from troplim.towers import (
     StellarAtBarycenters,
@@ -233,7 +233,8 @@ def test_parse_tower_specs(tmp_path):
     with pytest.raises(ValidationError, match="not an elliptic tower"):
         io.parse_limit_point(p)
     ell, points = io.parse_galaxy(p)
-    assert [lv.m for lv in ell.levels] == [3, 6] and points == []
+    assert ell.circle == Circle(3) and points == []
+    assert ell.cycle_sizes == (3, 6)
 
 
 def test_parse_errors_name_the_location(tmp_path):
@@ -301,7 +302,7 @@ def test_subdivide_elliptic_writes_complex_file(tmp_path, capsys):
     assert code == 0
     assert report["results"][0]["counts"] == {"0": 6, "1": 6}
     emitted = io.parse_complex_data(io.load_json(out), out)
-    assert emitted == base_change(PolygonDegeneration(3), 2).complex
+    assert emitted == Circle(3).level(2)
     with open(out, encoding="utf-8") as fh:
         assert fh.read() == io.canonical_json(serialize_complex(emitted))
 
@@ -1812,24 +1813,43 @@ def test_build_parser_keeps_no_subparser_between_calls():
         {id(p) for p in second.values()}
 
 
-def test_the_benchmark_tracer_wraps_a_cli_job(tmp_path):
+TRACED_JOBS = {
+    "trop": (["trop"], NODAL),
+    "galaxy": (["galaxy"], {
+        "elliptic": {"m": 3, "degrees": [1, 2]},
+        "points": ["1/6", {"symbol": {
+            "name": "sqrt2-1", "lo": "414213/1000000",
+            "hi": "414214/1000000"}}]}),
+    "subdivide": (["subdivide", "--N", "2"], {"elliptic": {"m": 3}}),
+}
+
+
+@pytest.mark.parametrize("job", list(TRACED_JOBS))
+def test_the_benchmark_tracer_wraps_a_cli_job(tmp_path, capsys, job):
     """perfbench/layers.py looks each layer module up in ``sys.modules`` and
     rebinds the CLI's handler table.  In a fresh interpreter, as in a traced
-    benchmark pass, one trop job through ``run`` counts its handler once."""
+    benchmark pass, one job through ``run`` counts its handler once, and
+    the traced report is byte for byte the report of an untraced run."""
     root = Path(__file__).resolve().parent.parent
-    code = ("import sys; sys.path[:0] = sys.argv[1:3]; "
+    words, obj = TRACED_JOBS[job]
+    argv = words + [put(tmp_path, f"{job}.json", obj), "--json"]
+    code = ("import sys, hashlib, json; sys.path[:0] = sys.argv[1:3]; "
             "import layers, troplim, troplim.cli as cli; "
             "tracer = layers.Tracer(); "
             "uninstall = layers.install(tracer, troplim); "
-            "args = cli.build_parser().parse_args(['trop', sys.argv[3]]); "
-            "cli.run(cli.config_from_args(args)); uninstall(); "
-            "print(tracer.stat('cli.handle_trop')[0])")
+            "args = cli.build_parser().parse_args(json.loads(sys.argv[4])); "
+            "text = cli.canonical_json(cli.run(cli.config_from_args(args))); "
+            "uninstall(); "
+            "print(tracer.stat('cli.handle_' + sys.argv[3])[0]); "
+            "print(hashlib.sha256(text.encode()).hexdigest())")
     out = subprocess.run(
         [sys.executable, "-c", code, str(root / "src"),
-         str(root / "perfbench"), put(tmp_path, "nodal.json", NODAL)],
+         str(root / "perfbench"), job, json.dumps(argv)],
         capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["1"]
+    assert cli.main(argv) == 0
+    plain = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert out.stdout.split() == ["1", plain]
 
 
 def test_the_benchmark_tracer_wraps_an_oracle_that_loads_numpy_later(

@@ -70,7 +70,7 @@ from troplim.errors import (
     ValidationError,
 )
 from troplim.fans import fan_from_cones
-from troplim.galaxy import PolygonDegeneration, base_change
+from troplim.galaxy import Circle
 from troplim.lattice import (
     cone_faces,
     cone_from_generators,
@@ -1066,8 +1066,7 @@ def test_generated_complexes_skip_make_complex(monkeypatch):
         assert euler_characteristic(scale_subdivide(square, level).complex) \
             == 1
     assert count_cells(cycle_complex(7)) == {0: 7, 1: 7}
-    assert count_cells(base_change(PolygonDegeneration(3), 4).complex) == \
-        {0: 12, 1: 12}
+    assert count_cells(Circle(3).level(4)) == {0: 12, 1: 12}
 
 
 def test_parsed_complexes_are_still_validated(monkeypatch):

@@ -588,6 +588,35 @@ def test_perfect_cone_fans_validate_as_the_pairwise_check_does(height):
             certified_refinement(perfect, other)
 
 
+def assert_refines_itself_converting_no_equal_pair(fan):
+    """``common_refinement(f, f)`` meets a cone with an equal one without
+    a conversion, and still matches the converting code."""
+    equal = []
+
+    def meet(a, b):
+        equal.append(fans._cone_key(a) == fans._cone_key(b))
+        return cone_intersect(a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fans, "cone_intersect", meet)
+        got = fans.common_refinement(fan, fan)
+    assert not any(equal)
+    assert got == certified_refinement(fan, fan)
+
+
+@settings(max_examples=25, deadline=None)
+@given(tower_levels())
+def test_a_tower_level_refines_itself_converting_no_equal_pair(fan):
+    assert_refines_itself_converting_no_equal_pair(fan)
+
+
+@pytest.mark.parametrize("height", (3, 6))
+def test_a_perfect_cone_fan_refines_itself_converting_no_equal_pair(height):
+    cones = sorted(perfect_cones(height), key=fans._cone_key)
+    assert_refines_itself_converting_no_equal_pair(
+        fans.fan_from_cones(cones, 3))
+
+
 @st.composite
 def cone_lists(draw):
     """Cones that break the fan axioms in every way validation names:

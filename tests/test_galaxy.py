@@ -1,4 +1,4 @@
-"""Tests for polygon degenerations, towers, and galaxy classification."""
+"""Tests for galaxy skeletons, towers, and galaxy classification."""
 
 import dataclasses
 import functools
@@ -11,35 +11,45 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from builders import UnknownStratum, label, point_complex, triangle_complex
+from builders import (
+    UnknownStratum,
+    label,
+    point_complex,
+    segment_complex,
+    square_complex,
+    triangle_complex,
+)
 from skeleton_references import (
     circle_position,
     edge_interval,
     vertex_location,
 )
-from troplim import complexes
+from troplim import complexes, galaxy
 from troplim.complexes import (
+    CELL_CAP,
     count_cells,
     cycle_complex,
     make_complex,
     rational_points,
     scale_subdivide,
+    subdivision_counts,
 )
 from troplim.errors import (
+    CellCap,
     DepthCap,
     IncompleteTower,
     UndecidableSign,
     ValidationError,
 )
 from troplim.galaxy import (
+    Circle,
     ClosedPoint,
+    EllipticTower,
     GalaxyPoint,
     OpenPoint,
-    PolygonDegeneration,
-    base_change,
+    Skeleton,
     classify_point,
     decomposition,
-    elliptic_tower,
     galaxy_point,
 )
 from troplim.towers import Symbol
@@ -50,61 +60,109 @@ GOLDEN_MINUS_1 = Symbol("golden-1", F(618033, 10 ** 6), F(618035, 10 ** 6))
 
 @pytest.fixture(scope="module")
 def tower():
-    return elliptic_tower(3, [2 ** i for i in range(5)])
+    return EllipticTower(3, [2 ** i for i in range(5)])
 
 
-# -- polygons and base change --
+# -- the circle, its levels and base change --
+
+
+def labeled(circle, d=1):
+    """Level d of a circle as the references read a labeled cycle: the
+    built complex, its size and the labels read off its vertex names."""
+    x = circle.level(d)
+    m = len(x.by_dim(0))
+    return SimpleNamespace(m=m, complex=x, label=functools.partial(label, m))
 
 
 def test_degeneration_labels():
-    p = PolygonDegeneration(4)
+    p = Circle(4)
     assert p.m == 4
     assert count_cells(p.complex) == {0: 4, 1: 4}
-    assert [label(p, f"v{j}") for j in range(4)] == \
+    assert [labeled(p).label(f"v{j}") for j in range(4)] == \
         [0, F(1, 4), F(1, 2), F(3, 4)]
     with pytest.raises(ValidationError):
-        PolygonDegeneration(0)
+        Circle(0)
     # the hexagon of a degree-2 base change of I_3
-    i6 = base_change(PolygonDegeneration(3), 2)
-    assert label(i6, "v2") == F(1, 3)
-    assert edge_interval(labeled(i6), "e2") == (F(1, 3), F(1, 2))
+    i6 = labeled(Circle(3), 2)
+    assert i6.label("v2") == F(1, 3)
+    assert edge_interval(i6, "e2") == (F(1, 3), F(1, 2))
     with pytest.raises(UnknownStratum):
-        edge_interval(labeled(i6), "v0")
+        edge_interval(i6, "v0")
 
 
 def test_degeneration_validates_itself():
     for m in (0, -3):
         with pytest.raises(ValidationError, match="needs m >= 1"):
-            PolygonDegeneration(m)
-    assert PolygonDegeneration(2).complex == cycle_complex(2)
+            Circle(m)
+    assert Circle(2).complex == cycle_complex(2)
+
+
+def test_circle_levels_are_cycles_counted_in_closed_form():
+    """Level d of the I_m circle is the (md)-cycle, and its counts, read
+    off m·d, are those of that cycle and of the d-fold subdivision of the
+    m-cycle."""
+    for m in range(1, 8):
+        circle = Circle(m)
+        for d in range(1, 9):
+            x = circle.level(d)
+            assert x == cycle_complex(m * d)
+            assert circle.counts(d) == count_cells(x) == \
+                subdivision_counts(cycle_complex(m), d)
+
+
+def test_circle_counts_past_the_cell_cap_build_nothing(monkeypatch):
+    """At m = 10^9 only a count can finish: no cycle is built, and the
+    level complex itself is refused by the cell cap."""
+    def refuse(*args):
+        raise AssertionError("the counts built a cycle")
+
+    big = Circle(10 ** 9)
+    with pytest.raises(CellCap):
+        big.level(3)
+    monkeypatch.setattr(galaxy, "cycle_complex", refuse)
+    monkeypatch.setattr(complexes, "cycle_complex", refuse)
+    assert big.counts(3) == {0: 3 * 10 ** 9, 1: 3 * 10 ** 9}
+    assert sum(big.counts(3).values()) > CELL_CAP
+    assert "complex" not in vars(big)
+
+
+@pytest.mark.parametrize("x", [point_complex(), segment_complex(),
+                               triangle_complex(), square_complex(),
+                               cycle_complex(3)],
+                         ids=["point", "segment", "triangle", "square",
+                              "cycle"])
+def test_a_complex_skeleton_levels_are_its_subdivisions(x):
+    skeleton = Skeleton(x)
+    assert skeleton.complex is x
+    for d in range(1, 5):
+        level = skeleton.level(d)
+        assert level == scale_subdivide(x, d).complex
+        assert skeleton.counts(d) == subdivision_counts(x, d) == \
+            count_cells(level)
 
 
 def test_base_change_three_to_six():
-    i6 = base_change(PolygonDegeneration(3), 2)
+    i6 = labeled(Circle(3), 2)
     assert i6.m == 6
-    assert count_cells(i6.complex) == {0: 6, 1: 6}
-    assert [label(i6, f"v{j}") for j in range(6)] == \
+    assert count_cells(i6.complex) == Circle(3).counts(2) == {0: 6, 1: 6}
+    assert [i6.label(f"v{j}") for j in range(6)] == \
         [F(j, 6) for j in range(6)]
 
 
 def test_base_change_degree_one_is_identity():
-    i3 = PolygonDegeneration(3)
-    assert base_change(i3, 1) is i3
-    with pytest.raises(ValidationError):
-        base_change(i3, 0)
+    i3 = Circle(3)
+    assert i3.level(1) == i3.complex
+    assert i3.counts(1) == count_cells(i3.complex)
+    with pytest.raises(ValueError, match="at least one edge"):
+        i3.level(0)
+    with pytest.raises(ValueError, match="positive integer"):
+        i3.counts(0)
 
 
 def test_base_change_of_a_self_loop():
-    i5 = base_change(PolygonDegeneration(1), 5)
+    i5 = labeled(Circle(1), 5)
     assert i5.m == 5
     assert count_cells(i5.complex) == {0: 5, 1: 5}
-
-
-def labeled(p):
-    """An I_m degeneration as the references read a labeled cycle: its
-    size, its cycle and the labels read off its vertex names."""
-    return SimpleNamespace(m=p.m, complex=p.complex,
-                           label=functools.partial(label, p))
 
 
 def labeled_cycle(x, m, labels=None):
@@ -146,18 +204,19 @@ def reference_base_change(p, d):
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_base_change_matches_the_fraction_path(m):
-    p = PolygonDegeneration(m)
+    circle = Circle(m)
     for d in range(1, 13):
-        got = base_change(p, d)
-        assert (got.m, got.complex) == reference_base_change(labeled(p), d)
-        assert [label(got, f"v{k}") for k in range(m * d)] == \
+        got = labeled(circle, d)
+        assert (got.m, got.complex) == reference_base_change(labeled(circle),
+                                                             d)
+        assert [got.label(f"v{k}") for k in range(m * d)] == \
             [F(k, m * d) for k in range(m * d)]
 
 
 def test_base_change_refuses_a_skeleton_off_its_cycle():
     """Each check of the subdivision path fires on a skeleton whose labels,
-    size or edge order disagree with its cycle; no PolygonDegeneration is
-    such a skeleton, since its cycle and labels are derived from m."""
+    size or edge order disagree with its cycle; no Circle is such a
+    skeleton, since its cycle and labels are derived from m."""
     # vertex v1 labeled 1/5: its subdivision vertices miss the 1/4-lattice
     skewed = labeled_cycle(cycle_complex(2), 2, {"v0": F(0), "v1": F(1, 5)})
     with pytest.raises(ValidationError, match="off the"):
@@ -174,47 +233,46 @@ def test_base_change_refuses_a_skeleton_off_its_cycle():
 
 
 def test_base_change_is_closed_form():
-    """A base change builds no complex: I_{3·2^40} is held by its size."""
+    """A base change builds no complex: I_{3·2^40} is counted from its
+    size."""
     start = time.perf_counter()
-    # a small case first, so that a base change that builds its cycle
-    # fails here instead of building 3·2^40 cells
-    assert "complex" not in vars(base_change(PolygonDegeneration(3), 2))
-    big = base_change(PolygonDegeneration(3), 2 ** 40)
-    assert big == PolygonDegeneration(3 * 2 ** 40)
-    assert "complex" not in vars(big)
+    # a small case first, so that counts that build the cycle fail here
+    # instead of building 3·2^40 cells
+    i3 = Circle(3)
+    assert i3.counts(2) == {0: 6, 1: 6}
+    assert "complex" not in vars(i3)
+    assert i3.counts(2 ** 40) == Circle(3 * 2 ** 40).counts(1) == \
+        {0: 3 * 2 ** 40, 1: 3 * 2 ** 40}
+    assert "complex" not in vars(i3)
     assert time.perf_counter() - start < 0.1
 
 
 def test_base_change_composes_on_the_nose():
-    i3 = PolygonDegeneration(3)
-    assert base_change(base_change(i3, 2), 3) == base_change(i3, 6)
-    assert base_change(i3, 6) == PolygonDegeneration(18)
+    i3 = Circle(3)
+    assert Circle(6).level(3) == i3.level(6) == cycle_complex(18)
+    assert Circle(6).counts(3) == i3.counts(6)
 
 
 def test_long_base_change_composes():
     # quadratic-time lookups made the left side alone take seconds
-    i3 = PolygonDegeneration(3)
-    assert base_change(i3, 1024) == base_change(base_change(i3, 32), 32)
+    assert Circle(3).level(1024) == Circle(3 * 32).level(32)
 
 
 def test_unknown_vertex_label():
-    i6 = base_change(PolygonDegeneration(3), 2)
     with pytest.raises(UnknownStratum) as exc:
-        label(i6, "v6")
+        label(6, "v6")
     assert exc.value.args[0] == "no vertex named 'v6'"
 
 
 def test_label_reads_the_vertex_name():
     """One label of I_{3·2^40} is read off its name, with no table of
     3·2^40 names behind it."""
-    big = base_change(PolygonDegeneration(3), 2 ** 40)
     start = time.perf_counter()
-    assert label(big, "v5") == F(5, 3 * 2 ** 40)
+    assert label(3 * 2 ** 40, "v5") == F(5, 3 * 2 ** 40)
     assert time.perf_counter() - start < 0.1
-    i3 = PolygonDegeneration(3)
     for name in ("v05", "v-1", "w1", "v", "v\u0663", "v3"):
         with pytest.raises(UnknownStratum):
-            label(i3, name)
+            label(3, name)
 
 
 @given(st.integers(min_value=1, max_value=120),
@@ -224,17 +282,16 @@ def test_label_reads_the_vertex_name():
 @settings(deadline=None, max_examples=200)
 def test_label_matches_the_table_of_names(m, name):
     table = {f"v{j}": F(j, m) for j in range(m)}
-    p = PolygonDegeneration(m)
     if name in table:
-        assert label(p, name) == table[name]
+        assert label(m, name) == table[name]
     else:
         with pytest.raises(UnknownStratum):
-            label(p, name)
+            label(m, name)
 
 
 def test_cached_cycle_stays_out_of_eq_hash_and_repr():
-    used = PolygonDegeneration(5)
-    assert label(used, "v2") == F(2, 5)
+    used = Circle(5)
+    assert label(used.m, "v2") == F(2, 5)
     assert count_cells(used.complex) == {0: 5, 1: 5}
     fresh = dataclasses.replace(used)
     assert vars(used) != vars(fresh)
@@ -247,13 +304,13 @@ def test_cached_cycle_stays_out_of_eq_hash_and_repr():
        st.integers(min_value=1, max_value=3))
 @settings(deadline=None, max_examples=15)
 def test_base_change_component_count(m, a, b):
-    p = base_change(base_change(PolygonDegeneration(m), a), b)
-    assert p.m == m * a * b
-    assert len(p.complex.by_dim(1)) == m * a * b
+    x = Circle(m * a).level(b)
+    assert x == Circle(m).level(a * b)
+    assert len(x.by_dim(0)) == len(x.by_dim(1)) == m * a * b
 
 
 def test_circle_position():
-    i3 = labeled(PolygonDegeneration(3))
+    i3 = labeled(Circle(3))
     assert circle_position(i3, "v1", (1,)) == F(1, 3)
     assert circle_position(i3, "e2", (F(1, 2), F(1, 2))) == F(5, 6)
     # the far end of the last edge wraps back to angle zero
@@ -264,23 +321,29 @@ def test_circle_position():
 
 
 def test_elliptic_tower_validation():
-    with pytest.raises(ValidationError):
-        elliptic_tower(3, [])
-    with pytest.raises(ValidationError):
-        elliptic_tower(3, [1, 0])
-    with pytest.raises(ValidationError):
-        elliptic_tower(3, [2, 3])
+    with pytest.raises(ValidationError, match="at least one level"):
+        EllipticTower(3, [])
+    with pytest.raises(ValidationError, match="must be positive"):
+        EllipticTower(3, [1, 0])
+    with pytest.raises(ValidationError, match="2 does not divide 3"):
+        EllipticTower(3, [2, 3])
     with pytest.raises(DepthCap):
-        elliptic_tower(3, [1] * 65)
-    with pytest.raises(ValidationError):
-        elliptic_tower(0, [1])
+        EllipticTower(3, [1] * 65)
+    with pytest.raises(ValidationError, match="needs m >= 1"):
+        EllipticTower(0, [1])
+    # the degrees are checked before m
+    with pytest.raises(ValidationError, match="at least one level"):
+        EllipticTower(0, [])
+    with pytest.raises(DepthCap):
+        EllipticTower(0, [1] * 65)
 
 
 def test_tower_levels_are_subdivided_cycles(tower):
     assert tower.depth == 5
+    assert tower.circle == Circle(3)
     assert tower.cycle_sizes == (3, 6, 12, 24, 48)
-    assert [lv.m for lv in tower.levels] == [3, 6, 12, 24, 48]
-    assert tower.levels is tower.levels
+    assert [tower.circle.level(d) for d in tower.degrees] == \
+        [cycle_complex(m) for m in (3, 6, 12, 24, 48)]
 
 
 # -- galaxy points --
@@ -314,7 +377,8 @@ def test_rational_angles_open_at_the_divisibility_level(tower):
         assert isinstance(c, OpenPoint)
         assert c.level == level
         assert c.label == theta
-        assert label(tower.levels[level], c.vertex) == theta
+        assert labeled(tower.circle, tower.degrees[level]).label(c.vertex) \
+            == theta
 
 
 def test_rational_angle_beyond_the_tower(tower):
@@ -376,7 +440,7 @@ def small_towers(draw):
         if m * degrees[-1] * factor > 200:
             break
         degrees.append(degrees[-1] * factor)
-    return elliptic_tower(m, degrees)
+    return EllipticTower(m, degrees)
 
 
 @st.composite
@@ -394,10 +458,10 @@ def galaxy_points(draw):
 @given(small_towers(), st.lists(galaxy_points(), min_size=1, max_size=6))
 @settings(deadline=None, max_examples=40)
 def test_closed_form_matches_the_built_levels(tower, points):
-    levels = list(tower.levels)
+    levels = [labeled(tower.circle, d) for d in tower.degrees]
     assert tower.cycle_sizes == tuple(lv.m for lv in levels)
     # vertex angles of the built levels; 1 is the angle 0 again
-    angles = [{label(lv, f"v{j}") for j in range(lv.m)} | {F(1)}
+    angles = [{lv.label(f"v{j}") for j in range(lv.m)} | {F(1)}
               for lv in levels]
     for point in points:
         got = _outcome(tower, point)
@@ -407,7 +471,7 @@ def test_closed_form_matches_the_built_levels(tower, points):
                 assert got[0] is IncompleteTower
                 continue
             assert isinstance(got, OpenPoint) and got.level == hits[0]
-            assert label(levels[got.level], got.vertex) == point.rational
+            assert levels[got.level].label(got.vertex) == point.rational
             continue
         sym = point.symbol
         if any(sym.lo <= a <= sym.hi for ang in angles for a in ang):
@@ -416,13 +480,13 @@ def test_closed_form_matches_the_built_levels(tower, points):
         assert isinstance(got, ClosedPoint) and \
             len(got.carriers) == len(levels)
         for lv, edge in zip(levels, got.carriers):
-            assert edge_interval(labeled(lv), edge.cell) == edge.interval
+            assert edge_interval(lv, edge.cell) == edge.interval
             assert edge.interval[0] < sym.lo and sym.hi < edge.interval[1]
 
 
 def test_depth_cap_doubling_tower_in_closed_form():
     start = time.perf_counter()
-    tower = elliptic_tower(3, [2 ** i for i in range(64)])
+    tower = EllipticTower(3, [2 ** i for i in range(64)])
     theta = F(5, 3 * 2 ** 62)
     c = classify_point(tower, galaxy_point(theta))
     assert isinstance(c, OpenPoint) and (c.level, c.vertex) == (62, "v5")
@@ -435,7 +499,7 @@ def test_depth_cap_doubling_tower_in_closed_form():
     for outer, inner in zip(c.carriers, c.carriers[1:]):
         assert outer.interval[0] <= inner.interval[0]
         assert inner.interval[1] <= outer.interval[1]
-    assert "levels" not in tower.__dict__
+    assert "complex" not in vars(tower.circle)
     assert time.perf_counter() - start < 1
 
 
@@ -443,20 +507,20 @@ def test_depth_cap_doubling_tower_in_closed_form():
 
 
 def test_decomposition_counts():
-    r = decomposition(PolygonDegeneration(3), 2)
+    r = decomposition(Circle(3), 2)
     assert r.level == 2
     assert r.slot_count == 6
     assert r.non_klt_cells == 6
-    assert decomposition(point_complex(), 7).slot_count == 1
-    assert decomposition(point_complex(), 7).non_klt_cells == 0
-    assert decomposition(triangle_complex(), 2).slot_count == 6
+    assert decomposition(Skeleton(point_complex()), 7).slot_count == 1
+    assert decomposition(Skeleton(point_complex()), 7).non_klt_cells == 0
+    assert decomposition(Skeleton(triangle_complex()), 2).slot_count == 6
 
 
 @given(st.integers(min_value=1, max_value=4))
 @settings(deadline=None, max_examples=4)
 def test_decomposition_slots_are_rational_points(level):
     x = triangle_complex()
-    r = decomposition(x, level)
+    r = decomposition(Skeleton(x), level)
     assert r.slot_count == len(rational_points(x, level))
 
 
@@ -466,20 +530,22 @@ def test_decomposition_builds_no_subdivision(monkeypatch):
     def refuse(*args):
         raise AssertionError("decomposition built a subdivision")
 
-    monkeypatch.setattr(complexes, "scale_subdivide", refuse)
+    for module in (complexes, galaxy):
+        monkeypatch.setattr(module, "scale_subdivide", refuse)
+        monkeypatch.setattr(module, "cycle_complex", refuse)
     monkeypatch.setattr(complexes, "rational_points", refuse)
-    r = decomposition(PolygonDegeneration(3), 10 ** 9)
+    r = decomposition(Circle(3), 10 ** 9)
     assert r.slot_count == r.non_klt_cells == 3 * 10 ** 9
 
 
 def test_decomposition_builds_no_cycle():
-    """A degeneration's cycle is counted, not built, so no cell cap limits
+    """A circle's cycle is counted, not built, so no cell cap limits
     its m; a small case first, so that a decomposition that builds its
     cycle fails here instead of building 2·10^9 cells."""
-    small = PolygonDegeneration(3)
+    small = Circle(3)
     decomposition(small, 2)
     assert "complex" not in vars(small)
-    big = PolygonDegeneration(10 ** 9)
+    big = Circle(10 ** 9)
     r = decomposition(big, 5)
     assert r.slot_count == r.non_klt_cells == 5 * 10 ** 9
     assert "complex" not in vars(big)
