@@ -574,11 +574,11 @@ def subdivision_counts(x: DeltaComplex, level: int) -> dict[int, int]:
     points split the level into m + 1 - |tight| positive parts, coordinate
     0 and the others, so there are C(level - 1, m - |tight|) of them.
     """
-    if level < 1:
-        raise ValueError("subdivision level must be a positive integer")
     if not x.affine:
         raise NoAffineStructure(
             "the complex carries no integral-affine charts")
+    if level < 1:
+        raise ValueError("subdivision level must be a positive integer")
     counts: Counter = Counter()
     for m, cells in Counter(c.dim for c in x.cells).items():
         for tight in itertools.product((False, True), repeat=m):
@@ -685,11 +685,6 @@ def scale_subdivide(x: DeltaComplex, level: int) -> SubdivisionResult:
     cell's face without those walls, found once per wall set.  Freudenthal
     faces satisfy the simplicial identities, so they are not re-checked.
     """
-    if not x.affine:
-        raise NoAffineStructure(
-            "the complex carries no integral-affine charts")
-    if level < 1:
-        raise ValueError("subdivision level must be a positive integer")
     _refuse_beyond_cap(sum(subdivision_counts(x, level).values()),
                        f"cells of the level-{level} subdivision")
     templates = _templates(x.dim, level)

@@ -31,13 +31,15 @@ it finds.
 
 Completeness and subdivision witnesses ask one question, whether some
 cones of a valid fan tile a cone sigma holding them, and ``_tiled``
-answers it by facet pairing: the cones, all of sigma's dimension, tile it
-exactly when each of their facets is shared by exactly two of them, or
-belongs to one only and lies in sigma's boundary, where ``lattice.locate``
-finds a proper face (a standard walking argument: their union is then
-closed and open in sigma off a codimension-2 set).  A fan is complete when
-its full-dimensional cones tile the whole space, which has no facet and so
-no boundary; ``Fan.complete`` asks on first read.  A subdivision witness
+answers it by facet pairing off the same sign table: the cones, all of
+sigma's dimension, tile it exactly when each of their facets is shared by
+exactly two of them, or belongs to one only and lies in sigma's boundary,
+where some facet of sigma vanishes on all of its rays (a standard walking
+argument: their union is then closed and open in sigma off a
+codimension-2 set).  A facet is the pair of masks of its rays and its
+lines, so no facet is built as a cone.  A fan is complete when its
+full-dimensional cones tile the whole space, which has no facet and so no
+boundary; ``Fan.complete`` asks on first read.  A subdivision witness
 records the coarse cone that carries each fine cone.
 ``common_refinement`` knows its pieces' carriers, as ``_split`` does: a
 full-dimensional piece lies in exactly one maximal cone of a valid pure
@@ -51,6 +53,7 @@ golden tests can compare fans directly.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
@@ -71,11 +74,6 @@ IVec = tuple[int, ...]
 def _cone_key(c: Cone):
     """Deterministic sort key for cones, read with no conversion."""
     return (c.rays, c.lines)
-
-
-def facet_cones(c: Cone) -> tuple[Cone, ...]:
-    """The codimension-1 faces of a cone, one per facet normal."""
-    return tuple(_face(c, mask) for mask in c._dual[2])
 
 
 @dataclass(frozen=True)
@@ -133,23 +131,25 @@ class Fan:
         return carrier, holding
 
 
-def _tiled(cones: Sequence[Cone], sigma: Cone) -> bool:
-    """Do the cones, cones of a valid fan with sigma's dimension that lie
-    in sigma, tile it?  Each facet must be shared by two of them, or belong
-    to one and lie in sigma's boundary."""
-    # keyed by ray data, which hashes and compares faster than the cone
-    count: dict = {}
-    for c in cones:
-        for f in facet_cones(c):
-            count.setdefault((f.rays, f.lines), [0, f])[0] += 1
-    return all(k == 2 or k == 1 and locate(sigma, f.relint_point()) != sigma
-               for k, f in count.values())
+def _tiled(rows, boundary) -> bool:
+    """Do the cones of these ``_sign_table`` rows, cones of a valid fan
+    with sigma's dimension that lie in sigma, tile it?  ``boundary`` holds
+    the masks of sigma's facets, from sigma's row in the same table.  A
+    facet of a cone is the pair of masks of its rays, those of the cone on
+    which its normal vanishes, and of the cone's lines.  It must be shared
+    by two of the cones, or belong to one and lie in sigma's boundary,
+    where a facet of sigma vanishes on all of its rays."""
+    count = Counter((zero & rays, lines)
+                    for rays, lines, facets in rows for _, zero in facets)
+    return all(k == 2 or k == 1 and any(z & r == r for _, z in boundary)
+               for (r, _), k in count.items())
 
 
 def _is_complete(maximal: Sequence[Cone], n: int) -> bool:
-    """Do the maximal cones of a valid fan tile the whole space?"""
+    """Do the maximal cones of a valid fan tile the whole space, which has
+    no boundary?"""
     return bool(maximal) and all(c.dim == n for c in maximal) and \
-        _tiled(maximal, Cone(n, (), tuple(la.identity_rows(n))))
+        _tiled(_sign_table(maximal), ())
 
 
 def _sign_table(cones: Sequence[Cone]) -> list[tuple[int, int, list]]:
@@ -306,8 +306,10 @@ def _tiles(fine: Fan, coarse: Fan, carrier: Sequence[int]
         return None
     for j, taus in groups.items():
         sigma = coarse.maximal[j]
-        if taus != [sigma] and not _tiled(taus, sigma):
-            return None
+        if taus != [sigma]:
+            (_, _, boundary), *rows = _sign_table([sigma, *taus])
+            if not _tiled(rows, boundary):
+                return None
     return SubdivisionWitness(tuple(carrier))
 
 

@@ -127,10 +127,6 @@ class EllipticTower:
     def cycle_sizes(self) -> tuple[int, ...]:
         return tuple(self.circle.m * d for d in self.degrees)
 
-    @property
-    def depth(self) -> int:
-        return len(self.degrees)
-
 
 @dataclass(frozen=True)
 class GalaxyPoint:

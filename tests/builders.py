@@ -15,9 +15,10 @@ its normal fan, a stellar subdivision at one ray, the complete rank-2
 fan of a ray set and the carrier search ``is_subdivision`` are the
 references that the exact routes, the split steps, the refinement
 witnesses and the randomized fan suites compare against or build from.
-Facet pairing with every boundary sign evaluated (``pair_facets``,
-``is_complete`` and ``tiles``) is the reference for the fan layer's one
-tiling check.
+Facet pairing over facet cones built one by one (``facet_cones``), with
+every boundary sign evaluated (``pair_facets``, ``is_complete`` and
+``tiles``), is the reference for the fan layer's one tiling check, which
+reads its facets off a sign table's masks.
 The facet-sign certificate with every sign evaluated (``facing``,
 ``separated`` and ``certified_refinement``) is the reference for the
 sign tables of fan validation and refinement.  Cones with lines, which
@@ -447,11 +448,17 @@ def is_subdivision(fine: Fan, coarse: Fan):
     return tiles(fine, coarse, carrier)
 
 
+def facet_cones(c: Cone) -> tuple[Cone, ...]:
+    """The codimension-1 faces of a cone, one per facet normal, each built
+    as a cone from its facet's mask."""
+    return tuple(lattice._face(c, mask) for mask in c._dual[2])
+
+
 def pair_facets(cones):
     """Each facet cone of the given cones with the number sharing it."""
     pairs = {}
     for c in cones:
-        for f in fans.facet_cones(c):
+        for f in facet_cones(c):
             pairs.setdefault((f.rays, f.lines), [0, f])[0] += 1
     return pairs.values()
 

@@ -902,6 +902,16 @@ def test_subdivision_counts_refuse_what_scale_subdivide_refuses():
         subdivision_counts(flat, 2)
 
 
+@pytest.mark.parametrize("refine", [scale_subdivide, subdivision_counts],
+                         ids=["subdivide", "counts"])
+def test_a_complex_with_no_charts_is_refused_first(refine):
+    """With no integral-affine charts and level 0 both refusals apply, and
+    the missing charts are named."""
+    flat = make_complex([("a", [])], affine=False)
+    with pytest.raises(NoAffineStructure):
+        refine(flat, 0)
+
+
 @pytest.mark.parametrize("build", [
     lambda: scale_subdivide(tetrahedron_solid(), 3).complex.cells,
     lambda: scale_subdivide(torus(), 4).complex.cells,

@@ -19,6 +19,7 @@ from builders import (
     certified_refinement,
     cone_from_halfspaces,
     cone_is_face,
+    facet_cones,
     facing,
     fan_from_rays_2d,
     is_complete,
@@ -27,6 +28,7 @@ from builders import (
     pair_facets,
     separated,
     stellar_subdivision,
+    tiles,
 )
 from troplim import fans, lattice, towers as tw
 from troplim.errors import ValidationError
@@ -324,7 +326,7 @@ def reference_is_subdivision(fine, coarse):
     if len(groups) != len(coarse.maximal):
         return None
     for j, taus in groups.items():
-        sigma_facets = fans.facet_cones(coarse.maximal[j])
+        sigma_facets = facet_cones(coarse.maximal[j])
         for count, f in pair_facets(taus):
             if count == 2:
                 continue
@@ -448,7 +450,7 @@ def reference_split(fan, rays):
         ray = rays.get(j)
         joins = [] if ray is None else [
             make_cone(list(f.rays) + [ray], n=fan.n, lines=list(f.lines))
-            for f in fans.facet_cones(sigma) if not cone_holds(f, [ray])]
+            for f in facet_cones(sigma) if not cone_holds(f, [ray])]
         out += joins or [sigma]
     return fans._trusted_fan(out, fan.n)
 
@@ -776,6 +778,59 @@ def test_the_tiling_check_meets_each_family():
     assert_same_tiling(quadrant_fan(), part)
     assert_same_tiling(zero, zero)
     assert_same_tiling(plane, embedded(halfplane_fan((1, -1))))
+
+
+def first_carriers(fine, coarse):
+    """The first coarse cone holding each fine cone."""
+    return [next(j for j, sigma in enumerate(coarse.maximal)
+                 if cone_holds(sigma, tau.rays, tau.lines))
+            for tau in fine.maximal]
+
+
+def test_the_tiling_check_builds_no_facet_cone_and_locates_nothing(
+        monkeypatch):
+    """On the fixed families of the tiling check, completeness, fresh and
+    by validation, and the witness of each carrier assignment come from
+    the sign table alone: with the fans built first, no facet cone is
+    built and no face is located, and they match facet pairing."""
+    quadrants = quadrant_fan()
+    plane = embedded(quadrants)
+    zero = fans.fan_from_cones([cone_from_halfspaces([], [], 0)], 0)
+    rays, line = low_fans(2)
+    part = partial(quadrants, 0)
+    families = [plane, rays, line, part, zero, lifted(quadrants)]
+    halves = embedded(halfplane_fan((1, -1)))
+    refined = certified_refinement(plane, halves)[0]
+    pairs = [(part, quadrants), (part, part), (zero, zero), (refined, plane),
+             (refined, halves)]
+    # split steps, whose pieces tile their carriers, and the same pieces
+    # less one, which leave a facet unpaired inside a carrier
+    for fan in (quadrants, lifted(quadrants), plane):
+        fine = fans._split(fan, {
+            j: primitive(sigma.relint_point()).direction
+            for j, sigma in enumerate(fan.maximal)})[0]
+        pairs += [(fine, fan), (partial(fine, 0), fan)]
+    assignments = []
+    for fine, coarse in pairs:
+        carrier = first_carriers(fine, coarse)
+        assignments.append(
+            (fine, coarse, carrier, tiles(fine, coarse, carrier)))
+    expected = [is_complete(fan.maximal, fan.n) for fan in families]
+    assert expected == [False, False, False, False, True, True]
+    assert any(w is None for *_, w in assignments) and \
+        any(w is not None and len(set(carrier)) < len(fine.maximal)
+            for fine, _, carrier, w in assignments)
+
+    def refuse(*args):
+        raise AssertionError("the tiling check built or located a face")
+
+    monkeypatch.setattr(fans, "locate", refuse)
+    monkeypatch.setattr(fans, "_face", refuse)
+    for fan, complete in zip(families, expected):
+        assert fans.Fan(fan.n, fan.maximal).complete is complete
+        assert fans.validate_fan(fan.maximal, fan.n).complete is complete
+    for fine, coarse, carrier, witness in assignments:
+        assert fans._tiles(fine, coarse, carrier) == witness
 
 
 def assert_same_split(fan, rays, got=None):

@@ -339,7 +339,7 @@ def test_elliptic_tower_validation():
 
 
 def test_tower_levels_are_subdivided_cycles(tower):
-    assert tower.depth == 5
+    assert len(tower.degrees) == 5
     assert tower.circle == Circle(3)
     assert tower.cycle_sizes == (3, 6, 12, 24, 48)
     assert [tower.circle.level(d) for d in tower.degrees] == \

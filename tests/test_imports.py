@@ -141,27 +141,37 @@ def attributes_read(tree: ast.AST) -> set[tuple[str | None, str]]:
             and isinstance(node.ctx, ast.Load)}
 
 
+def members(cls: ast.ClassDef) -> list[str]:
+    """The methods, properties and annotated fields of a class body, then
+    the fields its ``__init__`` sets on its first parameter, each once."""
+    names = []
+    for item in cls.body:
+        if isinstance(item, ast.FunctionDef):
+            names.append(item.name)
+        elif isinstance(item, ast.AnnAssign) and \
+                isinstance(item.target, ast.Name):
+            names.append(item.target.id)
+    for init in cls.body:
+        if isinstance(init, ast.FunctionDef) and init.name == "__init__" \
+                and init.args.args:
+            this = init.args.args[0].arg
+            names += [node.attr for node in ast.walk(init)
+                      if isinstance(node, ast.Attribute)
+                      and isinstance(node.ctx, ast.Store)
+                      and isinstance(node.value, ast.Name)
+                      and node.value.id == this]
+    return list(dict.fromkeys(names))
+
+
 def unread_members(source: str,
                    read: set[tuple[str | None, str]]) -> list[str]:
-    """Methods, properties and annotated fields of the module's classes
-    read neither through a receiver of their own class nor through one of
-    no evident class; dunder methods are exempt."""
-    unread = []
-    for cls in ast.walk(ast.parse(source)):
-        if not isinstance(cls, ast.ClassDef):
-            continue
-        for item in cls.body:
-            if isinstance(item, ast.FunctionDef):
-                name = item.name
-            elif isinstance(item, ast.AnnAssign) and \
-                    isinstance(item.target, ast.Name):
-                name = item.target.id
-            else:
-                continue
-            if not (name.startswith("__") and name.endswith("__")) and \
-                    (None, name) not in read and (cls.name, name) not in read:
-                unread.append(f"{cls.name}.{name}")
-    return unread
+    """Members of the module's classes read neither through a receiver of
+    their own class nor through one of no evident class; dunder methods
+    are exempt."""
+    return [f"{cls.name}.{name}" for cls in ast.walk(ast.parse(source))
+            if isinstance(cls, ast.ClassDef) for name in members(cls)
+            if not (name.startswith("__") and name.endswith("__"))
+            and (None, name) not in read and (cls.name, name) not in read]
 
 
 @cache
@@ -180,6 +190,15 @@ def test_the_scan_flags_an_unread_member():
     read = attributes_read(ast.parse(source))
     assert read == {("P", "x"), ("P", "doubled")}
     assert unread_members(source, read) == ["P.knob", "P.spare"]
+    # fields set in __init__, however assigned, are members too
+    source = ("class Q:\n    def __init__(self, a):\n        self.a = a\n"
+              "        self.pair, self.spare = a, 2\n"
+              "        self.count: int = 0\n        self.count += 1\n"
+              "        other = Q\n        other.unbound = 3\n"
+              "    def read(self):\n        return self.a + self.count\n"
+              "def f(q):\n    return q.pair, q.read()\n")
+    read = attributes_read(ast.parse(source))
+    assert unread_members(source, read) == ["Q.spare"]
 
 
 def test_the_scan_matches_a_read_to_its_evident_class():
@@ -213,11 +232,14 @@ def test_every_member_is_read_somewhere(path):
 
 # members that only the tests read, kept for the work that will read them:
 # Cone.is_unimodular for towers over moduli fans (ROADMAP item 8) and
-# Symbol.sqrt for rank-3 toward towers (item 3); and SubdivisionResult.carrier,
+# Symbol.sqrt for rank-3 toward towers (item 3); SubdivisionResult.carrier,
 # which the tests locate points through and the benchmark's tracer wraps by
-# name (perfbench/layers.py, METHODS)
+# name (perfbench/layers.py, METHODS); and UndecidableSign.coefficients, the
+# combination a library caller needs to know which enclosure to refine,
+# where the CLI prints only the message
 TEST_READ_MEMBERS = {"Cone.is_unimodular", "Symbol.sqrt",
-                     "SubdivisionResult.carrier"}
+                     "SubdivisionResult.carrier",
+                     "UndecidableSign.coefficients"}
 
 
 def test_every_member_is_read_outside_the_tests():

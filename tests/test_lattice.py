@@ -23,6 +23,7 @@ from builders import (
     cone_from_halfspaces,
     cone_is_face,
     face_lattice,
+    facet_cones,
     make_cone,
     newton_polytope,
     normal_cone,
@@ -40,7 +41,6 @@ from troplim import fans
 from troplim import lattice as lat
 from troplim import tropical as tp
 from troplim._polyhedra import homogenization_info
-from troplim.fans import facet_cones
 from troplim._linalg import dot, identity_rows, mat_rank
 from troplim.errors import (
     DimensionMismatch,
