@@ -39,8 +39,9 @@ argument: their union is then closed and open in sigma off a
 codimension-2 set).  A facet is the pair of masks of its rays and its
 lines, so no facet is built as a cone.  A fan is complete when its
 full-dimensional cones tile the whole space, which has no facet and so no
-boundary; ``Fan.complete`` asks on first read.  A subdivision witness
-records the coarse cone that carries each fine cone.
+boundary; ``Fan.complete`` asks on first read, and ``validate_fan``
+reads the answer off the sign table its axiom check built.  A
+subdivision witness records the coarse cone that carries each fine cone.
 ``common_refinement`` knows its pieces' carriers, as ``_split`` does: a
 full-dimensional piece lies in exactly one maximal cone of a valid pure
 fan.  Containment is not enough (the refinement might cover only part of
@@ -145,11 +146,13 @@ def _tiled(rows, boundary) -> bool:
                for (r, _), k in count.items())
 
 
-def _is_complete(maximal: Sequence[Cone], n: int) -> bool:
+def _is_complete(maximal: Sequence[Cone], n: int,
+                 table: Optional[list] = None) -> bool:
     """Do the maximal cones of a valid fan tile the whole space, which has
-    no boundary?"""
+    no boundary?  ``table`` is their ``_sign_table`` when it is built
+    already."""
     return bool(maximal) and all(c.dim == n for c in maximal) and \
-        _tiled(_sign_table(maximal), ())
+        _tiled(_sign_table(maximal) if table is None else table, ())
 
 
 def _sign_table(cones: Sequence[Cone]) -> list[tuple[int, int, list]]:
@@ -212,19 +215,21 @@ def _separated(a, b) -> bool:
         on_a.bit_count() < min(rays_a.bit_count(), rays_b.bit_count())
 
 
-def _violations(cones: list[Cone], n: Optional[int]) -> list[str]:
-    """Every fan axiom the cones break, in the order checked; empty for a fan.
+def _violations(cones: list[Cone], n: Optional[int]
+                ) -> tuple[list[str], Optional[list]]:
+    """Every fan axiom the cones break, in the order checked, empty for a
+    fan; and the cones' sign table, None when the check stops before it.
 
     A pair that ``_separated`` certifies from one sign table of all the
     cones is skipped; every other pair is intersected and its meet checked
     against both cones.
     """
     if not cones:
-        return ["fan has no cones"]
+        return ["fan has no cones"], None
     violations = [f"cone {i} lives in rank {c.n}, expected {n}"
                   for i, c in enumerate(cones) if c.n != n]
     if violations:
-        return violations
+        return violations, None
     table = _sign_table(cones)
     keys = [_cone_key(c) for c in cones]
     for i in range(len(cones)):
@@ -247,7 +252,7 @@ def _violations(cones: list[Cone], n: Optional[int]) -> list[str]:
                 violations.append(
                     f"cones {i} and {j} intersect in {m.rays} + lines "
                     f"{m.lines}, not a common face")
-    return violations
+    return violations, table
 
 
 def validate_fan(cones: Sequence[Cone], n: Optional[int] = None) -> FanReport:
@@ -255,9 +260,9 @@ def validate_fan(cones: Sequence[Cone], n: Optional[int] = None) -> FanReport:
     cones = list(cones)
     if cones and n is None:
         n = cones[0].n
-    violations = _violations(cones, n)
+    violations, table = _violations(cones, n)
     valid = not violations
-    return FanReport(valid, valid and _is_complete(cones, n),
+    return FanReport(valid, valid and _is_complete(cones, n, table),
                      tuple(violations))
 
 
@@ -272,7 +277,7 @@ def fan_from_cones(cones: Sequence[Cone], n: Optional[int] = None) -> Fan:
     if cones and n is None:
         n = cones[0].n
     # completeness is left to Fan.complete, on first read
-    violations = _violations(cones, n)
+    violations, _ = _violations(cones, n)
     if violations:
         raise ValidationError("; ".join(violations))
     return _trusted_fan(cones, n)

@@ -117,12 +117,23 @@ class SymbolicVector:
                   for row in self.rows)
             for j in range(len(self.symbols) + 1))
 
+    @cached_property
+    def _boxes(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """A positive common denominator E of the symbols' enclosures, and
+        each enclosure's ends times E."""
+        den = lcm(*(b.denominator for s in self.symbols for b in (s.lo, s.hi)))
+        return den, tuple((s.lo.numerator * (den // s.lo.denominator),
+                           s.hi.numerator * (den // s.hi.denominator))
+                          for s in self.symbols)
+
     def sign(self, functional: Sequence[Coefficient]) -> int:
         """Exact sign of <functional, self>, or UndecidableSign.
 
         The combination is summed in integers over the columns of
-        ``_scaled``, whose positive scale does not change a sign; Fractions
-        are built only for the interval test.
+        ``_scaled``, and its enclosure is bounded in integers over the
+        boxes of ``_boxes``: both scales are positive, so the bounds times
+        D * E have the signs of the bounds.  Fractions are built only for
+        the report of an undecidable sign.
         """
         if len(functional) != self.n:
             raise DimensionMismatch(
@@ -132,18 +143,24 @@ class SymbolicVector:
         combo = [sum(map(mul, functional, col)) for col in columns]
         if not any(combo[1:]):
             return (combo[0] > 0) - (combo[0] < 0)
-        combo = [Fraction(c, den) for c in combo]
-        lo, hi = _combination_interval(combo, self.symbols)
+        scale, boxes = self._boxes
+        lo = hi = combo[0] * scale
+        for c, (a, b) in zip(combo[1:], boxes):
+            if c > 0:
+                lo, hi = lo + c * a, hi + c * b
+            else:
+                lo, hi = lo + c * b, hi + c * a
         if lo > 0:
             return 1
         if hi < 0:
             return -1
         # nonzero by declared independence, but the enclosure cannot tell
         # the sign
+        combo = [Fraction(c, den) for c in combo]
         raise UndecidableSign(
             "sign of a nonzero symbolic combination is not determined by "
             "the declared enclosures", coefficients=tuple(combo),
-            interval=(lo, hi))
+            interval=_combination_interval(combo, self.symbols))
 
 
 def _combination_interval(row, symbols):
@@ -291,28 +308,45 @@ class CommonRefineWith:
         return new, witness
 
 
-def _carriers(fans, witnesses, x: SymbolicVector, start: int, outside: str):
+def _chased(t: FanTower, x: SymbolicVector) -> dict:
+    """The carriers of x found so far on t's levels, by level, each with
+    the indices of the maximal cones holding it: those that extending t
+    toward x found, and a chain of t toward x since; empty for any other
+    x.  They sit outside the tower's eq, hash and repr."""
+    target, found = t.__dict__.get("_chase", (None, {}))
+    return found if target == x else {}
+
+
+def _carriers(fans, witnesses, x: SymbolicVector, start: int, found: dict,
+              outside: str):
     """The carrier of x on each level from ``start`` on, with the indices of
     the maximal cones holding it; a miss raises OutsideSupport(outside)
     formatted with the level.  The lists may grow while the walk runs.  A
     fine cone holding x lies in its witness carrier, which then holds x, so
-    each later level is searched among the children of the cones holding x.
+    a level is searched among the children of the cones holding x one
+    level up, when those are known.  ``found`` holds the levels already
+    located, as ``_chased`` gives them; each level is located once and
+    added to it.
     """
-    holding = None
     i = start
     while i < len(fans):
-        among = None if holding is None else witnesses[i - 1].children(holding)
-        carrier, holding = fans[i].locate(x, among)
-        if carrier is None:
-            raise OutsideSupport(outside.format(i))
-        yield carrier, holding
+        if i not in found:
+            above = found.get(i - 1)
+            among = None if above is None else \
+                witnesses[i - 1].children(above[1])
+            carrier, holding = fans[i].locate(x, among)
+            if carrier is None:
+                raise OutsideSupport(outside.format(i))
+            found[i] = carrier, holding
+        yield found[i]
         i += 1
 
 
 def extend_tower(t: FanTower, strategy, steps: int) -> FanTower:
     """Append `steps` refinements produced by the strategy, each step
     giving the new fan with its witness; a toward step is handed the
-    target's carrier on the last level and the cones holding it."""
+    target's carrier on the last level and the cones holding it, and the
+    tower keeps the carriers it found for a chain toward the target."""
     if t.depth + steps > TOWER_DEPTH_CAP:
         raise DepthCap(f"tower depth {t.depth + steps} exceeds the cap of "
                        f"{TOWER_DEPTH_CAP}")
@@ -320,8 +354,10 @@ def extend_tower(t: FanTower, strategy, steps: int) -> FanTower:
     witnesses = list(t.witnesses)
     chase = isinstance(strategy, TowardDirection)
     if chase:
-        walk = _carriers(fans, witnesses, strategy.target, len(fans) - 1,
-                         "target direction lies outside the fan support")
+        found = dict(_chased(t, strategy.target))
+        walk = _carriers(
+            fans, witnesses, strategy.target, len(fans) - 1, found,
+            "target direction lies outside the fan support")
     for _ in range(steps):
         if chase:
             new, w = strategy.step(fans[-1], *next(walk))
@@ -335,7 +371,10 @@ def extend_tower(t: FanTower, strategy, steps: int) -> FanTower:
                 f"the level-{len(fans) - 1} fan")
         fans.append(new)
         witnesses.append(w)
-    return FanTower(tuple(fans), tuple(witnesses))
+    tower = FanTower(tuple(fans), tuple(witnesses))
+    if chase:
+        tower.__dict__["_chase"] = strategy.target, found
+    return tower
 
 
 # -- chains and resolution --------------------------------------------------
@@ -386,10 +425,12 @@ def resolve_direction(c: ConeChain) -> LimitPointDescriptor:
 
 
 def chain_toward(t: FanTower, x: SymbolicVector) -> ConeChain:
-    """The chain of minimal carriers of x, one per tower level."""
+    """The chain of minimal carriers of x, one per tower level; x is
+    located only on the levels where extending the tower toward x did
+    not locate it."""
     if x.is_zero:
         raise ZeroVector("cannot chase the zero direction")
     return ConeChain(tuple(enumerate(
         carrier for carrier, _ in _carriers(
-            t.fans, t.witnesses, x, 0,
+            t.fans, t.witnesses, x, 0, _chased(t, x),
             "direction lies outside the level-{} support"))))

@@ -28,6 +28,7 @@ from builders import (
     triangle_complex,
 )
 from troplim import cli
+from troplim import fans
 from troplim import io
 from troplim import lattice
 from troplim import sampling
@@ -845,6 +846,40 @@ def test_limit_point_resolves_rational_direction(tmp_path, capsys):
     res = report["results"][0]
     assert res["resolved"] and res["ray"] == ["2", "3"]
     assert res["carrier_dims"][-1] == 1
+
+
+TOWARD_23 = {"kind": "toward-direction",
+             "direction": {"entries": ["2", "3"]}}
+
+
+@pytest.mark.parametrize("spec, calls", [
+    ({"strategy": TOWARD_23, "steps": 6}, 7),
+    ({"strategy": TOWARD_23, "steps": 6,
+      "direction": {"entries": ["2", "3"]}}, 7),
+    ({"strategy": TOWARD_23, "steps": 6,
+      "direction": {"entries": ["3", "2"]}}, 13),
+    ({"strategy": TOWARD_23, "steps": 0}, 1),
+    ({"strategy": {"kind": "stellar-at-barycenters"}, "steps": 1,
+      "direction": {"entries": ["2", "3"]}}, 2),
+], ids=["toward", "toward-same-direction", "toward-other-direction",
+        "no-step", "stellar"])
+def test_a_limit_point_job_locates_its_target_once_per_level(
+        tmp_path, capsys, monkeypatch, spec, calls):
+    """A toward job chasing its own target locates it once on each level;
+    a job chasing another direction extends with one walk and chases
+    with another, as a stellar tower and a tower of no step do."""
+    counted, locate = [], fans.Fan.locate
+
+    def counting(fan, point, among=None):
+        counted.append(point)
+        return locate(fan, point, among)
+
+    monkeypatch.setattr(fans.Fan, "locate", counting)
+    path = put(tmp_path, "lp.json", {"base_fan": QUADRANT, **spec})
+    code, report = run_json(capsys, ["limit-point", path])
+    assert code == 0
+    assert report["results"][0]["depth"] == spec["steps"] + 1
+    assert len(counted) == calls
 
 
 def test_fiber_rank_reports_model(tmp_path, capsys):

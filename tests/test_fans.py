@@ -66,20 +66,25 @@ def test_quadrant_fan_valid_complete():
 
 
 def test_fan_from_cones_pairs_facets_once_on_first_read(monkeypatch):
-    pair, calls = fans._is_complete, []
+    """Validation builds one sign table for a valid fan, read both for the
+    axioms and for completeness; a constructed fan builds its own on the
+    first read of ``Fan.complete`` only."""
+    table, calls = fans._sign_table, []
 
-    def counted(maximal, n):
-        calls.append(n)
-        return pair(maximal, n)
+    def counted(cones):
+        calls.append(len(cones))
+        return table(cones)
 
-    monkeypatch.setattr(fans, "_is_complete", counted)
+    monkeypatch.setattr(fans, "_sign_table", counted)
     f = quadrant_fan()
-    assert calls == []
+    assert calls == [4]
     assert f.complete and f.complete
-    assert calls == [2]
+    assert calls == [4, 4]
     # the report of fan-validate still says whether the fan is complete
     assert fans.validate_fan(f.maximal).complete
-    assert calls == [2, 2]
+    assert calls == [4, 4, 4]
+    assert not fans.validate_fan(f.maximal[1:]).complete
+    assert calls == [4, 4, 4, 3]
 
 
 def test_single_cone_fan_valid_incomplete():
@@ -469,7 +474,7 @@ def assert_same_certificate(cones):
     separated pairs, when every cone has one rank (validation stops at
     the ranks otherwise); and the violations against the pairwise check."""
     n = cones[0].n
-    assert fans._violations(cones, n) == reference_violations(cones, n)
+    assert fans._violations(cones, n)[0] == reference_violations(cones, n)
     if any(c.n != n for c in cones):
         return
     table = fans._sign_table(cones)
@@ -547,7 +552,7 @@ def tower_levels(draw):
 def test_tower_levels_validate_as_the_pairwise_check_does(fan, other, rnd):
     cones = list(fan.maximal)
     rnd.shuffle(cones)
-    assert fans._violations(cones, fan.n) == \
+    assert fans._violations(cones, fan.n)[0] == \
         reference_violations(cones, fan.n) == []
     assert_same_certificate(cones)
     if other.n == fan.n:
@@ -579,7 +584,8 @@ def perfect_cones(height):
 def test_perfect_cone_fans_validate_as_the_pairwise_check_does(height):
     cones = sorted(perfect_cones(height), key=fans._cone_key)
     assert len(cones) == {3: 14, 6: 46}[height]
-    assert fans._violations(cones, 3) == reference_violations(cones, 3) == []
+    assert fans._violations(cones, 3)[0] == \
+        reference_violations(cones, 3) == []
     table = fans._sign_table(cones)
     assert all(fans._separated(a, b)
                for a, b in itertools.combinations(table, 2))
@@ -665,8 +671,8 @@ def test_the_certificate_leaves_containment_and_t_junctions_to_the_check():
     a, b = t_junction(shear_columns(3, []))
     for cones in ([quadrant, edge], [edge, quadrant], [a, b], [b, a]):
         n = cones[0].n
-        assert fans._violations(cones, n) == reference_violations(cones, n)
-        assert fans._violations(cones, n)
+        assert fans._violations(cones, n)[0] == reference_violations(cones, n)
+        assert fans._violations(cones, n)[0]
     assert not fans._separated(*fans._sign_table([a, b]))
     assert not fans._separated(*fans._sign_table([quadrant, edge]))
     assert fans._separated(*fans._sign_table([quadrant,
@@ -894,7 +900,8 @@ def test_facet_signs_match_the_converting_code_rank3(m1, m2, r, z, plane):
     prism = lifted(plane)
     assert_facet_signs_agree(prism, a, r + (z,))
     cones = list(prism.maximal)
-    assert fans._violations(cones, 3) == reference_violations(cones, 3) == []
+    assert fans._violations(cones, 3)[0] == \
+        reference_violations(cones, 3) == []
 
 
 @settings(max_examples=80, deadline=None)

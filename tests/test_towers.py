@@ -11,11 +11,12 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from builders import (
     cone_is_face,
     fan_from_rays_2d,
+    fresh_chain_toward,
     is_subdivision,
     make_cone,
     rational_vector,
@@ -25,7 +26,7 @@ from troplim import fans, towers as tw
 from troplim._linalg import _det_int, mat_rank
 from troplim.errors import (
     DepthCap, DimensionMismatch, EmptyChain, OutsideSupport, RankCap,
-    UndecidableSign, ValidationError, ZeroVector,
+    TropLimError, UndecidableSign, ValidationError, ZeroVector,
 )
 from troplim.lattice import RANK_CAP, cone_faces, cone_holds, locate
 from troplim.lattice import cone_from_generators as cg
@@ -111,6 +112,84 @@ def test_sign_of_undecidable_reports_data():
         x.sign((0, 1))
     assert exc.value.coefficients == (F(0), F(1))
     assert exc.value.interval == (F(-1, 1000), F(1, 1000))
+
+
+def reference_sign(x, functional):
+    """``SymbolicVector.sign`` with the combination and its enclosure in
+    Fractions; an undecidable sign is returned as the error's data."""
+    combo = [sum(F(a) * row[j] for a, row in zip(functional, x.rows))
+             for j in range(len(x.symbols) + 1)]
+    if not any(combo[1:]):
+        return (combo[0] > 0) - (combo[0] < 0)
+    lo, hi = tw._combination_interval(combo, x.symbols)
+    if lo > 0:
+        return 1
+    if hi < 0:
+        return -1
+    return UndecidableSign, tuple(combo), (lo, hi)
+
+
+def sign_outcome(x, functional):
+    try:
+        return x.sign(functional)
+    except UndecidableSign as exc:
+        return UndecidableSign, exc.coefficients, exc.interval
+
+
+@st.composite
+def boxed_vectors(draw):
+    """Vectors over 1-3 symbols whose boxes have large, unequal
+    denominators, with entries of large denominators too, and a
+    functional on them of integers and fractions."""
+    k = draw(st.integers(1, 3))
+    big = st.integers(-10 ** 12, 10 ** 12)
+    den = st.integers(1, 10 ** 9)
+    symbols = []
+    for i in range(k):
+        lo = F(draw(big), draw(den))
+        width = F(draw(st.integers(1, 10 ** 12)), draw(den))
+        symbols.append(tw.Symbol(f"a{i}", lo, lo + width))
+    entry = st.builds(F, st.integers(-10 ** 6, 10 ** 6),
+                      st.integers(1, 10 ** 6))
+    rows = draw(st.lists(st.lists(entry, min_size=k + 1, max_size=k + 1),
+                         min_size=1, max_size=4))
+    functional = draw(st.lists(
+        st.one_of(st.integers(-5, 5), st.builds(F, st.integers(-5, 5),
+                                                st.integers(1, 7))),
+        min_size=len(rows), max_size=len(rows)))
+    return tw.symbolic_vector(rows, symbols), functional
+
+
+STRADDLE = (tw.symbolic_vector(
+    [[F(1, 3), F(2, 999_999_937)], [F(-1, 3), 0]],
+    [tw.Symbol("a", F(-10 ** 9, 999_999_929), F(10 ** 9, 1_000_000_007))]),
+    [1, 1])
+DECIDED = (tw.symbolic_vector(
+    [[F(7, 3), F(2, 999_999_937)]],
+    [tw.Symbol("a", F(-1, 999_999_929), F(3, 1_000_000_007))]), [1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(boxed_vectors())
+@example(STRADDLE)
+@example(DECIDED)
+def test_the_integer_enclosure_decides_as_the_fractions_do(case):
+    """The sign decided in integers over the scaled boxes is the Fraction
+    enclosure's; where the enclosure straddles zero, the error reports the
+    same coefficients and interval."""
+    x, functional = case
+    assert sign_outcome(x, functional) == reference_sign(x, functional)
+
+
+def test_an_undecidable_sign_reports_fractions_of_unequal_denominators():
+    x, functional = STRADDLE
+    c = F(2, 999_999_937)
+    with pytest.raises(UndecidableSign) as exc:
+        x.sign(functional)
+    assert exc.value.coefficients == (0, c)
+    assert exc.value.interval == (c * F(-10 ** 9, 999_999_929),
+                                  c * F(10 ** 9, 1_000_000_007))
+    assert DECIDED[0].sign(DECIDED[1]) == 1
 
 
 # -- fiber rank and model ---------------------------------------------------
@@ -586,9 +665,10 @@ def test_common_refine_steps_hand_over_the_searched_witness(data):
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_toward_tower_extended_in_two_calls_equals_one_call(data):
-    """The second call starts its walk at the last level of a depth-3
-    tower, with a full search there; it builds the tower that four steps
-    in one call build, and the chain of that tower is the full search's."""
+    """The second call continues the walk of the first from the last
+    level of a depth-3 tower, among the children of the cones holding the
+    target; it builds the tower that four steps in one call build, and
+    the chain of that tower is the full search's."""
     n = data.draw(st.sampled_from((2, 3)))
     base = tw.fan_tower(orthant_image(n, data.draw(shears(n))))
     x = data.draw(targets(n))
@@ -686,3 +766,113 @@ def test_the_chase_tests_no_cone_in_a_cone(monkeypatch):
     assert calls == []
     chain = tw.chain_toward(tower, x)
     assert len(calls) == len(chain.entries) - 1 == 4
+
+
+# -- one walk per chase -----------------------------------------------------
+
+
+def caught(fn, *args):
+    """The value of fn, or the type, message and data of the troplim error
+    it raises."""
+    try:
+        return fn(*args)
+    except TropLimError as exc:
+        return (type(exc), str(exc), getattr(exc, "coefficients", None),
+                getattr(exc, "interval", None))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_the_chain_reuses_the_walk_of_the_extension(data):
+    """``chain_toward`` against one fresh walk, on rank-2 and rank-3 towers:
+    toward towers extended in one call or in two, stellar towers and
+    towers of no step, chased toward the target, an equal copy of it,
+    another direction or the zero vector; on bases less one cone the
+    target or the direction can miss the support.  A second chase gives
+    the same chain, and the tower extended in two calls is the one."""
+    n = data.draw(st.sampled_from((2, 3)))
+    base = orthant_image(n, data.draw(shears(n)))
+    if data.draw(st.booleans()):
+        drop = data.draw(st.integers(0, len(base.maximal) - 1))
+        base = fans._trusted_fan(base.maximal[:drop]
+                                 + base.maximal[drop + 1:], n)
+    target = data.draw(targets(n))
+    toward = tw.TowardDirection(target)
+    kind = data.draw(st.sampled_from(("once", "twice", "stellar", "none")))
+    tower = tw.fan_tower(base)
+    if kind == "once":
+        steps = data.draw(st.integers(1, 8 if n == 2 else 4))
+        tower = caught(tw.extend_tower, tower, toward, steps)
+    elif kind == "twice":
+        first, second = data.draw(st.tuples(
+            *[st.integers(1, 4 if n == 2 else 2)] * 2))
+        half = caught(tw.extend_tower, tower, toward, first)
+        tower = half if isinstance(half, tuple) else \
+            caught(tw.extend_tower, half, toward, second)
+        assert tower == caught(tw.extend_tower, tw.fan_tower(base), toward,
+                               first + second)
+    elif kind == "stellar":
+        tower = tw.extend_tower(tower, tw.StellarAtBarycenters(), 1)
+    if isinstance(tower, tuple):
+        if tower[0] is OutsideSupport:
+            assert tower[1] == "target direction lies outside the fan support"
+        return
+    chased = data.draw(st.sampled_from(("target", "copy", "other", "zero")))
+    if chased == "target":
+        x = target
+    elif chased == "copy":
+        x = tw.SymbolicVector(target.symbols, target.rows)
+    elif chased == "other":
+        x = data.draw(targets(n))
+    else:
+        x = tw.symbolic_vector([0] * n)
+    expected = caught(fresh_chain_toward, tower, x)
+    assert caught(tw.chain_toward, tower, x) == expected
+    assert caught(tw.chain_toward, tower, x) == expected
+    if isinstance(expected, tuple) and expected[0] is OutsideSupport:
+        assert expected[1] == "direction lies outside the level-0 support"
+
+
+def test_the_misses_of_a_chase_are_pinned():
+    """On the quadrant fan less a quadrant, a target in the missing one
+    stops the extension, and a direction there stops the chain of a tower
+    extended toward another target, each with its message."""
+    base = orthant_image(2, [])
+    outside = rational_vector(base.maximal[0].relint_point())
+    less = fans._trusted_fan(base.maximal[1:], 2)
+    with pytest.raises(OutsideSupport) as exc:
+        tw.extend_tower(tw.fan_tower(less), tw.TowardDirection(outside), 2)
+    assert str(exc.value) == "target direction lies outside the fan support"
+    inside = rational_vector(less.maximal[0].relint_point())
+    tower = tw.extend_tower(tw.fan_tower(less), tw.TowardDirection(inside), 2)
+    for chase in (tw.chain_toward, fresh_chain_toward):
+        with pytest.raises(OutsideSupport) as exc:
+            chase(tower, outside)
+        assert str(exc.value) == "direction lies outside the level-0 support"
+
+
+@pytest.mark.parametrize("n, steps", [(2, 6), (3, 3)])
+def test_a_chase_toward_the_target_locates_once_per_level(monkeypatch, n,
+                                                         steps):
+    """Extending toward x and chasing x locates x once on each level, also
+    when the tower is extended in two calls and x is an equal copy."""
+    calls = []
+    locate_in = fans.Fan.locate
+
+    def counted(fan, point, among=None):
+        calls.append(point)
+        return locate_in(fan, point, among)
+
+    monkeypatch.setattr(fans.Fan, "locate", counted)
+    x = rational_vector([3, 5, 7][:n])
+    base = tw.fan_tower(orthant_image(n, []))
+    tower = tw.extend_tower(base, tw.TowardDirection(x), steps)
+    assert len(calls) == steps
+    tw.chain_toward(tower, x)
+    assert len(calls) == steps + 1 == tower.depth
+    calls.clear()
+    half = tw.extend_tower(base, tw.TowardDirection(x), 1)
+    twice = tw.extend_tower(half, tw.TowardDirection(x), steps - 1)
+    assert twice == tower
+    tw.chain_toward(twice, tw.SymbolicVector(x.symbols, x.rows))
+    assert len(calls) == tower.depth
