@@ -39,7 +39,6 @@ from .fans import (
 from .galaxy import (
     Circle,
     EllipticTower,
-    GalaxyPoint,
     Skeleton,
     classify_point,
     decomposition,

@@ -64,6 +64,7 @@ from .sampling import distance_to_ptrop, lift_coefficients, ptrop_sample_oracle
 from .towers import (
     TOWER_DEPTH_CAP,
     ResolvedRay,
+    Symbol,
     chain_toward,
     extend_tower,
     fan_tower,
@@ -320,9 +321,7 @@ def handle_limit_point(cfg: JobConfig, path: str) -> dict:
     if steps + 1 > cfg.depth:
         raise DepthCap(f"{steps} refinement steps exceed --depth "
                        f"{cfg.depth}")
-    tower = fan_tower(base)
-    if steps:
-        tower = extend_tower(tower, strategy, steps)
+    tower = extend_tower(fan_tower(base), strategy, steps)
     chain = chain_toward(tower, x)
     res = resolve_direction(chain)
     out = {
@@ -421,8 +420,8 @@ def handle_galaxy(cfg: JobConfig, path: str) -> dict:
                        f"{cfg.depth}")
     outcomes = []
     for point in points:
-        shown = point.symbol.name if point.symbol is not None else \
-            fmt_rational(point.rational)
+        shown = point.name if isinstance(point, Symbol) else \
+            fmt_rational(point)
         try:
             res = classify_point(tower, point)
         except (IncompleteTower, UndecidableSign) as exc:

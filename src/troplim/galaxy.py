@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .complexes import (
     DeltaComplex,
@@ -128,28 +128,16 @@ class EllipticTower:
         return tuple(self.circle.m * d for d in self.degrees)
 
 
-@dataclass(frozen=True)
-class GalaxyPoint:
-    """An angle on the limit circle: exact rational or enclosed symbol."""
-
-    rational: Optional[Fraction] = None
-    symbol: Optional[Symbol] = None
-
-    def __post_init__(self):
-        if (self.rational is None) == (self.symbol is None):
-            raise ValidationError(
-                "a galaxy point is exactly one of rational or symbolic")
-
-
-def galaxy_point(value: Union[int, str, Fraction, Symbol]) -> GalaxyPoint:
+def galaxy_point(value: Union[int, str, Fraction, Symbol]
+                 ) -> Union[Fraction, Symbol]:
     """Normalize an angle to [0, 1): rational mod 1, or a symbol as given."""
     if isinstance(value, Symbol):
         if not (0 <= value.lo <= value.hi <= 1):
             raise ValidationError(
                 f"symbol enclosure [{value.lo}, {value.hi}] must lie in "
                 f"[0, 1]; shift the symbol to its fractional part first")
-        return GalaxyPoint(symbol=value)
-    return GalaxyPoint(rational=Fraction(value) % 1)
+        return value
+    return Fraction(value) % 1
 
 
 @dataclass(frozen=True)
@@ -181,8 +169,9 @@ class ClosedPoint:
     carriers: tuple[CarrierEdge, ...]
 
 
-def _carrier_index(m: int, sym: Symbol) -> int:
-    """Index k with k/m < angle < (k+1)/m, certified by the enclosure."""
+def _carrier_index(m: int, sym: Symbol) -> tuple[int, Fraction, Fraction]:
+    """Index k with k/m < angle < (k+1)/m, certified by the enclosure, with
+    k/m and (k+1)/m."""
     k = math.floor(sym.lo * m)
     lo_v = Fraction(k, m)
     hi_v = Fraction(k + 1, m)
@@ -191,10 +180,10 @@ def _carrier_index(m: int, sym: Symbol) -> int:
             f"enclosure [{sym.lo}, {sym.hi}] of {sym.name} is not strictly "
             f"inside one edge of the {m}-gon; refine the enclosure",
             interval=(sym.lo, sym.hi))
-    return k
+    return k, lo_v, hi_v
 
 
-def classify_point(tower: EllipticTower, point: GalaxyPoint
+def classify_point(tower: EllipticTower, point: Union[Fraction, Symbol]
                    ) -> Union[OpenPoint, ClosedPoint]:
     """Open/closed dichotomy for an angle, from a tower's cycle sizes alone.
 
@@ -204,23 +193,21 @@ def classify_point(tower: EllipticTower, point: GalaxyPoint
     angle is closed, witnessed by the nested chain of carrier edges.
     """
     sizes = tower.cycle_sizes
-    if point.rational is not None:
-        theta = point.rational
-        q = theta.denominator
+    if isinstance(point, Symbol):
+        carriers = []
         for i, m in enumerate(sizes):
-            if m % q == 0:
-                return OpenPoint(label=theta, level=i,
-                                 vertex=f"v{int(theta * m)}")
-        raise IncompleteTower(
-            f"denominator {q} divides no cycle size in the provided "
-            f"{len(sizes)} levels; extend the tower")
-    carriers = []
+            k, lo_v, hi_v = _carrier_index(m, point)
+            carriers.append(CarrierEdge(level=i, cell=f"e{k}",
+                                        interval=(lo_v, hi_v)))
+        return ClosedPoint(carriers=tuple(carriers))
+    q = point.denominator
     for i, m in enumerate(sizes):
-        k = _carrier_index(m, point.symbol)
-        carriers.append(CarrierEdge(
-            level=i, cell=f"e{k}",
-            interval=(Fraction(k, m), Fraction(k + 1, m))))
-    return ClosedPoint(carriers=tuple(carriers))
+        if m % q == 0:
+            return OpenPoint(label=point, level=i,
+                             vertex=f"v{int(point * m)}")
+    raise IncompleteTower(
+        f"denominator {q} divides no cycle size in the provided "
+        f"{len(sizes)} levels; extend the tower")
 
 
 # -- decomposition ledger ----------------------------------------------------

@@ -62,7 +62,6 @@ from .fans import Fan, fan_from_cones
 from .galaxy import (
     Circle,
     EllipticTower,
-    GalaxyPoint,
     Skeleton,
     galaxy_point,
 )
@@ -544,7 +543,7 @@ def parse_symbolic_vector(path: str) -> SymbolicVector:
 # -- towers and galaxies ------------------------------------------------------
 
 
-def parse_galaxy(path: str) -> tuple[EllipticTower, list[GalaxyPoint]]:
+def parse_galaxy(path: str) -> tuple[EllipticTower, list[Fraction | Symbol]]:
     """The elliptic tower and the angles of a galaxy file."""
     obj = load_json(path)
     m, degrees = _field(obj, "elliptic", path, _tower_data)

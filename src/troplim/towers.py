@@ -13,10 +13,11 @@ a rational linear combination of 1 and declared symbols alpha_1, ..., alpha_k
 that the caller asserts are Q-linearly independent together with 1.  Sign
 questions about such coordinates are answered exactly when the combination
 is rational or identically zero, and otherwise through the rational interval
-enclosure each symbol carries; if the enclosure straddles zero while the
-combination is nonzero, UndecidableSign reports the offending data so the
-caller can supply a tighter enclosure.  Independence itself is never proved
-here; it is the caller's mathematical assertion, and it is what makes
+enclosure each symbol carries, bounded once in integers, which also gives a
+toward step the centre of the target's box; if the enclosure straddles zero
+while the combination is nonzero, UndecidableSign reports the offending data
+so the caller can supply a tighter enclosure.  Independence itself is never
+proved here; it is the caller's mathematical assertion, and it is what makes
 "combination is zero" decidable by linear algebra alone.
 """
 
@@ -103,10 +104,6 @@ class SymbolicVector:
     def is_zero(self) -> bool:
         return all(c == 0 for row in self.rows for c in row)
 
-    def interval(self, i: int) -> tuple[Fraction, Fraction]:
-        """Rational interval enclosure of coordinate i."""
-        return _combination_interval(self.rows[i], self.symbols)
-
     @cached_property
     def _scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """A positive common denominator D of the entries, and the entries'
@@ -126,14 +123,26 @@ class SymbolicVector:
                            s.hi.numerator * (den // s.hi.denominator))
                           for s in self.symbols)
 
+    def _enclosure(self, combo: Sequence[int]) -> tuple[int, int]:
+        """Bounds, times D * E, of the combination whose coefficients of 1
+        and of each symbol, times D, are ``combo``; D and E are the scales
+        of ``_scaled`` and ``_boxes``.  Both are positive, so the bounds
+        have the signs of the combination's bounds."""
+        scale, boxes = self._boxes
+        lo = hi = combo[0] * scale
+        for c, (a, b) in zip(combo[1:], boxes):
+            if c > 0:
+                lo, hi = lo + c * a, hi + c * b
+            else:
+                lo, hi = lo + c * b, hi + c * a
+        return lo, hi
+
     def sign(self, functional: Sequence[Coefficient]) -> int:
         """Exact sign of <functional, self>, or UndecidableSign.
 
         The combination is summed in integers over the columns of
-        ``_scaled``, and its enclosure is bounded in integers over the
-        boxes of ``_boxes``: both scales are positive, so the bounds times
-        D * E have the signs of the bounds.  Fractions are built only for
-        the report of an undecidable sign.
+        ``_scaled`` and bounded by ``_enclosure``.  Fractions are built
+        only for the report of an undecidable sign.
         """
         if len(functional) != self.n:
             raise DimensionMismatch(
@@ -143,32 +152,19 @@ class SymbolicVector:
         combo = [sum(map(mul, functional, col)) for col in columns]
         if not any(combo[1:]):
             return (combo[0] > 0) - (combo[0] < 0)
-        scale, boxes = self._boxes
-        lo = hi = combo[0] * scale
-        for c, (a, b) in zip(combo[1:], boxes):
-            if c > 0:
-                lo, hi = lo + c * a, hi + c * b
-            else:
-                lo, hi = lo + c * b, hi + c * a
+        lo, hi = self._enclosure(combo)
         if lo > 0:
             return 1
         if hi < 0:
             return -1
         # nonzero by declared independence, but the enclosure cannot tell
         # the sign
-        combo = [Fraction(c, den) for c in combo]
+        scale = den * self._boxes[0]
         raise UndecidableSign(
             "sign of a nonzero symbolic combination is not determined by "
-            "the declared enclosures", coefficients=tuple(combo),
-            interval=_combination_interval(combo, self.symbols))
-
-
-def _combination_interval(row, symbols):
-    lo = hi = row[0]
-    for c, s in zip(row[1:], symbols):
-        a, b = sorted((c * s.lo, c * s.hi))
-        lo, hi = lo + a, hi + b
-    return lo, hi
+            "the declared enclosures",
+            coefficients=tuple(Fraction(c, den) for c in combo),
+            interval=(Fraction(lo, scale), Fraction(hi, scale)))
 
 
 def symbolic_vector(entries: Sequence[Entry],
@@ -278,19 +274,23 @@ class TowardDirection:
         """Split at a new ray inside ``carrier``, the target's carrier,
         whose relative interior holds the ray; so the cones to split are
         ``holding``, the indices of the maximal cones containing it.  A
-        carrier of dimension <= 1 leaves the fan as it is."""
+        carrier of dimension <= 1 leaves the fan as it is.  Unless the
+        carrier is a two-ray cone of rank 2, the ray is the centre of the
+        target's box, each coordinate's lo + hi from ``_enclosure``: the
+        walk decided every facet sign of the carrier on the whole box, so
+        the centre lies in its relative interior."""
         if carrier.dim <= 1:
             return fan, SubdivisionWitness(tuple(range(len(fan.maximal))))
         if carrier.n == 2 and len(carrier.rays) == 2:
             new_ray = carrier.relint_point()
         else:
-            mid = tuple((lo + hi) / 2 for lo, hi in
-                        (self.target.interval(i)
-                         for i in range(self.target.n)))
-            if locate(carrier, mid) == carrier:
-                new_ray = mid
-            else:
-                new_ray = carrier.relint_point()
+            x = self.target
+            new_ray = tuple(sum(x._enclosure(combo))
+                            for combo in zip(*x._scaled[1]))
+            if locate(carrier, new_ray) != carrier:
+                raise AssertionError(f"internal: the target's box centre "
+                                     f"{new_ray} leaves the carrier's "
+                                     f"relative interior")
         return _split(fan, dict.fromkeys(holding,
                                          primitive(new_ray).direction))
 

@@ -7,7 +7,9 @@ subdivide, map and compare, their dict form is what complex files hold,
 and its ``json.dumps`` text is what `io.canonical_json` must write.  The
 m-cycle with its names formatted per cell and validated by
 ``make_complex`` is the reference for ``cycle_complex``.  A rational
-vector is the plain case of a symbolic direction.  The incidences of a
+vector is the plain case of a symbolic direction, and
+``fraction_enclosure`` bounds a symbolic combination in Fractions, the
+reference for the integer enclosure of ``SymbolicVector``.  The incidences of a
 cycle of rational curves and of a nodal cubic, with the collapse of an
 analytic dual complex to its algebraic one, build the dual-complex
 examples.  The Newton polytope and
@@ -170,6 +172,16 @@ def cycle_reference(m: int) -> DeltaComplex:
 def rational_vector(v) -> SymbolicVector:
     """SymbolicVector wrapper around an ordinary rational vector."""
     return symbolic_vector(list(v))
+
+
+def fraction_enclosure(row, symbols) -> tuple[Fraction, Fraction]:
+    """The interval of the combination whose coefficients of 1 and of each
+    symbol are ``row``, over the symbols' boxes, in Fractions."""
+    lo = hi = Fraction(row[0])
+    for c, s in zip(row[1:], symbols):
+        a, b = sorted((c * s.lo, c * s.hi))
+        lo, hi = lo + a, hi + b
+    return lo, hi
 
 
 # -- incidences and their dual complexes ------------------------------------

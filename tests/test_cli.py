@@ -859,15 +859,17 @@ TOWARD_23 = {"kind": "toward-direction",
     ({"strategy": TOWARD_23, "steps": 6,
       "direction": {"entries": ["3", "2"]}}, 13),
     ({"strategy": TOWARD_23, "steps": 0}, 1),
+    ({"steps": 0, "direction": {"entries": ["2", "3"]}}, 1),
     ({"strategy": {"kind": "stellar-at-barycenters"}, "steps": 1,
       "direction": {"entries": ["2", "3"]}}, 2),
 ], ids=["toward", "toward-same-direction", "toward-other-direction",
-        "no-step", "stellar"])
+        "no-step", "no-strategy", "stellar"])
 def test_a_limit_point_job_locates_its_target_once_per_level(
         tmp_path, capsys, monkeypatch, spec, calls):
     """A toward job chasing its own target locates it once on each level;
     a job chasing another direction extends with one walk and chases
-    with another, as a stellar tower and a tower of no step do."""
+    with another, as a stellar tower and a tower of no step, with or
+    without a strategy, do."""
     counted, locate = [], fans.Fan.locate
 
     def counting(fan, point, among=None):

@@ -16,6 +16,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from builders import (
     cone_is_face,
     fan_from_rays_2d,
+    fraction_enclosure,
     fresh_chain_toward,
     is_subdivision,
     make_cone,
@@ -28,7 +29,9 @@ from troplim.errors import (
     DepthCap, DimensionMismatch, EmptyChain, OutsideSupport, RankCap,
     TropLimError, UndecidableSign, ValidationError, ZeroVector,
 )
-from troplim.lattice import RANK_CAP, cone_faces, cone_holds, locate
+from troplim.lattice import (
+    RANK_CAP, cone_faces, cone_holds, locate, primitive,
+)
 from troplim.lattice import cone_from_generators as cg
 
 SQRT2 = tw.Symbol.sqrt(2)
@@ -121,12 +124,19 @@ def reference_sign(x, functional):
              for j in range(len(x.symbols) + 1)]
     if not any(combo[1:]):
         return (combo[0] > 0) - (combo[0] < 0)
-    lo, hi = tw._combination_interval(combo, x.symbols)
+    lo, hi = fraction_enclosure(combo, x.symbols)
     if lo > 0:
         return 1
     if hi < 0:
         return -1
     return UndecidableSign, tuple(combo), (lo, hi)
+
+
+def box_centre(x):
+    """The centre of x's box, each coordinate's Fraction enclosure's
+    midpoint."""
+    return tuple((lo + hi) / 2 for lo, hi in
+                 (fraction_enclosure(row, x.symbols) for row in x.rows))
 
 
 def sign_outcome(x, functional):
@@ -176,9 +186,52 @@ DECIDED = (tw.symbolic_vector(
 def test_the_integer_enclosure_decides_as_the_fractions_do(case):
     """The sign decided in integers over the scaled boxes is the Fraction
     enclosure's; where the enclosure straddles zero, the error reports the
-    same coefficients and interval."""
+    same coefficients and interval.  In ranks 3 and 4, a toward step
+    splits the orthant cone around the box centre at the ray of the
+    Fraction enclosure's centre."""
     x, functional = case
     assert sign_outcome(x, functional) == reference_sign(x, functional)
+    if x.n < 3:
+        return
+    centre = box_centre(x)
+    fan = orthant_image(x.n, [])
+    carrier, holding = fan.locate(centre)
+    if carrier.dim < 2:
+        return
+    new, _ = tw.TowardDirection(x).step(fan, carrier, holding)
+    assert set(new.rays) - set(fan.rays) == {primitive(centre).direction}
+
+
+def test_a_toward_step_builds_no_fraction(monkeypatch):
+    """The toward step places its ray in integers: with the target's
+    scaled entries and boxes read first, one step on the octant toward
+    (1, sqrt 2, 1/2) builds no Fraction."""
+    x = tw.symbolic_vector([1, (0, 1), F(1, 2)], [SQRT2])
+    assert x._scaled and x._boxes
+    tower = tw.fan_tower(orthant_image(3, []))
+    built, new = [], F.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counting)
+    tower = tw.extend_tower(tower, tw.TowardDirection(x), 1)
+    monkeypatch.undo()
+    assert built == []
+    assert tower.depth == 2
+
+
+def test_a_toward_step_off_the_target_carrier_is_an_internal_error():
+    """``extend_tower`` hands the step the target's carrier, whose relative
+    interior holds the box centre; only a direct call with another carrier
+    reaches the self-check."""
+    x = tw.symbolic_vector([1, (0, 1), F(1, 2)], [SQRT2])
+    fan = orthant_image(3, [])
+    carrier, holding = fan.locate((-1, -1, -1))
+    with pytest.raises(AssertionError, match="internal: the target's box "
+                       "centre"):
+        tw.TowardDirection(x).step(fan, carrier, holding)
 
 
 def test_an_undecidable_sign_reports_fractions_of_unequal_denominators():
@@ -525,13 +578,8 @@ def reference_toward_step(strategy, fan):
     if carrier.n == 2 and len(carrier.rays) == 2:
         new_ray = carrier.relint_point()
     else:
-        mid = tuple((lo + hi) / 2 for lo, hi in
-                    (strategy.target.interval(i)
-                     for i in range(strategy.target.n)))
-        if locate(carrier, mid) == carrier:
-            new_ray = mid
-        else:
-            new_ray = carrier.relint_point()
+        new_ray = box_centre(strategy.target)
+        assert locate(carrier, new_ray) == carrier
     return stellar_subdivision(fan, new_ray)
 
 
