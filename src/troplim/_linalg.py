@@ -31,6 +31,15 @@ def is_zero_vec(u: Sequence) -> bool:
     return all(a == 0 for a in u)
 
 
+def integer_vector(v: Iterable, error: type[Exception]) -> IVec:
+    """The entries as ints; ``error`` refuses one that ``int`` would change."""
+    v = tuple(v)
+    out = tuple(map(int, v))
+    if out != v:
+        raise error(f"{v} has an entry that is not an integer")
+    return out
+
+
 def primitivize(v: Sequence) -> IVec:
     """Scale a rational vector to a primitive integer vector (same direction).
 

@@ -41,7 +41,7 @@ from .errors import (
     PointOutsideTarget,
     ValidationError,
 )
-from .fans import Fan
+from .fans import Fan, _cone_key
 from .lattice import (
     Cone,
     cone_faces,
@@ -413,7 +413,7 @@ def induced_map(source: DeltaComplex, target: DeltaComplex,
         img = vm[v.name]
         if img not in target_vertices:
             raise NotSimplicial(f"{v.name!r} maps to non-vertex {img!r}")
-    given = {k: (c, tuple(int(i) for i in phi))
+    given = {k: (c, la.integer_vector(phi, ValidationError))
              for k, (c, phi) in (cell_images or {}).items()}
     unknown = [k for k in given if k not in source._by_name]
     if unknown:
@@ -795,7 +795,7 @@ class ToricFiberComplex:
 def toric_fiber_complex(matrix: Sequence[Sequence[int]], source: Fan,
                         target: Fan, base: Cone) -> ToricFiberComplex:
     """Fiber of a compatible map of fans over the interior of a base cone."""
-    rows = [tuple(int(a) for a in row) for row in matrix]
+    rows = [la.integer_vector(row, DimensionMismatch) for row in matrix]
     if any(len(r) != source.n for r in rows) or len(rows) != target.n:
         raise DimensionMismatch(
             f"matrix shape does not map rank {source.n} to rank {target.n}")
@@ -813,19 +813,14 @@ def toric_fiber_complex(matrix: Sequence[Sequence[int]], source: Fan,
     p = base.relint_point()
     if not any(locate(tau, p) == base for tau in target.maximal):
         raise ValidationError("the base cone is not a cone of the target fan")
-    seen: dict[tuple, Cone] = {}
-    for sigma in source.maximal:
-        for face in cone_faces(sigma):
-            seen[(face.rays, face.lines)] = face
     levels: dict[int, list[Cone]] = {}
-    for face in seen.values():
+    for face in {f for sigma in source.maximal for f in cone_faces(sigma)}:
         rays, lines = image(face)
         # a generic point of the base lies only over images spanning it,
         # which map the face's relative interior into the base's
         if cone_holds(base, rays, lines) and \
                 la.mat_rank(rays + lines) == base.dim:
             levels.setdefault(face.dim - base.dim, []).append(face)
-    cells = tuple(
-        (d, tuple(sorted(cs, key=lambda c: (c.rays, c.lines))))
-        for d, cs in sorted(levels.items()))
+    cells = tuple((d, tuple(sorted(cs, key=_cone_key)))
+                  for d, cs in sorted(levels.items()))
     return ToricFiberComplex(cells)

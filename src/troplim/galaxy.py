@@ -34,6 +34,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence, Union
 
+from . import _linalg as la
 from .complexes import (
     DeltaComplex,
     cycle_complex,
@@ -107,7 +108,7 @@ class EllipticTower:
     """
 
     def __init__(self, m: int, degrees: Sequence[int]):
-        degs = tuple(int(d) for d in degrees)
+        degs = la.integer_vector(degrees, ValidationError)
         if not degs:
             raise ValidationError("a tower needs at least one level")
         if any(d < 1 for d in degs):

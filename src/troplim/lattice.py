@@ -11,8 +11,9 @@ of the span) and primitive integer facet inner normals, is the
 V-description of the dual cone.  It is converted on first read of
 ``equations`` or ``facets`` and kept out of equality, hashing and repr.
 
-Two constructors convert: ``cone_from_generators``, which enforces strong
-convexity (no line) and the ambient rank cap, and ``cone_intersect``.
+Each constructor converts once: ``cone_intersect`` half-spaces to rays, and
+``cone_from_generators`` generators to facets, reading the rays off the facet
+masks; it enforces strong convexity (no line) and the ambient rank cap.
 A face is read off facet masks: each facet's mask marks the stored rays
 it vanishes on, and the face of a set of facets keeps the rays in the AND
 of their masks, with no conversion and no row evaluated.  Everything
@@ -42,7 +43,8 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from math import gcd
+from operator import and_, mul
 from typing import Callable, Sequence
 
 from . import _linalg as la
@@ -247,21 +249,15 @@ class Cone:
         d = self.dim
         if d == 0:
             return True
-        from math import gcd as _gcd
-
         g = 0
         for cols in itertools.combinations(range(self.n), d):
             minor = la._det_int([[r[c] for c in cols] for r in self.rays])
-            g = _gcd(g, minor)
+            g = gcd(g, minor)
         return g == 1
 
     def relint_point(self) -> IVec:
         """An exact point in the relative interior (sum of extreme rays)."""
-        pt = [0] * self.n
-        for r in self.rays:
-            for i, a in enumerate(r):
-                pt[i] += a
-        return tuple(pt)
+        return tuple(map(sum, zip((0,) * self.n, *self.rays)))
 
     def __repr__(self):
         parts = [f"rays={list(self.rays)}"]
@@ -290,12 +286,12 @@ def cone_from_generators(
 
     Raises ZeroVector on a zero generator, NotStronglyConvex when the
     generators span a line, RankCap above rank 4, DimensionMismatch on a
-    generator of another length, and ValueError on a negative rank or on no
-    generators and no rank.  The cone comes from two conversions (see
-    ``_from_dual``).  The AssertionError is an internal self-check: the
-    generators lie in the cone they span.
+    generator of another length, and ValueError on a non-integer entry, a
+    negative rank or no generators and no rank.  One conversion gives the
+    facets, whose masks tell the rays.  The AssertionError is an internal
+    self-check: the generators lie in the cone they span.
     """
-    gens = [tuple(int(a) for a in g) for g in generators]
+    gens = [la.integer_vector(g, ValueError) for g in generators]
     for g in gens:
         if la.is_zero_vec(g):
             raise ZeroVector(f"zero generator in {gens}")
@@ -310,31 +306,28 @@ def cone_from_generators(
     for g in gens:
         if len(g) != n:
             raise DimensionMismatch(f"generator {g} has length {len(g)}, expected {n}")
-    dual_lines, facets, _ = halfspaces_to_generators((), gens, n)
-    cone = _from_dual(dual_lines, facets, n)
+    dual_lines, facets, masks = halfspaces_to_generators((), gens, n)
+    # a facet's mask holds the generators it vanishes on, bit j for gens[j];
+    # those tight on every facet span the lineality space
+    full = (1 << len(gens)) - 1
+    lineal = functools.reduce(and_, masks, full)
+    if lineal:
+        line = la.rref(g for j, g in enumerate(gens) if lineal >> j & 1)[0][0]
+        raise NotStronglyConvex(f"generators {gens} span the line through {line}")
+    prims = [la.primitivize(g) for g in gens]
+    copies = {r: sum(1 << j for j, p in enumerate(prims) if p == r)
+              for r in prims}
+    # the facets tight on a generator cut out the least face holding it,
+    # an extreme ray exactly when it holds only the generator's copies
+    rays = sorted(r for r, c in copies.items() if functools.reduce(
+        and_, (m for m in masks if m & c), full) == c)
+    cone = Cone(n, tuple(rays), ())
+    cone.__dict__["_dual"] = (dual_lines, facets, tuple(
+        sum(1 << i for i, r in enumerate(rays) if m & copies[r])
+        for m in masks))
     if not cone_holds(cone, gens):
         raise AssertionError(f"internal: generators {gens} leave the "
                              f"computed cone")
-    if cone.lines:
-        raise NotStronglyConvex(
-            f"generators {gens} span the line through {cone.lines[0]}"
-        )
-    return cone
-
-
-def _from_dual(dual_lines: Sequence[IVec], facets: Sequence[IVec],
-               n: int) -> Cone:
-    """The cone whose dual has these canonical (lines, rays), from one
-    conversion.  Those depend only on the cone, so they are its H-side as a
-    later read would convert it; the cone is handed them, with each
-    facet's mask over the rays transposed from each ray's mask over the
-    facets, as the cone's own conversion would give it."""
-    lines, rays, on_facets = halfspaces_to_generators(dual_lines, facets, n)
-    cone = Cone(n, rays, lines)
-    cone.__dict__["_dual"] = (
-        tuple(dual_lines), tuple(facets),
-        tuple(sum(1 << i for i, m in enumerate(on_facets) if m >> k & 1)
-              for k in range(len(facets))))
     return cone
 
 

@@ -84,7 +84,7 @@ def trop_poly(terms, n: Optional[int] = None) -> TropicalPolynomial:
         raise RankCap(f"{n} variables exceed the supported rank {RANK_CAP}")
     seen = {}
     for e, v in items:
-        e = tuple(int(c) for c in e)
+        e = la.integer_vector(e, ValueError)
         if len(e) != n:
             raise DimensionMismatch(
                 f"exponent {e} has length {len(e)}, expected {n}")

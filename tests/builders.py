@@ -26,7 +26,9 @@ reads its facets off a sign table's masks.
 The facet-sign certificate with every sign evaluated (``facing``,
 ``separated`` and ``certified_refinement``) is the reference for the
 sign tables of fan validation and refinement.  Cones with lines, which
-the library reads off half-spaces only, come from ``make_cone``;
+the library reads off half-spaces only, come from ``make_cone``, which
+converts twice, the second time in ``from_dual``: the reference for the
+one conversion of ``lattice.cone_from_generators``;
 ``cone_is_face``, which evaluates its own rows, is the reference that
 ``lattice.locate`` finds faces against, and ``label`` reads the angle of
 a galaxy vertex off its name.  ``face_lattice`` walks the faces of a
@@ -259,7 +261,25 @@ def make_cone(generators, n=None, lines=()) -> Cone:
     if n is None:
         n = len((gens + lns)[0])
     dual_lines, facets, _ = halfspaces_to_generators(lns, gens, n)
-    return lattice._from_dual(dual_lines, facets, n)
+    return from_dual(dual_lines, facets, n)
+
+
+def from_dual(dual_lines, facets, n: int) -> Cone:
+    """The cone whose dual has these canonical (lines, rays), by a second
+    conversion.  Those depend only on the cone, so they are its H-side as a
+    later read would convert it; the cone is handed them, with each
+    facet's mask over the rays transposed from each ray's mask over the
+    facets, as the cone's own conversion would give it.  Generators to
+    facets and back through ``from_dual`` is the two-conversion reference
+    for ``lattice.cone_from_generators``, which reads the rays off the
+    first conversion's masks."""
+    lines, rays, on_facets = halfspaces_to_generators(dual_lines, facets, n)
+    cone = Cone(n, rays, lines)
+    cone.__dict__["_dual"] = (
+        tuple(dual_lines), tuple(facets),
+        tuple(sum(1 << i for i, m in enumerate(on_facets) if m >> k & 1)
+              for k in range(len(facets))))
+    return cone
 
 
 def cone_is_face(face: Cone, cone: Cone) -> bool:

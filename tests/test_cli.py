@@ -1167,6 +1167,13 @@ def test_a_missing_input_is_a_parse_error(tmp_path, capsys, argv):
     assert err.startswith("parse error: ") and paths["missing"] in err
 
 
+def test_the_library_reader_refuses_a_missing_file(tmp_path):
+    missing = str(tmp_path / "missing.json")
+    with pytest.raises(ParseError, match="No such file") as info:
+        io.parse_fan(missing)
+    assert str(info.value).startswith(f"{missing}: ")
+
+
 def test_cone_serialization_helpers():
     cone = cone_from_generators([(1, 0), (1, 2)], n=2)
     assert io.cone_to_json(cone) == {"rays": [["1", "0"], ["1", "2"]]}

@@ -355,6 +355,14 @@ def test_rational_point_counts():
     assert len(rational_points(triangle_complex(), 3)) == 10
 
 
+@pytest.mark.parametrize("level", [0, -1])
+def test_rational_points_refuse_a_non_positive_level(level):
+    """No input reaches this refusal: the CLI refuses a level below 1
+    before it reads the skeleton."""
+    with pytest.raises(ValueError, match="level must be a positive integer"):
+        rational_points(segment_complex(), level)
+
+
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=3))
 @settings(deadline=None, max_examples=20)
 def test_rational_points_nest(level, factor):
@@ -1155,6 +1163,15 @@ def test_collapse_fiber_recovers_the_loop():
     _, mapping = collapse_to_algebraic(loop)
     fib = map_fiber(mapping, "C", (1,))
     assert fib.f_vector == (1, 1)
+    assert fib.euler == 0
+
+
+def test_the_fiber_over_a_point_off_the_image_is_empty():
+    segment_in_triangle = induced_map(segment_complex(), triangle_complex(),
+                                      {"z0": "a", "z1": "b"})
+    fib = map_fiber(segment_in_triangle, "c", (1,))
+    assert fib.is_empty
+    assert fib.f_vector == ()
     assert fib.euler == 0
 
 

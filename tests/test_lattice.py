@@ -27,6 +27,7 @@ from builders import (
     make_cone,
     newton_polytope,
     normal_cone,
+    segment_complex,
     unpruned_conversion,
 )
 from test_linalg import (
@@ -37,7 +38,7 @@ from test_linalg import (
 )
 from test_tropical import hypersurface_polys, normal_fan_polys, polytope_faces
 from troplim import _linalg as la
-from troplim import fans
+from troplim import complexes, fans, galaxy
 from troplim import lattice as lat
 from troplim import tropical as tp
 from troplim._polyhedra import homogenization_info
@@ -46,6 +47,7 @@ from troplim.errors import (
     DimensionMismatch,
     NotStronglyConvex,
     RankCap,
+    ValidationError,
     ZeroVector,
 )
 
@@ -91,6 +93,17 @@ def test_primitive_zero_rejected():
 
 def test_primitive_fractional_input():
     assert lat.primitive((Fraction(1, 2), Fraction(3, 4))).direction == (2, 3)
+
+
+def test_ray_refuses_a_zero_or_non_primitive_direction():
+    """No input reaches these refusals: ``primitive`` and the tower's
+    resolved ray, the two library callers, hand ``Ray`` a primitivized
+    nonzero vector."""
+    with pytest.raises(ZeroVector, match="must be nonzero"):
+        lat.Ray((0, 0))
+    with pytest.raises(ValueError, match=r"\(2, 4\) is not primitive"):
+        lat.Ray((2, 4))
+    assert lat.Ray((1, 2)).direction == (1, 2)
 
 
 @given(st.lists(st.integers(-30, 30), min_size=1, max_size=4), st.integers(1, 9))
@@ -152,6 +165,41 @@ def test_cone_from_generators_refuses_bad_shapes(generators, n, error,
     toric-fiber file reaches the length check (see test_cli.py)."""
     with pytest.raises(error, match=message):
         lat.cone_from_generators(generators, n)
+
+
+# No input reaches the ``internal:`` self-check of ``cone_from_generators``
+# (that the generators lie in the cone): the cone's equations and facets are
+# the lines and rays of the dual cone {y : y.g >= 0 for every generator g},
+# so only a faulty conversion could put a generator outside, and the
+# conversion is checked against brute force below.
+
+
+def _toric_fiber_of(matrix):
+    quadrant = fans.fan_from_cones([lat.cone_from_generators([(1, 0), (0, 1)])])
+    return complexes.toric_fiber_complex(matrix, quadrant, quadrant,
+                                         lat.cone_from_generators([], n=2))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: lat.cone_from_generators([(Fraction(1, 2), 1), (1, 0)]),
+     ValueError),
+    (lambda: lat.cone_from_generators([(Fraction(1, 2), 0)]), ValueError),
+    (lambda: tp.trop_poly({(0.5, 1): 0, (1, 0): 0}), ValueError),
+    (lambda: complexes.induced_map(
+        segment_complex(), segment_complex(), {"z0": "z0", "z1": "z1"},
+        {"e": ("e", (0, 1.5))}), ValidationError),
+    (lambda: _toric_fiber_of([(1, 0), (0, Fraction(3, 2))]),
+     DimensionMismatch),
+    (lambda: galaxy.EllipticTower(2, [1, 2.5]), ValidationError),
+], ids=["cone-generator", "cone-half-generator", "exponent", "cell-image",
+        "lattice-map", "tower-degree"])
+def test_a_non_integer_is_refused_not_truncated(call, error):
+    """Each library entry point that reads integers refuses a value that
+    ``int`` would truncate, with the error it raises for other malformed
+    values of that argument.  The input readers parse integers first, so
+    no input file reaches these."""
+    with pytest.raises(error, match="is not an integer"):
+        call()
 
 
 def test_cone_holds_and_cone_intersect_refuse_other_ranks():
@@ -742,13 +790,58 @@ def test_derived_cones_convert_only_when_their_h_side_is_read():
         assert_dual_of_its_rays(derived)
 
 
-def test_cone_from_generators_converts_twice_even_after_its_facets_are_read():
+def test_cone_from_generators_converts_once_even_after_its_facets_are_read():
+    """The rays are read off the masks of the one conversion to facets,
+    which the cone keeps as its H-side; a set spanning a line is refused
+    after that conversion too."""
     start = conversions()
     cone = lat.cone_from_generators(
-        [(1, 0, 2), (0, 1, 2), (-1, -1, 2), (1, 1, 2)])
+        [(1, 0, 2), (0, 1, 2), (-1, -1, 2), (1, 1, 2), (2, 0, 4)])
     cone.facets, cone.equations
-    assert conversions() == start + 2
+    assert conversions() == start + 1
     assert_dual_of_its_rays(cone)
+    with pytest.raises(NotStronglyConvex):
+        lat.cone_from_generators([(1, 0, 2), (-1, 0, -2), (0, 1, 0)])
+    assert conversions() == start + 2
+
+
+@st.composite
+def generator_sets(draw):
+    """Generators in ranks 1-4 with repeated, parallel, redundant and
+    non-extreme members; a negated generator makes the set span a line."""
+    n = draw(st.integers(1, 4))
+    gens = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n).filter(any),
+                         max_size=5))
+    for _ in range(draw(st.integers(0, 3)) if gens else 0):
+        g, h = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+        kind = draw(st.sampled_from(("copy", "multiple", "sum", "negated")))
+        new = {"copy": g, "multiple": tuple(3 * a for a in g),
+               "sum": tuple(a + b for a, b in zip(g, h)),
+               "negated": tuple(-a for a in g)}[kind]
+        if any(new):
+            gens.append(new)
+    return n, draw(st.permutations(gens))
+
+
+@settings(max_examples=300, deadline=None)
+@given(generator_sets())
+def test_cone_from_generators_matches_two_conversions(args):
+    """The one conversion gives what converting the generators to facets
+    and the facets back gives (``make_cone``): the same rays and lines,
+    the same H-side with its masks, and on a set spanning a line the same
+    refusal, naming the canonical line."""
+    n, gens = args
+    reference = make_cone(gens, n=n)
+    if reference.lines:
+        with pytest.raises(NotStronglyConvex) as info:
+            lat.cone_from_generators(gens, n)
+        assert type(info.value) is NotStronglyConvex
+        assert str(info.value) == (f"generators {gens} span the line "
+                                   f"through {reference.lines[0]}")
+        return
+    cone = lat.cone_from_generators(gens, n)
+    assert (cone.rays, cone.lines, cone._dual) == \
+        (reference.rays, reference.lines, reference._dual)
 
 
 # -- the memoized conversion ------------------------------------------------

@@ -181,6 +181,14 @@ def test_reduce_prepared_is_a_positive_multiple_of_the_reduction(data, draw):
     assert la.primitivize(reduced) == reference_primitivize(expected)
 
 
+def test_dot_refuses_vectors_of_unequal_length():
+    """No input reaches this refusal: the library's callers check lengths
+    against the ambient rank first (``cone_holds`` and ``locate`` raise
+    DimensionMismatch)."""
+    with pytest.raises(ValueError, match="length mismatch 2 vs 1"):
+        la.dot((1, 2), (1,))
+
+
 def test_rref_of_no_rows_and_zero_rows():
     assert la.rref([]) == ([], [])
     assert la.rref([(0, 0), (Fraction(0), 0)]) == ([], [])

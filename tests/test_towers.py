@@ -59,6 +59,14 @@ def test_sqrt_symbol_of_square_is_exact():
         tw.Symbol.sqrt(4)
 
 
+@pytest.mark.parametrize("k", [0, -2])
+def test_sqrt_symbol_of_a_non_positive_argument_is_refused(k):
+    """No input reaches this refusal: input files give each symbol's box,
+    and only the tests build a symbol by ``Symbol.sqrt``."""
+    with pytest.raises(ValueError, match="needs a positive argument"):
+        tw.Symbol.sqrt(k)
+
+
 def test_symbol_refuses_a_box_without_interior():
     # a box [1, 1] holds only a rational, and [2, 1] holds nothing
     with pytest.raises(ValueError,
@@ -257,6 +265,14 @@ def test_fiber_rank_examples():
 def test_fiber_rank_zero_vector_rejected():
     with pytest.raises(ZeroVector):
         tw.fiber_rank(rational_vector([0, 0]))
+
+
+def test_fiber_model_refuses_a_vector_of_another_length():
+    """No input reaches this refusal: ``fiber-rank``, the one program
+    caller, passes the vector's own length."""
+    with pytest.raises(DimensionMismatch,
+                       match="vector has 2 coordinates, expected 3"):
+        tw.fiber_model(3, rational_vector([1, 1]))
 
 
 def test_fiber_model_dimensions():
