@@ -17,13 +17,15 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
+from .errors import ValidationError
+
 IVec = tuple[int, ...]
 
 
 def dot(u: Sequence, v: Sequence) -> Fraction | int:
     """Exact inner product."""
     if len(u) != len(v):
-        raise ValueError(f"length mismatch {len(u)} vs {len(v)}")
+        raise ValidationError(f"length mismatch {len(u)} vs {len(v)}")
     return sum(map(mul, u, v))
 
 

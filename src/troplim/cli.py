@@ -244,8 +244,8 @@ def handle_trop(cfg: JobConfig, path: str) -> dict:
             "dim": cell.dim,
             "achievers": [list(e) for e in cell.achievers],
             "relint_point": _q(cell.relint_point),
-            "recession_rays": [[str(a) for a in r]
-                               for r in cell.recession.rays],
+            **{"recession_" + k: v
+               for k, v in cone_to_json(cell.recession).items()},
         } for cell in h.cells],
     }
 
@@ -365,7 +365,7 @@ def handle_subdivide(cfg: JobConfig, path: str) -> dict:
 
 def handle_rational_points(cfg: JobConfig, path: str) -> dict:
     level = _level(cfg)
-    pts = sorted(rational_points(parse_skeleton(path).complex, level))
+    pts = rational_points(parse_skeleton(path).complex, level)
     return {
         "input": path,
         "level": level,

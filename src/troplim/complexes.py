@@ -69,7 +69,7 @@ class Cell(NamedTuple):
 
 @dataclass(frozen=True)
 class DeltaComplex:
-    """Cells of all dimensions, closed under faces, identities verified."""
+    """Cells in (dim, name) order, closed under faces, identities verified."""
 
     cells: tuple[Cell, ...]
     affine: bool = True
@@ -77,7 +77,7 @@ class DeltaComplex:
 
     @property
     def dim(self) -> int:
-        return max(c.dim for c in self.cells)
+        return self.cells[-1].dim
 
     @cached_property
     def _by_name(self) -> dict[str, Cell]:
@@ -222,7 +222,7 @@ def _refuse_beyond_cap(count: int, what: str) -> None:
 def cycle_complex(m: int) -> DeltaComplex:
     """Cycle with m vertices and m edges; m = 1 is a loop on one vertex."""
     if m < 1:
-        raise ValueError("a cycle needs at least one edge")
+        raise ValidationError("a cycle needs at least one edge")
     _refuse_beyond_cap(2 * m, f"cells of the {m}-cycle")
     # each index written once; ordered by that text, the cells come out
     # in (dim, name) order already
@@ -421,7 +421,7 @@ def induced_map(source: DeltaComplex, target: DeltaComplex,
             f"cell_images[{unknown[0]!r}] names no source cell")
     by_sequence = _sequence_index(target)
     images: dict[str, tuple[str, tuple[int, ...]]] = {}
-    for cell in sorted(source.cells, key=lambda c: c.dim):
+    for cell in source.cells:
         u = tuple(vm[v] for v in cell_vertices(source, cell.name))
         if cell.name in given:
             name, phi = given[cell.name]
@@ -506,28 +506,28 @@ def canonical_point(x: DeltaComplex, name: str, coords: Sequence
         raise DimensionMismatch(
             f"{len(t)} coordinates for a {cell.dim}-cell")
     if any(c < 0 for c in t) or sum(t) != 1:
-        raise ValueError(f"{t} is not a barycentric point")
+        raise ValidationError(f"{t} is not a barycentric point")
     name, (t,) = _drop_walls(x, name, (t,))
     return name, t
 
 
-def rational_points(x: DeltaComplex, level: int) -> frozenset:
-    """All points with barycentric denominators dividing the level."""
+def rational_points(x: DeltaComplex, level: int) -> tuple:
+    """All points with barycentric denominators dividing the level, as
+    (cell name, interior coordinates: positive multiples of 1/level summing
+    to 1).  Cells go by name, and a cell's points in the order of their
+    cuts from ``combinations``: the lexicographic order of the coordinates,
+    which are the differences of consecutive cuts."""
     if level < 1:
-        raise ValueError("level must be a positive integer")
+        raise ValidationError("level must be a positive integer")
     # an m-cell holds C(level - 1, m) of them in its interior
     _refuse_beyond_cap(sum(math.comb(level - 1, c.dim) for c in x.cells),
                        f"rational points at level {level}")
-    points = set()
-    for cell in x.cells:
-        d = cell.dim
-        # interior points: positive multiples of 1/level summing to 1
-        for comp in itertools.combinations(range(1, level), d):
-            cuts = (0,) + comp + (level,)
-            t = tuple(Fraction(cuts[i + 1] - cuts[i], level)
-                      for i in range(d + 1))
-            points.add((cell.name, t))
-    return frozenset(points)
+    parts = [Fraction(k, level) for k in range(level + 1)]
+    return tuple(
+        (cell.name, tuple(parts[b - a] for a, b in
+                          itertools.pairwise((0, *comp, level))))
+        for cell in sorted(x.cells, key=attrgetter("name"))
+        for comp in itertools.combinations(range(1, level), cell.dim))
 
 
 @cache
@@ -578,7 +578,7 @@ def subdivision_counts(x: DeltaComplex, level: int) -> dict[int, int]:
         raise NoAffineStructure(
             "the complex carries no integral-affine charts")
     if level < 1:
-        raise ValueError("subdivision level must be a positive integer")
+        raise ValidationError("subdivision level must be a positive integer")
     counts: Counter = Counter()
     for m, cells in Counter(c.dim for c in x.cells).items():
         for tight in itertools.product((False, True), repeat=m):
@@ -690,9 +690,9 @@ def scale_subdivide(x: DeltaComplex, level: int) -> SubdivisionResult:
     templates = _templates(x.dim, level)
     cells = []
     # the names of each cell's template faces, filled in before any
-    # coface of the cell reads them
+    # coface of the cell reads them: the cells run up by dimension
     instances: dict[str, list[str]] = {}
-    for cell in sorted(x.cells, key=lambda c: c.dim):
+    for cell in x.cells:
         _, suffixes, dims, walls, getters = templates[cell.dim]
         own = [cell.name + s for s in suffixes]
         pool = list(own)

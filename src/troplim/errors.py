@@ -1,7 +1,8 @@
 """Shared exception taxonomy.
 
 Every error raised by the library derives from TropLimError so callers can
-catch library failures in one clause.  ResourceCap subclasses mark inputs
+catch library failures in one clause; ValidationError, a refused argument,
+and OutsideSupport are ValueErrors too.  ResourceCap subclasses mark inputs
 that exceed documented size limits (ambient rank, tower depth, cells built,
 the sampling oracle's degree); the CLI maps them to a dedicated exit code.
 """
@@ -110,5 +111,5 @@ class ParseError(TropLimError):
     """Input file violates the documented schema."""
 
 
-class ValidationError(TropLimError):
-    """Structured input parsed but failed semantic validation."""
+class ValidationError(TropLimError, ValueError):
+    """A parsed input or a library argument failed semantic validation."""

@@ -88,7 +88,8 @@ class FanReport:
 
 @dataclass(frozen=True)
 class Fan:
-    """A fan given by its maximal cones; construct via fan_from_cones."""
+    """A fan given by its maximal cones, which every constructor sorts by
+    ``_cone_key`` and readers keep in order; construct via fan_from_cones."""
 
     n: int
     maximal: tuple[Cone, ...]

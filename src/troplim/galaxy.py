@@ -92,7 +92,8 @@ class Circle(Skeleton):
 
     def counts(self, d: int) -> dict[int, int]:
         if d < 1:
-            raise ValueError("subdivision level must be a positive integer")
+            raise ValidationError(
+                "subdivision level must be a positive integer")
         return {0: self.m * d, 1: self.m * d}
 
 

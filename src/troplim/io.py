@@ -310,11 +310,9 @@ def parse_int(value, where: str, low: Optional[int] = None) -> int:
     return n
 
 
-def fmt_rational(q: Fraction) -> str:
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+def fmt_rational(q: int | Fraction) -> str:
+    """The "p" or "p/q" text of an int or a Fraction, as ``str`` writes it."""
+    return str(q)
 
 
 def _int_list(value, where: str, low: Optional[int] = None) -> list[int]:
@@ -386,13 +384,11 @@ def parse_toric_fiber(path: str) -> tuple[list[list[int]], Fan, Fan, Cone]:
 
 
 def serialize_fan(fan: Fan) -> dict:
-    rays = fan.rays
-    index = {r: i for i, r in enumerate(rays)}
+    index = {r: i for i, r in enumerate(fan.rays)}
     return {
         "rank": fan.n,
-        "rays": [[str(a) for a in r] for r in rays],
-        "maximal_cones": sorted([index[r] for r in c.rays]
-                                for c in fan.maximal),
+        "rays": [[str(a) for a in r] for r in index],
+        "maximal_cones": [[index[r] for r in c.rays] for c in fan.maximal],
     }
 
 

@@ -52,6 +52,7 @@ from .errors import (
     DimensionMismatch,
     NotStronglyConvex,
     RankCap,
+    ValidationError,
     ZeroVector,
 )
 
@@ -70,7 +71,7 @@ class Ray:
         if la.is_zero_vec(self.direction):
             raise ZeroVector("ray direction must be nonzero")
         if self.direction != la.primitivize(self.direction):
-            raise ValueError(f"ray direction {self.direction} is not primitive")
+            raise ValidationError(f"ray direction {self.direction} is not primitive")
 
 
 def primitive(v: Sequence[int]) -> Ray:
@@ -286,23 +287,22 @@ def cone_from_generators(
 
     Raises ZeroVector on a zero generator, NotStronglyConvex when the
     generators span a line, RankCap above rank 4, DimensionMismatch on a
-    generator of another length, and ValueError on a non-integer entry, a
-    negative rank or no generators and no rank.  One conversion gives the
-    facets, whose masks tell the rays.  The AssertionError is an internal
-    self-check: the generators lie in the cone they span.
+    generator of another length, and ValidationError on a non-integer
+    entry, a negative rank or no generators and no rank.  One conversion
+    gives the facets, whose masks tell the rays.
     """
-    gens = [la.integer_vector(g, ValueError) for g in generators]
+    gens = [la.integer_vector(g, ValidationError) for g in generators]
     for g in gens:
         if la.is_zero_vec(g):
             raise ZeroVector(f"zero generator in {gens}")
     if n is None:
         if not gens:
-            raise ValueError("ambient rank required for the empty generator set")
+            raise ValidationError("ambient rank required for the empty generator set")
         n = len(gens[0])
     if n > RANK_CAP:
         raise RankCap(f"ambient rank {n} exceeds the exact-arithmetic cap {RANK_CAP}")
     if n < 0:
-        raise ValueError("ambient rank must be nonnegative")
+        raise ValidationError("ambient rank must be nonnegative")
     for g in gens:
         if len(g) != n:
             raise DimensionMismatch(f"generator {g} has length {len(g)}, expected {n}")
@@ -325,9 +325,6 @@ def cone_from_generators(
     cone.__dict__["_dual"] = (dual_lines, facets, tuple(
         sum(1 << i for i, r in enumerate(rays) if m & copies[r])
         for m in masks))
-    if not cone_holds(cone, gens):
-        raise AssertionError(f"internal: generators {gens} leave the "
-                             f"computed cone")
     return cone
 
 

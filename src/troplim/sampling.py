@@ -38,7 +38,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .errors import DimensionMismatch, NoBranchFound, ResourceCap
+from .errors import (
+    DimensionMismatch, NoBranchFound, ResourceCap, ValidationError)
 from .tropical import PTropSet, TropicalPolynomial
 
 if TYPE_CHECKING:
@@ -260,7 +261,7 @@ def ptrop_sample_oracle(coeffs: Mapping[IVec, complex], n: int,
         raise DimensionMismatch(
             f"the sampler handles 2 or 3 variables, not {n}")
     if not coeffs:
-        raise ValueError("need at least one coefficient")
+        raise ValidationError("need at least one coefficient")
     _require_degree(coeffs)
     import numpy as np
     rng = np.random.default_rng(seed)

@@ -66,20 +66,20 @@ class Symbol:
 
     def __post_init__(self):
         if self.lo > self.hi:
-            raise ValueError(f"empty enclosure for {self.name}")
+            raise ValidationError(f"empty enclosure for {self.name}")
         if self.lo == self.hi:
             # a zero-width box is a rational, which no symbol may be
-            raise ValueError(f"enclosure [{self.lo}, {self.hi}] of "
-                             f"{self.name} has no interior")
+            raise ValidationError(f"enclosure [{self.lo}, {self.hi}] of "
+                                  f"{self.name} has no interior")
 
     @staticmethod
     def sqrt(k: int) -> "Symbol":
         """Symbol for sqrt(k) with a width-10^-6 rational enclosure; k must
         not be a perfect square."""
         if k <= 0:
-            raise ValueError("sqrt symbol needs a positive argument")
+            raise ValidationError("sqrt symbol needs a positive argument")
         if isqrt(k) ** 2 == k:
-            raise ValueError(f"sqrt({k}) = {isqrt(k)} is rational")
+            raise ValidationError(f"sqrt({k}) = {isqrt(k)} is rational")
         s = isqrt(k * _ENCLOSURE_DEN ** 2)
         return Symbol(f"sqrt{k}", Fraction(s, _ENCLOSURE_DEN),
                       Fraction(s + 1, _ENCLOSURE_DEN))
@@ -390,9 +390,9 @@ class ConeChain:
     def __post_init__(self):
         for (i, a), (j, b) in zip(self.entries, self.entries[1:]):
             if j <= i:
-                raise ValueError(f"levels {i}, {j} out of order")
+                raise ValidationError(f"levels {i}, {j} out of order")
             if not cone_holds(a, b.rays, b.lines):
-                raise ValueError(
+                raise ValidationError(
                     f"cone at level {j} is not contained in cone at level {i}")
 
 

@@ -43,6 +43,7 @@ from .errors import (
     DimensionMismatch,
     OriginNotOnGerm,
     RankCap,
+    ValidationError,
 )
 from .lattice import RANK_CAP, Cone, face_lattice, halfspaces_to_generators
 
@@ -77,19 +78,19 @@ def trop_poly(terms, n: Optional[int] = None) -> TropicalPolynomial:
     else:
         items = [(tuple(e), v) for e, v in terms]
     if not items:
-        raise ValueError("a tropical polynomial needs at least one term")
+        raise ValidationError("a tropical polynomial needs at least one term")
     if n is None:
         n = len(items[0][0])
     if n > RANK_CAP:
         raise RankCap(f"{n} variables exceed the supported rank {RANK_CAP}")
     seen = {}
     for e, v in items:
-        e = la.integer_vector(e, ValueError)
+        e = la.integer_vector(e, ValidationError)
         if len(e) != n:
             raise DimensionMismatch(
                 f"exponent {e} has length {len(e)}, expected {n}")
         if any(c < 0 for c in e):
-            raise ValueError(f"negative exponent in {e}")
+            raise ValidationError(f"negative exponent in {e}")
         v = Fraction(v)
         # repeated exponents keep the dominant (minimal) valuation
         if e not in seen or v < seen[e]:

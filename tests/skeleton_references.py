@@ -55,6 +55,19 @@ def vertex_location(sub, name):
     return push_point(sub, name, (F(1),))
 
 
+def rational_point_set(x, level):
+    """The level's rational points as a set of (cell name, interior
+    barycentric coordinates): in each m-cell, the m cuts of 0..level
+    strictly inside it, and the Fraction differences of consecutive cuts."""
+    points = set()
+    for cell in x.cells:
+        for comp in itertools.combinations(range(1, level), cell.dim):
+            cuts = (0,) + comp + (level,)
+            points.add((cell.name, tuple(F(cuts[i + 1] - cuts[i], level)
+                                         for i in range(cell.dim + 1))))
+    return points
+
+
 def circle_position(p, cell_name, coords):
     """Angle in [0, 1) of a point of a labeled cycle, from its labels and
     charts; ``p`` has ``m``, ``complex`` and ``label(vertex)``."""

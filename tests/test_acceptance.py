@@ -394,7 +394,8 @@ def test_criterion_10_randomized_invariant_suites():
     rng = random.Random(2)
     for _ in range(200):
         x, level, k = rng.choice(pool), rng.randint(1, 4), rng.randint(2, 4)
-        assert rational_points(x, level) <= rational_points(x, level * k)
+        assert set(rational_points(x, level)) <= set(
+            rational_points(x, level * k))
 
     rng = random.Random(3)
     for _ in range(200):

@@ -48,6 +48,7 @@ from troplim.towers import (
     extend_tower,
     fan_tower,
 )
+from troplim.tropical import trop_hypersurface
 
 NODAL = {"vars": 2, "terms": [
     {"exp": [1, 1], "val": "0"}, {"exp": [3, 0], "val": "0"},
@@ -470,13 +471,13 @@ TROP_GERMS = [
 
 @pytest.mark.parametrize("terms, digest", list(zip(TROP_GERMS, [
     "b698970266998a1e1513f32f9ea4b03976dc5421c3b5c6cc6d0ec399dcba9f77",
-    "04513e53ca8c2df4cc99271803892b6f4b65b56552aff967bd4eaffc1620515b",
-    "ae4033171292711af40825dc1bd06c4f388f2da1aff12ee56737221160f10ba9",
-    "3c79caad82ff4aac9af099ee39881a7f2717c126e15c19a33ec3e4236d37de1a",
-    "c13cdfc48c54efec67842cbe7750627e06442a55c82ca651b83158e719fcc1a6",
-    "313f0dabf18ce425d095f866857369045cb53aac4e6cc709c3b2349b8769dd44",
+    "c0fddcbb87decd442de1c3cefebd89ea8c92a728d6d9b8814d2f793ed8feb061",
+    "86b288c170414329da8683022807be81af8bbad4d4aef1e027e3998d007b842d",
+    "28461ecea3a6c6de8c9f88b48156c1b6d319720c60dd5268a5f0d13728f38b4c",
+    "3ff93cc29d343c609400ca21dc1bc25c439d8d5723fd8369439021e44e7c65be",
+    "14177715ce350f10235ecff951712d40618a5363ac41a46cc2f8f13f92ccae90",
     "388ce3792395cf88567dd75894e74ef581cb24630149d4893eaadcb3a75173aa",
-    "08f7e4ef0f8b5142c3f8ade5a1db4016285fd82906ed567717619fcec7031332",
+    "a2bfd890315b90b1cc619f4d14e05a9ccc7328e19f4a5231d145e889c6b87ccb",
     "64527d2492edd1c39523a2a46e6cd6b32292149300c736b5625e77d18e1ce1e4",
     "15ecca1df96e6a4feaa77a5b9682bbfa9de28632b69027a75ccd0aad7a52561f",
 ])), ids=["cubic", "line", "cone", "conic", "plane", "rank4-line",
@@ -491,6 +492,41 @@ def test_trop_report_bytes_are_frozen(tmp_path, capsys, monkeypatch,
     assert cli.main(["trop", "f.json", "--json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_trop_reports_read_back_to_the_library_cells(tmp_path, capsys):
+    """Each cell of every frozen germ's `trop --json` report reads back to
+    the cell `trop_hypersurface` gives: its recession cone's rays and,
+    where it has any, its lines."""
+    for i, terms in enumerate(TROP_GERMS):
+        path = put(tmp_path, f"f{i}.json", poly_json(terms))
+        code, report = run_json(capsys, ["trop", path])
+        assert code == 0
+        h = trop_hypersurface(io.parse_polynomial(path))
+        read = [(c["dim"], [tuple(e) for e in c["achievers"]],
+                 [tuple(map(int, r)) for r in c["recession_rays"]],
+                 [tuple(map(int, l)) for l in c.get("recession_lines", [])])
+                for c in report["results"][0]["cells"]]
+        assert read == [(c.dim, list(c.achievers), list(c.recession.rays),
+                         list(c.recession.lines)) for c in h.cells], i
+
+
+def test_fmt_rational_builds_no_fraction(monkeypatch):
+    """An int or a Fraction is written from its own numerator and
+    denominator, with no Fraction built from it."""
+    values = [0, -7, 10 ** 30, F(3), F(-2, 3), F(10 ** 30 + 1, 7)]
+    built, new = [], F.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counting)
+    texts = [io.fmt_rational(v) for v in values]
+    monkeypatch.undo()
+    assert built == []
+    assert texts == ["0", "-7", str(10 ** 30), "3", "-2/3",
+                     f"{10 ** 30 + 1}/7"]
 
 
 def _frozen_report(tmp_path, capsys, monkeypatch, argv, name, obj):
@@ -1620,7 +1656,7 @@ EXEMPLAR_OUTPUTS = {
         "command: trop  seed: 0\n"
         "input: in.json  sha256: d4dd419f2f8f\n"
         "in.json: 1 cells, degree 3\n",
-        "e9e40471b647b3a76f888d82ad03627153dc2b38455dcdaccdc710c00ba45ca4"),
+        "9cb8a680ae7b54b90b5d4d3ee8d4253411e849e0654f896300d44475866bc3ac"),
 }
 
 

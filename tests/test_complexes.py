@@ -31,7 +31,12 @@ from builders import (
     torus,
     triangle_complex,
 )
-from skeleton_references import alcoves, push_point, vertex_location
+from skeleton_references import (
+    alcoves,
+    push_point,
+    rational_point_set,
+    vertex_location,
+)
 from troplim import complexes
 from troplim import io as troplim_io
 from troplim import lattice
@@ -367,7 +372,8 @@ def test_rational_points_refuse_a_non_positive_level(level):
 @settings(deadline=None, max_examples=20)
 def test_rational_points_nest(level, factor):
     x = triangle_complex()
-    assert rational_points(x, level) <= rational_points(x, level * factor)
+    assert set(rational_points(x, level)) <= set(
+        rational_points(x, level * factor))
 
 
 # -- scale subdivision --
@@ -435,7 +441,7 @@ def test_subdivision_vertices_are_rational_points():
         for level in (1, 2, 3):
             s = scale_subdivide(x, level)
             locs = {vertex_location(s, v.name) for v in s.complex.by_dim(0)}
-            assert locs == rational_points(x, level)
+            assert locs == set(rational_points(x, level))
 
 
 def test_subdivision_composes():
@@ -900,6 +906,21 @@ def test_subdivision_counts_match_the_built_subdivision(data):
     counts = subdivision_counts(x, level)
     assert counts == count_cells(scale_subdivide(x, level).complex)
     assert counts[0] == len(rational_points(x, level))
+
+
+@settings(max_examples=60, deadline=None)
+@given(subdivision_inputs())
+def test_rational_points_come_in_report_order(data):
+    """On complexes whose name order is not their (dim, name) order, the
+    points come out sorted by cell name and coordinates, the order the
+    report prints them in, and they are the subdivision's vertices."""
+    x, level = data
+    assume([c.name for c in x.cells] != sorted(c.name for c in x.cells))
+    points = rational_points(x, level)
+    assert points == tuple(sorted(rational_point_set(x, level)))
+    sub = scale_subdivide(x, level)
+    assert set(points) == {vertex_location(sub, v.name)
+                           for v in sub.complex.by_dim(0)}
 
 
 def test_subdivision_counts_refuse_what_scale_subdivide_refuses():

@@ -2,6 +2,8 @@
 every module-level function and class is named somewhere else, and by
 something other than the tests, and every member of a library class is
 read as an attribute somewhere, and outside the tests but for a short list.
+No library code raises or passes a bare ValueError: each refusal is a
+ValidationError, which a caller catching TropLimError or ValueError catches.
 
 No linter ships with the project, so these stdlib ``ast`` scans stand in for
 one.  ``__init__.py`` is exempt from the import scan, since its imports are
@@ -14,6 +16,10 @@ from functools import cache
 from pathlib import Path
 
 import pytest
+
+from troplim import _linalg as la
+from troplim import complexes, galaxy, lattice, sampling, towers, tropical
+from troplim.errors import TropLimError, ValidationError
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "troplim"
@@ -279,3 +285,79 @@ def test_the_scan_flags_a_json_writer():
                          ids=lambda p: p.name)
 def test_only_canonical_json_writes_json(path):
     assert json_writers(path.read_text(encoding="utf-8")) == []
+
+
+def value_errors(source: str) -> list[str]:
+    """``raise ValueError`` and ``ValueError`` passed as an argument: a
+    library refusal is a TropLimError, and a refused argument a
+    ValidationError, which is a ValueError too.  ``except`` clauses and
+    class bases may still name ValueError."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                found.append((node.lineno, "raise ValueError"))
+        elif isinstance(node, ast.Call):
+            found.extend((a.lineno, "ValueError passed")
+                         for a in node.args + [k.value for k in node.keywords]
+                         if isinstance(a, ast.Name) and a.id == "ValueError")
+    return [f"line {n}: {what}" for n, what in sorted(found)]
+
+
+def test_the_scan_flags_a_value_error():
+    source = ("class Refused(Exception, ValueError):\n    pass\n"
+              "def f(v):\n    try:\n        return int(v)\n"
+              "    except (KeyError, ValueError):\n"
+              "        raise ValueError(f'bad {v}')\n"
+              "def g(v):\n    if not v:\n        raise ValueError\n"
+              "    return check(v, ValueError), check(v, error=ValueError)\n")
+    assert value_errors(source) == [
+        "line 7: raise ValueError", "line 10: raise ValueError",
+        "line 11: ValueError passed", "line 11: ValueError passed"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_library_refusal_is_a_bare_value_error(path):
+    assert value_errors(path.read_text(encoding="utf-8")) == []
+
+
+ORTHANT = lattice.cone_from_generators([(1, 0), (0, 1)])
+
+# one call per refusal that raised a plain ValueError before, with the
+# start of its message
+REFUSALS = {
+    "dot": (lambda: la.dot((1,), (1, 2)), "length mismatch"),
+    "cycle": (lambda: complexes.cycle_complex(0), "a cycle needs"),
+    "barycentric": (lambda: complexes.canonical_point(
+        complexes.cycle_complex(1), "e0", (2, -1)), "(Fraction(2, 1)"),
+    "points-level": (lambda: complexes.rational_points(
+        complexes.cycle_complex(1), 0), "level must be"),
+    "counts-level": (lambda: complexes.subdivision_counts(
+        complexes.cycle_complex(1), 0), "subdivision level"),
+    "circle-level": (lambda: galaxy.Circle(1).counts(0), "subdivision level"),
+    "ray": (lambda: lattice.Ray((2, 0)), "ray direction"),
+    "generator": (lambda: lattice.cone_from_generators([(1, 0.5)]), "(1, 0.5)"),
+    "no-rank": (lambda: lattice.cone_from_generators([]), "ambient rank"),
+    "oracle": (lambda: sampling.ptrop_sample_oracle({}, 2), "need at least"),
+    "box": (lambda: towers.Symbol("s", 1, 1), "enclosure [1, 1]"),
+    "sqrt": (lambda: towers.Symbol.sqrt(4), "sqrt(4) = 2"),
+    "chain": (lambda: towers.ConeChain(((1, ORTHANT), (0, ORTHANT))),
+              "levels 1, 0"),
+    "terms": (lambda: tropical.trop_poly([]), "a tropical polynomial"),
+    "exponent": (lambda: tropical.trop_poly([((-1, 0), 0)]), "negative"),
+}
+
+
+@pytest.mark.parametrize("refusal", list(REFUSALS))
+def test_each_refusal_is_a_validation_error(refusal):
+    """A caller catching TropLimError catches it, and one catching
+    ValueError still does."""
+    call, message = REFUSALS[refusal]
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert isinstance(info.value, TropLimError)
+    assert isinstance(info.value, ValueError)
+    assert str(info.value).startswith(message)

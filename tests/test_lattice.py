@@ -167,11 +167,11 @@ def test_cone_from_generators_refuses_bad_shapes(generators, n, error,
         lat.cone_from_generators(generators, n)
 
 
-# No input reaches the ``internal:`` self-check of ``cone_from_generators``
-# (that the generators lie in the cone): the cone's equations and facets are
-# the lines and rays of the dual cone {y : y.g >= 0 for every generator g},
-# so only a faulty conversion could put a generator outside, and the
-# conversion is checked against brute force below.
+# ``cone_from_generators`` keeps no self-check that the generators lie in
+# the cone: the cone's equations and facets are the lines and rays of the
+# dual cone {y : y.g >= 0 for every generator g}, so only a faulty
+# conversion could put a generator outside, and the conversion is checked
+# against brute force and ``unpruned_conversion`` below.
 
 
 def _toric_fiber_of(matrix):
