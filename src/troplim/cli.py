@@ -3,9 +3,9 @@
 Every run produces a deterministic report: results ordered by input path,
 sha256 digests instead of timestamps, rationals rendered as "p/q" strings.
 `--json` emits the report as canonical JSON on stdout; the default is a
-short human summary.  `--output` captures the primary artifact: for
-`refine` the refined fan file, for `dualcx` and `subdivide` the resulting
-complex file, and for every other subcommand the JSON report itself.
+short human summary.  `--output` writes the value a `COMMANDS` row names:
+for `refine` the refined fan file, for `dualcx` and `subdivide` the
+resulting complex file, and for every other subcommand the JSON report.
 
 Exit codes: 0 success, 2 validation failure, 3 parse failure, 4 resource
 cap (ambient rank, tower depth, cells built or the sampling oracle's
@@ -46,7 +46,6 @@ from .galaxy import OpenPoint, classify_point, decomposition
 from .io import (
     canonical_json,
     cone_to_json,
-    fmt_rational,
     parse_fan,
     parse_fan_cones,
     parse_galaxy,
@@ -72,9 +71,6 @@ from .towers import (
     resolve_direction,
 )
 from .tropical import ptrop_normal_fan, ptrop_recession, trop_hypersurface
-
-_ARTIFACT_COMMANDS = ("refine", "dualcx", "subdivide")
-
 
 @dataclass(frozen=True)
 class JobConfig:
@@ -109,11 +105,9 @@ class JobConfig:
 # -- small helpers -----------------------------------------------------------
 
 
-def _q(vec) -> list[str]:
-    return [fmt_rational(c) for c in vec]
-
 def _counts_json(counts: dict) -> dict:
-    return {str(d): c for d, c in sorted(counts.items())}
+    """A {dim: count} map with str keys, ascending as each counter gives it."""
+    return {str(d): c for d, c in counts.items()}
 
 
 def _write(path: str, text: str):
@@ -130,24 +124,17 @@ def _write_svg(cfg: JobConfig, path: str, svg: str) -> str:
     return out
 
 
-def _maybe_artifact(cfg: JobConfig, result: dict, payload) -> dict:
-    if cfg.output:
-        _write(cfg.output, canonical_json(payload))
-        result["artifact"] = cfg.output
-    return result
-
-
 def _complex_result(cfg: JobConfig, path: str, x: DeltaComplex,
                     **fields) -> dict:
     """Report of a run that makes a complex: its cell counts, Euler
     characteristic and the complex itself, which `canonical_json` writes in
-    the complex schema, with the optional picture and artifact."""
+    the complex schema, with the optional picture."""
     counts = count_cells(x)
     out = {"input": path, **fields, "counts": _counts_json(counts),
            "euler": _signed_sum(counts), "complex": x}
     if cfg.svg:
         out["svg"] = _write_svg(cfg, path, complex_svg(x))
-    return _maybe_artifact(cfg, out, x)
+    return out
 
 
 def _level(cfg: JobConfig) -> int:
@@ -243,7 +230,7 @@ def handle_trop(cfg: JobConfig, path: str) -> dict:
         "cells": [{
             "dim": cell.dim,
             "achievers": [list(e) for e in cell.achievers],
-            "relint_point": _q(cell.relint_point),
+            "relint_point": [str(a) for a in cell.relint_point],
             **{"recession_" + k: v
                for k, v in cone_to_json(cell.recession).items()},
         } for cell in h.cells],
@@ -313,7 +300,7 @@ def handle_refine(cfg: JobConfig) -> dict:
     if cfg.svg:
         # one picture, of the one artifact when there is one
         out["svg"] = _write_svg(cfg, cfg.output or path_a, fan_svg(fan))
-    return _maybe_artifact(cfg, out, out["fan"])
+    return out
 
 
 def handle_limit_point(cfg: JobConfig, path: str) -> dict:
@@ -370,7 +357,7 @@ def handle_rational_points(cfg: JobConfig, path: str) -> dict:
         "input": path,
         "level": level,
         "count": len(pts),
-        "points": [{"cell": name, "coords": _q(coords)}
+        "points": [{"cell": name, "coords": [str(a) for a in coords]}
                    for name, coords in pts],
     }
 
@@ -380,24 +367,22 @@ def handle_map_fibers(cfg: JobConfig, path: str) -> dict:
     reference_euler = (None if reference is None
                        else euler_characteristic(reference))
     entries = []
-    any_mismatch = False
     for cell, coords in points:
         fiber = map_fiber(mapping, cell, coords)
         entry = {
             "cell": cell,
-            "coords": _q(coords),
+            "coords": [str(a) for a in coords],
             "f_vector": list(fiber.f_vector),
             "euler": fiber.euler,
             "empty": fiber.is_empty,
         }
         if reference_euler is not None:
             entry["match"] = fiber.euler == reference_euler
-            any_mismatch = any_mismatch or not entry["match"]
         entries.append(entry)
     out = {"input": path, "points": entries}
     if reference_euler is not None:
         out["reference_euler"] = reference_euler
-        out["mismatch"] = any_mismatch
+        out["mismatch"] = not all(e["match"] for e in entries)
     return out
 
 
@@ -420,8 +405,7 @@ def handle_galaxy(cfg: JobConfig, path: str) -> dict:
                        f"{cfg.depth}")
     outcomes = []
     for point in points:
-        shown = point.name if isinstance(point, Symbol) else \
-            fmt_rational(point)
+        shown = point.name if isinstance(point, Symbol) else str(point)
         try:
             res = classify_point(tower, point)
         except (IncompleteTower, UndecidableSign) as exc:
@@ -432,7 +416,7 @@ def handle_galaxy(cfg: JobConfig, path: str) -> dict:
         if isinstance(res, OpenPoint):
             outcomes.append({
                 "point": shown, "kind": "open",
-                "label": fmt_rational(res.label),
+                "label": str(res.label),
                 "level": res.level, "vertex": res.vertex,
             })
         else:
@@ -440,9 +424,8 @@ def handle_galaxy(cfg: JobConfig, path: str) -> dict:
                 "point": shown, "kind": "closed",
                 "carriers": [{
                     "level": e.level, "cell": e.cell,
-                    "interval": [fmt_rational(e.interval[0]),
-                                 fmt_rational(e.interval[1])],
-                    "width": fmt_rational(e.width),
+                    "interval": [str(a) for a in e.interval],
+                    "width": str(e.width),
                 } for e in res.carriers],
             })
     out = {
@@ -488,8 +471,10 @@ def _cells_line(r: dict) -> str:
 
 
 # a subcommand: the function that makes one result, its --help line, the
-# flags it takes beyond --json and --output, and the text line of a result
-Command = namedtuple("Command", "handler help flags summary")
+# flags it takes beyond --json and --output, the text line of a result, and
+# the result key whose value --output writes (None: the report itself)
+Command = namedtuple("Command", "handler help flags summary artifact",
+                     defaults=(None,))
 
 # in the order --help lists them, each row's flags in registration order
 COMMANDS = {
@@ -506,7 +491,7 @@ COMMANDS = {
             "valid complete" if r["complete"] else "valid")),
     "refine": Command(
         handle_refine, "common refinement of two fans", ("--svg",),
-        lambda r: f"{r['maximal_cones']} maximal cones"),
+        lambda r: f"{r['maximal_cones']} maximal cones", "fan"),
     "limit-point": Command(
         handle_limit_point, "resolve a direction through a fan tower",
         ("--depth",), lambda r: "ray [" + ":".join(r["ray"]) + "]"
@@ -517,10 +502,10 @@ COMMANDS = {
                       f"{r['det']:+d}"),
     "dualcx": Command(
         handle_dualcx, "dual complex of a strata incidence file",
-        ("--svg",), _cells_line),
+        ("--svg",), _cells_line, "complex"),
     "subdivide": Command(
         handle_subdivide, "scale subdivision of an affine complex",
-        ("--svg", "--N"), _cells_line),
+        ("--svg", "--N"), _cells_line, "complex"),
     "rational-points": Command(
         handle_rational_points, "level-N rational points of a complex",
         ("--level",),
@@ -562,13 +547,19 @@ _FLAGS = {
 
 
 def run(cfg: JobConfig) -> dict:
-    """Execute the job and return the report."""
+    """Execute the job, write the artifact its row names, return the report."""
     refine = cfg.subcommand == "refine"
     paths = list(cfg.inputs) if refine else sorted(cfg.inputs)
     # hashed before any handler runs: an artifact's --output may name an input
     inputs = [{"path": p, "sha256": sha256_file(p)} for p in paths]
     handler = _HANDLERS[cfg.subcommand]
     results = [handler(cfg)] if refine else [handler(cfg, p) for p in paths]
+    key = COMMANDS[cfg.subcommand].artifact
+    if cfg.output and key:
+        # one result: JobConfig gives an artifact run one input
+        (result,) = results
+        _write(cfg.output, canonical_json(result[key]))
+        result["artifact"] = cfg.output
     return {
         "command": cfg.subcommand,
         "seed": cfg.seed,
@@ -641,7 +632,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except TropLimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report_file = cfg.output and cfg.subcommand not in _ARTIFACT_COMMANDS
+    report_file = cfg.output and COMMANDS[cfg.subcommand].artifact is None
     doc = canonical_json(report) if cfg.json_out or report_file else None
     sys.stdout.write(doc if cfg.json_out else render_text(report))
     if report_file:

@@ -46,7 +46,6 @@ from .lattice import (
     Cone,
     cone_faces,
     cone_holds,
-    locate,
 )
 
 QVec = tuple[Fraction, ...]
@@ -198,7 +197,7 @@ def cell_vertices(x: DeltaComplex, name: str) -> tuple[str, ...]:
 
 
 def count_cells(x: DeltaComplex) -> dict[int, int]:
-    """Number of cells in each dimension."""
+    """Number of cells in each dimension, ascending as the cells are."""
     return dict(Counter(c.dim for c in x.cells))
 
 
@@ -580,7 +579,7 @@ def subdivision_counts(x: DeltaComplex, level: int) -> dict[int, int]:
     if level < 1:
         raise ValidationError("subdivision level must be a positive integer")
     counts: Counter = Counter()
-    for m, cells in Counter(c.dim for c in x.cells).items():
+    for m, cells in count_cells(x).items():
         for tight in itertools.product((False, True), repeat=m):
             bases = cells * math.comb(level - 1, m - sum(tight))
             for offsets in _interior_offsets(tight):
@@ -789,6 +788,7 @@ class ToricFiberComplex:
 
     @property
     def counts(self) -> dict[int, int]:
+        """Number of cells in each dimension, ascending as ``cells`` are."""
         return {d: len(cs) for d, cs in self.cells}
 
 
@@ -808,10 +808,9 @@ def toric_fiber_complex(matrix: Sequence[Sequence[int]], source: Fan,
         if not any(cone_holds(tau, *image(sigma)) for tau in target.maximal):
             raise NotCompatible(
                 f"image of {sigma} lies in no cone of the target fan")
-    # base is a face of tau exactly when it is the minimal face of tau
-    # holding its ray sum
-    p = base.relint_point()
-    if not any(locate(tau, p) == base for tau in target.maximal):
+    # base is a cone of the target exactly when it is the carrier of its
+    # ray sum
+    if target.locate(base.relint_point())[0] != base:
         raise ValidationError("the base cone is not a cone of the target fan")
     levels: dict[int, list[Cone]] = {}
     for face in {f for sigma in source.maximal for f in cone_faces(sigma)}:

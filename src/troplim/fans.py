@@ -220,6 +220,7 @@ def _violations(cones: list[Cone], n: Optional[int]
                 ) -> tuple[list[str], Optional[list]]:
     """Every fan axiom the cones break, in the order checked, empty for a
     fan; and the cones' sign table, None when the check stops before it.
+    The rank ``n`` defaults to the first cone's.
 
     A pair that ``_separated`` certifies from one sign table of all the
     cones is skipped; every other pair is intersected and its meet checked
@@ -227,6 +228,8 @@ def _violations(cones: list[Cone], n: Optional[int]
     """
     if not cones:
         return ["fan has no cones"], None
+    if n is None:
+        n = cones[0].n
     violations = [f"cone {i} lives in rank {c.n}, expected {n}"
                   for i, c in enumerate(cones) if c.n != n]
     if violations:
@@ -259,11 +262,9 @@ def _violations(cones: list[Cone], n: Optional[int]
 def validate_fan(cones: Sequence[Cone], n: Optional[int] = None) -> FanReport:
     """Check the fan axioms on a set of cones and report violations."""
     cones = list(cones)
-    if cones and n is None:
-        n = cones[0].n
     violations, table = _violations(cones, n)
     valid = not violations
-    return FanReport(valid, valid and _is_complete(cones, n, table),
+    return FanReport(valid, valid and _is_complete(cones, cones[0].n, table),
                      tuple(violations))
 
 
@@ -275,13 +276,11 @@ def _trusted_fan(cones: Sequence[Cone], n: int) -> Fan:
 def fan_from_cones(cones: Sequence[Cone], n: Optional[int] = None) -> Fan:
     """Validating fan constructor; raises ValidationError with the report."""
     cones = list(cones)
-    if cones and n is None:
-        n = cones[0].n
     # completeness is left to Fan.complete, on first read
     violations, _ = _violations(cones, n)
     if violations:
         raise ValidationError("; ".join(violations))
-    return _trusted_fan(cones, n)
+    return _trusted_fan(cones, cones[0].n)
 
 
 # -- subdivision ------------------------------------------------------------

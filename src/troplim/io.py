@@ -310,11 +310,6 @@ def parse_int(value, where: str, low: Optional[int] = None) -> int:
     return n
 
 
-def fmt_rational(q: int | Fraction) -> str:
-    """The "p" or "p/q" text of an int or a Fraction, as ``str`` writes it."""
-    return str(q)
-
-
 def _int_list(value, where: str, low: Optional[int] = None) -> list[int]:
     return [parse_int(v, w, low) for v, w in _items(value, where)]
 
@@ -499,10 +494,9 @@ def _symbol(obj, where: str) -> Symbol:
     name = _field(obj, "name", where, _name)
     lo, hi = (_field(obj, k, where, parse_rational) for k in ("lo", "hi"))
     if lo > hi:
-        raise ParseError(f"{where}: lo {fmt_rational(lo)} exceeds hi "
-                         f"{fmt_rational(hi)}")
+        raise ParseError(f"{where}: lo {lo} exceeds hi {hi}")
     if lo == hi:
-        raise ParseError(f"{where}: lo equals hi {fmt_rational(hi)}, a "
+        raise ParseError(f"{where}: lo equals hi {hi}, a "
                          f"rational, so the box holds no irrational")
     return Symbol(name, lo, hi)
 

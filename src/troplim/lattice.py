@@ -109,7 +109,7 @@ def halfspaces_to_generators(
     before the adjacency test (repeats, counted per copy, only loosen this).
 
     Memoized on the rows exactly as given, in a process-wide LRU cache of
-    1024 entries (``halfspaces_to_generators.cache_info()``).  Equal rows
+    1024 entries (``_halfspaces_to_generators.cache_info()``).  Equal rows
     give equal keys whether written with ``int`` or ``Fraction`` entries,
     and the result is always ``int`` data, so a hit returns the same bytes
     as a fresh conversion.
@@ -197,9 +197,6 @@ def _cancel(s: int, v: IVec, t: int, w: IVec) -> IVec:
     """primitive(s v - t w): with a.w = s and a.v = t, a row ``a`` vanishes
     on it; a positive multiple of v plus a multiple of w when s > 0."""
     return la.primitivize([s * x - t * y for x, y in zip(v, w)])
-
-
-halfspaces_to_generators.cache_info = _halfspaces_to_generators.cache_info
 
 
 @dataclass(frozen=True)

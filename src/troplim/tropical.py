@@ -54,7 +54,7 @@ PTROP_ORDER_BOUND = (1, 1, 2, 2, 3, 3, 3)  # claimed bound g(d) for d = 1..7
 
 @dataclass(frozen=True)
 class TropicalPolynomial:
-    """A min-plus polynomial: terms map exponents to rational valuations."""
+    """Min-plus polynomial: (exponent, valuation) terms sorted by exponent."""
 
     n: int
     terms: tuple[tuple[IVec, Fraction], ...]
@@ -176,8 +176,8 @@ def trop_hypersurface(f: TropicalPolynomial) -> TropicalHypersurface:
         rays = [la.primitivize(normals[k][:-1]) for k in tight]
         info = homogenization_info(cell_lines, rays, n)
         cells.append(TropCell(
-            achievers=tuple(sorted(e for i, (e, _) in enumerate(f.terms)
-                                   if fs >> i & 1)),
+            achievers=tuple(e for i, (e, _) in enumerate(f.terms)
+                            if fs >> i & 1),
             dim=info.dim,
             relint_point=info.relint_point,
             recession=info.recession,

@@ -35,13 +35,21 @@ from troplim import sampling
 from troplim.complexes import (
     Cell,
     cycle_complex,
+    euler_characteristic,
     from_incidence,
     make_complex,
+    map_fiber,
+    rational_points,
     scale_subdivide,
 )
-from troplim.errors import ParseError, ValidationError
+from troplim.errors import (
+    IncompleteTower,
+    ParseError,
+    UndecidableSign,
+    ValidationError,
+)
 from troplim.fans import fan_from_cones
-from troplim.galaxy import Circle
+from troplim.galaxy import Circle, OpenPoint, classify_point
 from troplim.lattice import cone_from_generators
 from troplim.towers import (
     StellarAtBarycenters,
@@ -511,24 +519,6 @@ def test_trop_reports_read_back_to_the_library_cells(tmp_path, capsys):
                          list(c.recession.lines)) for c in h.cells], i
 
 
-def test_fmt_rational_builds_no_fraction(monkeypatch):
-    """An int or a Fraction is written from its own numerator and
-    denominator, with no Fraction built from it."""
-    values = [0, -7, 10 ** 30, F(3), F(-2, 3), F(10 ** 30 + 1, 7)]
-    built, new = [], F.__new__
-
-    def counting(cls, *args, **kwargs):
-        built.append(args)
-        return new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(F, "__new__", counting)
-    texts = [io.fmt_rational(v) for v in values]
-    monkeypatch.undo()
-    assert built == []
-    assert texts == ["0", "-7", str(10 ** 30), "3", "-2/3",
-                     f"{10 ** 30 + 1}/7"]
-
-
 def _frozen_report(tmp_path, capsys, monkeypatch, argv, name, obj):
     """SHA-256 of a canonical `--json` report; a relative input path keeps
     the bytes fixed."""
@@ -722,7 +712,8 @@ def test_fan_validate_report_bytes_are_frozen(tmp_path, capsys, monkeypatch,
 
 def test_refine_report_and_artifact_bytes_are_frozen(tmp_path, capsys,
                                                      monkeypatch):
-    """Frozen from the refine handler's own artifact writer."""
+    """Frozen from the refine handler's own artifact writer; `run` now
+    writes the artifact a command's row names."""
     monkeypatch.chdir(tmp_path)
     put(tmp_path, "a.json", QUADRANT)
     put(tmp_path, "b.json", DIAMOND)
@@ -1672,6 +1663,152 @@ def test_exemplar_outputs_are_frozen(tmp_path, capsys, monkeypatch, command):
     assert cli.main(argv + ["--json"]) == 0
     out, err = capsys.readouterr()
     assert hashlib.sha256(out.encode()).hexdigest() == digest and err == ""
+
+
+# -- reports read back to exact values --------------------------------------
+
+
+def exact(text):
+    """A report's rational, which must be the "k" or "p/q" text that `str`
+    writes for it: no float and no other spelling reads back."""
+    assert isinstance(text, str), text
+    value = F(text)
+    assert str(value) == text, text
+    return value
+
+
+def read_rational_points(result):
+    """The (cell, coordinates) pairs of a rational-points result."""
+    assert result["count"] == len(result["points"])
+    return tuple((p["cell"], tuple(map(exact, p["coords"])))
+                 for p in result["points"])
+
+
+def read_map_fibers(result):
+    """Each point of a map-fibers result as (cell, coordinates, f-vector,
+    Euler characteristic, emptiness, match), and the reference's Euler
+    characteristic with the mismatch flag; each absent field reads None."""
+    points = [(p["cell"], tuple(map(exact, p["coords"])),
+               tuple(p["f_vector"]), p["euler"], p["empty"], p.get("match"))
+              for p in result["points"]]
+    return points, result.get("reference_euler"), result.get("mismatch")
+
+
+def read_galaxy(result):
+    """Each outcome of a galaxy result as (point as written, outcome): an
+    open point's (label, level, vertex), a closed point's carriers as
+    (level, cell, (lo, hi)) with each width checked against its interval,
+    or a refusal's (kind, message)."""
+    outcomes = []
+    for p in result["points"]:
+        if p["kind"] == "open":
+            outcome = (exact(p["label"]), p["level"], p["vertex"])
+        elif p["kind"] == "closed":
+            outcome = []
+            for c in p["carriers"]:
+                lo, hi = map(exact, c["interval"])
+                assert exact(c["width"]) == hi - lo > 0
+                outcome.append((c["level"], c["cell"], (lo, hi)))
+        else:
+            outcome = (p["kind"], p["error"])
+        outcomes.append((p["point"], outcome))
+    return outcomes
+
+
+@pytest.mark.parametrize("name", ["exemplar", *sorted(SUBDIVIDE_SHAPES)])
+def test_rational_points_reports_read_back_to_the_library_points(
+        tmp_path, capsys, name):
+    """Every coordinate of a rational-points report reads back to the exact
+    value `rational_points` gives, in the same order."""
+    if name == "exemplar":
+        obj = EXEMPLARS["rational-points"]
+        x = Circle(obj["elliptic"]["m"]).complex
+    else:
+        x = SUBDIVIDE_SHAPES[name]()
+        obj = serialize_complex(x)
+    path = put(tmp_path, "x.json", obj)
+    for level in (1, 2, 3, 5):
+        code, report = run_json(capsys, ["rational-points", "--level",
+                                         str(level), path])
+        assert code == 0
+        assert read_rational_points(report["results"][0]) == \
+            rational_points(x, level)
+
+
+@pytest.mark.parametrize("name", ["exemplar", *MAP_DATASETS])
+def test_map_fibers_reports_read_back_to_the_library_fibers(tmp_path, capsys,
+                                                            name):
+    """Every point of a map-fibers report reads back to the exact
+    coordinates of its input and to what `map_fiber` gives there."""
+    obj = EXEMPLARS["map-fibers"] if name == "exemplar" else \
+        MAP_DATASETS[name]
+    path = put(tmp_path, "m.json", obj)
+    code, report = run_json(capsys, ["map-fibers", path])
+    assert code == 0
+    mapping, reference, _ = io.parse_map_fibers(path)
+    euler = None if reference is None else euler_characteristic(reference)
+    expected = []
+    for p in obj["points"]:
+        coords = tuple(map(F, p["coords"]))
+        fiber = map_fiber(mapping, p["cell"], coords)
+        expected.append((p["cell"], coords, fiber.f_vector, fiber.euler,
+                         fiber.is_empty,
+                         None if euler is None else fiber.euler == euler))
+    mismatch = None if euler is None else any(not e[-1] for e in expected)
+    assert read_map_fibers(report["results"][0]) == \
+        (expected, euler, mismatch)
+
+
+def _fractional_symbol(name, lo):
+    """A symbol boxed in [lo, lo + 10^-6], lo given in millionths."""
+    return {"symbol": {"name": name, "lo": f"{lo}/1000000",
+                       "hi": f"{lo + 1}/1000000"}}
+
+
+GALAXY_FILES = {
+    "exemplar": EXEMPLARS["galaxy"],
+    "angles": {"elliptic": {"m": 3, "degrees": [1, 2, 4, 8, 16]},
+               "points": ["1/6", "0", "1", "5/12", "7/48", "2/3", "1/5",
+                          _fractional_symbol("sqrt2-1", 414213),
+                          {"symbol": {"name": "wide", "lo": "33/100",
+                                      "hi": "34/100"}}]},
+    "deep": {"elliptic": {"m": 5, "degrees": [1, 3, 6, 42]},
+             "points": ["3/10", "11/210", "1/4", {"symbol": SYMBOL},
+                        _fractional_symbol("sqrt3-1", 732050),
+                        _fractional_symbol("sqrt7-2", 645751)]},
+}
+
+
+def galaxy_outcome(tower, point):
+    """What `classify_point` gives at a point, in `read_galaxy`'s form."""
+    try:
+        res = classify_point(tower, point)
+    except (IncompleteTower, UndecidableSign) as exc:
+        kind = "incomplete" if isinstance(exc, IncompleteTower) else \
+            "undecidable"
+        return kind, str(exc)
+    if isinstance(res, OpenPoint):
+        return res.label, res.level, res.vertex
+    return [(e.level, e.cell, e.interval) for e in res.carriers]
+
+
+@pytest.mark.parametrize("name", sorted(GALAXY_FILES))
+def test_galaxy_reports_read_back_to_the_library_outcomes(tmp_path, capsys,
+                                                          name):
+    """Every outcome of a galaxy report reads back to what `classify_point`
+    gives: an open point's label, level and vertex, a closed point's
+    carrier levels, cells, intervals and widths, a refusal's message."""
+    path = put(tmp_path, "g.json", GALAXY_FILES[name])
+    code, report = run_json(capsys, ["galaxy", path])
+    assert code == 0
+    tower, points = io.parse_galaxy(path)
+    read = read_galaxy(report["results"][0])
+    for point, (text, outcome) in zip(points, read, strict=True):
+        if isinstance(point, F):
+            assert exact(text) == point
+        else:
+            assert text == point.name
+        assert outcome == galaxy_outcome(tower, point)
 
 
 # inputs whose summary line takes a branch its exemplar does not, or that

@@ -623,9 +623,9 @@ def cuboctahedron_cone():
 def test_cone_faces_converts_once_per_face():
     cone = cuboctahedron_cone()
     lat._halfspaces_to_generators.cache_clear()
-    before = lat.halfspaces_to_generators.cache_info()
+    before = lat._halfspaces_to_generators.cache_info()
     faces = lat.cone_faces(cone)
-    after = lat.halfspaces_to_generators.cache_info()
+    after = lat._halfspaces_to_generators.cache_info()
     calls = after.hits + after.misses - before.hits - before.misses
     assert len(faces) == 52 and calls <= len(faces)
     assert [f.dim for f in faces].count(3) == 14
@@ -757,7 +757,7 @@ def test_derived_h_sides_are_the_duals_of_the_rays(cones):
 
 
 def conversions() -> int:
-    info = lat.halfspaces_to_generators.cache_info()
+    info = lat._halfspaces_to_generators.cache_info()
     return info.hits + info.misses
 
 
@@ -887,14 +887,14 @@ def test_repeated_conversion_is_a_cache_hit():
     lat._halfspaces_to_generators.cache_clear()
     args = ([], [(1, 0, 0), (0, 1, 0), (1, 1, 1)], 3)
     first = lat.halfspaces_to_generators(*args)
-    before = lat.halfspaces_to_generators.cache_info()
+    before = lat._halfspaces_to_generators.cache_info()
     assert lat.halfspaces_to_generators(*args) is first
-    after = lat.halfspaces_to_generators.cache_info()
+    after = lat._halfspaces_to_generators.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 def test_conversion_cache_is_bounded():
-    assert lat.halfspaces_to_generators.cache_info().maxsize == 1024
+    assert lat._halfspaces_to_generators.cache_info().maxsize == 1024
 
 
 # -- the integer engine against frozen results ---------------------------------

@@ -694,6 +694,37 @@ def test_hypersurface_matches_reference(n, examples):
     check()
 
 
+@st.composite
+def shuffled_germs(draw, n):
+    """One germ's terms, some exponents repeated at other valuations, given
+    to ``trop_poly`` as a list and as a dict, each in a shuffled order."""
+    exps = st.tuples(*([st.integers(0, 3)] * n)).filter(
+        lambda e: 0 < sum(e) <= 3)
+    terms = draw(st.lists(st.tuples(exps, rationals), min_size=1,
+                          max_size=6))
+    terms += [(e, v + draw(rationals)) for e, v in terms[:2]]
+    return (tp.trop_poly(draw(st.permutations(terms))),
+            tp.trop_poly(dict(draw(st.permutations(terms)))))
+
+
+@pytest.mark.parametrize("n, examples", [(2, 60), (3, 25)])
+def test_hypersurface_achievers_come_in_term_order(n, examples):
+    """``trop_poly`` sorts the terms by exponent, one per exponent, and each
+    cell's achievers are those terms in the same order, so they are their
+    own sorted tuple."""
+    @settings(max_examples=examples, deadline=None)
+    @given(shuffled_germs(n))
+    def check(germs):
+        for f in germs:
+            assert list(f.exponents) == sorted(set(f.exponents))
+            for cell in tp.trop_hypersurface(f).cells:
+                assert cell.achievers == tuple(
+                    e for e in f.exponents if e in cell.achievers)
+                assert cell.achievers == tuple(sorted(cell.achievers))
+
+    check()
+
+
 def test_hypersurface_matches_reference_twenty_terms():
     f = tp.trop_poly([
         ((0, 1, 1, 1), F(9, 2)), ((0, 4, 0, 0), -1), ((0, 0, 3, 1), F(-10, 3)),
