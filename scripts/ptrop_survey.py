@@ -84,8 +84,7 @@ def main(argv=None):
         if not exact.cones:
             continue
         try:
-            clusters = ptrop_sample_oracle(lift_coefficients(f, seed=idx),
-                                           f.n)
+            clusters = ptrop_sample_oracle(lift_coefficients(f, seed=idx))
         except NoBranchFound:
             print(f"{describe(f):<44} {'-':>8} {len(exact.cones):>6} "
                   f"{'no branches':>11}")

@@ -28,13 +28,14 @@ class PolyhedronInfo:
     recession: Cone
 
 
-def homogenization_info(lines: Sequence[IVec], rays: Sequence[IVec], n: int
+def homogenization_info(lines: Sequence[IVec], rays: Sequence[IVec]
                         ) -> Optional[PolyhedronInfo]:
     """Dimension, a relative-interior point and the recession cone of a
     polyhedron, read off the canonical (lines, rays) of its homogenization
     cone in rank n + 1; None if no ray has t > 0, so it is empty."""
     if not any(r[-1] > 0 for r in rays):
         return None
+    n = len(rays[0]) - 1
     total = [0] * (n + 1)
     for r in rays:
         total = [a + b for a, b in zip(total, r)]

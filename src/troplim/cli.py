@@ -130,7 +130,7 @@ def _complex_result(cfg: JobConfig, path: str, x: DeltaComplex,
     characteristic and the complex itself, which `canonical_json` writes in
     the complex schema, with the optional picture."""
     counts = count_cells(x)
-    out = {"input": path, **fields, "counts": _counts_json(counts),
+    out = {**fields, "counts": _counts_json(counts),
            "euler": _signed_sum(counts), "complex": x}
     if cfg.svg:
         out["svg"] = _write_svg(cfg, path, complex_svg(x))
@@ -222,7 +222,6 @@ def handle_trop(cfg: JobConfig, path: str) -> dict:
     f = parse_polynomial(path)
     h = trop_hypersurface(f)
     return {
-        "input": path,
         "vars": f.n,
         "degree": f.degree,
         "terms": len(f.terms),
@@ -242,7 +241,6 @@ def handle_ptrop(cfg: JobConfig, path: str) -> dict:
     exact = ptrop_normal_fan(f)
     via_recession = ptrop_recession(f)
     result = {
-        "input": path,
         "vars": f.n,
         "points": [[str(a) for a in p] for p in exact.points],
         "cones": [cone_to_json(c) for c in exact.cones],
@@ -252,7 +250,7 @@ def handle_ptrop(cfg: JobConfig, path: str) -> dict:
     }
     if f.n in (2, 3):
         coeffs = lift_coefficients(f, seed=cfg.seed)
-        clusters = ptrop_sample_oracle(coeffs, f.n, seed=cfg.seed)
+        clusters = ptrop_sample_oracle(coeffs, seed=cfg.seed)
         distances = distance_to_ptrop(exact, [cl.direction for cl in clusters])
         result["oracle_clusters"] = [{
             "direction": [round(v, 9) for v in cl.direction],
@@ -264,9 +262,8 @@ def handle_ptrop(cfg: JobConfig, path: str) -> dict:
 
 def handle_fan_validate(cfg: JobConfig, path: str) -> dict:
     rank, cones = parse_fan_cones(path)
-    report = validate_fan(cones, rank)
+    report = validate_fan(cones)
     out = {
-        "input": path,
         "rank": rank,
         "maximal_cones": len(cones),
         "valid": report.valid,
@@ -275,7 +272,7 @@ def handle_fan_validate(cfg: JobConfig, path: str) -> dict:
     }
     if report.valid:
         # the report already checked the axioms
-        fan = _trusted_fan(cones, rank)
+        fan = _trusted_fan(cones)
         out["rays"] = [[str(a) for a in r] for r in fan.rays]
         if cfg.svg:
             out["svg"] = _write_svg(cfg, path, fan_svg(fan))
@@ -312,9 +309,8 @@ def handle_limit_point(cfg: JobConfig, path: str) -> dict:
     chain = chain_toward(tower, x)
     res = resolve_direction(chain)
     out = {
-        "input": path,
         "depth": tower.depth,
-        "carrier_dims": [cone.dim for _, cone in chain.entries],
+        "carrier_dims": [cone.dim for cone in chain.cones],
         "resolved": isinstance(res, ResolvedRay),
     }
     if isinstance(res, ResolvedRay):
@@ -326,9 +322,8 @@ def handle_limit_point(cfg: JobConfig, path: str) -> dict:
 
 def handle_fiber_rank(cfg: JobConfig, path: str) -> dict:
     x = parse_symbolic_vector(path)
-    model = fiber_model(x.n, x)
+    model = fiber_model(x)
     return {
-        "input": path,
         "n": x.n,
         "symbols": [s.name for s in x.symbols],
         "rank": model.rank,
@@ -354,7 +349,6 @@ def handle_rational_points(cfg: JobConfig, path: str) -> dict:
     level = _level(cfg)
     pts = rational_points(parse_skeleton(path).complex, level)
     return {
-        "input": path,
         "level": level,
         "count": len(pts),
         "points": [{"cell": name, "coords": [str(a) for a in coords]}
@@ -379,7 +373,7 @@ def handle_map_fibers(cfg: JobConfig, path: str) -> dict:
         if reference_euler is not None:
             entry["match"] = fiber.euler == reference_euler
         entries.append(entry)
-    out = {"input": path, "points": entries}
+    out = {"points": entries}
     if reference_euler is not None:
         out["reference_euler"] = reference_euler
         out["mismatch"] = not all(e["match"] for e in entries)
@@ -390,7 +384,6 @@ def handle_toric_fiber(cfg: JobConfig, path: str) -> dict:
     matrix, source, target, base = parse_toric_fiber(path)
     fiber = toric_fiber_complex(matrix, source, target, base)
     return {
-        "input": path,
         "base": cone_to_json(base),
         "counts": _counts_json(fiber.counts),
         "euler": fiber.euler,
@@ -429,7 +422,6 @@ def handle_galaxy(cfg: JobConfig, path: str) -> dict:
                 } for e in res.carriers],
             })
     out = {
-        "input": path,
         "m": tower.circle.m,
         "degrees": list(tower.degrees),
         "cycle_sizes": list(tower.cycle_sizes),
@@ -553,7 +545,8 @@ def run(cfg: JobConfig) -> dict:
     # hashed before any handler runs: an artifact's --output may name an input
     inputs = [{"path": p, "sha256": sha256_file(p)} for p in paths]
     handler = _HANDLERS[cfg.subcommand]
-    results = [handler(cfg)] if refine else [handler(cfg, p) for p in paths]
+    results = [handler(cfg)] if refine else \
+        [{"input": p, **handler(cfg, p)} for p in paths]
     key = COMMANDS[cfg.subcommand].artifact
     if cfg.output and key:
         # one result: JobConfig gives an artifact run one input

@@ -96,7 +96,7 @@ class Fan:
 
     @cached_property
     def complete(self) -> bool:
-        return _is_complete(self.maximal, self.n)
+        return _is_complete(self.maximal)
 
     @property
     def rays(self) -> tuple[IVec, ...]:
@@ -147,13 +147,13 @@ def _tiled(rows, boundary) -> bool:
                for (r, _), k in count.items())
 
 
-def _is_complete(maximal: Sequence[Cone], n: int,
-                 table: Optional[list] = None) -> bool:
+def _is_complete(maximal: Sequence[Cone], table: Optional[list] = None
+                 ) -> bool:
     """Do the maximal cones of a valid fan tile the whole space, which has
     no boundary?  ``table`` is their ``_sign_table`` when it is built
     already."""
-    return bool(maximal) and all(c.dim == n for c in maximal) and \
-        _tiled(_sign_table(maximal) if table is None else table, ())
+    return bool(maximal) and all(c.dim == maximal[0].n for c in maximal) \
+        and _tiled(_sign_table(maximal) if table is None else table, ())
 
 
 def _sign_table(cones: Sequence[Cone]) -> list[tuple[int, int, list]]:
@@ -216,11 +216,10 @@ def _separated(a, b) -> bool:
         on_a.bit_count() < min(rays_a.bit_count(), rays_b.bit_count())
 
 
-def _violations(cones: list[Cone], n: Optional[int]
-                ) -> tuple[list[str], Optional[list]]:
+def _violations(cones: list[Cone]) -> tuple[list[str], Optional[list]]:
     """Every fan axiom the cones break, in the order checked, empty for a
     fan; and the cones' sign table, None when the check stops before it.
-    The rank ``n`` defaults to the first cone's.
+    The rank is the first cone's.
 
     A pair that ``_separated`` certifies from one sign table of all the
     cones is skipped; every other pair is intersected and its meet checked
@@ -228,8 +227,7 @@ def _violations(cones: list[Cone], n: Optional[int]
     """
     if not cones:
         return ["fan has no cones"], None
-    if n is None:
-        n = cones[0].n
+    n = cones[0].n
     violations = [f"cone {i} lives in rank {c.n}, expected {n}"
                   for i, c in enumerate(cones) if c.n != n]
     if violations:
@@ -259,28 +257,29 @@ def _violations(cones: list[Cone], n: Optional[int]
     return violations, table
 
 
-def validate_fan(cones: Sequence[Cone], n: Optional[int] = None) -> FanReport:
+def validate_fan(cones: Sequence[Cone]) -> FanReport:
     """Check the fan axioms on a set of cones and report violations."""
     cones = list(cones)
-    violations, table = _violations(cones, n)
+    violations, table = _violations(cones)
     valid = not violations
-    return FanReport(valid, valid and _is_complete(cones, cones[0].n, table),
+    return FanReport(valid, valid and _is_complete(cones, table),
                      tuple(violations))
 
 
-def _trusted_fan(cones: Sequence[Cone], n: int) -> Fan:
+def _trusted_fan(cones: Iterable[Cone]) -> Fan:
     """Build a fan from pairwise unequal cones that satisfy the axioms."""
-    return Fan(n, tuple(sorted(cones, key=_cone_key)))
+    cones = tuple(sorted(cones, key=_cone_key))
+    return Fan(cones[0].n, cones)
 
 
-def fan_from_cones(cones: Sequence[Cone], n: Optional[int] = None) -> Fan:
+def fan_from_cones(cones: Sequence[Cone]) -> Fan:
     """Validating fan constructor; raises ValidationError with the report."""
     cones = list(cones)
     # completeness is left to Fan.complete, on first read
-    violations, _ = _violations(cones, n)
+    violations, _ = _violations(cones)
     if violations:
         raise ValidationError("; ".join(violations))
-    return _trusted_fan(cones, cones[0].n)
+    return _trusted_fan(cones)
 
 
 # -- subdivision ------------------------------------------------------------

@@ -88,7 +88,7 @@ class Circle(Skeleton):
         return cycle_complex(self.m)
 
     def level(self, d: int) -> DeltaComplex:
-        return cycle_complex(self.m * d)
+        return cycle_complex(self.counts(d)[0])
 
     def counts(self, d: int) -> dict[int, int]:
         if d < 1:
@@ -185,15 +185,18 @@ def _carrier_index(m: int, sym: Symbol) -> tuple[int, Fraction, Fraction]:
     return k, lo_v, hi_v
 
 
-def classify_point(tower: EllipticTower, point: Union[Fraction, Symbol]
+def classify_point(tower: EllipticTower,
+                   point: Union[int, str, Fraction, Symbol]
                    ) -> Union[OpenPoint, ClosedPoint]:
-    """Open/closed dichotomy for an angle, from a tower's cycle sizes alone.
+    """Open/closed dichotomy for an angle, from a tower's cycle sizes alone;
+    ``galaxy_point`` normalizes the angle first.
 
     A rational p/q is open from the first level whose cycle size is a
     multiple of q; if no provided level works the finite tower cannot
     certify anything and IncompleteTower is raised.  A symbolic (irrational)
     angle is closed, witnessed by the nested chain of carrier edges.
     """
+    point = galaxy_point(point)
     sizes = tower.cycle_sizes
     if isinstance(point, Symbol):
         carriers = []

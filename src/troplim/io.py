@@ -352,8 +352,8 @@ def parse_fan_data(obj, where: str) -> tuple[int, list[Cone]]:
 
 
 def _fan(obj, where: str) -> Fan:
-    rank, cones = parse_fan_data(obj, where)
-    return fan_from_cones(cones, n=rank)
+    _, cones = parse_fan_data(obj, where)
+    return fan_from_cones(cones)
 
 
 def parse_fan(path: str) -> Fan:
@@ -405,7 +405,7 @@ def _terms(value, where: str, n: int) -> list[tuple[tuple, Fraction]]:
 def parse_polynomial(path: str) -> TropicalPolynomial:
     obj = load_json(path)
     n = _field(obj, "vars", path, parse_int)
-    return trop_poly(_field(obj, "terms", path, _terms, n), n=n)
+    return trop_poly(_field(obj, "terms", path, _terms, n))
 
 
 # -- incidence and complexes -------------------------------------------------

@@ -9,13 +9,13 @@ analytic limit set; the oracle is deliberately independent of the exact
 code (numpy root finding, no rational arithmetic), and imports numpy and
 scipy on first use, so that importing troplim loads neither.
 
-Paths are radial: for plane germs x1 = r exp(i theta) with r halved at each
-depth step, solving for the other coordinate; for surface germs the first
-two coordinates get random positive weights w and x3 is solved for.  The
-growth exponent of a vanishing branch is read off as a difference quotient
-of log|x_last| between the last two radii, which cancels multiplicative
-constants and converges quickly.  Directions are clustered by single
-linkage in angular distance.
+Paths are radial: for plane germs x1 = r exp(i theta), solving for the
+other coordinate; for surface germs the first two coordinates get random
+positive weights w and x3 is solved for.  Each path is evaluated at two
+radii only, r = INITIAL_RADIUS * DECAY ** k for k = DEPTH - 2 and DEPTH - 1,
+and the growth exponent of a vanishing branch is the difference quotient
+of log|x_last| between them, which cancels multiplicative constants.
+Directions are clustered by single linkage in angular distance.
 
 Each stage runs over all paths at once, in whole arrays, bit for bit as
 path by path: one draw of every path's random numbers (the same stream);
@@ -48,9 +48,9 @@ if TYPE_CHECKING:
 IVec = tuple[int, ...]
 
 
-# path sampler settings, as in the reported experiments: radius
-# INITIAL_RADIUS * DECAY ** k at depth step k, slopes kept inside
-# (MIN_SLOPE, MAX_SLOPE), single linkage below CLUSTER_ANGLE radians
+# path sampler settings, as in the reported experiments: two radii per path,
+# INITIAL_RADIUS * DECAY ** k for k = DEPTH - 2 and DEPTH - 1, slopes kept
+# inside (MIN_SLOPE, MAX_SLOPE), single linkage below CLUSTER_ANGLE radians
 PATHS = 200
 DEPTH = 12
 INITIAL_RADIUS = 0.1
@@ -252,16 +252,18 @@ def _cluster(directions: np.ndarray, angle: float) -> list[Cluster]:
     return sorted(clusters, key=lambda c: c.direction)
 
 
-def ptrop_sample_oracle(coeffs: Mapping[IVec, complex], n: int,
-                        seed: int = 0) -> tuple[Cluster, ...]:
-    """Sampled PTrop directions of the germ of {poly = 0} at the origin.
+def ptrop_sample_oracle(coeffs: Mapping[IVec, complex], seed: int = 0
+                        ) -> tuple[Cluster, ...]:
+    """Sampled PTrop directions of the germ of {poly = 0} at the origin,
+    in as many variables as the coefficients' exponents have entries.
     A germ of degree above DEGREE_CAP in the last variable, the one solved
     for, is refused with ResourceCap before anything is built."""
+    if not coeffs:
+        raise ValidationError("need at least one coefficient")
+    n = len(next(iter(coeffs)))
     if n not in (2, 3):
         raise DimensionMismatch(
             f"the sampler handles 2 or 3 variables, not {n}")
-    if not coeffs:
-        raise ValidationError("need at least one coefficient")
     _require_degree(coeffs)
     import numpy as np
     rng = np.random.default_rng(seed)

@@ -213,10 +213,9 @@ class FiberModel:
     kind = "LimitToricSpace"
 
 
-def fiber_model(n: int, x: SymbolicVector) -> FiberModel:
+def fiber_model(x: SymbolicVector) -> FiberModel:
     """Fiber descriptor plus a GL(n,Z) move putting independent coords first."""
-    if x.n != n:
-        raise DimensionMismatch(f"vector has {x.n} coordinates, expected {n}")
+    n = x.n
     if n > RANK_CAP:
         raise RankCap(
             f"ambient rank {n} exceeds the exact-arithmetic cap {RANK_CAP}")
@@ -382,18 +381,16 @@ def extend_tower(t: FanTower, strategy, steps: int) -> FanTower:
 
 @dataclass(frozen=True)
 class ConeChain:
-    """Nested cones (level, cone), finer levels contained in coarser ones;
-    the nesting is checked on construction."""
+    """Nested cones, one per level from level 0, finer levels contained in
+    coarser ones; the nesting is checked on construction."""
 
-    entries: tuple[tuple[int, Cone], ...]
+    cones: tuple[Cone, ...]
 
     def __post_init__(self):
-        for (i, a), (j, b) in zip(self.entries, self.entries[1:]):
-            if j <= i:
-                raise ValidationError(f"levels {i}, {j} out of order")
+        for i, (a, b) in enumerate(zip(self.cones, self.cones[1:])):
             if not cone_holds(a, b.rays, b.lines):
-                raise ValidationError(
-                    f"cone at level {j} is not contained in cone at level {i}")
+                raise ValidationError(f"cone at level {i + 1} is not "
+                                      f"contained in cone at level {i}")
 
 
 @dataclass(frozen=True)
@@ -416,9 +413,9 @@ LimitPointDescriptor = Union[ResolvedRay, UnresolvedCone]
 def resolve_direction(c: ConeChain) -> LimitPointDescriptor:
     """The chain's meet, its last cone since the chain is nested, as a ray
     or as the remaining cone."""
-    if not c.entries:
+    if not c.cones:
         raise EmptyChain("cannot resolve an empty chain")
-    meet = c.entries[-1][1]
+    meet = c.cones[-1]
     if meet.dim == 1 and not meet.lines:
         return ResolvedRay(Ray(meet.rays[0]))
     return UnresolvedCone(meet)
@@ -430,7 +427,7 @@ def chain_toward(t: FanTower, x: SymbolicVector) -> ConeChain:
     not locate it."""
     if x.is_zero:
         raise ZeroVector("cannot chase the zero direction")
-    return ConeChain(tuple(enumerate(
+    return ConeChain(tuple(
         carrier for carrier, _ in _carriers(
             t.fans, t.witnesses, x, 0, _chased(t, x),
-            "direction lies outside the level-{} support"))))
+            "direction lies outside the level-{} support")))

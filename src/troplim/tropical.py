@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
 
 from . import _linalg as la
 from ._polyhedra import homogenization_info
@@ -71,7 +71,7 @@ class TropicalPolynomial:
         return any(all(c == 0 for c in e) for e, _ in self.terms)
 
 
-def trop_poly(terms, n: Optional[int] = None) -> TropicalPolynomial:
+def trop_poly(terms) -> TropicalPolynomial:
     """Build a polynomial from {exponent: valuation} or (exponent, valuation)s."""
     if isinstance(terms, dict):
         items = list(terms.items())
@@ -79,8 +79,7 @@ def trop_poly(terms, n: Optional[int] = None) -> TropicalPolynomial:
         items = [(tuple(e), v) for e, v in terms]
     if not items:
         raise ValidationError("a tropical polynomial needs at least one term")
-    if n is None:
-        n = len(items[0][0])
+    n = len(items[0][0])
     if n > RANK_CAP:
         raise RankCap(f"{n} variables exceed the supported rank {RANK_CAP}")
     seen = {}
@@ -160,7 +159,6 @@ def trop_hypersurface(f: TropicalPolynomial) -> TropicalHypersurface:
     """All cells, from one conversion: the lower faces with two or more
     terms are the saturated achiever sets S, and the face of the dual
     vanishing on S is the homogenized cell once z is dropped."""
-    n = f.n
     lines, normals, faces = _lower_faces(f, [])
     # N's lines have t = 0 and z = -<x, e>: dropping z keeps them primitive
     # and in RREF, and N's rays reduced against them
@@ -174,7 +172,7 @@ def trop_hypersurface(f: TropicalPolynomial) -> TropicalHypersurface:
         # leaves it primitive, and two of them with equal x are equal.  So
         # they stay in increasing order of x, and the list needs no sort.
         rays = [la.primitivize(normals[k][:-1]) for k in tight]
-        info = homogenization_info(cell_lines, rays, n)
+        info = homogenization_info(cell_lines, rays)
         cells.append(TropCell(
             achievers=tuple(e for i, (e, _) in enumerate(f.terms)
                             if fs >> i & 1),

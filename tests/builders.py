@@ -439,7 +439,7 @@ def normal_cone(p: NewtonPolytope, face) -> Cone:
 def normal_fan(p: NewtonPolytope) -> Fan:
     """Complete fan of vertex normal cones."""
     cones = [normal_cone(p, (v,)) for v in p.vertices]
-    return fan_from_cones(cones, p.n)
+    return fan_from_cones(cones)
 
 
 # -- fans -------------------------------------------------------------------
@@ -490,7 +490,7 @@ def fresh_chain_toward(t, x: SymbolicVector):
     children of the cones holding it one level up."""
     if x.is_zero:
         raise ZeroVector("cannot chase the zero direction")
-    entries, holding = [], None
+    cones, holding = [], None
     for i, fan in enumerate(t.fans):
         among = None if holding is None else \
             t.witnesses[i - 1].children(holding)
@@ -498,8 +498,8 @@ def fresh_chain_toward(t, x: SymbolicVector):
         if carrier is None:
             raise OutsideSupport(
                 f"direction lies outside the level-{i} support")
-        entries.append((i, carrier))
-    return ConeChain(tuple(entries))
+        cones.append(carrier)
+    return ConeChain(tuple(cones))
 
 
 def facet_cones(c: Cone) -> tuple[Cone, ...]:
@@ -588,7 +588,7 @@ def certified_refinement(a: Fan, b: Fan):
             m = lattice.cone_intersect(sa, sb)
             if m.dim == a.dim:
                 carriers[m] = (i, j)
-    fan = fans._trusted_fan(carriers, a.n)
+    fan = fans.Fan(a.n, tuple(sorted(carriers, key=fans._cone_key)))
     over = [carriers[c] for c in fan.maximal]
     return fan, tiles(fan, a, [i for i, _ in over]), \
         tiles(fan, b, [j for _, j in over])
@@ -623,7 +623,7 @@ def fan_from_rays_2d(rays) -> Fan:
             raise ValidationError(f"rays {a} and {b} leave an angular gap of "
                                   "a half turn or more")
         cones.append(make_cone([a, b], n=2))
-    fan = fan_from_cones(cones, 2)
+    fan = fan_from_cones(cones)
     if not fan.complete:
         raise ValidationError("rays do not positively span the plane")
     return fan

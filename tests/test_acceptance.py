@@ -195,7 +195,7 @@ def test_criterion_02_sampling_oracle_matches_exact_ptrop():
     worst = 0.0
     for idx, f in enumerate(germs):
         exact = ptrop_normal_fan(f)
-        clusters = ptrop_sample_oracle(lift_coefficients(f, seed=idx), f.n)
+        clusters = ptrop_sample_oracle(lift_coefficients(f, seed=idx))
         for dist in distance_to_ptrop(exact, [c.direction for c in clusters]):
             worst = max(worst, dist)
             assert dist < 1e-2
@@ -274,7 +274,7 @@ def test_criterion_07_direction_chains_and_fiber_models():
     quadrants = fan_from_rays_2d([(1, 0), (0, 1), (-1, 0), (0, -1)])
     octants = fan_from_cones(
         [cone_from_generators([(sx, 0, 0), (0, sy, 0), (0, 0, sz)], n=3)
-         for sx in (1, -1) for sy in (1, -1) for sz in (1, -1)], n=3)
+         for sx in (1, -1) for sy in (1, -1) for sz in (1, -1)])
     directions = [
         (1, 1), (2, 1), (1, 2), (3, 1), (1, 3),
         (3, 2), (2, 3), (5, 2), (2, 5), (5, 3),
@@ -306,12 +306,12 @@ def test_criterion_07_direction_chains_and_fiber_models():
         (2, (), [F(2, 3), F(1, 3)], 1),
     ]
     for n, symbols, entries, rank in fiber_cases:
-        model = fiber_model(n, symbolic_vector(entries, symbols))
+        model = fiber_model(symbolic_vector(entries, symbols))
         assert model.rank == rank
         assert model.dim == n - rank
         assert det_sign(model.basis_change) in (1, -1)
-    irrational = fiber_model(2, symbolic_vector([1, [0, 1]], (SQRT2,)))
-    rational = fiber_model(2, rational_vector((1, 1)))
+    irrational = fiber_model(symbolic_vector([1, [0, 1]], (SQRT2,)))
+    rational = fiber_model(rational_vector((1, 1)))
     assert (irrational.dim, rational.dim) == (0, 1)
     elapsed = time.monotonic() - start
     assert elapsed < 30

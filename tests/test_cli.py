@@ -17,6 +17,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from builders import (
     json_reference,
+    make_cone,
     nodal_cubic_incidence,
     rational_vector,
     segment_complex,
@@ -48,13 +49,17 @@ from troplim.errors import (
     UndecidableSign,
     ValidationError,
 )
-from troplim.fans import fan_from_cones
+from troplim.fans import fan_from_cones, validate_fan
 from troplim.galaxy import Circle, OpenPoint, classify_point
 from troplim.lattice import cone_from_generators
 from troplim.towers import (
+    ResolvedRay,
     StellarAtBarycenters,
+    chain_toward,
     extend_tower,
     fan_tower,
+    fiber_model,
+    resolve_direction,
 )
 from troplim.tropical import trop_hypersurface
 
@@ -1809,6 +1814,140 @@ def test_galaxy_reports_read_back_to_the_library_outcomes(tmp_path, capsys,
         else:
             assert text == point.name
         assert outcome == galaxy_outcome(tower, point)
+
+
+def exact_rows(rows):
+    """Rows of a report's rationals, each read by `exact`."""
+    return tuple(tuple(map(exact, r)) for r in rows)
+
+
+def read_fan_validate(result):
+    """A fan-validate result as (rank, cone count, valid, complete,
+    violations, rays); the rays read None for an invalid fan."""
+    rays = result.get("rays")
+    assert (rays is None) != result["valid"]
+    return (result["rank"], result["maximal_cones"], result["valid"],
+            result["complete"], tuple(result["violations"]),
+            None if rays is None else exact_rows(rays))
+
+
+@pytest.mark.parametrize("name", ["exemplar", *sorted(FAN_FILES)])
+def test_fan_validate_reports_read_back_to_the_library_report(tmp_path,
+                                                              capsys, name):
+    """A fan-validate report reads back to what `validate_fan` gives on the
+    file's cones, and a valid fan's rays to those of the fan they make."""
+    obj = EXEMPLARS["fan-validate"] if name == "exemplar" else FAN_FILES[name]
+    path = put(tmp_path, "f.json", obj)
+    code, report = run_json(capsys, ["fan-validate", path])
+    assert code == 0
+    rank, cones = io.parse_fan_cones(path)
+    got = validate_fan(cones)
+    rays = fans._trusted_fan(cones).rays if got.valid else None
+    assert read_fan_validate(report["results"][0]) == \
+        (rank, len(cones), got.valid, got.complete, got.violations, rays)
+
+
+FIBER_VECTORS = {
+    "exemplar": EXEMPLARS["fiber-rank"],
+    "sqrt2": {"symbols": [_sqrt_symbol(2)],
+              "entries": [["1", "0"], ["0", "1"]]},
+    "rational": {"entries": ["1", "1"]},
+    "rank3": {"symbols": [_sqrt_symbol(2), _sqrt_symbol(3)],
+              "entries": [["0", "1", "0"], "1", ["0", "0", "1"]]},
+}
+
+
+def read_fiber_rank(result):
+    """A fiber-rank result as (n, symbol names, rank, fiber dimension,
+    basis change, its determinant)."""
+    return (result["n"], tuple(result["symbols"]), result["rank"],
+            result["fiber_dim"], tuple(map(tuple, result["basis_change"])),
+            result["det"])
+
+
+@pytest.mark.parametrize("name", sorted(FIBER_VECTORS))
+def test_fiber_rank_reports_read_back_to_the_library_model(tmp_path, capsys,
+                                                           name):
+    """A fiber-rank report reads back to what `fiber_model` gives, with the
+    determinant of its basis change, a permutation matrix, as the sign of
+    that permutation."""
+    path = put(tmp_path, "x.json", FIBER_VECTORS[name])
+    code, report = run_json(capsys, ["fiber-rank", path])
+    assert code == 0
+    x = io.parse_symbolic_vector(path)
+    model = fiber_model(x)
+    order = [row.index(1) for row in model.basis_change]
+    inversions = sum(a > b for a, b in itertools.combinations(order, 2))
+    assert read_fiber_rank(report["results"][0]) == (
+        x.n, tuple(s.name for s in x.symbols), model.rank, model.dim,
+        model.basis_change, (-1) ** inversions)
+
+
+def read_limit_point(result):
+    """A limit-point result as (depth, carrier dimensions, ray, cone): the
+    ray None when unresolved, and the cone (rays, lines) None when
+    resolved, with no lines when the cone has none."""
+    cone = result.get("cone")
+    assert ("ray" in result) == result["resolved"] == (cone is None)
+    return (result["depth"], tuple(result["carrier_dims"]),
+            tuple(map(exact, result["ray"])) if result["resolved"] else None,
+            None if cone is None else
+            (exact_rows(cone["rays"]), exact_rows(cone.get("lines", []))))
+
+
+def limit_point_outcome(base, strategy, steps, x):
+    """What `chain_toward` and `resolve_direction` give on a tower file's
+    values, in `read_limit_point`'s form."""
+    tower = extend_tower(fan_tower(base), strategy, steps)
+    chain = chain_toward(tower, x)
+    res = resolve_direction(chain)
+    resolved = isinstance(res, ResolvedRay)
+    return (tower.depth, tuple(c.dim for c in chain.cones),
+            res.ray.direction if resolved else None,
+            None if resolved else (res.cone.rays, res.cone.lines))
+
+
+LIMIT_POINT_FILES = {
+    "exemplar": EXEMPLARS["limit-point"],
+    **SYMBOLIC_TOWERS,
+    "rational": {"base_fan": QUADRANT, "strategy": TOWARD_23, "steps": 6},
+    "stellar": {"base_fan": QUADRANT, "steps": 1,
+                "strategy": {"kind": "stellar-at-barycenters"},
+                "direction": {"entries": ["2", "3"]}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIMIT_POINT_FILES))
+def test_limit_point_reports_read_back_to_the_library_chain(tmp_path, capsys,
+                                                            name):
+    """A limit-point report reads back to the tower depth, the carrier
+    dimension of every level and the resolved ray or remaining cone that
+    `chain_toward` and `resolve_direction` give."""
+    path = put(tmp_path, "t.json", LIMIT_POINT_FILES[name])
+    code, report = run_json(capsys, ["limit-point", path])
+    assert code == 0
+    assert read_limit_point(report["results"][0]) == \
+        limit_point_outcome(*io.parse_limit_point(path))
+
+
+def test_a_limit_point_cone_with_lines_reads_back_with_them(tmp_path, capsys,
+                                                            monkeypatch):
+    """No tower file reaches a cone with lines, since a fan file's cones are
+    strongly convex, so a patched reader hands the handler the quadrant fan
+    times the line through e_3: the remaining cone keeps that line."""
+    quadrants = io.parse_fan(put(tmp_path, "q.json", QUADRANT))
+    base = fan_from_cones([make_cone([r + (0,) for r in c.rays],
+                                     lines=[(0, 0, 1)])
+                           for c in quadrants.maximal])
+    x = rational_vector((2, 3, 0))
+    values = (base, StellarAtBarycenters(), 2, x)
+    monkeypatch.setattr(cli, "parse_limit_point", lambda path: values)
+    path = put(tmp_path, "t.json", {})
+    code, report = run_json(capsys, ["limit-point", path])
+    assert code == 0
+    got = read_limit_point(report["results"][0])
+    assert got == limit_point_outcome(*values)
+    assert got[3][1] == ((0, 0, 1),)
 
 
 # inputs whose summary line takes a branch its exemplar does not, or that

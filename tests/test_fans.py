@@ -353,14 +353,14 @@ def assert_same_witness(fine, coarse):
 def partial(fan, drop):
     """The fan without its maximal cone of index ``drop``."""
     keep = [c for j, c in enumerate(fan.maximal) if j != drop % len(fan.maximal)]
-    return fans.fan_from_cones(keep, fan.n)
+    return fans.fan_from_cones(keep)
 
 
 def non_pure(fan, drop):
     """The fan with one maximal cone swapped for the ray of its ray sum."""
     sigma = fan.maximal[drop % len(fan.maximal)]
     keep = [c for c in fan.maximal if c != sigma]
-    return fans.fan_from_cones(keep + [cg([sigma.relint_point()])], fan.n)
+    return fans.fan_from_cones(keep + [cg([sigma.relint_point()])])
 
 
 @settings(max_examples=30, deadline=None)
@@ -399,7 +399,7 @@ def orthant_image(n, shears):
     for signs in itertools.product((1, -1), repeat=n):
         cones.append(cg([tuple(s * a for a in col)
                          for s, col in zip(signs, cols)]))
-    return fans.fan_from_cones(cones, n)
+    return fans.fan_from_cones(cones)
 
 
 @settings(max_examples=12, deadline=None)
@@ -457,7 +457,7 @@ def reference_split(fan, rays):
             make_cone(list(f.rays) + [ray], n=fan.n, lines=list(f.lines))
             for f in facet_cones(sigma) if not cone_holds(f, [ray])]
         out += joins or [sigma]
-    return fans._trusted_fan(out, fan.n)
+    return fans._trusted_fan(out)
 
 
 def reference_common_refinement(a, b):
@@ -465,7 +465,7 @@ def reference_common_refinement(a, b):
     of maximal cones is intersected."""
     pieces = {m for sa in a.maximal for sb in b.maximal
               for m in [cone_intersect(sa, sb)] if m.dim == a.dim}
-    return fans._trusted_fan(pieces, a.n)
+    return fans._trusted_fan(pieces)
 
 
 def assert_same_certificate(cones):
@@ -474,7 +474,7 @@ def assert_same_certificate(cones):
     separated pairs, when every cone has one rank (validation stops at
     the ranks otherwise); and the violations against the pairwise check."""
     n = cones[0].n
-    assert fans._violations(cones, n)[0] == reference_violations(cones, n)
+    assert fans._violations(cones)[0] == reference_violations(cones, n)
     if any(c.n != n for c in cones):
         return
     table = fans._sign_table(cones)
@@ -494,7 +494,7 @@ def simplex_image(n, shears):
     cols = shear_columns(n, shears)
     gens = cols + [tuple(-sum(c) for c in zip(*cols))]
     return fans.fan_from_cones(
-        [cg(gens[:k] + gens[k + 1:]) for k in range(n + 1)], n)
+        [cg(gens[:k] + gens[k + 1:]) for k in range(n + 1)])
 
 
 def with_lines(fan, n, cols):
@@ -507,7 +507,7 @@ def with_lines(fan, n, cols):
     return fans.fan_from_cones(
         [make_cone([image(r) for r in c.rays], n=n,
                    lines=[image(l) for l in c.lines] + span)
-         for c in fan.maximal], n)
+         for c in fan.maximal])
 
 
 def lifted(fan):
@@ -515,7 +515,7 @@ def lifted(fan):
     return fans.fan_from_cones(
         [make_cone([r + (0,) for r in c.rays], n=3,
                    lines=[l + (0,) for l in c.lines] + [(0, 0, 1)])
-         for c in fan.maximal], 3)
+         for c in fan.maximal])
 
 
 def t_junction(cols):
@@ -552,7 +552,7 @@ def tower_levels(draw):
 def test_tower_levels_validate_as_the_pairwise_check_does(fan, other, rnd):
     cones = list(fan.maximal)
     rnd.shuffle(cones)
-    assert fans._violations(cones, fan.n)[0] == \
+    assert fans._violations(cones)[0] == \
         reference_violations(cones, fan.n) == []
     assert_same_certificate(cones)
     if other.n == fan.n:
@@ -584,13 +584,13 @@ def perfect_cones(height):
 def test_perfect_cone_fans_validate_as_the_pairwise_check_does(height):
     cones = sorted(perfect_cones(height), key=fans._cone_key)
     assert len(cones) == {3: 14, 6: 46}[height]
-    assert fans._violations(cones, 3)[0] == \
+    assert fans._violations(cones)[0] == \
         reference_violations(cones, 3) == []
     table = fans._sign_table(cones)
     assert all(fans._separated(a, b)
                for a, b in itertools.combinations(table, 2))
     assert_same_certificate(cones)
-    perfect = fans.fan_from_cones(cones, 3)
+    perfect = fans.fan_from_cones(cones)
     for other in (orthant_image(3, []), simplex_image(3, [((0, 1), 1)])):
         assert fans.common_refinement(perfect, other) == \
             certified_refinement(perfect, other)
@@ -622,7 +622,7 @@ def test_a_tower_level_refines_itself_converting_no_equal_pair(fan):
 def test_a_perfect_cone_fan_refines_itself_converting_no_equal_pair(height):
     cones = sorted(perfect_cones(height), key=fans._cone_key)
     assert_refines_itself_converting_no_equal_pair(
-        fans.fan_from_cones(cones, 3))
+        fans.fan_from_cones(cones))
 
 
 @st.composite
@@ -671,8 +671,8 @@ def test_the_certificate_leaves_containment_and_t_junctions_to_the_check():
     a, b = t_junction(shear_columns(3, []))
     for cones in ([quadrant, edge], [edge, quadrant], [a, b], [b, a]):
         n = cones[0].n
-        assert fans._violations(cones, n)[0] == reference_violations(cones, n)
-        assert fans._violations(cones, n)[0]
+        assert fans._violations(cones)[0] == reference_violations(cones, n)
+        assert fans._violations(cones)[0]
     assert not fans._separated(*fans._sign_table([a, b]))
     assert not fans._separated(*fans._sign_table([quadrant, edge]))
     assert fans._separated(*fans._sign_table([quadrant,
@@ -687,7 +687,7 @@ def embedded(fan):
     its facets pair up although it is not complete."""
     return fans.fan_from_cones(
         [make_cone([r + (0,) for r in c.rays], n=3,
-                   lines=[l + (0,) for l in c.lines]) for c in fan.maximal], 3)
+                   lines=[l + (0,) for l in c.lines]) for c in fan.maximal])
 
 
 def low_fans(n):
@@ -695,8 +695,8 @@ def low_fans(n):
     rank 1 their cones are not full-dimensional, and their facets pair up
     or are none."""
     e = tuple(int(i == 0) for i in range(n))
-    return [fans.fan_from_cones([cg([e]), cg([tuple(-a for a in e)])], n),
-            fans.fan_from_cones([make_cone([], n=n, lines=[e])], n)]
+    return [fans.fan_from_cones([cg([e]), cg([tuple(-a for a in e)])]),
+            fans.fan_from_cones([make_cone([], n=n, lines=[e])])]
 
 
 @st.composite
@@ -713,7 +713,7 @@ def fans_to_tile(draw):
         fan = draw(tower_levels())
     elif kind == "perfect":
         fan = fans.fan_from_cones(perfect_cones(draw(st.sampled_from(
-            (2, 3)))), 3)
+            (2, 3)))))
     elif kind == "lines":
         fan = draw(st.sampled_from((
             halfplane_fan((1, 2)), lifted(quadrant_fan()),
@@ -725,7 +725,7 @@ def fans_to_tile(draw):
     elif kind == "low":
         fan = draw(st.sampled_from(low_fans(draw(st.integers(1, 3)))))
     else:
-        fan = fans.fan_from_cones([cone_from_halfspaces([], [], 0)], 0)
+        fan = fans.fan_from_cones([cone_from_halfspaces([], [], 0)])
     if len(fan.maximal) > 1 and draw(st.booleans()):
         fan = partial(fan, draw(st.integers(0, len(fan.maximal) - 1)))
     return fan
@@ -737,7 +737,7 @@ def assert_same_tiling(a, b):
     for fan in (a, b):
         fresh = fans.Fan(fan.n, fan.maximal)
         assert fresh.complete == is_complete(fan.maximal, fan.n) == \
-            fans.validate_fan(fan.maximal, fan.n).complete
+            fans.validate_fan(fan.maximal).complete
     if a.n != b.n or not (a.is_pure and b.is_pure and a.dim == b.dim):
         return
     ref = certified_refinement(a, b)
@@ -771,7 +771,7 @@ def test_the_tiling_check_meets_each_family():
     cone, the zero fan, and witnesses of None over a fan whose support the
     refinement does not cover."""
     plane = embedded(quadrant_fan())
-    zero = fans.fan_from_cones([cone_from_halfspaces([], [], 0)], 0)
+    zero = fans.fan_from_cones([cone_from_halfspaces([], [], 0)])
     rays, line = low_fans(2)
     for fan, complete in ((plane, False), (rays, False), (line, False),
                           (partial(quadrant_fan(), 0), False), (zero, True),
@@ -801,7 +801,7 @@ def test_the_tiling_check_builds_no_facet_cone_and_locates_nothing(
     built and no face is located, and they match facet pairing."""
     quadrants = quadrant_fan()
     plane = embedded(quadrants)
-    zero = fans.fan_from_cones([cone_from_halfspaces([], [], 0)], 0)
+    zero = fans.fan_from_cones([cone_from_halfspaces([], [], 0)])
     rays, line = low_fans(2)
     part = partial(quadrants, 0)
     families = [plane, rays, line, part, zero, lifted(quadrants)]
@@ -834,7 +834,7 @@ def test_the_tiling_check_builds_no_facet_cone_and_locates_nothing(
     monkeypatch.setattr(fans, "_face", refuse)
     for fan, complete in zip(families, expected):
         assert fans.Fan(fan.n, fan.maximal).complete is complete
-        assert fans.validate_fan(fan.maximal, fan.n).complete is complete
+        assert fans.validate_fan(fan.maximal).complete is complete
     for fine, coarse, carrier, witness in assignments:
         assert fans._tiles(fine, coarse, carrier) == witness
 
@@ -900,7 +900,7 @@ def test_facet_signs_match_the_converting_code_rank3(m1, m2, r, z, plane):
     prism = lifted(plane)
     assert_facet_signs_agree(prism, a, r + (z,))
     cones = list(prism.maximal)
-    assert fans._violations(cones, 3)[0] == \
+    assert fans._violations(cones)[0] == \
         reference_violations(cones, 3) == []
 
 

@@ -152,10 +152,11 @@ def test_base_change_degree_one_is_identity():
     i3 = Circle(3)
     assert i3.level(1) == i3.complex
     assert i3.counts(1) == count_cells(i3.complex)
-    with pytest.raises(ValueError, match="at least one edge"):
-        i3.level(0)
-    with pytest.raises(ValueError, match="positive integer"):
-        i3.counts(0)
+    # both reads refuse a level below 1 as a complex skeleton's do
+    for read in (i3.level, i3.counts, Skeleton(i3.complex).level):
+        with pytest.raises(ValueError, match="^subdivision level must be a "
+                           "positive integer$"):
+            read(0)
 
 
 def test_base_change_of_a_self_loop():
@@ -476,6 +477,35 @@ def test_closed_form_matches_the_built_levels(tower, points):
         for lv, edge in zip(levels, got.carriers):
             assert edge_interval(lv, edge.cell) == edge.interval
             assert edge.interval[0] < sym.lo and sym.hi < edge.interval[1]
+
+
+def _named_cells(outcome):
+    """The (level, cell) pairs a classification names: an open point's
+    vertex, or each carrier edge of a closed one."""
+    if isinstance(outcome, OpenPoint):
+        return [(outcome.level, outcome.vertex)]
+    if isinstance(outcome, ClosedPoint):
+        return [(e.level, e.cell) for e in outcome.carriers]
+    return []
+
+
+@given(small_towers(), st.integers(1, 400).flatmap(lambda den: st.builds(
+    F, st.integers(-3 * den, 3 * den), st.just(den))), st.integers(-3, 3),
+    galaxy_points())
+@settings(deadline=None, max_examples=60)
+def test_classify_point_reads_its_angle_mod_1(tower, theta, k, point):
+    """An angle shifted by an integer classifies as its `galaxy_point`
+    does, every vertex or edge named lies on its level's cycle, and a
+    symbol boxed outside [0, 1] is refused."""
+    shifted = _outcome(tower, theta + k)
+    assert shifted == _outcome(tower, galaxy_point(theta))
+    for outcome in (shifted, _outcome(tower, point)):
+        for level, cell in _named_cells(outcome):
+            assert 0 <= int(cell[1:]) < tower.cycle_sizes[level]
+    if isinstance(point, Symbol) and k:
+        with pytest.raises(ValidationError, match="must lie in"):
+            classify_point(tower, Symbol(point.name, point.lo + k,
+                                         point.hi + k))
 
 
 def test_depth_cap_doubling_tower_in_closed_form():

@@ -12,11 +12,14 @@ that only ``__init__`` exports is read by no program.
 """
 
 import ast
+import dataclasses
+import inspect
 from functools import cache
 from pathlib import Path
 
 import pytest
 
+import troplim
 from troplim import _linalg as la
 from troplim import complexes, galaxy, lattice, sampling, towers, tropical
 from troplim.errors import TropLimError, ValidationError
@@ -341,11 +344,12 @@ REFUSALS = {
     "ray": (lambda: lattice.Ray((2, 0)), "ray direction"),
     "generator": (lambda: lattice.cone_from_generators([(1, 0.5)]), "(1, 0.5)"),
     "no-rank": (lambda: lattice.cone_from_generators([]), "ambient rank"),
-    "oracle": (lambda: sampling.ptrop_sample_oracle({}, 2), "need at least"),
+    "oracle": (lambda: sampling.ptrop_sample_oracle({}), "need at least"),
     "box": (lambda: towers.Symbol("s", 1, 1), "enclosure [1, 1]"),
     "sqrt": (lambda: towers.Symbol.sqrt(4), "sqrt(4) = 2"),
-    "chain": (lambda: towers.ConeChain(((1, ORTHANT), (0, ORTHANT))),
-              "levels 1, 0"),
+    "chain": (lambda: towers.ConeChain((
+        lattice.cone_from_generators([(1, 0)]), ORTHANT)),
+              "cone at level 1 is not contained in cone at level 0"),
     "terms": (lambda: tropical.trop_poly([]), "a tropical polynomial"),
     "exponent": (lambda: tropical.trop_poly([((-1, 0), 0)]), "negative"),
 }
@@ -361,3 +365,85 @@ def test_each_refusal_is_a_validation_error(refusal):
     assert isinstance(info.value, TropLimError)
     assert isinstance(info.value, ValueError)
     assert str(info.value).startswith(message)
+
+
+# the parameters of every callable the package exports, a dataclass's being
+# its fields; None for the exception class, whose arguments are
+# BaseException's.  A change that adds or removes one edits this table.
+EXPORTED_SIGNATURES = {
+    "Cell": ('name', 'dim', 'faces'),
+    "ComplexMap": ('source', 'target', 'cell_images'),
+    "DeltaComplex": ('cells', 'affine', 'provenance'),
+    "FiberComplex": ('faces_by_dim',),
+    "StrataIncidence": ('mode', 'strata', 'closures'),
+    "SubdivisionResult": ('complex', 'original', 'level'),
+    "ToricFiberComplex": ('cells',),
+    "canonical_point": ('x', 'name', 'coords'),
+    "count_cells": ('x',),
+    "cycle_complex": ('m',),
+    "euler_characteristic": ('x',),
+    "from_incidence": ('inc',),
+    "induced_map": ('source', 'target', 'vertex_map', 'cell_images'),
+    "make_complex": ('cells', 'affine', 'provenance'),
+    "make_incidence": ('mode', 'strata', 'closures'),
+    "map_fiber": ('mapping', 'cell_name', 'coords'),
+    "rational_points": ('x', 'level'),
+    "scale_subdivide": ('x', 'level'),
+    "toric_fiber_complex": ('matrix', 'source', 'target', 'base'),
+    "TropLimError": None,
+    "Fan": ('n', 'maximal'),
+    "FanReport": ('valid', 'complete', 'violations'),
+    "common_refinement": ('a', 'b'),
+    "fan_from_cones": ('cones',),
+    "validate_fan": ('cones',),
+    "Circle": ('m',),
+    "EllipticTower": ('m', 'degrees'),
+    "Skeleton": ('x',),
+    "classify_point": ('tower', 'point'),
+    "decomposition": ('skeleton', 'level'),
+    "galaxy_point": ('value',),
+    "Cone": ('n', 'rays', 'lines'),
+    "Ray": ('direction',),
+    "cone_from_generators": ('generators', 'n'),
+    "cone_intersect": ('a', 'b'),
+    "locate": ('cone', 'point'),
+    "primitive": ('v',),
+    "distance_to_ptrop": ('ptset', 'directions'),
+    "ptrop_sample_oracle": ('coeffs', 'seed'),
+    "FanTower": ('fans', 'witnesses'),
+    "Symbol": ('name', 'lo', 'hi'),
+    "SymbolicVector": ('symbols', 'rows'),
+    "chain_toward": ('t', 'x'),
+    "extend_tower": ('t', 'strategy', 'steps'),
+    "fan_tower": ('base',),
+    "fiber_model": ('x',),
+    "fiber_rank": ('x',),
+    "resolve_direction": ('c',),
+    "symbolic_vector": ('entries', 'symbols'),
+    "PTropSet": ('cones',),
+    "TropicalPolynomial": ('n', 'terms'),
+    "count_ptrop_points": ('f',),
+    "ptrop_normal_fan": ('f',),
+    "ptrop_recession": ('f',),
+    "trop_hypersurface": ('f',),
+    "trop_poly": ('terms',),
+}
+
+
+def exported_parameters(obj):
+    if isinstance(obj, type) and issubclass(obj, BaseException):
+        return None
+    if dataclasses.is_dataclass(obj):
+        return tuple(f.name for f in dataclasses.fields(obj))
+    return tuple(inspect.signature(obj).parameters)
+
+
+def test_exported_signatures_are_pinned():
+    """Every callable ``__init__`` re-exports takes the parameters, and
+    every exported dataclass holds the fields, that the table names."""
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    exported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    got = {name: exported_parameters(getattr(troplim, name))
+           for name in exported if callable(getattr(troplim, name))}
+    assert got == EXPORTED_SIGNATURES

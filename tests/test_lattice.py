@@ -780,7 +780,7 @@ def test_derived_cones_convert_only_when_their_h_side_is_read():
     assert conversions() == start + 1  # the meet's rays, and no more
     lines, rays, _ = lat.halfspaces_to_generators(
         [], [(1, 0, 1), (0, 1, 1), (0, 0, 1)], 3)
-    info = homogenization_info(lines, rays, 2)
+    info = homogenization_info(lines, rays)
     assert conversions() == start + 2
     for derived in (*faces, meet, info.recession):
         before = conversions()

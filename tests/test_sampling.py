@@ -26,7 +26,7 @@ TOL = 1e-2
 
 def test_nodal_cubic_two_clusters_near_exact_points():
     f = tp.trop_poly({(1, 1): 0, (3, 0): 0, (0, 3): 0})
-    clusters = sm.ptrop_sample_oracle(sm.lift_coefficients(f, seed=1), 2)
+    clusters = sm.ptrop_sample_oracle(sm.lift_coefficients(f, seed=1))
     assert len(clusters) == 2
     exact = tp.ptrop_normal_fan(f)
     assert max(sm.distance_to_ptrop(exact, [c.direction for c in clusters])
@@ -38,7 +38,7 @@ def test_nodal_cubic_two_clusters_near_exact_points():
 
 def test_line_single_cluster_at_diagonal():
     f = tp.trop_poly({(1, 0): 0, (0, 1): 0})
-    clusters = sm.ptrop_sample_oracle(sm.lift_coefficients(f, seed=2), 2)
+    clusters = sm.ptrop_sample_oracle(sm.lift_coefficients(f, seed=2))
     assert len(clusters) == 1
     u = np.asarray(clusters[0].direction) / np.linalg.norm(
         clusters[0].direction)
@@ -48,12 +48,12 @@ def test_line_single_cluster_at_diagonal():
 def test_no_branch_when_origin_missed():
     with pytest.raises(NoBranchFound):
         sm.ptrop_sample_oracle(
-            {(0, 0): 1.0, (1, 0): 1.0, (0, 1): 1.0}, 2)
+            {(0, 0): 1.0, (1, 0): 1.0, (0, 1): 1.0})
 
 
 def test_surface_samples_land_on_exact_cone():
     f = tp.trop_poly({(1, 1, 0): 0, (0, 0, 2): 0})
-    clusters = sm.ptrop_sample_oracle(sm.lift_coefficients(f, seed=3), 3)
+    clusters = sm.ptrop_sample_oracle(sm.lift_coefficients(f, seed=3))
     exact = tp.ptrop_normal_fan(f)
     assert clusters
     assert max(sm.distance_to_ptrop(exact, [c.direction for c in clusters])
@@ -62,7 +62,7 @@ def test_surface_samples_land_on_exact_cone():
 
 def test_sampler_rejects_unsupported_rank():
     with pytest.raises(DimensionMismatch):
-        sm.ptrop_sample_oracle({(1, 0, 0, 0): 1.0}, 4)
+        sm.ptrop_sample_oracle({(1, 0, 0, 0): 1.0})
 
 
 def test_sampler_refuses_no_coefficients():
@@ -70,11 +70,10 @@ def test_sampler_refuses_no_coefficients():
     `io.parse_polynomial`, which refuses an empty term list first (exit 3,
     the `trop` row of
     `test_cli.py::test_malformed_inputs_exit_with_a_documented_code`).  The
-    guard stays for direct callers, since without it the degree check
-    would fail on the max of an empty sequence."""
-    for n in (2, 3):
-        with pytest.raises(ValueError, match="need at least one coefficient"):
-            sm.ptrop_sample_oracle({}, n)
+    guard stays for direct callers, since without it no variable count
+    could be read off the exponents."""
+    with pytest.raises(ValueError, match="need at least one coefficient"):
+        sm.ptrop_sample_oracle({})
 
 
 def test_sampler_refuses_a_degree_above_the_cap_unbuilt(monkeypatch):
@@ -82,8 +81,8 @@ def test_sampler_refuses_a_degree_above_the_cap_unbuilt(monkeypatch):
     solved for, are sampled, and x + y^4 is refused with no polynomial
     array built."""
     monkeypatch.setattr(sm, "DEGREE_CAP", 3)
-    assert sm.ptrop_sample_oracle({(1, 0): 1.0, (0, 3): 1.0}, 2)
-    assert sm.ptrop_sample_oracle({(5, 0): 1.0, (0, 1): 1.0}, 2)
+    assert sm.ptrop_sample_oracle({(1, 0): 1.0, (0, 3): 1.0})
+    assert sm.ptrop_sample_oracle({(5, 0): 1.0, (0, 1): 1.0})
 
     def unreachable(*args):
         raise AssertionError("a polynomial array was built")
@@ -91,14 +90,14 @@ def test_sampler_refuses_a_degree_above_the_cap_unbuilt(monkeypatch):
     monkeypatch.setattr(sm, "_last_var_polys", unreachable)
     with pytest.raises(ResourceCap, match="degree 4 in the last variable "
                        "exceeds the sampling oracle's cap of 3"):
-        sm.ptrop_sample_oracle({(1, 0): 1.0, (0, 4): 1.0}, 2)
+        sm.ptrop_sample_oracle({(1, 0): 1.0, (0, 4): 1.0})
 
 
 def test_sampler_deterministic_per_seed():
     f = tp.trop_poly({(1, 1): 0, (2, 0): 0, (0, 2): 0})
     coeffs = sm.lift_coefficients(f, seed=5)
-    a = sm.ptrop_sample_oracle(coeffs, 2)
-    b = sm.ptrop_sample_oracle(coeffs, 2)
+    a = sm.ptrop_sample_oracle(coeffs)
+    b = sm.ptrop_sample_oracle(coeffs)
     assert a == b
 
 
@@ -209,7 +208,7 @@ def test_branch_slopes_solve_only_the_last_two_radii(monkeypatch, terms, n,
     monkeypatch.setattr(np.linalg, "eigvals", counted)
     monkeypatch.setattr(sm, "_root_slopes", read)
     coeffs = sm.lift_coefficients(tp.trop_poly(terms), seed=seed)
-    sm.ptrop_sample_oracle(coeffs, n)
+    sm.ptrop_sample_oracle(coeffs)
     # one eigenvalue call per trimmed length, holding two polynomials per
     # path in all, and one slope stage
     assert len({shape[1:] for shape in batches}) == len(batches)
@@ -392,9 +391,9 @@ def test_oracle_matches_the_per_path_reference(n):
             expected = _reference_oracle(coeffs, n, seed)
         except NoBranchFound:
             with pytest.raises(NoBranchFound):
-                sm.ptrop_sample_oracle(coeffs, n, seed)
+                sm.ptrop_sample_oracle(coeffs, seed)
             return
-        assert sm.ptrop_sample_oracle(coeffs, n, seed) == expected
+        assert sm.ptrop_sample_oracle(coeffs, seed) == expected
 
     check()
 
@@ -408,9 +407,9 @@ def test_oracle_matches_the_reference_on_the_worked_germs(f, seed):
         expected = _reference_oracle(coeffs, f.n, seed)
     except NoBranchFound:
         with pytest.raises(NoBranchFound):
-            sm.ptrop_sample_oracle(coeffs, f.n, seed)
+            sm.ptrop_sample_oracle(coeffs, seed)
         return
-    assert sm.ptrop_sample_oracle(coeffs, f.n, seed) == expected
+    assert sm.ptrop_sample_oracle(coeffs, seed) == expected
 
 
 def _per_cone_distance(ptset, u):

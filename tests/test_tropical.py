@@ -68,7 +68,7 @@ def polyhedron_info(equations, inequalities, n):
     ineqs = [coeffs + (const,) for coeffs, const in inequalities]
     ineqs.append(tuple([F(0)] * n) + (F(1),))
     lines, rays, _ = halfspaces_to_generators(eqs, ineqs, n + 1)
-    return homogenization_info(lines, rays, n)
+    return homogenization_info(lines, rays)
 
 
 def cell_rows(f, achievers):
