@@ -17,12 +17,7 @@ import argparse
 from fractions import Fraction
 
 from troplim.errors import IncompleteTower, UndecidableSign
-from troplim.galaxy import (
-    EllipticTower,
-    classify_point,
-    decomposition,
-    galaxy_point,
-)
+from troplim.galaxy import EllipticTower, classify_point, decomposition
 from troplim.towers import Symbol
 
 SAMPLE_RATIONALS = [Fraction(0), Fraction(1, 2), Fraction(1, 6),
@@ -51,7 +46,7 @@ def main(argv=None):
     print("rational angles (open points):")
     for theta in SAMPLE_RATIONALS:
         try:
-            res = classify_point(tower, galaxy_point(theta))
+            res = classify_point(tower, theta)
         except IncompleteTower as exc:  # a too-short tower cannot certify
             print(f"  {str(theta):>6}: {type(exc).__name__}: {exc}")
             continue
@@ -61,7 +56,7 @@ def main(argv=None):
     print("\nirrational angles (closed points):")
     for sym in SAMPLE_SYMBOLS:
         try:
-            res = classify_point(tower, galaxy_point(sym))
+            res = classify_point(tower, sym)
         except UndecidableSign as exc:  # edges narrower than the enclosure
             print(f"  {sym.name:>9}: {type(exc).__name__}: {exc}")
             continue

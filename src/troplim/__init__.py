@@ -47,11 +47,9 @@ from .galaxy import (
 from .lattice import (
     RANK_CAP,
     Cone,
-    Ray,
     cone_from_generators,
     cone_intersect,
     locate,
-    primitive,
 )
 from .sampling import distance_to_ptrop, ptrop_sample_oracle
 from .towers import (

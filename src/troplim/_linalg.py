@@ -7,7 +7,8 @@ Fraction.  Elimination (``rref``, and everything built on it) runs
 fraction-free in the integers, so no routine here builds a Fraction: one
 comes out of ``dot`` or ``mat_mul_vec`` only when one goes in.
 Sizes are desk scale (rank <= 6 after homogenization), so clarity beats
-asymptotics throughout.
+asymptotics throughout.  The integer-vector conventions live here only:
+``IVec``, the primitive form, the cancelling combination and the pivot.
 """
 
 from __future__ import annotations
@@ -122,22 +123,23 @@ def _det_int(rows: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def reduce_prepared(v: Sequence, red: Sequence[IVec], pivots: Sequence[int]
-                    ) -> tuple:
-    """v reduced against an integer RREF, up to a positive factor.
+def canonical_mod(v: Sequence, red: Sequence[IVec]) -> IVec:
+    """The primitive representative of v modulo the span of an integer
+    RREF as ``rref`` gives it: zero in each row's pivot column, its first
+    nonzero entry, and the same for every positive multiple of every
+    vector in v's coset."""
+    x = primitivize(v)
+    for row in red:
+        pc = next(i for i, a in enumerate(row) if a)
+        if x[pc]:
+            x = _cancel(row[pc], x, x[pc], row)
+    return x
 
-    Clears every pivot column by cross-multiplication, so integer input
-    stays integer.  The result is a positive multiple of the canonical
-    representative of v modulo the row span (zero in every pivot column,
-    depending only on the coset of v); primitivize it to compare.
-    """
-    x = list(v)
-    for row, pc in zip(red, pivots):
-        f = x[pc]
-        if f != 0:
-            p = row[pc]
-            x = [a * p - f * b for a, b in zip(x, row)]
-    return tuple(x)
+
+def _cancel(s: int, v: IVec, t: int, w: IVec) -> IVec:
+    """primitivize(s v - t w): with a.w = s and a.v = t, a row ``a`` vanishes
+    on it; a positive multiple of v plus a multiple of w when s > 0."""
+    return primitivize([s * x - t * y for x, y in zip(v, w)])
 
 
 def identity_rows(n: int) -> list[IVec]:

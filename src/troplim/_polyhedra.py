@@ -16,7 +16,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import _linalg as la
-from .lattice import Cone, IVec
+from ._linalg import IVec
+from .lattice import Cone
 
 
 @dataclass(frozen=True)

@@ -314,7 +314,7 @@ def handle_limit_point(cfg: JobConfig, path: str) -> dict:
         "resolved": isinstance(res, ResolvedRay),
     }
     if isinstance(res, ResolvedRay):
-        out["ray"] = [str(a) for a in res.ray.direction]
+        out["ray"] = [str(a) for a in res.ray]
     else:
         out["cone"] = cone_to_json(res.cone)
     return out

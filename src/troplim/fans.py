@@ -61,6 +61,7 @@ from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from . import _linalg as la
+from ._linalg import IVec, _cancel
 from .errors import DimensionMismatch, ValidationError
 from .lattice import (
     Cone,
@@ -68,8 +69,6 @@ from .lattice import (
     cone_intersect,
     locate,
 )
-
-IVec = tuple[int, ...]
 
 
 def _cone_key(c: Cone):
@@ -379,8 +378,7 @@ def _join(sigma: Cone, i: int, ray: IVec, values: Sequence[int]) -> Cone:
         if k == i or any(m & ridge == ridge for t, m in enumerate(masks)
                          if t != i and t != k):
             continue
-        h = la.primitivize([values[i] * x - values[k] * y
-                            for x, y in zip(f, facets[i])])
+        h = _cancel(values[i], f, values[k], facets[i])
         normals[h] = bit[ray] | sum(bit[r] for t, r in enumerate(sigma.rays)
                                     if ridge >> t & 1)
     order = sorted(normals)
@@ -417,10 +415,7 @@ def _split(fan: Fan, rays: dict[int, IVec]
             # space (all of a cone with no facets): sigma is its own star
             carrier[_cone_key(sigma)] = (sigma, j)
             continue
-        # the canonical representative of the ray modulo the lines: each
-        # RREF line pivots on its first nonzero entry
-        pivots = [next(i for i, a in enumerate(l) if a) for l in sigma.lines]
-        ray = la.primitivize(la.reduce_prepared(ray, sigma.lines, pivots))
+        ray = la.canonical_mod(ray, sigma.lines)
         for i, value in enumerate(values):
             if value:
                 join = _join(sigma, i, ray, values)

@@ -42,12 +42,12 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from operator import and_, mul
 from typing import Callable, Sequence
 
 from . import _linalg as la
+from ._linalg import IVec, _cancel
 from .errors import (
     DimensionMismatch,
     NotStronglyConvex,
@@ -57,28 +57,6 @@ from .errors import (
 )
 
 RANK_CAP = 4
-
-IVec = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Ray:
-    """A primitive integer lattice direction."""
-
-    direction: IVec
-
-    def __post_init__(self):
-        if la.is_zero_vec(self.direction):
-            raise ZeroVector("ray direction must be nonzero")
-        if self.direction != la.primitivize(self.direction):
-            raise ValidationError(f"ray direction {self.direction} is not primitive")
-
-
-def primitive(v: Sequence[int]) -> Ray:
-    """Primitive representative of a nonzero integer vector: divide by the gcd."""
-    if la.is_zero_vec(v):
-        raise ZeroVector(f"no primitive representative of the zero vector {tuple(v)}")
-    return Ray(la.primitivize(v))
 
 
 def halfspaces_to_generators(
@@ -182,21 +160,14 @@ def _halfspaces_to_generators(
     # the RREF rows are the canonical basis of the lineality space, and each
     # ray, extreme modulo the lines, is reduced to its own nonzero canonical
     # coset representative; with no lines each ray is primitive already
-    lines, pivots = la.rref(lines)
+    lines = la.rref(lines)[0]
     if lines:
-        rays = [la.primitivize(la.reduce_prepared(r, lines, pivots))
-                for r in rays]
+        rays = [la.canonical_mod(r, lines) for r in rays]
     masks = dict(zip(rays, tight))
     rays = sorted(masks)
     # the inequalities' bits follow the equations', in the order given
     return (tuple(lines), tuple(rays),
             tuple(masks[r] >> len(equations) for r in rays))
-
-
-def _cancel(s: int, v: IVec, t: int, w: IVec) -> IVec:
-    """primitive(s v - t w): with a.w = s and a.v = t, a row ``a`` vanishes
-    on it; a positive multiple of v plus a multiple of w when s > 0."""
-    return la.primitivize([s * x - t * y for x, y in zip(v, w)])
 
 
 @dataclass(frozen=True)
@@ -343,8 +314,8 @@ def locate(cone: Cone, point) -> Cone | None:
     if hasattr(point, "sign"):
         n, sign = point.n, point.sign
     else:
-        vec = tuple(a if isinstance(a, (int, Fraction)) else Fraction(a)
-                    for a in point)
+        # a positive scaling keeps every sign
+        vec = la.primitivize(point)
         n = len(vec)
 
         def sign(row: IVec) -> int:

@@ -38,14 +38,13 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
+from ._linalg import IVec
 from .errors import (
     DimensionMismatch, NoBranchFound, ResourceCap, ValidationError)
 from .tropical import PTropSet, TropicalPolynomial
 
 if TYPE_CHECKING:
     import numpy as np
-
-IVec = tuple[int, ...]
 
 
 # path sampler settings, as in the reported experiments: two radii per path,
@@ -255,12 +254,16 @@ def _cluster(directions: np.ndarray, angle: float) -> list[Cluster]:
 def ptrop_sample_oracle(coeffs: Mapping[IVec, complex], seed: int = 0
                         ) -> tuple[Cluster, ...]:
     """Sampled PTrop directions of the germ of {poly = 0} at the origin,
-    in as many variables as the coefficients' exponents have entries.
+    in as many variables as the exponents have entries, which must agree.
     A germ of degree above DEGREE_CAP in the last variable, the one solved
     for, is refused with ResourceCap before anything is built."""
     if not coeffs:
         raise ValidationError("need at least one coefficient")
     n = len(next(iter(coeffs)))
+    for e in coeffs:
+        if len(e) != n:
+            raise DimensionMismatch(
+                f"exponent {e} has length {len(e)}, not {n}")
     if n not in (2, 3):
         raise DimensionMismatch(
             f"the sampler handles 2 or 3 variables, not {n}")

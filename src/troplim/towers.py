@@ -31,6 +31,7 @@ from operator import mul
 from typing import Optional, Sequence, Union
 
 from . import _linalg as la
+from ._linalg import IVec
 from .errors import (
     DepthCap,
     DimensionMismatch,
@@ -45,13 +46,10 @@ from .fans import Fan, SubdivisionWitness, _split, common_refinement
 from .lattice import (
     RANK_CAP,
     Cone,
-    Ray,
     cone_holds,
     locate,
-    primitive,
 )
 
-IVec = tuple[int, ...]
 TOWER_DEPTH_CAP = 64
 _ENCLOSURE_DEN = 10 ** 6
 
@@ -257,7 +255,7 @@ class StellarAtBarycenters:
         # a ray sum lies inside its own maximal cone only, so one pass gives
         # what splitting the cones one after another gives
         return _split(fan, {
-            j: primitive(sigma.relint_point()).direction
+            j: la.primitivize(sigma.relint_point())
             for j, sigma in enumerate(fan.maximal)
             if sigma.dim >= 2 and sigma.rays})
 
@@ -290,8 +288,7 @@ class TowardDirection:
                 raise AssertionError(f"internal: the target's box centre "
                                      f"{new_ray} leaves the carrier's "
                                      f"relative interior")
-        return _split(fan, dict.fromkeys(holding,
-                                         primitive(new_ray).direction))
+        return _split(fan, dict.fromkeys(holding, la.primitivize(new_ray)))
 
 
 @dataclass(frozen=True)
@@ -395,9 +392,9 @@ class ConeChain:
 
 @dataclass(frozen=True)
 class ResolvedRay:
-    """The chain intersects in a single rational ray."""
+    """The chain intersects in one rational ray: its primitive vector."""
 
-    ray: Ray
+    ray: IVec
 
 
 @dataclass(frozen=True)
@@ -417,7 +414,7 @@ def resolve_direction(c: ConeChain) -> LimitPointDescriptor:
         raise EmptyChain("cannot resolve an empty chain")
     meet = c.cones[-1]
     if meet.dim == 1 and not meet.lines:
-        return ResolvedRay(Ray(meet.rays[0]))
+        return ResolvedRay(meet.rays[0])
     return UnresolvedCone(meet)
 
 

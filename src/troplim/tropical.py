@@ -37,6 +37,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import _linalg as la
+from ._linalg import IVec
 from ._polyhedra import homogenization_info
 from .errors import (
     BoundViolation,
@@ -46,8 +47,6 @@ from .errors import (
     ValidationError,
 )
 from .lattice import RANK_CAP, Cone, face_lattice, halfspaces_to_generators
-
-IVec = tuple[int, ...]
 
 PTROP_ORDER_BOUND = (1, 1, 2, 2, 3, 3, 3)  # claimed bound g(d) for d = 1..7
 

@@ -46,6 +46,7 @@ from functools import cmp_to_key
 from operator import mul
 
 from troplim import _linalg as la
+from troplim._linalg import IVec
 from troplim import fans, lattice
 from troplim.complexes import (
     ComplexMap,
@@ -66,15 +67,11 @@ from troplim.errors import (
 from troplim.fans import Fan, fan_from_cones
 from troplim.lattice import (
     Cone,
-    Ray,
     cone_holds,
     halfspaces_to_generators,
-    primitive,
 )
 from troplim.towers import ConeChain, SymbolicVector, symbolic_vector
 from troplim.tropical import TropicalPolynomial
-
-IVec = tuple[int, ...]
 
 
 def component_ratio(fine: DeltaComplex, coarse: DeltaComplex) -> Fraction:
@@ -340,10 +337,10 @@ def unpruned_conversion(equations, inequalities, n: int):
             l = lines.pop(j)
             if s < 0:
                 s, l = -s, tuple(-x for x in l)
-            lines = [lattice._cancel(s, u, t, l) if t else u
+            lines = [la._cancel(s, u, t, l) if t else u
                      for u, t in zip(lines, on_lines)]
             on_rays = [sum(map(mul, a, r)) for r in rays]
-            rays = [lattice._cancel(s, r, t, l) if t else r
+            rays = [la._cancel(s, r, t, l) if t else r
                     for r, t in zip(rays, on_rays)]
             tight = [m | bit for m in tight]
             if not is_eq:
@@ -362,15 +359,14 @@ def unpruned_conversion(equations, inequalities, n: int):
                 if any(m & common == common and i != p and i != q
                        for i, m in enumerate(tight)):
                     continue
-                new_rays.append(lattice._cancel(sp, rays[q], sq, rays[p]))
+                new_rays.append(la._cancel(sp, rays[q], sq, rays[p]))
                 new_tight.append(common | bit)
         keep = [i for i, s in enumerate(values) if s >= 0]
         rays = [rays[i] for i in keep] + new_rays
         tight = [tight[i] | bit if values[i] == 0 else tight[i]
                  for i in keep] + new_tight
-    lines, pivots = la.rref(lines)
-    reduced = {la.primitivize(la.reduce_prepared(r, lines, pivots))
-               for r in rays}
+    lines = la.rref(lines)[0]
+    reduced = {la.canonical_mod(r, lines) for r in rays}
     rays = sorted(r for r in reduced if not la.is_zero_vec(r))
     masks = [sum(1 << j for j, a in enumerate(inequalities)
                  if la.dot(a, r) == 0) for r in rays]
@@ -447,15 +443,13 @@ def normal_fan(p: NewtonPolytope) -> Fan:
 
 def stellar_subdivision(fan: Fan, ray) -> Fan:
     """Split every cone containing the ray along it, leaving the rest."""
-    r = ray if isinstance(ray, Ray) else primitive(ray)
-    if len(r.direction) != fan.n:
-        raise DimensionMismatch(
-            f"ray has rank {len(r.direction)}, fan has rank {fan.n}")
-    holding = {j: r.direction for j, sigma in enumerate(fan.maximal)
-               if cone_holds(sigma, [r.direction])}
+    r = la.primitivize(ray)
+    if len(r) != fan.n:
+        raise DimensionMismatch(f"ray has rank {len(r)}, fan has rank {fan.n}")
+    holding = {j: r for j, sigma in enumerate(fan.maximal)
+               if cone_holds(sigma, [r])}
     if not holding:
-        raise ValidationError(
-            f"ray {r.direction} lies outside the fan support")
+        raise ValidationError(f"ray {r} lies outside the fan support")
     return fans._split(fan, holding)[0]
 
 
@@ -610,7 +604,7 @@ def angular_cmp(u: IVec, v: IVec) -> int:
 
 def fan_from_rays_2d(rays) -> Fan:
     """Complete rank-2 fan whose maximal cones join angularly adjacent rays."""
-    prims = sorted({primitive(r).direction for r in rays},
+    prims = sorted({la.primitivize(r) for r in rays},
                    key=cmp_to_key(angular_cmp))
     if len(prims) < 3:
         raise ValidationError("need at least 3 ray directions for a complete "

@@ -67,7 +67,8 @@ from troplim.galaxy import (
     classify_point,
     galaxy_point,
 )
-from troplim.lattice import cone_from_generators, primitive
+from troplim._linalg import primitivize
+from troplim.lattice import cone_from_generators
 from troplim.sampling import (
     distance_to_ptrop,
     lift_coefficients,
@@ -288,7 +289,7 @@ def test_criterion_07_direction_chains_and_fiber_models():
                              TowardDirection(rational_vector(d)), steps)
         res = resolve_direction(chain_toward(tower, rational_vector(d)))
         assert isinstance(res, ResolvedRay)
-        assert res.ray == primitive(d)
+        assert res.ray == primitivize(d)
 
     # (n, symbols, entries, expected rank); dim is n - rank throughout.
     fiber_cases = [

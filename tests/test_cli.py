@@ -35,6 +35,7 @@ from troplim import lattice
 from troplim import sampling
 from troplim.complexes import (
     Cell,
+    count_cells,
     cycle_complex,
     euler_characteristic,
     from_incidence,
@@ -42,6 +43,7 @@ from troplim.complexes import (
     map_fiber,
     rational_points,
     scale_subdivide,
+    toric_fiber_complex,
 )
 from troplim.errors import (
     IncompleteTower,
@@ -61,7 +63,11 @@ from troplim.towers import (
     fiber_model,
     resolve_direction,
 )
-from troplim.tropical import trop_hypersurface
+from troplim.tropical import (
+    ptrop_normal_fan,
+    ptrop_recession,
+    trop_hypersurface,
+)
 
 NODAL = {"vars": 2, "terms": [
     {"exp": [1, 1], "val": "0"}, {"exp": [3, 0], "val": "0"},
@@ -1883,16 +1889,21 @@ def test_fiber_rank_reports_read_back_to_the_library_model(tmp_path, capsys,
         model.basis_change, (-1) ** inversions)
 
 
+def read_cone(obj):
+    """A report's cone as (rays, lines); a cone with no lines has no
+    "lines" key."""
+    assert set(obj) <= {"rays", "lines"} and obj.get("lines") != []
+    return exact_rows(obj["rays"]), exact_rows(obj.get("lines", []))
+
+
 def read_limit_point(result):
     """A limit-point result as (depth, carrier dimensions, ray, cone): the
-    ray None when unresolved, and the cone (rays, lines) None when
-    resolved, with no lines when the cone has none."""
+    ray None when unresolved, and the cone None when resolved."""
     cone = result.get("cone")
     assert ("ray" in result) == result["resolved"] == (cone is None)
     return (result["depth"], tuple(result["carrier_dims"]),
             tuple(map(exact, result["ray"])) if result["resolved"] else None,
-            None if cone is None else
-            (exact_rows(cone["rays"]), exact_rows(cone.get("lines", []))))
+            None if cone is None else read_cone(cone))
 
 
 def limit_point_outcome(base, strategy, steps, x):
@@ -1903,7 +1914,7 @@ def limit_point_outcome(base, strategy, steps, x):
     res = resolve_direction(chain)
     resolved = isinstance(res, ResolvedRay)
     return (tower.depth, tuple(c.dim for c in chain.cones),
-            res.ray.direction if resolved else None,
+            res.ray if resolved else None,
             None if resolved else (res.cone.rays, res.cone.lines))
 
 
@@ -1948,6 +1959,192 @@ def test_a_limit_point_cone_with_lines_reads_back_with_them(tmp_path, capsys,
     got = read_limit_point(report["results"][0])
     assert got == limit_point_outcome(*values)
     assert got[3][1] == ((0, 0, 1),)
+
+
+PTROP_FILES = {"exemplar": EXEMPLARS["ptrop"], "nodal": NODAL,
+               **{f"germ-{i}": poly_json(t) for i, t in enumerate(TROP_GERMS)}}
+
+
+def read_ptrop(result):
+    """A ptrop result as (vars, points, cones, finiteness, route agreement,
+    oracle clusters as (direction, size, distance)), the clusters None
+    when the oracle does not run."""
+    clusters = result["oracle_clusters"]
+    return (result["vars"], exact_rows(result["points"]),
+            tuple(map(read_cone, result["cones"])), result["is_finite"],
+            result["routes_agree"], None if clusters is None else tuple(
+                (tuple(c["direction"]), c["size"], c["distance_to_exact"])
+                for c in clusters))
+
+
+def ptrop_outcome(f, seed):
+    """What the two exact routes and the oracle give on a germ, in
+    `read_ptrop`'s form, the oracle's floats rounded to 9 digits."""
+    found = ptrop_normal_fan(f)
+    clusters = None
+    if f.n in (2, 3):
+        oracle = sampling.ptrop_sample_oracle(
+            sampling.lift_coefficients(f, seed=seed), seed=seed)
+        distances = sampling.distance_to_ptrop(
+            found, [c.direction for c in oracle])
+        clusters = tuple((tuple(round(v, 9) for v in c.direction), c.size,
+                          round(d, 9)) for c, d in zip(oracle, distances))
+    return (f.n, found.points, tuple((c.rays, c.lines) for c in found.cones),
+            found.is_finite, found == ptrop_recession(f), clusters)
+
+
+@pytest.mark.parametrize("name", sorted(PTROP_FILES))
+def test_ptrop_reports_read_back_to_the_library_routes(tmp_path, capsys,
+                                                       name):
+    """A ptrop report reads back to the points and cones of the normal-fan
+    route, its agreement with the recession route, and the oracle's
+    clusters and distances at the run's seed."""
+    path = put(tmp_path, "p.json", PTROP_FILES[name])
+    f = io.parse_polynomial(path)
+    for seed in (0, 5):
+        code, report = run_json(capsys, ["ptrop", "--seed", str(seed), path])
+        assert code == 0
+        assert read_ptrop(report["results"][0]) == ptrop_outcome(f, seed)
+
+
+REFINE_PAIRS = {
+    "exemplar": (EXEMPLARS["refine"], QUADRANT),
+    "diamond": (QUADRANT, DIAMOND),
+    "partial": (QUADRANT, FIRST_QUADRANT),
+    "covered": (FIRST_QUADRANT, QUADRANT),
+    "half": (UPPER_HALF, DIAMOND),
+    "rank3": (OCTANTS, OCTANTS_SPLIT["source"]),
+}
+
+
+def read_refine(result):
+    """A refine result as (rank, cone count, completeness, the two
+    subdivision verdicts, the fan as (rank, maximal cones)), the fan block
+    read through the fan schema."""
+    rank, cones = io.parse_fan_data(result["fan"], "fan")
+    return (result["rank"], result["maximal_cones"], result["complete"],
+            result["refines_first"], result["refines_second"],
+            (rank, tuple(cones)))
+
+
+@pytest.mark.parametrize("name", sorted(REFINE_PAIRS))
+def test_refine_reports_read_back_to_the_library_refinement(tmp_path,
+                                                            capsys, name):
+    """A refine report reads back to the fan `common_refinement` gives,
+    and each verdict to whether it handed over that witness."""
+    paths = [put(tmp_path, f"{k}.json", obj)
+             for k, obj in zip("ab", REFINE_PAIRS[name])]
+    code, report = run_json(capsys, ["refine", *paths])
+    assert code == 0
+    fan, over_a, over_b = fans.common_refinement(*map(io.parse_fan, paths))
+    assert read_refine(report["results"][0]) == (
+        fan.n, len(fan.maximal), fan.complete, over_a is not None,
+        over_b is not None, (fan.n, fan.maximal))
+
+
+def read_complex_result(result):
+    """The counts, Euler characteristic and complex of a dualcx or
+    subdivide result, the complex read through the complex schema."""
+    return (tuple((int(d), c) for d, c in result["counts"].items()),
+            result["euler"], io.parse_complex_data(result["complex"], "x"))
+
+
+def complex_outcome(x):
+    """A complex in `read_complex_result`'s form."""
+    return tuple(count_cells(x).items()), euler_characteristic(x), x
+
+
+@pytest.mark.parametrize("name", ["exemplar", "banana"])
+def test_dualcx_reports_read_back_to_the_library_complex(tmp_path, capsys,
+                                                         name):
+    """A dualcx report reads back to the mode of its incidence and to the
+    complex `from_incidence` builds, with its counts and Euler
+    characteristic."""
+    obj = EXEMPLARS["dualcx"] if name == "exemplar" else BANANA_INC
+    path = put(tmp_path, "i.json", obj)
+    code, report = run_json(capsys, ["dualcx", path])
+    assert code == 0
+    result = report["results"][0]
+    inc = io.parse_incidence(path)
+    assert result["mode"] == inc.mode
+    assert read_complex_result(result) == \
+        complex_outcome(from_incidence(inc))
+
+
+SUBDIVIDE_FILES = {
+    "exemplar": EXEMPLARS["subdivide"], "elliptic": {"elliptic": {"m": 3}},
+    **{k: serialize_complex(shape()) for k, shape in SUBDIVIDE_SHAPES.items()}}
+
+
+@pytest.mark.parametrize("name", sorted(SUBDIVIDE_FILES))
+def test_subdivide_reports_read_back_to_the_library_levels(tmp_path, capsys,
+                                                           name):
+    """A subdivide report reads back to its level and to the level complex
+    of the file's skeleton, with its counts and Euler characteristic."""
+    path = put(tmp_path, "x.json", SUBDIVIDE_FILES[name])
+    skeleton = io.parse_skeleton(path)
+    for level in (None, 2, 3):
+        flags = [] if level is None else ["--N", str(level)]
+        code, report = run_json(capsys, ["subdivide", *flags, path])
+        assert code == 0
+        result = report["results"][0]
+        assert result["level"] == (level or 1)
+        assert read_complex_result(result) == \
+            complex_outcome(skeleton.level(level or 1))
+
+
+TORIC_FIBER_FILES = {
+    "exemplar": EXEMPLARS["toric-fiber"], "rank3": OCTANTS_SPLIT,
+    "rank3-quadrant": {**OCTANTS_SPLIT, "base": {"rays": [[1, 0], [0, 1]]}},
+    "twelve-rays": CUBOCTAHEDRON}
+
+
+def read_toric_fiber(result):
+    """A toric-fiber result as (base, counts, Euler characteristic, cell
+    count)."""
+    return (read_cone(result["base"]),
+            tuple((int(d), c) for d, c in result["counts"].items()),
+            result["euler"], result["cells"])
+
+
+def toric_fiber_outcome(matrix, source, target, base):
+    """What `toric_fiber_complex` gives, in `read_toric_fiber`'s form."""
+    fiber = toric_fiber_complex(matrix, source, target, base)
+    return ((base.rays, base.lines), tuple(fiber.counts.items()),
+            fiber.euler, sum(len(cs) for _, cs in fiber.cells))
+
+
+@pytest.mark.parametrize("name", sorted(TORIC_FIBER_FILES))
+def test_toric_fiber_reports_read_back_to_the_library_fiber(tmp_path,
+                                                            capsys, name):
+    """A toric-fiber report reads back to the base cone and to the counts,
+    Euler characteristic and cells of `toric_fiber_complex`."""
+    path = put(tmp_path, "tf.json", TORIC_FIBER_FILES[name])
+    code, report = run_json(capsys, ["toric-fiber", path])
+    assert code == 0
+    assert read_toric_fiber(report["results"][0]) == \
+        toric_fiber_outcome(*io.parse_toric_fiber(path))
+
+
+def test_a_toric_fiber_base_with_lines_reads_back_with_them(tmp_path, capsys,
+                                                            monkeypatch):
+    """No toric-fiber file reaches a base with lines, since a file's base
+    is strongly convex, so a patched reader hands the handler the quadrant
+    fan times the line through e_3 mapped to itself, over the face on
+    (1, 0, 0) and that line: the base keeps its line."""
+    quadrants = io.parse_fan(put(tmp_path, "q.json", QUADRANT))
+    fan = fan_from_cones([make_cone([r + (0,) for r in c.rays],
+                                    lines=[(0, 0, 1)])
+                          for c in quadrants.maximal])
+    base = make_cone([(1, 0, 0)], lines=[(0, 0, 1)])
+    values = ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], fan, fan, base)
+    monkeypatch.setattr(cli, "parse_toric_fiber", lambda path: values)
+    path = put(tmp_path, "tf.json", {})
+    code, report = run_json(capsys, ["toric-fiber", path])
+    assert code == 0
+    got = read_toric_fiber(report["results"][0])
+    assert got == toric_fiber_outcome(*values)
+    assert got[0][1] == ((0, 0, 1),)
 
 
 # inputs whose summary line takes a branch its exemplar does not, or that

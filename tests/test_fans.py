@@ -30,11 +30,12 @@ from builders import (
     stellar_subdivision,
     tiles,
 )
+from troplim import _linalg as la
 from troplim import fans, lattice, towers as tw
 from troplim.errors import ValidationError
 from troplim.lattice import (
     cone_faces, cone_from_generators as cg, cone_holds, cone_intersect,
-    locate, primitive,
+    locate,
 )
 
 
@@ -813,7 +814,7 @@ def test_the_tiling_check_builds_no_facet_cone_and_locates_nothing(
     # less one, which leave a facet unpaired inside a carrier
     for fan in (quadrants, lifted(quadrants), plane):
         fine = fans._split(fan, {
-            j: primitive(sigma.relint_point()).direction
+            j: la.primitivize(sigma.relint_point())
             for j, sigma in enumerate(fan.maximal)})[0]
         pairs += [(fine, fan), (partial(fine, 0), fan)]
     assignments = []
@@ -870,10 +871,10 @@ def assert_facet_signs_agree(fan, other, ray):
     fan less one cone with ``other``, and compare each step and its
     witnesses with the converting code."""
     stellar = assert_same_split(fan, {
-        j: primitive(ray).direction for j, sigma in enumerate(fan.maximal)
+        j: la.primitivize(ray) for j, sigma in enumerate(fan.maximal)
         if cone_holds(sigma, [ray])})
     barycentric = assert_same_split(fan, {
-        j: primitive(sigma.relint_point()).direction
+        j: la.primitivize(sigma.relint_point())
         for j, sigma in enumerate(fan.maximal)
         if sigma.dim >= 2 and sigma.rays})
     part = partial(fan, 0)
@@ -923,10 +924,10 @@ def test_split_steps_match_the_converting_code(data):
     if k < n:
         fan = with_lines(fan, n, shear_columns(n, data.draw(shears(n))))
     vec = st.tuples(*[st.integers(-3, 3)] * n).filter(any)
-    r = primitive(data.draw(vec)).direction
+    r = la.primitivize(data.draw(vec))
     assert_same_split(fan, {j: r for j, sigma in enumerate(fan.maximal)
                             if cone_holds(sigma, [r])})
-    assert_same_split(fan, {j: primitive(sigma.relint_point()).direction
+    assert_same_split(fan, {j: la.primitivize(sigma.relint_point())
                             for j, sigma in enumerate(fan.maximal)},
                       tw.StellarAtBarycenters().step(fan))
     if k < n:
@@ -1001,7 +1002,7 @@ def test_split_joins_carry_the_converted_h_side(case):
     facet masks that converting its rays and lines gives."""
     sigma, ray = case
     fan = fans.Fan(sigma.n, (sigma,))
-    got, _ = fans._split(fan, {0: primitive(ray).direction})
+    got, _ = fans._split(fan, {0: la.primitivize(ray)})
     for join in got.maximal:
         assert join._dual == lattice.halfspaces_to_generators(
             join.lines, join.rays, join.n)

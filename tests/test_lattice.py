@@ -77,46 +77,6 @@ def cone_member_oracle(v, cone):
     return member_oracle(v, gens, cone.n)
 
 
-# -- primitive vectors ------------------------------------------------------
-
-
-def test_primitive_examples():
-    assert lat.primitive((2, 4)).direction == (1, 2)
-    assert lat.primitive((1, 0, 0)).direction == (1, 0, 0)
-    assert lat.primitive((-6, 9, -3)).direction == (-2, 3, -1)
-
-
-def test_primitive_zero_rejected():
-    with pytest.raises(ZeroVector):
-        lat.primitive((0, 0, 0))
-
-
-def test_primitive_fractional_input():
-    assert lat.primitive((Fraction(1, 2), Fraction(3, 4))).direction == (2, 3)
-
-
-def test_ray_refuses_a_zero_or_non_primitive_direction():
-    """No input reaches these refusals: ``primitive`` and the tower's
-    resolved ray, the two library callers, hand ``Ray`` a primitivized
-    nonzero vector."""
-    with pytest.raises(ZeroVector, match="must be nonzero"):
-        lat.Ray((0, 0))
-    with pytest.raises(ValueError, match=r"\(2, 4\) is not primitive"):
-        lat.Ray((2, 4))
-    assert lat.Ray((1, 2)).direction == (1, 2)
-
-
-@given(st.lists(st.integers(-30, 30), min_size=1, max_size=4), st.integers(1, 9))
-def test_primitive_idempotent_and_scale_invariant(vec, scale):
-    if all(x == 0 for x in vec):
-        with pytest.raises(ZeroVector):
-            lat.primitive(tuple(vec))
-        return
-    p = lat.primitive(tuple(vec))
-    assert lat.primitive(p.direction) == p
-    assert lat.primitive(tuple(scale * x for x in vec)) == p
-
-
 # -- cone construction ------------------------------------------------------
 
 
@@ -511,6 +471,16 @@ pointed4_cones = _cones(st.lists(
     min_size=1, max_size=7))
 face_test_cones = st.one_of(_cones(gen_sets2), _cones(gen_sets3),
                             rank4_cones, pointed4_cones, cones_with_lines())
+
+
+@settings(max_examples=100, deadline=None)
+@given(face_test_cones, st.data(),
+       st.fractions(min_value=Fraction(1, 6), max_value=6, max_denominator=6))
+def test_locate_is_unchanged_by_a_positive_scale(cone, data, q):
+    """locate reads a rational point's signs only, and a positive scaling
+    keeps every sign, so q v has the minimal face of v."""
+    v = data.draw(st.tuples(*[st.integers(-3, 3)] * cone.n))
+    assert lat.locate(cone, tuple(q * a for a in v)) == lat.locate(cone, v)
 
 
 @settings(max_examples=200, deadline=None)
@@ -1038,14 +1008,14 @@ def reference_conversion(equations, inequalities, n):
                     break
     lines_amb = [tuple(sum(u[j] * subspace[j][i] for j in range(m))
                        for i in range(n)) for u in lin_sub]
-    lines, line_pivots = la.rref(lines_amb)
+    lines = la.rref(lines_amb)[0]
     rays = []
     for cand in candidates:
         amb = tuple(sum(cand[k] * subspace[comp_idx[k]][i] for k in range(q))
                     for i in range(n))
-        amb = la.reduce_prepared(amb, lines, line_pivots)
+        amb = la.canonical_mod(amb, lines)
         if not la.is_zero_vec(amb):
-            rays.append(la.primitivize(amb))
+            rays.append(amb)
     return tuple(lines), tuple(sorted(set(rays)))
 
 

@@ -171,14 +171,12 @@ def test_routines_on_rref_match_the_fraction_reference(data):
 
 @settings(max_examples=200, deadline=None)
 @given(matrices(), st.data())
-def test_reduce_prepared_is_a_positive_multiple_of_the_reduction(data, draw):
+def test_canonical_mod_is_the_primitive_reduction(data, draw):
     ncols, rows = data
-    v = draw.draw(st.lists(st.integers(-6, 6), min_size=ncols,
-                           max_size=ncols))
-    reduced = la.reduce_prepared(v, *la.rref(rows))
-    expected = reference_reduce(v, rows)
-    # equal primitive vectors: the same direction, so a positive multiple
-    assert la.primitivize(reduced) == reference_primitivize(expected)
+    v = draw.draw(st.lists(entries, min_size=ncols, max_size=ncols))
+    reduced = la.canonical_mod(v, la.rref(rows)[0])
+    assert reduced == reference_primitivize(reference_reduce(v, rows))
+    assert all(type(a) is int for a in reduced)
 
 
 def test_dot_refuses_vectors_of_unequal_length():
@@ -199,6 +197,10 @@ def test_rref_of_no_rows_and_zero_rows():
 
 @pytest.mark.parametrize("vec, expected", [
     ((2, 4, -6), (1, 2, -3)),
+    ((2, 4), (1, 2)),
+    ((1, 0, 0), (1, 0, 0)),
+    ((-6, 9, -3), (-2, 3, -1)),
+    ((Fraction(1, 2), Fraction(3, 4)), (2, 3)),
     ((-3, 0, 9), (-1, 0, 3)),
     ((Fraction(1, 2), 3, Fraction(-3, 4)), (2, 12, -3)),
     ((Fraction(-2, 3), Fraction(4, 9)), (-3, 2)),
@@ -219,6 +221,16 @@ def test_primitivize_matches_the_fraction_reference(vec):
     result = la.primitivize(vec)
     assert result == reference_primitivize(vec)
     assert all(type(a) is int for a in result)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(entries, max_size=6),
+       st.one_of(st.integers(1, 9),
+                 st.fractions(Fraction(1, 6), 9, max_denominator=6)))
+def test_primitivize_is_idempotent_and_positive_scale_invariant(vec, scale):
+    p = la.primitivize(vec)
+    assert la.primitivize(p) == p
+    assert la.primitivize([scale * a for a in vec]) == p
 
 
 # -- det --------------------------------------------------------------------

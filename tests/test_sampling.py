@@ -76,6 +76,26 @@ def test_sampler_refuses_no_coefficients():
         sm.ptrop_sample_oracle({})
 
 
+@pytest.mark.parametrize("coeffs, message", [
+    ({(1, 0): 1.0, (0, 1, 1): 1.0},
+     r"exponent \(0, 1, 1\) has length 3, not 2"),
+    ({(1, 0, 0): 1.0, (0, 1): 1.0}, r"exponent \(0, 1\) has length 2, not 3"),
+], ids=["longer", "shorter"])
+def test_sampler_refuses_exponents_of_unequal_length(monkeypatch, coeffs,
+                                                     message):
+    """No input file reaches this refusal: `lift_coefficients` keys the
+    exponents of one polynomial, which share its variable count.  Read off
+    the first exponent alone, the count gave one cluster at (1/2, 1/2) for
+    the first input and 72 three-coordinate clusters for the second.  The
+    exponents are checked before the degree is read."""
+    def unreachable(*args):
+        raise AssertionError("the degree was read")
+
+    monkeypatch.setattr(sm, "_require_degree", unreachable)
+    with pytest.raises(DimensionMismatch, match=message):
+        sm.ptrop_sample_oracle(coeffs)
+
+
 def test_sampler_refuses_a_degree_above_the_cap_unbuilt(monkeypatch):
     """At a cap of 3, x + y^3 and x^5 + y, of degree 1 in y, the variable
     solved for, are sampled, and x + y^4 is refused with no polynomial
