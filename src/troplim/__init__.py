@@ -14,7 +14,6 @@ from .complexes import (
     FiberComplex,
     StrataIncidence,
     SubdivisionResult,
-    ToricFiberComplex,
     canonical_point,
     count_cells,
     cycle_complex,

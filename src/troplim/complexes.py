@@ -15,8 +15,9 @@ Provided here: dual complexes of curve-type stratifications (analytic mode
 keeps branch data and can produce loops, algebraic mode cannot), exact
 N-fold scale subdivision by lattice alcoves, rational point enumeration,
 Euler characteristics, simplicial maps induced by vertex assignments, exact
-fibers of such maps (in each source cell a product of simplices, one per
-vertex of the target cell), and fiber complexes of compatible maps of fans.
+fibers of such maps (over an interior point of a target cell, the source
+cells whose image cell it is), and fiber complexes of compatible maps of
+fans.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from operator import add, attrgetter, itemgetter
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from . import _linalg as la
 from .errors import (
@@ -706,95 +707,74 @@ def scale_subdivide(x: DeltaComplex, level: int) -> SubdivisionResult:
     )
 
 
-# -- fibers of simplicial maps -----------------------------------------------
+# -- fibers of simplicial maps and of maps of fans ---------------------------
 
 
 @dataclass(frozen=True)
 class FiberComplex:
-    """Exact polyhedral fiber of a simplicial map over a rational point."""
+    """The open cells of a fiber over an interior point of a base cell.
 
-    faces_by_dim: tuple[tuple[int, int], ...]
+    Per relative dimension, ascending: the source cells over the base
+    (names of a complex's cells, or cones of a fan), each an open cell of
+    the fiber whose dimension is its own less the base's.
+    """
 
-    @property
-    def euler(self) -> int:
-        return _signed_sum(dict(self.faces_by_dim))
-
-    @property
-    def f_vector(self) -> tuple[int, ...]:
-        counts = dict(self.faces_by_dim)
-        if not counts:
-            return ()
-        return tuple(counts.get(d, 0) for d in range(max(counts) + 1))
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.faces_by_dim
-
-
-def _occurrences(x: DeltaComplex, name: str, face_name: str):
-    """Monotone embeddings of face_name as an iterated face of the cell."""
-    cell = x.cell(name)
-    fdim = x.cell(face_name).dim
-    for kept in itertools.combinations(range(cell.dim + 1), fdim + 1):
-        dropped = [j for j in range(cell.dim + 1) if j not in kept]
-        if _face_without(x, name, dropped) == face_name:
-            yield kept
-
-
-def map_fiber(mapping: ComplexMap, cell_name: str, coords: Sequence
-              ) -> FiberComplex:
-    """The exact fiber of the map over a rational point p of the target.
-
-    Over each occurrence of p's cell in a source cell's image, the fiber is
-    the product over that cell's vertices r of p_r times the simplex on the
-    source vertices sent to r.  A face picks a nonempty subset S_r of each
-    class and has dimension sum(|S_r| - 1); its vertices put each p_r at
-    one index of S_r."""
-    try:
-        tau, p = canonical_point(mapping.target, cell_name, coords)
-    except (KeyError, ValueError, DimensionMismatch) as exc:
-        raise PointOutsideTarget(exc.args[0]) from exc
-    faces: dict[tuple, int] = {}
-    for cell in mapping.source.cells:
-        image, phi = mapping.cell_image(cell.name)
-        for kept in _occurrences(mapping.target, image, tau):
-            classes = [[j for j, r in enumerate(phi) if r == t] for t in kept]
-            subsets = [[s for k in range(1, len(c) + 1)
-                        for s in itertools.combinations(c, k)]
-                       for c in classes]
-            for choice in itertools.product(*subsets):
-                verts = [tuple(p[picks.index(j)] if j in picks else 0
-                               for j in range(cell.dim + 1))
-                         for picks in itertools.product(*choice)]
-                # a glued face is one vertex set on its carrier
-                name, verts = _drop_walls(mapping.source, cell.name, verts)
-                faces[name, tuple(sorted(verts))] = sum(
-                    len(s) - 1 for s in choice)
-    return FiberComplex(tuple(sorted(Counter(faces.values()).items())))
-
-
-# -- fibers of maps of fans --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ToricFiberComplex:
-    """Source cones sitting over the relative interior of a base cone."""
-
-    cells: tuple[tuple[int, tuple[Cone, ...]], ...]
-
-    @property
-    def euler(self) -> int:
-        return _signed_sum(self.counts)
+    cells: tuple[tuple[int, tuple], ...]
 
     @property
     def counts(self) -> dict[int, int]:
         """Number of cells in each dimension, ascending as ``cells`` are."""
         return {d: len(cs) for d, cs in self.cells}
 
+    @property
+    def euler(self) -> int:
+        return _signed_sum(self.counts)
+
+    @property
+    def f_vector(self) -> tuple[int, ...]:
+        counts = self.counts
+        if not counts:
+            return ()
+        return tuple(counts.get(d, 0) for d in range(max(counts) + 1))
+
+    @property
+    def is_empty(self) -> bool:
+        return not self.cells
+
+
+def _fiber(over: Iterable[tuple[int, object]]) -> FiberComplex:
+    """The fiber of (relative dimension, cell) pairs, each dimension's
+    cells in the order given."""
+    levels: dict[int, list] = {}
+    for d, c in over:
+        levels.setdefault(d, []).append(c)
+    return FiberComplex(tuple((d, tuple(cs))
+                              for d, cs in sorted(levels.items())))
+
+
+def map_fiber(mapping: ComplexMap, cell_name: str, coords: Sequence
+              ) -> FiberComplex:
+    """The exact fiber of the map over a rational point p of the target.
+
+    Let τ be p's carrier.  In a source cell σ whose image cell is τ, the
+    fiber over p is the product over τ's vertices r of p_r times the open
+    simplex on the vertices of σ sent to r: one open cell of dimension
+    dim σ - dim τ.  A product face on fewer of σ's vertices is the open
+    cell of that face of σ, itself a source cell over τ, so the fiber's
+    cells are the source cells over τ, in name order."""
+    try:
+        tau, _ = canonical_point(mapping.target, cell_name, coords)
+    except (KeyError, ValueError, DimensionMismatch) as exc:
+        raise PointOutsideTarget(exc.args[0]) from exc
+    base = mapping.target.cell(tau).dim
+    return _fiber((c.dim - base, c.name) for c in mapping.source.cells
+                  if mapping.cell_image(c.name)[0] == tau)
+
 
 def toric_fiber_complex(matrix: Sequence[Sequence[int]], source: Fan,
-                        target: Fan, base: Cone) -> ToricFiberComplex:
-    """Fiber of a compatible map of fans over the interior of a base cone."""
+                        target: Fan, base: Cone) -> FiberComplex:
+    """Fiber of a compatible map of fans over the interior of a base cone:
+    the source cones over it, in ``_cone_key`` order."""
     rows = [la.integer_vector(row, DimensionMismatch) for row in matrix]
     if any(len(r) != source.n for r in rows) or len(rows) != target.n:
         raise DimensionMismatch(
@@ -812,14 +792,13 @@ def toric_fiber_complex(matrix: Sequence[Sequence[int]], source: Fan,
     # ray sum
     if target.locate(base.relint_point())[0] != base:
         raise ValidationError("the base cone is not a cone of the target fan")
-    levels: dict[int, list[Cone]] = {}
+    over = []
     for face in {f for sigma in source.maximal for f in cone_faces(sigma)}:
         rays, lines = image(face)
         # a generic point of the base lies only over images spanning it,
         # which map the face's relative interior into the base's
         if cone_holds(base, rays, lines) and \
                 la.mat_rank(rays + lines) == base.dim:
-            levels.setdefault(face.dim - base.dim, []).append(face)
-    cells = tuple((d, tuple(sorted(cs, key=_cone_key)))
-                  for d, cs in sorted(levels.items()))
-    return ToricFiberComplex(cells)
+            over.append(face)
+    return _fiber((face.dim - base.dim, face)
+                  for face in sorted(over, key=_cone_key))

@@ -314,8 +314,13 @@ def locate(cone: Cone, point) -> Cone | None:
     if hasattr(point, "sign"):
         n, sign = point.n, point.sign
     else:
-        # a positive scaling keeps every sign
-        vec = la.primitivize(point)
+        # a positive scaling keeps every sign; an entry that is neither
+        # int nor Fraction has no denominator to clear
+        try:
+            vec = la.primitivize(point)
+        except AttributeError:
+            raise ValidationError(
+                f"{tuple(point)} has an entry that is not rational") from None
         n = len(vec)
 
         def sign(row: IVec) -> int:

@@ -4,7 +4,6 @@ import dataclasses
 import graphlib
 import itertools
 import random
-from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -46,7 +45,6 @@ from troplim.complexes import (
     _assemble,
     _drop_walls,
     _lowest_images,
-    _occurrences,
     _sequence_index,
     _sub_name,
     canonical_point,
@@ -735,22 +733,6 @@ def reference_bary(y, level):
     return tuple(F(ext[i] - ext[i + 1], level) for i in range(len(y) + 1))
 
 
-def reference_push_fiber_face(x, name, verts):
-    """Canonical (cell, sorted vertex coordinates) key of a fiber face."""
-    cell = x.cell(name)
-    vs = tuple(sorted(verts))
-    while cell.dim > 0:
-        zero_walls = [j for j in range(cell.dim + 1)
-                      if all(v[j] == 0 for v in vs)]
-        if not zero_walls:
-            break
-        j = zero_walls[0]
-        name = cell.faces[j]
-        cell = x.cell(name)
-        vs = tuple(sorted(v[:j] + v[j + 1:] for v in vs))
-    return name, vs
-
-
 def reference_canonical_point(x, name, t):
     """Drop the first zero coordinate of one point until none is left."""
     cell = x.cell(name)
@@ -1000,17 +982,6 @@ def test_canonical_point_matches_the_one_point_walk(data):
         reference_canonical_point(x, name, t)
 
 
-@settings(max_examples=150, deadline=None)
-@given(barycentric_points(5))
-def test_fiber_face_keys_match_the_sorted_walk(data):
-    """map_fiber keys a glued face by its carrier and its sorted vertices,
-    sorted once after the walls are dropped."""
-    x, name, points = data
-    carrier, verts = _drop_walls(x, name, frozenset(points))
-    assert (carrier, tuple(sorted(verts))) == \
-        reference_push_fiber_face(x, name, points)
-
-
 
 # -- trusted assembly: generated complexes skip make_complex --
 
@@ -1224,15 +1195,18 @@ def test_segment_identity_fibers_are_points(idx):
 def reference_map_fiber(mapping, cell_name, coords):
     """The fiber as a general polytope: for each source cell and each
     occurrence of the point's cell in its image, the vertices of one
-    conversion of the homogenized fiber, their face lattice, and the affine
-    dimension of each face."""
+    conversion of the homogenized fiber and their face lattice.  A face
+    glued into several source cells is one vertex set on its carrier.
+    Returned in the form of ``FiberComplex.cells``: per affine dimension,
+    ascending, the carriers of the faces by name, a carrier of two faces
+    named twice."""
     tau, p = canonical_point(mapping.target, cell_name, coords)
     faces = {}
     for cell in mapping.source.cells:
         image, phi = mapping.cell_image(cell.name)
         k = mapping.target.cell(image).dim
         m = cell.dim
-        for kept in _occurrences(mapping.target, image, tau):
+        for kept in reference_occurrences(mapping.target, image, tau):
             index_of = {r: i for i, r in enumerate(kept)}
             equations = [tuple(1 if phi[j] == r else 0 for j in range(m + 1))
                          + (-p[index_of[r]] if r in index_of else 0,)
@@ -1249,7 +1223,10 @@ def reference_map_fiber(mapping, cell_name, coords):
                 name, verts = _drop_walls(mapping.source, cell.name, [
                     v for i, v in enumerate(vertices) if fs >> i & 1])
                 faces[name, tuple(sorted(verts))] = affine_dim(verts)
-    return tuple(sorted(Counter(faces.values()).items()))
+    levels = {}
+    for (name, _), d in sorted(faces.items()):
+        levels.setdefault(d, []).append(name)
+    return tuple((d, tuple(names)) for d, names in sorted(levels.items()))
 
 
 def random_pure_2_complex(seed):
@@ -1313,10 +1290,25 @@ def fiber_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(fiber_cases())
+@example((atiyah_projection(), "e", (F(0), F(1))))
 def test_map_fiber_matches_the_polytope_route(case):
+    """Each face of the polytope fiber is the closure of one source cell
+    over the point's carrier, of that cell's dimension less the carrier's."""
     mapping, cell, coords = case
-    assert map_fiber(mapping, cell, coords).faces_by_dim == \
+    assert map_fiber(mapping, cell, coords).cells == \
         reference_map_fiber(mapping, cell, coords)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fiber_cases(), st.data())
+def test_points_of_one_carrier_have_one_fiber(case, data):
+    """A second point with the same zero coordinates, so the same carrier,
+    has an equal fiber."""
+    mapping, cell, coords = case
+    weights = [data.draw(st.integers(1, 5)) if c else 0 for c in coords]
+    other = tuple(F(w, sum(weights)) for w in weights)
+    assert map_fiber(mapping, cell, other) == \
+        map_fiber(mapping, cell, coords)
 
 
 def test_map_fiber_runs_no_conversion(monkeypatch):
@@ -1366,7 +1358,8 @@ def reference_cell_vertices(x, name):
 
 
 def reference_occurrences(x, name, face_name):
-    """``_occurrences`` as a descending loop over the dropped indices."""
+    """Monotone embeddings of face_name as an iterated face of the cell,
+    each face reached by a descending loop over the dropped indices."""
     cell = x.cell(name)
     fdim = x.cell(face_name).dim
     for kept in itertools.combinations(range(cell.dim + 1), fdim + 1):
@@ -1401,10 +1394,6 @@ def test_face_walks_match_the_recursive_and_descending_loops(shape):
     for cell in x.cells:
         assert cell_vertices(x, cell.name) == \
             reference_cell_vertices(x, cell.name)
-        for face in x.cells:
-            if face.dim <= cell.dim:
-                assert list(_occurrences(x, cell.name, face.name)) == \
-                    list(reference_occurrences(x, cell.name, face.name))
 
 
 # -- fibers of maps of fans --

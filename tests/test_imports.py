@@ -415,10 +415,9 @@ EXPORTED_SIGNATURES = {
     "Cell": ('name', 'dim', 'faces'),
     "ComplexMap": ('source', 'target', 'cell_images'),
     "DeltaComplex": ('cells', 'affine', 'provenance'),
-    "FiberComplex": ('faces_by_dim',),
+    "FiberComplex": ('cells',),
     "StrataIncidence": ('mode', 'strata', 'closures'),
     "SubdivisionResult": ('complex', 'original', 'level'),
-    "ToricFiberComplex": ('cells',),
     "canonical_point": ('x', 'name', 'coords'),
     "count_cells": ('x',),
     "cycle_complex": ('m',),

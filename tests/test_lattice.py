@@ -206,6 +206,18 @@ def test_containment_minimal_face_is_origin_at_apex():
     assert face.dim == 0
 
 
+@pytest.mark.parametrize("point", [
+    (1.5, 1), ("1", 1), (1.0, 1), (Fraction(1, 2), 0.5)],
+    ids=["float", "string", "integral-float", "fraction-and-float"])
+def test_locate_refuses_an_entry_that_is_not_rational(point):
+    """A float or string entry is refused, not taken as exact, with the
+    error that the other readers of a malformed vector raise."""
+    c = lat.cone_from_generators([(1, 0), (0, 1)])
+    with pytest.raises(ValidationError) as info:
+        lat.locate(c, point)
+    assert str(info.value) == f"{point} has an entry that is not rational"
+
+
 # -- intersection -----------------------------------------------------------
 
 
