@@ -64,11 +64,9 @@ from .towers import (
     TOWER_DEPTH_CAP,
     ResolvedRay,
     Symbol,
-    chain_toward,
-    extend_tower,
-    fan_tower,
     fiber_model,
     resolve_direction,
+    tower_chain,
 )
 from .tropical import ptrop_normal_fan, ptrop_recession, trop_hypersurface
 
@@ -305,11 +303,10 @@ def handle_limit_point(cfg: JobConfig, path: str) -> dict:
     if steps + 1 > cfg.depth:
         raise DepthCap(f"{steps} refinement steps exceed --depth "
                        f"{cfg.depth}")
-    tower = extend_tower(fan_tower(base), strategy, steps)
-    chain = chain_toward(tower, x)
+    chain = tower_chain(base, strategy, steps, x)
     res = resolve_direction(chain)
     out = {
-        "depth": tower.depth,
+        "depth": len(chain.cones),
         "carrier_dims": [cone.dim for cone in chain.cones],
         "resolved": isinstance(res, ResolvedRay),
     }

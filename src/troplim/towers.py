@@ -19,6 +19,11 @@ while the combination is nonzero, UndecidableSign reports the offending data
 so the caller can supply a tighter enclosure.  Independence itself is never
 proved here; it is the caller's mathematical assertion, and it is what makes
 "combination is zero" decidable by linear algebra alone.
+
+A toward tower of rank 2 chased toward its own target needs no fan: its
+carriers are the mediant intervals of the target's slope, each found from
+the one above by one sign, so ``tower_chain`` builds them alone and leaves
+``extend_tower`` and ``chain_toward`` to every other chase.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from .errors import (
     ValidationError,
     ZeroVector,
 )
-from .fans import Fan, SubdivisionWitness, _split, common_refinement
+from .fans import Fan, SubdivisionWitness, _join, _split, common_refinement
 from .lattice import (
     RANK_CAP,
     Cone,
@@ -52,6 +57,11 @@ from .lattice import (
 
 TOWER_DEPTH_CAP = 64
 _ENCLOSURE_DEN = 10 ** 6
+# the misses of a chase: the target on level 0 as the tower is extended
+# toward it, and a chased direction on some level of a built tower
+_TARGET_OUTSIDE = "target direction lies outside the fan support"
+_LEVEL_OUTSIDE = "direction lies outside the level-{} support"
+_ZERO_DIRECTION = "cannot chase the zero direction"
 
 
 @dataclass(frozen=True)
@@ -266,29 +276,33 @@ class TowardDirection:
 
     target: SymbolicVector
 
+    def ray(self, carrier: Cone) -> IVec:
+        """The primitive ray a step splits ``carrier`` at, the target's
+        carrier of dimension >= 2, in its relative interior.  A two-ray
+        cone of rank 2 is split at its ray sum, any other carrier at the
+        centre of the target's box, each coordinate's lo + hi from
+        ``_enclosure``: the walk decided every facet sign of the carrier on
+        the whole box, so the centre lies in its relative interior."""
+        if carrier.n == 2 and len(carrier.rays) == 2:
+            return la.primitivize(carrier.relint_point())
+        x = self.target
+        new_ray = tuple(sum(x._enclosure(combo))
+                        for combo in zip(*x._scaled[1]))
+        if locate(carrier, new_ray) != carrier:
+            raise AssertionError(f"internal: the target's box centre "
+                                 f"{new_ray} leaves the carrier's "
+                                 f"relative interior")
+        return la.primitivize(new_ray)
+
     def step(self, fan: Fan, carrier: Cone, holding: Sequence[int]
              ) -> tuple[Fan, SubdivisionWitness]:
-        """Split at a new ray inside ``carrier``, the target's carrier,
-        whose relative interior holds the ray; so the cones to split are
-        ``holding``, the indices of the maximal cones containing it.  A
-        carrier of dimension <= 1 leaves the fan as it is.  Unless the
-        carrier is a two-ray cone of rank 2, the ray is the centre of the
-        target's box, each coordinate's lo + hi from ``_enclosure``: the
-        walk decided every facet sign of the carrier on the whole box, so
-        the centre lies in its relative interior."""
+        """Split at ``ray(carrier)``, inside ``carrier``, the target's
+        carrier, whose relative interior holds the ray; so the cones to
+        split are ``holding``, the indices of the maximal cones containing
+        it.  A carrier of dimension <= 1 leaves the fan as it is."""
         if carrier.dim <= 1:
             return fan, SubdivisionWitness(tuple(range(len(fan.maximal))))
-        if carrier.n == 2 and len(carrier.rays) == 2:
-            new_ray = carrier.relint_point()
-        else:
-            x = self.target
-            new_ray = tuple(sum(x._enclosure(combo))
-                            for combo in zip(*x._scaled[1]))
-            if locate(carrier, new_ray) != carrier:
-                raise AssertionError(f"internal: the target's box centre "
-                                     f"{new_ray} leaves the carrier's "
-                                     f"relative interior")
-        return _split(fan, dict.fromkeys(holding, la.primitivize(new_ray)))
+        return _split(fan, dict.fromkeys(holding, self.ray(carrier)))
 
 
 @dataclass(frozen=True)
@@ -338,22 +352,26 @@ def _carriers(fans, witnesses, x: SymbolicVector, start: int, found: dict,
         i += 1
 
 
+def _check_depth(depth: int) -> None:
+    """Refuse a tower deeper than the cap."""
+    if depth > TOWER_DEPTH_CAP:
+        raise DepthCap(f"tower depth {depth} exceeds the cap of "
+                       f"{TOWER_DEPTH_CAP}")
+
+
 def extend_tower(t: FanTower, strategy, steps: int) -> FanTower:
     """Append `steps` refinements produced by the strategy, each step
     giving the new fan with its witness; a toward step is handed the
     target's carrier on the last level and the cones holding it, and the
     tower keeps the carriers it found for a chain toward the target."""
-    if t.depth + steps > TOWER_DEPTH_CAP:
-        raise DepthCap(f"tower depth {t.depth + steps} exceeds the cap of "
-                       f"{TOWER_DEPTH_CAP}")
+    _check_depth(t.depth + steps)
     fans = list(t.fans)
     witnesses = list(t.witnesses)
     chase = isinstance(strategy, TowardDirection)
     if chase:
         found = dict(_chased(t, strategy.target))
-        walk = _carriers(
-            fans, witnesses, strategy.target, len(fans) - 1, found,
-            "target direction lies outside the fan support")
+        walk = _carriers(fans, witnesses, strategy.target, len(fans) - 1,
+                         found, _TARGET_OUTSIDE)
     for _ in range(steps):
         if chase:
             new, w = strategy.step(fans[-1], *next(walk))
@@ -423,8 +441,75 @@ def chain_toward(t: FanTower, x: SymbolicVector) -> ConeChain:
     located only on the levels where extending the tower toward x did
     not locate it."""
     if x.is_zero:
-        raise ZeroVector("cannot chase the zero direction")
+        raise ZeroVector(_ZERO_DIRECTION)
     return ConeChain(tuple(
         carrier for carrier, _ in _carriers(
-            t.fans, t.witnesses, x, 0, _chased(t, x),
-            "direction lies outside the level-{} support")))
+            t.fans, t.witnesses, x, 0, _chased(t, x), _LEVEL_OUTSIDE)))
+
+
+def _plane_step(sigma: Cone, ray: IVec, x: SymbolicVector) -> Cone:
+    """The carrier of x one level below ``sigma``, a two-ray cone of rank
+    2 with x in its interior, once sigma is split at ``ray``, primitive
+    and in its interior: the ray itself when x lies on it, or else the
+    join of the ray with sigma's ray on x's side, as ``_split`` builds it,
+    H-side included.
+
+    x's side is its sign on the row that vanishes on the ray and is
+    positive on sigma's first ray a.  That row is the facet through the
+    ray of the join with a, the first join in ``_cone_key`` order, so an
+    undecidable sign carries the data the search among the joins gives;
+    the joins' other facets are sigma's, decided one level up.  The join
+    with a keeps sigma's facet F_i = a, whose mask is bit 0."""
+    row = (-ray[1], ray[0])
+    if la.dot(row, sigma.rays[0]) < 0:
+        row = (ray[1], -ray[0])
+    side = x.sign(row)
+    if not side:
+        return Cone(2, (ray,), ())
+    return _join(sigma, sigma._dual[2].index(1 if side > 0 else 2), ray,
+                 [la.dot(f, ray) for f in sigma.facets])
+
+
+def _plane_chase(base: Fan, strategy: TowardDirection, steps: int
+                 ) -> ConeChain:
+    """``chain_toward(extend_tower(fan_tower(base), strategy, steps), x)``
+    for a base of rank 2 and x the strategy's target, read off each
+    carrier alone, with no fan built: the carriers are the mediant
+    (Stern-Brocot) intervals of x's slope (Oda 1988, §1.6).
+
+    A step splits only the carrier, at ``strategy.ray``, and x lies in one
+    of the two joins or on the ray, which ``_plane_step`` tells by one
+    sign.  Any other carrier, a ray, or a cone with lines which the split
+    leaves whole, is the carrier on every level below.  The errors are
+    the tower's, raised where it raises them: with a step, extending the
+    tower locates x on level 0 before chaining refuses a zero x; with no
+    step, the chain refuses it first, and names the level of a miss."""
+    _check_depth(1 + steps)
+    x = strategy.target
+    if not steps and x.is_zero:
+        raise ZeroVector(_ZERO_DIRECTION)
+    carrier, _ = base.locate(x)
+    if carrier is None:
+        raise OutsideSupport(_TARGET_OUTSIDE if steps
+                             else _LEVEL_OUTSIDE.format(0))
+    if x.is_zero:
+        raise ZeroVector(_ZERO_DIRECTION)
+    cones = [carrier]
+    for _ in range(steps):
+        if len(carrier.rays) == 2:
+            carrier = _plane_step(carrier, strategy.ray(carrier), x)
+        cones.append(carrier)
+    return ConeChain(tuple(cones))
+
+
+def tower_chain(base: Fan, strategy, steps: int, x: SymbolicVector
+                ) -> ConeChain:
+    """The chain toward x of the tower that ``steps`` refinements of
+    ``base`` by the strategy build, ``chain_toward(extend_tower(
+    fan_tower(base), strategy, steps), x)``, errors included.  A toward
+    tower of rank 2 chased toward its own target builds no fan
+    (``_plane_chase``)."""
+    if isinstance(strategy, TowardDirection) and base.n == 2 \
+            and x == strategy.target:
+        return _plane_chase(base, strategy, steps)
+    return chain_toward(extend_tower(fan_tower(base), strategy, steps), x)

@@ -891,23 +891,27 @@ TOWARD_23 = {"kind": "toward-direction",
 
 
 @pytest.mark.parametrize("spec, calls", [
-    ({"strategy": TOWARD_23, "steps": 6}, 7),
+    ({"strategy": TOWARD_23, "steps": 6}, 1),
     ({"strategy": TOWARD_23, "steps": 6,
-      "direction": {"entries": ["2", "3"]}}, 7),
+      "direction": {"entries": ["2", "3"]}}, 1),
     ({"strategy": TOWARD_23, "steps": 6,
       "direction": {"entries": ["3", "2"]}}, 13),
     ({"strategy": TOWARD_23, "steps": 0}, 1),
     ({"steps": 0, "direction": {"entries": ["2", "3"]}}, 1),
     ({"strategy": {"kind": "stellar-at-barycenters"}, "steps": 1,
       "direction": {"entries": ["2", "3"]}}, 2),
+    ({"base_fan": OCTANTS, "steps": 3,
+      "strategy": {"kind": "toward-direction",
+                   "direction": {"entries": ["3", "5", "7"]}}}, 4),
 ], ids=["toward", "toward-same-direction", "toward-other-direction",
-        "no-step", "no-strategy", "stellar"])
+        "no-step", "no-strategy", "stellar", "toward-rank-3"])
 def test_a_limit_point_job_locates_its_target_once_per_level(
         tmp_path, capsys, monkeypatch, spec, calls):
-    """A toward job chasing its own target locates it once on each level;
-    a job chasing another direction extends with one walk and chases
-    with another, as a stellar tower and a tower of no step, with or
-    without a strategy, do."""
+    """A rank-2 toward job chasing its own target locates it on level 0
+    only, and reads each level below off the carrier above; a rank-3 one
+    locates it once on each level.  A job chasing another direction
+    extends with one walk and chases with another, as a stellar tower and
+    a tower of no step, with or without a strategy, do."""
     counted, locate = [], fans.Fan.locate
 
     def counting(fan, point, among=None):

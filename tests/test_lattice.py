@@ -95,6 +95,21 @@ def test_index_two_cone():
     assert not c.is_unimodular
 
 
+def test_a_cone_that_is_not_simplicial_is_not_unimodular():
+    # four rays span a 3-dimensional cone, and a half-plane has a line
+    square = lat.cone_from_generators([(1, 0, 1), (0, 1, 1), (-1, 0, 1),
+                                       (0, -1, 1)])
+    half = lat.Cone(2, ((0, 1),), ((1, 0),))
+    for c in (square, half):
+        assert not c.is_simplicial and not c.is_unimodular
+
+
+def test_the_zero_cone_is_unimodular():
+    # no rays extend to a basis of the lattice, so d = 0 passes
+    zero = lat.cone_from_generators([], n=2)
+    assert zero.dim == 0 and zero.is_simplicial and zero.is_unimodular
+
+
 def test_opposite_rays_rejected():
     with pytest.raises(NotStronglyConvex):
         lat.cone_from_generators([(1, 0), (-1, 0)])

@@ -8,7 +8,9 @@ is immediate from the coefficient matrix.
 
 import functools
 import itertools
+from operator import mul
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -900,6 +902,14 @@ def test_the_misses_of_a_chase_are_pinned():
         with pytest.raises(OutsideSupport) as exc:
             chase(tower, outside)
         assert str(exc.value) == "direction lies outside the level-0 support"
+    # the closed-form chase misses where the tower would: on level 0 as the
+    # tower is extended, or as the chain of a tower of no step
+    for steps, message in ((2, "target direction lies outside the fan "
+                                "support"),
+                           (0, "direction lies outside the level-0 support")):
+        with pytest.raises(OutsideSupport) as exc:
+            tw.tower_chain(less, tw.TowardDirection(outside), steps, outside)
+        assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("n, steps", [(2, 6), (3, 3)])
@@ -927,3 +937,112 @@ def test_a_chase_toward_the_target_locates_once_per_level(monkeypatch, n,
     assert twice == tower
     tw.chain_toward(twice, tw.SymbolicVector(x.symbols, x.rows))
     assert len(calls) == tower.depth
+
+
+# -- the closed-form rank-2 chase against the tower -------------------------
+
+
+def tower_reference(base, strategy, steps, x):
+    """The chain of the built tower, which ``tower_chain`` leaves for the
+    closed form in rank 2."""
+    return tw.chain_toward(tw.extend_tower(tw.fan_tower(base), strategy,
+                                           steps), x)
+
+
+def plane_move(draw):
+    """A unimodular move of the plane, as a product of shears and a
+    reflection."""
+    m = [[1, 0], [0, 1]]
+    for i, t in draw(st.lists(st.tuples(st.integers(0, 1),
+                                        st.integers(-2, 2)), max_size=3)):
+        m[i] = [a + t * b for a, b in zip(m[i], m[1 - i])]
+    if draw(st.booleans()):
+        m[0] = [-a for a in m[0]]
+    return lambda v: tuple(sum(map(mul, row, v)) for row in m)
+
+
+@st.composite
+def plane_fans(draw):
+    """A complete rank-2 fan holding the non-unimodular cone sigma =
+    cone(u, v), a unimodular move of cone((1, 0), (k, m)) with m >= 2
+    and (k, m) primitive,
+    with -(u + v) and up to three more rays off sigma's interior; or the
+    same fan less one cone.  Gives the fan, u and v."""
+    move = plane_move(draw)
+    m = draw(st.integers(2, 5))
+    k = draw(st.sampled_from([k for k in range(-4, 5) if gcd(k, m) == 1]))
+    u, v = move((1, 0)), move((k, m))
+    side = _det_int([u, v])
+    extra = [e for e in draw(st.lists(
+        st.tuples(*[st.integers(-5, 5)] * 2).filter(any), max_size=3))
+        if not (_det_int([u, e]) * side > 0 and _det_int([e, v]) * side > 0)]
+    fan = fan_from_rays_2d([u, v, tuple(-a - b for a, b in zip(u, v)),
+                            *extra])
+    sigma = cg([u, v])
+    assert sigma in fan.maximal and not sigma.is_unimodular
+    if draw(st.booleans()):
+        drop = draw(st.integers(0, len(fan.maximal) - 1))
+        fan = fans._trusted_fan(fan.maximal[:drop] + fan.maximal[drop + 1:])
+    return fan, u, v
+
+
+@st.composite
+def plane_targets(draw, u, v):
+    """A rational or (1, sqrt k) target anywhere or inside cone(u, v), the
+    zero vector, or a vector of the wrong length."""
+    kind = draw(st.sampled_from(("rational", "sigma", "sqrt", "sigma-sqrt",
+                                 "zero", "length")))
+    if kind == "rational":
+        big = draw(st.sampled_from((6, 400)))
+        return rational_vector(draw(st.tuples(
+            *[st.integers(-big, big)] * 2).filter(any)))
+    if kind == "sigma":
+        s, t = draw(st.tuples(*[st.integers(1, 60)] * 2))
+        return rational_vector([s * a + t * b for a, b in zip(u, v)])
+    symbol = tw.Symbol.sqrt(draw(st.sampled_from((2, 3, 5))))
+    if kind == "sqrt":
+        coords = st.integers(-3, 3)
+        rows = draw(st.tuples(*[st.tuples(coords, coords)] * 2)
+                    .filter(lambda rows: any(b for _, b in rows)))
+        return tw.symbolic_vector(list(rows), [symbol])
+    if kind == "sigma-sqrt":
+        return tw.symbolic_vector(list(zip(u, v)), [symbol])
+    if kind == "zero":
+        return tw.symbolic_vector([0, 0])
+    return rational_vector(draw(st.lists(st.integers(-3, 3), min_size=1,
+                                         max_size=3).filter(
+        lambda w: len(w) != 2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_the_closed_form_chase_is_the_chain_of_the_tower(data):
+    """``tower_chain`` toward a rank-2 tower's own target against the chain
+    of the tower built to depth 64 and past it: the same cones, facets
+    and equations, or the same error, its data included.  The fans hold a
+    non-unimodular cone, which carries some targets."""
+    base, u, v = data.draw(plane_fans())
+    x = data.draw(plane_targets(u, v))
+    # hypothesis favours small integers; so half the draws count down
+    steps = data.draw(st.integers(0, 64)
+                      | st.integers(0, 64).map(lambda k: 64 - k))
+    strategy = tw.TowardDirection(x)
+    expected = caught(tower_reference, base, strategy, steps, x)
+    chain = caught(tw.tower_chain, base, strategy, steps, x)
+    assert chain == expected
+    if not isinstance(expected, tuple):
+        for got, want in zip(chain.cones, expected.cones):
+            assert (got.facets, got.equations) == \
+                (want.facets, want.equations)
+
+
+def test_a_non_unimodular_carrier_splits_at_its_primitive_ray_sum():
+    """cone((1, 0), (1, 2)) has index 2 and ray sum (2, 2): the chase
+    toward (3, 2) splits it at (1, 1), as the tower does."""
+    base = fan_from_rays_2d([(1, 0), (1, 2), (-1, -1)])
+    x = rational_vector([3, 2])
+    strategy = tw.TowardDirection(x)
+    chain = tw.tower_chain(base, strategy, 3, x)
+    assert not chain.cones[0].is_unimodular
+    assert chain.cones[1].rays == ((1, 0), (1, 1))
+    assert chain == tower_reference(base, strategy, 3, x)
