@@ -388,12 +388,13 @@ def _join(sigma: Cone, i: int, ray: IVec, values: Sequence[int]) -> Cone:
     return join
 
 
-def _split(fan: Fan, rays: dict[int, IVec]
+def _split(fan: Fan, rays: dict[int, Optional[IVec]]
            ) -> tuple[Fan, SubdivisionWitness]:
     """Replace each maximal cone j in ``rays``, which must hold the
     primitive ray ``rays[j]``, by the joins of its facets missing that ray
     with it; a cone with no such facet holds the ray in its lineality space
-    and stays whole.  Returns the new fan and its witness over ``fan``.
+    and stays whole, as does a cone whose ray is None.  Returns the new fan
+    and its witness over ``fan``.
 
     The normal f of a facet F missing the ray r is >= 0 on F + r and
     vanishes on it exactly along F, so F is a face of the join and r the one

@@ -1,6 +1,6 @@
 """Fan towers and their boundary points: chains of nested cones.
 
-A tower is a sequence of complete fans, each subdividing the last, with
+A tower is a sequence of valid fans, each subdividing the last, with
 stored subdivision witnesses.  A boundary point is approached through a
 compatible chain of cones, one per level; resolving the chain means
 intersecting it exactly and asking whether a single ray remains.  Rational
@@ -20,10 +20,11 @@ so the caller can supply a tighter enclosure.  Independence itself is never
 proved here; it is the caller's mathematical assertion, and it is what makes
 "combination is zero" decidable by linear algebra alone.
 
-A toward tower of rank 2 chased toward its own target needs no fan: its
-carriers are the mediant intervals of the target's slope, each found from
-the one above by one sign, so ``tower_chain`` builds them alone and leaves
-``extend_tower`` and ``chain_toward`` to every other chase.
+A toward tower chased toward its own target, and a stellar tower chased
+toward any direction, needs no fan: the split of a level restricted to the
+carrier is the stellar subdivision of the carrier, so ``tower_chain`` finds
+each carrier among the joins of the one above and leaves ``extend_tower``
+and ``chain_toward`` to every other chase.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .errors import (
     ValidationError,
     ZeroVector,
 )
-from .fans import Fan, SubdivisionWitness, _join, _split, common_refinement
+from .fans import Fan, SubdivisionWitness, _split, common_refinement
 from .lattice import (
     RANK_CAP,
     Cone,
@@ -242,7 +243,7 @@ def fiber_model(x: SymbolicVector) -> FiberModel:
 
 @dataclass(frozen=True)
 class FanTower:
-    """Complete fans, each subdividing the previous, with stored witnesses."""
+    """Valid fans, each subdividing the previous, with stored witnesses."""
 
     fans: tuple[Fan, ...]
     witnesses: tuple[SubdivisionWitness, ...]
@@ -261,13 +262,17 @@ def fan_tower(base: Fan) -> FanTower:
 class StellarAtBarycenters:
     """Split every maximal cone of dimension >= 2 at its primitive ray sum."""
 
+    def ray(self, sigma: Cone) -> Optional[IVec]:
+        """The primitive ray sum a step splits the maximal cone ``sigma``
+        at, None for a cone of dimension < 2 or with no rays."""
+        if sigma.dim >= 2 and sigma.rays:
+            return la.primitivize(sigma.relint_point())
+        return None
+
     def step(self, fan: Fan) -> tuple[Fan, SubdivisionWitness]:
         # a ray sum lies inside its own maximal cone only, so one pass gives
         # what splitting the cones one after another gives
-        return _split(fan, {
-            j: la.primitivize(sigma.relint_point())
-            for j, sigma in enumerate(fan.maximal)
-            if sigma.dim >= 2 and sigma.rays})
+        return _split(fan, dict(enumerate(map(self.ray, fan.maximal))))
 
 
 @dataclass(frozen=True)
@@ -276,13 +281,16 @@ class TowardDirection:
 
     target: SymbolicVector
 
-    def ray(self, carrier: Cone) -> IVec:
-        """The primitive ray a step splits ``carrier`` at, the target's
-        carrier of dimension >= 2, in its relative interior.  A two-ray
-        cone of rank 2 is split at its ray sum, any other carrier at the
-        centre of the target's box, each coordinate's lo + hi from
-        ``_enclosure``: the walk decided every facet sign of the carrier on
-        the whole box, so the centre lies in its relative interior."""
+    def ray(self, carrier: Cone) -> Optional[IVec]:
+        """The primitive ray in the relative interior of ``carrier``, the
+        target's carrier, that a step splits it at; None for a carrier of
+        dimension <= 1, which a step leaves whole.  A two-ray cone of rank
+        2 is split at its ray sum, any other carrier at the centre of the
+        target's box, each coordinate's lo + hi from ``_enclosure``: the
+        walk decided every facet sign of the carrier on the whole box, so
+        the centre lies in its relative interior."""
+        if carrier.dim <= 1:
+            return None
         if carrier.n == 2 and len(carrier.rays) == 2:
             return la.primitivize(carrier.relint_point())
         x = self.target
@@ -300,8 +308,6 @@ class TowardDirection:
         carrier, whose relative interior holds the ray; so the cones to
         split are ``holding``, the indices of the maximal cones containing
         it.  A carrier of dimension <= 1 leaves the fan as it is."""
-        if carrier.dim <= 1:
-            return fan, SubdivisionWitness(tuple(range(len(fan.maximal))))
         return _split(fan, dict.fromkeys(holding, self.ray(carrier)))
 
 
@@ -318,37 +324,22 @@ class CommonRefineWith:
         return new, witness
 
 
-def _chased(t: FanTower, x: SymbolicVector) -> dict:
-    """The carriers of x found so far on t's levels, by level, each with
-    the indices of the maximal cones holding it: those that extending t
-    toward x found, and a chain of t toward x since; empty for any other
-    x.  They sit outside the tower's eq, hash and repr."""
-    target, found = t.__dict__.get("_chase", (None, {}))
-    return found if target == x else {}
-
-
-def _carriers(fans, witnesses, x: SymbolicVector, start: int, found: dict,
-              outside: str):
+def _carriers(fans, witnesses, x: SymbolicVector, start: int, outside: str):
     """The carrier of x on each level from ``start`` on, with the indices of
     the maximal cones holding it; a miss raises OutsideSupport(outside)
     formatted with the level.  The lists may grow while the walk runs.  A
     fine cone holding x lies in its witness carrier, which then holds x, so
-    a level is searched among the children of the cones holding x one
-    level up, when those are known.  ``found`` holds the levels already
-    located, as ``_chased`` gives them; each level is located once and
-    added to it.
+    each level below ``start`` is searched among the children of the cones
+    holding x one level up.
     """
-    i = start
+    i, holding = start, None
     while i < len(fans):
-        if i not in found:
-            above = found.get(i - 1)
-            among = None if above is None else \
-                witnesses[i - 1].children(above[1])
-            carrier, holding = fans[i].locate(x, among)
-            if carrier is None:
-                raise OutsideSupport(outside.format(i))
-            found[i] = carrier, holding
-        yield found[i]
+        among = None if holding is None else \
+            witnesses[i - 1].children(holding)
+        carrier, holding = fans[i].locate(x, among)
+        if carrier is None:
+            raise OutsideSupport(outside.format(i))
+        yield carrier, holding
         i += 1
 
 
@@ -362,16 +353,14 @@ def _check_depth(depth: int) -> None:
 def extend_tower(t: FanTower, strategy, steps: int) -> FanTower:
     """Append `steps` refinements produced by the strategy, each step
     giving the new fan with its witness; a toward step is handed the
-    target's carrier on the last level and the cones holding it, and the
-    tower keeps the carriers it found for a chain toward the target."""
+    target's carrier on the last level and the cones holding it."""
     _check_depth(t.depth + steps)
     fans = list(t.fans)
     witnesses = list(t.witnesses)
     chase = isinstance(strategy, TowardDirection)
     if chase:
-        found = dict(_chased(t, strategy.target))
         walk = _carriers(fans, witnesses, strategy.target, len(fans) - 1,
-                         found, _TARGET_OUTSIDE)
+                         _TARGET_OUTSIDE)
     for _ in range(steps):
         if chase:
             new, w = strategy.step(fans[-1], *next(walk))
@@ -385,10 +374,7 @@ def extend_tower(t: FanTower, strategy, steps: int) -> FanTower:
                 f"the level-{len(fans) - 1} fan")
         fans.append(new)
         witnesses.append(w)
-    tower = FanTower(tuple(fans), tuple(witnesses))
-    if chase:
-        tower.__dict__["_chase"] = strategy.target, found
-    return tower
+    return FanTower(tuple(fans), tuple(witnesses))
 
 
 # -- chains and resolution --------------------------------------------------
@@ -437,67 +423,55 @@ def resolve_direction(c: ConeChain) -> LimitPointDescriptor:
 
 
 def chain_toward(t: FanTower, x: SymbolicVector) -> ConeChain:
-    """The chain of minimal carriers of x, one per tower level; x is
-    located only on the levels where extending the tower toward x did
-    not locate it."""
+    """The chain of minimal carriers of x, one per tower level."""
     if x.is_zero:
         raise ZeroVector(_ZERO_DIRECTION)
     return ConeChain(tuple(
         carrier for carrier, _ in _carriers(
-            t.fans, t.witnesses, x, 0, _chased(t, x), _LEVEL_OUTSIDE)))
+            t.fans, t.witnesses, x, 0, _LEVEL_OUTSIDE)))
 
 
-def _plane_step(sigma: Cone, ray: IVec, x: SymbolicVector) -> Cone:
-    """The carrier of x one level below ``sigma``, a two-ray cone of rank
-    2 with x in its interior, once sigma is split at ``ray``, primitive
-    and in its interior: the ray itself when x lies on it, or else the
-    join of the ray with sigma's ray on x's side, as ``_split`` builds it,
-    H-side included.
-
-    x's side is its sign on the row that vanishes on the ray and is
-    positive on sigma's first ray a.  That row is the facet through the
-    ray of the join with a, the first join in ``_cone_key`` order, so an
-    undecidable sign carries the data the search among the joins gives;
-    the joins' other facets are sigma's, decided one level up.  The join
-    with a keeps sigma's facet F_i = a, whose mask is bit 0."""
-    row = (-ray[1], ray[0])
-    if la.dot(row, sigma.rays[0]) < 0:
-        row = (ray[1], -ray[0])
-    side = x.sign(row)
-    if not side:
-        return Cone(2, (ray,), ())
-    return _join(sigma, sigma._dual[2].index(1 if side > 0 else 2), ray,
-                 [la.dot(f, ray) for f in sigma.facets])
-
-
-def _plane_chase(base: Fan, strategy: TowardDirection, steps: int
-                 ) -> ConeChain:
+def _carrier_chase(base: Fan, strategy, steps: int, x: SymbolicVector
+                   ) -> ConeChain:
     """``chain_toward(extend_tower(fan_tower(base), strategy, steps), x)``
-    for a base of rank 2 and x the strategy's target, read off each
-    carrier alone, with no fan built: the carriers are the mediant
-    (Stern-Brocot) intervals of x's slope (Oda 1988, §1.6).
+    for a stellar strategy, or a toward one whose target is x, with no fan
+    built: a level's split restricted to the carrier is the stellar
+    subdivision of the carrier (Fulton 1993, §2.6), so the carrier below
+    is located among the joins ``_split`` makes of the carrier alone.
+    A stellar step splits maximal cones only; a carrier that is not one
+    is the carrier on every level below.  It is maximal on level 0 when it
+    is its holder, and below when it is the join it lies in, of the
+    dimension of the carrier above.
 
-    A step splits only the carrier, at ``strategy.ray``, and x lies in one
-    of the two joins or on the ray, which ``_plane_step`` tells by one
-    sign.  Any other carrier, a ray, or a cone with lines which the split
-    leaves whole, is the carrier on every level below.  The errors are
-    the tower's, raised where it raises them: with a step, extending the
-    tower locates x on level 0 before chaining refuses a zero x; with no
-    step, the chain refuses it first, and names the level of a miss."""
+    The errors are the tower's, raised where it raises them: a toward
+    tower with a step locates x on level 0 before chaining refuses a zero
+    x; any other chain refuses it first, and names the level of a miss.
+    One error may differ in its data: an ``UndecidableSign`` met splitting
+    a carrier that is not a maximal cone of its level has the tower's
+    message, but the tower locates x among the joins of every cone holding
+    the carrier and may meet another row first, with other coefficients
+    and interval."""
     _check_depth(1 + steps)
-    x = strategy.target
-    if not steps and x.is_zero:
+    toward = isinstance(strategy, TowardDirection)
+    walks = toward and steps > 0
+    if not walks and x.is_zero:
         raise ZeroVector(_ZERO_DIRECTION)
-    carrier, _ = base.locate(x)
+    carrier, holding = base.locate(x)
     if carrier is None:
-        raise OutsideSupport(_TARGET_OUTSIDE if steps
+        raise OutsideSupport(_TARGET_OUTSIDE if walks
                              else _LEVEL_OUTSIDE.format(0))
     if x.is_zero:
         raise ZeroVector(_ZERO_DIRECTION)
+    splits = toward or carrier == base.maximal[holding[0]]
     cones = [carrier]
     for _ in range(steps):
-        if len(carrier.rays) == 2:
-            carrier = _plane_step(carrier, strategy.ray(carrier), x)
+        ray = strategy.ray(carrier) if splits else None
+        if ray is not None:
+            dim = carrier.dim
+            joins = _split(Fan(carrier.n, (carrier,)), {0: ray})[0]
+            faces = [locate(join, x) for join in joins.maximal]
+            carrier = next(f for f in faces if f is not None)
+            splits = toward or carrier.dim == dim
         cones.append(carrier)
     return ConeChain(tuple(cones))
 
@@ -507,9 +481,11 @@ def tower_chain(base: Fan, strategy, steps: int, x: SymbolicVector
     """The chain toward x of the tower that ``steps`` refinements of
     ``base`` by the strategy build, ``chain_toward(extend_tower(
     fan_tower(base), strategy, steps), x)``, errors included.  A toward
-    tower of rank 2 chased toward its own target builds no fan
-    (``_plane_chase``)."""
-    if isinstance(strategy, TowardDirection) and base.n == 2 \
-            and x == strategy.target:
-        return _plane_chase(base, strategy, steps)
+    tower chased toward its own target and a stellar tower build no fan
+    (``_carrier_chase``); there an ``UndecidableSign`` met below a carrier
+    that is not maximal on its level has the tower's type and message, but
+    possibly other coefficients and interval."""
+    if isinstance(strategy, StellarAtBarycenters) or \
+            isinstance(strategy, TowardDirection) and x == strategy.target:
+        return _carrier_chase(base, strategy, steps, x)
     return chain_toward(extend_tower(fan_tower(base), strategy, steps), x)

@@ -17,8 +17,6 @@ its normal fan, a stellar subdivision at one ray, the complete rank-2
 fan of a ray set and the carrier search ``is_subdivision`` are the
 references that the exact routes, the split steps, the refinement
 witnesses and the randomized fan suites compare against or build from.
-``fresh_chain_toward`` walks a tower from its first level whatever
-extending it found, the reference for the chain that reuses those carriers.
 Facet pairing over facet cones built one by one (``facet_cones``), with
 every boundary sign evaluated (``pair_facets``, ``is_complete`` and
 ``tiles``), is the reference for the fan layer's one tiling check, which
@@ -59,10 +57,8 @@ from troplim.complexes import (
 from troplim.errors import (
     DimensionMismatch,
     IncoherentIncidence,
-    OutsideSupport,
     TropLimError,
     ValidationError,
-    ZeroVector,
 )
 from troplim.fans import Fan, fan_from_cones
 from troplim.lattice import (
@@ -70,7 +66,7 @@ from troplim.lattice import (
     cone_holds,
     halfspaces_to_generators,
 )
-from troplim.towers import ConeChain, SymbolicVector, symbolic_vector
+from troplim.towers import SymbolicVector, symbolic_vector
 from troplim.tropical import TropicalPolynomial
 
 
@@ -476,24 +472,6 @@ def is_subdivision(fine: Fan, coarse: Fan):
                 return None
         carrier.append(found)
     return tiles(fine, coarse, carrier)
-
-
-def fresh_chain_toward(t, x: SymbolicVector):
-    """``towers.chain_toward`` as one whole walk, with no carrier kept from
-    extending the tower: x is located on every level, among the witness
-    children of the cones holding it one level up."""
-    if x.is_zero:
-        raise ZeroVector("cannot chase the zero direction")
-    cones, holding = [], None
-    for i, fan in enumerate(t.fans):
-        among = None if holding is None else \
-            t.witnesses[i - 1].children(holding)
-        carrier, holding = fan.locate(x, among)
-        if carrier is None:
-            raise OutsideSupport(
-                f"direction lies outside the level-{i} support")
-        cones.append(carrier)
-    return ConeChain(tuple(cones))
 
 
 def facet_cones(c: Cone) -> tuple[Cone, ...]:

@@ -33,6 +33,7 @@ from troplim import fans
 from troplim import io
 from troplim import lattice
 from troplim import sampling
+from troplim import towers
 from troplim.complexes import (
     Cell,
     count_cells,
@@ -890,40 +891,50 @@ TOWARD_23 = {"kind": "toward-direction",
              "direction": {"entries": ["2", "3"]}}
 
 
-@pytest.mark.parametrize("spec, calls", [
-    ({"strategy": TOWARD_23, "steps": 6}, 1),
+@pytest.mark.parametrize("spec, calls, extended", [
+    ({"strategy": TOWARD_23, "steps": 6}, 1, 0),
     ({"strategy": TOWARD_23, "steps": 6,
-      "direction": {"entries": ["2", "3"]}}, 1),
+      "direction": {"entries": ["2", "3"]}}, 1, 0),
     ({"strategy": TOWARD_23, "steps": 6,
-      "direction": {"entries": ["3", "2"]}}, 13),
-    ({"strategy": TOWARD_23, "steps": 0}, 1),
-    ({"steps": 0, "direction": {"entries": ["2", "3"]}}, 1),
+      "direction": {"entries": ["3", "2"]}}, 13, 1),
+    ({"strategy": TOWARD_23, "steps": 0}, 1, 0),
+    ({"steps": 0, "direction": {"entries": ["2", "3"]}}, 1, 1),
     ({"strategy": {"kind": "stellar-at-barycenters"}, "steps": 1,
-      "direction": {"entries": ["2", "3"]}}, 2),
+      "direction": {"entries": ["2", "3"]}}, 1, 0),
     ({"base_fan": OCTANTS, "steps": 3,
       "strategy": {"kind": "toward-direction",
-                   "direction": {"entries": ["3", "5", "7"]}}}, 4),
+                   "direction": {"entries": ["3", "5", "7"]}}}, 1, 0),
+    ({"base_fan": OCTANTS, "steps": 2,
+      "strategy": {"kind": "stellar-at-barycenters"},
+      "direction": {"entries": ["3", "5", "7"]}}, 1, 0),
 ], ids=["toward", "toward-same-direction", "toward-other-direction",
-        "no-step", "no-strategy", "stellar", "toward-rank-3"])
+        "no-step", "no-strategy", "stellar", "toward-rank-3",
+        "stellar-rank-3"])
 def test_a_limit_point_job_locates_its_target_once_per_level(
-        tmp_path, capsys, monkeypatch, spec, calls):
-    """A rank-2 toward job chasing its own target locates it on level 0
-    only, and reads each level below off the carrier above; a rank-3 one
-    locates it once on each level.  A job chasing another direction
-    extends with one walk and chases with another, as a stellar tower and
-    a tower of no step, with or without a strategy, do."""
+        tmp_path, capsys, monkeypatch, spec, calls, extended):
+    """A job toward its own target or on a stellar tower, in rank 2 or 3,
+    locates its direction on level 0 only, reads each level below off the
+    carrier above and builds no tower.  A job chasing another direction
+    extends with one walk and chases with another, as a tower of no
+    strategy does."""
     counted, locate = [], fans.Fan.locate
+    extensions, extend = [], towers.extend_tower
 
     def counting(fan, point, among=None):
         counted.append(point)
         return locate(fan, point, among)
 
+    def extending(*args):
+        extensions.append(args)
+        return extend(*args)
+
     monkeypatch.setattr(fans.Fan, "locate", counting)
+    monkeypatch.setattr(towers, "extend_tower", extending)
     path = put(tmp_path, "lp.json", {"base_fan": QUADRANT, **spec})
     code, report = run_json(capsys, ["limit-point", path])
     assert code == 0
     assert report["results"][0]["depth"] == spec["steps"] + 1
-    assert len(counted) == calls
+    assert (len(counted), len(extensions)) == (calls, extended)
 
 
 def test_fiber_rank_reports_model(tmp_path, capsys):

@@ -19,7 +19,6 @@ from builders import (
     cone_is_face,
     fan_from_rays_2d,
     fraction_enclosure,
-    fresh_chain_toward,
     is_subdivision,
     make_cone,
     rational_vector,
@@ -210,6 +209,7 @@ def test_the_integer_enclosure_decides_as_the_fractions_do(case):
         return
     new, _ = tw.TowardDirection(x).step(fan, carrier, holding)
     assert set(new.rays) - set(fan.rays) == {primitivize(centre)}
+    assert tw.TowardDirection(x).ray(carrier) == primitivize(centre)
 
 
 def test_a_toward_step_builds_no_fraction(monkeypatch):
@@ -601,16 +601,34 @@ def reference_levels(base, strategy, steps):
     return levels
 
 
-def orthant_image(n, moves):
-    """The orthant fan under a product of elementary shears e_i += k e_j."""
+def sheared_units(n, moves):
+    """The images of the unit vectors under a product of elementary shears
+    e_i += k e_j."""
     m = [[int(i == j) for j in range(n)] for i in range(n)]
     for (i, j), k in moves:
         for row in m:
             row[i] += k * row[j]
-    cols = [tuple(m[r][c] for r in range(n)) for c in range(n)]
+    return [tuple(m[r][c] for r in range(n)) for c in range(n)]
+
+
+def orthant_image(n, moves):
+    """The orthant fan under a product of elementary shears e_i += k e_j."""
+    cols = sheared_units(n, moves)
     return fans.fan_from_cones(
         [cg([tuple(s * a for a in col) for s, col in zip(signs, cols)])
          for signs in itertools.product((1, -1), repeat=n)])
+
+
+def non_pure_image(moves):
+    """A rank-3 fan that is not pure: the four octants over the third unit
+    vector and the 2-dimensional cone over (1, 0, -1) and (0, 1, -1), which
+    meets them in the origin only, under a product of shears."""
+    a, b, c = sheared_units(3, moves)
+    return fans.fan_from_cones(
+        [cg([tuple(s * e for e in a), tuple(t * e for e in b), c])
+         for s, t in itertools.product((1, -1), repeat=2)]
+        + [cg([tuple(p - q for p, q in zip(a, c)),
+               tuple(p - q for p, q in zip(b, c))])])
 
 
 def shears(n):
@@ -836,13 +854,12 @@ def caught(fn, *args):
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_the_chain_reuses_the_walk_of_the_extension(data):
-    """``chain_toward`` against one fresh walk, on rank-2 and rank-3 towers:
-    toward towers extended in one call or in two, stellar towers and
-    towers of no step, chased toward the target, an equal copy of it,
-    another direction or the zero vector; on bases less one cone the
-    target or the direction can miss the support.  A second chase gives
-    the same chain, and the tower extended in two calls is the one."""
+def test_a_tower_extended_in_two_calls_misses_as_one_call(data):
+    """On rank-2 and rank-3 bases, some less one cone: a toward tower
+    extended in two calls is the tower extended in one, errors included,
+    and a target off the support stops the extension with its message;
+    a direction off it stops the chain of a toward, stellar or stepless
+    tower with the level-0 message."""
     n = data.draw(st.sampled_from((2, 3)))
     base = orthant_image(n, data.draw(shears(n)))
     if data.draw(st.booleans()):
@@ -870,20 +887,10 @@ def test_the_chain_reuses_the_walk_of_the_extension(data):
         if tower[0] is OutsideSupport:
             assert tower[1] == "target direction lies outside the fan support"
         return
-    chased = data.draw(st.sampled_from(("target", "copy", "other", "zero")))
-    if chased == "target":
-        x = target
-    elif chased == "copy":
-        x = tw.SymbolicVector(target.symbols, target.rows)
-    elif chased == "other":
-        x = data.draw(targets(n))
-    else:
-        x = tw.symbolic_vector([0] * n)
-    expected = caught(fresh_chain_toward, tower, x)
-    assert caught(tw.chain_toward, tower, x) == expected
-    assert caught(tw.chain_toward, tower, x) == expected
-    if isinstance(expected, tuple) and expected[0] is OutsideSupport:
-        assert expected[1] == "direction lies outside the level-0 support"
+    x = target if data.draw(st.booleans()) else data.draw(targets(n))
+    chain = caught(tw.chain_toward, tower, x)
+    if isinstance(chain, tuple) and chain[0] is OutsideSupport:
+        assert chain[1] == "direction lies outside the level-0 support"
 
 
 def test_the_misses_of_a_chase_are_pinned():
@@ -898,53 +905,31 @@ def test_the_misses_of_a_chase_are_pinned():
     assert str(exc.value) == "target direction lies outside the fan support"
     inside = rational_vector(less.maximal[0].relint_point())
     tower = tw.extend_tower(tw.fan_tower(less), tw.TowardDirection(inside), 2)
-    for chase in (tw.chain_toward, fresh_chain_toward):
+    with pytest.raises(OutsideSupport) as exc:
+        tw.chain_toward(tower, outside)
+    assert str(exc.value) == "direction lies outside the level-0 support"
+    # the carrier chase misses where the tower would: on level 0 as a
+    # toward tower is extended, or as the chain of a stellar tower or a
+    # tower of no step
+    for strategy, steps, message in (
+            (tw.TowardDirection(outside), 2,
+             "target direction lies outside the fan support"),
+            (tw.TowardDirection(outside), 0,
+             "direction lies outside the level-0 support"),
+            (tw.StellarAtBarycenters(), 2,
+             "direction lies outside the level-0 support")):
         with pytest.raises(OutsideSupport) as exc:
-            chase(tower, outside)
-        assert str(exc.value) == "direction lies outside the level-0 support"
-    # the closed-form chase misses where the tower would: on level 0 as the
-    # tower is extended, or as the chain of a tower of no step
-    for steps, message in ((2, "target direction lies outside the fan "
-                                "support"),
-                           (0, "direction lies outside the level-0 support")):
-        with pytest.raises(OutsideSupport) as exc:
-            tw.tower_chain(less, tw.TowardDirection(outside), steps, outside)
+            tw.tower_chain(less, strategy, steps, outside)
         assert str(exc.value) == message
 
 
-@pytest.mark.parametrize("n, steps", [(2, 6), (3, 3)])
-def test_a_chase_toward_the_target_locates_once_per_level(monkeypatch, n,
-                                                         steps):
-    """Extending toward x and chasing x locates x once on each level, also
-    when the tower is extended in two calls and x is an equal copy."""
-    calls = []
-    locate_in = fans.Fan.locate
-
-    def counted(fan, point, among=None):
-        calls.append(point)
-        return locate_in(fan, point, among)
-
-    monkeypatch.setattr(fans.Fan, "locate", counted)
-    x = rational_vector([3, 5, 7][:n])
-    base = tw.fan_tower(orthant_image(n, []))
-    tower = tw.extend_tower(base, tw.TowardDirection(x), steps)
-    assert len(calls) == steps
-    tw.chain_toward(tower, x)
-    assert len(calls) == steps + 1 == tower.depth
-    calls.clear()
-    half = tw.extend_tower(base, tw.TowardDirection(x), 1)
-    twice = tw.extend_tower(half, tw.TowardDirection(x), steps - 1)
-    assert twice == tower
-    tw.chain_toward(twice, tw.SymbolicVector(x.symbols, x.rows))
-    assert len(calls) == tower.depth
-
-
-# -- the closed-form rank-2 chase against the tower -------------------------
+# -- the carrier chase against the tower -----------------------------------
 
 
 def tower_reference(base, strategy, steps, x):
-    """The chain of the built tower, which ``tower_chain`` leaves for the
-    closed form in rank 2."""
+    """The chain of the built tower, which ``tower_chain`` reads off the
+    carriers alone for a toward tower chased toward its target and for a
+    stellar tower."""
     return tw.chain_toward(tw.extend_tower(tw.fan_tower(base), strategy,
                                            steps), x)
 
@@ -1014,35 +999,128 @@ def plane_targets(draw, u, v):
         lambda w: len(w) != 2)))
 
 
-@settings(max_examples=200, deadline=None)
+@st.composite
+def space_fans(draw, n):
+    """An orthant image of rank 3 or 4, the same less one cone, or in rank
+    3 the fan of ``non_pure_image``."""
+    moves = draw(shears(n))
+    if n == 3 and draw(st.booleans()):
+        return non_pure_image(moves)
+    fan = orthant_image(n, moves)
+    if draw(st.booleans()):
+        drop = draw(st.integers(0, len(fan.maximal) - 1))
+        fan = fans._trusted_fan(fan.maximal[:drop] + fan.maximal[drop + 1:])
+    return fan
+
+
+@st.composite
+def space_targets(draw, fan):
+    """A rational or (1, sqrt k) target of ``targets``, the zero vector, or
+    a (1, sqrt k) target on a wall: a sum of fewer rays than the dimension
+    of a maximal cone, each times a positive p + q sqrt k, drawn from the
+    cone's rays and its ray sum, so that some lie on the walls of the
+    stellar level below."""
+    kind = draw(st.sampled_from(("targets", "targets", "wall", "wall", "wall",
+                                 "zero")))
+    if kind == "targets":
+        return draw(targets(fan.n))
+    if kind == "zero":
+        return tw.symbolic_vector([0] * fan.n)
+    sigma = draw(st.sampled_from(fan.maximal))
+    rays = draw(st.lists(
+        st.sampled_from(sigma.rays + (primitivize(sigma.relint_point()),)),
+        min_size=1, max_size=sigma.dim - 1, unique=True))
+    weights = [draw(st.tuples(st.integers(0, 3), st.integers(1, 3)))
+               for _ in rays]
+    return tw.symbolic_vector(
+        [tuple(sum(w[k] * r[i] for w, r in zip(weights, rays))
+               for k in range(2)) for i in range(fan.n)],
+        [tw.Symbol.sqrt(draw(st.sampled_from((2, 3))))])
+
+
+# a stellar tower multiplies its cones by up to n each step, so the tower
+# it is checked against is built to a smaller depth than a toward tower
+STELLAR_STEPS = {2: 6, 3: 2, 4: 1}
+
+
+@settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_the_closed_form_chase_is_the_chain_of_the_tower(data):
-    """``tower_chain`` toward a rank-2 tower's own target against the chain
-    of the tower built to depth 64 and past it: the same cones, facets
-    and equations, or the same error, its data included.  The fans hold a
-    non-unimodular cone, which carries some targets."""
-    base, u, v = data.draw(plane_fans())
-    x = data.draw(plane_targets(u, v))
+    """``tower_chain`` toward a toward tower's own target, and toward any
+    direction of a stellar tower, against the chain of the tower built:
+    the same cones, facets and equations, or the same error, its data
+    included.  Rank 2 draws fans holding a non-unimodular cone, which
+    carries some targets, and chases toward towers to depth 64 and past
+    it; ranks 3 and 4 draw orthant images, some less one cone, and a fan
+    that is not pure, with targets on walls, to depth 4.
+
+    One error may differ in its data: an ``UndecidableSign`` raised
+    splitting a carrier that is not a maximal cone of its level.  The
+    tower locates the direction among the joins of every cone holding
+    the carrier, and the chase among the joins of the carrier alone,
+    their faces; the same sign is undecidable in both, but each meets
+    its own row first."""
+    n = data.draw(st.sampled_from((2, 3, 4)))
+    if n == 2:
+        base, u, v = data.draw(plane_fans())
+        x = data.draw(plane_targets(u, v))
+    else:
+        base = data.draw(space_fans(n))
+        x = data.draw(space_targets(base))
+    if data.draw(st.booleans()):
+        strategy, deepest = tw.TowardDirection(x), 64 if n == 2 else 4
+    else:
+        strategy, deepest = tw.StellarAtBarycenters(), STELLAR_STEPS[n]
     # hypothesis favours small integers; so half the draws count down
-    steps = data.draw(st.integers(0, 64)
-                      | st.integers(0, 64).map(lambda k: 64 - k))
-    strategy = tw.TowardDirection(x)
+    steps = data.draw(st.integers(0, deepest)
+                      | st.integers(0, deepest).map(lambda k: deepest - k))
     expected = caught(tower_reference, base, strategy, steps, x)
     chain = caught(tw.tower_chain, base, strategy, steps, x)
+    if isinstance(expected, tuple):
+        if expected[0] is UndecidableSign and chain != expected:
+            assert isinstance(chain, tuple) and chain[:2] == expected[:2]
+            # the first depth whose chase raises, and the carrier above it
+            depth = next(k for k in range(steps + 1) if isinstance(
+                caught(tw.tower_chain, base, strategy, k, x), tuple))
+            above = tw.tower_chain(base, strategy, depth - 1, x).cones[-1]
+            level = tw.extend_tower(tw.fan_tower(base), strategy,
+                                    depth - 1).fans[-1]
+            assert above not in level.maximal
+        else:
+            assert chain == expected
+        return
     assert chain == expected
-    if not isinstance(expected, tuple):
-        for got, want in zip(chain.cones, expected.cones):
-            assert (got.facets, got.equations) == \
-                (want.facets, want.equations)
+    for got, want in zip(chain.cones, expected.cones):
+        assert (got.facets, got.equations) == (want.facets, want.equations)
+
+
+@pytest.mark.parametrize("entries", [[(1, 1), (0, 1), (0, 1)],
+                                     [1, (0, 1), 0]],
+                         ids=["level-1-wall", "level-0-wall"])
+def test_a_stellar_chase_splits_maximal_carriers_only(entries):
+    """A stellar step splits each octant at its ray sum and leaves the
+    walls whole.  e1 + sqrt 2 (1, 1, 1) lies in an octant, then on the
+    wall through e1 and the ray sum; (1, sqrt 2, 0) lies on a wall of the
+    octant fan.  Each keeps that wall as its carrier below, as the tower
+    does."""
+    base, strategy = orthant_image(3, []), tw.StellarAtBarycenters()
+    x = tw.symbolic_vector(entries, [SQRT2])
+    chain = tw.tower_chain(base, strategy, 3, x)
+    assert chain == tower_reference(base, strategy, 3, x)
+    assert [c.dim for c in chain.cones][-3:] == [2, 2, 2]
 
 
 def test_a_non_unimodular_carrier_splits_at_its_primitive_ray_sum():
     """cone((1, 0), (1, 2)) has index 2 and ray sum (2, 2): the chase
-    toward (3, 2) splits it at (1, 1), as the tower does."""
+    toward (3, 2) splits it at (1, 1), as the tower does.  Each strategy
+    states that ray primitive; ``_split`` reduces the ray it is handed, so
+    no chain would tell (2, 2) from it."""
     base = fan_from_rays_2d([(1, 0), (1, 2), (-1, -1)])
     x = rational_vector([3, 2])
     strategy = tw.TowardDirection(x)
     chain = tw.tower_chain(base, strategy, 3, x)
     assert not chain.cones[0].is_unimodular
+    assert strategy.ray(chain.cones[0]) == (1, 1)
+    assert tw.StellarAtBarycenters().ray(chain.cones[0]) == (1, 1)
     assert chain.cones[1].rays == ((1, 0), (1, 1))
     assert chain == tower_reference(base, strategy, 3, x)
